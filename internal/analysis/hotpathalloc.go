@@ -19,6 +19,9 @@ const hotpathDirective = "hotpath"
 //     growing a fresh local builds per-call garbage; appends into
 //     receiver- or parameter-owned scratch are amortized and allowed;
 //   - no fmt or reflect calls (each boxes and allocates);
+//   - no sort.Slice / sort.SliceStable (a reflection swapper, a closure
+//     and an interface box per call) — slices.SortFunc sorts in place
+//     with none of the three;
 //   - no time.Now (a vDSO call per object is still a call per object);
 //   - no boxing of integers/floats into interfaces (assignment, call
 //     argument, return or conversion) — every one is an allocation;
@@ -32,7 +35,7 @@ const hotpathDirective = "hotpath"
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "//paretomon:hotpath functions may not allocate maps, grow local " +
-		"slices, call fmt/reflect/time.Now, box scalars into interfaces, or take locks",
+		"slices, call fmt/reflect/time.Now/sort.Slice, box scalars into interfaces, or take locks",
 	Run: runHotPathAlloc,
 }
 
@@ -140,6 +143,11 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, locals map[*types.Var]bool) {
 			case "time":
 				if fn.Name() == "Now" {
 					pass.Reportf(call.Pos(), "time.Now on the hot path: a clock call per object")
+					return
+				}
+			case "sort":
+				if fn.Name() == "Slice" || fn.Name() == "SliceStable" {
+					pass.Reportf(call.Pos(), "sort.%s on the hot path: reflection swapper, closure and interface box per call; use slices.SortFunc", fn.Name())
 					return
 				}
 			}

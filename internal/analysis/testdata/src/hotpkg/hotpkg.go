@@ -5,6 +5,8 @@ package hotpkg
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 )
@@ -63,6 +65,23 @@ func (p *Proc) BadCalls(x int) {
 	_ = time.Now() // want `time.Now on the hot path`
 	p.mu.Lock()    // want `mutex Lock on the hot path`
 	p.mu.Unlock()
+}
+
+// Sorted orders receiver-owned scratch in place: slices.SortFunc needs
+// no reflection and no boxing, allowed.
+//
+//paretomon:hotpath
+func (p *Proc) Sorted(xs []int) []int {
+	p.scratch = append(p.scratch[:0], xs...)
+	slices.SortFunc(p.scratch, func(a, b int) int { return a - b })
+	return p.scratch
+}
+
+//paretomon:hotpath
+func (p *Proc) BadSort(xs []int) {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })       // want `sort.Slice on the hot path`
+	sort.SliceStable(xs, func(i, j int) bool { return xs[i] < xs[j] }) // want `sort.SliceStable on the hot path`
+	sort.Ints(xs)
 }
 
 //paretomon:hotpath

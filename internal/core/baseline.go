@@ -96,14 +96,15 @@ func (b *Baseline) EnableScratch() { b.scratch.Enable() }
 // whether o is Pareto-optimal for c. Every pairwise comparison is counted
 // as a verify comparison (Baseline has no filter tier).
 func (b *Baseline) updateUser(c int, o object.Object) bool {
-	u := b.users[c]
 	f := b.fronts[c]
+	var po pref.Probe
+	b.users[c].Prepare(o, &po)
 	isPareto := true
 scan:
 	for i := 0; i < f.Len(); {
 		op := f.At(i)
 		b.ctr.AddVerify(1)
-		switch u.Compare(o, op) {
+		switch po.Compare(op) {
 		case pref.Left: // o ≻ o': discard o', keep scanning this slot
 			f.Remove(op.ID)
 			b.targets.remove(op.ID, c)

@@ -129,12 +129,14 @@ func (f *FilterThenVerify) EnableScratch() { f.scratch.Enable() }
 func (f *FilterThenVerify) updateClusterFrontier(ui int, o object.Object) bool {
 	cl := f.clusters[ui]
 	fu := f.clusterFronts[ui]
+	var po pref.Probe
+	cl.Common.Prepare(o, &po)
 	isPareto := true
 scan:
 	for i := 0; i < fu.Len(); {
 		op := fu.At(i)
 		f.ctr.AddFilter(1)
-		switch cl.Common.Compare(o, op) {
+		switch po.Compare(op) {
 		case pref.Left:
 			// o ≻_U o': o' leaves P_U and, per Lines 4-6, every member's
 			// P_c (P_c ⊆ P_U is the engine's standing invariant).
@@ -168,14 +170,15 @@ scan:
 // verifyUser discerns the "false positives" of the filter tier for one
 // member (Alg. 2 Line 6 → Alg. 1's updateParetoFrontier against P_c).
 func (f *FilterThenVerify) verifyUser(c int, o object.Object) bool {
-	u := f.users[c]
 	fc := f.userFronts[c]
+	var po pref.Probe
+	f.users[c].Prepare(o, &po)
 	isPareto := true
 scan:
 	for i := 0; i < fc.Len(); {
 		op := fc.At(i)
 		f.ctr.AddVerify(1)
-		switch u.Compare(o, op) {
+		switch po.Compare(op) {
 		case pref.Left:
 			fc.Remove(op.ID)
 			f.targets.remove(op.ID, c)

@@ -93,17 +93,19 @@ func MendFrontier(f *Frontier, cands []object.Object, p *pref.Profile, count fun
 	preLen := f.Len() // members admitted during the mend sit past this
 	var admitted []object.Object
 	for i, x := range cands {
+		var px pref.Probe
+		p.Prepare(x, &px)
 		dominated := false
 		for j := 0; j < preLen && !dominated; j++ {
 			count(1)
-			dominated = p.Dominates(f.At(j), x)
+			dominated = px.DominatedBy(f.At(j))
 		}
 		for j := 0; j < len(cands) && !dominated; j++ {
 			if j == i {
 				continue
 			}
 			count(1)
-			dominated = p.Dominates(cands[j], x)
+			dominated = px.DominatedBy(cands[j])
 		}
 		if !dominated {
 			f.Add(x)
@@ -111,6 +113,34 @@ func MendFrontier(f *Frontier, cands []object.Object, p *pref.Profile, count fun
 		}
 	}
 	return admitted
+}
+
+// FilterFrontier is the inverse repair, for a grown relation: it evicts
+// every member of f that another member dominates under p. Grown
+// preferences only add dominance pairs, so the pairwise filter is exact
+// (see update.go). Every dominance test invokes count; evicted is called
+// with each removed id.
+func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(id int)) {
+	for _, id := range f.IDs() {
+		o, ok := f.ByID(id)
+		if !ok {
+			continue // removed by an earlier iteration
+		}
+		var po pref.Probe
+		p.Prepare(o, &po)
+		for j := 0; j < f.Len(); j++ {
+			op := f.At(j)
+			if op.ID == id {
+				continue
+			}
+			count(1)
+			if po.DominatedBy(op) {
+				f.Remove(id)
+				evicted(id)
+				break
+			}
+		}
+	}
 }
 
 // --- Baseline ---
@@ -190,13 +220,15 @@ func (b *Baseline) RemoveObject(o object.Object, alive []object.Object) {
 		}
 		b.targets.remove(o.ID, c)
 		u := b.users[c]
+		var po pref.Probe
+		u.Prepare(o, &po)
 		var cands []object.Object
 		for _, x := range alive {
 			if f.Contains(x.ID) {
 				continue
 			}
 			b.ctr.AddVerify(1)
-			if u.Dominates(o, x) {
+			if po.Dominates(x) {
 				cands = append(cands, x)
 			}
 		}
@@ -302,23 +334,29 @@ func (f *FilterThenVerify) mendMemberFrontier(li, c int) {
 	u := f.users[c]
 	fc := f.userFronts[c]
 	for _, x := range fu.Objects() {
-		if fc.Contains(x.ID) {
-			continue
-		}
-		dominated := false
-		for j := 0; j < fu.Len() && !dominated; j++ {
-			op := fu.At(j)
-			if op.ID == x.ID {
-				continue
-			}
-			f.ctr.AddVerify(1)
-			dominated = u.Dominates(op, x)
-		}
-		if !dominated {
-			fc.Add(x)
-			f.targets.add(x.ID, c)
+		if !fc.Contains(x.ID) {
+			f.admitMember(fu, u, c, x)
 		}
 	}
+}
+
+// admitMember adds x to P_c unless another filter-frontier member
+// dominates it under ≻_c (the Lemma 4.6 scan).
+func (f *FilterThenVerify) admitMember(fu *Frontier, u *pref.Profile, c int, x object.Object) {
+	var px pref.Probe
+	u.Prepare(x, &px)
+	for j := 0; j < fu.Len(); j++ {
+		op := fu.At(j)
+		if op.ID == x.ID {
+			continue
+		}
+		f.ctr.AddVerify(1)
+		if px.DominatedBy(op) {
+			return
+		}
+	}
+	f.userFronts[c].Add(x)
+	f.targets.add(x.ID, c)
 }
 
 // DeactivateUser blanks user c's slot without mending (recovery path).
@@ -398,30 +436,13 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile, alive []obje
 // frontiers (P_c ⊆ P_U is the engine invariant).
 func (f *FilterThenVerify) filterClusterFrontier(li int) {
 	cl := &f.clusters[li]
-	fu := f.clusterFronts[li]
-	ids := append([]int(nil), fu.IDs()...)
-	for _, id := range ids {
-		o, ok := fu.ByID(id)
-		if !ok {
-			continue
-		}
-		for j := 0; j < fu.Len(); j++ {
-			op := fu.At(j)
-			if op.ID == id {
-				continue
-			}
-			f.ctr.AddFilter(1)
-			if cl.Common.Dominates(op, o) {
-				fu.Remove(id)
-				for _, m := range cl.Members {
-					if f.userFronts[m].Remove(id) {
-						f.targets.remove(id, m)
-					}
-				}
-				break
+	FilterFrontier(f.clusterFronts[li], cl.Common, f.ctr.AddFilter, func(id int) {
+		for _, m := range cl.Members {
+			if f.userFronts[m].Remove(id) {
+				f.targets.remove(id, m)
 			}
 		}
-	}
+	})
 }
 
 // RemoveObject deletes o from the filter and member frontiers of every
@@ -448,13 +469,15 @@ func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) 
 		if !fu.Remove(o.ID) {
 			continue
 		}
+		var po pref.Probe
+		cl.Common.Prepare(o, &po)
 		var cands []object.Object
 		for _, x := range alive {
 			if fu.Contains(x.ID) {
 				continue
 			}
 			f.ctr.AddFilter(1)
-			if cl.Common.Dominates(o, x) {
+			if po.Dominates(x) {
 				cands = append(cands, x)
 			}
 		}
@@ -474,26 +497,15 @@ func (f *FilterThenVerify) mendMemberAfterRemoval(li, c int, o object.Object) {
 	fu := f.clusterFronts[li]
 	u := f.users[c]
 	fc := f.userFronts[c]
+	var po pref.Probe
+	u.Prepare(o, &po)
 	for _, x := range fu.Objects() {
 		if fc.Contains(x.ID) {
 			continue
 		}
 		f.ctr.AddVerify(1)
-		if !u.Dominates(o, x) {
-			continue
-		}
-		dominated := false
-		for j := 0; j < fu.Len() && !dominated; j++ {
-			op := fu.At(j)
-			if op.ID == x.ID {
-				continue
-			}
-			f.ctr.AddVerify(1)
-			dominated = u.Dominates(op, x)
-		}
-		if !dominated {
-			fc.Add(x)
-			f.targets.add(x.ID, c)
+		if po.Dominates(x) {
+			f.admitMember(fu, u, c, x)
 		}
 	}
 }

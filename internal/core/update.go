@@ -31,34 +31,10 @@ func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
 	if err := b.users[c].Relation(d).Add(better, worse); err != nil {
 		return err
 	}
-	b.repairUser(c)
+	FilterFrontier(b.fronts[c], b.users[c], b.ctr.AddVerify, func(id int) {
+		b.targets.remove(id, c)
+	})
 	return nil
-}
-
-// repairUser removes frontier members dominated under the (grown)
-// preferences. Comparisons are counted as verify work.
-func (b *Baseline) repairUser(c int) {
-	u := b.users[c]
-	f := b.fronts[c]
-	members := append([]int(nil), f.IDs()...)
-	for _, id := range members {
-		o, ok := f.ByID(id)
-		if !ok {
-			continue // removed by an earlier iteration
-		}
-		for i := 0; i < f.Len(); i++ {
-			op := f.At(i)
-			if op.ID == id {
-				continue
-			}
-			b.ctr.AddVerify(1)
-			if u.Dominates(op, o) {
-				f.Remove(id)
-				b.targets.remove(id, c)
-				break
-			}
-		}
-	}
 }
 
 // ApplyPreference records a new preference tuple for user c on attribute d
@@ -89,33 +65,10 @@ func (f *FilterThenVerify) ApplyPreference(c, d, better, worse int) error {
 	f.filterClusterFrontier(ui)
 
 	// Filter the changed user's own frontier under their new preferences.
-	f.repairMember(c)
+	FilterFrontier(f.userFronts[c], f.users[c], f.ctr.AddVerify, func(id int) {
+		f.targets.remove(id, c)
+	})
 	return nil
-}
-
-// repairMember filters P_c pairwise for one user.
-func (f *FilterThenVerify) repairMember(c int) {
-	u := f.users[c]
-	fc := f.userFronts[c]
-	ids := append([]int(nil), fc.IDs()...)
-	for _, id := range ids {
-		o, ok := fc.ByID(id)
-		if !ok {
-			continue
-		}
-		for j := 0; j < fc.Len(); j++ {
-			op := fc.At(j)
-			if op.ID == id {
-				continue
-			}
-			f.ctr.AddVerify(1)
-			if u.Dominates(op, o) {
-				fc.Remove(id)
-				f.targets.remove(id, c)
-				break
-			}
-		}
-	}
 }
 
 // clusterOf locates the cluster containing user c.

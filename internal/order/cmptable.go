@@ -34,10 +34,7 @@ type cmpTable struct {
 //
 //paretomon:hotpath
 func (r *Relation) Rel(x, y int) uint8 {
-	t := r.cmp.Load()
-	if t == nil {
-		t = r.buildCmp()
-	}
+	t := r.table()
 	if t != nil && x >= 0 && y >= 0 && x < t.n && y < t.n {
 		return t.t[x*t.n+y]
 	}
@@ -48,6 +45,31 @@ func (r *Relation) Rel(x, y int) uint8 {
 		return RelRight
 	}
 	return RelNone
+}
+
+// Row returns x's row of the dense table: row[y] == Rel(x, y) for every
+// y < len(row). It is nil when the table does not cover x (value interned
+// after the last build, or a domain past cmpTableMaxN); callers then ask
+// Rel pair by pair. A scan that holds x fixed fetches the row once and
+// pays one byte load per comparison instead of a table resolution. The
+// row is valid until the relation is next mutated.
+//
+//paretomon:hotpath
+func (r *Relation) Row(x int) []uint8 {
+	t := r.table()
+	if t == nil || uint(x) >= uint(t.n) {
+		return nil
+	}
+	return t.t[x*t.n : (x+1)*t.n]
+}
+
+// table returns the published table, building it after an invalidation;
+// nil when the domain is past cmpTableMaxN.
+func (r *Relation) table() *cmpTable {
+	if t := r.cmp.Load(); t != nil {
+		return t
+	}
+	return r.buildCmp()
 }
 
 // buildCmp materializes the table from the closed succ bitsets and

@@ -22,6 +22,12 @@ func checkRelAgainstHas(t *testing.T, r *Relation, lo, hi int) {
 				t.Fatalf("Rel(%d,%d) = %d, want %d (tuples %v)", x, y, got, want, r.Tuples())
 			}
 		}
+		// A row answers exactly like Rel as far as it reaches.
+		for y, got := range r.Row(x) {
+			if want := relOf(r, x, y); got != want {
+				t.Fatalf("Row(%d)[%d] = %d, want %d (tuples %v)", x, y, got, want, r.Tuples())
+			}
+		}
 	}
 }
 
@@ -54,6 +60,12 @@ func TestRelMatchesHas(t *testing.T) {
 	fresh := dom.Intern("f")
 	if got := r.Rel(fresh, 0); got != RelNone {
 		t.Fatalf("Rel(fresh, 0) = %d, want RelNone", got)
+	}
+	if row := r.Row(fresh); row != nil {
+		t.Fatalf("Row(fresh) = %v, want nil: the published table predates the value", row)
+	}
+	if row := r.Row(0); len(row) != fresh {
+		t.Fatalf("Row(0) reaches %d values, want the %d the table was built over", len(row), fresh)
 	}
 	mustAdd(fresh, 4)
 	checkRelAgainstHas(t, r, 0, 6)
@@ -100,7 +112,10 @@ func TestRelOversizedDomain(t *testing.T) {
 	if r.Rel(big-1, 3) != RelLeft || r.Rel(3, big-1) != RelRight || r.Rel(1, 2) != RelNone {
 		t.Fatal("probe fallback wrong on oversized domain")
 	}
+	if r.Row(big-1) != nil || r.Row(3) != nil {
+		t.Fatal("Row handed out a row past cmpTableMaxN")
+	}
 	if r.cmp.Load() != nil {
-		t.Fatal("Rel built a table past cmpTableMaxN")
+		t.Fatal("Rel or Row built a table past cmpTableMaxN")
 	}
 }

@@ -23,9 +23,9 @@ func BenchmarkCompare(b *testing.B) {
 	}
 }
 
-// BenchmarkCompareWide measures dominance over wider synthetic relations
-// (60-value domains, thousands of closure tuples).
-func BenchmarkCompareWide(b *testing.B) {
+// wideWorld builds a 4-attribute profile over 60-value domains with
+// thousands of closure tuples, and 256 random objects.
+func wideWorld() (*pref.Profile, []object.Object) {
 	r := rand.New(rand.NewSource(1))
 	doms := make([]*order.Domain, 4)
 	for d := range doms {
@@ -48,10 +48,34 @@ func BenchmarkCompareWide(b *testing.B) {
 		}
 		objs[i] = object.Object{ID: i, Attrs: attrs}
 	}
+	return p, objs
+}
+
+// BenchmarkCompareWide measures one-shot dominance over wider synthetic
+// relations.
+func BenchmarkCompareWide(b *testing.B) {
+	p, objs := wideWorld()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = p.Compare(objs[i%256], objs[(i*11+5)%256])
 	}
+}
+
+// BenchmarkProbeCompare measures the engines' scan shape on the same
+// world: one Prepare per fixed object, then a 64-object scan. ns/op is
+// per comparison.
+func BenchmarkProbeCompare(b *testing.B) {
+	p, objs := wideWorld()
+	var sink pref.Cmp
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 64 {
+		var pr pref.Probe
+		p.Prepare(objs[(i/64)%256], &pr)
+		for j := 0; j < 64; j++ {
+			sink += pr.Compare(objs[(i+j*11+5)%256])
+		}
+	}
+	_ = sink
 }
 
 // BenchmarkCommon measures common-preference computation (Def. 4.1), the

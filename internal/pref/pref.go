@@ -109,23 +109,71 @@ func (p *Profile) Size() int {
 	return n
 }
 
-// Compare evaluates one pairwise object comparison under the profile in a
-// single pass over the attributes (Def. 3.2): a dominates b iff a is equal
-// or preferred on every attribute and strictly preferred on at least one.
-// If on any attribute the two values are distinct and unrelated, neither
-// object can dominate the other and Incomparable is returned immediately;
-// likewise once a strictly-better attribute has been seen in both
-// directions. Each attribute costs one Rel lookup — a single cell load
-// from the relation's dense id-indexed table — rather than a pair of
-// bitset probes.
-func (p *Profile) Compare(a, b object.Object) Cmp {
-	aBetter, bBetter := false, false
+// probeInline is the attribute count a Probe holds without touching the
+// heap; the paper's datasets have 4–5 attributes.
+const probeInline = 8
+
+// Probe is a profile prepared against one fixed object a: the engines'
+// scan loops hold one operand fixed (the arriving, expiring or mended
+// object) while walking a frontier or buffer, so everything that depends
+// only on (profile, a) — each attribute's row of the dense closure table —
+// is resolved once by Profile.Prepare and every comparison of the scan is
+// one byte load per attribute. A Probe lives on the caller's stack and is
+// valid until the profile's relations are next mutated.
+type Probe struct {
+	p     *Profile
+	attrs []int32 // a's values, one per profile attribute
+	// rows[d][y] == rels[d].Rel(attrs[d], y); a row is short or nil where
+	// the table does not reach. Profiles wider than probeInline spill to
+	// the heap. (A single slice aliasing the inline array would make every
+	// Probe escape: a pointer into itself stored through pr.)
+	inline [probeInline][]uint8
+	spill  [][]uint8
+}
+
+// Prepare fills pr for comparing a against many objects under p.
+func (p *Profile) Prepare(a object.Object, pr *Probe) {
+	n := len(p.rels)
+	pr.p, pr.attrs, pr.spill = p, a.Attrs[:n], nil
+	rows := pr.inline[:]
+	if n > probeInline {
+		pr.spill = make([][]uint8, n)
+		rows = pr.spill
+	}
 	for d, r := range p.rels {
-		av, bv := int(a.Attrs[d]), int(b.Attrs[d])
+		rows[d] = r.Row(int(a.Attrs[d]))
+	}
+}
+
+// Compare evaluates the prepared object a against b in a single pass over
+// the attributes (Def. 3.2): a dominates b iff a is equal or preferred on
+// every attribute and strictly preferred on at least one. If on any
+// attribute the two values are distinct and unrelated, neither object can
+// dominate the other and Incomparable is returned immediately; likewise
+// once a strictly-better attribute has been seen in both directions. Each
+// attribute costs one load from the prepared row; a value the row does not
+// reach (interned after the table was published, or a domain too large for
+// a table) takes the exact Relation.Rel path instead.
+//
+//paretomon:hotpath
+func (pr *Probe) Compare(b object.Object) Cmp {
+	rows := pr.spill
+	if rows == nil {
+		rows = pr.inline[:len(pr.attrs)]
+	}
+	aBetter, bBetter := false, false
+	for d, av := range pr.attrs {
+		bv := b.Attrs[d]
 		if av == bv {
 			continue
 		}
-		switch r.Rel(av, bv) {
+		var rel uint8
+		if row := rows[d]; uint(bv) < uint(len(row)) {
+			rel = row[bv]
+		} else {
+			rel = pr.p.rels[d].Rel(int(av), int(bv))
+		}
+		switch rel {
 		case order.RelLeft:
 			if bBetter {
 				return Incomparable
@@ -148,6 +196,21 @@ func (p *Profile) Compare(a, b object.Object) Cmp {
 	default:
 		return Identical
 	}
+}
+
+// Dominates reports whether the prepared object dominates b (a ≻ b).
+func (pr *Probe) Dominates(b object.Object) bool { return pr.Compare(b) == Left }
+
+// DominatedBy reports whether b dominates the prepared object (b ≻ a).
+func (pr *Probe) DominatedBy(b object.Object) bool { return pr.Compare(b) == Right }
+
+// Compare evaluates one pairwise object comparison under the profile: a
+// one-shot Prepare and Probe.Compare. Scans that hold a fixed should
+// Prepare once themselves.
+func (p *Profile) Compare(a, b object.Object) Cmp {
+	var pr Probe
+	p.Prepare(a, &pr)
+	return pr.Compare(b)
 }
 
 // Dominates reports whether a ≻ b under the profile.

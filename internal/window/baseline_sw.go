@@ -107,7 +107,6 @@ func (b *BaselineSW) EnableScratch() { b.scratch.Enable() }
 // exclusively dominated are promoted from PB_c (Procedure
 // mendParetoFrontierSW); o_out then leaves both structures.
 func (b *BaselineSW) expireUser(c int, oout object.Object) {
-	u := b.users[c]
 	f := b.fronts[c]
 	pb := b.buffers[c]
 	if f.Remove(oout.ID) {
@@ -115,12 +114,14 @@ func (b *BaselineSW) expireUser(c int, oout object.Object) {
 		// Promote buffered objects whose only shield was o_out. Arrival
 		// order matters: an earlier candidate admitted to P_c must be able
 		// to reject a later candidate it dominates.
+		var po pref.Probe
+		b.users[c].Prepare(oout, &po)
 		for _, o := range pb.objects() {
 			if o.ID == oout.ID {
 				continue
 			}
 			b.ctr.AddVerify(1)
-			if u.Dominates(oout, o) {
+			if po.Dominates(o) {
 				b.mendUser(c, o)
 			}
 		}
@@ -131,14 +132,15 @@ func (b *BaselineSW) expireUser(c int, oout object.Object) {
 // mendUser is Procedure mendParetoFrontierSW(c, o): o joins P_c unless a
 // current member dominates it.
 func (b *BaselineSW) mendUser(c int, o object.Object) {
-	u := b.users[c]
 	f := b.fronts[c]
 	if f.Contains(o.ID) {
 		return
 	}
+	var po pref.Probe
+	b.users[c].Prepare(o, &po)
 	for i := 0; i < f.Len(); i++ {
 		b.ctr.AddVerify(1)
-		if u.Dominates(f.At(i), o) {
+		if po.DominatedBy(f.At(i)) {
 			return
 		}
 	}
@@ -153,14 +155,15 @@ func (b *BaselineSW) mendUser(c int, o object.Object) {
 // it dominates — they arrived earlier, so by Theorem 7.2 they are out for
 // good.
 func (b *BaselineSW) arriveUser(c int, oin object.Object) bool {
-	u := b.users[c]
 	f := b.fronts[c]
+	var po pref.Probe
+	b.users[c].Prepare(oin, &po)
 	isPareto := true
 scan:
 	for i := 0; i < f.Len(); {
 		op := f.At(i)
 		b.ctr.AddVerify(1)
-		switch u.Compare(oin, op) {
+		switch po.Compare(op) {
 		case pref.Left:
 			f.Remove(op.ID)
 			b.targets.remove(op.ID, c)
@@ -178,10 +181,7 @@ scan:
 		b.targets.add(oin.ID, c)
 	}
 	pb := b.buffers[c]
-	pb.removeIf(func(o object.Object) bool {
-		b.ctr.AddVerify(1)
-		return u.Dominates(oin, o)
-	})
+	b.ctr.AddVerify(pb.evictDominated(&po))
 	pb.add(oin)
 	return isPareto
 }

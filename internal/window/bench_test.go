@@ -47,3 +47,21 @@ func BenchmarkFilterThenVerifySWProcess(b *testing.B) {
 		eng.Process(o)
 	}
 }
+
+// BenchmarkFilterThenVerifySWExpiryClustered is the expiry-heavy shape:
+// three clusters of four near-identical users over small domains, so most
+// expiring objects sit in several members' frontiers at once and every
+// arrival runs both mend tiers. Run with -benchmem: the mend allocates
+// nothing per member.
+func BenchmarkFilterThenVerifySWExpiryClustered(b *testing.B) {
+	r := rand.New(rand.NewSource(42))
+	users, clusters, objs := clusteredWorld(r, 3, 4, 3, 7, 4096)
+	eng := window.NewFilterThenVerifySW(users, clusters, 256, &stats.Counters{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := objs[i%len(objs)]
+		o.ID = i
+		eng.Process(o)
+	}
+}

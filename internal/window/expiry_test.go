@@ -1,0 +1,193 @@
+package window_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/object"
+	"repro/internal/order"
+	"repro/internal/pref"
+	"repro/internal/stats"
+	"repro/internal/window"
+)
+
+// clusteredWorld builds nClusters clusters of perCluster users whose
+// members share a base relation and differ by a few extra tuples, so a
+// cluster's members tend to hold the same objects in their frontiers —
+// the shape under which one departing object sends several members of a
+// cluster through tier 2 of the mend at once.
+func clusteredWorld(r *rand.Rand, nClusters, perCluster, dims, domSize, nObjs int) ([]*pref.Profile, []core.Cluster, []object.Object) {
+	doms := make([]*order.Domain, dims)
+	for d := range doms {
+		doms[d] = order.NewDomain(string(rune('a' + d)))
+		for v := 0; v < domSize; v++ {
+			doms[d].Intern(fmt.Sprintf("v%d", v))
+		}
+	}
+	var users []*pref.Profile
+	var clusters []core.Cluster
+	for g := 0; g < nClusters; g++ {
+		base := pref.NewProfile(doms)
+		for d := 0; d < dims; d++ {
+			for e := 0; e < domSize; e++ {
+				base.Relation(d).Add(r.Intn(domSize), r.Intn(domSize))
+			}
+		}
+		var members []int
+		var profs []*pref.Profile
+		for m := 0; m < perCluster; m++ {
+			p := base.Clone()
+			for d := 0; d < dims; d++ {
+				p.Relation(d).Add(r.Intn(domSize), r.Intn(domSize))
+			}
+			members = append(members, len(users))
+			users = append(users, p)
+			profs = append(profs, p)
+		}
+		clusters = append(clusters, core.Cluster{Members: members, Common: pref.Common(profs)})
+	}
+	objs := make([]object.Object, nObjs)
+	for i := range objs {
+		attrs := make([]int32, dims)
+		for d := range attrs {
+			attrs[d] = int32(r.Intn(domSize))
+		}
+		objs[i] = object.Object{ID: i, Attrs: attrs}
+	}
+	return users, clusters, objs
+}
+
+// holders counts, per cluster, the members whose frontier holds id, and
+// returns the largest count.
+func holders(eng *window.FilterThenVerifySW, clusters []core.Cluster, id int) int {
+	most := 0
+	for _, cl := range clusters {
+		n := 0
+		for _, c := range cl.Members {
+			for _, fid := range eng.UserFrontier(c) {
+				if fid == id {
+					n++
+				}
+			}
+		}
+		if n > most {
+			most = n
+		}
+	}
+	return most
+}
+
+// Departures that send two or more members of one cluster through the
+// member-tier mend, by expiry and by RemoveObject, leave exactly the
+// state the engine left before the mend shared one arrival-ordered P_U
+// snapshot per cluster: frontiers in scan order (it decides where later
+// scans stop), C_o of every object, deliveries, and the filter/verify
+// comparison counts. The constants are pinned from the commit before
+// that change.
+func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
+	const w = 48
+	r := rand.New(rand.NewSource(20180326))
+	users, clusters, objs := clusteredWorld(r, 3, 4, 3, 7, 400)
+	ctr := &stats.Counters{}
+	eng := window.NewFilterThenVerifySW(users, clusters, w, ctr)
+
+	digest := fnv.New64a()
+	record := func(tag string, vs []int) { fmt.Fprintf(digest, "%s%v;", tag, vs) }
+	snapshot := func() {
+		for c := range users {
+			record("P", eng.UserFrontier(c)) // raw scan order
+		}
+	}
+
+	multiExpiries, multiRemovals := 0, 0
+	removed := map[int]bool{}
+	for i, o := range objs {
+		if i >= w && !removed[i-w] && holders(eng, clusters, i-w) >= 2 {
+			multiExpiries++
+		}
+		record("C", eng.Process(o))
+		snapshot()
+		if i%25 == 24 {
+			// Remove the youngest in-window object that two members of
+			// one cluster hold.
+			for id := i; id > i-w && id >= 0; id-- {
+				if holders(eng, clusters, id) >= 2 {
+					multiRemovals++
+					removed[id] = true
+					eng.RemoveObject(objs[id], nil)
+					if got := eng.Targets(id); got != nil {
+						t.Fatalf("Targets(%d) after removal = %v, want nil", id, got)
+					}
+					snapshot()
+					break
+				}
+			}
+		}
+	}
+	for id := range objs {
+		record("T", eng.Targets(id))
+	}
+
+	if multiExpiries == 0 || multiRemovals == 0 {
+		t.Fatalf("scenario exercises %d multi-holder expiries and %d multi-holder removals; want both > 0",
+			multiExpiries, multiRemovals)
+	}
+	const (
+		wantMultiExpiries = 267
+		wantMultiRemovals = 16
+		wantFilter        = 72722
+		wantVerify        = 63815
+		wantDelivered     = 2139
+		wantDigest        = 0x71087461f6fb1d32
+	)
+	got := []uint64{uint64(multiExpiries), uint64(multiRemovals),
+		ctr.FilterComparisons, ctr.VerifyComparisons, ctr.Delivered, digest.Sum64()}
+	want := []uint64{wantMultiExpiries, wantMultiRemovals, wantFilter, wantVerify, wantDelivered, wantDigest}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("expiries, removals, filter, verify, delivered, digest =\n  %d %d %d %d %d %#x\nwant\n  %d %d %d %d %d %#x",
+			got[0], got[1], got[2], got[3], got[4], got[5], want[0], want[1], want[2], want[3], want[4], want[5])
+	}
+
+	// The pinned run ends in the state the definition prescribes.
+	var alive []object.Object
+	for _, o := range objs[len(objs)-w:] {
+		if !removed[o.ID] {
+			alive = append(alive, o)
+		}
+	}
+	for c, u := range users {
+		if got, want := sorted(eng.UserFrontier(c)), aliveFrontier(u, alive); !reflect.DeepEqual(got, want) {
+			t.Errorf("user %d: frontier %v, reference %v", c, got, want)
+		}
+	}
+}
+
+// At a full window every arrival also expires an object and mends. The
+// expiry path itself allocates nothing: what remains per Process is the
+// C_o bitset of an object entering its first frontier (two allocations)
+// and the amortized growth of the id-indexed frontier, buffer and target
+// tables.
+func TestExpiryPathDoesNotAllocate(t *testing.T) {
+	const w = 64
+	r := rand.New(rand.NewSource(5))
+	users, clusters, objs := clusteredWorld(r, 3, 4, 3, 7, 4096)
+	eng := window.NewFilterThenVerifySW(users, clusters, w, nil)
+	eng.EnableScratch() // reuse the result slice, as the sharded harness does
+	next := 0
+	process := func() {
+		o := objs[next%len(objs)]
+		o.ID = next
+		next++
+		eng.Process(o)
+	}
+	for next < 8*w {
+		process()
+	}
+	if got := testing.AllocsPerRun(2000, process); got > 2 {
+		t.Errorf("Process at a full window: %.0f allocs/op, want <= 2", got)
+	}
+}

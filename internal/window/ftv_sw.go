@@ -1,7 +1,8 @@
 package window
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/object"
@@ -36,6 +37,10 @@ type FilterThenVerifySW struct {
 	// member preferences change online; nil means pref.Common (the exact
 	// engines). The monitor wires approx.Profile for the approximate one.
 	commonFn core.CommonFn
+
+	// cands is mendMembers' arrival-ordered snapshot of P_U, reused across
+	// departures.
+	cands []object.Object
 }
 
 // NewFilterThenVerifySW creates the monitor with window size w. Clusters
@@ -105,13 +110,9 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 					co = append(co, c)
 				}
 			}
-		} else {
-			// o_in never enters any member frontier (Theorem 4.5), but it
-			// still enters PB_U below via arriveCluster.
-			_ = ui
 		}
 	}
-	sort.Ints(co)
+	slices.Sort(co)
 	f.ctr.AddDelivered(len(co))
 	return f.scratch.Finish(co)
 }
@@ -124,64 +125,78 @@ func (f *FilterThenVerifySW) EnableScratch() { f.scratch.Enable() }
 // ≻_U, then mend each member's P_c from the updated P_U under ≻_c (see
 // the package comment for why the user tier needs its own dominance gate).
 func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
-	cl := f.clusters[ui]
-	fu := f.clusterFs[ui]
 	pb := f.buffers[ui]
-
-	inPU := fu.Remove(oout.ID)
-	if inPU {
+	if f.clusterFs[ui].Remove(oout.ID) {
 		// Tier 1: promote buffered objects whose only ≻_U shield was o_out
 		// (Procedure mendParetoFrontierUSW), in arrival order.
+		var po pref.Probe
+		f.clusters[ui].Common.Prepare(oout, &po)
 		for _, o := range pb.objects() {
 			if o.ID == oout.ID {
 				continue
 			}
 			f.ctr.AddFilter(1)
-			if cl.Common.Dominates(oout, o) {
+			if po.Dominates(o) {
 				f.mendCluster(ui, o)
 			}
 		}
 	}
 	pb.remove(oout.ID)
+	f.mendMembers(ui, oout)
+}
 
-	// Tier 2: per member, promote P_U objects whose only ≻_c shield was
-	// o_out (Procedure mendParetoFrontierSW). Skipped when o_out was not
-	// in P_c: any object it dominated per c is still dominated by o_out's
-	// own dominator.
-	for _, c := range cl.Members {
+// mendMembers is tier 2 of an object's departure, by expiry or removal:
+// out leaves every member frontier holding it, and each such member
+// promotes the P_U objects whose only ≻_c shield was out (Procedure
+// mendParetoFrontierSW). Members whose P_c did not hold out are skipped:
+// any object it dominated per c is still dominated by out's own
+// dominator. P_U is walked in arrival order (deterministic; the Lemma 4.6
+// scan in mendUser makes the order immaterial for correctness), sorted
+// once per departure into engine-owned scratch — tier 2 never changes P_U.
+//
+//paretomon:hotpath
+func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
+	sorted := false
+	for _, c := range f.clusters[ui].Members {
 		fc := f.userFs[c]
-		if !fc.Remove(oout.ID) {
+		if !fc.Remove(out.ID) {
 			continue
 		}
-		f.targets.remove(oout.ID, c)
-		u := f.users[c]
-		// Snapshot P_U and walk it in arrival order (deterministic; the
-		// Lemma 4.6 scan in mendUser makes the order immaterial for
-		// correctness).
-		cands := append([]object.Object(nil), fu.Objects()...)
-		sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
-		for _, o := range cands {
+		f.targets.remove(out.ID, c)
+		if !sorted {
+			f.cands = append(f.cands[:0], f.clusterFs[ui].Objects()...)
+			slices.SortFunc(f.cands, byArrival)
+			sorted = true
+		}
+		var po pref.Probe
+		f.users[c].Prepare(out, &po)
+		for _, o := range f.cands {
 			if fc.Contains(o.ID) {
 				continue
 			}
 			f.ctr.AddVerify(1)
-			if u.Dominates(oout, o) {
+			if po.Dominates(o) {
 				f.mendUser(ui, c, o)
 			}
 		}
 	}
 }
 
+// byArrival orders objects by id, which the stream assigns in arrival
+// order.
+func byArrival(a, b object.Object) int { return cmp.Compare(a.ID, b.ID) }
+
 // mendCluster admits o into P_U unless a member dominates it under ≻_U.
 func (f *FilterThenVerifySW) mendCluster(ui int, o object.Object) {
-	cl := f.clusters[ui]
 	fu := f.clusterFs[ui]
 	if fu.Contains(o.ID) {
 		return
 	}
+	var po pref.Probe
+	f.clusters[ui].Common.Prepare(o, &po)
 	for i := 0; i < fu.Len(); i++ {
 		f.ctr.AddFilter(1)
-		if cl.Common.Dominates(fu.At(i), o) {
+		if po.DominatedBy(fu.At(i)) {
 			return
 		}
 	}
@@ -195,15 +210,16 @@ func (f *FilterThenVerifySW) mendCluster(ui int, o object.Object) {
 // not ordered so that dominators precede dominatees the way PB candidates
 // are.
 func (f *FilterThenVerifySW) mendUser(ui, c int, o object.Object) {
-	u := f.users[c]
 	fu := f.clusterFs[ui]
+	var po pref.Probe
+	f.users[c].Prepare(o, &po)
 	for i := 0; i < fu.Len(); i++ {
 		op := fu.At(i)
 		if op.ID == o.ID {
 			continue
 		}
 		f.ctr.AddVerify(1)
-		if u.Dominates(op, o) {
+		if po.DominatedBy(op) {
 			return
 		}
 	}
@@ -218,12 +234,14 @@ func (f *FilterThenVerifySW) mendUser(ui, c int, o object.Object) {
 func (f *FilterThenVerifySW) arriveCluster(ui int, oin object.Object) bool {
 	cl := f.clusters[ui]
 	fu := f.clusterFs[ui]
+	var po pref.Probe
+	cl.Common.Prepare(oin, &po)
 	isPareto := true
 scan:
 	for i := 0; i < fu.Len(); {
 		op := fu.At(i)
 		f.ctr.AddFilter(1)
-		switch cl.Common.Compare(oin, op) {
+		switch po.Compare(op) {
 		case pref.Left:
 			fu.Remove(op.ID)
 			for _, c := range cl.Members {
@@ -246,24 +264,22 @@ scan:
 		fu.Add(oin)
 	}
 	pb := f.buffers[ui]
-	pb.removeIf(func(o object.Object) bool {
-		f.ctr.AddFilter(1)
-		return cl.Common.Dominates(oin, o)
-	})
+	f.ctr.AddFilter(pb.evictDominated(&po))
 	pb.add(oin)
 	return isPareto
 }
 
 // verifyUser runs the per-user tier for o_in against P_c.
 func (f *FilterThenVerifySW) verifyUser(c int, oin object.Object) bool {
-	u := f.users[c]
 	fc := f.userFs[c]
+	var po pref.Probe
+	f.users[c].Prepare(oin, &po)
 	isPareto := true
 scan:
 	for i := 0; i < fc.Len(); {
 		op := fc.At(i)
 		f.ctr.AddVerify(1)
-		switch u.Compare(oin, op) {
+		switch po.Compare(op) {
 		case pref.Left:
 			fc.Remove(op.ID)
 			f.targets.remove(op.ID, c)

@@ -1,8 +1,6 @@
 package window
 
 import (
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/object"
 	"repro/internal/pref"
@@ -89,7 +87,7 @@ func (b *BaselineSW) RemoveUser(c int, _ *pref.Profile, _ []object.Object) {
 // mendBuffer re-admits in-window objects whose last succeeding dominator
 // under p vanished. pass reports each candidate for pre-filtering (count
 // any comparison it performs); nil admits every non-member.
-func (b *BaselineSW) mendBuffer(pb *buffer, ras []object.Object, p *pref.Profile, pass func(x object.Object) bool, count func(int)) {
+func mendBuffer(pb *buffer, ras []object.Object, p *pref.Profile, pass func(x object.Object) bool, count func(int)) {
 	for i, x := range ras {
 		if pb.has(x.ID) {
 			continue
@@ -97,10 +95,12 @@ func (b *BaselineSW) mendBuffer(pb *buffer, ras []object.Object, p *pref.Profile
 		if pass != nil && !pass(x) {
 			continue
 		}
+		var px pref.Probe
+		p.Prepare(x, &px)
 		blocked := false
 		for j := i + 1; j < len(ras) && !blocked; j++ {
 			count(1)
-			blocked = p.Dominates(ras[j], x)
+			blocked = px.DominatedBy(ras[j])
 		}
 		if !blocked {
 			pb.insert(x)
@@ -113,7 +113,7 @@ func (b *BaselineSW) mendBuffer(pb *buffer, ras []object.Object, p *pref.Profile
 func (b *BaselineSW) RetractPreference(c int, _ *pref.Profile, _ []object.Object) {
 	u := b.users[c]
 	ras := b.win.aliveTail()
-	b.mendBuffer(b.buffers[c], ras, u, nil, b.ctr.AddVerify)
+	mendBuffer(b.buffers[c], ras, u, nil, b.ctr.AddVerify)
 	f := b.fronts[c]
 	for _, x := range b.buffers[c].objects() {
 		if !f.Contains(x.ID) {
@@ -139,13 +139,15 @@ func (b *BaselineSW) RemoveObject(o object.Object, _ []object.Object) {
 		if inP {
 			b.targets.remove(o.ID, c)
 		}
+		var po pref.Probe
+		u.Prepare(o, &po)
 		// Only objects preceding o had o as a succeeding dominator.
-		b.mendBuffer(pb, ras, u, func(x object.Object) bool {
+		mendBuffer(pb, ras, u, func(x object.Object) bool {
 			if x.ID >= o.ID {
 				return false
 			}
 			b.ctr.AddVerify(1)
-			return u.Dominates(o, x)
+			return po.Dominates(x)
 		}, b.ctr.AddVerify)
 		if inP {
 			for _, x := range pb.objects() {
@@ -153,7 +155,7 @@ func (b *BaselineSW) RemoveObject(o object.Object, _ []object.Object) {
 					continue
 				}
 				b.ctr.AddVerify(1)
-				if u.Dominates(o, x) {
+				if po.Dominates(x) {
 					b.mendUser(c, x)
 				}
 			}
@@ -211,30 +213,13 @@ func (f *FilterThenVerifySW) localCluster(cluster int) int {
 // frontiers.
 func (f *FilterThenVerifySW) filterClusterFrontier(li int) {
 	cl := &f.clusters[li]
-	fu := f.clusterFs[li]
-	ids := append([]int(nil), fu.IDs()...)
-	for _, id := range ids {
-		if !fu.Contains(id) {
-			continue
-		}
-		o := objectIn(fu.Objects(), id)
-		for j := 0; j < fu.Len(); j++ {
-			op := fu.At(j)
-			if op.ID == id {
-				continue
-			}
-			f.ctr.AddFilter(1)
-			if cl.Common.Dominates(op, o) {
-				fu.Remove(id)
-				for _, m := range cl.Members {
-					if f.userFs[m].Remove(id) {
-						f.targets.remove(id, m)
-					}
-				}
-				break
+	core.FilterFrontier(f.clusterFs[li], cl.Common, f.ctr.AddFilter, func(id int) {
+		for _, m := range cl.Members {
+			if f.userFs[m].Remove(id) {
+				f.targets.remove(id, m)
 			}
 		}
-	}
+	})
 }
 
 // RegisterUser appends profile p as user c (no frontier yet).
@@ -280,25 +265,10 @@ func (f *FilterThenVerifySW) ActivateUser(c int, cluster int, common *pref.Profi
 // the Lemma 4.6 criterion (builds P_c from scratch over an empty
 // frontier).
 func (f *FilterThenVerifySW) mendMemberFrontier(li, c int) {
-	fu := f.clusterFs[li]
-	u := f.users[c]
 	fc := f.userFs[c]
-	for _, x := range fu.Objects() {
-		if fc.Contains(x.ID) {
-			continue
-		}
-		dominated := false
-		for j := 0; j < fu.Len() && !dominated; j++ {
-			op := fu.At(j)
-			if op.ID == x.ID {
-				continue
-			}
-			f.ctr.AddVerify(1)
-			dominated = u.Dominates(op, x)
-		}
-		if !dominated {
-			fc.Add(x)
-			f.targets.add(x.ID, c)
+	for _, x := range f.clusterFs[li].Objects() {
+		if !fc.Contains(x.ID) {
+			f.mendUser(li, c, x)
 		}
 	}
 }
@@ -355,25 +325,13 @@ func (f *FilterThenVerifySW) resyncCluster(li int, old *pref.Profile) {
 		return // unchanged
 	}
 	if !sub { // relation grew: structures can only lose members
-		filterBuffer(f.buffers[li], cl.Common, func() { f.ctr.AddFilter(1) })
+		filterBuffer(f.buffers[li], cl.Common, f.ctr.AddFilter)
 		f.filterClusterFrontier(li)
 	}
 	if !super { // relation shrank: structures can only gain members
 		ras := f.win.aliveTail()
 		pb := f.buffers[li]
-		for i, x := range ras {
-			if pb.has(x.ID) {
-				continue
-			}
-			blocked := false
-			for j := i + 1; j < len(ras) && !blocked; j++ {
-				f.ctr.AddFilter(1)
-				blocked = cl.Common.Dominates(ras[j], x)
-			}
-			if !blocked {
-				pb.insert(x)
-			}
-		}
+		mendBuffer(pb, ras, cl.Common, nil, f.ctr.AddFilter)
 		fu := f.clusterFs[li]
 		for _, x := range pb.objects() {
 			if !fu.Contains(x.ID) {
@@ -400,62 +358,30 @@ func (f *FilterThenVerifySW) RemoveObject(o object.Object, _ []object.Object) {
 		fu := f.clusterFs[li]
 		pb := f.buffers[li]
 		pb.remove(o.ID)
-		var holders []int
-		for _, c := range cl.Members {
-			if f.userFs[c].Remove(o.ID) {
-				f.targets.remove(o.ID, c)
-				holders = append(holders, c)
-			}
-		}
-		if !fu.Remove(o.ID) {
-			continue
-		}
-		// Tier 1: mend PB_U, then P_U from it (arrival order).
-		for i, x := range ras {
-			if x.ID >= o.ID {
-				break // only objects preceding o had it as a succeeding dominator
-			}
-			if pb.has(x.ID) {
-				continue
-			}
-			f.ctr.AddFilter(1)
-			if !cl.Common.Dominates(o, x) {
-				continue
-			}
-			blocked := false
-			for j := i + 1; j < len(ras) && !blocked; j++ {
+		if fu.Remove(o.ID) {
+			// Tier 1: mend PB_U, then P_U from it (arrival order). Only
+			// objects preceding o had it as a succeeding dominator.
+			var po pref.Probe
+			cl.Common.Prepare(o, &po)
+			mendBuffer(pb, ras, cl.Common, func(x object.Object) bool {
+				if x.ID >= o.ID {
+					return false
+				}
 				f.ctr.AddFilter(1)
-				blocked = cl.Common.Dominates(ras[j], x)
-			}
-			if !blocked {
-				pb.insert(x)
-			}
-		}
-		for _, x := range pb.objects() {
-			if fu.Contains(x.ID) {
-				continue
-			}
-			f.ctr.AddFilter(1)
-			if cl.Common.Dominates(o, x) {
-				f.mendCluster(li, x)
+				return po.Dominates(x)
+			}, f.ctr.AddFilter)
+			for _, x := range pb.objects() {
+				if fu.Contains(x.ID) {
+					continue
+				}
+				f.ctr.AddFilter(1)
+				if po.Dominates(x) {
+					f.mendCluster(li, x)
+				}
 			}
 		}
 		// Tier 2: members whose P_c held o mend from the updated P_U.
-		for _, c := range holders {
-			u := f.users[c]
-			fc := f.userFs[c]
-			cands := append([]object.Object(nil), fu.Objects()...)
-			sort.Slice(cands, func(i, j int) bool { return cands[i].ID < cands[j].ID })
-			for _, x := range cands {
-				if fc.Contains(x.ID) {
-					continue
-				}
-				f.ctr.AddVerify(1)
-				if u.Dominates(o, x) {
-					f.mendUser(li, c, x)
-				}
-			}
-		}
+		f.mendMembers(li, o)
 	}
 	f.targets.drop(o.ID)
 }

@@ -3,7 +3,7 @@ package window
 import (
 	"fmt"
 
-	"repro/internal/object"
+	"repro/internal/core"
 	"repro/internal/pref"
 )
 
@@ -37,28 +37,10 @@ func (b *BaselineSW) ApplyPreference(c, d, better, worse int) error {
 	if err := b.users[c].Relation(d).Add(better, worse); err != nil {
 		return err
 	}
-	u := b.users[c]
-	filterBuffer(b.buffers[c], u, func() { b.ctr.AddVerify(1) })
-	f := b.fronts[c]
-	ids := append([]int(nil), f.IDs()...)
-	for _, id := range ids {
-		if !f.Contains(id) {
-			continue
-		}
-		o := objectIn(f.Objects(), id)
-		for i := 0; i < f.Len(); i++ {
-			op := f.At(i)
-			if op.ID == id {
-				continue
-			}
-			b.ctr.AddVerify(1)
-			if u.Dominates(op, o) {
-				f.Remove(id)
-				b.targets.remove(id, c)
-				break
-			}
-		}
-	}
+	filterBuffer(b.buffers[c], b.users[c], b.ctr.AddVerify)
+	core.FilterFrontier(b.fronts[c], b.users[c], b.ctr.AddVerify, func(id int) {
+		b.targets.remove(id, c)
+	})
 	return nil
 }
 
@@ -77,31 +59,13 @@ func (f *FilterThenVerifySW) ApplyPreference(c, d, better, worse int) error {
 	cl := &f.clusters[ui]
 	cl.Common = f.common(cl.Members)
 
-	filterBuffer(f.buffers[ui], cl.Common, func() { f.ctr.AddFilter(1) })
+	filterBuffer(f.buffers[ui], cl.Common, f.ctr.AddFilter)
 	f.filterClusterFrontier(ui)
 
 	// The changed user's own frontier, filtered under their new prefs.
-	u := f.users[c]
-	fc := f.userFs[c]
-	ids := append([]int(nil), fc.IDs()...)
-	for _, id := range ids {
-		if !fc.Contains(id) {
-			continue
-		}
-		o := objectIn(fc.Objects(), id)
-		for j := 0; j < fc.Len(); j++ {
-			op := fc.At(j)
-			if op.ID == id {
-				continue
-			}
-			f.ctr.AddVerify(1)
-			if u.Dominates(op, o) {
-				fc.Remove(id)
-				f.targets.remove(id, c)
-				break
-			}
-		}
-	}
+	core.FilterFrontier(f.userFs[c], f.users[c], f.ctr.AddVerify, func(id int) {
+		f.targets.remove(id, c)
+	})
 	return nil
 }
 
@@ -119,17 +83,16 @@ func (f *FilterThenVerifySW) clusterOf(c int) int {
 
 // filterBuffer removes buffered objects dominated by a succeeding buffer
 // member under the given profile, preserving arrival order.
-func filterBuffer(pb *buffer, p *pref.Profile, count func()) {
+func filterBuffer(pb *buffer, p *pref.Profile, count func(int)) {
 	list := pb.objects()
 	for i := 0; i < len(list); i++ {
 		o := list[i]
+		var po pref.Probe
+		p.Prepare(o, &po)
 		dominated := false
-		for j := i + 1; j < len(list); j++ {
-			count()
-			if p.Dominates(list[j], o) {
-				dominated = true
-				break
-			}
+		for j := i + 1; j < len(list) && !dominated; j++ {
+			count(1)
+			dominated = po.DominatedBy(list[j])
 		}
 		if dominated {
 			pb.remove(o.ID)
@@ -137,14 +100,4 @@ func filterBuffer(pb *buffer, p *pref.Profile, count func()) {
 			i--
 		}
 	}
-}
-
-// objectIn finds an object by id in a frontier snapshot.
-func objectIn(objs []object.Object, id int) object.Object {
-	for _, o := range objs {
-		if o.ID == id {
-			return o
-		}
-	}
-	panic(fmt.Sprintf("window: object %d not found", id))
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/object"
+	"repro/internal/pref"
 )
 
 // ring stores the W most recent objects so the expiring object is
@@ -110,18 +111,21 @@ func (b *buffer) remove(id int) {
 	}
 }
 
-// removeIf deletes every buffered object for which fn returns true,
-// preserving arrival order. fn is called once per element.
-func (b *buffer) removeIf(fn func(o object.Object) bool) {
+// evictDominated deletes every buffered object the prepared object
+// dominates, preserving arrival order, and returns the number of
+// comparisons made (one per buffered object).
+func (b *buffer) evictDominated(po *pref.Probe) int {
+	n := len(b.list)
 	kept := b.list[:0]
 	for _, o := range b.list {
-		if fn(o) {
+		if po.Dominates(o) {
 			b.ids.Remove(o.ID)
 		} else {
 			kept = append(kept, o)
 		}
 	}
 	b.list = kept
+	return n
 }
 
 // objects returns the buffer in arrival order; callers must not mutate it.

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	paretomon "repro"
@@ -432,5 +433,68 @@ func TestLifecycleEqualsFreshBuild(t *testing.T) {
 				lcCompare(t, tc.name, fresh, evolved, s, false)
 			})
 		}
+	}
+}
+
+// A windowed monitor's lifecycle operations must not pay for the object
+// registry, which holds every object ever ingested and only grows: the
+// window ring is the engines' alive set. Two monitors whose windows hold
+// the same objects behind registries of different lengths allocate the
+// same number of times, and the same number of bytes, per operation.
+func TestWindowedLifecycleAllocsIgnoreRegistryLength(t *testing.T) {
+	const w, period = 16, 50
+	build := func(registry int) *paretomon.Monitor {
+		com := paretomon.NewCommunity(paretomon.NewSchema("brand", "cpu"))
+		for _, name := range []string{"ann", "bob", "cy"} {
+			u, err := com.AddUser(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.Prefer("brand", "b0", "b1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := paretomon.NewMonitor(com, paretomon.WithWindow(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < registry; i++ { // registry % period == 0: both windows end alike
+			v := i % period
+			if _, err := m.Add(fmt.Sprintf("o%d", i), fmt.Sprintf("b%d", v%7), fmt.Sprintf("c%d", v%5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	// One run asserts and retracts a tuple (RetractPreference mends from
+	// the alive set) and leaves the monitor as it found it.
+	op := func(m *paretomon.Monitor) func() {
+		return func() {
+			if err := m.AddPreference("ann", "cpu", "c1", "c2"); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RetractPreference("ann", "cpu", "c1", "c2"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	bytesPerRun := func(f func()) uint64 {
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := op(build(10*period)), op(build(200*period))
+	if s, l := testing.AllocsPerRun(50, small), testing.AllocsPerRun(50, large); l > s {
+		t.Errorf("allocations per lifecycle op grow with the registry: %.0f at 500 objects, %.0f at 10000", s, l)
+	}
+	// The registry snapshot this guards against is 32 B per object ever
+	// ingested: 304 KB more at the larger size.
+	if s, l := bytesPerRun(small), bytesPerRun(large); l > s+4096 {
+		t.Errorf("bytes allocated per lifecycle op grow with the registry: %d at 500 objects, %d at 10000", s, l)
 	}
 }

@@ -622,8 +622,13 @@ func (m *Monitor) intern(o Object) object.Object {
 }
 
 // aliveObjects snapshots the alive object set in arrival order: the
-// mend-candidate source for the lifecycle operations. Caller holds mu.
+// mend-candidate source for the lifecycle operations. A windowed monitor
+// gets nil — its engines' ring is their alive set, and the registry (every
+// object ever ingested) only grows. Caller holds mu.
 func (m *Monitor) aliveObjects() []object.Object {
+	if m.cfg.Window > 0 {
+		return nil
+	}
 	out := make([]object.Object, 0, len(m.objects))
 	for _, e := range m.objects {
 		if e.alive {
