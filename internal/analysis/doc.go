@@ -24,8 +24,9 @@
 //     context-free HTTP requests — retry budgets and lease fences
 //     propagate only through NewRequestWithContext.
 //   - hotpathalloc: functions marked //paretomon:hotpath may not
-//     allocate maps, grow fresh local slices, call fmt/reflect or
-//     time.Now, box integers into interfaces, or acquire mutexes.
+//     allocate maps, grow fresh local slices, call fmt/reflect,
+//     encoding/json, sort.Slice or time.Now, box integers into
+//     interfaces, or acquire mutexes.
 //
 // See docs/ANALYSIS.md for the full contract of each analyzer and how
 // to run paretolint locally.

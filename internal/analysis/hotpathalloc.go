@@ -19,6 +19,9 @@ const hotpathDirective = "hotpath"
 //     growing a fresh local builds per-call garbage; appends into
 //     receiver- or parameter-owned scratch are amortized and allowed;
 //   - no fmt or reflect calls (each boxes and allocates);
+//   - no encoding/json calls (reflection over the value, and garbage per
+//     call) — the ingest shapes have a hand-written codec in
+//     internal/wire;
 //   - no sort.Slice / sort.SliceStable (a reflection swapper, a closure
 //     and an interface box per call) — slices.SortFunc sorts in place
 //     with none of the three;
@@ -35,7 +38,7 @@ const hotpathDirective = "hotpath"
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "//paretomon:hotpath functions may not allocate maps, grow local " +
-		"slices, call fmt/reflect/time.Now/sort.Slice, box scalars into interfaces, or take locks",
+		"slices, call fmt/reflect/encoding/json/time.Now/sort.Slice, box scalars into interfaces, or take locks",
 	Run: runHotPathAlloc,
 }
 
@@ -140,6 +143,9 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, locals map[*types.Var]bool) {
 			case "fmt", "reflect":
 				pass.Reportf(call.Pos(), "%s.%s call on the hot path: boxes and allocates", fn.Pkg().Name(), fn.Name())
 				return
+			case "encoding/json":
+				pass.Reportf(call.Pos(), "json.%s call on the hot path: reflects and allocates; use internal/wire", fn.Name())
+				return
 			case "time":
 				if fn.Name() == "Now" {
 					pass.Reportf(call.Pos(), "time.Now on the hot path: a clock call per object")
@@ -173,7 +179,11 @@ func checkBoxedArgs(pass *Pass, call *ast.CallExpr) {
 		var pt types.Type
 		switch {
 		case sig.Variadic() && i >= np-1:
-			pt = sig.Params().At(np - 1).Type().(*types.Slice).Elem()
+			sl, ok := sig.Params().At(np - 1).Type().(*types.Slice)
+			if !ok {
+				continue // append([]byte, s...): the variadic parameter is the string itself
+			}
+			pt = sl.Elem()
 		case i < np:
 			pt = sig.Params().At(i).Type()
 		default:

@@ -4,6 +4,7 @@
 package hotpkg
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
@@ -91,6 +92,24 @@ func (p *Proc) BadBox(x int, sink func(any)) any {
 	v = x // want `assignment boxes int into an interface`
 	_ = v
 	return x // want `return boxes int into an interface`
+}
+
+// Encoded appends into caller-owned scratch (a parameter), the shape of
+// the internal/wire encoders: allowed.
+//
+//paretomon:hotpath
+func Encoded(dst []byte, name string) []byte {
+	dst = append(dst, '"')
+	dst = append(dst, name...)
+	return append(dst, '"')
+}
+
+//paretomon:hotpath
+func (p *Proc) BadJSON(dst []byte, v []string, dec *json.Decoder) []byte {
+	data, _ := json.Marshal(v)   // want `json.Marshal call on the hot path`
+	_ = json.Unmarshal(data, &v) // want `json.Unmarshal call on the hot path`
+	_ = dec.Decode(&v)           // want `json.Decode call on the hot path`
+	return append(dst, data...)
 }
 
 // WithCallback defers a closure that allocates: closures run off-path

@@ -10,6 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+
+	paretomon "repro"
+	"repro/internal/wire"
 )
 
 // client is one partition's HTTP surface: the existing internal/server
@@ -37,44 +40,100 @@ func (c *client) stampRing(req *http.Request) {
 	}
 }
 
-// do performs one JSON request. in (when non-nil) is the request body;
-// out (when non-nil) receives the decoded 200 response. Non-2xx
-// responses decode the server's {"error": ...} envelope into a
-// *StatusError; everything transport-level is returned as-is (and
-// therefore retryable).
-func (c *client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("partition: encoding %s %s: %w", method, path, err)
-		}
-		body = bytes.NewReader(data)
-	}
+// send performs one request and returns its 200 response, body open. A
+// non-nil body is sent as contentType. Non-200 responses decode the
+// server's {"error": ...} envelope into a *StatusError (a ring-version
+// 409 into a *RingVersionError); everything transport-level is returned
+// as-is (and therefore retryable).
+func (c *client) send(ctx context.Context, method, path, contentType string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	c.stampRing(req)
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return decodeStatusError(resp)
+		defer resp.Body.Close()
+		return nil, decodeStatusError(resp)
 	}
+	return resp, nil
+}
+
+// sendJSON is send with in (when non-nil) marshalled as the body.
+func (c *client) sendJSON(ctx context.Context, method, path string, in any) (*http.Response, error) {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return nil, fmt.Errorf("partition: encoding %s %s: %w", method, path, err)
+		}
+		body = bytes.NewReader(data)
+	}
+	return c.send(ctx, method, path, "application/json", body)
+}
+
+// decodeReply closes out a 200 response: out (when non-nil) receives
+// the decoded JSON body, which is otherwise drained.
+func decodeReply(resp *http.Response, out any, what string) error {
+	defer resp.Body.Close()
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("partition: decoding %s %s response: %w", method, path, err)
+		return fmt.Errorf("partition: decoding %s response: %w", what, err)
 	}
 	return nil
+}
+
+// do performs one JSON request. in (when non-nil) is the request body;
+// out (when non-nil) receives the decoded 200 response.
+func (c *client) do(ctx context.Context, method, path string, in, out any) error {
+	resp, err := c.sendJSON(ctx, method, path, in)
+	if err != nil {
+		return err
+	}
+	return decodeReply(resp, out, method+" "+path)
+}
+
+// postBatch is do for the ingest path: POST /objects/batch with an
+// already encoded body (internal/wire; the Router shares one encoding
+// across partitions) and the reply decoded without reflection out of a
+// pooled buffer. The reply must answer sent one delivery per object, in
+// order: a partition that says 200 to anything else has not told us
+// what it applied, which is a lost reply — a plain, retryable error
+// whose retry probes the applied prefix — not a result.
+func (c *client) postBatch(ctx context.Context, body []byte, sent []paretomon.Object) ([]paretomon.Delivery, error) {
+	resp, err := c.send(ctx, http.MethodPost, "/objects/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	buf := wire.GetBuffer()
+	defer buf.Free()
+	err = buf.ReadAll(resp.Body)
+	var ds []paretomon.Delivery
+	if err == nil {
+		ds, err = wire.DecodeDeliveries(buf.B)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("partition: decoding POST /objects/batch response: %w", err)
+	}
+	if len(ds) != len(sent) {
+		return nil, fmt.Errorf("partition: POST /objects/batch answered %d deliveries for %d objects", len(ds), len(sent))
+	}
+	for i, d := range ds {
+		if d.Object != sent[i].Name {
+			return nil, fmt.Errorf("partition: POST /objects/batch delivery %d is for %q, sent %q", i, d.Object, sent[i].Name)
+		}
+	}
+	return ds, nil
 }
 
 // decodeStatusError turns a non-200 response into a *StatusError,
@@ -104,29 +163,9 @@ func decodeStatusError(resp *http.Response) error {
 // (replica frames) the caller consumes and closes. in, when non-nil,
 // is a JSON request body.
 func (c *client) getStream(ctx context.Context, method, path string, in any) (io.ReadCloser, error) {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return nil, fmt.Errorf("partition: encoding %s %s: %w", method, path, err)
-		}
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	resp, err := c.sendJSON(ctx, method, path, in)
 	if err != nil {
 		return nil, err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.stampRing(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, decodeStatusError(resp)
 	}
 	return resp.Body, nil
 }
@@ -135,28 +174,11 @@ func (c *client) getStream(ctx context.Context, method, path string, in any) (io
 // another partition's getStream response, piped through unbuffered);
 // out, when non-nil, receives the decoded JSON 200 response.
 func (c *client) postStream(ctx context.Context, path string, body io.Reader, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, body)
+	resp, err := c.send(ctx, http.MethodPost, path, "application/octet-stream", body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	c.stampRing(req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeStatusError(resp)
-	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("partition: decoding %s response: %w", path, err)
-	}
-	return nil
+	return decodeReply(resp, out, path)
 }
 
 // ready probes GET /readyz: nil means the partition is serving (store

@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	paretomon "repro"
+	"repro/internal/wire"
 )
 
 // Default retry parameters: how long a Router keeps trying to land an
@@ -136,6 +137,9 @@ type Router struct {
 
 	// mu serializes mutations fleet-wide; see the type comment.
 	mu sync.Mutex
+	// bodyHint is the last AddBatch body's length (guarded by mu): the
+	// next one is allocated that large up front.
+	bodyHint int
 }
 
 var _ paretomon.Driver = (*Router)(nil)
@@ -382,26 +386,10 @@ func (r *Router) withWriteRetry(p *remote, fn func(ctx context.Context) error) e
 	return downError(p, lastErr)
 }
 
-// Wire shadows of internal/server's request/response bodies. The server
-// package keeps them unexported; the shapes are the stable HTTP API.
-type objectPayload struct {
-	Name   string   `json:"name"`
-	Values []string `json:"values"`
-}
-
-type batchPayload struct {
-	Objects []objectPayload `json:"objects"`
-}
-
-type deliveryPayload struct {
-	Object string   `json:"object"`
-	Users  []string `json:"users"`
-}
-
-type batchReply struct {
-	Deliveries []deliveryPayload `json:"deliveries"`
-}
-
+// Wire shadows of internal/server's request/response bodies for the
+// calls off the ingest path (internal/wire owns the ingest shapes). The
+// server package keeps them unexported; the shapes are the stable HTTP
+// API.
 type preferencePayload struct {
 	User      string `json:"user"`
 	Attribute string `json:"attribute"`
@@ -470,15 +458,17 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 	if len(objs) == 0 {
 		return []paretomon.Delivery{}, nil
 	}
-	req := batchPayload{Objects: make([]objectPayload, len(objs))}
-	for i, o := range objs {
-		req.Objects[i] = objectPayload{Name: o.Name, Values: o.Values}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.ensureLease(); err != nil {
 		return nil, err
 	}
+	// Every partition ingests the same batch: encode it once and share
+	// the bytes. A fresh slice per call, sized by the last one, because
+	// the transport may still be reading a request body after Do returns
+	// (an early 409, say) and promises only to close it eventually.
+	body := wire.AppendBatch(make([]byte, 0, r.bodyHint), objs)
+	r.bodyHint = len(body)
 	var out []paretomon.Delivery
 	err := r.ringRetry("AddBatch", func() error {
 		parts := r.remotes()
@@ -489,7 +479,7 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 			wg.Add(1)
 			go func(i int, p *remote) {
 				defer wg.Done()
-				results[i], errs[i] = r.addBatchOne(p, req)
+				results[i], errs[i] = r.addBatchOne(p, objs, body)
 			}(i, p)
 		}
 		wg.Wait()
@@ -506,22 +496,25 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 }
 
 // addBatchOne lands one batch on one partition, resuming across
-// retryable failures per the AddBatch contract. The POST itself (the
-// mutation) is lease-fenced via writeAttemptCtx; the applied-prefix
-// probes are reads and run under the plain budget.
-func (r *Router) addBatchOne(p *remote, req batchPayload) ([]paretomon.Delivery, error) {
+// retryable failures per the AddBatch contract. body is the encoded
+// batch, shared read-only with the other partitions' calls; only a
+// retry that found a prefix applied encodes the remainder for itself.
+// The POST itself (the mutation) is lease-fenced via writeAttemptCtx;
+// the applied-prefix probes are reads and run under the plain budget.
+func (r *Router) addBatchOne(p *remote, objs []paretomon.Object, body []byte) ([]paretomon.Delivery, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.budget)
 	defer cancel()
-	out := make([]paretomon.Delivery, 0, len(req.Objects))
-	start := 0         // first object not known to be applied on p
-	ambiguous := false // a failed attempt may have (partially) applied
+	var out []paretomon.Delivery // deliveries reconstructed by advanceApplied
+	start := 0                   // first object not known to be applied on p
+	from := 0                    // body encodes objs[from:]
+	ambiguous := false           // a failed attempt may have (partially) applied
 	var lastErr error
-	for start < len(req.Objects) {
+	for start < len(objs) {
 		if ctx.Err() != nil {
 			return nil, downError(p, lastErr)
 		}
 		if ambiguous {
-			n, err := r.advanceApplied(ctx, p, req, start, &out)
+			n, err := r.advanceApplied(ctx, p, objs, start, &out)
 			if err != nil {
 				if retryable(err) {
 					lastErr = err
@@ -532,28 +525,30 @@ func (r *Router) addBatchOne(p *remote, req batchPayload) ([]paretomon.Delivery,
 			}
 			start = n
 			ambiguous = false
-			if start == len(req.Objects) {
+			if start == len(objs) {
 				break
 			}
+		}
+		if start != from {
+			body, from = wire.AppendBatch(nil, objs[start:]), start
 		}
 		actx, acancel, lerr := r.writeAttemptCtx(ctx)
 		if lerr != nil {
 			return nil, lerr
 		}
-		var reply batchReply
-		err := p.do(actx, http.MethodPost, "/objects/batch", batchPayload{Objects: req.Objects[start:]}, &reply)
+		ds, err := p.postBatch(actx, body, objs[start:])
 		acancel()
 		if err == nil {
-			for _, d := range reply.Deliveries {
-				out = append(out, paretomon.Delivery{Object: d.Object, Users: d.Users})
+			if out == nil {
+				return ds, nil
 			}
-			return out, nil
+			return append(out, ds...), nil
 		}
 		if !retryable(err) {
 			// A 4xx can still mean "already applied": a retry of a batch
 			// the partition fully holds is rejected as a duplicate name.
 			// The applied-prefix probe disambiguates.
-			n, perr := r.advanceApplied(ctx, p, req, start, &out)
+			n, perr := r.advanceApplied(ctx, p, objs, start, &out)
 			if perr == nil && n > start {
 				start = n
 				continue
@@ -572,9 +567,9 @@ func (r *Router) addBatchOne(p *remote, req batchPayload) ([]paretomon.Delivery,
 // mid-batch applies a prefix, in order — and reconstructs their
 // deliveries from current targets. Returns the index of the first
 // object not applied.
-func (r *Router) advanceApplied(ctx context.Context, p *remote, req batchPayload, start int, out *[]paretomon.Delivery) (int, error) {
-	for start < len(req.Objects) {
-		name := req.Objects[start].Name
+func (r *Router) advanceApplied(ctx context.Context, p *remote, objs []paretomon.Object, start int, out *[]paretomon.Delivery) (int, error) {
+	for start < len(objs) {
+		name := objs[start].Name
 		var reply targetsReply
 		if err := p.do(ctx, http.MethodGet, "/targets/"+url.PathEscape(name), nil, &reply); err != nil {
 			var se *StatusError
@@ -601,15 +596,8 @@ func mergeDeliveries(objs []paretomon.Object, results [][]paretomon.Delivery) []
 		for _, ds := range results {
 			users = append(users, ds[i].Users...)
 		}
-		sort.Strings(users)
-		n := 0
-		for j, u := range users {
-			if j == 0 || u != users[j-1] {
-				users[n] = u
-				n++
-			}
-		}
-		out[i] = paretomon.Delivery{Object: o.Name, Users: users[:n]}
+		slices.Sort(users)
+		out[i] = paretomon.Delivery{Object: o.Name, Users: slices.Compact(users)}
 	}
 	return out
 }
@@ -821,15 +809,8 @@ func (r *Router) TargetsOf(object string) ([]string, error) {
 	for _, reply := range replies {
 		users = append(users, reply.Users...)
 	}
-	sort.Strings(users)
-	n := 0
-	for j, u := range users {
-		if j == 0 || u != users[j-1] {
-			users[n] = u
-			n++
-		}
-	}
-	return users[:n], nil
+	slices.Sort(users)
+	return slices.Compact(users), nil
 }
 
 // Users returns the merged community membership, name-sorted (a
@@ -855,15 +836,8 @@ func (r *Router) Users() []string {
 	for _, l := range lists {
 		users = append(users, l...)
 	}
-	sort.Strings(users)
-	n := 0
-	for j, u := range users {
-		if j == 0 || u != users[j-1] {
-			users[n] = u
-			n++
-		}
-	}
-	return users[:n]
+	slices.Sort(users)
+	return slices.Compact(users)
 }
 
 // Clusters concatenates each partition's clusters in partition order.

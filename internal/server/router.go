@@ -10,6 +10,7 @@ import (
 
 	paretomon "repro"
 	"repro/internal/partition"
+	"repro/internal/wire"
 )
 
 // RouterServer is an http.Handler serving a partitioned fleet through a
@@ -159,39 +160,29 @@ func (s *RouterServer) routerError(w http.ResponseWriter, err error) {
 }
 
 func (s *RouterServer) handleObjects(w http.ResponseWriter, r *http.Request) {
-	var req objectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	o, ok := readBody(w, r, wire.DecodeObject)
+	if !ok {
 		return
 	}
-	d, err := s.router.Add(req.Name, req.Values...)
+	d, err := s.router.Add(o.Name, o.Values...)
 	if err != nil {
 		s.routerError(w, err)
 		return
 	}
-	writeJSON(w, toResponse(d))
+	writeBody(w, d, wire.AppendDelivery)
 }
 
 func (s *RouterServer) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	objs, ok := readBody(w, r, wire.DecodeBatch)
+	if !ok {
 		return
-	}
-	objs := make([]paretomon.Object, len(req.Objects))
-	for i, o := range req.Objects {
-		objs[i] = paretomon.Object{Name: o.Name, Values: o.Values}
 	}
 	ds, err := s.router.AddBatch(objs)
 	if err != nil {
 		s.routerError(w, err)
 		return
 	}
-	resp := batchResponse{Deliveries: make([]deliveryResponse, len(ds))}
-	for i, d := range ds {
-		resp.Deliveries[i] = toResponse(d)
-	}
-	writeJSON(w, resp)
+	writeBody(w, ds, wire.AppendDeliveries)
 }
 
 func (s *RouterServer) handleObjectDelete(w http.ResponseWriter, r *http.Request) {

@@ -37,6 +37,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/replica"
 	"repro/internal/tenant"
+	"repro/internal/wire"
 )
 
 // Gate is the serving-edge quota surface a multi-tenant host puts in
@@ -301,40 +302,50 @@ func (s *Server) monitorError(w http.ResponseWriter, err error) {
 	httpError(w, statusOf(err), "%v", err)
 }
 
-type objectRequest struct {
-	Name   string   `json:"name"`
-	Values []string `json:"values"`
-}
-
-type deliveryResponse struct {
-	Object string   `json:"object"`
-	Users  []string `json:"users"`
-}
-
-func toResponse(d paretomon.Delivery) deliveryResponse {
-	users := d.Users
-	if users == nil {
-		users = []string{}
+// readBody reads the request body into a pooled buffer and decodes it
+// with one of internal/wire's decoders (whose results never alias the
+// buffer). It answers a body that does not decode itself — 400, in
+// encoding/json's words — and reports false.
+func readBody[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (v T, ok bool) {
+	buf := wire.GetBuffer()
+	defer buf.Free()
+	err := buf.ReadAll(r.Body)
+	if err == nil {
+		v, err = decode(buf.B)
 	}
-	return deliveryResponse{Object: d.Object, Users: users}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return v, false
+	}
+	return v, true
+}
+
+// writeBody answers 200 with v as one of internal/wire's encoders
+// appends it, newline-terminated like json.Encoder's output, in one
+// Write.
+func writeBody[T any](w http.ResponseWriter, v T, encode func([]byte, T) []byte) {
+	buf := wire.GetBuffer()
+	defer buf.Free()
+	buf.B = append(encode(buf.B, v), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.B)
 }
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	if !s.checkRing(w, r) {
 		return
 	}
-	var req objectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	o, ok := readBody(w, r, wire.DecodeObject)
+	if !ok {
 		return
 	}
 	if s.gate != nil {
-		if err := s.gate.ReserveObjects([]string{req.Name}); err != nil {
+		if err := s.gate.ReserveObjects([]string{o.Name}); err != nil {
 			s.monitorError(w, err)
 			return
 		}
 	}
-	d, err := s.mon.Add(req.Name, req.Values...)
+	d, err := s.mon.Add(o.Name, o.Values...)
 	if err != nil {
 		if s.gate != nil {
 			s.gate.UnreserveObjects(1)
@@ -342,29 +353,16 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 		s.monitorError(w, err)
 		return
 	}
-	writeJSON(w, toResponse(d))
-}
-
-type batchRequest struct {
-	Objects []objectRequest `json:"objects"`
-}
-
-type batchResponse struct {
-	Deliveries []deliveryResponse `json:"deliveries"`
+	writeBody(w, d, wire.AppendDelivery)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.checkRing(w, r) {
 		return
 	}
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	objs, ok := readBody(w, r, wire.DecodeBatch)
+	if !ok {
 		return
-	}
-	objs := make([]paretomon.Object, len(req.Objects))
-	for i, o := range req.Objects {
-		objs[i] = paretomon.Object{Name: o.Name, Values: o.Values}
 	}
 	if s.gate != nil {
 		names := make([]string, len(objs))
@@ -389,11 +387,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.monitorError(w, err)
 		return
 	}
-	resp := batchResponse{Deliveries: make([]deliveryResponse, len(ds))}
-	for i, d := range ds {
-		resp.Deliveries[i] = toResponse(d)
-	}
-	writeJSON(w, resp)
+	writeBody(w, ds, wire.AppendDeliveries)
 }
 
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
@@ -554,6 +548,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
+	var frame []byte // reused for every event of this stream
 	for {
 		select {
 		case <-ctx.Done():
@@ -564,16 +559,20 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			if !open {
 				return // monitor closed
 			}
-			payload, err := json.Marshal(toResponse(d))
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: delivery\ndata: %s\n\n", payload); err != nil {
+			frame = appendDeliveryEvent(frame[:0], d)
+			if _, err := w.Write(frame); err != nil {
 				return
 			}
 			fl.Flush()
 		}
 	}
+}
+
+// appendDeliveryEvent appends d's whole /subscribe SSE frame.
+func appendDeliveryEvent(dst []byte, d paretomon.Delivery) []byte {
+	dst = append(dst, "event: delivery\ndata: "...)
+	dst = wire.AppendDelivery(dst, d)
+	return append(dst, "\n\n"...)
 }
 
 // handleDeltas streams the user's frontier changes as server-sent

@@ -1,0 +1,70 @@
+// Package wire is the codec for the four JSON shapes of the ingest
+// path — the bodies of POST /objects and POST /objects/batch, their
+// replies, the router→partition hop and the /subscribe SSE frames:
+//
+//	{"name": "o1", "values": ["13-15.9", "Apple"]}     an object
+//	{"objects": [object, ...]}                          a batch
+//	{"object": "o1", "users": ["c1", "c2"]}             a delivery
+//	{"deliveries": [delivery, ...]}                     a batch reply
+//
+// The Append* encoders write exactly the bytes encoding/json writes for
+// the same value (HTML-escaped, U+2028/U+2029 escaped, invalid UTF-8 as
+// \ufffd), without reflection and without allocating into a warm
+// buffer. The Decode* functions parse the canonical form those encoders
+// (and every ordinary JSON library) produce in one pass; any other
+// input — reordered, duplicate, unknown or case-folded keys, null,
+// string escapes, invalid UTF-8, bytes after the value — is declined
+// and decoded by encoding/json instead, so what is accepted, what it
+// decodes to and the error text of what is not are encoding/json's by
+// construction. See decode.go for the fork and docs/PERFORMANCE.md,
+// "The routed hop", for why it exists.
+package wire
+
+import (
+	"errors"
+	"io"
+	"slices"
+	"sync"
+)
+
+// maxPooled is the largest buffer Free keeps: a rare huge body must not
+// pin its memory in the pool.
+const maxPooled = 64 << 10
+
+// Buffer is a pooled byte slice. A handler reads a body into B, decodes
+// it (decoded strings never alias B), and may then encode its reply
+// into B[:0].
+type Buffer struct{ B []byte }
+
+var buffers = sync.Pool{New: func() any { return new(Buffer) }}
+
+// GetBuffer returns an empty buffer from the pool.
+func GetBuffer() *Buffer {
+	b := buffers.Get().(*Buffer)
+	b.B = b.B[:0]
+	return b
+}
+
+// Free returns b to the pool, or drops it when it has grown past
+// maxPooled. b must not be used afterwards.
+func (b *Buffer) Free() {
+	if cap(b.B) <= maxPooled {
+		buffers.Put(b)
+	}
+}
+
+// ReadAll replaces B with everything r yields up to EOF.
+func (b *Buffer) ReadAll(r io.Reader) error {
+	b.B = b.B[:0]
+	for {
+		b.B = slices.Grow(b.B, 512)
+		n, err := r.Read(b.B[len(b.B):cap(b.B)])
+		b.B = b.B[:len(b.B)+n]
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
