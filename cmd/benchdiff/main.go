@@ -1,14 +1,10 @@
 // Command benchdiff compares two BENCH_parallel.json documents and
 // fails (exit 1) when the current run regresses against the committed
-// baseline. It is the CI perf gate: wall-clock numbers are too noisy to
-// compare across runner generations, so the gate checks the two signals
-// that are stable on any machine —
+// baseline. It is the CI perf gate, and it gates only the signals that
+// are deterministic on any machine —
 //
-//   - speedup_vs_sequential: each parallel run's speedup relative to the
-//     sequential engine measured in the SAME process on the SAME
-//     hardware. A drop beyond -max-regression means the parallel path
-//     itself got slower relative to its own baseline, not that the
-//     runner did.
+//   - identical_deliveries: a sharded run whose deliveries diverged from
+//     the sequential engine's is wrong, not slow.
 //   - comparisons: the dominance-comparison count is deterministic for a
 //     fixed workload; any increase is an algorithmic regression (a
 //     filter that stopped pruning, a cluster split), never noise.
@@ -16,20 +12,28 @@
 //     deterministic at a fixed GOMAXPROCS; growth beyond -max-allocs
 //     means a hot path started allocating. Baselines recorded before
 //     allocation tracking (allocs_per_op absent or zero) are not gated.
+//   - a configuration present in the baseline but missing from the
+//     current sweep.
+//
+// speedup_vs_sequential — each run's wall time relative to the sequential
+// engine measured in the same process — is printed for the record and
+// never fails the gate: on a small shared runner the ratio swings by more
+// than any threshold worth setting, at a clean tree too. Timing claims go
+// through the calibrated clock of bench/ (BENCHMARK.json).
 //
 // Runs are matched by (engine, mode, workers). The documents must all
 // describe the same workload (objects, users, dims, gomaxprocs) or the
 // comparison is meaningless and benchdiff refuses (exit 2).
 //
 // -current accepts a comma-separated list of documents from repeated
-// sweeps; each configuration is judged by its best (highest-speedup,
-// lowest-comparisons) measurement across them. One noisy run on a busy
-// runner then can't fail the gate, while a real regression — present in
+// sweeps; each configuration is judged by its best (lowest-comparisons,
+// lowest-allocation) measurement across them, so one run that caught a
+// GC cycle can't fail the gate, while a real regression — present in
 // every repeat — still does.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_parallel.json -current run1.json,run2.json,run3.json [-max-regression 0.10]
+//	benchdiff -baseline BENCH_parallel.json -current run1.json,run2.json,run3.json [-max-allocs 0.10]
 package main
 
 import (
@@ -66,7 +70,6 @@ func load(path string) (*experiments.ParallelBench, error) {
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_parallel.json", "committed baseline document")
 	currentPaths := flag.String("current", "", "comma-separated freshly measured document(s); best run per config is gated")
-	maxRegression := flag.Float64("max-regression", 0.10, "max allowed fractional drop in speedup_vs_sequential")
 	maxAllocs := flag.Float64("max-allocs", 0.10, "max allowed fractional growth in allocs_per_op (skipped when the baseline has no allocation data)")
 	flag.Parse()
 	if *currentPaths == "" {
@@ -145,7 +148,6 @@ func main() {
 			fmt.Printf("FAIL  %-18s %-10s workers=%d  sharded deliveries diverged from sequential\n", c.Engine, c.Mode, c.Workers)
 			continue
 		}
-		status := "ok   "
 		if c.Comparisons > b.Comparisons {
 			failures++
 			fmt.Printf("FAIL  %-18s %-10s workers=%d  comparisons %d → %d (deterministic count grew: algorithmic regression)\n",
@@ -161,16 +163,8 @@ func main() {
 				continue
 			}
 		}
-		drop := 0.0
-		if b.SpeedupVsSequential > 0 {
-			drop = (b.SpeedupVsSequential - c.SpeedupVsSequential) / b.SpeedupVsSequential
-		}
-		if drop > *maxRegression {
-			status = "FAIL "
-			failures++
-		}
-		fmt.Printf("%s %-18s %-10s workers=%d  speedup %.3f → %.3f (%+.1f%%)\n",
-			status, c.Engine, c.Mode, c.Workers, b.SpeedupVsSequential, c.SpeedupVsSequential, -drop*100)
+		fmt.Printf("ok    %-18s %-10s workers=%d  speedup %.3f → %.3f (reported, not gated)\n",
+			c.Engine, c.Mode, c.Workers, b.SpeedupVsSequential, c.SpeedupVsSequential)
 	}
 	for k := range baseRuns {
 		// A configuration silently disappearing from the sweep is itself a
@@ -180,8 +174,8 @@ func main() {
 	}
 
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) beyond %.0f%% threshold\n", failures, *maxRegression*100)
+		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s)\n", failures)
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: no regressions beyond %.0f%% threshold across %d configuration(s)\n", *maxRegression*100, len(order))
+	fmt.Printf("benchdiff: no regressions across %d configuration(s)\n", len(order))
 }

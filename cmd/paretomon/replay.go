@@ -11,16 +11,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/object"
 	"repro/internal/pref"
 	"repro/internal/stats"
 	"repro/internal/window"
 )
-
-type engine interface {
-	Process(o object.Object) []int
-	UserFrontier(c int) []int
-}
 
 // engineFlags are the offline/serving engine knobs shared by several
 // subcommands. Note -h is a raw branch cut on this data's similarity
@@ -41,7 +35,7 @@ func (e *engineFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&e.theta1, "theta1", 400, "θ1 for ftva")
 	fs.Float64Var(&e.theta2, "theta2", 0.5, "θ2 for ftva")
 	fs.IntVar(&e.win, "window", 0, "sliding window size (0 = append-only)")
-	fs.IntVar(&e.workers, "workers", 1, "ingestion shards (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&e.workers, "workers", 1, "ingestion shards (0 = GOMAXPROCS, 1 = one shard, dispatched inline)")
 }
 
 // replayValues is everything the offline replay consumes.
@@ -98,8 +92,8 @@ func runReplay(v replayValues) {
 	check(err)
 	check(pf.Close())
 
-	ctr := &stats.Counters{}
-	eng := buildEngine(&v.eng, users, ctr)
+	eng := buildEngine(&v.eng, users)
+	defer eng.Close()
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
@@ -119,7 +113,8 @@ func runReplay(v replayValues) {
 		}
 	}
 	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "processed %d objects for %d users: %s\n", n, len(users), ctr)
+	totals := eng.Totals()
+	fmt.Fprintf(os.Stderr, "processed %d objects for %d users: %s\n", n, len(users), &totals)
 	if v.timing {
 		rate := float64(n) / elapsed.Seconds()
 		fmt.Printf("bench: %d objects in %s (%.0f objects/sec, algorithm=%s, workers=%d, window=%d)\n",
@@ -127,29 +122,20 @@ func runReplay(v replayValues) {
 	}
 }
 
-// buildEngine assembles the offline engine for the flag set: the
-// parallel/windowed variant matrix over baseline and filter-then-verify.
-func buildEngine(e *engineFlags, users []*pref.Profile, ctr *stats.Counters) engine {
+// buildEngine assembles the offline engine for the flag set through the
+// same per-package constructors the Monitor uses: baseline (no clusters)
+// or filter-then-verify, append-only or windowed.
+func buildEngine(e *engineFlags, users []*pref.Profile) *core.Sharded {
+	var clusters []core.Cluster
 	switch e.alg {
 	case "baseline":
-		w := core.ResolveWorkers(e.workers, len(users))
-		switch {
-		case e.win > 0 && w > 1:
-			return window.NewParallelBaselineSW(users, e.win, w, ctr)
-		case e.win > 0:
-			return window.NewBaselineSW(users, e.win, ctr)
-		case w > 1:
-			return core.NewParallelBaseline(users, w, ctr)
-		default:
-			return core.NewBaseline(users, ctr)
-		}
 	case "ftv", "ftva":
 		measure := cluster.WeightedJaccard
 		if e.alg == "ftva" {
 			measure = cluster.VectorWeightedJaccard
 		}
 		res := cluster.Agglomerative(users, measure, e.h)
-		clusters := make([]core.Cluster, len(res.Clusters))
+		clusters = make([]core.Cluster, len(res.Clusters))
 		for i, ci := range res.Clusters {
 			common := ci.Common
 			if e.alg == "ftva" {
@@ -161,21 +147,22 @@ func buildEngine(e *engineFlags, users []*pref.Profile, ctr *stats.Counters) eng
 			}
 			clusters[i] = core.Cluster{Members: ci.Members, Common: common}
 		}
-		w := core.ResolveWorkers(e.workers, len(clusters))
-		fmt.Fprintf(os.Stderr, "clustered %d users into %d clusters (h=%.2f, %d workers)\n",
-			len(users), len(clusters), e.h, w)
-		switch {
-		case e.win > 0 && w > 1:
-			return window.NewParallelFilterThenVerifySW(users, clusters, e.win, w, ctr)
-		case e.win > 0:
-			return window.NewFilterThenVerifySW(users, clusters, e.win, ctr)
-		case w > 1:
-			return core.NewParallelFilterThenVerify(users, clusters, w, ctr)
-		default:
-			return core.NewFilterThenVerify(users, clusters, ctr)
-		}
 	default:
 		failf("unknown algorithm %q", e.alg)
-		return nil
 	}
+	var eng *core.Sharded
+	var err error
+	if e.win > 0 {
+		eng, err = window.NewSharded(users, clusters, nil, e.win, e.workers, &stats.Counters{})
+	} else {
+		eng, err = core.NewSharded(users, clusters, nil, e.workers, &stats.Counters{})
+	}
+	if err != nil {
+		failf("%v", err)
+	}
+	if clusters != nil {
+		fmt.Fprintf(os.Stderr, "clustered %d users into %d clusters (h=%.2f, %d workers)\n",
+			len(users), len(clusters), e.h, eng.Shards())
+	}
+	return eng
 }

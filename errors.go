@@ -67,10 +67,8 @@ var (
 	// been called.
 	ErrMonitorClosed = errors.New("paretomon: monitor closed")
 
-	// ErrUnsupported reports an operation the configured engine cannot
-	// perform (e.g. online preference updates on an exotic engine), or a
-	// persistence call — Snapshot, StorageStats — on a monitor built
-	// without a store.
+	// ErrUnsupported reports a persistence call — Snapshot, StorageStats,
+	// the changefeed — on a monitor built without a store.
 	ErrUnsupported = errors.New("paretomon: operation not supported by engine")
 
 	// ErrCorrupt reports durable state that cannot be trusted during

@@ -154,44 +154,6 @@ func TestBatchError(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConfigShims keeps the v1 bridge working: a raw Config via
-// NewMonitorFromConfig or WithConfig behaves like the equivalent options.
-func TestDeprecatedConfigShims(t *testing.T) {
-	build := func() *paretomon.Community {
-		s := paretomon.NewSchema("a")
-		c := paretomon.NewCommunity(s)
-		if _, err := c.AddUser("u"); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	cfg := paretomon.DefaultConfig()
-	cfg.Algorithm = paretomon.AlgorithmBaseline
-	m1, err := paretomon.NewMonitorFromConfig(build(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := paretomon.NewMonitor(build(), paretomon.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*paretomon.Monitor{m1, m2} {
-		if got := m.Config().Algorithm; got != paretomon.AlgorithmBaseline {
-			t.Errorf("algorithm = %v, want Baseline", got)
-		}
-		if _, err := m.Add("o1", "x"); err != nil {
-			t.Error(err)
-		}
-	}
-	// The raw-Config path validates too: a bogus measure must be an
-	// ErrInvalidConfig error, not a construction-time panic.
-	bad := paretomon.DefaultConfig()
-	bad.Measure = paretomon.Measure(9)
-	if _, err := paretomon.NewMonitorFromConfig(build(), bad); !errors.Is(err, paretomon.ErrInvalidConfig) {
-		t.Errorf("bogus measure via shim: err = %v, want ErrInvalidConfig", err)
-	}
-}
-
 func onlyErr[T any](_ T, err error) error { return err }
 
 func addErr(m *paretomon.Monitor, name string, values ...string) error {

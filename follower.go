@@ -143,9 +143,7 @@ func newFollowerMonitor(c *Community, cfg Config, seq uint64, body []byte, haveS
 		return nil, err
 	}
 	m.walSeq = seq
-	if eng, ok := m.eng.(interface{ ResetShardCounters() }); ok {
-		eng.ResetShardCounters()
-	}
+	m.eng.ResetShardCounters()
 	return m, nil
 }
 

@@ -56,7 +56,7 @@ func BenchmarkParallelProcess(b *testing.B) {
 		}
 		clusters = append(clusters, core.Cluster{Members: members, Common: pref.Common(profs)})
 	}
-	eng := core.NewParallelFilterThenVerify(users, clusters, 4, &stats.Counters{})
+	eng := mustSharded(b, users, clusters, 4, &stats.Counters{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Process(objs[i%len(objs)])

@@ -17,19 +17,17 @@ type Monitor interface {
 	UserFrontier(c int) []int
 }
 
-// targetTracker maintains C_o for every object currently Pareto-optimal
-// for at least one user ("C_o ← C_o ± {c}" bookkeeping in Algs. 1–2).
-// Object ids are dense, so the sets live in an id-indexed slice; a nil
-// slot is an empty C_o.
-type targetTracker struct {
+// TargetTracker maintains C_o for every object currently Pareto-optimal
+// for at least one user ("C_o ← C_o ± {c}" bookkeeping in Algs. 1–2 and
+// 4–5). Object ids are dense, so the sets live in an id-indexed slice; a
+// nil slot is an empty C_o. Every engine embeds one through its shard
+// bookkeeping (see shard.go) and serves Targets from it.
+type TargetTracker struct {
 	sets []*bitset.Set // object id -> set of user ids; nil = empty
 }
 
-func newTargetTracker() *targetTracker {
-	return &targetTracker{}
-}
-
-func (t *targetTracker) add(objID, user int) {
+// AddTarget records that objID is Pareto-optimal for user.
+func (t *TargetTracker) AddTarget(objID, user int) {
 	for len(t.sets) <= objID {
 		t.sets = append(t.sets, nil)
 	}
@@ -41,14 +39,23 @@ func (t *targetTracker) add(objID, user int) {
 	s.Add(user)
 }
 
-func (t *targetTracker) remove(objID, user int) {
+// RemoveTarget records that objID left user's frontier.
+func (t *TargetTracker) RemoveTarget(objID, user int) {
 	if objID >= 0 && objID < len(t.sets) && t.sets[objID] != nil {
 		t.sets[objID].Remove(user)
 	}
 }
 
-// users returns C_o as a sorted slice (nil if empty).
-func (t *targetTracker) users(objID int) []int {
+// DropTargets forgets an object entirely (its C_o becomes empty).
+func (t *TargetTracker) DropTargets(objID int) {
+	if objID >= 0 && objID < len(t.sets) {
+		t.sets[objID] = nil
+	}
+}
+
+// Targets returns the current C_o of a previously processed object — the
+// users for whom it is still Pareto-optimal — sorted, nil if empty.
+func (t *TargetTracker) Targets(objID int) []int {
 	if objID < 0 || objID >= len(t.sets) {
 		return nil
 	}

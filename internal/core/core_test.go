@@ -338,7 +338,7 @@ func TestQuickFTVEquivalentToBaseline(t *testing.T) {
 			}
 		}
 		// Theorem 4.5: P_U ⊇ P_c for every member.
-		for ui, cl := range ftv.Clusters() {
+		for ui, cl := range ftv.Clusters {
 			pu := map[int]bool{}
 			for _, id := range ftv.ClusterFrontier(ui) {
 				pu[id] = true

@@ -11,13 +11,15 @@
 //     engine is FilterThenVerifyApprox — "the algorithm itself remains
 //     the same".
 //
-// Beyond the paper (whose experiments are single-threaded), the package
-// adds sharded execution: Sharded is a generic fan-out harness that
-// drives user-disjoint shard engines concurrently, and
-// ParallelFilterThenVerify / ParallelBaseline are Alg. 2 / Alg. 1 with
-// whole clusters / users partitioned across worker goroutines. Results
-// are identical to the sequential engines by construction; the
-// equivalence tests pin that.
+// Sharded is the engine every Monitor runs on: NewSharded deals the users
+// (Alg. 1) or whole clusters (Alg. 2) over user-disjoint shards, each an
+// instance of the same Baseline / FilterThenVerify struct with explicit
+// membership (UserShard / ClusterShard, which the windowed engines embed
+// too). One shard, dispatched inline, is the paper's single-threaded
+// algorithm; more shards are an engineering extension beyond it, with
+// results identical by construction — the equivalence tests pin that.
+// NewBaseline and NewFilterThenVerify build the same struct standalone,
+// owning every user: the reference the paper figures and tests use.
 //
 // The sliding-window counterparts (Sec. 7) live in internal/window; the
 // similarity measures and clustering in internal/cluster; the

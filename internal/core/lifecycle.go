@@ -36,8 +36,8 @@ import (
 // changes.
 type CommonFn func(members []*pref.Profile) *pref.Profile
 
-// LifecycleEngine is the mutation surface every engine (sequential and
-// sharded, append-only and windowed) implements for the v3 lifecycle
+// LifecycleEngine is the mutation surface every engine (shard and
+// harness, append-only and windowed) implements for the v3 lifecycle
 // API. Indices are monitor-global: c is the user's construction-order
 // slot, cluster the index into the monitor's full cluster list. alive
 // holds every currently alive object in arrival order; windowed engines
@@ -75,13 +75,6 @@ var (
 	_ LifecycleEngine = (*FilterThenVerify)(nil)
 	_ LifecycleEngine = (*Sharded)(nil)
 )
-
-// drop forgets an object entirely (its C_o becomes empty).
-func (t *targetTracker) drop(objID int) {
-	if objID >= 0 && objID < len(t.sets) {
-		t.sets[objID] = nil
-	}
-}
 
 // MendFrontier admits candidates into f. A candidate enters iff neither
 // a pre-existing frontier member nor another candidate dominates it
@@ -145,81 +138,42 @@ func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(
 
 // --- Baseline ---
 
-// RegisterUser appends profile p as user c. The slot stays frontierless
-// until ActivateUser.
-func (b *Baseline) RegisterUser(c int, p *pref.Profile) {
-	if c != len(b.users) {
-		panic("core: RegisterUser out of order")
-	}
-	b.users = append(b.users, p)
-	b.fronts = append(b.fronts, nil)
-}
-
 // ActivateUser builds user c's frontier by replaying the alive objects
 // through the standard arrival scan (cluster and common are ignored:
 // Baseline has no shared tier).
 func (b *Baseline) ActivateUser(c int, _ int, _ *pref.Profile, alive []object.Object) {
-	if b.members != nil {
-		b.members = append(b.members, c)
-	}
-	b.fronts[c] = NewFrontier()
+	b.Activate(c)
 	for _, o := range alive {
 		b.updateUser(c, o)
 	}
-}
-
-// DeactivateUser blanks user c's slot without mending (recovery path).
-func (b *Baseline) DeactivateUser(c int) {
-	b.fronts[c] = nil
-	b.dropMember(c)
-}
-
-func (b *Baseline) dropMember(c int) {
-	for i, m := range b.members {
-		if m == c {
-			b.members = append(b.members[:i], b.members[i+1:]...)
-			return
-		}
-	}
-}
-
-// RemoveUser drops user c's frontier and target entries.
-func (b *Baseline) RemoveUser(c int, _ *pref.Profile, _ []object.Object) {
-	if b.fronts[c] == nil {
-		return
-	}
-	for _, id := range b.fronts[c].IDs() {
-		b.targets.remove(id, c)
-	}
-	b.DeactivateUser(c)
 }
 
 // RetractPreference mends user c's frontier after the caller shrank c's
 // preference relation: candidates are every alive non-frontier object
 // (any of them may have lost its last dominator).
 func (b *Baseline) RetractPreference(c int, _ *pref.Profile, alive []object.Object) {
-	f := b.fronts[c]
+	f := b.Fronts[c]
 	var cands []object.Object
 	for _, x := range alive {
 		if !f.Contains(x.ID) {
 			cands = append(cands, x)
 		}
 	}
-	for _, x := range MendFrontier(f, cands, b.users[c], b.ctr.AddVerify) {
-		b.targets.add(x.ID, c)
+	for _, x := range MendFrontier(f, cands, b.Users[c], b.Ctr.AddVerify) {
+		b.AddTarget(x.ID, c)
 	}
 }
 
 // RemoveObject deletes o and, for every user whose frontier held it,
 // promotes the alive objects whose only frontier shield was o.
 func (b *Baseline) RemoveObject(o object.Object, alive []object.Object) {
-	b.each(func(c int) {
-		f := b.fronts[c]
+	for _, c := range b.Members {
+		f := b.Fronts[c]
 		if !f.Remove(o.ID) {
-			return // o was dominated for c: its dominator still shields everything o did
+			continue // o was dominated for c: its dominator still shields everything o did
 		}
-		b.targets.remove(o.ID, c)
-		u := b.users[c]
+		b.RemoveTarget(o.ID, c)
+		u := b.Users[c]
 		var po pref.Probe
 		u.Prepare(o, &po)
 		var cands []object.Object
@@ -227,96 +181,35 @@ func (b *Baseline) RemoveObject(o object.Object, alive []object.Object) {
 			if f.Contains(x.ID) {
 				continue
 			}
-			b.ctr.AddVerify(1)
+			b.Ctr.AddVerify(1)
 			if po.Dominates(x) {
 				cands = append(cands, x)
 			}
 		}
-		for _, x := range MendFrontier(f, cands, u, b.ctr.AddVerify) {
-			b.targets.add(x.ID, c)
+		for _, x := range MendFrontier(f, cands, u, b.Ctr.AddVerify) {
+			b.AddTarget(x.ID, c)
 		}
-	})
-	b.targets.drop(o.ID)
+	}
+	b.DropTargets(o.ID)
 }
 
 // --- FilterThenVerify ---
-
-// common recomputes a cluster relation from member profiles through the
-// configured CommonFn (exact intersection by default).
-func (f *FilterThenVerify) common(members []int) *pref.Profile {
-	ps := make([]*pref.Profile, len(members))
-	for i, m := range members {
-		ps[i] = f.users[m]
-	}
-	if f.commonFn != nil {
-		return f.commonFn(ps)
-	}
-	return pref.Common(ps)
-}
-
-// SetCommonFn installs the cluster-relation recompute used by online
-// preference updates (the monitor wires approx.Profile for the
-// approximate engine).
-func (f *FilterThenVerify) SetCommonFn(fn CommonFn) { f.commonFn = fn }
-
-// SetClusterTotal grows the full-cluster-list length a shard instance
-// keys its state against; no-op on the sequential engine, whose local
-// list is the full list.
-func (f *FilterThenVerify) SetClusterTotal(n int) {
-	if f.globalIdx != nil && n > f.total {
-		f.total = n
-	}
-}
-
-// localCluster maps a monitor-global cluster index to this instance's
-// local list, or -1 if another shard owns it.
-func (f *FilterThenVerify) localCluster(cluster int) int {
-	if f.globalIdx == nil {
-		if cluster < len(f.clusters) {
-			return cluster
-		}
-		return -1
-	}
-	for li, gi := range f.globalIdx {
-		if gi == cluster {
-			return li
-		}
-	}
-	return -1
-}
-
-// RegisterUser appends profile p as user c (no frontier yet).
-func (f *FilterThenVerify) RegisterUser(c int, p *pref.Profile) {
-	if c != len(f.users) {
-		panic("core: RegisterUser out of order")
-	}
-	f.users = append(f.users, p)
-	f.userFronts = append(f.userFronts, nil)
-}
 
 // ActivateUser joins user c to the given cluster (or founds it when the
 // index is one past the current list), resyncs the cluster's filter tier
 // under the recomputed common relation, and builds c's frontier from the
 // filter frontier by the Lemma 4.6 criterion.
 func (f *FilterThenVerify) ActivateUser(c int, cluster int, common *pref.Profile, alive []object.Object) {
-	f.userFronts[c] = NewFrontier()
-	li := f.localCluster(cluster)
+	f.UserFronts[c] = NewFrontier()
+	li := f.LocalCluster(cluster)
 	if li < 0 {
 		// Found a new cluster owned by this instance.
-		li = len(f.clusters)
-		f.clusters = append(f.clusters, Cluster{Members: []int{c}, Common: common})
-		f.clusterFronts = append(f.clusterFronts, NewFrontier())
-		if f.globalIdx != nil {
-			f.globalIdx = append(f.globalIdx, cluster)
-			if cluster+1 > f.total {
-				f.total = cluster + 1
-			}
-		}
+		li = f.Found(cluster, c, common)
 		for _, o := range alive {
 			f.updateClusterFrontier(li, o)
 		}
 	} else {
-		cl := &f.clusters[li]
+		cl := &f.Clusters[li]
 		old := cl.Common
 		cl.Common = common
 		cl.Members = append(cl.Members, c)
@@ -330,9 +223,9 @@ func (f *FilterThenVerify) ActivateUser(c int, cluster int, common *pref.Profile
 // dominates x under ≻_c (Lemma 4.6; exact whenever ≻_U ⊆ ≻_c). Over an
 // empty frontier it builds P_c from scratch (ActivateUser).
 func (f *FilterThenVerify) mendMemberFrontier(li, c int) {
-	fu := f.clusterFronts[li]
-	u := f.users[c]
-	fc := f.userFronts[c]
+	fu := f.ClusterFronts[li]
+	u := f.Users[c]
+	fc := f.UserFronts[c]
 	for _, x := range fu.Objects() {
 		if !fc.Contains(x.ID) {
 			f.admitMember(fu, u, c, x)
@@ -350,17 +243,14 @@ func (f *FilterThenVerify) admitMember(fu *Frontier, u *pref.Profile, c int, x o
 		if op.ID == x.ID {
 			continue
 		}
-		f.ctr.AddVerify(1)
+		f.Ctr.AddVerify(1)
 		if px.DominatedBy(op) {
 			return
 		}
 	}
-	f.userFronts[c].Add(x)
-	f.targets.add(x.ID, c)
+	f.UserFronts[c].Add(x)
+	f.AddTarget(x.ID, c)
 }
-
-// DeactivateUser blanks user c's slot without mending (recovery path).
-func (f *FilterThenVerify) DeactivateUser(c int) { f.userFronts[c] = nil }
 
 // RemoveUser drops user c from its cluster. The shrunken membership
 // can only grow the common relation for exact engines (intersection of
@@ -369,23 +259,11 @@ func (f *FilterThenVerify) DeactivateUser(c int) { f.userFronts[c] = nil }
 // An emptied cluster goes dormant: its structures clear and Process
 // skips it.
 func (f *FilterThenVerify) RemoveUser(c int, common *pref.Profile, alive []object.Object) {
-	li := f.clusterOf(c)
-	cl := &f.clusters[li]
-	for i, m := range cl.Members {
-		if m == c {
-			cl.Members = append(cl.Members[:i], cl.Members[i+1:]...)
-			break
-		}
-	}
-	for _, id := range f.userFronts[c].IDs() {
-		f.targets.remove(id, c)
-	}
-	f.userFronts[c] = nil
-	if len(cl.Members) == 0 {
-		cl.Common = nil
-		f.clusterFronts[li] = NewFrontier()
+	li, emptied := f.DropMember(c)
+	if emptied {
 		return
 	}
+	cl := &f.Clusters[li]
 	old := cl.Common
 	cl.Common = common
 	f.resyncCluster(li, old, alive)
@@ -395,8 +273,8 @@ func (f *FilterThenVerify) RemoveUser(c int, common *pref.Profile, alive []objec
 // relation (the caller already shrank c's shared profile), then mends
 // c's own frontier from the filter frontier.
 func (f *FilterThenVerify) RetractPreference(c int, common *pref.Profile, alive []object.Object) {
-	li := f.clusterOf(c)
-	cl := &f.clusters[li]
+	li := f.ClusterOf(c)
+	cl := &f.Clusters[li]
 	old := cl.Common
 	cl.Common = common
 	f.resyncCluster(li, old, alive)
@@ -410,39 +288,25 @@ func (f *FilterThenVerify) RetractPreference(c int, common *pref.Profile, alive 
 // engine's relation can move both ways at once (the θ1 cap displaces
 // tuples), so an incomparable change runs both phases.
 func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile, alive []object.Object) {
-	cl := &f.clusters[li]
+	cl := &f.Clusters[li]
 	super := cl.Common.Subsumes(old)
 	sub := old.Subsumes(cl.Common)
 	if super && sub {
 		return // unchanged
 	}
 	if !sub {
-		f.filterClusterFrontier(li)
+		f.FilterClusterFrontier(li)
 	}
 	if !super {
-		fu := f.clusterFronts[li]
+		fu := f.ClusterFronts[li]
 		var cands []object.Object
 		for _, x := range alive {
 			if !fu.Contains(x.ID) {
 				cands = append(cands, x)
 			}
 		}
-		MendFrontier(fu, cands, cl.Common, f.ctr.AddFilter)
+		MendFrontier(fu, cands, cl.Common, f.Ctr.AddFilter)
 	}
-}
-
-// filterClusterFrontier evicts filter-frontier members dominated under
-// the (grown) common relation, propagating each eviction to the member
-// frontiers (P_c ⊆ P_U is the engine invariant).
-func (f *FilterThenVerify) filterClusterFrontier(li int) {
-	cl := &f.clusters[li]
-	FilterFrontier(f.clusterFronts[li], cl.Common, f.ctr.AddFilter, func(id int) {
-		for _, m := range cl.Members {
-			if f.userFronts[m].Remove(id) {
-				f.targets.remove(id, m)
-			}
-		}
-	})
 }
 
 // RemoveObject deletes o from the filter and member frontiers of every
@@ -453,19 +317,19 @@ func (f *FilterThenVerify) filterClusterFrontier(li int) {
 // anything o shielded for that member is still shielded by o's own
 // ≻_c-dominator, which survives in the filter frontier.
 func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) {
-	for li := range f.clusters {
-		cl := &f.clusters[li]
+	for li := range f.Clusters {
+		cl := &f.Clusters[li]
 		if len(cl.Members) == 0 {
 			continue
 		}
 		var holders []int
 		for _, c := range cl.Members {
-			if f.userFronts[c].Remove(o.ID) {
-				f.targets.remove(o.ID, c)
+			if f.UserFronts[c].Remove(o.ID) {
+				f.RemoveTarget(o.ID, c)
 				holders = append(holders, c)
 			}
 		}
-		fu := f.clusterFronts[li]
+		fu := f.ClusterFronts[li]
 		if !fu.Remove(o.ID) {
 			continue
 		}
@@ -476,17 +340,17 @@ func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) 
 			if fu.Contains(x.ID) {
 				continue
 			}
-			f.ctr.AddFilter(1)
+			f.Ctr.AddFilter(1)
 			if po.Dominates(x) {
 				cands = append(cands, x)
 			}
 		}
-		MendFrontier(fu, cands, cl.Common, f.ctr.AddFilter)
+		MendFrontier(fu, cands, cl.Common, f.Ctr.AddFilter)
 		for _, c := range holders {
 			f.mendMemberAfterRemoval(li, c, o)
 		}
 	}
-	f.targets.drop(o.ID)
+	f.DropTargets(o.ID)
 }
 
 // mendMemberAfterRemoval promotes filter-frontier objects into P_c after
@@ -494,16 +358,16 @@ func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) 
 // shield (covers freshly promoted filter objects too, since o ≻_U x
 // implies o ≻_c x).
 func (f *FilterThenVerify) mendMemberAfterRemoval(li, c int, o object.Object) {
-	fu := f.clusterFronts[li]
-	u := f.users[c]
-	fc := f.userFronts[c]
+	fu := f.ClusterFronts[li]
+	u := f.Users[c]
+	fc := f.UserFronts[c]
 	var po pref.Probe
 	u.Prepare(o, &po)
 	for _, x := range fu.Objects() {
 		if fc.Contains(x.ID) {
 			continue
 		}
-		f.ctr.AddVerify(1)
+		f.Ctr.AddVerify(1)
 		if po.Dominates(x) {
 			f.admitMember(fu, u, c, x)
 		}

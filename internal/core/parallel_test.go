@@ -21,7 +21,7 @@ func TestParallelMatchesSequentialPaperExample(t *testing.T) {
 	}
 	seqCtr, parCtr := &stats.Counters{}, &stats.Counters{}
 	seq := core.NewFilterThenVerify(users, clusters, seqCtr)
-	par := core.NewParallelFilterThenVerify(users, clusters, 2, parCtr)
+	par := mustSharded(t, users, clusters, 2, parCtr)
 	if par.Shards() != 2 {
 		t.Fatalf("Shards = %d", par.Shards())
 	}
@@ -56,26 +56,42 @@ func TestParallelWorkerClamping(t *testing.T) {
 	users := []*pref.Profile{l.C1, l.C2}
 	clusters := []core.Cluster{{Members: []int{0, 1}, Common: l.U}}
 	// More workers than clusters: clamps to cluster count.
-	par := core.NewParallelFilterThenVerify(users, clusters, 16, nil)
+	par := mustSharded(t, users, clusters, 16, nil)
 	if par.Shards() != 1 {
 		t.Fatalf("Shards = %d, want 1", par.Shards())
 	}
 	// workers <= 0 resolves to GOMAXPROCS then clamps.
-	par0 := core.NewParallelFilterThenVerify(users, clusters, 0, nil)
+	par0 := mustSharded(t, users, clusters, 0, nil)
 	if par0.Shards() != 1 {
 		t.Fatalf("Shards = %d, want 1", par0.Shards())
 	}
 }
 
+// A fresh build over a bad partition is refused: with an error from the
+// harness constructor (recovery feeds it stored input), with a panic from
+// the standalone one (TestClusterPartitionValidation).
 func TestParallelValidatesPartition(t *testing.T) {
 	l := fixtures.NewLaptops()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad partition should panic")
+	users := []*pref.Profile{l.C1, l.C2}
+	for name, tc := range map[string]struct {
+		clusters []core.Cluster
+		active   []bool
+	}{
+		"missing user":        {clusters: []core.Cluster{{Members: []int{0}, Common: l.U}}},
+		"duplicate":           {clusters: []core.Cluster{{Members: []int{0, 1, 1}, Common: l.U}}},
+		"removed user listed": {clusters: []core.Cluster{{Members: []int{0, 1}, Common: l.U}}, active: []bool{true, false}},
+	} {
+		for _, workers := range []int{1, 2} {
+			if _, err := core.NewSharded(users, tc.clusters, tc.active, workers, nil); err == nil {
+				t.Errorf("%s, workers=%d: bad partition accepted", name, workers)
+			}
 		}
-	}()
-	core.NewParallelFilterThenVerify([]*pref.Profile{l.C1, l.C2},
-		[]core.Cluster{{Members: []int{0}, Common: l.U}}, 2, nil)
+	}
+	// Removed users and dormant clusters are not a bad partition.
+	ok := []core.Cluster{{Members: []int{0}, Common: l.C1.Clone()}, {}}
+	if _, err := core.NewSharded(users, ok, []bool{true, false}, 2, nil); err != nil {
+		t.Errorf("evolved community refused: %v", err)
+	}
 }
 
 // Randomized equivalence across worker counts, cluster shapes, and
@@ -91,7 +107,10 @@ func TestQuickParallelEquivalence(t *testing.T) {
 		}
 		workers := 1 + r.Intn(4)
 		seq := core.NewFilterThenVerify(users, clusters, nil)
-		par := core.NewParallelFilterThenVerify(users, clusters, workers, nil)
+		par, err := core.NewSharded(users, clusters, nil, workers, nil)
+		if err != nil {
+			return false
+		}
 		for _, o := range objs {
 			if !reflect.DeepEqual(seq.Process(o), par.Process(o)) {
 				return false
@@ -107,4 +126,14 @@ func TestQuickParallelEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// mustSharded builds the append-only harness over a full partition.
+func mustSharded(t testing.TB, users []*pref.Profile, clusters []core.Cluster, workers int, ctr *stats.Counters) *core.Sharded {
+	t.Helper()
+	s, err := core.NewSharded(users, clusters, nil, workers, ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

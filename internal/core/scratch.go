@@ -1,7 +1,7 @@
 package core
 
 // ResultScratch is an optional reusable C_o slice for engines driven as
-// shards. Disabled (the zero value, sequential engines), Start returns
+// shards. Disabled (the zero value, standalone engines), Start returns
 // nil and every Process allocates a fresh result — callers may retain
 // it. Enabled (Sharded calls EnableScratch on every shard it drives),
 // the engine appends into one buffer reused across Process calls; the

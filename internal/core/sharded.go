@@ -34,21 +34,21 @@ type ShardEngine interface {
 	// SetCommonFn installs the cluster-relation recompute for online
 	// preference updates; no-op on baseline engines.
 	SetCommonFn(fn CommonFn)
+	// EnableScratch lets Process reuse one internal result slice instead
+	// of allocating a fresh C_o per object. Sharded enables it on every
+	// shard — it always copies results into its own merged slice before
+	// returning, so the aliasing is contained.
+	EnableScratch()
 }
 
-// scratchEngine is implemented by shard engines that can reuse one
-// internal result slice across Process calls instead of allocating a
-// fresh C_o per object. Sharded enables it on every shard it drives —
-// the harness always copies results into its own merged slice before
-// returning, so the aliasing is contained.
-type scratchEngine interface{ EnableScratch() }
-
-// Sharded is the shared fan-out harness behind every parallel engine:
-// user-disjoint shards (one sequential engine each) driven either inline
-// or by persistent worker goroutines fed over single-producer/single-
-// consumer rings. Because shards own disjoint users — and, for the
+// Sharded is the engine every Monitor runs on: user-disjoint shards (one
+// single-threaded engine each) driven either inline or by persistent
+// worker goroutines fed over single-producer/single-consumer rings. One
+// shard, dispatched inline, is the paper's sequential algorithm; more
+// shards are an engineering extension (the paper's experiments are
+// single-threaded). Because shards own disjoint users — and, for the
 // clustered engines, disjoint clusters — the only cross-shard state is
-// the counters, so results are identical to the sequential engines by
+// the counters, so results are identical to a standalone engine's by
 // construction; the property tests pin that equivalence.
 //
 // Counter discipline: each shard accumulates comparisons into its own
@@ -61,9 +61,8 @@ type scratchEngine interface{ EnableScratch() }
 //
 // Dispatch: with async off (the default when GOMAXPROCS == 1) or a
 // single shard, Process runs the shards inline in the caller's
-// goroutine — zero synchronization, which is what lets a sharded engine
-// match the sequential one on a single core. With async on, each shard
-// has a persistent worker goroutine fed through an SPSC ring; a whole
+// goroutine — zero synchronization. With async on, each shard has a
+// persistent worker goroutine fed through an SPSC ring; a whole
 // ProcessBatch is one ring hand-off per shard (batch coalescing).
 //
 // Sharded itself is single-writer, like the engines it wraps: callers
@@ -87,112 +86,118 @@ type Sharded struct {
 	obj1      [1]object.Object
 	results   [][]int   // per-shard result scratch for the merge
 	batchOuts [][][]int // per-shard per-object results for async batches
+	merged    [][]int   // ProcessBatch's result slice, grow-only
 	closed    bool
 }
 
-// NewSharded assembles a harness from pre-built shards. ctrs[i] must be
-// the private counter shards[i] was built with; owner maps every user
-// index to the shard that exclusively maintains its frontier. Shards
-// that support scratch-slice reuse get it enabled — the harness never
-// hands a shard's internal slice to callers.
-func NewSharded(shards []ShardEngine, ctrs []*stats.Counters, owner []int, ctr *stats.Counters) *Sharded {
-	if len(shards) != len(ctrs) {
-		panic("core: sharded engine needs one counter per shard")
+// NewSharded builds the append-only engine for a community: Alg. 1 with
+// the users dealt round-robin over the shards when clusters is nil,
+// Alg. 2 with whole clusters dealt round-robin otherwise — a cluster's
+// filter frontier and its members' frontiers always land on the same
+// shard. active marks the alive slots of the user table (nil: all of
+// them): a removed user keeps its index but belongs to no shard and no
+// cluster, and memberless (dormant) clusters ride along as placeholders
+// so cluster indices stay stable; a fresh community is the case with
+// every user alive. Cluster membership must partition exactly the alive
+// users. workers <= 0 means GOMAXPROCS; the count is clamped to the
+// users or non-dormant clusters there are to deal out.
+func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters) (*Sharded, error) {
+	if clusters == nil {
+		return ShardUsers(users, active, workers, ctr,
+			func(s UserShard) ShardEngine { return &Baseline{s} }), nil
 	}
-	for _, sh := range shards {
-		if se, ok := sh.(scratchEngine); ok {
-			se.EnableScratch()
-		}
-	}
-	return &Sharded{
-		shards:  shards,
-		ctrs:    ctrs,
+	return ShardClusters(users, clusters, active, workers, ctr,
+		func(s ClusterShard) ShardEngine { return &FilterThenVerify{s} })
+}
+
+// newSharded assembles the harness with one private counter per shard
+// and empty shard slots for the caller to fill.
+func newSharded(workers int, owner []int, ctr *stats.Counters) *Sharded {
+	s := &Sharded{
+		shards:  make([]ShardEngine, workers),
+		ctrs:    make([]*stats.Counters, workers),
 		owner:   owner,
 		ctr:     ctr,
-		async:   runtime.GOMAXPROCS(0) > 1 && len(shards) > 1,
-		results: make([][]int, len(shards)),
+		async:   runtime.GOMAXPROCS(0) > 1 && workers > 1,
+		results: make([][]int, workers),
 	}
-}
-
-// ShardedByUser assembles a harness whose shards own round-robin
-// partitions of the user set: shard s gets users s, s+workers, … and a
-// private counter, both passed to build. Baseline-style engines (no
-// shared tier) shard this way.
-func ShardedByUser(userCount, workers int, ctr *stats.Counters, build func(members []int, ctr *stats.Counters) ShardEngine) *Sharded {
-	return ShardedByUserActive(userCount, nil, workers, ctr, build)
-}
-
-// ShardedByUserActive is ShardedByUser over a user table with removed
-// (inactive) slots: every user index keeps an owner so future
-// re-activations route consistently, but only active users join a
-// shard's member list. active == nil means every user is active.
-func ShardedByUserActive(userCount int, active []bool, workers int, ctr *stats.Counters, build func(members []int, ctr *stats.Counters) ShardEngine) *Sharded {
-	units := userCount
-	if active != nil {
-		units = 0
-		for _, a := range active {
-			if a {
-				units++
-			}
-		}
-	}
-	workers = ResolveWorkers(workers, units)
-	shards := make([]ShardEngine, workers)
-	ctrs := make([]*stats.Counters, workers)
-	owner := make([]int, userCount)
-	perShard := make([][]int, workers)
-	for c := 0; c < userCount; c++ {
-		s := c % workers
-		owner[c] = s
-		if active == nil || active[c] {
-			perShard[s] = append(perShard[s], c)
-		}
-	}
-	for s := range shards {
-		ctrs[s] = &stats.Counters{}
-		shards[s] = build(perShard[s], ctrs[s])
-	}
-	return NewSharded(shards, ctrs, owner, ctr)
-}
-
-// ShardedByCluster assembles a harness whose shards own round-robin
-// partitions of the cluster list — a cluster's filter frontier and its
-// members' frontiers always land on the same shard. build receives the
-// shard's cluster subset together with each cluster's index in the full
-// list (so per-cluster state stays keyed shard-independently).
-// Membership must partition [0, userCount); validate before calling.
-func ShardedByCluster(userCount int, clusters []Cluster, workers int, ctr *stats.Counters, build func(clusters []Cluster, globalIdx []int, ctr *stats.Counters) ShardEngine) *Sharded {
-	workers = ResolveWorkers(workers, len(clusters))
-	shards := make([]ShardEngine, workers)
-	ctrs := make([]*stats.Counters, workers)
-	owner := make([]int, userCount)
-	perShard := make([][]Cluster, workers)
-	perShardIdx := make([][]int, workers)
-	for i, cl := range clusters {
-		s := i % workers
-		perShard[s] = append(perShard[s], cl)
-		perShardIdx[s] = append(perShardIdx[s], i)
-		for _, c := range cl.Members {
-			owner[c] = s
-		}
-	}
-	for s := range shards {
-		ctrs[s] = &stats.Counters{}
-		shards[s] = build(perShard[s], perShardIdx[s], ctrs[s])
-	}
-	s := NewSharded(shards, ctrs, owner, ctr)
-	s.clusterCount = len(clusters)
-	s.clusterOwner = make([]int, len(clusters))
-	for i := range clusters {
-		s.clusterOwner[i] = i % workers
+	for i := range s.ctrs {
+		s.ctrs[i] = &stats.Counters{}
 	}
 	return s
 }
 
-// ResolveWorkers normalizes a worker-count request: n <= 0 means
+// ShardUsers assembles a harness whose shards own round-robin partitions
+// of the alive users: shard i maintains users i, i+workers, …; build
+// wraps each shard's bookkeeping (with its private counter) into an
+// engine. Every user index keeps an owner, alive or not, so a later
+// activation routes consistently.
+func ShardUsers(users []*pref.Profile, active []bool, workers int, ctr *stats.Counters, build func(UserShard) ShardEngine) *Sharded {
+	alive := func(c int) bool { return active == nil || active[c] }
+	units := 0
+	for c := range users {
+		if alive(c) {
+			units++
+		}
+	}
+	workers = resolveWorkers(workers, units)
+	owner := make([]int, len(users))
+	members := make([][]int, workers)
+	for c := range users {
+		owner[c] = c % workers
+		if alive(c) {
+			members[c%workers] = append(members[c%workers], c)
+		}
+	}
+	s := newSharded(workers, owner, ctr)
+	for i := range s.shards {
+		s.shards[i] = build(NewUserShard(users, members[i], s.ctrs[i]))
+		s.shards[i].EnableScratch()
+	}
+	return s
+}
+
+// ShardClusters assembles a harness whose shards own round-robin
+// partitions of the cluster list; build wraps each shard's bookkeeping
+// into an engine. It fails unless membership partitions exactly the
+// alive users (see ValidatePartition).
+func ShardClusters(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters, build func(ClusterShard) ShardEngine) (*Sharded, error) {
+	if err := ValidatePartition(len(users), clusters, active); err != nil {
+		return nil, err
+	}
+	units := 0
+	for _, cl := range clusters {
+		if len(cl.Members) > 0 {
+			units++
+		}
+	}
+	workers = resolveWorkers(workers, units)
+	owner := make([]int, len(users))
+	own := make([][]Cluster, workers)
+	idx := make([][]int, workers)
+	clusterOwner := make([]int, len(clusters))
+	for i, cl := range clusters {
+		sh := i % workers
+		clusterOwner[i] = sh
+		own[sh] = append(own[sh], cl)
+		idx[sh] = append(idx[sh], i)
+		for _, c := range cl.Members {
+			owner[c] = sh
+		}
+	}
+	s := newSharded(workers, owner, ctr)
+	s.clusterCount, s.clusterOwner = len(clusters), clusterOwner
+	for i := range s.shards {
+		s.shards[i] = build(NewClusterShard(users, own[i], idx[i], len(clusters), s.ctrs[i]))
+		s.shards[i].EnableScratch()
+	}
+	return s, nil
+}
+
+// resolveWorkers normalizes a worker-count request: n <= 0 means
 // GOMAXPROCS, and the count is clamped to the number of independent
 // units (clusters or users) available to shard over.
-func ResolveWorkers(workers, units int) int {
+func resolveWorkers(workers, units int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -270,11 +275,16 @@ func (s *Sharded) Process(o object.Object) []int {
 // each shard receives the entire batch as one ring hand-off, so
 // synchronization happens once per batch rather than once per object;
 // inline mode walks the batch object-major. Results are per object, in
-// batch order — identical to calling Process object by object.
+// batch order — identical to calling Process object by object. The
+// returned outer slice is the harness's own, overwritten by the next
+// ProcessBatch; the per-object slices are fresh and may be retained.
 //
 //paretomon:hotpath
 func (s *Sharded) ProcessBatch(objs []object.Object) [][]int {
-	out := make([][]int, len(objs))
+	if cap(s.merged) < len(objs) {
+		s.merged = make([][]int, len(objs))
+	}
+	out := s.merged[:len(objs)]
 	if s.async && len(objs) > 1 {
 		s.ensureWorkers()
 		if s.batchOuts == nil {
@@ -310,7 +320,7 @@ func (s *Sharded) ProcessBatch(objs []object.Object) [][]int {
 }
 
 // mergeUsers merges per-shard target-user lists into one fresh sorted
-// C_o (nil when empty — the sequential engines' convention). Shards own
+// C_o (nil when empty — the standalone engines' convention). Shards own
 // disjoint users, so no deduplication is needed, and each shard's list
 // is already sorted, so a single non-empty list just gets copied.
 func mergeUsers(results [][]int) []int {
@@ -419,13 +429,6 @@ func (s *Sharded) RetractPreference(c int, common *pref.Profile, alive []object.
 func (s *Sharded) RemoveObject(o object.Object, alive []object.Object) {
 	for _, sh := range s.shards {
 		sh.RemoveObject(o, alive)
-	}
-}
-
-// SetClusterTotal forwards the full-cluster-list length to every shard.
-func (s *Sharded) SetClusterTotal(n int) {
-	for _, sh := range s.shards {
-		sh.SetClusterTotal(n)
 	}
 }
 

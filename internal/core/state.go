@@ -8,7 +8,7 @@ import (
 
 // EngineState is the serializable state of any engine, keyed by the
 // shardable units — users and clusters — never by worker shards, so a
-// state captured from a sequential engine restores into a sharded one
+// state captured from a standalone engine restores into a sharded one
 // (and vice versa, or under a different worker count). Frontier and
 // buffer slices preserve the engine's scan/arrival order: restoring in
 // order reproduces not only the frontiers but the exact comparison
@@ -66,7 +66,7 @@ func (st *EngineState) SetRing(seen int, tail []object.Object) {
 	st.Ring = tail
 }
 
-// StateEngine is implemented by every engine (sequential and sharded,
+// StateEngine is implemented by every engine (shard and harness,
 // append-only and sliding-window): CaptureState fills the slots the
 // engine owns; RestoreState — valid only on a freshly constructed,
 // empty engine — rebuilds them. Both leave work counters untouched; the
@@ -90,11 +90,11 @@ func copyObjects(objs []object.Object) []object.Object {
 
 // restoreFrontier refills an empty frontier in the captured scan order,
 // mirroring membership into the target tracker when tr is non-nil.
-func restoreFrontier(f *Frontier, objs []object.Object, tr *targetTracker, user int) {
+func restoreFrontier(f *Frontier, objs []object.Object, tr *TargetTracker, user int) {
 	for _, o := range objs {
 		f.Add(o)
 		if tr != nil {
-			tr.add(o.ID, user)
+			tr.AddTarget(o.ID, user)
 		}
 	}
 }
@@ -113,26 +113,30 @@ func checkStateSize(st *EngineState, users, clusters int) error {
 
 // CaptureState fills the slots of the users this instance maintains.
 func (b *Baseline) CaptureState(st *EngineState) {
-	b.each(func(c int) { st.UserFronts[c] = copyObjects(b.fronts[c].Objects()) })
+	for _, c := range b.Members {
+		st.UserFronts[c] = copyObjects(b.Fronts[c].Objects())
+	}
 }
 
 // RestoreState rebuilds the maintained users' frontiers and the target
 // index from a captured state. The engine must be freshly constructed.
 func (b *Baseline) RestoreState(st *EngineState) error {
-	if err := checkStateSize(st, len(b.users), 0); err != nil {
+	if err := checkStateSize(st, len(b.Users), 0); err != nil {
 		return err
 	}
-	b.each(func(c int) { restoreFrontier(b.fronts[c], st.UserFronts[c], b.targets, c) })
+	for _, c := range b.Members {
+		restoreFrontier(b.Fronts[c], st.UserFronts[c], &b.TargetTracker, c)
+	}
 	return nil
 }
 
 // CaptureState fills the slots of the clusters this instance maintains
-// (all of them for the sequential engine) and their members' frontiers.
+// and their members' frontiers.
 func (f *FilterThenVerify) CaptureState(st *EngineState) {
-	for li, cl := range f.clusters {
-		st.ClusterFronts[f.globalIndex(li)] = copyObjects(f.clusterFronts[li].Objects())
+	for li, cl := range f.Clusters {
+		st.ClusterFronts[f.GlobalIndex(li)] = copyObjects(f.ClusterFronts[li].Objects())
 		for _, c := range cl.Members {
-			st.UserFronts[c] = copyObjects(f.userFronts[c].Objects())
+			st.UserFronts[c] = copyObjects(f.UserFronts[c].Objects())
 		}
 	}
 }
@@ -140,35 +144,16 @@ func (f *FilterThenVerify) CaptureState(st *EngineState) {
 // RestoreState rebuilds the maintained clusters' filter frontiers,
 // their members' frontiers, and the target index.
 func (f *FilterThenVerify) RestoreState(st *EngineState) error {
-	if err := checkStateSize(st, len(f.users), f.clusterTotal()); err != nil {
+	if err := checkStateSize(st, len(f.Users), f.ClusterTotal()); err != nil {
 		return err
 	}
-	for li, cl := range f.clusters {
-		restoreFrontier(f.clusterFronts[li], st.ClusterFronts[f.globalIndex(li)], nil, 0)
+	for li, cl := range f.Clusters {
+		restoreFrontier(f.ClusterFronts[li], st.ClusterFronts[f.GlobalIndex(li)], nil, 0)
 		for _, c := range cl.Members {
-			restoreFrontier(f.userFronts[c], st.UserFronts[c], f.targets, c)
+			restoreFrontier(f.UserFronts[c], st.UserFronts[c], &f.TargetTracker, c)
 		}
 	}
 	return nil
-}
-
-// globalIndex maps a local cluster index to its index in the monitor's
-// full cluster list (identity for the sequential engine; the shard's
-// round-robin assignment for sharded engines).
-func (f *FilterThenVerify) globalIndex(li int) int {
-	if f.globalIdx == nil {
-		return li
-	}
-	return f.globalIdx[li]
-}
-
-// clusterTotal is the size of the full cluster list this engine's
-// local clusters index into.
-func (f *FilterThenVerify) clusterTotal() int {
-	if f.globalIdx == nil {
-		return len(f.clusters)
-	}
-	return f.total
 }
 
 // CaptureState fans the capture out to every shard; shards own disjoint

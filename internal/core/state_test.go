@@ -10,9 +10,10 @@ import (
 	"repro/internal/stats"
 )
 
-// buildFTV constructs a fresh exact filter-then-verify engine (sequential
-// or sharded) over the laptops fixture.
-func buildFTV(l *fixtures.Laptops, workers int, ctr *stats.Counters) interface {
+// buildFTV constructs a fresh exact filter-then-verify engine over the
+// laptops fixture: the standalone engine for workers == 1, the sharded
+// harness above that.
+func buildFTV(t *testing.T, l *fixtures.Laptops, workers int, ctr *stats.Counters) interface {
 	core.Monitor
 	core.StateEngine
 	Targets(objID int) []int
@@ -23,7 +24,7 @@ func buildFTV(l *fixtures.Laptops, workers int, ctr *stats.Counters) interface {
 		{Members: []int{1}, Common: l.C2.Clone()},
 	}
 	if workers > 1 {
-		return core.NewParallelFilterThenVerify(users, clusters, workers, ctr)
+		return mustSharded(t, users, clusters, workers, ctr)
 	}
 	return core.NewFilterThenVerify(users, clusters, ctr)
 }
@@ -48,7 +49,7 @@ func TestStateRoundTripFTV(t *testing.T) {
 	for _, srcWorkers := range []int{1, 2} {
 		for _, dstWorkers := range []int{1, 2} {
 			ctr := &stats.Counters{}
-			orig := buildFTV(l, srcWorkers, ctr)
+			orig := buildFTV(t, l, srcWorkers, ctr)
 			for _, o := range l.Objects[:half] {
 				orig.Process(o)
 			}
@@ -57,7 +58,7 @@ func TestStateRoundTripFTV(t *testing.T) {
 			atCapture := totalsOf(orig, ctr)
 
 			restCtr := &stats.Counters{}
-			restored := buildFTV(l, dstWorkers, restCtr)
+			restored := buildFTV(t, l, dstWorkers, restCtr)
 			if err := restored.RestoreState(st); err != nil {
 				t.Fatalf("src=%d dst=%d: RestoreState: %v", srcWorkers, dstWorkers, err)
 			}
@@ -97,7 +98,7 @@ func TestStateRoundTripBaseline(t *testing.T) {
 	st := core.NewEngineState(2, 0)
 	orig.CaptureState(st)
 
-	restored := core.NewParallelBaseline([]*pref.Profile{l.C1.Clone(), l.C2.Clone()}, 2, nil)
+	restored := mustSharded(t, []*pref.Profile{l.C1.Clone(), l.C2.Clone()}, nil, 2, nil)
 	if err := restored.RestoreState(st); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
@@ -121,7 +122,7 @@ func TestStateRestoreRejectsWrongGeometry(t *testing.T) {
 	if err := eng.RestoreState(core.NewEngineState(3, 0)); err == nil {
 		t.Fatal("restoring 3-user state into 2-user engine succeeded")
 	}
-	ftv := buildFTV(l, 1, nil)
+	ftv := buildFTV(t, l, 1, nil)
 	if err := ftv.RestoreState(core.NewEngineState(2, 5)); err == nil {
 		t.Fatal("restoring 5-cluster state into 2-cluster engine succeeded")
 	}

@@ -25,14 +25,14 @@ import (
 // value worse on attribute d, and repairs the user's frontier in place.
 // It fails if the tuple would break the strict-partial-order axioms.
 func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
-	if c < 0 || c >= len(b.users) {
+	if c < 0 || c >= len(b.Users) {
 		return fmt.Errorf("core: no user %d", c)
 	}
-	if err := b.users[c].Relation(d).Add(better, worse); err != nil {
+	if err := b.Users[c].Relation(d).Add(better, worse); err != nil {
 		return err
 	}
-	FilterFrontier(b.fronts[c], b.users[c], b.ctr.AddVerify, func(id int) {
-		b.targets.remove(id, c)
+	FilterFrontier(b.Fronts[c], b.Users[c], b.Ctr.AddVerify, func(id int) {
+		b.RemoveTarget(id, c)
 	})
 	return nil
 }
@@ -42,14 +42,14 @@ func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
 // only grow — it is the intersection of member relations and one member's
 // relation grew), the cluster's filter frontier, and the member frontiers.
 func (f *FilterThenVerify) ApplyPreference(c, d, better, worse int) error {
-	if c < 0 || c >= len(f.users) {
+	if c < 0 || c >= len(f.Users) {
 		return fmt.Errorf("core: no user %d", c)
 	}
-	if err := f.users[c].Relation(d).Add(better, worse); err != nil {
+	if err := f.Users[c].Relation(d).Add(better, worse); err != nil {
 		return err
 	}
-	ui := f.clusterOf(c)
-	cl := &f.clusters[ui]
+	ui := f.ClusterOf(c)
+	cl := &f.Clusters[ui]
 
 	// Recompute the common relation of the affected cluster through the
 	// configured CommonFn. For the exact engines (pref.Common) it can
@@ -57,28 +57,16 @@ func (f *FilterThenVerify) ApplyPreference(c, d, better, worse int) error {
 	// pairwise filter below is exact; the approximate relation may move
 	// either way, keeping the same one-sided repair the arrival path
 	// applies (Sec. 6.2's bounded inaccuracy).
-	cl.Common = f.common(cl.Members)
+	cl.Common = f.CommonOf(cl.Members)
 
 	// Filter P_U pairwise under the recomputed common relation; removals
 	// propagate to every member frontier (the removed object is dominated
 	// under ≻_U, hence under every member's preferences).
-	f.filterClusterFrontier(ui)
+	f.FilterClusterFrontier(ui)
 
 	// Filter the changed user's own frontier under their new preferences.
-	FilterFrontier(f.userFronts[c], f.users[c], f.ctr.AddVerify, func(id int) {
-		f.targets.remove(id, c)
+	FilterFrontier(f.UserFronts[c], f.Users[c], f.Ctr.AddVerify, func(id int) {
+		f.RemoveTarget(id, c)
 	})
 	return nil
-}
-
-// clusterOf locates the cluster containing user c.
-func (f *FilterThenVerify) clusterOf(c int) int {
-	for ui, cl := range f.clusters {
-		for _, m := range cl.Members {
-			if m == c {
-				return ui
-			}
-		}
-	}
-	panic(fmt.Sprintf("core: user %d not in any cluster", c))
 }

@@ -162,9 +162,10 @@ func Parallel(o Options) []*Report {
 		return out
 	}
 	batch := func(eng engine, out [][]int) [][]int {
-		be := eng.(*core.ParallelFilterThenVerify)
+		be := eng.(*core.Sharded)
 		for lo := 0; lo < n; lo += batchSize {
 			hi := min(lo+batchSize, n)
+			// ProcessBatch reuses its outer slice; the append copies it out.
 			out = append(out, be.ProcessBatch(objs[lo:hi])...)
 		}
 		return out
@@ -215,7 +216,10 @@ func Parallel(o Options) []*Report {
 				}
 				var shards int
 				deliveries, millis, cmp, allocsOp, bytesOp := measure(func(ctr *stats.Counters) engine {
-					p := core.NewParallelFilterThenVerify(pu, k.clusters, w, ctr)
+					p, err := core.NewSharded(pu, k.clusters, nil, w, ctr)
+					if err != nil {
+						panic(err) // the clusters were just built over pu
+					}
 					shards = p.Shards()
 					return p
 				}, feed)

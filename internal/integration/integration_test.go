@@ -265,7 +265,10 @@ func TestParallelOnGeneratedWorkload(t *testing.T) {
 		clusters[i] = core.Cluster{Members: ci.Members, Common: ci.Common}
 	}
 	seq := core.NewFilterThenVerify(ds.Users, clusters, nil)
-	par := core.NewParallelFilterThenVerify(ds.Users, clusters, 4, nil)
+	par, err := core.NewSharded(ds.Users, clusters, nil, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, o := range ds.Objects {
 		if !reflect.DeepEqual(seq.Process(o), par.Process(o)) {
 			t.Fatalf("o%d: parallel delivery mismatch", o.ID)

@@ -20,9 +20,11 @@
 // randomized window tests verify equivalence against a from-scratch
 // recompute.
 //
-// Beyond the paper, ParallelBaselineSW and ParallelFilterThenVerifySW
-// shard the engines across worker goroutines on core.Sharded's harness:
-// each shard owns a disjoint slice of the user set plus its own window
-// ring and buffers, so arrival, expiry, and frontier mending stay local
-// to the shard and deliveries are identical to the sequential engines.
+// NewSharded builds these engines as the shards of a core.Sharded — the
+// engine a windowed Monitor runs on: each shard owns a disjoint slice of
+// the user set (core.UserShard / core.ClusterShard bookkeeping) plus its
+// own window ring and buffers, so arrival, expiry, and frontier mending
+// stay local to the shard and deliveries are identical for every shard
+// count. NewBaselineSW and NewFilterThenVerifySW build the same structs
+// standalone, owning every user.
 package window

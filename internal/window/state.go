@@ -67,18 +67,18 @@ func copyObjects(objs []object.Object) []object.Object {
 // plus the (shard-identical) window ring.
 func (b *BaselineSW) CaptureState(st *core.EngineState) {
 	st.EnsureUserBuffers()
-	b.each(func(c int) {
-		st.UserFronts[c] = copyObjects(b.fronts[c].Objects())
+	for _, c := range b.Members {
+		st.UserFronts[c] = copyObjects(b.Fronts[c].Objects())
 		st.UserBuffers[c] = copyObjects(b.buffers[c].objects())
-	})
+	}
 	st.SetRing(b.win.seen, b.win.tail())
 }
 
 // RestoreState rebuilds the maintained users' frontiers, buffers, the
 // target index, and the ring. The engine must be freshly constructed.
 func (b *BaselineSW) RestoreState(st *core.EngineState) error {
-	if len(st.UserFronts) != len(b.users) {
-		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(b.users))
+	if len(st.UserFronts) != len(b.Users) {
+		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(b.Users))
 	}
 	if !st.HasRing || st.UserBuffers == nil {
 		return fmt.Errorf("window: state missing ring or user buffers (captured from an append-only engine?)")
@@ -86,13 +86,13 @@ func (b *BaselineSW) RestoreState(st *core.EngineState) error {
 	if err := b.win.restore(st.RingSeen, st.Ring); err != nil {
 		return err
 	}
-	b.each(func(c int) {
+	for _, c := range b.Members {
 		for _, o := range st.UserFronts[c] {
-			b.fronts[c].Add(o)
-			b.targets.add(o.ID, c)
+			b.Fronts[c].Add(o)
+			b.AddTarget(o.ID, c)
 		}
 		restoreBuffer(b.buffers[c], st.UserBuffers[c])
-	})
+	}
 	return nil
 }
 
@@ -100,12 +100,12 @@ func (b *BaselineSW) RestoreState(st *core.EngineState) error {
 // buffer slots, their members' frontiers, and the ring.
 func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
 	st.EnsureClusterBuffers()
-	for li, cl := range f.clusters {
-		gi := f.globalIndex(li)
-		st.ClusterFronts[gi] = copyObjects(f.clusterFs[li].Objects())
+	for li, cl := range f.Clusters {
+		gi := f.GlobalIndex(li)
+		st.ClusterFronts[gi] = copyObjects(f.ClusterFronts[li].Objects())
 		st.ClusterBuffers[gi] = copyObjects(f.buffers[li].objects())
 		for _, c := range cl.Members {
-			st.UserFronts[c] = copyObjects(f.userFs[c].Objects())
+			st.UserFronts[c] = copyObjects(f.UserFronts[c].Objects())
 		}
 	}
 	st.SetRing(f.win.seen, f.win.tail())
@@ -114,11 +114,11 @@ func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
 // RestoreState rebuilds the maintained clusters' tiers, the target
 // index, and the ring. The engine must be freshly constructed.
 func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
-	if len(st.UserFronts) != len(f.users) {
-		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(f.users))
+	if len(st.UserFronts) != len(f.Users) {
+		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(f.Users))
 	}
-	if len(st.ClusterFronts) != f.clusterTotal() {
-		return fmt.Errorf("window: state has %d cluster frontiers, engine has %d clusters", len(st.ClusterFronts), f.clusterTotal())
+	if len(st.ClusterFronts) != f.ClusterTotal() {
+		return fmt.Errorf("window: state has %d cluster frontiers, engine has %d clusters", len(st.ClusterFronts), f.ClusterTotal())
 	}
 	if !st.HasRing || st.ClusterBuffers == nil {
 		return fmt.Errorf("window: state missing ring or cluster buffers (captured from a different engine?)")
@@ -126,35 +126,18 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
 	if err := f.win.restore(st.RingSeen, st.Ring); err != nil {
 		return err
 	}
-	for li, cl := range f.clusters {
-		gi := f.globalIndex(li)
+	for li, cl := range f.Clusters {
+		gi := f.GlobalIndex(li)
 		for _, o := range st.ClusterFronts[gi] {
-			f.clusterFs[li].Add(o)
+			f.ClusterFronts[li].Add(o)
 		}
 		restoreBuffer(f.buffers[li], st.ClusterBuffers[gi])
 		for _, c := range cl.Members {
 			for _, o := range st.UserFronts[c] {
-				f.userFs[c].Add(o)
-				f.targets.add(o.ID, c)
+				f.UserFronts[c].Add(o)
+				f.AddTarget(o.ID, c)
 			}
 		}
 	}
 	return nil
-}
-
-// globalIndex maps a local cluster index into the monitor's full
-// cluster list (identity for the sequential engine).
-func (f *FilterThenVerifySW) globalIndex(li int) int {
-	if f.globalIdx == nil {
-		return li
-	}
-	return f.globalIdx[li]
-}
-
-// clusterTotal is the full cluster-list length.
-func (f *FilterThenVerifySW) clusterTotal() int {
-	if f.globalIdx == nil {
-		return len(f.clusters)
-	}
-	return f.total
 }

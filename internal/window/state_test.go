@@ -55,7 +55,7 @@ func TestStateRoundTripWindow(t *testing.T) {
 		"baselineSW": func(workers int, ctr *stats.Counters) swEngine {
 			users := []*pref.Profile{l.C1.Clone(), l.C2.Clone()}
 			if workers > 1 {
-				return window.NewParallelBaselineSW(users, w, workers, ctr)
+				return mustSharded(t, users, nil, w, workers, ctr)
 			}
 			return window.NewBaselineSW(users, w, ctr)
 		},
@@ -66,7 +66,7 @@ func TestStateRoundTripWindow(t *testing.T) {
 				{Members: []int{1}, Common: l.C2.Clone()},
 			}
 			if workers > 1 {
-				return window.NewParallelFilterThenVerifySW(users, clusters, w, workers, ctr)
+				return mustSharded(t, users, clusters, w, workers, ctr)
 			}
 			return window.NewFilterThenVerifySW(users, clusters, w, ctr)
 		},
@@ -125,6 +125,16 @@ func TestStateWindowRejectsForeignState(t *testing.T) {
 	if err := eng.RestoreState(core.NewEngineState(2, 0)); err == nil {
 		t.Fatal("restoring ring-less state into a windowed engine succeeded")
 	}
+}
+
+// mustSharded builds the windowed harness over a full partition.
+func mustSharded(t *testing.T, users []*pref.Profile, clusters []core.Cluster, w, workers int, ctr *stats.Counters) *core.Sharded {
+	t.Helper()
+	s, err := window.NewSharded(users, clusters, nil, w, workers, ctr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func sortedInts(v []int) []int {

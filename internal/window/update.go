@@ -31,15 +31,15 @@ var (
 // ApplyPreference records that user c now also prefers better over worse
 // on attribute d, and repairs the user's frontier and buffer in place.
 func (b *BaselineSW) ApplyPreference(c, d, better, worse int) error {
-	if c < 0 || c >= len(b.users) {
+	if c < 0 || c >= len(b.Users) {
 		return fmt.Errorf("window: no user %d", c)
 	}
-	if err := b.users[c].Relation(d).Add(better, worse); err != nil {
+	if err := b.Users[c].Relation(d).Add(better, worse); err != nil {
 		return err
 	}
-	filterBuffer(b.buffers[c], b.users[c], b.ctr.AddVerify)
-	core.FilterFrontier(b.fronts[c], b.users[c], b.ctr.AddVerify, func(id int) {
-		b.targets.remove(id, c)
+	filterBuffer(b.buffers[c], b.Users[c], b.Ctr.AddVerify)
+	core.FilterFrontier(b.Fronts[c], b.Users[c], b.Ctr.AddVerify, func(id int) {
+		b.RemoveTarget(id, c)
 	})
 	return nil
 }
@@ -49,36 +49,24 @@ func (b *BaselineSW) ApplyPreference(c, d, better, worse int) error {
 // cluster buffer and filter frontier (propagating removals to members),
 // and finally filter the user's own frontier.
 func (f *FilterThenVerifySW) ApplyPreference(c, d, better, worse int) error {
-	if c < 0 || c >= len(f.users) {
+	if c < 0 || c >= len(f.Users) {
 		return fmt.Errorf("window: no user %d", c)
 	}
-	if err := f.users[c].Relation(d).Add(better, worse); err != nil {
+	if err := f.Users[c].Relation(d).Add(better, worse); err != nil {
 		return err
 	}
-	ui := f.clusterOf(c)
-	cl := &f.clusters[ui]
-	cl.Common = f.common(cl.Members)
+	ui := f.ClusterOf(c)
+	cl := &f.Clusters[ui]
+	cl.Common = f.CommonOf(cl.Members)
 
-	filterBuffer(f.buffers[ui], cl.Common, f.ctr.AddFilter)
-	f.filterClusterFrontier(ui)
+	filterBuffer(f.buffers[ui], cl.Common, f.Ctr.AddFilter)
+	f.FilterClusterFrontier(ui)
 
 	// The changed user's own frontier, filtered under their new prefs.
-	core.FilterFrontier(f.userFs[c], f.users[c], f.ctr.AddVerify, func(id int) {
-		f.targets.remove(id, c)
+	core.FilterFrontier(f.UserFronts[c], f.Users[c], f.Ctr.AddVerify, func(id int) {
+		f.RemoveTarget(id, c)
 	})
 	return nil
-}
-
-// clusterOf locates the cluster containing user c.
-func (f *FilterThenVerifySW) clusterOf(c int) int {
-	for ui, cl := range f.clusters {
-		for _, m := range cl.Members {
-			if m == c {
-				return ui
-			}
-		}
-	}
-	panic(fmt.Sprintf("window: user %d not in any cluster", c))
 }
 
 // filterBuffer removes buffered objects dominated by a succeeding buffer

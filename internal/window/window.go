@@ -159,48 +159,6 @@ func (b *buffer) idSlice() []int {
 	return out
 }
 
-// targetTracker mirrors core's C_o bookkeeping for the window engines:
-// dense object ids index a slice of per-object user sets (nil = empty).
-type targetTracker struct {
-	sets []*bitset.Set
-}
-
-func newTargetTracker() *targetTracker { return &targetTracker{} }
-
-func (t *targetTracker) add(objID, user int) {
-	for len(t.sets) <= objID {
-		t.sets = append(t.sets, nil)
-	}
-	s := t.sets[objID]
-	if s == nil {
-		s = &bitset.Set{}
-		t.sets[objID] = s
-	}
-	s.Add(user)
-}
-
-func (t *targetTracker) remove(objID, user int) {
-	if objID >= 0 && objID < len(t.sets) && t.sets[objID] != nil {
-		t.sets[objID].Remove(user)
-	}
-}
-
-func (t *targetTracker) drop(objID int) {
-	if objID >= 0 && objID < len(t.sets) {
-		t.sets[objID] = nil
-	}
-}
-
-func (t *targetTracker) users(objID int) []int {
-	if objID < 0 || objID >= len(t.sets) {
-		return nil
-	}
-	if s := t.sets[objID]; s != nil && !s.Empty() {
-		return s.Slice()
-	}
-	return nil
-}
-
 // Monitor is the sliding-window engine interface, mirroring core.Monitor.
 type Monitor interface {
 	Process(o object.Object) []int

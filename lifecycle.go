@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/pref"
 	"repro/internal/storage"
 )
@@ -29,10 +28,6 @@ type Preference struct {
 	Worse  string
 }
 
-// lifecycleEngine is the engine surface behind the lifecycle API; every
-// engine implements it (see core.LifecycleEngine).
-type lifecycleEngine = core.LifecycleEngine
-
 // AddUser registers a new community member on a live monitor and builds
 // their Pareto frontier over the currently alive objects. For the
 // filter-then-verify engines the user joins the most preference-similar
@@ -52,9 +47,6 @@ func (m *Monitor) AddUser(name string, prefs []Preference) error {
 	}
 	if _, dup := m.userIdx[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateUser, name)
-	}
-	if _, ok := m.eng.(lifecycleEngine); !ok {
-		return fmt.Errorf("%w: %T does not support lifecycle operations", ErrUnsupported, m.eng)
 	}
 	p, err := m.buildUserProfile(name, prefs)
 	if err != nil {
@@ -99,8 +91,7 @@ func (m *Monitor) applyAddUserLocked(name string, p *pref.Profile) {
 	m.userAlive = append(m.userAlive, true)
 	m.userIdx[name] = c
 	m.profiles = append(m.profiles, p)
-	eng := m.eng.(lifecycleEngine)
-	eng.RegisterUser(c, p)
+	m.eng.RegisterUser(c, p)
 	clusterIdx, common := -1, (*pref.Profile)(nil)
 	if m.cfg.Algorithm != AlgorithmBaseline {
 		clusterIdx, common = m.assignClusterLocked(p)
@@ -112,7 +103,7 @@ func (m *Monitor) applyAddUserLocked(name string, p *pref.Profile) {
 			m.clusters[clusterIdx] = m.sortedNames(m.clusterMembers[clusterIdx])
 		}
 	}
-	eng.ActivateUser(c, clusterIdx, common, m.aliveObjects())
+	m.eng.ActivateUser(c, clusterIdx, common, m.aliveObjects())
 }
 
 // assignClusterLocked picks the cluster a new profile joins: the most
@@ -190,9 +181,6 @@ func (m *Monitor) RemoveUser(name string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := m.eng.(lifecycleEngine); !ok {
-		return fmt.Errorf("%w: %T does not support lifecycle operations", ErrUnsupported, m.eng)
-	}
 	if err := m.appendWAL([]WALRecord{{Op: OpRemoveUser, User: name}}); err != nil {
 		return err
 	}
@@ -222,7 +210,7 @@ func (m *Monitor) applyRemoveUserLocked(idx int) {
 			common = m.commonFn(m.memberProfiles(members))
 		}
 	}
-	m.eng.(lifecycleEngine).RemoveUser(idx, common, m.aliveObjects())
+	m.eng.RemoveUser(idx, common, m.aliveObjects())
 	m.subs.closeUser(idx)
 }
 
@@ -241,9 +229,6 @@ func (m *Monitor) RetractPreference(user, attr, better, worse string) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.eng.(lifecycleEngine); !ok {
-		return fmt.Errorf("%w: %T does not support lifecycle operations", ErrUnsupported, m.eng)
-	}
 	idx, d, b, w, err := m.checkRetractLocked(user, attr, better, worse)
 	if err != nil {
 		return err
@@ -293,7 +278,7 @@ func (m *Monitor) applyRetractLocked(idx, d, b, w int) {
 		ui := m.clusterOfLocked(idx)
 		common = m.commonFn(m.memberProfiles(m.clusterMembers[ui]))
 	}
-	m.eng.(lifecycleEngine).RetractPreference(idx, common, m.aliveObjects())
+	m.eng.RetractPreference(idx, common, m.aliveObjects())
 }
 
 // RemoveObject deletes a registered object: it leaves every frontier,
@@ -316,22 +301,15 @@ func (m *Monitor) RemoveObject(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownObject, name)
 	}
-	if _, ok := m.eng.(lifecycleEngine); !ok {
-		return fmt.Errorf("%w: %T does not support lifecycle operations", ErrUnsupported, m.eng)
-	}
 	if err := m.appendWAL([]WALRecord{{Op: OpRemoveObject, Name: name}}); err != nil {
 		return err
 	}
 	// Only users holding the object in their frontier can observe a
 	// change: capture their frontiers for the delta events.
-	var affected []int
-	var before [][]int
-	if t, ok := m.eng.(interface{ Targets(objID int) []int }); ok {
-		affected = t.Targets(id)
-		before = make([][]int, len(affected))
-		for i, c := range affected {
-			before[i] = m.frontierIDs(c)
-		}
+	affected := m.eng.Targets(id)
+	before := make([][]int, len(affected))
+	for i, c := range affected {
+		before[i] = m.frontierIDs(c)
 	}
 	m.applyRemoveObjectLocked(id)
 	for i, c := range affected {
@@ -347,7 +325,7 @@ func (m *Monitor) applyRemoveObjectLocked(id int) {
 	e := &m.objects[id]
 	e.alive = false
 	delete(m.names, e.name)
-	m.eng.(lifecycleEngine).RemoveObject(e.obj, m.aliveObjects())
+	m.eng.RemoveObject(e.obj, m.aliveObjects())
 }
 
 // frontierIDs snapshots a user's frontier as object ids.

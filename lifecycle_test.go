@@ -330,13 +330,13 @@ func TestLifecycleSeqVsParallel(t *testing.T) {
 // every engine shape, sharded or not, with and without snapshots.
 func TestLifecycleCrashRecovery(t *testing.T) {
 	for _, tc := range lcCases {
-		for _, workers := range []int{1, 3} {
+		for _, layout := range crashLayouts {
 			for _, snapEvery := range []int{0, 7} {
-				name := fmt.Sprintf("%s/workers=%d/snapEvery=%d", tc.name, workers, snapEvery)
+				name := fmt.Sprintf("%s/workers=%s/snapEvery=%d", tc.name, layout, snapEvery)
 				t.Run(name, func(t *testing.T) {
 					com, s := lcGenerate(t, 47, 8, 80)
 					half := len(s.ops) / 2
-					opts := append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(workers))
+					opts := append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(layout.crash))
 
 					ref, err := paretomon.NewMonitor(com, opts...)
 					if err != nil {
@@ -356,7 +356,7 @@ func TestLifecycleCrashRecovery(t *testing.T) {
 					lcApply(t, m1, s.ops, 0, half)
 					// No Close, no final snapshot: the kill -9 point.
 
-					m2, err := paretomon.NewMonitor(com, durable...)
+					m2, err := paretomon.NewMonitor(com, append(durable, paretomon.WithWorkers(layout.reopen))...)
 					if err != nil {
 						t.Fatalf("recovery: %v", err)
 					}

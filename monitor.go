@@ -112,8 +112,8 @@ type Config struct {
 	SubscriptionBuffer int
 	// Workers is the number of ingestion shards: users (Baseline) or whole
 	// clusters (filter-then-verify) are partitioned across this many
-	// goroutines. 0 means runtime.GOMAXPROCS(0); a resolved count <= 1
-	// selects the sequential engines. Deliveries are identical either way.
+	// goroutines. 0 means runtime.GOMAXPROCS(0); one shard is dispatched
+	// inline, with no goroutine. Deliveries are identical either way.
 	Workers int
 	// Store, when non-nil, makes the monitor durable: mutations are
 	// written to its WAL before being applied, and a monitor constructed
@@ -155,9 +155,9 @@ type Stats struct {
 	// DroppedDeliveries counts deliveries lost because a subscriber's
 	// channel was full (slow consumer).
 	DroppedDeliveries uint64
-	// Workers is the resolved shard count ingestion fans out to (1 for the
-	// sequential engines); Shards holds each shard's cumulative counters
-	// when Workers > 1, exposing load skew across the partition.
+	// Workers is the resolved shard count ingestion fans out to; Shards
+	// holds each shard's cumulative counters when Workers > 1 (nil at one
+	// shard), exposing load skew across the partition.
 	Workers int
 	Shards  []ShardStats
 }
@@ -185,12 +185,6 @@ type Delivery struct {
 	// Users lists (sorted) the users for whom the object is Pareto-optimal
 	// at arrival time.
 	Users []string
-}
-
-// engine abstracts the append-only and windowed monitors.
-type engine interface {
-	Process(o object.Object) []int
-	UserFrontier(c int) []int
 }
 
 // Monitor is a running dissemination engine over a community. Since v3
@@ -231,8 +225,12 @@ type Monitor struct {
 	// frontiers in place on every Process, so they are single-writer by
 	// construction; the RWMutex recovers concurrent reads.
 	mu  sync.RWMutex
-	eng engine
+	eng *core.Sharded
 	ctr *stats.Counters
+
+	// interned is AddBatch's batch of interned objects, reused across
+	// calls (the engine retains none of it past ProcessBatch).
+	interned []object.Object
 
 	clusters       [][]string // member names per cluster (nil for Baseline)
 	clusterMembers [][]int    // raw member indices per cluster, in cluster order
@@ -302,13 +300,6 @@ func NewMonitor(c *Community, opts ...Option) (*Monitor, error) {
 			return nil, err
 		}
 	}
-	return newMonitor(c, cfg)
-}
-
-// NewMonitorFromConfig builds a monitor from a raw Config.
-//
-// Deprecated: v1 compatibility shim; use NewMonitor with With* options.
-func NewMonitorFromConfig(c *Community, cfg Config) (*Monitor, error) {
 	return newMonitor(c, cfg)
 }
 
@@ -392,9 +383,7 @@ func newMonitor(c *Community, cfg Config) (*Monitor, error) {
 		// recovery work (state restore, log replay) would skew that
 		// picture, so they restart at zero while the public totals are
 		// restored exactly.
-		if eng, ok := m.eng.(interface{ ResetShardCounters() }); ok {
-			eng.ResetShardCounters()
-		}
+		m.eng.ResetShardCounters()
 	}
 	return m, nil
 }
@@ -489,105 +478,26 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 		}
 	}
 
-	// Resolve the shard count: 0 means GOMAXPROCS, and the effective count
-	// is bounded by the shardable units (users for Baseline, clusters for
-	// filter-then-verify). One shard means the sequential engines — same
-	// results, no fan-out machinery.
-	units := c.Len()
-	if cfg.Algorithm != AlgorithmBaseline {
-		units = len(clusters)
-	}
-	workers := core.ResolveWorkers(cfg.Workers, units)
-
-	switch {
-	case cfg.Algorithm == AlgorithmBaseline && cfg.Window == 0:
-		if workers > 1 {
-			m.eng = core.NewParallelBaseline(profiles, workers, m.ctr)
-		} else {
-			m.eng = core.NewBaseline(profiles, m.ctr)
-		}
-	case cfg.Algorithm == AlgorithmBaseline:
-		if workers > 1 {
-			m.eng = window.NewParallelBaselineSW(profiles, cfg.Window, workers, m.ctr)
-		} else {
-			m.eng = window.NewBaselineSW(profiles, cfg.Window, m.ctr)
-		}
-	case cfg.Window == 0:
-		if workers > 1 {
-			m.eng = core.NewParallelFilterThenVerify(profiles, clusters, workers, m.ctr)
-		} else {
-			m.eng = core.NewFilterThenVerify(profiles, clusters, m.ctr)
-		}
-	default:
-		if workers > 1 {
-			m.eng = window.NewParallelFilterThenVerifySW(profiles, clusters, cfg.Window, workers, m.ctr)
-		} else {
-			m.eng = window.NewFilterThenVerifySW(profiles, clusters, cfg.Window, m.ctr)
-		}
-	}
-	m.wireCommonFn()
-	return nil
+	return m.buildEngine(clusters)
 }
 
-// buildEngineFor assembles the engine over an evolved (recovered)
-// community: removed users own no frontier, dormant clusters ride along
-// as placeholders, and the engine starts empty for RestoreState to fill.
-func (m *Monitor) buildEngineFor(clusters []core.Cluster) {
-	cfg := m.cfg
-	var activeUsers []int
-	activeBool := make([]bool, len(m.userNames))
-	for i, alive := range m.userAlive {
-		activeBool[i] = alive
-		if alive {
-			activeUsers = append(activeUsers, i)
-		}
+// buildEngine constructs the engine — the one place that does — over the
+// monitor's community table, empty, for ingestion or RestoreState to
+// fill: append-only or windowed, per-user shards when clusters is nil
+// (Baseline) and whole-cluster shards otherwise. A fresh community is the
+// recovered case with every user alive: removed users own no frontier,
+// dormant clusters ride along as placeholders. It fails unless the
+// clusters partition exactly the alive users.
+func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
+	if m.cfg.Window > 0 {
+		m.eng, err = window.NewSharded(m.profiles, clusters, m.userAlive, m.cfg.Window, m.cfg.Workers, m.ctr)
+	} else {
+		m.eng, err = core.NewSharded(m.profiles, clusters, m.userAlive, m.cfg.Workers, m.ctr)
 	}
-	units := len(activeUsers)
-	if cfg.Algorithm != AlgorithmBaseline {
-		units = 0
-		for _, cl := range clusters {
-			if len(cl.Members) > 0 {
-				units++
-			}
-		}
+	if err == nil {
+		m.eng.SetCommonFn(m.commonFn)
 	}
-	workers := core.ResolveWorkers(cfg.Workers, units)
-
-	switch {
-	case cfg.Algorithm == AlgorithmBaseline && cfg.Window == 0:
-		if workers > 1 {
-			m.eng = core.NewParallelBaselineFor(m.profiles, activeBool, workers, m.ctr)
-		} else {
-			m.eng = core.NewBaselineFor(m.profiles, activeUsers, m.ctr)
-		}
-	case cfg.Algorithm == AlgorithmBaseline:
-		if workers > 1 {
-			m.eng = window.NewParallelBaselineSWFor(m.profiles, activeBool, cfg.Window, workers, m.ctr)
-		} else {
-			m.eng = window.NewBaselineSWFor(m.profiles, activeUsers, cfg.Window, m.ctr)
-		}
-	case cfg.Window == 0:
-		if workers > 1 {
-			m.eng = core.NewParallelFilterThenVerifyFor(m.profiles, clusters, workers, m.ctr)
-		} else {
-			m.eng = core.NewFilterThenVerifyFor(m.profiles, clusters, m.ctr)
-		}
-	default:
-		if workers > 1 {
-			m.eng = window.NewParallelFilterThenVerifySWFor(m.profiles, clusters, cfg.Window, workers, m.ctr)
-		} else {
-			m.eng = window.NewFilterThenVerifySWFor(m.profiles, clusters, cfg.Window, m.ctr)
-		}
-	}
-	m.wireCommonFn()
-}
-
-// wireCommonFn hands the engine the cluster-relation recompute used by
-// online preference updates (approx.Profile for the approximate engine).
-func (m *Monitor) wireCommonFn() {
-	if eng, ok := m.eng.(interface{ SetCommonFn(core.CommonFn) }); ok {
-		eng.SetCommonFn(m.commonFn)
-	}
+	return err
 }
 
 // validateObject checks one object against the monitor state and the
@@ -651,13 +561,6 @@ func (m *Monitor) ingest(o Object) Delivery {
 	return d
 }
 
-// batchEngine is implemented by the sharded engines: a whole batch is
-// pipelined through the shards with one synchronization per batch
-// instead of one per object.
-type batchEngine interface {
-	ProcessBatch(objs []object.Object) [][]int
-}
-
 // Add ingests the next object and returns who it should be delivered to.
 // values must match the schema's attribute order and count. Object names
 // must be unique. On a durable monitor (WithStore) the object is logged
@@ -704,27 +607,21 @@ func (m *Monitor) AddBatch(objs []Object) ([]Delivery, error) {
 	if err := m.appendWAL(objectRecords(objs)); err != nil {
 		return nil, err
 	}
-	out := make([]Delivery, len(objs))
-	if be, ok := m.eng.(batchEngine); ok {
-		// Sharded engine: intern the whole batch up front, then let every
-		// shard walk it in its own goroutine. Deliveries are published in
-		// batch order after the fan-in, exactly as the serial path would.
-		interned := make([]object.Object, len(objs))
-		for i, o := range objs {
-			interned[i] = m.intern(o)
-		}
-		for i, users := range be.ProcessBatch(interned) {
-			d := Delivery{Object: objs[i].Name, Users: m.sortedNames(users)}
-			if !m.replaying {
-				m.subs.publish(d, users)
-			}
-			out[i] = d
-		}
-		m.maybeSnapshotLocked(len(objs))
-		return out, nil
+	// Intern the whole batch up front, then let every shard walk it (in
+	// its own goroutine when there are several). Deliveries are published
+	// in batch order after the fan-in, exactly as object-by-object Adds
+	// would.
+	m.interned = m.interned[:0]
+	for _, o := range objs {
+		m.interned = append(m.interned, m.intern(o))
 	}
-	for i, o := range objs {
-		out[i] = m.ingest(o)
+	out := make([]Delivery, len(objs))
+	for i, users := range m.eng.ProcessBatch(m.interned) {
+		d := Delivery{Object: objs[i].Name, Users: m.sortedNames(users)}
+		if !m.replaying {
+			m.subs.publish(d, users)
+		}
+		out[i] = d
 	}
 	m.maybeSnapshotLocked(len(objs))
 	return out, nil
@@ -806,21 +703,18 @@ func (m *Monitor) Clusters() [][]string {
 // hold a Stats across later ingestion without racing live shard state.
 func (m *Monitor) Stats() Stats {
 	m.mu.RLock()
-	s := m.counterTotals()
+	s := m.eng.Totals()
 	st := Stats{
 		Comparisons:       s.Comparisons,
 		FilterComparisons: s.FilterComparisons,
 		VerifyComparisons: s.VerifyComparisons,
 		Delivered:         s.Delivered,
 		Processed:         s.Processed,
-		Workers:           1,
+		Workers:           m.eng.Shards(),
 	}
-	type shardStatser interface{ ShardCounters() []stats.Counters }
-	if eng, ok := m.eng.(shardStatser); ok {
-		per := eng.ShardCounters()
-		st.Workers = len(per)
-		st.Shards = make([]ShardStats, len(per))
-		for i, c := range per {
+	if st.Workers > 1 {
+		st.Shards = make([]ShardStats, st.Workers)
+		for i, c := range m.eng.ShardCounters() {
 			st.Shards[i] = ShardStats{
 				Comparisons:       c.Comparisons,
 				FilterComparisons: c.FilterComparisons,
@@ -833,17 +727,6 @@ func (m *Monitor) Stats() Stats {
 	m.mu.RUnlock()
 	st.DroppedDeliveries = m.subs.droppedCount()
 	return st
-}
-
-// counterTotals returns the monitor's true work counters; the caller must
-// hold m.mu. Sharded engines keep comparison counts in per-shard counters
-// that are never drained on the hot path — Totals folds them with the
-// public counter. Sequential engines write the public counter directly.
-func (m *Monitor) counterTotals() stats.Counters {
-	if eng, ok := m.eng.(interface{ Totals() stats.Counters }); ok {
-		return eng.Totals()
-	}
-	return m.ctr.Snapshot()
 }
 
 // Config returns the configuration the monitor was built with.
@@ -870,10 +753,5 @@ func (m *Monitor) TargetsOf(objectName string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownObject, objectName)
 	}
-	type targeter interface{ Targets(objID int) []int }
-	eng, ok := m.eng.(targeter)
-	if !ok {
-		return nil, fmt.Errorf("%w: %T does not track targets", ErrUnsupported, m.eng)
-	}
-	return m.sortedNames(eng.Targets(id)), nil
+	return m.sortedNames(m.eng.Targets(id)), nil
 }

@@ -101,10 +101,11 @@ func WithThetas(theta1 int, theta2 float64) Option {
 // WithWorkers sets how many worker goroutines ingestion fans out to.
 // Users (for Baseline) or whole clusters (for the filter-then-verify
 // engines) are partitioned across that many shards, each maintaining its
-// slice of the frontiers independently; deliveries are identical to the
-// sequential engines. n = 0 (the default) means runtime.GOMAXPROCS(0);
-// n <= 1 after that resolution runs the single-threaded engines. The
-// effective count is clamped to the number of shardable units, so
+// slice of the frontiers independently; deliveries are identical for
+// every n. n = 0 (the default) means runtime.GOMAXPROCS(0); one shard is
+// dispatched inline, with no goroutine — the paper's single-threaded
+// algorithm. The effective count is clamped to the number of shardable
+// units, so
 // WithWorkers(8) over 3 clusters fans out 3 ways — Stats().Workers
 // reports the resolved value.
 func WithWorkers(n int) Option {
@@ -164,21 +165,6 @@ func WithSnapshotEvery(n int) Option {
 			return fmt.Errorf("%w: WithSnapshotEvery(%d): interval must be >= 0", ErrBadOption, n)
 		}
 		c.SnapshotEvery = n
-		return nil
-	}
-}
-
-// WithConfig overlays a whole Config at once.
-//
-// Deprecated: it exists to bridge v1 code that assembled a raw Config;
-// new code should compose the individual With* options.
-func WithConfig(cfg Config) Option {
-	return func(c *Config) error {
-		sub := c.SubscriptionBuffer
-		*c = cfg
-		if c.SubscriptionBuffer == 0 {
-			c.SubscriptionBuffer = sub
-		}
 		return nil
 	}
 }

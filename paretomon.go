@@ -21,13 +21,13 @@
 // (Sec. 7): an object expires after n subsequent arrivals and frontiers
 // are mended from Pareto frontier buffers.
 //
-// WithWorkers(n) switches all of the above to sharded parallel
-// execution: users (Baseline) or whole clusters (filter-then-verify)
-// are partitioned across n worker goroutines — each owning its slice of
-// the frontiers, and its own window ring when a window is set — and
-// AddBatch pipelines whole batches through the shards. Deliveries are
-// identical to the sequential engines; Stats reports the per-shard work
-// split. See docs/ARCHITECTURE.md for the sharding model.
+// WithWorkers(n) sets how many shards all of the above run on: users
+// (Baseline) or whole clusters (filter-then-verify) are partitioned
+// across n worker goroutines — each owning its slice of the frontiers,
+// and its own window ring when a window is set — and AddBatch pipelines
+// whole batches through the shards; one shard runs inline, with no
+// goroutine. Deliveries are identical for every n; Stats reports the
+// per-shard work split. See docs/ARCHITECTURE.md for the sharding model.
 //
 // A minimal session:
 //

@@ -217,12 +217,8 @@ func (m *Monitor) maybeSnapshotLocked(applied int) {
 // registry travel with the engine state, so recovery needs no lifecycle
 // replay behind the snapshot position. Caller holds mu.
 func (m *Monitor) writeSnapshotLocked() error {
-	eng, ok := m.eng.(core.StateEngine)
-	if !ok {
-		return fmt.Errorf("%w: %T does not support state capture", ErrUnsupported, m.eng)
-	}
 	st := core.NewEngineState(len(m.userNames), len(m.clusterMembers))
-	eng.CaptureState(st)
+	m.eng.CaptureState(st)
 	dims := len(m.schema.doms)
 	users := make([]storage.UserState, len(m.userNames))
 	for i := range m.userNames {
@@ -253,7 +249,7 @@ func (m *Monitor) writeSnapshotLocked() error {
 		Clusters:     m.clusterMembers,
 		Domains:      m.schema.domainValues(),
 		Objects:      objs,
-		Counters:     m.counterTotals(),
+		Counters:     m.eng.Totals(),
 		Engine:       st,
 	}
 	if err := m.store.WriteSnapshot(m.walSeq, snap.Marshal()); err != nil {
@@ -352,8 +348,8 @@ func (m *Monitor) replayRecord(rec WALRecord) error {
 		}
 		var affected []int
 		var before [][]int
-		if t, ok := m.eng.(interface{ Targets(objID int) []int }); ok && !m.replaying {
-			affected = t.Targets(id)
+		if !m.replaying {
+			affected = m.eng.Targets(id)
 			before = make([][]int, len(affected))
 			for i, c := range affected {
 				before[i] = m.frontierIDs(c)
@@ -487,13 +483,10 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 	} else if len(snap.Clusters) != 0 {
 		return fmt.Errorf("%w: snapshot has clusters but the configured algorithm is Baseline", ErrCorrupt)
 	}
-	m.buildEngineFor(clusters)
-
-	eng, ok := m.eng.(core.StateEngine)
-	if !ok {
-		return fmt.Errorf("%w: %T does not support state restore", ErrUnsupported, m.eng)
+	if err := m.buildEngine(clusters); err != nil {
+		return fmt.Errorf("%w: snapshot clustering: %v", ErrCorrupt, err)
 	}
-	if err := eng.RestoreState(snap.Engine); err != nil {
+	if err := m.eng.RestoreState(snap.Engine); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	*m.ctr = snap.Counters

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	paretomon "repro"
+	"repro/internal/storage"
 )
 
 // persistCommunity builds a deterministic 6-user community over three
@@ -155,6 +156,21 @@ func compareMonitors(t *testing.T, label string, want, got *paretomon.Monitor, c
 	}
 }
 
+// crashLayout is one input of the crash-recovery suites: the worker
+// count the monitor crashes under and the one it reopens under. Engine
+// state is keyed by users and clusters, never by shards, so a restart
+// may change WithWorkers.
+type crashLayout struct{ crash, reopen int }
+
+var crashLayouts = []crashLayout{{1, 1}, {3, 3}, {1, 3}, {3, 1}}
+
+func (l crashLayout) String() string {
+	if l.crash == l.reopen {
+		return fmt.Sprint(l.crash)
+	}
+	return fmt.Sprintf("%dto%d", l.crash, l.reopen)
+}
+
 // TestDurableCrashRecovery simulates a kill -9 for every engine shape:
 // a durable monitor ingests half the script and is abandoned without
 // any shutdown; a second monitor over the same store recovers and
@@ -174,12 +190,12 @@ func TestDurableCrashRecovery(t *testing.T) {
 		{"ftvSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2), paretomon.WithWindow(13)}},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 3} {
+		for _, layout := range crashLayouts {
 			for _, snapEvery := range []int{0, 7} {
-				name := fmt.Sprintf("%s/workers=%d/snapEvery=%d", tc.name, workers, snapEvery)
+				name := fmt.Sprintf("%s/workers=%s/snapEvery=%d", tc.name, layout, snapEvery)
 				t.Run(name, func(t *testing.T) {
 					com := persistCommunity(t)
-					opts := append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(workers))
+					opts := append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(layout.crash))
 
 					ref, err := paretomon.NewMonitor(com, opts...)
 					if err != nil {
@@ -199,7 +215,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 					out1 := applyOps(t, m1, ops, 0, half)
 					// No Close, no final snapshot: the crash point.
 
-					m2, err := paretomon.NewMonitor(com, durableOpts...)
+					m2, err := paretomon.NewMonitor(com, append(durableOpts, paretomon.WithWorkers(layout.reopen))...)
 					if err != nil {
 						t.Fatalf("recovery: %v", err)
 					}
@@ -467,6 +483,49 @@ func TestRecoveryCorruptionHandling(t *testing.T) {
 		}
 		if got, _ := m2.Frontier("u1"); !reflect.DeepEqual(got, want) {
 			t.Errorf("frontier after fallback: %v, want %v", got, want)
+		}
+	})
+
+	// A snapshot that decodes but whose cluster list no longer partitions
+	// the alive users must be refused at reopen: accepted, the omitted
+	// user would own no frontier and the first read of it would panic
+	// under the read lock.
+	t.Run("snapshot clusters not a partition", func(t *testing.T) {
+		doctor := map[string]func(clusters [][]int){
+			"omitted member":    func(cl [][]int) { cl[0] = cl[0][1:] },
+			"duplicated member": func(cl [][]int) { cl[0] = append(cl[0], cl[0][0]) },
+		}
+		for name, edit := range doctor {
+			for _, workers := range []int{1, 2} {
+				store := paretomon.NewMemStore()
+				opts := []paretomon.Option{paretomon.WithBranchCut(1.2), paretomon.WithWorkers(workers), paretomon.WithStore(store)}
+				m1, err := paretomon.NewMonitor(com, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				applyOps(t, m1, ops, 0, len(ops))
+				if err := m1.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				if got := m1.Stats().Workers; got != workers {
+					t.Fatalf("community clusters into %d shard(s), want %d", got, workers)
+				}
+				seq, body, ok, err := store.LoadSnapshot()
+				if err != nil || !ok {
+					t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+				}
+				snap, err := storage.UnmarshalSnapshot(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edit(snap.Clusters)
+				if err := store.WriteSnapshot(seq, snap.Marshal()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := paretomon.NewMonitor(com, opts...); !errors.Is(err, paretomon.ErrCorrupt) {
+					t.Errorf("%s, workers=%d: reopen err = %v, want ErrCorrupt", name, workers, err)
+				}
+			}
 		}
 	})
 

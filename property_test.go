@@ -100,11 +100,10 @@ func TestPropertyShardedLifecycleEquivalence(t *testing.T) {
 				}
 				defer seq.Close()
 				defer par.Close()
-				if e, ok := par.eng.(interface{ SetAsync(bool) }); ok {
-					e.SetAsync(async)
-				} else if async {
-					t.Fatalf("WithWorkers(4) did not build a sharded engine (%T)", par.eng)
+				if async && par.eng.Shards() < 2 {
+					t.Fatalf("WithWorkers(4) built %d shard(s)", par.eng.Shards())
 				}
+				par.eng.SetAsync(async)
 
 				// both applies one mutation to both monitors and insists they
 				// agree on the outcome, error or not.
@@ -245,9 +244,7 @@ func TestStatsDuringIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if e, ok := m.eng.(interface{ SetAsync(bool) }); ok {
-		e.SetAsync(true)
-	}
+	m.eng.SetAsync(true)
 
 	const n = 400
 	done := make(chan struct{})

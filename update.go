@@ -6,12 +6,6 @@ import (
 	"repro/internal/order"
 )
 
-// prefApplier is the engine surface for online preference updates;
-// every engine implements it.
-type prefApplier interface {
-	ApplyPreference(user, dim, better, worse int) error
-}
-
 // AddPreference teaches a *running* monitor that user now also prefers
 // better over worse on attr, repairing the affected frontiers in place —
 // no rebuild, no replay. Adding preference tuples can only shrink Pareto
@@ -23,9 +17,9 @@ type prefApplier interface {
 // preference record used by future NewMonitor calls; AddPreference edits
 // this monitor's snapshot. Call both to keep them in step.
 //
-// Every engine supports the update, including the sharded ones
-// (WithWorkers > 1): the repair routes to the shard owning the user, so
-// the cost is the same as on a sequential engine of that shard's size.
+// The repair routes to the shard owning the user, so under
+// WithWorkers > 1 it costs what it would on an engine of that shard's
+// size.
 // On a durable monitor the update is validated first, WAL-logged, and
 // only then applied — like Add, an acknowledged update is in the log
 // before any state changes, and a rejected tuple changes nothing. The
@@ -44,9 +38,6 @@ func (m *Monitor) AddPreference(user, attr, better, worse string) error {
 	d, ok := m.schema.attrIndex(attr)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownAttribute, attr)
-	}
-	if _, ok := m.eng.(prefApplier); !ok {
-		return fmt.Errorf("%w: %T does not support online preference updates", ErrUnsupported, m.eng)
 	}
 	// Validate without mutating, so the update can be logged before it
 	// applies: CanAdd mirrors exactly the strict-partial-order check the
@@ -79,14 +70,10 @@ func (m *Monitor) AddPreference(user, attr, better, worse string) error {
 // making the tuple retractable and letting snapshots carry the full
 // preference base.
 func (m *Monitor) applyPreferenceLocked(idx, d int, user, attr, better, worse string) error {
-	eng, ok := m.eng.(prefApplier)
-	if !ok {
-		return fmt.Errorf("%w: %T does not support online preference updates", ErrUnsupported, m.eng)
-	}
 	// Intern under the write lock: it may grow the shared domain tables.
 	doms := m.schema.doms
 	b, w := doms[d].Intern(better), doms[d].Intern(worse)
-	if err := eng.ApplyPreference(idx, d, b, w); err != nil {
+	if err := m.eng.ApplyPreference(idx, d, b, w); err != nil {
 		return fmt.Errorf("%w: user %q, attribute %q: cannot prefer %q over %q: %w",
 			cycleOr(err), user, attr, better, worse, err)
 	}
