@@ -8,4 +8,14 @@
 // resulting clusters — members plus a common preference relation — are
 // what the filter-then-verify engines in internal/core and
 // internal/window share computation over.
+//
+// Clustering is deterministic to the bit: every similarity is a float64
+// sum taken in one fixed order — the exact measures row by row over the
+// relations' successor bitsets in ascending value id
+// (order.Relation.WeightedOverlap, bit-identical to adding the tuples one
+// by one), the vector measures in ascending tuple-key order over sorted
+// key/value slices — and the merge heap breaks ties by node id. The same
+// profiles therefore give the same dendrogram, similarity bits included,
+// on every call and in every process, which is what lets a WAL-only
+// reopen or a follower re-cluster to the clusters the primary found.
 package cluster

@@ -100,9 +100,14 @@ func agglomerate(users []*pref.Profile, m Measure, h float64, k int) *Result {
 	}
 	nodes := make([]*node, 0, 2*n)
 	for i, u := range users {
+		// The leaf is a clone on purpose: the similarity passes cache Hasse
+		// views and weights on the relations they read, and on a clone those
+		// caches die with the build instead of staying on the caller's live
+		// profiles (borrowing u: +4–5 % live heap on a 160-user windowed
+		// monitor for no measurable build time; docs/PERFORMANCE.md).
 		nd := &node{members: []int{i}, common: u.Clone(), alive: true}
 		if m.IsVector() {
-			nd.vec = NewVector([]*pref.Profile{u}, m == VectorWeightedJaccard)
+			nd.vec = NewVector([]*pref.Profile{nd.common}, m == VectorWeightedJaccard)
 		}
 		nodes = append(nodes, nd)
 	}

@@ -58,7 +58,9 @@ func (m Measure) IsVector() bool {
 }
 
 // SimAttr computes sim^d(U1, U2) between two cluster relations on one
-// attribute for the four exact measures of Sec. 5.
+// attribute for the four exact measures of Sec. 5. The weighted measures
+// take all their sums from one row-wise pass (order.Relation.WeightedOverlap),
+// bit-identical to a tuple-by-tuple evaluation of Eqs. 4–5.
 func SimAttr(m Measure, a, b *order.Relation) float64 {
 	switch m {
 	case IntersectionSize:
@@ -70,10 +72,11 @@ func SimAttr(m Measure, a, b *order.Relation) float64 {
 		}
 		return float64(a.IntersectionSize(b)) / float64(u)
 	case WeightedIntersection:
-		return weightedIntersection(a, b)
+		wi, _, _ := a.WeightedOverlap(b)
+		return wi
 	case WeightedJaccard:
-		wi := weightedIntersection(a, b)
-		den := wi + weightedDifference(a, b) + weightedDifference(b, a)
+		wi, da, db := a.WeightedOverlap(b)
+		den := wi + da + db
 		if den == 0 {
 			return 0
 		}
@@ -81,30 +84,6 @@ func SimAttr(m Measure, a, b *order.Relation) float64 {
 	default:
 		panic("cluster: SimAttr called with a vector measure; use SimVectors")
 	}
-}
-
-// weightedIntersection is Eq. 4: for every common tuple (v, v'), the
-// average of v's weight in a and in b.
-func weightedIntersection(a, b *order.Relation) float64 {
-	s := 0.0
-	a.ForEachTuple(func(x, y int) {
-		if b.Has(x, y) {
-			s += (a.Weight(x) + b.Weight(x)) / 2
-		}
-	})
-	return s
-}
-
-// weightedDifference sums, over tuples (v,v') in a but not b, v's weight
-// in a — the second and third terms of Eq. 5's denominator.
-func weightedDifference(a, b *order.Relation) float64 {
-	s := 0.0
-	a.ForEachTuple(func(x, y int) {
-		if !b.Has(x, y) {
-			s += a.Weight(x)
-		}
-	})
-	return s
 }
 
 // Sim computes sim(U1, U2) = Σ_d sim^d(U1, U2) (Eq. 1) between two
@@ -119,16 +98,22 @@ func Sim(m Measure, a, b *pref.Profile) float64 {
 
 // Vector is one cluster's per-attribute preference-tuple frequency vector
 // (Sec. 6.3). For attribute d with domain size m there are m·(m−1)
-// dimensions, indexed by better*m+worse; entries are stored sparsely.
-// Entries hold Σ over members of the member's contribution (1 for plain
-// frequency, the member's weight of the better value for the weighted
-// variant); Size is the member count so entries/Size is the frequency.
+// dimensions, indexed by better*m+worse; entries are stored sparsely, as
+// parallel key/value slices in ascending key order. Entries hold Σ over
+// members of the member's contribution (1 for plain frequency, the
+// member's weight of the better value for the weighted variant); Size is
+// the member count so entries/Size is the frequency.
+//
+// Every float64 sum over a Vector runs in a fixed order — per key in
+// member order, across keys in ascending key order — so equal inputs give
+// bit-equal vectors and similarities on every call, in every process.
 type Vector struct {
-	entries []map[int64]float64 // per attribute: tuple key -> summed contribution
-	size    int                 // |U|
+	keys [][]int64   // per attribute: tuple keys, ascending
+	vals [][]float64 // vals[d][i] is the summed contribution of keys[d][i]
+	size int         // |U|
 }
 
-// tupleKey packs (attribute value ids) into a sparse map key.
+// tupleKey packs (attribute value ids) into a sparse vector key.
 func tupleKey(better, worse, domSize int) int64 {
 	return int64(better)*int64(domSize) + int64(worse)
 }
@@ -139,21 +124,38 @@ func NewVector(members []*pref.Profile, weighted bool) *Vector {
 	if len(members) == 0 {
 		panic("cluster: vector of empty member set")
 	}
-	dims := members[0].Dims()
-	v := &Vector{entries: make([]map[int64]float64, dims), size: len(members)}
+	v := memberVector(members[0], weighted)
+	for _, m := range members[1:] {
+		v = v.Merge(memberVector(m, weighted))
+	}
+	return v
+}
+
+// memberVector is the vector of one member. ForEachTuple emits (x, y)
+// lexicographically and y is below the domain size, so the keys come out
+// ascending. (Members of one community share their Domain instances, so
+// every member packs its keys with the same domain size.)
+func memberVector(p *pref.Profile, weighted bool) *Vector {
+	dims := p.Dims()
+	v := &Vector{keys: make([][]int64, dims), vals: make([][]float64, dims), size: 1}
 	for d := 0; d < dims; d++ {
-		v.entries[d] = make(map[int64]float64)
-		domSize := members[0].Domains()[d].Size()
-		for _, m := range members {
-			r := m.Relation(d)
-			r.ForEachTuple(func(x, y int) {
-				w := 1.0
-				if weighted {
-					w = r.Weight(x)
-				}
-				v.entries[d][tupleKey(x, y, domSize)] += w
-			})
+		r := p.Relation(d)
+		domSize := p.Domains()[d].Size()
+		keys := make([]int64, 0, r.Size())
+		vals := make([]float64, 0, r.Size())
+		var ws []float64
+		if weighted {
+			ws = r.Weights()
 		}
+		r.ForEachTuple(func(x, y int) {
+			w := 1.0
+			if weighted {
+				w = ws[x]
+			}
+			keys = append(keys, tupleKey(x, y, domSize))
+			vals = append(vals, w)
+		})
+		v.keys[d], v.vals[d] = keys, vals
 	}
 	return v
 }
@@ -162,43 +164,65 @@ func NewVector(members []*pref.Profile, weighted bool) *Vector {
 // per-tuple sums add and sizes add, so the merged frequencies are exact
 // without revisiting members.
 func (v *Vector) Merge(o *Vector) *Vector {
-	out := &Vector{entries: make([]map[int64]float64, len(v.entries)), size: v.size + o.size}
-	for d := range v.entries {
-		m := make(map[int64]float64, len(v.entries[d])+len(o.entries[d]))
-		for k, x := range v.entries[d] {
-			m[k] = x
+	dims := len(v.keys)
+	out := &Vector{keys: make([][]int64, dims), vals: make([][]float64, dims), size: v.size + o.size}
+	for d := 0; d < dims; d++ {
+		ak, av, bk, bv := v.keys[d], v.vals[d], o.keys[d], o.vals[d]
+		keys := make([]int64, 0, len(ak)+len(bk))
+		vals := make([]float64, 0, len(ak)+len(bk))
+		i, j := 0, 0
+		for i < len(ak) && j < len(bk) {
+			switch {
+			case ak[i] < bk[j]:
+				keys, vals = append(keys, ak[i]), append(vals, av[i])
+				i++
+			case ak[i] > bk[j]:
+				keys, vals = append(keys, bk[j]), append(vals, bv[j])
+				j++
+			default:
+				keys, vals = append(keys, ak[i]), append(vals, av[i]+bv[j])
+				i++
+				j++
+			}
 		}
-		for k, x := range o.entries[d] {
-			m[k] += x
-		}
-		out.entries[d] = m
+		keys, vals = append(keys, ak[i:]...), append(vals, av[i:]...)
+		out.keys[d], out.vals[d] = append(keys, bk[j:]...), append(vals, bv[j:]...)
 	}
 	return out
 }
 
 // SimVectors computes Σ_d Jaccard over frequency vectors (Eqs. 9–10):
 // Σ min(U(i), V(i)) / Σ max(U(i), V(i)) per attribute, summed over
-// attributes per Eq. 1.
+// attributes per Eq. 1. A tuple only one side holds has frequency 0 on
+// the other: it adds nothing to the minima and its frequency to the maxima.
 func SimVectors(a, b *Vector) float64 {
 	total := 0.0
-	for d := range a.entries {
+	as, bs := float64(a.size), float64(b.size)
+	for d := range a.keys {
+		ak, av, bk, bv := a.keys[d], a.vals[d], b.keys[d], b.vals[d]
 		var mins, maxs float64
-		for k, av := range a.entries[d] {
-			af := av / float64(a.size)
-			bf := b.entries[d][k] / float64(b.size)
-			if af < bf {
-				mins += af
-				maxs += bf
-			} else {
-				mins += bf
-				maxs += af
+		i, j := 0, 0
+		for i < len(ak) && j < len(bk) {
+			switch {
+			case ak[i] < bk[j]:
+				maxs += av[i] / as
+				i++
+			case ak[i] > bk[j]:
+				maxs += bv[j] / bs
+				j++
+			default:
+				af, bf := av[i]/as, bv[j]/bs
+				mins += min(af, bf)
+				maxs += max(af, bf)
+				i++
+				j++
 			}
 		}
-		for k, bv := range b.entries[d] {
-			if _, ok := a.entries[d][k]; ok {
-				continue
-			}
-			maxs += bv / float64(b.size)
+		for ; i < len(ak); i++ {
+			maxs += av[i] / as
+		}
+		for ; j < len(bk); j++ {
+			maxs += bv[j] / bs
 		}
 		if maxs > 0 {
 			total += mins / maxs

@@ -9,13 +9,13 @@ import (
 )
 
 // computeDerived populates the lazy views: Hasse diagram (transitive
-// reduction), the maximal-value set, and the multi-source BFS distance from
-// the nearest maximal value over Hasse edges. The paper's weighted
-// similarity measures (Eqs. 4, 5, 10) weigh the better value v of each
-// tuple by 1/(min_{s∈S} D(s,v) + 1), where D is the shortest distance in
-// the Hasse diagram (Example 5.4 fixes this interpretation: in a chain
-// Samsung→Lenovo→Apple the weight of Apple is 1/3, which requires path
-// distance 2, not closure distance 1).
+// reduction), the maximal-value set, the multi-source BFS distance from
+// the nearest maximal value over Hasse edges, and the value weights that
+// distance defines. The paper's weighted similarity measures (Eqs. 4, 5,
+// 10) weigh the better value v of each tuple by 1/(min_{s∈S} D(s,v) + 1),
+// where D is the shortest distance in the Hasse diagram (Example 5.4
+// fixes this interpretation: in a chain Samsung→Lenovo→Apple the weight
+// of Apple is 1/3, which requires path distance 2, not closure distance 1).
 func (r *Relation) computeDerived() *derivedViews {
 	if r.derived != nil {
 		return r.derived
@@ -74,6 +74,14 @@ func (r *Relation) computeDerived() *derivedViews {
 		})
 	}
 
+	d.weights = make([]float64, n)
+	for v, dist := range d.minDist {
+		if dist < 0 {
+			dist = 0
+		}
+		d.weights[v] = 1.0 / float64(dist+1)
+	}
+
 	r.derived = d
 	return d
 }
@@ -122,7 +130,17 @@ func (r *Relation) DistFromMaximal(v int) int {
 // matter more ... in terms of their impact on which objects belong to the
 // Pareto frontier").
 func (r *Relation) Weight(v int) float64 {
-	return 1.0 / float64(r.DistFromMaximal(v)+1)
+	if w := r.Weights(); v >= 0 && v < len(w) {
+		return w[v]
+	}
+	return 1
+}
+
+// Weights returns Weight(v) for every v < N() as one slice, cached with
+// the Hasse views and dropped with them on the next mutation; a value id
+// past N() weighs 1. The caller must not mutate the result.
+func (r *Relation) Weights() []float64 {
+	return r.computeDerived().weights
 }
 
 // WeightedSize returns Σ over tuples (v,v') of Weight(v) — the relation's
@@ -130,10 +148,48 @@ func (r *Relation) Weight(v int) float64 {
 // denominators (Eq. 5).
 func (r *Relation) WeightedSize() float64 {
 	t := 0.0
-	r.ForEachTuple(func(x, y int) {
-		t += r.Weight(x)
-	})
+	for x, w := range r.Weights() {
+		t = addTimes(t, w, r.succ[x].Count())
+	}
 	return t
+}
+
+// WeightedOverlap returns the three sums the weighted measures are made
+// of (Eqs. 4–5), from one pass over the two relations' successor rows:
+// wi sums (Weight_r(x)+Weight_o(x))/2 over the common tuples (x, y), dr
+// sums Weight_r(x) over the tuples of r that o lacks, and do sums
+// Weight_o(x) over the tuples of o that r lacks. Each sum is bit-for-bit
+// what adding its term tuple by tuple in (x, y) order gives: every tuple
+// of row x carries the same term, so only the row's popcounts are needed,
+// but the term is still added once per tuple — float64(c)*w rounds once
+// where c additions round c times, and the last ulp decides near-ties
+// between cluster merges. Rows past the shorter relation's N() count
+// wholly as difference.
+func (r *Relation) WeightedOverlap(o *Relation) (wi, dr, do float64) {
+	wr, wo := r.Weights(), o.Weights()
+	n := min(r.n, o.n)
+	for x := 0; x < n; x++ {
+		rx, ox := r.succ[x], o.succ[x]
+		ci := rx.IntersectionCount(ox)
+		wi = addTimes(wi, (wr[x]+wo[x])/2, ci)
+		dr = addTimes(dr, wr[x], rx.Count()-ci)
+		do = addTimes(do, wo[x], ox.Count()-ci)
+	}
+	for x := n; x < r.n; x++ {
+		dr = addTimes(dr, wr[x], r.succ[x].Count())
+	}
+	for x := n; x < o.n; x++ {
+		do = addTimes(do, wo[x], o.succ[x].Count())
+	}
+	return wi, dr, do
+}
+
+// addTimes returns s after adding w to it c times, one rounding each.
+func addTimes(s, w float64, c int) float64 {
+	for ; c > 0; c-- {
+		s += w
+	}
+	return s
 }
 
 // IsStrictPartialOrder verifies the closure invariant from first

@@ -270,6 +270,68 @@ func TestWeightedSize(t *testing.T) {
 	}
 }
 
+// TestWeightsCacheFollowsMutations holds the cached weight slice to the
+// definition, 1/(DistFromMaximal+1), wherever a stale cache would show:
+// after Add and Remove, on a Clone (which starts without the cache), after
+// the domain grew past the relation's N(), and after N() itself grew
+// without a tuple changing.
+func TestWeightsCacheFollowsMutations(t *testing.T) {
+	check := func(when string, rel *Relation) {
+		t.Helper()
+		ws := rel.Weights()
+		if len(ws) != rel.N() {
+			t.Fatalf("%s: %d weights for N() = %d", when, len(ws), rel.N())
+		}
+		size := 0.0
+		for v, w := range ws {
+			if want := 1.0 / float64(rel.DistFromMaximal(v)+1); w != want || rel.Weight(v) != want {
+				t.Fatalf("%s: Weights()[%d] = %v, Weight = %v, want %v", when, v, w, rel.Weight(v), want)
+			}
+			rel.Succ(v).ForEach(func(int) bool { size += w; return true })
+		}
+		if got := rel.WeightedSize(); got != size {
+			t.Fatalf("%s: WeightedSize = %v, tuple by tuple %v", when, got, size)
+		}
+		for _, v := range []int{-1, rel.N(), rel.N() + 70} {
+			if got := rel.Weight(v); got != 1 {
+				t.Fatalf("%s: Weight(%d) = %v outside [0, N()), want 1", when, v, got)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(5))
+	for round := 0; round < 30; round++ {
+		d := NewDomain("q")
+		rel := randomRelation(r, d, 3+r.Intn(80), 60)
+		check("built", rel)
+		for i := 0; i < 10; i++ {
+			if rel.Add(r.Intn(rel.N()), r.Intn(rel.N())) == nil {
+				check("after Add", rel)
+			}
+		}
+		for len(rel.Asserted()) > 0 && r.Intn(4) > 0 {
+			e := rel.Asserted()[r.Intn(len(rel.Asserted()))]
+			if err := rel.Remove(e.Better, e.Worse); err != nil {
+				t.Fatal(err)
+			}
+			check("after Remove", rel)
+		}
+		c := rel.Clone()
+		check("clone", c)
+		if c.Add(0, 1) == nil || c.Add(1, 0) == nil {
+			check("clone after its own Add", c)
+			check("original after the clone's Add", rel)
+		}
+		late := d.Intern("late")
+		check("after a value was interned past N()", rel)
+		rel.Succ(late) // grows N() to cover the late value; no tuple changes
+		check("after N() grew", rel)
+		if err := rel.Add(late, 0); err != nil {
+			t.Fatal(err)
+		}
+		check("after Add of the late value", rel)
+	}
+}
+
 func TestCloneEqualString(t *testing.T) {
 	d := brandDomain()
 	r := MustFromTuples(d, [][2]string{{"Apple", "Lenovo"}})

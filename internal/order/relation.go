@@ -59,6 +59,7 @@ type derivedViews struct {
 	hasse   []*bitset.Set // transitive reduction
 	maximal *bitset.Set   // values with no predecessor (Def. 5.3)
 	minDist []int         // BFS distance from nearest maximal value over Hasse edges; -1 if isolated
+	weights []float64     // weights[v] = 1/(minDist[v]+1), the answer Weight(v) gives
 }
 
 // NewRelation creates an empty relation over dom. The relation tracks the
@@ -80,6 +81,7 @@ func (r *Relation) ensure(n int) {
 		r.succ = append(r.succ, bitset.New(n))
 	}
 	r.n = n
+	r.derived = nil // the views are sized by n
 }
 
 // Size returns the number of preference tuples |≻| (closure pairs).

@@ -123,9 +123,13 @@ func applyOps(t *testing.T, m *paretomon.Monitor, ops []persistOp, from, to int)
 }
 
 // compareMonitors asserts two monitors are observably identical:
-// frontiers of every user, targets of every object, and work counters.
+// clusters, frontiers of every user, targets of every object, and work
+// counters.
 func compareMonitors(t *testing.T, label string, want, got *paretomon.Monitor, com *paretomon.Community, ops []persistOp) {
 	t.Helper()
+	if cw, cg := want.Clusters(), got.Clusters(); !reflect.DeepEqual(cw, cg) {
+		t.Errorf("%s: clusters: %v, want %v", label, cg, cw)
+	}
 	for _, u := range com.Users() {
 		fw, err1 := want.Frontier(u)
 		fg, err2 := got.Frontier(u)
@@ -175,7 +179,13 @@ func (l crashLayout) String() string {
 // a durable monitor ingests half the script and is abandoned without
 // any shutdown; a second monitor over the same store recovers and
 // finishes the script; the result must be indistinguishable from an
-// uninterrupted run — including the comparison counters.
+// uninterrupted run — including the comparison counters and the
+// clusters. Only the snapEvery=0 rows re-cluster on reopen: with no
+// snapshot the recovering monitor builds from the community, so
+// cluster.Agglomerative runs a second time and must find the clusters the
+// crashed monitor found (ftva-vec is the measure whose sums once followed
+// Go's map order). The snapshot path never calls cluster.*; it reads the
+// clusters back.
 func TestDurableCrashRecovery(t *testing.T) {
 	ops := persistScript(40)
 	half := len(ops) / 2
@@ -186,6 +196,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 		{"baseline", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}},
 		{"ftv", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}},
 		{"ftva", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithBranchCut(1.2), paretomon.WithThetas(40, 0.3)}},
+		{"ftva-vec", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithMeasure(paretomon.MeasureVectorWeightedJaccard), paretomon.WithBranchCut(0.5)}}, // 0.5: two pairs and two singletons; from 1.0 up this community stays six singletons
 		{"baselineSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWindow(13)}},
 		{"ftvSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2), paretomon.WithWindow(13)}},
 	}
