@@ -152,6 +152,22 @@ func TestBatchError(t *testing.T) {
 	if _, err := m.Add("o1", "x"); err != nil {
 		t.Errorf("o1 should still be free after failed batch: %v", err)
 	}
+	// The in-batch duplicate check runs on scratch the monitor reuses for
+	// small batches and allocates for large ones: either way a rejected
+	// batch's names must not linger in it.
+	for _, n := range []int{2, 2000} {
+		batch := make([]paretomon.Object, n)
+		for i := range batch {
+			batch[i] = paretomon.Object{Name: fmt.Sprintf("b%d-%d", n, i), Values: []string{"x"}}
+		}
+		withDup := append(batch[:n:n], batch[0])
+		if err := onlyErr(m.AddBatch(withDup)); !errors.Is(err, paretomon.ErrDuplicateObject) {
+			t.Errorf("batch of %d + its first object again: err = %v, want ErrDuplicateObject", n, err)
+		}
+		if err := onlyErr(m.AddBatch(batch)); err != nil {
+			t.Errorf("batch of %d after its rejected twin: %v", n, err)
+		}
+	}
 }
 
 func onlyErr[T any](_ T, err error) error { return err }

@@ -46,6 +46,15 @@ func (t *TargetTracker) RemoveTarget(objID, user int) {
 	}
 }
 
+// Holds reports whether user is in C_objID. Engines write C_o at every
+// user-frontier write (and RestoreState rebuilds it), so objID ∈ P_user ⇔
+// Holds(objID, user): a loop that must find which users hold one object
+// asks here — one bit test per user, inlined into the loop — and probes
+// only the holders' frontiers.
+func (t *TargetTracker) Holds(objID, user int) bool {
+	return objID >= 0 && objID < len(t.sets) && t.sets[objID] != nil && t.sets[objID].Contains(user)
+}
+
 // DropTargets forgets an object entirely (its C_o becomes empty).
 func (t *TargetTracker) DropTargets(objID int) {
 	if objID >= 0 && objID < len(t.sets) {

@@ -73,11 +73,7 @@ scan:
 			// o ≻_U o': o' leaves P_U and, per Lines 4-6, every member's
 			// P_c (P_c ⊆ P_U is the engine's standing invariant).
 			fu.Remove(op.ID)
-			for _, c := range cl.Members {
-				if f.UserFronts[c].Remove(op.ID) {
-					f.RemoveTarget(op.ID, c)
-				}
-			}
+			f.EvictFromMembers(ui, op.ID)
 		case pref.Right:
 			// o'≻_U o: by Theorem 4.5 o is outside every member's frontier.
 			isPareto = false

@@ -168,10 +168,11 @@ func (b *Baseline) RetractPreference(c int, _ *pref.Profile, alive []object.Obje
 // promotes the alive objects whose only frontier shield was o.
 func (b *Baseline) RemoveObject(o object.Object, alive []object.Object) {
 	for _, c := range b.Members {
-		f := b.Fronts[c]
-		if !f.Remove(o.ID) {
+		if !b.Holds(o.ID, c) {
 			continue // o was dominated for c: its dominator still shields everything o did
 		}
+		f := b.Fronts[c]
+		f.Remove(o.ID)
 		b.RemoveTarget(o.ID, c)
 		u := b.Users[c]
 		var po pref.Probe
@@ -324,7 +325,8 @@ func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) 
 		}
 		var holders []int
 		for _, c := range cl.Members {
-			if f.UserFronts[c].Remove(o.ID) {
+			if f.Holds(o.ID, c) {
+				f.UserFronts[c].Remove(o.ID)
 				f.RemoveTarget(o.ID, c)
 				holders = append(holders, c)
 			}

@@ -298,16 +298,24 @@ func (s *ClusterShard) DropMember(c int) (li int, emptied bool) {
 	return li, true
 }
 
+// EvictFromMembers takes object id, which just left cluster li's filter
+// frontier, out of every member frontier holding it (P_c ⊆ P_U is the
+// engine invariant). C_id names the holders, so members that never held
+// it cost a bit test, not a frontier probe.
+func (s *ClusterShard) EvictFromMembers(li, id int) {
+	for _, c := range s.Clusters[li].Members {
+		if s.Holds(id, c) {
+			s.UserFronts[c].Remove(id)
+			s.RemoveTarget(id, c)
+		}
+	}
+}
+
 // FilterClusterFrontier evicts filter-frontier members dominated under
 // the (grown) common relation, propagating each eviction to the member
-// frontiers (P_c ⊆ P_U is the engine invariant).
+// frontiers.
 func (s *ClusterShard) FilterClusterFrontier(li int) {
-	cl := &s.Clusters[li]
-	FilterFrontier(s.ClusterFronts[li], cl.Common, s.Ctr.AddFilter, func(id int) {
-		for _, m := range cl.Members {
-			if s.UserFronts[m].Remove(id) {
-				s.RemoveTarget(id, m)
-			}
-		}
+	FilterFrontier(s.ClusterFronts[li], s.Clusters[li].Common, s.Ctr.AddFilter, func(id int) {
+		s.EvictFromMembers(li, id)
 	})
 }

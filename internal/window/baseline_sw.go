@@ -56,9 +56,9 @@ func (b *BaselineSW) Process(oin object.Object) []int {
 // exclusively dominated are promoted from PB_c (Procedure
 // mendParetoFrontierSW); o_out then leaves both structures.
 func (b *BaselineSW) expireUser(c int, oout object.Object) {
-	f := b.Fronts[c]
 	pb := b.buffers[c]
-	if f.Remove(oout.ID) {
+	if b.Holds(oout.ID, c) {
+		b.Fronts[c].Remove(oout.ID)
 		b.RemoveTarget(oout.ID, c)
 		// Promote buffered objects whose only shield was o_out. Arrival
 		// order matters: an earlier candidate admitted to P_c must be able

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -169,8 +170,9 @@ func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
 // At a full window every arrival also expires an object and mends. The
 // expiry path itself allocates nothing: what remains per Process is the
 // C_o bitset of an object entering its first frontier (two allocations)
-// and the amortized growth of the id-indexed frontier, buffer and target
-// tables.
+// and the amortized growth of the id-indexed target table. The frontier
+// index deletes by backward shift, so a frontier at its steady size never
+// rehashes, and a buffer is just its list.
 func TestExpiryPathDoesNotAllocate(t *testing.T) {
 	const w = 64
 	r := rand.New(rand.NewSource(5))
@@ -189,5 +191,48 @@ func TestExpiryPathDoesNotAllocate(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(2000, process); got > 2 {
 		t.Errorf("Process at a full window: %.0f allocs/op, want <= 2", got)
+	}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// A windowed engine's state is its frontiers, buffers and ring — all
+// bounded by the window — so its live heap must not follow the stream:
+// what an arrival may leave behind for good is its 8 B slot in the C_o
+// table. (With an id-indexed position array per frontier and an
+// id-indexed bitset per buffer this run kept 315–345 B per arrival:
+// 4 B × 64 users, and the arrays' append slack on top.)
+func TestLiveHeapIgnoresStreamLength(t *testing.T) {
+	const w, early, late, perArrival = 64, 4096, 16384, 32
+	r := rand.New(rand.NewSource(9))
+	users, clusters, objs := clusteredWorld(r, 8, 8, 3, 7, early)
+	engines := map[string]window.Monitor{
+		"BaselineSW":         window.NewBaselineSW(users, w, nil),
+		"FilterThenVerifySW": window.NewFilterThenVerifySW(users, clusters, w, nil),
+	}
+	for name, eng := range engines {
+		feed := func(from, to int) {
+			for id := from; id < to; id++ {
+				o := objs[id%len(objs)]
+				o.ID = id
+				eng.Process(o)
+			}
+		}
+		feed(0, early)
+		before := liveHeap()
+		feed(early, late)
+		after := liveHeap()
+		runtime.KeepAlive(eng)
+		if grown := int64(after) - int64(before); grown > perArrival*(late-early) {
+			t.Errorf("%s at W=%d: live heap grew %d B over arrivals %d..%d (%.0f B each), want <= %d B each",
+				name, w, grown, early, late, float64(grown)/(late-early), perArrival)
+		}
 	}
 }

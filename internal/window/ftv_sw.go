@@ -122,15 +122,18 @@ func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
 // dominator. P_U is walked in arrival order (deterministic; the Lemma 4.6
 // scan in mendUser makes the order immaterial for correctness), sorted
 // once per departure into engine-owned scratch — tier 2 never changes P_U.
+// Both membership questions — which members hold out, which candidates c
+// already holds — are read off C_o (core.TargetTracker.Holds), a bit test
+// where the frontier's index would be a probe.
 //
 //paretomon:hotpath
 func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
 	sorted := false
 	for _, c := range f.Clusters[ui].Members {
-		fc := f.UserFronts[c]
-		if !fc.Remove(out.ID) {
+		if !f.Holds(out.ID, c) {
 			continue
 		}
+		f.UserFronts[c].Remove(out.ID)
 		f.RemoveTarget(out.ID, c)
 		if !sorted {
 			f.cands = append(f.cands[:0], f.ClusterFronts[ui].Objects()...)
@@ -140,8 +143,8 @@ func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
 		var po pref.Probe
 		f.Users[c].Prepare(out, &po)
 		for _, o := range f.cands {
-			if fc.Contains(o.ID) {
-				continue
+			if f.Holds(o.ID, c) {
+				continue // already in P_c
 			}
 			f.Ctr.AddVerify(1)
 			if po.Dominates(o) {
@@ -213,11 +216,7 @@ scan:
 		switch po.Compare(op) {
 		case pref.Left:
 			fu.Remove(op.ID)
-			for _, c := range cl.Members {
-				if f.UserFronts[c].Remove(op.ID) {
-					f.RemoveTarget(op.ID, c)
-				}
-			}
+			f.EvictFromMembers(ui, op.ID)
 		case pref.Right:
 			isPareto = false
 			break scan

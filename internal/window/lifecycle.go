@@ -111,8 +111,9 @@ func (b *BaselineSW) RemoveObject(o object.Object, _ []object.Object) {
 		f := b.Fronts[c]
 		pb := b.buffers[c]
 		pb.remove(o.ID)
-		inP := f.Remove(o.ID)
+		inP := b.Holds(o.ID, c)
 		if inP {
+			f.Remove(o.ID)
 			b.RemoveTarget(o.ID, c)
 		}
 		var po pref.Probe

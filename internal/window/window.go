@@ -1,10 +1,10 @@
 package window
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/bitset"
 	"repro/internal/object"
 	"repro/internal/pref"
 )
@@ -82,32 +82,36 @@ func (r *ring) aliveTail() []object.Object {
 // candidates in arrival order (an earlier buffered object may dominate a
 // later one; admitting the earlier one first lets the frontier scan reject
 // the later one), so the buffer keeps insertion order and compacts in
-// place on removal.
+// place on removal. Object ids are assigned in arrival order, so arrival
+// order is ascending-id order and membership is a binary search of the
+// list itself: the buffer holds nothing but its members.
 type buffer struct {
 	list []object.Object
-	ids  bitset.Set // membership; object ids are dense, so a bitset beats a map
 }
 
 func newBuffer() *buffer { return &buffer{} }
 
+// find returns the position of the member with the given id, or the
+// position it would be inserted at and false.
+func (b *buffer) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(b.list, id, func(o object.Object, id int) int {
+		return cmp.Compare(o.ID, id)
+	})
+}
+
+// add admits an arriving object: the youngest, so it goes last. Anything
+// older (a restore handing objects out of order) goes through insert.
 func (b *buffer) add(o object.Object) {
-	if b.ids.Contains(o.ID) {
+	if n := len(b.list); n > 0 && o.ID <= b.list[n-1].ID {
+		b.insert(o)
 		return
 	}
-	b.ids.Add(o.ID)
 	b.list = append(b.list, o)
 }
 
 func (b *buffer) remove(id int) {
-	if !b.has(id) {
-		return
-	}
-	b.ids.Remove(id)
-	for i, o := range b.list {
-		if o.ID == id {
-			b.list = append(b.list[:i], b.list[i+1:]...)
-			return
-		}
+	if i, ok := b.find(id); ok {
+		b.list = slices.Delete(b.list, i, i+1)
 	}
 }
 
@@ -118,9 +122,7 @@ func (b *buffer) evictDominated(po *pref.Probe) int {
 	n := len(b.list)
 	kept := b.list[:0]
 	for _, o := range b.list {
-		if po.Dominates(o) {
-			b.ids.Remove(o.ID)
-		} else {
+		if !po.Dominates(o) {
 			kept = append(kept, o)
 		}
 	}
@@ -133,22 +135,16 @@ func (b *buffer) objects() []object.Object { return b.list }
 
 // has reports buffer membership.
 func (b *buffer) has(id int) bool {
-	return id >= 0 && b.ids.Contains(id)
+	_, ok := b.find(id)
+	return ok
 }
 
-// insert adds o at its arrival position. Object ids are assigned in
-// arrival order, so the buffer's arrival order is ascending-ID order and
-// the position is found by binary search. Lifecycle mends use it to
-// re-admit objects mid-buffer; add only ever appends.
+// insert adds o at its arrival position; inserting a member is a no-op.
+// Lifecycle mends use it to re-admit objects mid-buffer.
 func (b *buffer) insert(o object.Object) {
-	if b.ids.Contains(o.ID) {
-		return
+	if i, ok := b.find(o.ID); !ok {
+		b.list = slices.Insert(b.list, i, o)
 	}
-	b.ids.Add(o.ID)
-	i := sort.Search(len(b.list), func(i int) bool { return b.list[i].ID > o.ID })
-	b.list = append(b.list, object.Object{})
-	copy(b.list[i+1:], b.list[i:])
-	b.list[i] = o
 }
 
 func (b *buffer) idSlice() []int {

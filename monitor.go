@@ -231,6 +231,10 @@ type Monitor struct {
 	// interned is AddBatch's batch of interned objects, reused across
 	// calls (the engine retains none of it past ProcessBatch).
 	interned []object.Object
+	// inBatch is AddBatch's validation scratch — the names claimed earlier
+	// in the batch being checked — cleared and reused across calls, for
+	// batches of up to inBatchKeep objects.
+	inBatch map[string]bool
 
 	clusters       [][]string // member names per cluster (nil for Baseline)
 	clusterMembers [][]int    // raw member indices per cluster, in cluster order
@@ -321,6 +325,7 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 		ctr:     &stats.Counters{},
 		userIdx: make(map[string]int, c.Len()),
 		names:   make(map[string]int),
+		inBatch: make(map[string]bool),
 		walCh:   make(chan struct{}),
 	}
 	if cfg.Algorithm == AlgorithmFilterThenVerifyApprox {
@@ -500,6 +505,12 @@ func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
 	return err
 }
 
+// inBatchKeep is the largest batch Monitor.inBatch serves. clear costs the
+// map's high-water size, not its length, so one boot-time AddBatch of a
+// whole catalogue must not be what every later batch clears: a bigger
+// batch gets a map of its own.
+const inBatchKeep = 1024
+
 // validateObject checks one object against the monitor state and the
 // names already claimed earlier in the same batch. Caller holds mu.
 func (m *Monitor) validateObject(o Object, inBatch map[string]bool) error {
@@ -576,7 +587,7 @@ func (m *Monitor) Add(name string, values ...string) (Delivery, error) {
 	if err := m.validateObject(o, nil); err != nil {
 		return Delivery{}, err
 	}
-	if err := m.appendWAL(objectRecords([]Object{o})); err != nil {
+	if err := m.appendWAL(m.objectRecords([]Object{o})); err != nil {
 		return Delivery{}, err
 	}
 	d := m.ingest(o)
@@ -597,14 +608,19 @@ func (m *Monitor) AddBatch(objs []Object) ([]Delivery, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	inBatch := make(map[string]bool, len(objs))
+	inBatch := m.inBatch
+	if len(objs) > inBatchKeep {
+		inBatch = make(map[string]bool, len(objs))
+	} else {
+		clear(inBatch)
+	}
 	for i, o := range objs {
 		if err := m.validateObject(o, inBatch); err != nil {
 			return nil, &BatchError{Index: i, Object: o.Name, Err: err}
 		}
 		inBatch[o.Name] = true
 	}
-	if err := m.appendWAL(objectRecords(objs)); err != nil {
+	if err := m.appendWAL(m.objectRecords(objs)); err != nil {
 		return nil, err
 	}
 	// Intern the whole batch up front, then let every shard walk it (in

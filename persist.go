@@ -160,7 +160,7 @@ func (m *Monitor) AliveObjectCount() int {
 // prefix of the records while memory holds none, so further mutations
 // and snapshots are refused until a restart recovers from the log.
 func (m *Monitor) appendWAL(recs []WALRecord) error {
-	if m.store == nil || m.replaying {
+	if !m.logging() {
 		return nil
 	}
 	if m.storeErr != nil {
@@ -187,8 +187,17 @@ func (m *Monitor) rotateWALNotifyLocked() {
 	m.walCh = make(chan struct{})
 }
 
-// objectRecords builds the WAL records for a validated object batch.
-func objectRecords(objs []Object) []WALRecord {
+// logging reports whether mutations reach a WAL: there is a store, and
+// recovery is not replaying it.
+func (m *Monitor) logging() bool { return m.store != nil && !m.replaying }
+
+// objectRecords builds the WAL records for a validated object batch, or
+// nil when appendWAL would not log them: the ingest path of a storeless
+// monitor allocates nothing for the WAL.
+func (m *Monitor) objectRecords(objs []Object) []WALRecord {
+	if !m.logging() {
+		return nil
+	}
 	recs := make([]WALRecord, len(objs))
 	for i, o := range objs {
 		recs[i] = WALRecord{Op: OpObject, Name: o.Name, Values: o.Values}
@@ -201,7 +210,7 @@ func objectRecords(objs []Object) []WALRecord {
 // (the WAL already holds the data); the counter is only reset on
 // success, so the next threshold crossing retries.
 func (m *Monitor) maybeSnapshotLocked(applied int) {
-	if m.store == nil || m.replaying || m.snapEvery <= 0 {
+	if !m.logging() || m.snapEvery <= 0 {
 		return
 	}
 	m.sinceSnap += applied
