@@ -152,9 +152,12 @@ func buildEngine(e *engineFlags, users []*pref.Profile) *core.Sharded {
 	}
 	var eng *core.Sharded
 	var err error
-	if e.win > 0 {
+	switch {
+	case e.win > 0:
 		eng, err = window.NewSharded(users, clusters, nil, e.win, e.workers, &stats.Counters{})
-	} else {
+	case e.alg == "ftva":
+		eng, err = core.NewShardedPerObject(users, clusters, nil, e.workers, &stats.Counters{})
+	default:
 		eng, err = core.NewSharded(users, clusters, nil, e.workers, &stats.Counters{})
 	}
 	if err != nil {

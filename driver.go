@@ -21,8 +21,8 @@ import (
 // the only contractual differences are ordering of aggregate listings
 // (Users and Clusters are registration-ordered on a Monitor, merged
 // and name-sorted on a Router) and Stats, whose counters a Router sums
-// across partitions (Processed, the stream position, is the maximum:
-// every partition sees the whole stream).
+// across partitions (Processed, the stream position, and Twins are the
+// maximum: every partition sees the whole stream).
 type Driver interface {
 	// Ingestion. Deliveries carry the users for whom the object is
 	// Pareto-optimal at arrival, across the whole community.

@@ -255,12 +255,21 @@ func (s *Set) ForEach(fn func(v int) bool) {
 
 // Slice returns the elements in ascending order.
 func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(v int) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
+	return s.AppendTo(make([]int, 0, s.Count()))
+}
+
+// AppendTo appends the elements to dst in ascending order and returns the
+// extended slice; with room in dst it does not allocate.
+//
+//paretomon:hotpath
+func (s *Set) AppendTo(dst []int) []int {
+	for i, w := range s.words {
+		for w != 0 {
+			dst = append(dst, i*wordBits+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return dst
 }
 
 // Min returns the smallest element, or -1 if the set is empty.

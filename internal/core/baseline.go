@@ -18,17 +18,40 @@ type Baseline struct {
 // NewBaseline creates a standalone Baseline monitor for the given users.
 // ctr may be nil to skip accounting.
 func NewBaseline(users []*pref.Profile, ctr *stats.Counters) *Baseline {
+	return newBaseline(AllUsers(users, ctr))
+}
+
+// NewBaselinePerObject is NewBaseline with every object its own frontier
+// member: Alg. 1 as published, which internal/experiments runs for the
+// paper's figures. Frontiers and deliveries are NewBaseline's; only the
+// comparison count differs on streams that repeat tuples.
+func NewBaselinePerObject(users []*pref.Profile, ctr *stats.Counters) *Baseline {
 	return &Baseline{AllUsers(users, ctr)}
 }
 
+// newBaseline wraps one shard's bookkeeping into an engine. Alg. 1 is
+// exact, so its frontier members are tuple classes (see TupleClasses).
+func newBaseline(s UserShard) *Baseline {
+	s.enable()
+	return &Baseline{s}
+}
+
 // Process implements Alg. 1: for every user, run updateParetoFrontier and
-// collect the target users C_o.
+// collect the target users C_o. An arrival whose tuple is already alive is
+// Alg. 1's Identical case for every user at once: it joins exactly the
+// frontiers its class is in, so C_o is C_class and nothing is scanned.
 func (b *Baseline) Process(o object.Object) []int {
 	b.Ctr.AddProcessed()
 	co := b.Scratch.Start()
-	for _, c := range b.Members {
-		if b.updateUser(c, o) {
-			co = append(co, c)
+	rep, twin := b.Resolve(o)
+	if twin {
+		b.Ctr.AddTwin()
+		co = b.AppendHolders(co, rep.ID)
+	} else {
+		for _, c := range b.Members {
+			if b.updateUser(c, rep) {
+				co = append(co, c)
+			}
 		}
 	}
 	b.Ctr.AddDelivered(len(co))
@@ -37,7 +60,10 @@ func (b *Baseline) Process(o object.Object) []int {
 
 // updateUser is Procedure updateParetoFrontier(c, o) of Alg. 1. It returns
 // whether o is Pareto-optimal for c. Every pairwise comparison is counted
-// as a verify comparison (Baseline has no filter tier).
+// as a verify comparison (Baseline has no filter tier). Under tuple
+// classes o is the representative of a class no frontier member shares a
+// tuple with, and the procedure's Identical case is Process's twin path;
+// only a per-object engine still meets it here.
 func (b *Baseline) updateUser(c int, o object.Object) bool {
 	f := b.Fronts[c]
 	var po pref.Probe

@@ -115,3 +115,88 @@ func BenchmarkFrontierIndex(b *testing.B) {
 		})
 	}
 }
+
+// processStream is the workload of BenchmarkProcessDistinct and
+// BenchmarkProcessTwins: 32 users in 4 clusters, 4 attributes over 16
+// values, and a stream of n objects that cycles through the first
+// `tuples` attribute tuples of the catalog — n of them is a stream that
+// never repeats one, fewer is a stream of twins. Ids are fresh.
+func processStream(n, tuples int) ([]*pref.Profile, []core.Cluster, []object.Object) {
+	const dims, domSize = 4, 16
+	r := rand.New(rand.NewSource(42))
+	users, _ := randomWorld(r, 32, dims, domSize, 0, 24)
+	var clusters []core.Cluster
+	for g := 0; g < 4; g++ {
+		var members []int
+		var profs []*pref.Profile
+		for u := g * 8; u < (g+1)*8; u++ {
+			members = append(members, u)
+			profs = append(profs, users[u])
+		}
+		clusters = append(clusters, core.Cluster{Members: members, Common: pref.Common(profs)})
+	}
+	catalog := r.Perm(domSize * domSize * domSize * domSize)[:tuples]
+	objs := make([]object.Object, n)
+	for i := range objs {
+		attrs := make([]int32, dims)
+		for d, code := 0, catalog[i%tuples]; d < dims; d, code = d+1, code/domSize {
+			attrs[d] = int32(code % domSize)
+		}
+		objs[i] = object.Object{ID: i, Attrs: attrs}
+	}
+	return users, clusters, objs
+}
+
+func benchmarkProcess(b *testing.B, tuples int) {
+	const n = 8192
+	users, clusters, objs := processStream(n, tuples)
+	b.ReportAllocs()
+	var eng *core.FilterThenVerify
+	ctr := &stats.Counters{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			b.StopTimer()
+			eng = core.NewFilterThenVerify(users, clusters, ctr)
+			b.StartTimer()
+		}
+		eng.Process(objs[i%n])
+	}
+	b.ReportMetric(float64(ctr.Comparisons)/float64(b.N), "cmp/op")
+	b.ReportMetric(float64(ctr.Twins)/float64(b.N), "twins/op")
+}
+
+// BenchmarkProcessDistinct is the class table where it has nothing to
+// give: no arrival repeats a tuple, every one founds a class (a hash, a
+// probe that misses, a slot, a link) and then runs the full Alg. 2 scan.
+// Run it at the parent of the tuple-class change too: cmp/op must be
+// equal and ns/op within noise.
+func BenchmarkProcessDistinct(b *testing.B) { benchmarkProcess(b, 8192) }
+
+// BenchmarkProcessTwins is the other end: the same stream length drawn
+// from 512 tuples, so fifteen arrivals in sixteen are answered from
+// C_class without a comparison.
+func BenchmarkProcessTwins(b *testing.B) { benchmarkProcess(b, 512) }
+
+var sinkObject object.Object
+
+// BenchmarkResolve is the class table on its own, per arrival: a stream
+// of new tuples (hash, a probe that misses, a slot, an id link; the
+// table's doublings amortised in) and a stream of twins (hash, a probe
+// that hits, an id link). It is what every arrival pays before Algs. 1–2
+// start, and all a twin pays besides copying C_class out.
+func BenchmarkResolve(b *testing.B) {
+	for _, tuples := range []int{8192, 512} {
+		_, _, objs := processStream(8192, tuples)
+		b.Run(fmt.Sprintf("tuples=%d", tuples), func(b *testing.B) {
+			b.ReportAllocs()
+			var tc core.TupleClasses
+			for i := 0; i < b.N; i++ {
+				if i%len(objs) == 0 {
+					tc = core.NewTupleClasses()
+				}
+				sinkObject, sinkBool = tc.Resolve(objs[i%len(objs)])
+			}
+		})
+	}
+}

@@ -17,59 +17,68 @@ type Monitor interface {
 	UserFrontier(c int) []int
 }
 
-// TargetTracker maintains C_o for every object currently Pareto-optimal
-// for at least one user ("C_o ← C_o ± {c}" bookkeeping in Algs. 1–2 and
-// 4–5). Object ids are dense, so the sets live in an id-indexed slice; a
-// nil slot is an empty C_o. Every engine embeds one through its shard
-// bookkeeping (see shard.go) and serves Targets from it.
+// TargetTracker maintains C_o for every frontier member currently
+// Pareto-optimal for at least one user ("C_o ← C_o ± {c}" bookkeeping in
+// Algs. 1–2 and 4–5). It is keyed like the frontiers it mirrors: by tuple
+// class in the exact append-only engines, by object id in the windowed and
+// approximate ones (see TupleClasses). Keys are dense, so the sets live in
+// a key-indexed slice; a nil slot is an empty C_o, and a set whose last
+// holder left is released with its slot. Every engine embeds a tracker
+// through its shard bookkeeping (see MemberIndex in shard.go), which
+// serves Targets from it.
 type TargetTracker struct {
-	sets []*bitset.Set // object id -> set of user ids; nil = empty
+	sets []*bitset.Set // key -> set of user ids; nil = empty
 }
 
-// AddTarget records that objID is Pareto-optimal for user.
-func (t *TargetTracker) AddTarget(objID, user int) {
-	for len(t.sets) <= objID {
+// AddTarget records that key is Pareto-optimal for user.
+func (t *TargetTracker) AddTarget(key, user int) {
+	for len(t.sets) <= key {
 		t.sets = append(t.sets, nil)
 	}
-	s := t.sets[objID]
+	s := t.sets[key]
 	if s == nil {
 		s = &bitset.Set{}
-		t.sets[objID] = s
+		t.sets[key] = s
 	}
 	s.Add(user)
 }
 
-// RemoveTarget records that objID left user's frontier.
-func (t *TargetTracker) RemoveTarget(objID, user int) {
-	if objID >= 0 && objID < len(t.sets) && t.sets[objID] != nil {
-		t.sets[objID].Remove(user)
+// RemoveTarget records that key left user's frontier.
+func (t *TargetTracker) RemoveTarget(key, user int) {
+	if key < 0 || key >= len(t.sets) || t.sets[key] == nil {
+		return
+	}
+	s := t.sets[key]
+	s.Remove(user)
+	if s.Empty() {
+		t.sets[key] = nil
 	}
 }
 
-// Holds reports whether user is in C_objID. Engines write C_o at every
-// user-frontier write (and RestoreState rebuilds it), so objID ∈ P_user ⇔
-// Holds(objID, user): a loop that must find which users hold one object
+// Holds reports whether user is in C_key. Engines write C_o at every
+// user-frontier write (and RestoreState rebuilds it), so key ∈ P_user ⇔
+// Holds(key, user): a loop that must find which users hold one member
 // asks here — one bit test per user, inlined into the loop — and probes
 // only the holders' frontiers.
-func (t *TargetTracker) Holds(objID, user int) bool {
-	return objID >= 0 && objID < len(t.sets) && t.sets[objID] != nil && t.sets[objID].Contains(user)
+func (t *TargetTracker) Holds(key, user int) bool {
+	return key >= 0 && key < len(t.sets) && t.sets[key] != nil && t.sets[key].Contains(user)
 }
 
-// DropTargets forgets an object entirely (its C_o becomes empty).
-func (t *TargetTracker) DropTargets(objID int) {
-	if objID >= 0 && objID < len(t.sets) {
-		t.sets[objID] = nil
+// DropTargets forgets a member entirely (its C_o becomes empty).
+func (t *TargetTracker) DropTargets(key int) {
+	if key >= 0 && key < len(t.sets) {
+		t.sets[key] = nil
 	}
 }
 
-// Targets returns the current C_o of a previously processed object — the
-// users for whom it is still Pareto-optimal — sorted, nil if empty.
-func (t *TargetTracker) Targets(objID int) []int {
-	if objID < 0 || objID >= len(t.sets) {
-		return nil
+// AppendHolders appends C_key — the users for whom the member is still
+// Pareto-optimal — to dst in ascending order. It is all of a twin
+// arrival's answer: the engines' Process appends C_class to its result.
+//
+//paretomon:hotpath
+func (t *TargetTracker) AppendHolders(dst []int, key int) []int {
+	if key < 0 || key >= len(t.sets) || t.sets[key] == nil {
+		return dst
 	}
-	if s := t.sets[objID]; s != nil && !s.Empty() {
-		return s.Slice()
-	}
-	return nil
+	return t.sets[key].AppendTo(dst)
 }

@@ -41,7 +41,7 @@ func feed(m core.Monitor, objs []object.Object) {
 }
 
 // laptopFTV builds the paper's single cluster U = {c1, c2} with the given
-// common profile (exact U or approximate Û).
+// exact common profile.
 func laptopFTV(l *fixtures.Laptops, common *pref.Profile, ctr *stats.Counters) *core.FilterThenVerify {
 	return core.NewFilterThenVerify(
 		[]*pref.Profile{l.C1, l.C2},
@@ -130,7 +130,11 @@ func TestFilterThenVerifyPaperExample(t *testing.T) {
 
 func TestFilterThenVerifyApproxPaperExample(t *testing.T) {
 	l := fixtures.NewLaptops()
-	f := laptopFTV(l, l.UHat, nil)
+	f := core.NewFilterThenVerifyPerObject(
+		[]*pref.Profile{l.C1, l.C2},
+		[]core.Cluster{{Members: []int{0, 1}, Common: l.UHat}},
+		nil,
+	)
 
 	feed(f, l.Objects[:14])
 
@@ -205,6 +209,43 @@ func TestClusterPartitionValidation(t *testing.T) {
 			core.NewFilterThenVerify(users, clusters, nil)
 		}()
 	}
+}
+
+// TestClassKeyedEnginesRefuseUnsubsumedRelations: the constructors that
+// key frontiers by tuple class take only cluster relations every member
+// subsumes — Table 2's Û is not one — and an exact engine handed such a
+// relation later (an approximate CommonFn wired to it) stops instead of
+// serving different frontiers; the per-object constructors take both.
+func TestClassKeyedEnginesRefuseUnsubsumedRelations(t *testing.T) {
+	l := fixtures.NewLaptops()
+	users := []*pref.Profile{l.C1.Clone(), l.C2.Clone()}
+	approx := []core.Cluster{{Members: []int{0, 1}, Common: l.UHat}}
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("NewFilterThenVerify(Û)", func() { core.NewFilterThenVerify(users, approx, nil) })
+	if _, err := core.NewSharded(users, approx, nil, 1, nil); err == nil {
+		t.Error("NewSharded(Û): expected an error")
+	}
+	if _, err := core.NewShardedPerObject(users, approx, nil, 1, nil); err != nil {
+		t.Errorf("NewShardedPerObject(Û): %v", err)
+	}
+
+	exact := []core.Cluster{{Members: []int{0, 1}, Common: l.U}}
+	f := core.NewFilterThenVerify(users, exact, nil)
+	f.SetCommonFn(func([]*pref.Profile) *pref.Profile { return l.UHat })
+	ap, _ := l.Domains[1].ID("Apple")
+	sa, _ := l.Domains[1].ID("Samsung")
+	mustPanic("ApplyPreference under an approximate CommonFn", func() { f.ApplyPreference(1, 1, ap, sa) })
+	mustPanic("RetractPreference(Û)", func() {
+		core.NewFilterThenVerify(users, exact, nil).RetractPreference(1, l.UHat, nil)
+	})
 }
 
 func TestFrontier(t *testing.T) {
@@ -377,7 +418,7 @@ func TestQuickApproxContainments(t *testing.T) {
 		}
 		members := []int{0, 1, 2}
 		exact := core.NewFilterThenVerify(users, []core.Cluster{{Members: members, Common: common}}, nil)
-		ap := core.NewFilterThenVerify(users, []core.Cluster{{Members: members, Common: approx}}, nil)
+		ap := core.NewFilterThenVerifyPerObject(users, []core.Cluster{{Members: members, Common: approx}}, nil)
 		feed(exact, objs)
 		feed(ap, objs)
 

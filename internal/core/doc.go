@@ -21,6 +21,41 @@
 // NewBaseline and NewFilterThenVerify build the same struct standalone,
 // owning every user: the reference the paper figures and tests use.
 //
+// Where the exact engines depart from Algs. 1–2 as printed: a frontier
+// member is an attribute tuple, not an object. Dominance (Def. 3.2) is a
+// function of attribute values only, so identical tuples dominate and are
+// dominated identically, and an exact Pareto frontier over the alive
+// objects is a union of whole tuple classes. Each shard therefore keeps a
+// table of the alive tuples (TupleClasses, next to TargetTracker in
+// UserShard / ClusterShard) and keys P_c, P_U, C_o and every scan by class
+// id. Process first resolves the arrival: a twin — its tuple is alive —
+// joins exactly the frontiers its class is in, so C_o is C_class and no
+// comparison is made (Alg. 1's Identical case, taken once for all users
+// and before any scan); a new tuple founds a class and runs the printed
+// procedure over one entry per distinct tuple. Frontiers, targets and
+// deliveries are the algorithms'; comparison counts are lower wherever
+// the stream repeats itself. Object ids come back at the surface:
+// UserFrontier, Targets and CaptureState expand classes, RemoveObject of
+// a twin only drops an id, RestoreState and the lifecycle candidate lists
+// collapse.
+//
+// Two kinds of engine opt out and keep one member per object. The
+// approximate engine (NewFilterThenVerifyPerObject, NewShardedPerObject),
+// because P̂_c is what the procedure leaves and not a set the attribute
+// values determine: a member evicted from P̂_U under a pair of ≻̂_U that
+// is not in ≻_c can leave a twin outside P̂_c that a later copy's scan
+// would admit, so answering the copy from the twin would change Sec. 6.2's
+// output. The windowed engines (internal/window), because the ring ages
+// object ids and a class would have to be refreshed in it on every twin.
+// Only this package can switch the table on, and the class-keyed
+// constructors (NewFilterThenVerify, NewSharded) refuse a cluster relation
+// that some member's does not subsume — as does a class-keyed shard handed
+// one later by a lifecycle call — so an approximate relation cannot reach
+// a class-keyed engine and change its output unnoticed. The per-object
+// constructors also run the exact algorithms (NewBaselinePerObject): that
+// is Algs. 1–2 as printed, which internal/experiments reports the paper's
+// figures from.
+//
 // The sliding-window counterparts (Sec. 7) live in internal/window; the
 // similarity measures and clustering in internal/cluster; the
 // partial-order machinery in internal/order and internal/pref.

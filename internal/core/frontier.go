@@ -19,7 +19,8 @@ import (
 // slot. Deletion shifts the rest of the probe chain back instead of
 // leaving a tombstone: a frontier that adds and removes for ever at a
 // steady size (a full sliding window) never rehashes. Ids may be any int,
-// dense or not.
+// dense or not — in the exact append-only engines they are tuple-class
+// ids and a member is its class's representative (see TupleClasses).
 type Frontier struct {
 	list  []object.Object
 	slots []int32 // 1 + index in list of the member probing to this slot; 0 = empty

@@ -28,6 +28,12 @@ import (
 // frontier dominator, transitively), and w — which survives, since
 // frontiers only grow under retraction/removal mends — dominates x
 // transitively.
+//
+// In the exact engines all of this runs on tuple classes: frontier
+// members and candidates are class representatives (Collapse reduces the
+// caller's alive list to one per class), which is the same argument on
+// the quotient set — identical tuples never dominate each other and
+// dominate everything else alike.
 
 // CommonFn recomputes a cluster's common preference relation from its
 // member profiles. The exact engines use pref.Common (Def. 4.1); the
@@ -143,7 +149,7 @@ func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(
 // Baseline has no shared tier).
 func (b *Baseline) ActivateUser(c int, _ int, _ *pref.Profile, alive []object.Object) {
 	b.Activate(c)
-	for _, o := range alive {
+	for _, o := range b.Collapse(alive) {
 		b.updateUser(c, o)
 	}
 }
@@ -154,7 +160,7 @@ func (b *Baseline) ActivateUser(c int, _ int, _ *pref.Profile, alive []object.Ob
 func (b *Baseline) RetractPreference(c int, _ *pref.Profile, alive []object.Object) {
 	f := b.Fronts[c]
 	var cands []object.Object
-	for _, x := range alive {
+	for _, x := range b.Collapse(alive) {
 		if !f.Contains(x.ID) {
 			cands = append(cands, x)
 		}
@@ -165,8 +171,14 @@ func (b *Baseline) RetractPreference(c int, _ *pref.Profile, alive []object.Obje
 }
 
 // RemoveObject deletes o and, for every user whose frontier held it,
-// promotes the alive objects whose only frontier shield was o.
+// promotes the alive objects whose only frontier shield was o. While a
+// twin of o is alive nothing else changes: o only leaves its class.
 func (b *Baseline) RemoveObject(o object.Object, alive []object.Object) {
+	o, last := b.Leave(o)
+	if !last {
+		return
+	}
+	alive = b.Collapse(alive)
 	for _, c := range b.Members {
 		if !b.Holds(o.ID, c) {
 			continue // o was dominated for c: its dominator still shields everything o did
@@ -206,14 +218,14 @@ func (f *FilterThenVerify) ActivateUser(c int, cluster int, common *pref.Profile
 	if li < 0 {
 		// Found a new cluster owned by this instance.
 		li = f.Found(cluster, c, common)
-		for _, o := range alive {
+		for _, o := range f.Collapse(alive) {
 			f.updateClusterFrontier(li, o)
 		}
 	} else {
 		cl := &f.Clusters[li]
 		old := cl.Common
-		cl.Common = common
 		cl.Members = append(cl.Members, c)
+		f.setCommon(li, common)
 		f.resyncCluster(li, old, alive)
 	}
 	f.mendMemberFrontier(li, c)
@@ -264,9 +276,8 @@ func (f *FilterThenVerify) RemoveUser(c int, common *pref.Profile, alive []objec
 	if emptied {
 		return
 	}
-	cl := &f.Clusters[li]
-	old := cl.Common
-	cl.Common = common
+	old := f.Clusters[li].Common
+	f.setCommon(li, common)
 	f.resyncCluster(li, old, alive)
 }
 
@@ -275,9 +286,8 @@ func (f *FilterThenVerify) RemoveUser(c int, common *pref.Profile, alive []objec
 // c's own frontier from the filter frontier.
 func (f *FilterThenVerify) RetractPreference(c int, common *pref.Profile, alive []object.Object) {
 	li := f.ClusterOf(c)
-	cl := &f.Clusters[li]
-	old := cl.Common
-	cl.Common = common
+	old := f.Clusters[li].Common
+	f.setCommon(li, common)
 	f.resyncCluster(li, old, alive)
 	f.mendMemberFrontier(li, c)
 }
@@ -301,7 +311,7 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile, alive []obje
 	if !super {
 		fu := f.ClusterFronts[li]
 		var cands []object.Object
-		for _, x := range alive {
+		for _, x := range f.Collapse(alive) {
 			if !fu.Contains(x.ID) {
 				cands = append(cands, x)
 			}
@@ -316,8 +326,14 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile, alive []obje
 // members whose own frontier held o — the member frontiers from the
 // mended filter frontier. A member whose P_c did not hold o cannot gain:
 // anything o shielded for that member is still shielded by o's own
-// ≻_c-dominator, which survives in the filter frontier.
+// ≻_c-dominator, which survives in the filter frontier. While a twin of o
+// is alive (exact engine) nothing else changes: o only leaves its class.
 func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) {
+	o, last := f.Leave(o)
+	if !last {
+		return
+	}
+	alive = f.Collapse(alive)
 	for li := range f.Clusters {
 		cl := &f.Clusters[li]
 		if len(cl.Members) == 0 {

@@ -18,10 +18,32 @@ import (
 // window.FilterThenVerifySW. The engines embed one and add their
 // algorithms (and, under a window, the ring and buffers).
 
+// MemberIndex is what both shard kinds keep about frontier members apart
+// from the frontiers themselves: C_key per member (TargetTracker) and the
+// tuple-class table that maps an object id to its member's key
+// (TupleClasses; off, every id is its own key).
+type MemberIndex struct {
+	TargetTracker
+	TupleClasses
+}
+
+// AppendTargets appends the current C_o of a previously processed object
+// — the users of this instance for whom it is still Pareto-optimal — to
+// dst in ascending order.
+func (m *MemberIndex) AppendTargets(dst []int, objID int) []int {
+	if key, ok := m.classOf(objID); ok {
+		dst = m.AppendHolders(dst, key)
+	}
+	return dst
+}
+
+// Targets returns AppendTargets as a fresh slice, nil if empty.
+func (m *MemberIndex) Targets(objID int) []int { return m.AppendTargets(nil, objID) }
+
 // UserShard is the bookkeeping of an engine with per-user frontiers and
 // no shared tier.
 type UserShard struct {
-	TargetTracker
+	MemberIndex
 	Users   []*pref.Profile // full user table, shared across shards
 	Fronts  []*Frontier     // P_c per user; nil outside Members
 	Members []int           // users this instance maintains, ascending
@@ -53,7 +75,7 @@ func AllUsers(users []*pref.Profile, ctr *stats.Counters) UserShard {
 func (s *UserShard) EnableScratch() { s.Scratch.Enable() }
 
 // UserFrontier returns P_c as object ids.
-func (s *UserShard) UserFrontier(c int) []int { return s.Fronts[c].IDs() }
+func (s *UserShard) UserFrontier(c int) []int { return s.AppendMemberIDs(nil, s.Fronts[c]) }
 
 // SetClusterTotal is a no-op: there is no cluster tier.
 func (s *UserShard) SetClusterTotal(int) {}
@@ -104,7 +126,7 @@ func (s *UserShard) RemoveUser(c int, _ *pref.Profile, _ []object.Object) {
 // clusters it maintains, each with its filter frontier P_U, and their
 // members' frontiers P_c.
 type ClusterShard struct {
-	TargetTracker
+	MemberIndex
 	Users         []*pref.Profile // full user table, shared across shards
 	Clusters      []Cluster       // the clusters this instance maintains
 	ClusterFronts []*Frontier     // P_U per maintained cluster
@@ -189,11 +211,13 @@ func ValidatePartition(users int, clusters []Cluster, active []bool) error {
 func (s *ClusterShard) EnableScratch() { s.Scratch.Enable() }
 
 // UserFrontier returns P_c (P̂_c under approximate relations) as object ids.
-func (s *ClusterShard) UserFrontier(c int) []int { return s.UserFronts[c].IDs() }
+func (s *ClusterShard) UserFrontier(c int) []int { return s.AppendMemberIDs(nil, s.UserFronts[c]) }
 
 // ClusterFrontier returns P_U (P̂_U) of the instance's cluster ui as
 // object ids.
-func (s *ClusterShard) ClusterFrontier(ui int) []int { return s.ClusterFronts[ui].IDs() }
+func (s *ClusterShard) ClusterFrontier(ui int) []int {
+	return s.AppendMemberIDs(nil, s.ClusterFronts[ui])
+}
 
 // CommonOf recomputes a cluster relation from member profiles through
 // the configured CommonFn (exact intersection by default).
@@ -212,6 +236,23 @@ func (s *ClusterShard) CommonOf(members []int) *pref.Profile {
 // preference updates (the monitor wires approx.Profile for the
 // approximate engine).
 func (s *ClusterShard) SetCommonFn(fn CommonFn) { s.commonFn = fn }
+
+// setCommon installs cluster li's recomputed common relation. A shard
+// whose frontier members are tuple classes can only serve under a relation
+// every member's subsumes (see checkSubsumed); handed another — an
+// approximate CommonFn wired to an exact engine — it panics rather than
+// serve different frontiers silently.
+func (s *ClusterShard) setCommon(li int, common *pref.Profile) {
+	cl := &s.Clusters[li]
+	cl.Common = common
+	if !s.on {
+		return
+	}
+	if c := unsubsumed(s.Users, *cl); c >= 0 {
+		panic(fmt.Sprintf("core: cluster %d's recomputed common relation is not subsumed by user %d's "+
+			"on an engine keyed by tuple class", s.globalIdx[li], c))
+	}
+}
 
 // SetClusterTotal grows the full-cluster-list length the instance keys
 // its state against (another shard founded a cluster).
@@ -266,11 +307,13 @@ func (s *ClusterShard) DeactivateUser(c int) { s.UserFronts[c] = nil }
 // Found appends a new singleton cluster {c}, monitor-global index
 // cluster, with an empty filter frontier, and returns its local index.
 func (s *ClusterShard) Found(cluster, c int, common *pref.Profile) int {
-	s.Clusters = append(s.Clusters, Cluster{Members: []int{c}, Common: common})
+	s.Clusters = append(s.Clusters, Cluster{Members: []int{c}})
 	s.ClusterFronts = append(s.ClusterFronts, NewFrontier())
 	s.globalIdx = append(s.globalIdx, cluster)
 	s.SetClusterTotal(cluster + 1)
-	return len(s.Clusters) - 1
+	li := len(s.Clusters) - 1
+	s.setCommon(li, common)
+	return li
 }
 
 // DropMember takes user c out of its cluster: c leaves the member list,

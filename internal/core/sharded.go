@@ -17,12 +17,12 @@ import (
 type ShardEngine interface {
 	Process(o object.Object) []int
 	UserFrontier(c int) []int
-	Targets(objID int) []int
+	AppendTargets(dst []int, objID int) []int
 	ApplyPreference(c, d, better, worse int) error
 	// CaptureState / RestoreState fill and rebuild the shard's owned
 	// slots of a unit-keyed EngineState (see state.go).
 	CaptureState(st *EngineState)
-	RestoreState(st *EngineState) error
+	RestoreState(st *EngineState, alive []object.Object) error
 	// Lifecycle mutations (see LifecycleEngine). RegisterUser and
 	// RemoveObject apply to every shard (all shards index the full user
 	// table and, for windowed engines, age private rings); the remaining
@@ -99,9 +99,29 @@ type Sharded struct {
 // cluster, and memberless (dormant) clusters ride along as placeholders
 // so cluster indices stay stable; a fresh community is the case with
 // every user alive. Cluster membership must partition exactly the alive
-// users. workers <= 0 means GOMAXPROCS; the count is clamped to the
-// users or non-dormant clusters there are to deal out.
+// users, and — the shards' frontier members being tuple classes — every
+// cluster relation must be subsumed by its members' (see
+// NewFilterThenVerify). workers <= 0 means GOMAXPROCS; the count is
+// clamped to the users or non-dormant clusters there are to deal out.
 func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters) (*Sharded, error) {
+	if clusters == nil {
+		return ShardUsers(users, active, workers, ctr,
+			func(s UserShard) ShardEngine { return newBaseline(s) }), nil
+	}
+	if err := ValidatePartition(len(users), clusters, active); err != nil {
+		return nil, err
+	}
+	if err := checkSubsumed(users, clusters); err != nil {
+		return nil, err
+	}
+	return ShardClusters(users, clusters, active, workers, ctr,
+		func(s ClusterShard) ShardEngine { return newFilterThenVerify(s) })
+}
+
+// NewShardedPerObject is NewSharded with every object its own frontier
+// member: what clusters carrying approximate common relations need (see
+// NewFilterThenVerifyPerObject), and the published Algs. 1–2 otherwise.
+func NewShardedPerObject(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters) (*Sharded, error) {
 	if clusters == nil {
 		return ShardUsers(users, active, workers, ctr,
 			func(s UserShard) ShardEngine { return &Baseline{s} }), nil
@@ -353,7 +373,7 @@ func (s *Sharded) UserFrontier(c int) []int {
 func (s *Sharded) Targets(objID int) []int {
 	var out []int
 	for _, sh := range s.shards {
-		out = append(out, sh.Targets(objID)...)
+		out = sh.AppendTargets(out, objID)
 	}
 	sort.Ints(out)
 	return out
@@ -447,17 +467,26 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // comparison, filter, verify and delivery counts. Shard Processed counts
 // are intentionally excluded — every shard sees every object, so they
 // would overcount by the shard factor; they remain visible per shard
-// through ShardCounters.
+// through ShardCounters. Twins is per arrival too, and every shard's class
+// table answers the same arrivals, so the first shard's count is the
+// engine's.
 func (s *Sharded) Totals() stats.Counters {
 	t := s.ctr.Snapshot()
-	for _, c := range s.ctrs {
-		sn := c.Snapshot()
-		t.Comparisons += sn.Comparisons
-		t.FilterComparisons += sn.FilterComparisons
-		t.VerifyComparisons += sn.VerifyComparisons
-		t.Delivered += sn.Delivered
+	for i, c := range s.ctrs {
+		t.Merge(perUserWork(c.Snapshot(), i))
 	}
 	return t
+}
+
+// perUserWork strips shard i's counters of what every shard counts once
+// per arrival, leaving the work that adds up across shards (and, on the
+// first shard, the twins).
+func perUserWork(c stats.Counters, i int) stats.Counters {
+	c.Processed = 0
+	if i > 0 {
+		c.Twins = 0
+	}
+	return c
 }
 
 // ResetShardCounters folds every shard's counters into the public base
@@ -467,12 +496,9 @@ func (s *Sharded) Totals() stats.Counters {
 // fold lands the replay work in the public base while the per-shard
 // load-skew view restarts from zero.
 func (s *Sharded) ResetShardCounters() {
-	for _, c := range s.ctrs {
-		sn := c.Snapshot()
+	for i, c := range s.ctrs {
+		s.ctr.Merge(perUserWork(c.Snapshot(), i))
 		c.Reset()
-		s.ctr.AddFilter(int(sn.FilterComparisons))
-		s.ctr.AddVerify(int(sn.VerifyComparisons))
-		s.ctr.AddDelivered(int(sn.Delivered))
 	}
 }
 

@@ -69,11 +69,16 @@ func (st *EngineState) SetRing(seen int, tail []object.Object) {
 // StateEngine is implemented by every engine (shard and harness,
 // append-only and sliding-window): CaptureState fills the slots the
 // engine owns; RestoreState — valid only on a freshly constructed,
-// empty engine — rebuilds them. Both leave work counters untouched; the
-// Monitor restores its counters separately.
+// empty engine — rebuilds them. alive is every alive object in arrival
+// order, as for the lifecycle calls: a captured state names frontier
+// members only, and the exact append-only engines need the dominated
+// tuples back in their class tables to go on answering twins — and
+// counting comparisons — exactly like an uninterrupted engine (windowed
+// engines ignore it: their ring is in the state). Both leave work
+// counters untouched; the Monitor restores its counters separately.
 type StateEngine interface {
 	CaptureState(st *EngineState)
-	RestoreState(st *EngineState) error
+	RestoreState(st *EngineState, alive []object.Object) error
 }
 
 var (
@@ -81,23 +86,6 @@ var (
 	_ StateEngine = (*FilterThenVerify)(nil)
 	_ StateEngine = (*Sharded)(nil)
 )
-
-// copyObjects snapshots a frontier or buffer slice: engines mutate the
-// backing arrays on the next arrival, so capture must not alias them.
-func copyObjects(objs []object.Object) []object.Object {
-	return append([]object.Object(nil), objs...)
-}
-
-// restoreFrontier refills an empty frontier in the captured scan order,
-// mirroring membership into the target tracker when tr is non-nil.
-func restoreFrontier(f *Frontier, objs []object.Object, tr *TargetTracker, user int) {
-	for _, o := range objs {
-		f.Add(o)
-		if tr != nil {
-			tr.AddTarget(o.ID, user)
-		}
-	}
-}
 
 // checkStateSize validates that a decoded state matches the engine's
 // user and cluster geometry before any slot is dereferenced.
@@ -111,46 +99,62 @@ func checkStateSize(st *EngineState, users, clusters int) error {
 	return nil
 }
 
-// CaptureState fills the slots of the users this instance maintains.
+// CaptureState fills the slots of the users this instance maintains,
+// every class expanded to its member objects.
 func (b *Baseline) CaptureState(st *EngineState) {
 	for _, c := range b.Members {
-		st.UserFronts[c] = copyObjects(b.Fronts[c].Objects())
+		st.UserFronts[c] = b.MemberObjects(b.Fronts[c])
 	}
 }
 
-// RestoreState rebuilds the maintained users' frontiers and the target
-// index from a captured state. The engine must be freshly constructed.
-func (b *Baseline) RestoreState(st *EngineState) error {
+// RestoreState rebuilds the class table from alive, then the maintained
+// users' frontiers and the target index from a captured state. The engine
+// must be freshly constructed.
+func (b *Baseline) RestoreState(st *EngineState, alive []object.Object) error {
 	if err := checkStateSize(st, len(b.Users), 0); err != nil {
 		return err
 	}
+	for _, o := range alive {
+		b.Resolve(o)
+	}
 	for _, c := range b.Members {
-		restoreFrontier(b.Fronts[c], st.UserFronts[c], &b.TargetTracker, c)
+		if err := b.Restore(b.Fronts[c], st.UserFronts[c], &b.TargetTracker, c); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // CaptureState fills the slots of the clusters this instance maintains
-// and their members' frontiers.
+// and their members' frontiers, every class expanded to its member
+// objects.
 func (f *FilterThenVerify) CaptureState(st *EngineState) {
 	for li, cl := range f.Clusters {
-		st.ClusterFronts[f.GlobalIndex(li)] = copyObjects(f.ClusterFronts[li].Objects())
+		st.ClusterFronts[f.GlobalIndex(li)] = f.MemberObjects(f.ClusterFronts[li])
 		for _, c := range cl.Members {
-			st.UserFronts[c] = copyObjects(f.UserFronts[c].Objects())
+			st.UserFronts[c] = f.MemberObjects(f.UserFronts[c])
 		}
 	}
 }
 
-// RestoreState rebuilds the maintained clusters' filter frontiers,
-// their members' frontiers, and the target index.
-func (f *FilterThenVerify) RestoreState(st *EngineState) error {
+// RestoreState rebuilds the class table from alive, then the maintained
+// clusters' filter frontiers, their members' frontiers, and the target
+// index.
+func (f *FilterThenVerify) RestoreState(st *EngineState, alive []object.Object) error {
 	if err := checkStateSize(st, len(f.Users), f.ClusterTotal()); err != nil {
 		return err
 	}
+	for _, o := range alive {
+		f.Resolve(o)
+	}
 	for li, cl := range f.Clusters {
-		restoreFrontier(f.ClusterFronts[li], st.ClusterFronts[f.GlobalIndex(li)], nil, 0)
+		if err := f.Restore(f.ClusterFronts[li], st.ClusterFronts[f.GlobalIndex(li)], nil, 0); err != nil {
+			return err
+		}
 		for _, c := range cl.Members {
-			restoreFrontier(f.UserFronts[c], st.UserFronts[c], &f.TargetTracker, c)
+			if err := f.Restore(f.UserFronts[c], st.UserFronts[c], &f.TargetTracker, c); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -164,13 +168,14 @@ func (s *Sharded) CaptureState(st *EngineState) {
 	}
 }
 
-// RestoreState hands the full state to every shard; each restores only
-// the slots it owns. Counters are untouched — the Monitor restores its
-// public totals separately and calls ResetShardCounters when recovery
-// completes, so Stats().Shards reflects post-recovery work only.
-func (s *Sharded) RestoreState(st *EngineState) error {
+// RestoreState hands the full state and the alive objects to every
+// shard; each restores only the slots it owns. Counters are untouched —
+// the Monitor restores its public totals separately and calls
+// ResetShardCounters when recovery completes, so Stats().Shards reflects
+// post-recovery work only.
+func (s *Sharded) RestoreState(st *EngineState, alive []object.Object) error {
 	for _, sh := range s.shards {
-		if err := sh.RestoreState(st); err != nil {
+		if err := sh.RestoreState(st, alive); err != nil {
 			return err
 		}
 	}

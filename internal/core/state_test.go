@@ -59,7 +59,7 @@ func TestStateRoundTripFTV(t *testing.T) {
 
 			restCtr := &stats.Counters{}
 			restored := buildFTV(t, l, dstWorkers, restCtr)
-			if err := restored.RestoreState(st); err != nil {
+			if err := restored.RestoreState(st, l.Objects[:half]); err != nil {
 				t.Fatalf("src=%d dst=%d: RestoreState: %v", srcWorkers, dstWorkers, err)
 			}
 			for _, o := range l.Objects[half:] {
@@ -99,7 +99,7 @@ func TestStateRoundTripBaseline(t *testing.T) {
 	orig.CaptureState(st)
 
 	restored := mustSharded(t, []*pref.Profile{l.C1.Clone(), l.C2.Clone()}, nil, 2, nil)
-	if err := restored.RestoreState(st); err != nil {
+	if err := restored.RestoreState(st, l.Objects[:half]); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
 	for _, o := range l.Objects[half:] {
@@ -119,11 +119,11 @@ func TestStateRoundTripBaseline(t *testing.T) {
 func TestStateRestoreRejectsWrongGeometry(t *testing.T) {
 	l := fixtures.NewLaptops()
 	eng := core.NewBaseline([]*pref.Profile{l.C1.Clone(), l.C2.Clone()}, nil)
-	if err := eng.RestoreState(core.NewEngineState(3, 0)); err == nil {
+	if err := eng.RestoreState(core.NewEngineState(3, 0), nil); err == nil {
 		t.Fatal("restoring 3-user state into 2-user engine succeeded")
 	}
 	ftv := buildFTV(t, l, 1, nil)
-	if err := ftv.RestoreState(core.NewEngineState(2, 5)); err == nil {
+	if err := ftv.RestoreState(core.NewEngineState(2, 5), nil); err == nil {
 		t.Fatal("restoring 5-cluster state into 2-cluster engine succeeded")
 	}
 }

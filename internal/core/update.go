@@ -57,7 +57,7 @@ func (f *FilterThenVerify) ApplyPreference(c, d, better, worse int) error {
 	// pairwise filter below is exact; the approximate relation may move
 	// either way, keeping the same one-sided repair the arrival path
 	// applies (Sec. 6.2's bounded inaccuracy).
-	cl.Common = f.CommonOf(cl.Members)
+	f.setCommon(ui, f.CommonOf(cl.Members))
 
 	// Filter P_U pairwise under the recomputed common relation; removals
 	// propagate to every member frontier (the removed object is dominated

@@ -66,7 +66,7 @@ func AblationMeasures(o Options) []*Report {
 	}
 
 	baseCtr, _ := runEngineOnce(func(ctr *stats.Counters) engine {
-		return core.NewBaseline(users, ctr)
+		return core.NewBaselinePerObject(users, ctr)
 	}, ds.Objects, o.Dims)
 	rep.Rows = append(rep.Rows, []string{"(Baseline)", "-", "-", "-", fmtCount(baseCtr.Comparisons)})
 
@@ -89,7 +89,7 @@ func AblationMeasures(o Options) []*Report {
 			cls[i] = core.Cluster{Members: ci.Members, Common: ci.Common}
 		}
 		ctr, _ := runEngineOnce(func(ctr *stats.Counters) engine {
-			return core.NewFilterThenVerify(users, cls, ctr)
+			return core.NewFilterThenVerifyPerObject(users, cls, ctr)
 		}, ds.Objects, o.Dims)
 		k, maxSz, avg := clusterStats(cls)
 		rep.Rows = append(rep.Rows, []string{
@@ -115,7 +115,7 @@ func AblationTheta(o Options) []*Report {
 	}
 
 	_, baseEng := runEngineOnce(func(ctr *stats.Counters) engine {
-		return core.NewBaseline(users, ctr)
+		return core.NewBaselinePerObject(users, ctr)
 	}, ds.Objects, o.Dims)
 	truth := frontiers(baseEng, len(users))
 
@@ -124,7 +124,7 @@ func AblationTheta(o Options) []*Report {
 			o.logf("ablation-theta: θ1=%d θ2=%.1f ...", t1, t2)
 			cls := approxClusters(users, mapH("movie", true, o.H, o.Dims), t1, t2)
 			ctr, eng := runEngineOnce(func(ctr *stats.Counters) engine {
-				return core.NewFilterThenVerify(users, cls, ctr)
+				return core.NewFilterThenVerifyPerObject(users, cls, ctr)
 			}, ds.Objects, o.Dims)
 			acc := accuracy.Evaluate(truth, frontiers(eng, len(users)))
 			rep.Rows = append(rep.Rows, []string{
@@ -154,7 +154,7 @@ func AblationGranularity(o Options) []*Report {
 		o.logf("ablation-granularity: h=%.2f ...", h)
 		cls := exactClusters(users, h)
 		ctr, _ := runEngineOnce(func(ctr *stats.Counters) engine {
-			return core.NewFilterThenVerify(users, cls, ctr)
+			return core.NewFilterThenVerifyPerObject(users, cls, ctr)
 		}, ds.Objects, o.Dims)
 		k, maxSz, _ := clusterStats(cls)
 		rep.Rows = append(rep.Rows, []string{
@@ -192,7 +192,7 @@ func AblationClusteringMethods(o Options) []*Report {
 			cls[i] = core.Cluster{Members: ci.Members, Common: ci.Common}
 		}
 		ctr, _ := runEngineOnce(func(ctr *stats.Counters) engine {
-			return core.NewFilterThenVerify(users, cls, ctr)
+			return core.NewFilterThenVerifyPerObject(users, cls, ctr)
 		}, ds.Objects, o.Dims)
 		q := cluster.Quality(users, infos, cluster.WeightedJaccard)
 		rep.Rows = append(rep.Rows, []string{name, fmtInt(len(infos)), fmtFloat(q), fmtCount(ctr.Comparisons)})

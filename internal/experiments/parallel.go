@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/object"
+	"repro/internal/pref"
 	"repro/internal/stats"
 )
 
@@ -104,12 +105,18 @@ func Parallel(o Options) []*Report {
 		objs = append(objs, obj)
 	}
 
+	// The approximate engine is built through its own constructors: it
+	// keeps one frontier member per object, not per tuple class.
 	kinds := []struct {
-		name     string
-		clusters []core.Cluster
+		name       string
+		clusters   []core.Cluster
+		sequential func([]*pref.Profile, []core.Cluster, *stats.Counters) *core.FilterThenVerify
+		sharded    func([]*pref.Profile, []core.Cluster, []bool, int, *stats.Counters) (*core.Sharded, error)
 	}{
-		{"FilterThenVerify", exactClusters(pu, mapH("movie", false, o.H, o.Dims))},
-		{"FilterThenVerifyApprox", approxClusters(pu, mapH("movie", true, o.H, o.Dims), o.Theta1, o.Theta2)},
+		{"FilterThenVerify", exactClusters(pu, mapH("movie", false, o.H, o.Dims)),
+			core.NewFilterThenVerify, core.NewSharded},
+		{"FilterThenVerifyApprox", approxClusters(pu, mapH("movie", true, o.H, o.Dims), o.Theta1, o.Theta2),
+			core.NewFilterThenVerifyPerObject, core.NewShardedPerObject},
 	}
 	const batchSize = 512
 	// measure replays the stream three times through fresh engines from
@@ -201,7 +208,7 @@ func Parallel(o Options) []*Report {
 		// noise into the denominator).
 		o.logf("parallel: %s sequential baseline ...", k.name)
 		base, baseMillis, baseCmp, baseAllocs, baseBytes := measure(func(ctr *stats.Counters) engine {
-			return core.NewFilterThenVerify(pu, k.clusters, ctr)
+			return k.sequential(pu, k.clusters, ctr)
 		}, stream)
 		record("sequential", 1, 1, base, baseMillis, baseCmp, baseAllocs, baseBytes, nil, baseMillis)
 
@@ -216,7 +223,7 @@ func Parallel(o Options) []*Report {
 				}
 				var shards int
 				deliveries, millis, cmp, allocsOp, bytesOp := measure(func(ctr *stats.Counters) engine {
-					p, err := core.NewSharded(pu, k.clusters, nil, w, ctr)
+					p, err := k.sharded(pu, k.clusters, nil, w, ctr)
 					if err != nil {
 						panic(err) // the clusters were just built over pu
 					}

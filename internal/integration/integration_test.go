@@ -84,7 +84,7 @@ func TestPipelineApproxAccuracy(t *testing.T) {
 		}
 		clusters[i] = core.Cluster{Members: ci.Members, Common: approx.Profile(members, 2500, 0.5)}
 	}
-	ftva := core.NewFilterThenVerify(ds.Users, clusters, nil)
+	ftva := core.NewFilterThenVerifyPerObject(ds.Users, clusters, nil)
 	for _, o := range ds.Objects {
 		base.Process(o)
 		ftva.Process(o)

@@ -868,10 +868,11 @@ func (r *Router) Clusters() [][]string {
 
 // Stats returns the fleet's merged work counters: Comparisons,
 // Delivered and friends sum across partitions; Processed — the stream
-// position — is the maximum, because every partition processes the
-// whole stream; Workers sums (total ingestion goroutines fleet-wide);
-// Shards stays empty (per-partition shards are reported by
-// FleetStats). Unreachable partitions contribute zeros.
+// position — and Twins are the maximum, because every partition processes
+// the whole stream (and meets the same repeated tuples in it); Workers
+// sums (total ingestion goroutines fleet-wide); Shards stays empty
+// (per-partition shards are reported by FleetStats). Unreachable
+// partitions contribute zeros.
 func (r *Router) Stats() paretomon.Stats {
 	return r.FleetStats().Stats
 }
@@ -925,9 +926,8 @@ func (r *Router) FleetStats() FleetStats {
 		out.Delivered += s.Delivered
 		out.DroppedDeliveries += s.DroppedDeliveries
 		out.Workers += s.Workers
-		if s.Processed > out.Processed {
-			out.Processed = s.Processed
-		}
+		out.Processed = max(out.Processed, s.Processed)
+		out.Twins = max(out.Twins, s.Twins)
 	}
 	return out
 }

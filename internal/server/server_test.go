@@ -219,6 +219,14 @@ func TestShardedStats(t *testing.T) {
 	if delivered != out["Delivered"].(float64) {
 		t.Fatalf("shard deliveries %v != total %v", delivered, out["Delivered"])
 	}
+
+	// A repeated tuple is answered without a scan and counted once, not
+	// once per shard: every shard recognises the same twin.
+	post(t, ts.URL+"/objects", `{"name":"o3","values":["Apple"]}`)
+	_, out = get(t, ts.URL+"/stats")
+	if out["Twins"].(float64) != 1 || out["Processed"].(float64) != 3 {
+		t.Fatalf("Twins = %v of %v processed, want 1 of 3", out["Twins"], out["Processed"])
+	}
 }
 
 func TestTypedErrorStatusMapping(t *testing.T) {

@@ -25,6 +25,11 @@ type Counters struct {
 	Delivered uint64
 	// Processed is the number of objects consumed from the stream.
 	Processed uint64
+	// Twins counts the processed objects whose attribute tuple was already
+	// alive and that were answered from their tuple class's C_o without a
+	// scan (exact append-only engines; see core.TupleClasses). Twins over
+	// Processed is the stream's duplicate rate as the engine saw it.
+	Twins uint64
 }
 
 // AddFilter records n cluster-level comparisons.
@@ -61,6 +66,14 @@ func (c *Counters) AddProcessed() {
 	c.Processed++
 }
 
+// AddTwin records one arrival answered without a scan.
+func (c *Counters) AddTwin() {
+	if c == nil {
+		return
+	}
+	c.Twins++
+}
+
 // AddProcessedN records n processed objects at once (batch ingestion).
 func (c *Counters) AddProcessedN(n int) {
 	if c == nil {
@@ -80,6 +93,7 @@ func (c *Counters) Merge(s Counters) {
 	c.VerifyComparisons += s.VerifyComparisons
 	c.Delivered += s.Delivered
 	c.Processed += s.Processed
+	c.Twins += s.Twins
 }
 
 // Reset zeroes all counters.

@@ -12,11 +12,17 @@ func TestCounters(t *testing.T) {
 	c.AddDelivered(5)
 	c.AddProcessed()
 	c.AddProcessed()
+	c.AddTwin()
 	if c.Comparisons != 5 || c.FilterComparisons != 3 || c.VerifyComparisons != 2 {
 		t.Errorf("comparisons: %+v", c)
 	}
-	if c.Delivered != 5 || c.Processed != 2 {
-		t.Errorf("delivered/processed: %+v", c)
+	if c.Delivered != 5 || c.Processed != 2 || c.Twins != 1 {
+		t.Errorf("delivered/processed/twins: %+v", c)
+	}
+	sum := Counters{Twins: 2}
+	sum.Merge(*c)
+	if sum.Twins != 3 || sum.Comparisons != 5 || sum.Processed != 2 {
+		t.Errorf("Merge: %+v", sum)
 	}
 	snap := c.Snapshot()
 	c.AddVerify(1)
@@ -35,6 +41,7 @@ func TestNilCountersSafe(t *testing.T) {
 	c.AddVerify(1)
 	c.AddDelivered(1)
 	c.AddProcessed()
+	c.AddTwin()
 	c.Reset()
 	if got := c.Snapshot(); got != (Counters{}) {
 		t.Errorf("nil Snapshot = %+v", got)

@@ -479,6 +479,7 @@ func CollectMonitor(e *telemetry.Emitter, label string, mon *paretomon.Monitor) 
 	e.Emit("paretomon_comparisons_total", "Pairwise dominance comparisons, by phase.", telemetry.KindCounter, float64(st.FilterComparisons), "tenant", label, "phase", "filter")
 	e.Emit("paretomon_comparisons_total", "Pairwise dominance comparisons, by phase.", telemetry.KindCounter, float64(st.VerifyComparisons), "tenant", label, "phase", "verify")
 	e.Emit("paretomon_objects_processed_total", "Objects processed by the engine (stream position).", telemetry.KindCounter, float64(st.Processed), "tenant", label)
+	e.Emit("paretomon_twin_arrivals_total", "Processed objects that repeated an alive attribute tuple and were answered without a comparison.", telemetry.KindCounter, float64(st.Twins), "tenant", label)
 	e.Emit("paretomon_deliveries_total", "Frontier deliveries (sum of |C_o| over processed objects).", telemetry.KindCounter, float64(st.Delivered), "tenant", label)
 	e.Emit("paretomon_dropped_deliveries_total", "Deliveries lost to slow subscribers.", telemetry.KindCounter, float64(st.DroppedDeliveries), "tenant", label)
 	e.Emit("paretomon_ingest_shards", "Resolved ingestion shard count.", telemetry.KindGauge, float64(st.Workers), "tenant", label)

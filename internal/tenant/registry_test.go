@@ -291,6 +291,7 @@ func TestRegistryCollectorEmitsPerTenantSeries(t *testing.T) {
 		`paretomon_tenant_objects{tenant="alpha"} 1`,
 		`paretomon_objects_ingested_total{tenant="alpha"} 1`,
 		`paretomon_objects_processed_total{tenant="alpha"} 1`,
+		`paretomon_twin_arrivals_total{tenant="alpha"} 0`,
 		`paretomon_comparisons_total{phase="filter",tenant="alpha"}`,
 		`paretomon_wal_appended_records_total{tenant="alpha"}`,
 	} {

@@ -26,5 +26,8 @@
 // own window ring and buffers, so arrival, expiry, and frontier mending
 // stay local to the shard and deliveries are identical for every shard
 // count. NewBaselineSW and NewFilterThenVerifySW build the same structs
-// standalone, owning every user.
+// standalone, owning every user. The shard bookkeeping's tuple-class table
+// (core.TupleClasses) stays off here: every object is its own frontier
+// member under its own id, as in the paper — the ring ages ids, and a
+// class would have to be refreshed in it.
 package window

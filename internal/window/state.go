@@ -75,8 +75,9 @@ func (b *BaselineSW) CaptureState(st *core.EngineState) {
 }
 
 // RestoreState rebuilds the maintained users' frontiers, buffers, the
-// target index, and the ring. The engine must be freshly constructed.
-func (b *BaselineSW) RestoreState(st *core.EngineState) error {
+// target index, and the ring (which is the alive set: the parameter is
+// unused). The engine must be freshly constructed.
+func (b *BaselineSW) RestoreState(st *core.EngineState, _ []object.Object) error {
 	if len(st.UserFronts) != len(b.Users) {
 		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(b.Users))
 	}
@@ -112,8 +113,9 @@ func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
 }
 
 // RestoreState rebuilds the maintained clusters' tiers, the target
-// index, and the ring. The engine must be freshly constructed.
-func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
+// index, and the ring (which is the alive set: the parameter is unused).
+// The engine must be freshly constructed.
+func (f *FilterThenVerifySW) RestoreState(st *core.EngineState, _ []object.Object) error {
 	if len(st.UserFronts) != len(f.Users) {
 		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(f.Users))
 	}

@@ -152,6 +152,12 @@ type Stats struct {
 	// Delivered is Σ|C_o| over processed objects; Processed counts objects.
 	Delivered uint64
 	Processed uint64
+	// Twins counts the processed objects that repeated an alive attribute
+	// tuple and were answered from their twin's C_o without a comparison
+	// (exact append-only engines; 0 under a window or the approximate
+	// engine). Twins/Processed is the stream's duplicate rate. Not part of
+	// a snapshot: it restarts with the process.
+	Twins uint64
 	// DroppedDeliveries counts deliveries lost because a subscriber's
 	// channel was full (slow consumer).
 	DroppedDeliveries uint64
@@ -494,9 +500,12 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 // dormant clusters ride along as placeholders. It fails unless the
 // clusters partition exactly the alive users.
 func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
-	if m.cfg.Window > 0 {
+	switch {
+	case m.cfg.Window > 0:
 		m.eng, err = window.NewSharded(m.profiles, clusters, m.userAlive, m.cfg.Window, m.cfg.Workers, m.ctr)
-	} else {
+	case m.cfg.Algorithm == AlgorithmFilterThenVerifyApprox:
+		m.eng, err = core.NewShardedPerObject(m.profiles, clusters, m.userAlive, m.cfg.Workers, m.ctr)
+	default:
 		m.eng, err = core.NewSharded(m.profiles, clusters, m.userAlive, m.cfg.Workers, m.ctr)
 	}
 	if err == nil {
@@ -726,6 +735,7 @@ func (m *Monitor) Stats() Stats {
 		VerifyComparisons: s.VerifyComparisons,
 		Delivered:         s.Delivered,
 		Processed:         s.Processed,
+		Twins:             s.Twins,
 		Workers:           m.eng.Shards(),
 	}
 	if st.Workers > 1 {

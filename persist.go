@@ -486,7 +486,9 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 				cl.Common = m.commonFn(ps)
 			}
 			clusters[ui] = cl
-			m.clusterMembers = append(m.clusterMembers, ms)
+			// A copy: RemoveUser edits the monitor's list in place, and the
+			// engine must still find the user in its own.
+			m.clusterMembers = append(m.clusterMembers, append([]int(nil), ms...))
 			m.clusters = append(m.clusters, m.sortedNames(ms))
 		}
 	} else if len(snap.Clusters) != 0 {
@@ -495,7 +497,9 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 	if err := m.buildEngine(clusters); err != nil {
 		return fmt.Errorf("%w: snapshot clustering: %v", ErrCorrupt, err)
 	}
-	if err := m.eng.RestoreState(snap.Engine); err != nil {
+	// The state names frontier members only; the alive registry gives the
+	// exact engines their dominated tuples back (core.TupleClasses).
+	if err := m.eng.RestoreState(snap.Engine, m.aliveObjects()); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	*m.ctr = snap.Counters

@@ -679,3 +679,35 @@ func TestOpenLockedDirectory(t *testing.T) {
 	}
 	m2.Close()
 }
+
+// TestRemoveUserAfterSnapshotRecovery pins a recovery bug: a monitor
+// rebuilt from a snapshot shared each cluster's member list with its
+// engine, so the first RemoveUser of a clustered user shifted the list
+// under the engine and panicked ("user not in any cluster").
+func TestRemoveUserAfterSnapshotRecovery(t *testing.T) {
+	com := persistCommunity(t)
+	store := paretomon.NewMemStore()
+	opts := []paretomon.Option{
+		paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithClusterCount(2), paretomon.WithStore(store),
+	}
+	m1, err := paretomon.NewMonitor(com, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, m1, persistScript(10), 0, 10)
+	if err := m1.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := paretomon.NewMonitor(com, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range com.Users()[:5] {
+		if err := m2.RemoveUser(u); err != nil {
+			t.Fatalf("RemoveUser(%s): %v", u, err)
+		}
+	}
+	if got, want := m2.Users(), com.Users()[5:]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("users %v, want %v", got, want)
+	}
+}

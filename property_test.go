@@ -12,8 +12,10 @@ package paretomon
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -294,5 +296,691 @@ func TestStatsDuringIngest(t *testing.T) {
 	}
 	if st := m.Stats(); st.Processed != n {
 		t.Fatalf("Processed = %d, want %d", st.Processed, n)
+	}
+}
+
+// ---- duplicate-heavy histories against the definition ----
+//
+// The exact append-only engines keep one frontier member per attribute
+// tuple (core.TupleClasses): an arrival that repeats an alive tuple is
+// answered from its class's C_o, RemoveObject of a twin only drops an id,
+// and every candidate list is one representative per class. None of that
+// may show above the engine: the tests below drive a Monitor through a
+// seeded history over domains of two and three values — eighteen tuples,
+// so nearly every arrival is a twin — and after every step compare it
+// with defModel, which knows nothing but Def. 3.2: an object is in a
+// user's frontier iff no alive object dominates it under the closure of
+// that user's asserted tuples.
+
+var dupCatalog = [][]string{
+	{"a0", "a1", "a2"},
+	{"b0", "b1"},
+	{"c0", "c1", "c2"},
+}
+
+var dupAttrs = []string{"a", "b", "c"}
+
+// catalog is the attribute space a history is drawn from: dupSpace for
+// the duplicate-heavy ones, wideSpace (propertyCatalog's ninety tuples)
+// where every arrival must be able to bring a tuple of its own.
+type catalog struct {
+	attrs  []string
+	values [][]string
+}
+
+var (
+	dupSpace  = catalog{dupAttrs, dupCatalog}
+	wideSpace = catalog{propertyAttrs, propertyCatalog}
+)
+
+// dupOp is one step of a history, fully spelled out so that it replays
+// identically on any monitor.
+type dupOp struct {
+	kind  string // add, batch, rmobj, addpref, retract, adduser, rmuser
+	objs  []Object
+	name  string // object (rmobj) or user
+	pref  Preference
+	prefs []Preference
+
+	nobody bool // add: the scenario is built so that this arrival has no target
+}
+
+func (op dupOp) String() string {
+	switch op.kind {
+	case "add", "batch":
+		return fmt.Sprintf("%s %v", op.kind, op.objs)
+	case "addpref", "retract":
+		return fmt.Sprintf("%s %s %v", op.kind, op.name, op.pref)
+	case "adduser":
+		return fmt.Sprintf("adduser %s %v", op.name, op.prefs)
+	}
+	return op.kind + " " + op.name
+}
+
+// tuple draws a preference tuple left to right from the catalog, so any
+// set of them embeds in one total order and stays acyclic.
+func (c catalog) tuple(r *rand.Rand) Preference {
+	a := r.Intn(len(c.attrs))
+	vals := c.values[a]
+	i := r.Intn(len(vals) - 1)
+	j := i + 1 + r.Intn(len(vals)-i-1)
+	return Preference{Attr: c.attrs[a], Better: vals[i], Worse: vals[j]}
+}
+
+func (c catalog) object(r *rand.Rand) []string {
+	out := make([]string, len(c.values))
+	for a, vals := range c.values {
+		out[a] = vals[r.Intn(len(vals))]
+	}
+	return out
+}
+
+// all enumerates every attribute tuple of the catalog.
+func (c catalog) all() [][]string {
+	out := [][]string{nil}
+	for _, vals := range c.values {
+		var next [][]string
+		for _, prefix := range out {
+			for _, v := range vals {
+				next = append(next, append(prefix[:len(prefix):len(prefix)], v))
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// community builds a community over the catalog's attributes whose users
+// assert exactly the given tuples.
+func (c catalog) community(t testing.TB, users []string, asserted map[string][]Preference) *Community {
+	com := NewCommunity(NewSchema(c.attrs...))
+	for _, name := range users {
+		u, err := com.AddUser(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range asserted[name] {
+			if err := u.Prefer(p.Attr, p.Better, p.Worse); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return com
+}
+
+// dupHistory is a history over dupSpace: eighteen tuples, so nearly every
+// arrival repeats an alive one.
+func dupHistory(seed int64, steps int) (users []string, base map[string][]Preference, ops []dupOp) {
+	return dupSpace.history(seed, steps, false)
+}
+
+// history draws the base users u00..u05 with the tuples they assert, and
+// a history of steps operations that is valid by construction: names are
+// fresh, removals and retractions name something the generator knows is
+// there. With distinct set, no arrival repeats a tuple (the history ends
+// early when the catalog runs out).
+func (c catalog) history(seed int64, steps int, distinct bool) (users []string, base map[string][]Preference, ops []dupOp) {
+	r := rand.New(rand.NewSource(seed))
+	var unused [][]string
+	if distinct {
+		unused = c.all()
+		r.Shuffle(len(unused), func(i, j int) { unused[i], unused[j] = unused[j], unused[i] })
+	}
+	asserted := map[string][]Preference{}
+	has := func(u string, p Preference) bool {
+		for _, q := range asserted[u] {
+			if q == p {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < 6; i++ {
+		name := fmt.Sprintf("u%02d", i)
+		for k := 0; k < 2+r.Intn(3); k++ {
+			if p := c.tuple(r); !has(name, p) {
+				asserted[name] = append(asserted[name], p)
+			}
+		}
+		users = append(users, name)
+	}
+	base = map[string][]Preference{}
+	for u, ps := range asserted {
+		base[u] = append([]Preference(nil), ps...)
+	}
+	baseUsers := append([]string(nil), users...)
+	var alive []string
+	nextObj, nextUser := 0, len(users)
+	newObject := func() Object {
+		o := Object{Name: fmt.Sprintf("o%04d", nextObj)}
+		if distinct {
+			o.Values, unused = unused[0], unused[1:]
+		} else {
+			o.Values = c.object(r)
+		}
+		nextObj++
+		alive = append(alive, o.Name)
+		return o
+	}
+	for len(ops) < steps && !(distinct && len(unused) < 8) {
+		switch k := r.Float64(); {
+		case k < 0.45:
+			ops = append(ops, dupOp{kind: "add", objs: []Object{newObject()}})
+		case k < 0.55:
+			batch := make([]Object, 2+r.Intn(6))
+			for i := range batch {
+				batch[i] = newObject()
+			}
+			ops = append(ops, dupOp{kind: "batch", objs: batch})
+		case k < 0.75 && len(alive) > 0:
+			i := r.Intn(len(alive))
+			ops = append(ops, dupOp{kind: "rmobj", name: alive[i]})
+			alive = append(alive[:i], alive[i+1:]...)
+		case k < 0.82:
+			u := users[r.Intn(len(users))]
+			if p := c.tuple(r); !has(u, p) {
+				asserted[u] = append(asserted[u], p)
+				ops = append(ops, dupOp{kind: "addpref", name: u, pref: p})
+			}
+		case k < 0.90:
+			u := users[r.Intn(len(users))]
+			if n := len(asserted[u]); n > 0 {
+				i := r.Intn(n)
+				ops = append(ops, dupOp{kind: "retract", name: u, pref: asserted[u][i]})
+				asserted[u] = append(asserted[u][:i:i], asserted[u][i+1:]...)
+			}
+		case k < 0.95:
+			name := fmt.Sprintf("u%02d", nextUser)
+			nextUser++
+			var prefs []Preference
+			for k := 0; k < 1+r.Intn(3); k++ {
+				p := c.tuple(r)
+				dup := false
+				for _, q := range prefs {
+					dup = dup || q == p
+				}
+				if !dup {
+					prefs = append(prefs, p)
+				}
+			}
+			asserted[name] = append([]Preference(nil), prefs...)
+			users = append(users, name)
+			ops = append(ops, dupOp{kind: "adduser", name: name, prefs: prefs})
+		default:
+			if len(users) > 3 {
+				i := r.Intn(len(users))
+				ops = append(ops, dupOp{kind: "rmuser", name: users[i]})
+				delete(asserted, users[i])
+				users = append(users[:i], users[i+1:]...)
+			}
+		}
+	}
+	return baseUsers, base, ops
+}
+
+// applyDupOp runs one step on a monitor and returns the deliveries of an
+// ingestion step.
+func applyDupOp(m *Monitor, op dupOp) ([]Delivery, error) {
+	switch op.kind {
+	case "add":
+		d, err := m.Add(op.objs[0].Name, op.objs[0].Values...)
+		return []Delivery{d}, err
+	case "batch":
+		return m.AddBatch(op.objs)
+	case "rmobj":
+		return nil, m.RemoveObject(op.name)
+	case "addpref":
+		return nil, m.AddPreference(op.name, op.pref.Attr, op.pref.Better, op.pref.Worse)
+	case "retract":
+		return nil, m.RetractPreference(op.name, op.pref.Attr, op.pref.Better, op.pref.Worse)
+	case "adduser":
+		return nil, m.AddUser(op.name, op.prefs)
+	case "rmuser":
+		return nil, m.RemoveUser(op.name)
+	}
+	return nil, fmt.Errorf("unknown op %q", op.kind)
+}
+
+// defModel is the definitional monitor: alive users with their asserted
+// tuples, alive objects with their values, and nothing incremental.
+type defModel struct {
+	users   map[string]map[Preference]bool
+	objects map[string][]string
+	twins   uint64 // arrivals whose tuple was alive when they came
+}
+
+func newDefModel(asserted map[string][]Preference) *defModel {
+	d := &defModel{users: map[string]map[Preference]bool{}, objects: map[string][]string{}}
+	for u, ps := range asserted {
+		d.users[u] = map[Preference]bool{}
+		for _, p := range ps {
+			d.users[u][p] = true
+		}
+	}
+	return d
+}
+
+// closure returns, per attribute, the transitive closure of user's
+// asserted tuples as a better→worse→true table.
+func (d *defModel) closure(user string) []map[[2]string]bool {
+	out := make([]map[[2]string]bool, len(dupAttrs))
+	for a, attr := range dupAttrs {
+		rel := map[[2]string]bool{}
+		for p := range d.users[user] {
+			if p.Attr == attr {
+				rel[[2]string{p.Better, p.Worse}] = true
+			}
+		}
+		for _, k := range dupCatalog[a] {
+			for _, i := range dupCatalog[a] {
+				for _, j := range dupCatalog[a] {
+					if rel[[2]string{i, k}] && rel[[2]string{k, j}] {
+						rel[[2]string{i, j}] = true
+					}
+				}
+			}
+		}
+		out[a] = rel
+	}
+	return out
+}
+
+// dominates is Def. 3.2 under one user's closure.
+func dominates(cl []map[[2]string]bool, o, p []string) bool {
+	strict := false
+	for a := range o {
+		if o[a] == p[a] {
+			continue
+		}
+		if !cl[a][[2]string{o[a], p[a]}] {
+			return false
+		}
+		strict = true
+	}
+	return strict
+}
+
+func (d *defModel) inFrontier(cl []map[[2]string]bool, name string) bool {
+	for other, vals := range d.objects {
+		if other != name && dominates(cl, vals, d.objects[name]) {
+			return false
+		}
+	}
+	return true
+}
+
+// frontier returns user's Pareto frontier as sorted object names.
+func (d *defModel) frontier(user string) []string {
+	cl := d.closure(user)
+	out := []string{}
+	for name := range d.objects {
+		if d.inFrontier(cl, name) {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// targets returns the sorted users whose frontier holds the object.
+func (d *defModel) targets(name string) []string {
+	out := []string{}
+	for user := range d.users {
+		if d.inFrontier(d.closure(user), name) {
+			out = append(out, user)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (d *defModel) add(o Object) {
+	for _, vals := range d.objects {
+		if reflect.DeepEqual(vals, o.Values) {
+			d.twins++
+			break
+		}
+	}
+	d.objects[o.Name] = o.Values
+}
+
+// diff returns the sorted names in after but not in before.
+func diff(after, before []string) []string {
+	in := map[string]bool{}
+	for _, n := range before {
+		in[n] = true
+	}
+	var out []string
+	for _, n := range after {
+		if !in[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// dupHarness drives one Monitor and the model in lock step, with a delta
+// subscription per alive user, and checks the monitor against the model
+// after every step.
+type dupHarness struct {
+	t     *testing.T
+	m     *Monitor
+	model *defModel
+	subs  map[string]<-chan FrontierDelta
+}
+
+func newDupHarness(t *testing.T, users []string, asserted map[string][]Preference, opts ...Option) *dupHarness {
+	m, err := NewMonitor(dupSpace.community(t, users, asserted), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	h := &dupHarness{t: t, m: m, model: newDefModel(asserted), subs: map[string]<-chan FrontierDelta{}}
+	for user := range h.model.users {
+		h.subscribe(user)
+	}
+	return h
+}
+
+func (h *dupHarness) subscribe(user string) {
+	ch, _, err := h.m.SubscribeDeltas(user)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.subs[user] = ch
+}
+
+// step applies op to the monitor and the model and compares: the
+// deliveries of each arriving object, the FrontierDelta events every
+// subscriber received, then every frontier and every C_o.
+func (h *dupHarness) step(op dupOp) {
+	h.t.Helper()
+	want := map[string][]FrontierDelta{} // user -> deltas the step must publish
+	var wantDeliveries []Delivery
+	lifecycleDelta := func(users []string, before map[string][]string) {
+		for _, u := range users {
+			after := h.model.frontier(u)
+			if entered, left := diff(after, before[u]), diff(before[u], after); len(entered)+len(left) > 0 {
+				want[u] = append(want[u], FrontierDelta{Entered: entered, Left: left})
+			}
+		}
+	}
+	snapshot := func(users []string) map[string][]string {
+		before := map[string][]string{}
+		for _, u := range users {
+			before[u] = h.model.frontier(u)
+		}
+		return before
+	}
+	switch op.kind {
+	case "add", "batch":
+		for _, o := range op.objs {
+			h.model.add(o)
+			users := h.model.targets(o.Name)
+			wantDeliveries = append(wantDeliveries, Delivery{Object: o.Name, Users: users})
+			for _, u := range users {
+				want[u] = append(want[u], FrontierDelta{Object: o.Name, Entered: []string{o.Name}})
+			}
+		}
+	case "rmobj":
+		holders := h.model.targets(op.name)
+		before := snapshot(holders)
+		delete(h.model.objects, op.name)
+		lifecycleDelta(holders, before)
+	case "addpref":
+		before := snapshot([]string{op.name})
+		h.model.users[op.name][op.pref] = true
+		lifecycleDelta([]string{op.name}, before)
+	case "retract":
+		before := snapshot([]string{op.name})
+		delete(h.model.users[op.name], op.pref)
+		lifecycleDelta([]string{op.name}, before)
+	case "adduser":
+		set := map[Preference]bool{}
+		for _, p := range op.prefs {
+			set[p] = true
+		}
+		h.model.users[op.name] = set
+	case "rmuser":
+		delete(h.model.users, op.name)
+	}
+
+	got, err := applyDupOp(h.m, op)
+	if err != nil {
+		h.t.Fatalf("%v: %v", op, err)
+	}
+	if len(got) != len(wantDeliveries) {
+		h.t.Fatalf("%v: %d deliveries, want %d", op, len(got), len(wantDeliveries))
+	}
+	if op.nobody && len(got[0].Users) != 0 {
+		h.t.Fatalf("%v: delivered to %v; the scenario meant it for nobody", op, got[0].Users)
+	}
+	for i := range got {
+		if got[i].Object != wantDeliveries[i].Object || !reflect.DeepEqual(append([]string{}, got[i].Users...), wantDeliveries[i].Users) {
+			h.t.Fatalf("%v: delivery %+v, the definition says %+v", op, got[i], wantDeliveries[i])
+		}
+	}
+	switch op.kind {
+	case "adduser":
+		h.subscribe(op.name)
+	case "rmuser":
+		if _, open := <-h.subs[op.name]; open {
+			h.t.Fatalf("%v: delta channel still open", op)
+		}
+		delete(h.subs, op.name)
+	}
+	for user, ch := range h.subs {
+		for _, w := range want[user] {
+			select {
+			case d := <-ch:
+				if !reflect.DeepEqual(d, w) {
+					h.t.Fatalf("%v: %s observed %+v, the definition says %+v", op, user, d, w)
+				}
+			default:
+				h.t.Fatalf("%v: %s observed nothing, the definition says %+v", op, user, w)
+			}
+		}
+		select {
+		case d := <-ch:
+			h.t.Fatalf("%v: %s observed %+v, the definition says nothing more", op, user, d)
+		default:
+		}
+	}
+	h.check(op.String())
+}
+
+// check compares every frontier, every C_o and the twin count.
+func (h *dupHarness) check(after string) {
+	h.t.Helper()
+	for user := range h.model.users {
+		got, err := h.m.Frontier(user)
+		if err != nil {
+			h.t.Fatalf("after %s: Frontier(%s): %v", after, user, err)
+		}
+		if want := h.model.frontier(user); !reflect.DeepEqual(append([]string{}, got...), want) {
+			h.t.Fatalf("after %s: frontier of %s is %v, the definition says %v", after, user, got, want)
+		}
+	}
+	for name := range h.model.objects {
+		got, err := h.m.TargetsOf(name)
+		if err != nil {
+			h.t.Fatalf("after %s: TargetsOf(%s): %v", after, name, err)
+		}
+		if want := h.model.targets(name); !reflect.DeepEqual(append([]string{}, got...), want) {
+			h.t.Fatalf("after %s: C_%s is %v, the definition says %v", after, name, got, want)
+		}
+	}
+	if got := h.m.Stats().Twins; got != h.model.twins {
+		h.t.Fatalf("after %s: Stats().Twins = %d, %d arrivals repeated an alive tuple", after, got, h.model.twins)
+	}
+}
+
+// exactAppendOnly lists the configurations whose frontier members are
+// tuple classes.
+var exactAppendOnly = []struct {
+	name string
+	opts []Option
+}{
+	{"Baseline", []Option{WithAlgorithm(AlgorithmBaseline)}},
+	{"FTV", []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3)}},
+}
+
+func TestPropertyDuplicateHeavyHistoryMatchesDefinition(t *testing.T) {
+	for _, tc := range exactAppendOnly {
+		for _, workers := range []int{1, 3} {
+			for _, seed := range []int64{3, 17} {
+				t.Run(fmt.Sprintf("%s/workers=%d/seed=%d", tc.name, workers, seed), func(t *testing.T) {
+					users, asserted, ops := dupHistory(seed, 160)
+					h := newDupHarness(t, users, asserted, append(tc.opts, WithWorkers(workers))...)
+					for _, op := range ops {
+						h.step(op)
+					}
+					if st := h.m.Stats(); st.Twins == 0 || st.Twins >= st.Processed {
+						t.Fatalf("%d of %d arrivals took the twin path; the history should mix both", st.Twins, st.Processed)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTwinLifecycleCases spells out the transitions a class goes through
+// that a random history only meets by chance. ann ranks a0 > a1 > a2 and
+// nothing else; bob ranks a0 > a1 and b0 > b1.
+func TestTwinLifecycleCases(t *testing.T) {
+	users := []string{"ann", "bob"}
+	asserted := map[string][]Preference{
+		"ann": {{Attr: "a", Better: "a0", Worse: "a1"}, {Attr: "a", Better: "a1", Worse: "a2"}},
+		"bob": {{Attr: "a", Better: "a0", Worse: "a1"}, {Attr: "b", Better: "b0", Worse: "b1"}},
+	}
+	add := func(name string, values ...string) dupOp {
+		return dupOp{kind: "add", objs: []Object{{Name: name, Values: values}}}
+	}
+	rm := func(name string) dupOp { return dupOp{kind: "rmobj", name: name} }
+	cases := []struct {
+		name string
+		ops  []dupOp
+	}{
+		{"remove a middle twin", []dupOp{
+			add("t1", "a0", "b0", "c0"), add("t2", "a0", "b0", "c0"), add("t3", "a0", "b0", "c0"),
+			add("low", "a1", "b0", "c0"), // shielded by the class
+			rm("t2"),
+			add("t4", "a0", "b0", "c0"), // the class still answers twins
+			rm("t3"), rm("t4"), rm("t1"),
+		}},
+		{"remove the founder while the class lives", []dupOp{
+			add("t1", "a0", "b0", "c0"), add("t2", "a0", "b0", "c0"),
+			add("low", "a1", "b0", "c0"),
+			rm("t1"),
+			add("t3", "a0", "b0", "c0"),
+			{kind: "addpref", name: "bob", pref: Preference{Attr: "c", Better: "c1", Worse: "c0"}},
+			add("up", "a0", "b0", "c1"), // evicts the founderless class for bob only
+			add("t4", "a0", "b0", "c0"), // a twin of a class held by ann alone
+		}},
+		{"remove the last twin and the shielded objects return", []dupOp{
+			add("t1", "a0", "b0", "c0"), add("t2", "a0", "b0", "c0"),
+			add("s1", "a1", "b0", "c0"), add("s2", "a1", "b0", "c0"), // one shielded class, two ids
+			add("s3", "a2", "b0", "c0"), // shielded twice over for ann, never for bob
+			add("b1", "a0", "b1", "c0"), // shielded for bob
+			rm("t1"),                    // nothing returns: t2 shields
+			rm("t2"),                    // s1, s2 return for both, b1 for bob; s3 stays under s1 for ann
+			rm("s2"), rm("s1"),          // now s3 returns for ann
+		}},
+		{"twin of a dominated tuple is delivered to nobody, then its dominator is removed", []dupOp{
+			add("top", "a0", "b0", "c0"),
+			add("x1", "a1", "b0", "c0"), // dominated for ann and for bob
+			{kind: "add", objs: []Object{{Name: "x2", Values: []string{"a1", "b0", "c0"}}}, nobody: true}, // its twin: C_class is empty
+			add("top2", "a0", "b0", "c0"),
+			rm("top"),  // top2 still shields
+			rm("top2"), // x1 and x2 enter both frontiers together
+			add("x3", "a1", "b0", "c0"),
+		}},
+	}
+	for _, tc := range cases {
+		for _, eng := range exactAppendOnly {
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", tc.name, eng.name, workers), func(t *testing.T) {
+					h := newDupHarness(t, users, asserted, append(eng.opts[:1:1], WithBranchCut(1000), WithWorkers(workers))...)
+					for _, op := range tc.ops {
+						h.step(op)
+					}
+				})
+			}
+		}
+	}
+}
+
+// historyDigest replays a history and folds everything observable — each
+// step's deliveries, then every frontier and every C_o — into one hash.
+func historyDigest(t *testing.T, m *Monitor, ops []dupOp) string {
+	h := fnv.New64a()
+	for _, op := range ops {
+		ds, err := applyDupOp(m, op)
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		for _, d := range ds {
+			fmt.Fprintf(h, "%s:%v;", d.Object, d.Users)
+		}
+	}
+	for _, u := range m.Users() {
+		f, err := m.Frontier(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s=%v;", u, f)
+	}
+	for id := 0; id < m.ObjectCount(); id++ {
+		name := fmt.Sprintf("o%04d", id)
+		if m.HasObject(name) {
+			ts, err := m.TargetsOf(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%s>%v;", name, ts)
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestApproxAndWindowedMonitorsUnchanged pins what tuple classes must not
+// touch. The approximate engine (P̂_c is what the procedure leaves, Sec.
+// 6.2) and every windowed engine (the ring ages ids) keep one frontier
+// member per object, so on the same duplicate-heavy history they must
+// produce the deliveries, frontiers, C_o and comparison counts they
+// produced before the exact append-only engines got classes. The digests
+// and counts were recorded at the parent of that change (commit 83a22ee)
+// with this very function; a difference here means the table leaked into
+// an engine that opted out.
+func TestApproxAndWindowedMonitorsUnchanged(t *testing.T) {
+	approx := []Option{WithAlgorithm(AlgorithmFilterThenVerifyApprox), WithClusterCount(3), WithThetas(3, 0.3)}
+	cases := []struct {
+		name        string
+		opts        []Option
+		digest      string
+		comparisons uint64
+	}{
+		{"FTVA", approx, "76b172687755fb1e", 200679},
+		{"FTVA-vec", append(approx[:2:2], WithMeasure(MeasureVectorWeightedJaccard)), "323f6181760e96d5", 300855},
+		{"BaselineSW", []Option{WithAlgorithm(AlgorithmBaseline), WithWindow(24)}, "aee2bcad07d2c5f1", 60075},
+		{"FTV-SW", []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3), WithWindow(24)}, "aee2bcad07d2c5f1", 61162},
+		{"FTVA-SW", append(approx[:3:3], WithWindow(24)), "200f13afd908cc82", 36286},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				users, asserted, ops := dupHistory(23, 260)
+				m, err := NewMonitor(dupSpace.community(t, users, asserted), append(tc.opts[:len(tc.opts):len(tc.opts)], WithWorkers(workers))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				digest := historyDigest(t, m, ops)
+				if cmp := m.Stats().Comparisons; digest != tc.digest || cmp != tc.comparisons {
+					t.Errorf("digest %s after %d comparisons, the parent commit gave %s after %d",
+						digest, cmp, tc.digest, tc.comparisons)
+				}
+			})
+		}
 	}
 }

@@ -1,0 +1,349 @@
+package paretomon
+
+// Persistence across the tuple-class change. A snapshot spells every
+// frontier out object by object (EngineState, codec v3), the engines keep
+// one member per attribute tuple: CaptureState expands, RestoreState
+// collapses and rebuilds the class table from the alive registry. These
+// tests hold the seam from both sides — a snapshot the parent commit
+// wrote restores, a duplicate-free history snapshots to the parent's very
+// bytes, and a monitor that came back from a snapshot (reopened, or
+// bootstrapped as a follower) goes on to do exactly the comparisons an
+// uninterrupted one does, twins of dominated tuples included.
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+)
+
+// walRecords is the number of WAL records a history appends: one per
+// object, one per lifecycle operation.
+func walRecords(ops []dupOp) (n uint64) {
+	for _, op := range ops {
+		n += uint64(max(len(op.objs), 1))
+	}
+	return n
+}
+
+// replayBoth applies ops to both monitors and insists on equal deliveries.
+func replayBoth(t *testing.T, a, b *Monitor, ops []dupOp) {
+	t.Helper()
+	for _, op := range ops {
+		da, errA := applyDupOp(a, op)
+		db, errB := applyDupOp(b, op)
+		if errA != nil || errB != nil {
+			t.Fatalf("%v: %v / %v", op, errA, errB)
+		}
+		if !reflect.DeepEqual(da, db) {
+			t.Fatalf("%v: deliveries %v vs %v", op, da, db)
+		}
+	}
+}
+
+// sameReads compares every frontier and every C_o of two monitors.
+func sameReads(t *testing.T, label string, want, got *Monitor) {
+	t.Helper()
+	if uw, ug := want.Users(), got.Users(); !reflect.DeepEqual(uw, ug) {
+		t.Fatalf("%s: users %v, want %v", label, ug, uw)
+	}
+	for _, u := range want.Users() {
+		fw, _ := want.Frontier(u)
+		fg, _ := got.Frontier(u)
+		if !reflect.DeepEqual(fw, fg) {
+			t.Errorf("%s: frontier of %s is %v, want %v", label, u, fg, fw)
+		}
+	}
+	for id := 0; id < want.ObjectCount(); id++ {
+		name := fmt.Sprintf("o%04d", id)
+		if want.HasObject(name) != got.HasObject(name) {
+			t.Fatalf("%s: %s alive on one side only", label, name)
+		}
+		if !want.HasObject(name) {
+			continue
+		}
+		tw, _ := want.TargetsOf(name)
+		tg, _ := got.TargetsOf(name)
+		if !reflect.DeepEqual(tw, tg) {
+			t.Errorf("%s: C_%s is %v, want %v", label, name, tg, tw)
+		}
+	}
+}
+
+// parentSnapshotHistory is the history behind testdata/snapshot_parent_83a22ee.bin:
+// the first parentSnapshotAt operations of it ran on a FilterThenVerify
+// monitor (three clusters, one worker) built from the parent commit, which
+// then wrote the snapshot. Twins sit interleaved in its frontier lists,
+// each a member of its own — what no monitor since would capture.
+const parentSnapshotAt = 120
+
+func parentSnapshotHistory() ([]string, map[string][]Preference, []dupOp) {
+	return dupHistory(41, 200)
+}
+
+func TestParentSnapshotRestores(t *testing.T) {
+	body, err := os.ReadFile("testdata/snapshot_parent_83a22ee.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, asserted, ops := parentSnapshotHistory()
+	opts := []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3)}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ref, err := NewMonitor(dupSpace.community(t, users, asserted), append(opts[:2:2], WithWorkers(workers))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			for _, op := range ops[:parentSnapshotAt] {
+				if _, err := applyDupOp(ref, op); err != nil {
+					t.Fatalf("%v: %v", op, err)
+				}
+			}
+
+			store := NewMemStore()
+			if err := store.WriteSnapshot(walRecords(ops[:parentSnapshotAt]), body); err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewMonitor(dupSpace.community(t, users, asserted), append(opts[:2:2], WithWorkers(workers), WithStore(store))...)
+			if err != nil {
+				t.Fatalf("restoring the parent's snapshot: %v", err)
+			}
+			defer got.Close()
+			sameReads(t, "restored", ref, got)
+
+			// Frontiers are equal as sets, not as lists: the parent evicted
+			// twins one swap-delete at a time, so its scan order is not the
+			// one classes arrive at and the two monitors may meet a
+			// dominator a comparison apart. Deliveries and reads must agree.
+			replayBoth(t, ref, got, ops[parentSnapshotAt:])
+			sameReads(t, "continued", ref, got)
+		})
+	}
+}
+
+// TestDistinctHistoryCostsWhatItDid is the table's bill where it has
+// nothing to offer: on a history in which no arrival repeats a tuple,
+// every class has one member, and the monitor must do the parent's
+// comparisons, keep the parent's frontiers in the parent's scan order and
+// therefore write the parent's snapshot, byte for byte. The sums and
+// counts were recorded at the parent commit (83a22ee) with this function.
+func TestDistinctHistoryCostsWhatItDid(t *testing.T) {
+	cases := []struct {
+		name        string
+		opts        []Option
+		snapshot    string // sha256 of the snapshot body
+		comparisons uint64
+	}{
+		{"Baseline", []Option{WithAlgorithm(AlgorithmBaseline)},
+			"4634e7728159163c2ed3bcb8f458dc10c45c9a421ab05708d8414766e987c571", 29052},
+		{"FTV", []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3)},
+			"9c02c481f1ddd46c1cb708af5c6c6921f7750c9204a3f098f3c5d62c405ee3b2", 51386},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				users, asserted, ops := wideSpace.history(5, 400, true)
+				store := NewMemStore()
+				m, err := NewMonitor(wideSpace.community(t, users, asserted),
+					append(tc.opts[:len(tc.opts):len(tc.opts)], WithWorkers(workers), WithStore(store))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				for _, op := range ops {
+					if _, err := applyDupOp(m, op); err != nil {
+						t.Fatalf("%v: %v", op, err)
+					}
+				}
+				if err := m.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				_, body, ok, err := store.LoadSnapshot()
+				if err != nil || !ok {
+					t.Fatalf("LoadSnapshot: %v, %v", ok, err)
+				}
+				st := m.Stats()
+				if sum := fmt.Sprintf("%x", sha256.Sum256(body)); sum != tc.snapshot || st.Comparisons != tc.comparisons {
+					t.Errorf("snapshot %s after %d comparisons, the parent commit wrote %s after %d",
+						sum, st.Comparisons, tc.snapshot, tc.comparisons)
+				}
+				if st.Twins != 0 || st.Processed < 70 {
+					t.Errorf("%d of %d arrivals were twins; the history should have none in about eighty", st.Twins, st.Processed)
+				}
+			})
+		}
+	}
+}
+
+// dominatedTwins counts the arrivals of ops that repeat an alive tuple
+// nobody holds — the arrivals a monitor answers for free only while its
+// class table still knows the dominated tuples. Deliveries come from ref,
+// which replays ops.
+func dominatedTwins(t *testing.T, ref *Monitor, alive map[string][]string, ops []dupOp) (n int) {
+	t.Helper()
+	for _, op := range ops {
+		ds, err := applyDupOp(ref, op)
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		for i, o := range op.objs {
+			for _, vals := range alive {
+				if reflect.DeepEqual(vals, o.Values) && len(ds[i].Users) == 0 {
+					n++
+					break
+				}
+			}
+			alive[o.Name] = o.Values
+		}
+		if op.kind == "rmobj" {
+			delete(alive, op.name)
+		}
+	}
+	return n
+}
+
+func TestRecoveredMonitorsCountLikeUninterrupted(t *testing.T) {
+	const snapAt, crashAt = 100, 130
+	for _, tc := range exactAppendOnly {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				users, asserted, ops := dupHistory(29, 260)
+				opts := append(tc.opts[:len(tc.opts):len(tc.opts)], WithWorkers(workers))
+				build := func(extra ...Option) *Monitor {
+					m, err := NewMonitor(dupSpace.community(t, users, asserted), append(opts[:len(opts):len(opts)], extra...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { m.Close() })
+					return m
+				}
+				ref := build()
+				alive := map[string][]string{}
+				dominatedTwins(t, ref, alive, ops[:crashAt])
+
+				// The primary snapshots at snapAt and keeps going; its log
+				// behind the snapshot is the tail a reopen replays and the
+				// feed a follower tails.
+				store := NewMemStore()
+				primary := build(WithStore(store))
+				for i, op := range ops[:crashAt] {
+					if i == snapAt {
+						if err := primary.Snapshot(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := applyDupOp(primary, op); err != nil {
+						t.Fatalf("%v: %v", op, err)
+					}
+				}
+
+				// A follower bootstraps from that snapshot exactly as
+				// OpenFollower does, minus the HTTP hop, and is fed the rest.
+				seq, body, ok, err := primary.LatestSnapshot()
+				if err != nil || !ok {
+					t.Fatalf("LatestSnapshot: %v, %v", ok, err)
+				}
+				cfg := primary.Config()
+				cfg.Store = nil
+				follower, err := newFollowerMonitor(dupSpace.community(t, users, asserted), cfg, seq, body, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer follower.Close()
+				feed := func(from *Monitor) {
+					recs, _, err := from.WALAfter(follower.AppliedSeq(), 1<<20)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, rec := range recs {
+						if err := follower.applyFeedRecord(rec); err != nil {
+							t.Fatalf("feeding record %d: %v", rec.Seq, err)
+						}
+					}
+				}
+				feed(primary)
+
+				// The crash: a second monitor opens the store the primary
+				// wrote (snapshot + tail) and takes over the stream.
+				reopened := build(WithStore(store))
+				sameReads(t, "reopened", ref, reopened)
+
+				if n := dominatedTwins(t, ref, alive, ops[crashAt:]); n < 3 {
+					t.Fatalf("only %d arrivals of the suffix repeat a dominated tuple; pick another seed", n)
+				}
+				for _, op := range ops[crashAt:] {
+					if _, err := applyDupOp(reopened, op); err != nil {
+						t.Fatalf("%v: %v", op, err)
+					}
+				}
+				feed(reopened)
+				want := ref.Stats()
+				for label, m := range map[string]*Monitor{"reopened": reopened, "follower": follower} {
+					sameReads(t, label, ref, m)
+					if got := m.Stats(); got.Comparisons != want.Comparisons || got.Delivered != want.Delivered || got.Processed != want.Processed {
+						t.Errorf("%s: %d comparisons, %d delivered, %d processed; the uninterrupted monitor %d, %d, %d",
+							label, got.Comparisons, got.Delivered, got.Processed, want.Comparisons, want.Delivered, want.Processed)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRecoveredMonitorKnowsDominatedTuples is the reason RestoreState
+// takes the alive registry, in the small: a snapshot names frontier
+// members only, yet the arrival after a reopen that repeats a dominated
+// tuple must cost what it costs an uninterrupted monitor — nothing.
+func TestRecoveredMonitorKnowsDominatedTuples(t *testing.T) {
+	users := []string{"ann", "bob"}
+	asserted := map[string][]Preference{
+		"ann": {{Attr: "a", Better: "a0", Worse: "a1"}},
+		"bob": {{Attr: "a", Better: "a0", Worse: "a1"}, {Attr: "b", Better: "b0", Worse: "b1"}},
+	}
+	for _, tc := range exactAppendOnly {
+		t.Run(tc.name, func(t *testing.T) {
+			store := NewMemStore()
+			opts := append(tc.opts[:1:1], WithBranchCut(1000), WithStore(store))
+			m1, err := NewMonitor(dupSpace.community(t, users, asserted), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m1.Close()
+			for _, o := range []Object{
+				{Name: "top", Values: []string{"a0", "b0", "c0"}},
+				{Name: "x1", Values: []string{"a1", "b0", "c0"}}, // dominated for ann and for bob
+			} {
+				if _, err := m1.Add(o.Name, o.Values...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m1.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			m2, err := NewMonitor(dupSpace.community(t, users, asserted), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			before := m2.Stats()
+			d, err := m2.Add("x2", "a1", "b0", "c0")
+			if err != nil || len(d.Users) != 0 {
+				t.Fatalf("x2 delivered to %v (%v), want nobody", d.Users, err)
+			}
+			if after := m2.Stats(); after.Comparisons != before.Comparisons || after.Twins != before.Twins+1 {
+				t.Fatalf("the twin of a dominated tuple cost %d comparisons and counted %d twins after recovery, want 0 and 1",
+					after.Comparisons-before.Comparisons, after.Twins-before.Twins)
+			}
+			if err := m2.RemoveObject("top"); err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range users {
+				if f, _ := m2.Frontier(u); !reflect.DeepEqual(f, []string{"x1", "x2"}) {
+					t.Errorf("frontier of %s after removing the dominator: %v, want [x1 x2]", u, f)
+				}
+			}
+		})
+	}
+}
