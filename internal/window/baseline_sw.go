@@ -14,6 +14,10 @@ type BaselineSW struct {
 	core.UserShard
 	buffers []*buffer // PB_c per user; nil outside Members
 	win     *ring
+
+	// moved is the scratch a buffer reports frontier changes into: the
+	// members an arrival evicted, the entries an expiry promoted.
+	moved []object.Object
 }
 
 // NewBaselineSW creates the standalone monitor with window size w.
@@ -52,87 +56,49 @@ func (b *BaselineSW) Process(oin object.Object) []int {
 	return b.Scratch.Finish(co)
 }
 
-// expireUser handles o_out for one user: if o_out occupied P_c, objects it
-// exclusively dominated are promoted from PB_c (Procedure
-// mendParetoFrontierSW); o_out then leaves both structures.
+// expireUser handles o_out for one user: it leaves PB_c and P_c, and the
+// buffered objects it was the last alive dominator of enter P_c
+// (Procedure mendParetoFrontierSW, decided by their shields).
+//
+//paretomon:hotpath
 func (b *BaselineSW) expireUser(c int, oout object.Object) {
-	pb := b.buffers[c]
-	if b.Holds(oout.ID, c) {
-		b.Fronts[c].Remove(oout.ID)
-		b.RemoveTarget(oout.ID, c)
-		// Promote buffered objects whose only shield was o_out. Arrival
-		// order matters: an earlier candidate admitted to P_c must be able
-		// to reject a later candidate it dominates.
-		var po pref.Probe
-		b.Users[c].Prepare(oout, &po)
-		for _, o := range pb.objects() {
-			if o.ID == oout.ID {
-				continue
-			}
-			b.Ctr.AddVerify(1)
-			if po.Dominates(o) {
-				b.mendUser(c, o)
-			}
-		}
-	}
-	pb.remove(oout.ID)
-}
-
-// mendUser is Procedure mendParetoFrontierSW(c, o): o joins P_c unless a
-// current member dominates it.
-func (b *BaselineSW) mendUser(c int, o object.Object) {
-	f := b.Fronts[c]
-	if f.Contains(o.ID) {
+	var held bool
+	held, b.moved = b.buffers[c].expire(oout.ID, b.moved[:0])
+	if !held {
 		return
 	}
-	var po pref.Probe
-	b.Users[c].Prepare(o, &po)
-	for i := 0; i < f.Len(); i++ {
-		b.Ctr.AddVerify(1)
-		if po.DominatedBy(f.At(i)) {
-			return
-		}
+	f := b.Fronts[c]
+	f.Remove(oout.ID)
+	b.RemoveTarget(oout.ID, c)
+	for _, o := range b.moved {
+		f.Add(o)
+		b.AddTarget(o.ID, c)
 	}
-	f.Add(o)
-	b.AddTarget(o.ID, c)
 }
 
-// arriveUser handles o_in for one user: a single frontier scan decides
-// Pareto-optimality and evicts dominated members (Procedure
-// updateParetoFrontierSW), then the buffer is refreshed (Procedure
-// refreshParetoBufferSW): o_in enters PB_c and evicts the buffered objects
-// it dominates — they arrived earlier, so by Theorem 7.2 they are out for
-// good.
+// arriveUser handles o_in for one user: one walk of PB_c decides
+// Pareto-optimality, evicts the buffered objects o_in dominates — from
+// P_c too where they were members — and admits o_in to the buffer
+// (Procedures updateParetoFrontierSW and refreshParetoBufferSW).
+//
+//paretomon:hotpath
 func (b *BaselineSW) arriveUser(c int, oin object.Object) bool {
-	f := b.Fronts[c]
 	var po pref.Probe
 	b.Users[c].Prepare(oin, &po)
-	isPareto := true
-scan:
-	for i := 0; i < f.Len(); {
-		op := f.At(i)
-		b.Ctr.AddVerify(1)
-		switch po.Compare(op) {
-		case pref.Left:
-			f.Remove(op.ID)
-			b.RemoveTarget(op.ID, c)
-		case pref.Right:
-			isPareto = false
-			break scan
-		case pref.Identical:
-			break scan
-		default:
-			i++
-		}
+	var shield, cmps int
+	shield, cmps, b.moved = b.buffers[c].arrive(&po, oin, b.moved[:0])
+	b.Ctr.AddVerify(cmps)
+	f := b.Fronts[c]
+	for _, o := range b.moved {
+		f.Remove(o.ID)
+		b.RemoveTarget(o.ID, c)
 	}
-	if isPareto {
-		f.Add(oin)
-		b.AddTarget(oin.ID, c)
+	if shield != noShield {
+		return false
 	}
-	pb := b.buffers[c]
-	b.Ctr.AddVerify(pb.evictDominated(&po))
-	pb.add(oin)
-	return isPareto
+	f.Add(oin)
+	b.AddTarget(oin.ID, c)
+	return true
 }
 
 // Buffer returns PB_c as object ids in arrival order.

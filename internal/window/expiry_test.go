@@ -87,8 +87,13 @@ func holders(eng *window.FilterThenVerifySW, clusters []core.Cluster, id int) in
 // state the engine left before the mend shared one arrival-ordered P_U
 // snapshot per cluster: frontiers in scan order (it decides where later
 // scans stop), C_o of every object, deliveries, and the filter/verify
-// comparison counts. The constants are pinned from the commit before
-// that change.
+// comparison counts. The expiry and removal counts and the deliveries are
+// pinned from the commit before that change; the filter and verify counts
+// and the digest were re-recorded, in a commit touching nothing else, when
+// the buffers got shields — the cluster tier stopped scanning (filter
+// 72 722 → 25 019), and P_U's scan order, which the member tier's early
+// exits and the digest follow, became the order the buffer walk evicts and
+// the shields promote in (verify 63 815 → 63 648).
 func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
 	const w = 48
 	r := rand.New(rand.NewSource(20180326))
@@ -140,10 +145,10 @@ func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
 	const (
 		wantMultiExpiries = 267
 		wantMultiRemovals = 16
-		wantFilter        = 72722
-		wantVerify        = 63815
+		wantFilter        = 25019
+		wantVerify        = 63648
 		wantDelivered     = 2139
-		wantDigest        = 0x71087461f6fb1d32
+		wantDigest        = 0x3bdd9039c43df6ee
 	)
 	got := []uint64{uint64(multiExpiries), uint64(multiRemovals),
 		ctr.FilterComparisons, ctr.VerifyComparisons, ctr.Delivered, digest.Sum64()}
@@ -172,7 +177,7 @@ func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
 // C_o bitset of an object entering its first frontier (two allocations)
 // and the amortized growth of the id-indexed target table. The frontier
 // index deletes by backward shift, so a frontier at its steady size never
-// rehashes, and a buffer is just its list.
+// rehashes, and a buffer is just its entries and their shields.
 func TestExpiryPathDoesNotAllocate(t *testing.T) {
 	const w = 64
 	r := rand.New(rand.NewSource(5))

@@ -1,7 +1,6 @@
 package window
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/core"
@@ -21,9 +20,10 @@ type FilterThenVerifySW struct {
 	buffers []*buffer // PB_U per maintained cluster
 	win     *ring
 
-	// cands is mendMembers' arrival-ordered snapshot of P_U, reused across
-	// departures.
-	cands []object.Object
+	// moved is the scratch frontier changes are reported into: the P_U
+	// members an arrival evicted, the entries an expiry promoted into P_U,
+	// the P_U members a departure promoted into one member's P_c.
+	moved []object.Object
 }
 
 // NewFilterThenVerifySW creates the standalone monitor with window size
@@ -90,27 +90,25 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 	return f.Scratch.Finish(co)
 }
 
-// expireCluster handles o_out for one cluster: mend P_U from PB_U under
-// ≻_U, then mend each member's P_c from the updated P_U under ≻_c (see
-// the package comment for why the user tier needs its own dominance gate).
+// expireCluster handles o_out for one cluster: it leaves PB_U and P_U, the
+// buffered objects it was the last alive ≻_U-dominator of enter P_U
+// (Procedure mendParetoFrontierUSW, decided by their shields), and each
+// member's P_c is mended from the updated P_U under ≻_c (see the package
+// comment for why the user tier needs its own dominance gate). An o_out
+// outside P_U is in no member's P_c either.
+//
+//paretomon:hotpath
 func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
-	pb := f.buffers[ui]
-	if f.ClusterFronts[ui].Remove(oout.ID) {
-		// Tier 1: promote buffered objects whose only ≻_U shield was o_out
-		// (Procedure mendParetoFrontierUSW), in arrival order.
-		var po pref.Probe
-		f.Clusters[ui].Common.Prepare(oout, &po)
-		for _, o := range pb.objects() {
-			if o.ID == oout.ID {
-				continue
-			}
-			f.Ctr.AddFilter(1)
-			if po.Dominates(o) {
-				f.mendCluster(ui, o)
-			}
-		}
+	var held bool
+	held, f.moved = f.buffers[ui].expire(oout.ID, f.moved[:0])
+	if !held {
+		return
 	}
-	pb.remove(oout.ID)
+	fu := f.ClusterFronts[ui]
+	fu.Remove(oout.ID)
+	for _, o := range f.moved {
+		fu.Add(o)
+	}
 	f.mendMembers(ui, oout)
 }
 
@@ -119,69 +117,56 @@ func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
 // promotes the P_U objects whose only ≻_c shield was out (Procedure
 // mendParetoFrontierSW). Members whose P_c did not hold out are skipped:
 // any object it dominated per c is still dominated by out's own
-// dominator. P_U is walked in arrival order (deterministic; the Lemma 4.6
-// scan in mendUser makes the order immaterial for correctness), sorted
-// once per departure into engine-owned scratch — tier 2 never changes P_U.
-// Both membership questions — which members hold out, which candidates c
-// already holds — are read off C_o (core.TargetTracker.Holds), a bit test
-// where the frontier's index would be a probe.
+// dominator. P_U is walked in place — tier 2 never changes it, and the
+// Lemma 4.6 scan in undominated makes the order immaterial — and only
+// what a member promotes (rarely more than two objects) is put in arrival
+// order before it enters P_c. Both membership questions — which members
+// hold out, which candidates c already holds — are read off C_o
+// (core.TargetTracker.Holds), a bit test where the frontier's index would
+// be a probe.
 //
 //paretomon:hotpath
 func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
-	sorted := false
+	fu := f.ClusterFronts[ui]
 	for _, c := range f.Clusters[ui].Members {
 		if !f.Holds(out.ID, c) {
 			continue
 		}
-		f.UserFronts[c].Remove(out.ID)
+		fc := f.UserFronts[c]
+		fc.Remove(out.ID)
 		f.RemoveTarget(out.ID, c)
-		if !sorted {
-			f.cands = append(f.cands[:0], f.ClusterFronts[ui].Objects()...)
-			slices.SortFunc(f.cands, byArrival)
-			sorted = true
-		}
 		var po pref.Probe
 		f.Users[c].Prepare(out, &po)
-		for _, o := range f.cands {
+		f.moved = f.moved[:0]
+		for i := 0; i < fu.Len(); i++ {
+			o := fu.At(i)
 			if f.Holds(o.ID, c) {
 				continue // already in P_c
 			}
 			f.Ctr.AddVerify(1)
-			if po.Dominates(o) {
-				f.mendUser(ui, c, o)
+			if po.Dominates(o) && f.undominated(ui, c, o) {
+				f.moved = append(f.moved, o)
 			}
+		}
+		slices.SortFunc(f.moved, byArrival)
+		for _, o := range f.moved {
+			fc.Add(o)
+			f.AddTarget(o.ID, c)
 		}
 	}
 }
 
 // byArrival orders objects by id, which the stream assigns in arrival
 // order.
-func byArrival(a, b object.Object) int { return cmp.Compare(a.ID, b.ID) }
+func byArrival(a, b object.Object) int { return compareID(a, b.ID) }
 
-// mendCluster admits o into P_U unless a member dominates it under ≻_U.
-func (f *FilterThenVerifySW) mendCluster(ui int, o object.Object) {
-	fu := f.ClusterFronts[ui]
-	if fu.Contains(o.ID) {
-		return
-	}
-	var po pref.Probe
-	f.Clusters[ui].Common.Prepare(o, &po)
-	for i := 0; i < fu.Len(); i++ {
-		f.Ctr.AddFilter(1)
-		if po.DominatedBy(fu.At(i)) {
-			return
-		}
-	}
-	fu.Add(o)
-}
-
-// mendUser admits o into P_c by the criterion of Lemma 4.6: no P_U member
-// may dominate it under ≻_c. Scanning P_c alone would be wrong here —
-// o's per-user dominator may itself be a pending mend candidate (it was
-// suppressed in P_c by the same expiring object), and P_U candidates are
-// not ordered so that dominators precede dominatees the way PB candidates
-// are.
-func (f *FilterThenVerifySW) mendUser(ui, c int, o object.Object) {
+// undominated is the criterion of Lemma 4.6 for o ∈ P_U to belong to P_c:
+// no P_U member dominates it under ≻_c. Scanning P_c alone would be wrong
+// on a departure — o's per-user dominator may itself be a pending mend
+// candidate (it was suppressed in P_c by the same departing object), and
+// P_U candidates are not ordered so that dominators precede dominatees
+// the way PB candidates are.
+func (f *FilterThenVerifySW) undominated(ui, c int, o object.Object) bool {
 	fu := f.ClusterFronts[ui]
 	var po pref.Probe
 	f.Users[c].Prepare(o, &po)
@@ -192,49 +177,36 @@ func (f *FilterThenVerifySW) mendUser(ui, c int, o object.Object) {
 		}
 		f.Ctr.AddVerify(1)
 		if po.DominatedBy(op) {
-			return
+			return false
 		}
 	}
-	f.UserFronts[c].Add(o)
-	f.AddTarget(o.ID, c)
+	return true
 }
 
-// arriveCluster runs the filter tier for o_in (Procedure
-// updateParetoFrontierUSW) and refreshes PB_U (Procedure
-// refreshParetoBufferSW at cluster granularity). It returns whether o_in
-// survives the filter.
+// arriveCluster runs the filter tier for o_in: one walk of PB_U decides
+// whether o_in survives the filter, evicts the buffered objects it
+// dominates — from P_U and the member frontiers too where they were
+// members — and admits o_in to the buffer (Procedures
+// updateParetoFrontierUSW and refreshParetoBufferSW at cluster
+// granularity). It returns whether o_in survives the filter.
+//
+//paretomon:hotpath
 func (f *FilterThenVerifySW) arriveCluster(ui int, oin object.Object) bool {
-	cl := f.Clusters[ui]
-	fu := f.ClusterFronts[ui]
 	var po pref.Probe
-	cl.Common.Prepare(oin, &po)
-	isPareto := true
-scan:
-	for i := 0; i < fu.Len(); {
-		op := fu.At(i)
-		f.Ctr.AddFilter(1)
-		switch po.Compare(op) {
-		case pref.Left:
-			fu.Remove(op.ID)
-			f.EvictFromMembers(ui, op.ID)
-		case pref.Right:
-			isPareto = false
-			break scan
-		case pref.Identical:
-			// Identical twin already in P_U: o_in is Pareto and cannot
-			// dominate anything the twin has not already removed.
-			break scan
-		default:
-			i++
-		}
+	f.Clusters[ui].Common.Prepare(oin, &po)
+	var shield, cmps int
+	shield, cmps, f.moved = f.buffers[ui].arrive(&po, oin, f.moved[:0])
+	f.Ctr.AddFilter(cmps)
+	fu := f.ClusterFronts[ui]
+	for _, o := range f.moved {
+		fu.Remove(o.ID)
+		f.EvictFromMembers(ui, o.ID)
 	}
-	if isPareto {
-		fu.Add(oin)
+	if shield != noShield {
+		return false
 	}
-	pb := f.buffers[ui]
-	f.Ctr.AddFilter(pb.evictDominated(&po))
-	pb.add(oin)
-	return isPareto
+	fu.Add(oin)
+	return true
 }
 
 // verifyUser runs the per-user tier for o_in against P_c.

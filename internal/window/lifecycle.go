@@ -1,34 +1,142 @@
 package window
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/object"
 	"repro/internal/pref"
 )
 
-// Lifecycle operations under sliding-window semantics. The mechanism is
-// the expiry machinery generalized from "the oldest object leaves" to
-// "an arbitrary object leaves" (RemoveObject) and "dominance edges
-// leave" (RetractPreference, RemoveUser shrinking a cluster relation):
+// Lifecycle operations under sliding-window semantics. The ring is the
+// alive set: RemoveObject tombstones the slot — the window keeps aging at
+// the same rate, removal never extends other objects' lifetimes — and
+// expiry of a tombstone is a no-op. What these operations undo is the
+// premise the buffers' shields rest on, that objects leave oldest first
+// under a fixed relation, so each re-derives the shields it invalidated
+// and then reads the frontier off them (reconcile):
 //
-//   - The ring is the alive set. RemoveObject tombstones the slot — the
-//     window keeps aging at the same rate, removal never extends other
-//     objects' lifetimes — and expiry of a tombstone is a no-op.
-//   - The Pareto frontier buffer must itself be mended, unlike on
-//     expiry: the expiring object is the oldest and succeeds nobody, so
-//     it never shields a buffer candidate, but a mid-window removal (or
-//     a retracted tuple) can erase a candidate's last *succeeding*
-//     dominator (Def. 7.4). Candidates re-enter at their arrival
-//     position, which insert recovers from the ascending-ID order.
-//   - The frontier then mends from the buffer in arrival order, exactly
-//     like expiry: P ⊆ PB always (a frontier member has no alive
-//     dominator, in particular no succeeding one), and a candidate's
-//     buffer dominators precede it, so walking in arrival order admits
-//     dominators before dominatees.
+//   - A changed relation (ApplyPreference, RetractPreference, a cluster
+//     gaining or losing a member) can move any entry in or out of the
+//     buffer and any shield; the buffer is rebuilt by sending the alive
+//     objects through arrive again, in arrival order. That is exact
+//     whichever way the relation moved — grown, shrunk, or the
+//     approximate engine's incomparable change — and ActivateUser builds
+//     a newcomer's structures the same way.
+//   - A mid-window removal touches only what the removed object touched
+//     (depart): the older objects it alone kept out of the buffer
+//     re-enter, and they and the entries it shielded look for their next
+//     dominator among the entries older than it.
+//
+// The comparisons count as verify work on BaselineSW's buffers and filter
+// work on FilterThenVerifySW's.
 var (
 	_ core.LifecycleEngine = (*BaselineSW)(nil)
 	_ core.LifecycleEngine = (*FilterThenVerifySW)(nil)
 )
+
+// dominatorBelow returns the id of the youngest entry among list[:from]
+// that dominates list[i] under p, or noShield, and the comparisons spent.
+func (b *buffer) dominatorBelow(p *pref.Profile, i, from int) (shield, cmps int) {
+	var po pref.Probe
+	p.Prepare(b.list[i], &po)
+	for j := from - 1; j >= 0; j-- {
+		cmps++
+		if po.DominatedBy(b.list[j]) {
+			return b.list[j].ID, cmps
+		}
+	}
+	return noShield, cmps
+}
+
+// rebuild re-derives the buffer and its shields under p from the alive
+// objects, given in arrival order, and returns the comparisons spent.
+func (b *buffer) rebuild(alive []object.Object, p *pref.Profile) (cmps int) {
+	clear(b.list)
+	b.list, b.shield = b.list[:0], b.shield[:0]
+	var evicted []object.Object // reconcile reads the frontier off the shields instead
+	for _, o := range alive {
+		var po pref.Probe
+		p.Prepare(o, &po)
+		var n int
+		_, n, evicted = b.arrive(&po, o, evicted[:0])
+		cmps += n
+	}
+	return cmps
+}
+
+// depart takes o, which RemoveObject retired from the middle of the
+// window, out of the buffer; alive is the window without it, in arrival
+// order. It reports whether o was buffered and the comparisons spent. An
+// unbuffered o changes nothing: a younger object dominates it, and with it
+// everything o kept out. Otherwise the alive objects older than o that o
+// dominates and no younger entry does re-enter at their arrival position
+// — youngest first, so that each is in place to keep out the older ones it
+// dominates — and they, like the entries o shielded, find their next
+// shield among the entries older than o: o was the youngest dominator of
+// them all.
+func (b *buffer) depart(o object.Object, alive []object.Object, p *pref.Profile) (held bool, cmps int) {
+	at, ok := b.find(o.ID)
+	if !ok {
+		return false, 0
+	}
+	b.removeAt(at)
+	var po pref.Probe
+	p.Prepare(o, &po)
+	older, _ := slices.BinarySearchFunc(alive, o.ID, compareID)
+	for k := older - 1; k >= 0; k-- {
+		x := alive[k]
+		i, in := b.find(x.ID)
+		if in {
+			continue
+		}
+		cmps++
+		if !po.Dominates(x) {
+			continue
+		}
+		var px pref.Probe
+		p.Prepare(x, &px)
+		blocked := false
+		for j := len(b.list) - 1; j >= i && !blocked; j-- {
+			cmps++
+			blocked = px.DominatedBy(b.list[j])
+		}
+		if !blocked {
+			b.list = slices.Insert(b.list, i, x)
+			b.shield = slices.Insert(b.shield, i, o.ID) // o was its youngest dominator; re-derived below
+			at++
+		}
+	}
+	for i := range b.list {
+		if b.shield[i] == o.ID {
+			var n int
+			b.shield[i], n = b.dominatorBelow(p, i, min(i, at))
+			cmps += n
+		}
+	}
+	return true, cmps
+}
+
+// reconcile makes front the set of entries without a shield, after a
+// lifecycle repair changed shields behind its back: left is told each id
+// that leaves the frontier, joined (if not nil) each that enters, in
+// arrival order.
+func (b *buffer) reconcile(front *core.Frontier, left, joined func(id int)) {
+	for _, id := range front.IDs() {
+		if i, ok := b.find(id); !ok || b.shield[i] != noShield {
+			front.Remove(id)
+			left(id)
+		}
+	}
+	for i, o := range b.list {
+		if b.shield[i] == noShield && !front.Contains(o.ID) {
+			front.Add(o)
+			if joined != nil {
+				joined(o.ID)
+			}
+		}
+	}
+}
 
 // --- BaselineSW ---
 
@@ -38,14 +146,12 @@ func (b *BaselineSW) RegisterUser(c int, p *pref.Profile) {
 	b.buffers = append(b.buffers, nil)
 }
 
-// ActivateUser builds user c's frontier and buffer by replaying the
-// in-window objects through the standard arrival scan.
+// ActivateUser builds user c's buffer and frontier from the in-window
+// objects.
 func (b *BaselineSW) ActivateUser(c int, _ int, _ *pref.Profile, _ []object.Object) {
 	b.Activate(c)
 	b.buffers[c] = newBuffer()
-	for _, o := range b.win.aliveTail() {
-		b.arriveUser(c, o)
-	}
+	b.rebuildUser(c)
 }
 
 // DeactivateUser blanks user c's slot without mending (recovery path).
@@ -60,82 +166,38 @@ func (b *BaselineSW) RemoveUser(c int, _ *pref.Profile, _ []object.Object) {
 	b.buffers[c] = nil
 }
 
-// mendBuffer re-admits in-window objects whose last succeeding dominator
-// under p vanished. pass reports each candidate for pre-filtering (count
-// any comparison it performs); nil admits every non-member.
-func mendBuffer(pb *buffer, ras []object.Object, p *pref.Profile, pass func(x object.Object) bool, count func(int)) {
-	for i, x := range ras {
-		if pb.has(x.ID) {
-			continue
-		}
-		if pass != nil && !pass(x) {
-			continue
-		}
-		var px pref.Probe
-		p.Prepare(x, &px)
-		blocked := false
-		for j := i + 1; j < len(ras) && !blocked; j++ {
-			count(1)
-			blocked = px.DominatedBy(ras[j])
-		}
-		if !blocked {
-			pb.insert(x)
-		}
-	}
+// rebuildUser re-derives PB_c and P_c from the in-window objects under
+// user c's relation as it now stands.
+func (b *BaselineSW) rebuildUser(c int) {
+	b.Ctr.AddVerify(b.buffers[c].rebuild(b.win.aliveTail(), b.Users[c]))
+	b.reconcileUser(c)
 }
 
-// RetractPreference mends user c's buffer and frontier after the caller
-// shrank c's preference relation.
+// reconcileUser reads P_c, and with it C_o, off PB_c's shields.
+func (b *BaselineSW) reconcileUser(c int) {
+	b.buffers[c].reconcile(b.Fronts[c],
+		func(id int) { b.RemoveTarget(id, c) },
+		func(id int) { b.AddTarget(id, c) })
+}
+
+// RetractPreference rebuilds user c's buffer and frontier after the
+// caller shrank c's preference relation.
 func (b *BaselineSW) RetractPreference(c int, _ *pref.Profile, _ []object.Object) {
-	u := b.Users[c]
-	ras := b.win.aliveTail()
-	mendBuffer(b.buffers[c], ras, u, nil, b.Ctr.AddVerify)
-	f := b.Fronts[c]
-	for _, x := range b.buffers[c].objects() {
-		if !f.Contains(x.ID) {
-			b.mendUser(c, x)
-		}
-	}
+	b.rebuildUser(c)
 }
 
-// RemoveObject tombstones o's ring slot and, per user, re-admits the
-// buffer candidates o was the last succeeding dominator of, then — when
-// o occupied the frontier — promotes buffered objects o was shielding.
+// RemoveObject tombstones o's ring slot and takes o out of every user's
+// buffer and frontier, promoting what it kept out of either.
 func (b *BaselineSW) RemoveObject(o object.Object, _ []object.Object) {
 	if !b.win.knockOut(o.ID) {
 		return // expired or never in this window: no live structure holds it
 	}
-	ras := b.win.aliveTail()
+	alive := b.win.aliveTail()
 	for _, c := range b.Members {
-		u := b.Users[c]
-		f := b.Fronts[c]
-		pb := b.buffers[c]
-		pb.remove(o.ID)
-		inP := b.Holds(o.ID, c)
-		if inP {
-			f.Remove(o.ID)
-			b.RemoveTarget(o.ID, c)
-		}
-		var po pref.Probe
-		u.Prepare(o, &po)
-		// Only objects preceding o had o as a succeeding dominator.
-		mendBuffer(pb, ras, u, func(x object.Object) bool {
-			if x.ID >= o.ID {
-				return false
-			}
-			b.Ctr.AddVerify(1)
-			return po.Dominates(x)
-		}, b.Ctr.AddVerify)
-		if inP {
-			for _, x := range pb.objects() {
-				if f.Contains(x.ID) {
-					continue
-				}
-				b.Ctr.AddVerify(1)
-				if po.Dominates(x) {
-					b.mendUser(c, x)
-				}
-			}
+		held, cmps := b.buffers[c].depart(o, alive, b.Users[c])
+		b.Ctr.AddVerify(cmps)
+		if held {
+			b.reconcileUser(c)
 		}
 	}
 	b.DropTargets(o.ID)
@@ -143,7 +205,7 @@ func (b *BaselineSW) RemoveObject(o object.Object, _ []object.Object) {
 
 // --- FilterThenVerifySW ---
 
-// ActivateUser joins user c to the given cluster (or founds it), resyncs
+// ActivateUser joins user c to the given cluster (or founds it), rebuilds
 // the cluster tier under the recomputed common relation, and builds c's
 // frontier from the filter frontier (Lemma 4.6).
 func (f *FilterThenVerifySW) ActivateUser(c int, cluster int, common *pref.Profile, _ []object.Object) {
@@ -152,15 +214,11 @@ func (f *FilterThenVerifySW) ActivateUser(c int, cluster int, common *pref.Profi
 	if li < 0 {
 		li = f.Found(cluster, c, common)
 		f.buffers = append(f.buffers, newBuffer())
-		for _, o := range f.win.aliveTail() {
-			f.arriveCluster(li, o)
-		}
+		f.rebuildCluster(li)
 	} else {
 		cl := &f.Clusters[li]
-		old := cl.Common
-		cl.Common = common
 		cl.Members = append(cl.Members, c)
-		f.resyncCluster(li, old)
+		f.resyncCluster(li, common)
 	}
 	f.mendMemberFrontier(li, c)
 }
@@ -171,13 +229,14 @@ func (f *FilterThenVerifySW) ActivateUser(c int, cluster int, common *pref.Profi
 func (f *FilterThenVerifySW) mendMemberFrontier(li, c int) {
 	fc := f.UserFronts[c]
 	for _, x := range f.ClusterFronts[li].Objects() {
-		if !fc.Contains(x.ID) {
-			f.mendUser(li, c, x)
+		if !fc.Contains(x.ID) && f.undominated(li, c, x) {
+			fc.Add(x)
+			f.AddTarget(x.ID, c)
 		}
 	}
 }
 
-// RemoveUser drops user c from its cluster, resyncing the cluster tier
+// RemoveUser drops user c from its cluster and rebuilds the cluster tier
 // under the recomputed common relation; an emptied cluster goes dormant.
 func (f *FilterThenVerifySW) RemoveUser(c int, common *pref.Profile, _ []object.Object) {
 	li, emptied := f.DropMember(c)
@@ -185,91 +244,66 @@ func (f *FilterThenVerifySW) RemoveUser(c int, common *pref.Profile, _ []object.
 		f.buffers[li] = newBuffer()
 		return
 	}
-	cl := &f.Clusters[li]
-	old := cl.Common
-	cl.Common = common
-	f.resyncCluster(li, old)
+	f.resyncCluster(li, common)
 }
 
-// RetractPreference resyncs user c's cluster under the recomputed common
-// relation, then mends c's own frontier from the filter frontier.
+// RetractPreference rebuilds the tier of user c's cluster under the
+// recomputed common relation, then mends c's own frontier from the filter
+// frontier.
 func (f *FilterThenVerifySW) RetractPreference(c int, common *pref.Profile, _ []object.Object) {
 	li := f.ClusterOf(c)
-	cl := &f.Clusters[li]
-	old := cl.Common
-	cl.Common = common
-	f.resyncCluster(li, old)
+	f.resyncCluster(li, common)
 	f.mendMemberFrontier(li, c)
 }
 
-// resyncCluster reconciles the cluster tier (PB_U and P_U) with a
-// changed common relation: a grown relation filters both structures, a
-// shrunken one mends both, the approximate engine's incomparable change
-// runs both phases.
-func (f *FilterThenVerifySW) resyncCluster(li int, old *pref.Profile) {
+// resyncCluster installs cluster li's recomputed common relation and, if
+// that changed it, rebuilds the cluster tier.
+func (f *FilterThenVerifySW) resyncCluster(li int, common *pref.Profile) {
 	cl := &f.Clusters[li]
-	super := cl.Common.Subsumes(old)
-	sub := old.Subsumes(cl.Common)
-	if super && sub {
-		return // unchanged
-	}
-	if !sub { // relation grew: structures can only lose members
-		filterBuffer(f.buffers[li], cl.Common, f.Ctr.AddFilter)
-		f.FilterClusterFrontier(li)
-	}
-	if !super { // relation shrank: structures can only gain members
-		ras := f.win.aliveTail()
-		pb := f.buffers[li]
-		mendBuffer(pb, ras, cl.Common, nil, f.Ctr.AddFilter)
-		fu := f.ClusterFronts[li]
-		for _, x := range pb.objects() {
-			if !fu.Contains(x.ID) {
-				f.mendCluster(li, x)
-			}
-		}
+	changed := !common.Equal(cl.Common)
+	cl.Common = common
+	if changed {
+		f.rebuildCluster(li)
 	}
 }
 
-// RemoveObject tombstones o's ring slot and mends the cluster tiers it
-// occupied: PB_U candidates o was the last succeeding ≻_U-dominator of
-// re-enter, P_U mends from the buffer, and members whose own frontier
-// held o mend from the filter frontier (mirroring expireCluster).
+// rebuildCluster re-derives PB_U and P_U from the in-window objects under
+// cluster li's common relation as it now stands.
+func (f *FilterThenVerifySW) rebuildCluster(li int) {
+	f.Ctr.AddFilter(f.buffers[li].rebuild(f.win.aliveTail(), f.Clusters[li].Common))
+	f.reconcileCluster(li)
+}
+
+// reconcileCluster reads P_U off PB_U's shields; objects that leave it
+// leave the member frontiers too. Members gain nothing here: the callers
+// mend the ones an operation can promote for.
+func (f *FilterThenVerifySW) reconcileCluster(li int) {
+	f.buffers[li].reconcile(f.ClusterFronts[li], func(id int) { f.EvictFromMembers(li, id) }, nil)
+}
+
+// RemoveObject tombstones o's ring slot and takes o out of every cluster
+// tier: PB_U and P_U promote what o kept out of them, then members whose
+// own frontier held o mend from the updated P_U (mirroring
+// expireCluster).
 func (f *FilterThenVerifySW) RemoveObject(o object.Object, _ []object.Object) {
 	if !f.win.knockOut(o.ID) {
 		return
 	}
-	ras := f.win.aliveTail()
+	alive := f.win.aliveTail()
 	for li := range f.Clusters {
 		cl := &f.Clusters[li]
 		if len(cl.Members) == 0 {
 			continue
 		}
-		fu := f.ClusterFronts[li]
-		pb := f.buffers[li]
-		pb.remove(o.ID)
-		if fu.Remove(o.ID) {
-			// Tier 1: mend PB_U, then P_U from it (arrival order). Only
-			// objects preceding o had it as a succeeding dominator.
-			var po pref.Probe
-			cl.Common.Prepare(o, &po)
-			mendBuffer(pb, ras, cl.Common, func(x object.Object) bool {
-				if x.ID >= o.ID {
-					return false
-				}
-				f.Ctr.AddFilter(1)
-				return po.Dominates(x)
-			}, f.Ctr.AddFilter)
-			for _, x := range pb.objects() {
-				if fu.Contains(x.ID) {
-					continue
-				}
-				f.Ctr.AddFilter(1)
-				if po.Dominates(x) {
-					f.mendCluster(li, x)
-				}
-			}
+		held, cmps := f.buffers[li].depart(o, alive, cl.Common)
+		f.Ctr.AddFilter(cmps)
+		if !held {
+			continue
 		}
-		// Tier 2: members whose P_c held o mend from the updated P_U.
+		// o goes first, by hand: the members still holding it are how
+		// mendMembers knows whom to mend.
+		f.ClusterFronts[li].Remove(o.ID)
+		f.reconcileCluster(li)
 		f.mendMembers(li, o)
 	}
 	f.DropTargets(o.ID)

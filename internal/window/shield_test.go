@@ -1,0 +1,387 @@
+package window_test
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/approx"
+	"repro/internal/core"
+	"repro/internal/object"
+	"repro/internal/order"
+	"repro/internal/pref"
+	"repro/internal/window"
+)
+
+// Removing an object that an older alive object dominates — buffered, but
+// outside the frontier — must still re-admit the older objects it alone
+// kept out of the buffer: they outlive its dominator. One attribute,
+// a ≻ b ≻ c, d unrelated; window 4; arrivals e = (a), x = (c), o = (b),
+// z = (d). o evicts x from the buffer; RemoveObject(o) has to bring x
+// back, so that the arrival expiring e finds it. FilterThenVerifySW used
+// to mend PB_U only when o left P_U, and lost x for good.
+func TestRemoveObjectOutsideFrontierReadmitsItsEvictees(t *testing.T) {
+	dom := order.NewDomain("v")
+	for _, v := range []string{"a", "b", "c", "d"} {
+		dom.Intern(v)
+	}
+	newUser := func() *pref.Profile {
+		p := pref.NewProfile([]*order.Domain{dom})
+		for _, tu := range [][2]int{{0, 1}, {1, 2}} {
+			if err := p.Relation(0).Add(tu[0], tu[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	obj := func(id int, v int32) object.Object { return object.Object{ID: id, Attrs: []int32{v}} }
+	e, x, o, z, z2 := obj(0, 0), obj(1, 2), obj(2, 1), obj(3, 3), obj(4, 3)
+
+	engines := map[string]interface {
+		window.Monitor
+		RemoveObject(o object.Object, alive []object.Object)
+		Buffer(i int) []int
+	}{
+		"BaselineSW": window.NewBaselineSW([]*pref.Profile{newUser()}, 4, nil),
+		"FilterThenVerifySW": window.NewFilterThenVerifySW([]*pref.Profile{newUser()},
+			[]core.Cluster{{Members: []int{0}, Common: newUser()}}, 4, nil),
+	}
+	for name, eng := range engines {
+		for _, in := range []object.Object{e, x, o, z} {
+			eng.Process(in)
+		}
+		if got, want := eng.Buffer(0), []int{e.ID, o.ID, z.ID}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: buffer %v before the removal, want %v", name, got, want)
+		}
+		eng.RemoveObject(o, nil)
+		if got, want := eng.Buffer(0), []int{e.ID, x.ID, z.ID}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: buffer %v after removing o, want %v", name, got, want)
+		}
+		if got, want := sorted(eng.UserFrontier(0)), []int{e.ID, z.ID}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: frontier %v after removing o, want %v", name, got, want)
+		}
+		eng.Process(z2) // expires e
+		if got, want := sorted(eng.UserFrontier(0)), []int{x.ID, z.ID, z2.ID}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: frontier %v once e expired, want %v", name, got, want)
+		}
+	}
+}
+
+// shieldWorld plays the Monitor's part for a sharded window engine — the
+// user table, the clustering, the alive window — through a seeded history
+// of arrivals and lifecycle calls, and knows how to check the engine
+// against the definitions after each.
+type shieldWorld struct {
+	t        *testing.T
+	r        *rand.Rand
+	doms     []*order.Domain
+	w        int
+	users    []*pref.Profile
+	active   []bool
+	clusters [][]int // members by cluster index; nil: one buffer per user (Alg. 4)
+	commonFn core.CommonFn
+	exact    bool            // cluster relations are the members' intersection
+	objs     []object.Object // every arrival, by id
+	removed  map[int]bool
+	slots    []object.Object // the ring: the last w arrivals, removed ones blanked
+
+	eng   *core.Sharded
+	views func() []window.BufferView
+}
+
+const shieldDomSize = 5
+
+func (s *shieldWorld) randomProfile(edges int) *pref.Profile {
+	p := pref.NewProfile(s.doms)
+	for d := range s.doms {
+		for e := 0; e < edges; e++ {
+			p.Relation(d).Add(s.r.Intn(shieldDomSize), s.r.Intn(shieldDomSize))
+		}
+	}
+	return p
+}
+
+// coreClusters renders the clustering for a constructor, dormant clusters
+// included.
+func (s *shieldWorld) coreClusters() []core.Cluster {
+	if s.clusters == nil {
+		return nil
+	}
+	out := make([]core.Cluster, len(s.clusters))
+	for i, members := range s.clusters {
+		out[i].Members = append([]int(nil), members...)
+		if len(members) > 0 {
+			out[i].Common = s.common(members)
+		}
+	}
+	return out
+}
+
+func (s *shieldWorld) common(members []int) *pref.Profile {
+	ps := make([]*pref.Profile, len(members))
+	for i, c := range members {
+		ps[i] = s.users[c]
+	}
+	return s.commonFn(ps)
+}
+
+func (s *shieldWorld) build(workers int) {
+	eng, views, err := window.NewShardedViews(s.users, s.coreClusters(), s.active, s.w, workers, nil)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	eng.SetCommonFn(s.commonFn)
+	s.eng, s.views = eng, views
+}
+
+// alive returns the window's objects, oldest first.
+func (s *shieldWorld) alive() []object.Object {
+	var out []object.Object
+	for _, o := range s.slots {
+		if o.ID >= 0 {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+func (s *shieldWorld) clusterOf(c int) int {
+	for ui, members := range s.clusters {
+		for _, m := range members {
+			if m == c {
+				return ui
+			}
+		}
+	}
+	return -1
+}
+
+func (s *shieldWorld) aliveUsers() []int {
+	var out []int
+	for c, on := range s.active {
+		if on {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// step performs one random operation and names it.
+func (s *shieldWorld) step() string {
+	r := s.r
+	users := s.aliveUsers()
+	c := users[r.Intn(len(users))]
+	switch k := r.Float64(); {
+	case k < 0.55:
+		o := object.Object{ID: len(s.objs), Attrs: make([]int32, len(s.doms))}
+		for d := range o.Attrs {
+			o.Attrs[d] = int32(r.Intn(shieldDomSize))
+		}
+		s.objs = append(s.objs, o)
+		if s.slots = append(s.slots, o); len(s.slots) > s.w {
+			s.slots = s.slots[1:]
+		}
+		s.eng.Process(o)
+		return fmt.Sprintf("Process(%d)", o.ID)
+	case k < 0.68:
+		// One of the last w+2 arrivals: alive, or just expired (a removal
+		// the engine must ignore).
+		id := len(s.objs) - 1 - r.Intn(s.w+2)
+		if id < 0 || s.removed[id] {
+			return "nothing" // the registry refuses it before the engine sees it
+		}
+		s.removed[id] = true
+		for i, in := range s.slots {
+			if in.ID == id {
+				s.slots[i] = object.Object{ID: -1}
+			}
+		}
+		s.eng.RemoveObject(s.objs[id], nil)
+		return fmt.Sprintf("RemoveObject(%d)", id)
+	case k < 0.78:
+		d, x, y := r.Intn(len(s.doms)), r.Intn(shieldDomSize), r.Intn(shieldDomSize)
+		if !s.users[c].Relation(d).CanAdd(x, y) {
+			return "nothing"
+		}
+		if err := s.eng.ApplyPreference(c, d, x, y); err != nil {
+			s.t.Fatal(err)
+		}
+		return fmt.Sprintf("ApplyPreference(%d: %d>%d on %d)", c, x, y, d)
+	case k < 0.87:
+		d := r.Intn(len(s.doms))
+		asserted := s.users[c].Relation(d).Asserted()
+		if len(asserted) == 0 {
+			return "nothing"
+		}
+		tu := asserted[r.Intn(len(asserted))]
+		if err := s.users[c].Relation(d).Remove(tu.Better, tu.Worse); err != nil {
+			s.t.Fatal(err)
+		}
+		var common *pref.Profile
+		if s.clusters != nil {
+			common = s.common(s.clusters[s.clusterOf(c)])
+		}
+		s.eng.RetractPreference(c, common, nil)
+		return fmt.Sprintf("RetractPreference(%d: %d>%d on %d)", c, tu.Better, tu.Worse, d)
+	case k < 0.94:
+		nu := len(s.users)
+		p := s.randomProfile(3)
+		s.users = append(s.users, p)
+		s.active = append(s.active, true)
+		s.eng.RegisterUser(nu, p)
+		cluster, common := -1, (*pref.Profile)(nil)
+		if s.clusters != nil {
+			if cluster = s.clusterOf(c); r.Intn(3) == 0 {
+				cluster = len(s.clusters)
+				s.clusters = append(s.clusters, nil)
+			}
+			s.clusters[cluster] = append(s.clusters[cluster], nu)
+			common = s.common(s.clusters[cluster])
+		}
+		s.eng.ActivateUser(nu, cluster, common, nil)
+		return fmt.Sprintf("ActivateUser(%d in %d)", nu, cluster)
+	default:
+		if len(users) <= 2 {
+			return "nothing"
+		}
+		s.active[c] = false
+		var common *pref.Profile
+		if s.clusters != nil {
+			ui := s.clusterOf(c)
+			s.clusters[ui] = slices.DeleteFunc(s.clusters[ui], func(m int) bool { return m == c })
+			if members := s.clusters[ui]; len(members) > 0 {
+				common = s.common(members)
+			}
+		}
+		s.eng.RemoveUser(c, common, nil)
+		return fmt.Sprintf("RemoveUser(%d)", c)
+	}
+}
+
+// check holds the engine to the definitions: every buffer is Def. 7.4's
+// under its relation, every shield is the entry's youngest alive
+// dominator, the frontier a buffer backs is its entries without one, and
+// every user's frontier is Def. 7.1's — or, under an approximate cluster
+// relation, inside the filter frontier (Lemma 6.6), which is all the
+// procedure promises there.
+func (s *shieldWorld) check(after string) {
+	s.t.Helper()
+	alive := s.alive()
+	views := s.views()
+	served := 0
+	for _, v := range views {
+		served += len(v.Members)
+		if want := refBuffer(v.Relation, alive); !reflect.DeepEqual(v.IDs, want) {
+			s.t.Fatalf("after %s: buffer of %v is %v, Def. 7.4 says %v", after, v.Members, v.IDs, want)
+		}
+		byID := map[int]object.Object{}
+		for _, o := range alive {
+			byID[o.ID] = o
+		}
+		var unshielded []int
+		for i, id := range v.IDs {
+			want := window.NoShield
+			for _, o := range alive {
+				if v.Relation.Dominates(o, byID[id]) {
+					want = o.ID // alive is oldest first: the last one stands
+				}
+			}
+			if v.Shields[i] != want {
+				s.t.Fatalf("after %s: buffer of %v shields %d with %d, its youngest alive dominator is %d",
+					after, v.Members, id, v.Shields[i], want)
+			}
+			if want == window.NoShield {
+				unshielded = append(unshielded, id)
+			}
+		}
+		if got := sorted(v.Frontier); !reflect.DeepEqual(got, sorted(unshielded)) {
+			s.t.Fatalf("after %s: frontier of %v is %v, the entries without a shield are %v", after, v.Members, got, unshielded)
+		}
+		inFilter := map[int]bool{}
+		for _, id := range v.Frontier {
+			inFilter[id] = true
+		}
+		for _, c := range v.Members {
+			got := sorted(s.eng.UserFrontier(c))
+			if s.exact {
+				if want := aliveFrontier(s.users[c], alive); !reflect.DeepEqual(got, want) {
+					s.t.Fatalf("after %s: frontier of user %d is %v, Def. 7.1 says %v", after, c, got, want)
+				}
+				continue
+			}
+			for _, id := range got {
+				if !inFilter[id] {
+					s.t.Fatalf("after %s: user %d holds %d, which is outside the filter frontier %v", after, c, id, v.Frontier)
+				}
+			}
+		}
+	}
+	if want := len(s.aliveUsers()); served != want {
+		s.t.Fatalf("after %s: the buffers serve %d users, %d are alive", after, served, want)
+	}
+}
+
+// roundTrip replaces the engine by one of another shard count restored
+// from its captured state: the shields are not part of a snapshot and
+// have to come back exactly.
+func (s *shieldWorld) roundTrip(workers int) {
+	st := core.NewEngineState(len(s.users), len(s.clusters))
+	s.eng.CaptureState(st)
+	s.eng.Close()
+	s.build(workers)
+	if err := s.eng.RestoreState(st, nil); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// After every step of a seeded history of arrivals, removals, preference
+// updates and retractions, users joining and leaving — and across
+// capture/restore into another shard count — the window engines hold the
+// shield invariant and serve the definitional frontiers.
+func TestShieldInvariantThroughLifecycleHistories(t *testing.T) {
+	engines := []struct {
+		name      string
+		clustered bool
+		commonFn  core.CommonFn
+	}{
+		{"BaselineSW", false, pref.Common},
+		{"FilterThenVerifySW", true, pref.Common},
+		{"FilterThenVerifyApproxSW", true, func(ps []*pref.Profile) *pref.Profile { return approx.Profile(ps, 6, 0.4) }},
+	}
+	for _, e := range engines {
+		for _, workers := range []int{1, 3} {
+			for seed := int64(1); seed <= 6; seed++ {
+				t.Run(fmt.Sprintf("%s/workers=%d/seed=%d", e.name, workers, seed), func(t *testing.T) {
+					r := rand.New(rand.NewSource(seed))
+					s := &shieldWorld{t: t, r: r, w: 4 + r.Intn(12), removed: map[int]bool{}, commonFn: e.commonFn, exact: e.name != "FilterThenVerifyApproxSW"}
+					for d := 0; d < 2+r.Intn(2); d++ {
+						dom := order.NewDomain(string(rune('a' + d)))
+						for v := 0; v < shieldDomSize; v++ {
+							dom.Intern(string(rune('A' + v)))
+						}
+						s.doms = append(s.doms, dom)
+					}
+					for c := 0; c < 6; c++ {
+						s.users = append(s.users, s.randomProfile(4))
+						s.active = append(s.active, true)
+					}
+					if e.clustered {
+						s.clusters = [][]int{{0, 1, 2}, {3, 4}, {5}}
+					}
+					s.build(workers)
+					defer func() { s.eng.Close() }()
+					for i := 0; i < 220; i++ {
+						s.check(s.step())
+						if i%37 == 36 {
+							workers = 4 - workers // 1 <-> 3
+							s.roundTrip(workers)
+							s.check("restore")
+						}
+					}
+				})
+			}
+		}
+	}
+}

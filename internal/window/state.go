@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/object"
+	"repro/internal/pref"
 )
 
 // State capture/restore for the sliding-window engines, mirroring
@@ -52,10 +53,15 @@ func (r *ring) restore(seen int, tail []object.Object) error {
 	return nil
 }
 
-// restoreBuffer refills an empty Pareto frontier buffer in arrival order.
-func restoreBuffer(pb *buffer, objs []object.Object) {
-	for _, o := range objs {
-		pb.add(o)
+// restore refills an empty Pareto frontier buffer from a captured one, in
+// arrival order, and re-derives the shields under p: a snapshot carries
+// the entries only. Like the C_o and slot-table rebuilds of a restore,
+// that work is not counted.
+func (b *buffer) restore(objs []object.Object, p *pref.Profile) {
+	b.list = copyObjects(objs)
+	b.shield = make([]int, len(objs))
+	for i := range b.list {
+		b.shield[i], _ = b.dominatorBelow(p, i, i)
 	}
 }
 
@@ -92,7 +98,7 @@ func (b *BaselineSW) RestoreState(st *core.EngineState, _ []object.Object) error
 			b.Fronts[c].Add(o)
 			b.AddTarget(o.ID, c)
 		}
-		restoreBuffer(b.buffers[c], st.UserBuffers[c])
+		b.buffers[c].restore(st.UserBuffers[c], b.Users[c])
 	}
 	return nil
 }
@@ -133,7 +139,7 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState, _ []object.Objec
 		for _, o := range st.ClusterFronts[gi] {
 			f.ClusterFronts[li].Add(o)
 		}
-		restoreBuffer(f.buffers[li], st.ClusterBuffers[gi])
+		f.buffers[li].restore(st.ClusterBuffers[gi], cl.Common)
 		for _, c := range cl.Members {
 			for _, o := range st.UserFronts[c] {
 				f.UserFronts[c].Add(o)

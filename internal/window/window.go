@@ -78,15 +78,27 @@ func (r *ring) aliveTail() []object.Object {
 	return out
 }
 
-// buffer is an arrival-ordered Pareto frontier buffer. Mending must walk
-// candidates in arrival order (an earlier buffered object may dominate a
-// later one; admitting the earlier one first lets the frontier scan reject
-// the later one), so the buffer keeps insertion order and compacts in
-// place on removal. Object ids are assigned in arrival order, so arrival
-// order is ascending-id order and membership is a binary search of the
-// list itself: the buffer holds nothing but its members.
+// noShield marks a buffer entry that no alive object dominates: a member
+// of the frontier the buffer backs.
+const noShield = -1
+
+// buffer is a Pareto frontier buffer PB (Def. 7.4) in arrival order: the
+// alive objects no succeeding object dominates under the buffer's
+// relation. Object ids are assigned in arrival order, so arrival order is
+// ascending-id order and membership is a binary search of the list.
+//
+// Beside each entry sits its shield: the id of its youngest alive
+// dominator, or noShield. A dominator of an entry is older than it (a
+// younger one would have evicted it), and the youngest of them is itself
+// buffered (anything dominating that one dominates the entry too, and
+// would be a younger dominator still, or younger than the entry). Objects
+// expire in arrival order, so an entry's dominators die oldest first and
+// the shield is the last to go: the frontier P is exactly the entries
+// without one, and an entry joins P the moment its shield expires — see
+// the package comment.
 type buffer struct {
-	list []object.Object
+	list   []object.Object
+	shield []int // shield[i] belongs to list[i]
 }
 
 func newBuffer() *buffer { return &buffer{} }
@@ -94,58 +106,90 @@ func newBuffer() *buffer { return &buffer{} }
 // find returns the position of the member with the given id, or the
 // position it would be inserted at and false.
 func (b *buffer) find(id int) (int, bool) {
-	return slices.BinarySearchFunc(b.list, id, func(o object.Object, id int) int {
-		return cmp.Compare(o.ID, id)
-	})
+	return slices.BinarySearchFunc(b.list, id, compareID)
 }
 
-// add admits an arriving object: the youngest, so it goes last. Anything
-// older (a restore handing objects out of order) goes through insert.
-func (b *buffer) add(o object.Object) {
-	if n := len(b.list); n > 0 && o.ID <= b.list[n-1].ID {
-		b.insert(o)
-		return
-	}
-	b.list = append(b.list, o)
+// compareID orders an object against an id; ids ascend in arrival order.
+func compareID(o object.Object, id int) int { return cmp.Compare(o.ID, id) }
+
+func (b *buffer) removeAt(i int) {
+	b.list = slices.Delete(b.list, i, i+1)
+	b.shield = slices.Delete(b.shield, i, i+1)
 }
 
-func (b *buffer) remove(id int) {
-	if i, ok := b.find(id); ok {
-		b.list = slices.Delete(b.list, i, i+1)
-	}
-}
-
-// evictDominated deletes every buffered object the prepared object
-// dominates, preserving arrival order, and returns the number of
-// comparisons made (one per buffered object).
-func (b *buffer) evictDominated(po *pref.Probe) int {
+// arrive admits o_in, prepared as po under the buffer's relation:
+// Procedures updateParetoFrontierSW and refreshParetoBufferSW in one walk
+// from the youngest entry to the oldest, one comparison an entry. An
+// entry o_in dominates leaves the buffer (Theorem 7.2: it is out for
+// good); if it had no shield it was in P, and is appended to evicted for
+// the caller to take out of the frontiers. The first entry that dominates
+// o_in ends the walk: it is o_in's youngest dominator, hence its shield,
+// and nothing older can be dominated by o_in — the dominator would
+// dominate it too, from a later arrival, so it is not buffered. A twin
+// ends the walk as well and hands o_in its own shield: whatever either
+// dominates, or is dominated by, so is the other. arrive returns o_in's
+// shield (noShield: o_in enters P), the comparisons made, and evicted.
+//
+//paretomon:hotpath
+func (b *buffer) arrive(po *pref.Probe, oin object.Object, evicted []object.Object) (shield, cmps int, _ []object.Object) {
+	shield = noShield
 	n := len(b.list)
-	kept := b.list[:0]
-	for _, o := range b.list {
-		if !po.Dominates(o) {
-			kept = append(kept, o)
+	i, w := n-1, n // the walk's survivors collect in list[w:n]
+walk:
+	for ; i >= 0; i-- {
+		cmps++
+		switch po.Compare(b.list[i]) {
+		case pref.Left:
+			if b.shield[i] == noShield {
+				evicted = append(evicted, b.list[i])
+			}
+			continue
+		case pref.Right:
+			shield = b.list[i].ID
+			break walk
+		case pref.Identical:
+			shield = b.shield[i]
+			break walk
+		}
+		if w--; w != i {
+			b.list[w], b.shield[w] = b.list[i], b.shield[i]
 		}
 	}
-	b.list = kept
-	return n
+	if gap := w - (i + 1); gap > 0 { // evictions left a gap above the entries the walk did not reach
+		copy(b.list[i+1:], b.list[w:n])
+		copy(b.shield[i+1:], b.shield[w:n])
+		clear(b.list[n-gap : n]) // do not pin the evicted objects' Attrs
+		n -= gap
+	}
+	b.list = append(b.list[:n], oin)
+	b.shield = append(b.shield[:n], shield)
+	return shield, cmps, evicted
+}
+
+// expire retires the oldest alive object, id. It has outlived every
+// object that could dominate it, so if it is buffered at all it is the
+// first entry and a member of P; the entries it shields have now outlived
+// their last dominator and enter P, in arrival order, without a single
+// comparison. expire reports whether id was buffered and appends the
+// promoted entries to promoted.
+//
+//paretomon:hotpath
+func (b *buffer) expire(id int, promoted []object.Object) (bool, []object.Object) {
+	if len(b.list) == 0 || b.list[0].ID != id {
+		return false, promoted
+	}
+	b.removeAt(0)
+	for i, s := range b.shield {
+		if s == id {
+			b.shield[i] = noShield
+			promoted = append(promoted, b.list[i])
+		}
+	}
+	return true, promoted
 }
 
 // objects returns the buffer in arrival order; callers must not mutate it.
 func (b *buffer) objects() []object.Object { return b.list }
-
-// has reports buffer membership.
-func (b *buffer) has(id int) bool {
-	_, ok := b.find(id)
-	return ok
-}
-
-// insert adds o at its arrival position; inserting a member is a no-op.
-// Lifecycle mends use it to re-admit objects mid-buffer.
-func (b *buffer) insert(o object.Object) {
-	if i, ok := b.find(o.ID); !ok {
-		b.list = slices.Insert(b.list, i, o)
-	}
-}
 
 func (b *buffer) idSlice() []int {
 	out := make([]int, 0, len(b.list))

@@ -83,15 +83,40 @@ func parentSnapshotHistory() ([]string, map[string][]Preference, []dupOp) {
 }
 
 func TestParentSnapshotRestores(t *testing.T) {
-	body, err := os.ReadFile("testdata/snapshot_parent_83a22ee.bin")
+	// Frontiers are equal as sets, not as lists: the parent evicted twins
+	// one swap-delete at a time, so its scan order is not the one classes
+	// arrive at and the two monitors may meet a dominator a comparison
+	// apart. Deliveries and reads must agree.
+	restoresParentSnapshot(t, "testdata/snapshot_parent_83a22ee.bin",
+		WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3))
+}
+
+// TestParentWindowSnapshotRestores is the same seam for the window
+// engines' shields: testdata/snapshot_window_parent_87ee045.bin was
+// written by the commit before the buffers had any (FilterThenVerifySW,
+// three clusters, window 24, one worker, the same history and cut). A
+// snapshot spells out a buffer's entries and nothing else, so the codec
+// did not move; the shields are re-derived on restore, and frontiers, C_o
+// and every later delivery are those of a monitor that never stopped.
+func TestParentWindowSnapshotRestores(t *testing.T) {
+	restoresParentSnapshot(t, "testdata/snapshot_window_parent_87ee045.bin",
+		WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3), WithWindow(24))
+}
+
+// restoresParentSnapshot opens a monitor over a snapshot an earlier commit
+// wrote parentSnapshotAt operations into parentSnapshotHistory, and holds
+// it to a monitor of this commit that ran those operations itself: same
+// reads, same deliveries for the rest of the history, same reads again.
+func restoresParentSnapshot(t *testing.T, file string, opts ...Option) {
+	body, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	users, asserted, ops := parentSnapshotHistory()
-	opts := []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3)}
+	opts = opts[:len(opts):len(opts)]
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ref, err := NewMonitor(dupSpace.community(t, users, asserted), append(opts[:2:2], WithWorkers(workers))...)
+			ref, err := NewMonitor(dupSpace.community(t, users, asserted), append(opts, WithWorkers(workers))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,17 +131,12 @@ func TestParentSnapshotRestores(t *testing.T) {
 			if err := store.WriteSnapshot(walRecords(ops[:parentSnapshotAt]), body); err != nil {
 				t.Fatal(err)
 			}
-			got, err := NewMonitor(dupSpace.community(t, users, asserted), append(opts[:2:2], WithWorkers(workers), WithStore(store))...)
+			got, err := NewMonitor(dupSpace.community(t, users, asserted), append(opts, WithWorkers(workers), WithStore(store))...)
 			if err != nil {
 				t.Fatalf("restoring the parent's snapshot: %v", err)
 			}
 			defer got.Close()
 			sameReads(t, "restored", ref, got)
-
-			// Frontiers are equal as sets, not as lists: the parent evicted
-			// twins one swap-delete at a time, so its scan order is not the
-			// one classes arrive at and the two monitors may meet a
-			// dominator a comparison apart. Deliveries and reads must agree.
 			replayBoth(t, ref, got, ops[parentSnapshotAt:])
 			sameReads(t, "continued", ref, got)
 		})
