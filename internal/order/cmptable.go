@@ -12,10 +12,11 @@ const (
 	RelRight
 )
 
-// cmpTableMaxN caps the dense table at n×n = 1 MiB of uint8 cells. Real
+// TableMaxN caps the dense table at n×n = 1 MiB of uint8 cells. Real
 // categorical domains (genres, languages, publishers) sit far below this;
-// a pathological domain simply keeps the bitset-probe path.
-const cmpTableMaxN = 1 << 10
+// a pathological domain simply keeps the bitset-probe path. pref.Union's
+// tables share the cap.
+const TableMaxN = 1 << 10
 
 // cmpTable is a dense n×n matrix of Rel codes derived from the closed
 // successor bitsets: t[x*n+y] answers "how do x and y relate" in one load,
@@ -29,7 +30,7 @@ type cmpTable struct {
 
 // Rel classifies the ordered pair (x, y): RelLeft if x ≻ y, RelRight if
 // y ≻ x, RelNone otherwise. Ids outside the published table (values
-// interned after the last build, or domains past cmpTableMaxN) fall back
+// interned after the last build, or domains past TableMaxN) fall back
 // to exact bitset probes, so the answer never goes stale on domain growth.
 //
 //paretomon:hotpath
@@ -49,7 +50,7 @@ func (r *Relation) Rel(x, y int) uint8 {
 
 // Row returns x's row of the dense table: row[y] == Rel(x, y) for every
 // y < len(row). It is nil when the table does not cover x (value interned
-// after the last build, or a domain past cmpTableMaxN); callers then ask
+// after the last build, or a domain past TableMaxN); callers then ask
 // Rel pair by pair. A scan that holds x fixed fetches the row once and
 // pays one byte load per comparison instead of a table resolution. The
 // row is valid until the relation is next mutated.
@@ -64,7 +65,7 @@ func (r *Relation) Row(x int) []uint8 {
 }
 
 // table returns the published table, building it after an invalidation;
-// nil when the domain is past cmpTableMaxN.
+// nil when the domain is past TableMaxN.
 func (r *Relation) table() *cmpTable {
 	if t := r.cmp.Load(); t != nil {
 		return t
@@ -79,7 +80,7 @@ func (r *Relation) table() *cmpTable {
 // so the last store winning is harmless.
 func (r *Relation) buildCmp() *cmpTable {
 	n := r.n
-	if n > cmpTableMaxN {
+	if n > TableMaxN {
 		return nil
 	}
 	t := &cmpTable{n: n, t: make([]uint8, n*n)}

@@ -101,7 +101,7 @@ func TestRelMatchesHas(t *testing.T) {
 func TestRelOversizedDomain(t *testing.T) {
 	dom := NewDomain("big")
 	r := NewRelation(dom)
-	big := cmpTableMaxN + 5
+	big := TableMaxN + 5
 	r.ensure(big)
 	if err := r.Add(big-1, 3); err != nil {
 		t.Fatalf("Add: %v", err)
@@ -113,9 +113,9 @@ func TestRelOversizedDomain(t *testing.T) {
 		t.Fatal("probe fallback wrong on oversized domain")
 	}
 	if r.Row(big-1) != nil || r.Row(3) != nil {
-		t.Fatal("Row handed out a row past cmpTableMaxN")
+		t.Fatal("Row handed out a row past TableMaxN")
 	}
 	if r.cmp.Load() != nil {
-		t.Fatal("Rel or Row built a table past cmpTableMaxN")
+		t.Fatal("Rel or Row built a table past TableMaxN")
 	}
 }

@@ -1,7 +1,9 @@
 package tenant
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -127,6 +129,75 @@ func TestParseYAMLRejectsUnsupported(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "line ") {
 			t.Errorf("%s: error %q has no line number", c.name, err)
+		}
+	}
+}
+
+// FuzzParseConfig holds ParseConfig to three promises on arbitrary input:
+// it never panics, every refusal wraps ErrBadConfig, and a YAML document
+// it accepts means what its JSON rendering means — marshalled and parsed
+// again through the JSON path, it comes back DeepEqual.
+func FuzzParseConfig(f *testing.F) {
+	example, err := os.ReadFile("../../examples/fleet/fleet.yaml")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(example),
+		fleetYAML,
+		"listen: \":1\"\nroot: r\ntenants:\n  - name: r0\n    role: router\n    fleet: [\"http://a\", 'b']\n    schema: []\n",
+		"listen: x\nroot: y\ntenants: []\n",
+		`{"listen":":8080","root":"d","tenants":[{"name":"a","schema":["x"],"users":[{"name":"u"}]}]}`,
+		"k: [[1], 2]",
+		"- a\n- b: c\n  d: 'e''f'",
+		"listen: \"\\u00e9\"\nroot: ~\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := ParseConfig(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("error %v does not wrap ErrBadConfig", err)
+			}
+			return
+		}
+		if strings.HasPrefix(strings.TrimLeft(string(data), " \t\r\n"), "{") {
+			return // the JSON path already
+		}
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("an accepted config does not marshal: %v", err)
+		}
+		again, err := ParseConfig(raw)
+		if err != nil {
+			t.Fatalf("an accepted YAML config, as JSON %s, is refused: %v", raw, err)
+		}
+		dropEmptyLists(cfg)
+		if !reflect.DeepEqual(again, cfg) {
+			t.Fatalf("YAML and its JSON rendering parse differently:\n yaml: %#v\n json: %#v", cfg, again)
+		}
+	})
+}
+
+// dropEmptyLists makes an explicit empty list absent, as omitempty does on
+// the way to JSON: Validate and the engines read the two alike.
+func dropEmptyLists(c *FleetConfig) {
+	for i := range c.Tenants {
+		s := &c.Tenants[i]
+		if len(s.Fleet) == 0 {
+			s.Fleet = nil
+		}
+		if len(s.Schema) == 0 {
+			s.Schema = nil
+		}
+		if len(s.Users) == 0 {
+			s.Users = nil
+		}
+		for j := range s.Users {
+			if len(s.Users[j].Preferences) == 0 {
+				s.Users[j].Preferences = nil
+			}
 		}
 	}
 }

@@ -10,7 +10,7 @@
 // by a successor can never re-enter the frontier, so everything outside PB
 // is gone for good, and on expiry the frontier is mended from PB alone.
 //
-// Two deviations from the paper's pseudocode.
+// Three deviations from the paper's pseudocode.
 //
 // The first: Alg. 5's expiry loop gates per-user mending on the
 // cluster-level dominance o_out ≻_U o. That gate misses objects o ∈ P_U
@@ -65,6 +65,45 @@
 // does for a newcomer (buffer.rebuild), and RestoreState derives them from
 // the restored entries, a snapshot carrying none. lifecycle.go has the
 // details; the shield property test checks all of it against brute force.
+//
+// The third: Alg. 5's member tier compares member by member — each member
+// scans P_c for o_in, and on a departure each holder scans P_U for the
+// objects o_out suppressed and each of those against P_U again (Lemma
+// 4.6) — although most of those pairs are incomparable for every member
+// of the cluster. Each cluster therefore keeps the union of its members'
+// relations, per attribute one table of OR-ed Rel codes (pref.Union), and
+// one probe answers for all members at once. The argument is a necessary
+// condition: if some member has a ≻_c b, then on every attribute where a
+// and b differ that member, hence the union, prefers a's value, so the
+// AND of the union's cells keeps the "a ≻ b" bit. A pair whose mask lacks
+// it cannot be a ≻ b for any member, and a mask of 0 means incomparable
+// for all of them. The screen decides which comparisons are made, never
+// their outcome:
+//
+//   - Arrival: one pass over P_U lists the entries some member could
+//     order against o_in; each member walks that list, skipping the
+//     entries it does not hold (P_c ⊆ P_U, a bit test), and prepares o_in
+//     only if it meets one. The order is immaterial, since o_in cannot
+//     dominate one entry of the antichain P_c and be dominated by, or equal
+//     to, another.
+//   - Departure: one pass over P_U lists the entries o_out could dominate
+//     for some member, the only candidates any holder can promote. Each
+//     candidate's Lemma 4.6 scan keeps the P_U entries that could dominate
+//     it for some member, screened only as far as a member has had to
+//     look, and every later member walks those first.
+//
+// Each probe is a counted comparison. Every filter-passing arrival is
+// screened; a departure is screened when two or more members held o_out
+// (one holder walks P_U itself, which is what one pass of probes would
+// cost). Anything that changes a member's relation or the membership
+// (ApplyPreference — whether or not ≻_U moved —, RetractPreference,
+// ActivateUser, RemoveUser) marks the union stale; it is rebuilt in place
+// on its next use. A value interned after the build lies outside the
+// tables and reads as unordered against every other value: no member can
+// order it without one of those calls. With clusters of two or three
+// users over a short window, whose scans are short and stop early, the
+// probes can cost more than they save; docs/PERFORMANCE.md, "Union
+// screen", has both regimes.
 //
 // NewSharded builds these engines as the shards of a core.Sharded — the
 // engine a windowed Monitor runs on: each shard owns a disjoint slice of

@@ -11,13 +11,16 @@ const NoShield = noShield
 
 // BufferView is one Pareto frontier buffer with everything the shield
 // invariant speaks about: its relation, its entries and their shields in
-// arrival order, the frontier it backs, and the users served from it.
+// arrival order, the frontier it backs, and the users served from it —
+// and, for a cluster's buffer, the union relation screening its members'
+// tier, as the engine would use it next.
 type BufferView struct {
 	Relation *pref.Profile
 	IDs      []int
 	Shields  []int
 	Frontier []int
 	Members  []int
+	Union    *pref.Union // nil under Alg. 4
 }
 
 func viewOf(pb *buffer, p *pref.Profile, front *core.Frontier, members []int) BufferView {
@@ -44,7 +47,9 @@ func (f *FilterThenVerifySW) BufferViews() []BufferView {
 	var out []BufferView
 	for li, cl := range f.Clusters {
 		if len(cl.Members) > 0 {
-			out = append(out, viewOf(f.buffers[li], cl.Common, f.ClusterFronts[li], cl.Members))
+			v := viewOf(f.buffers[li], cl.Common, f.ClusterFronts[li], cl.Members)
+			v.Union = f.screen(li)
+			out = append(out, v)
 		}
 	}
 	return out

@@ -18,12 +18,19 @@ import (
 type FilterThenVerifySW struct {
 	core.ClusterShard
 	buffers []*buffer // PB_U per maintained cluster
+	unions  []union   // ∪≻_c per maintained cluster: the member tier's screen
 	win     *ring
 
 	// moved is the scratch frontier changes are reported into: the P_U
 	// members an arrival evicted, the entries an expiry promoted into P_U,
 	// the P_U members a departure promoted into one member's P_c.
 	moved []object.Object
+
+	// Scratch of the screened member tier (screen.go), as positions in
+	// P_U, which the member tier never changes: near holds what the last
+	// screen passed, lemma one departure's Lemma 4.6 lists.
+	near  []int32
+	lemma []lemmaList
 }
 
 // NewFilterThenVerifySW creates the standalone monitor with window size
@@ -36,7 +43,7 @@ func NewFilterThenVerifySW(users []*pref.Profile, clusters []core.Cluster, w int
 // newFilterThenVerifySW wraps one shard's bookkeeping into an engine with
 // its own window ring and a shared buffer per maintained cluster.
 func newFilterThenVerifySW(s core.ClusterShard, w int) *FilterThenVerifySW {
-	f := &FilterThenVerifySW{ClusterShard: s, buffers: make([]*buffer, len(s.Clusters)), win: newRing(w)}
+	f := &FilterThenVerifySW{ClusterShard: s, buffers: make([]*buffer, len(s.Clusters)), unions: make([]union, len(s.Clusters)), win: newRing(w)}
 	for i := range f.buffers {
 		f.buffers[i] = newBuffer()
 	}
@@ -78,11 +85,7 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 			continue
 		}
 		if f.arriveCluster(ui, oin) {
-			for _, c := range f.Clusters[ui].Members {
-				if f.verifyUser(c, oin) {
-					co = append(co, c)
-				}
-			}
+			co = f.verifyMembers(ui, oin, co)
 		}
 	}
 	slices.Sort(co)
@@ -123,11 +126,18 @@ func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
 // order before it enters P_c. Both membership questions — which members
 // hold out, which candidates c already holds — are read off C_o
 // (core.TargetTracker.Holds), a bit test where the frontier's index would
-// be a probe.
+// be a probe. When two or more members hold out, one screened pass
+// (screenDeparture) first narrows P_U to the entries out could dominate
+// for some member, every holder walks only those, and the holders share
+// one screened Lemma 4.6 scan per candidate (undominatedNear).
 //
 //paretomon:hotpath
 func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
 	fu := f.ClusterFronts[ui]
+	screened := f.holders(ui, out.ID) >= 2
+	if screened {
+		f.screenDeparture(ui, out)
+	}
 	for _, c := range f.Clusters[ui].Members {
 		if !f.Holds(out.ID, c) {
 			continue
@@ -138,13 +148,30 @@ func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
 		var po pref.Probe
 		f.Users[c].Prepare(out, &po)
 		f.moved = f.moved[:0]
-		for i := 0; i < fu.Len(); i++ {
+		n := fu.Len()
+		if screened {
+			n = len(f.near)
+		}
+		for k := 0; k < n; k++ {
+			i := k
+			if screened {
+				i = int(f.near[k])
+			}
 			o := fu.At(i)
 			if f.Holds(o.ID, c) {
 				continue // already in P_c
 			}
 			f.Ctr.AddVerify(1)
-			if po.Dominates(o) && f.undominated(ui, c, o) {
+			if !po.Dominates(o) {
+				continue
+			}
+			var free bool
+			if screened {
+				free = f.undominatedNear(ui, c, o, k)
+			} else {
+				free = f.undominated(ui, c, o)
+			}
+			if free {
 				f.moved = append(f.moved, o)
 			}
 		}
@@ -207,36 +234,6 @@ func (f *FilterThenVerifySW) arriveCluster(ui int, oin object.Object) bool {
 	}
 	fu.Add(oin)
 	return true
-}
-
-// verifyUser runs the per-user tier for o_in against P_c.
-func (f *FilterThenVerifySW) verifyUser(c int, oin object.Object) bool {
-	fc := f.UserFronts[c]
-	var po pref.Probe
-	f.Users[c].Prepare(oin, &po)
-	isPareto := true
-scan:
-	for i := 0; i < fc.Len(); {
-		op := fc.At(i)
-		f.Ctr.AddVerify(1)
-		switch po.Compare(op) {
-		case pref.Left:
-			fc.Remove(op.ID)
-			f.RemoveTarget(op.ID, c)
-		case pref.Right:
-			isPareto = false
-			break scan
-		case pref.Identical:
-			break scan
-		default:
-			i++
-		}
-	}
-	if isPareto {
-		fc.Add(oin)
-		f.AddTarget(oin.ID, c)
-	}
-	return isPareto
 }
 
 // Buffer returns PB_U of cluster ui as object ids in arrival order.

@@ -27,6 +27,8 @@ import (
 //     (depart): the older objects it alone kept out of the buffer
 //     re-enter, and they and the entries it shielded look for their next
 //     dominator among the entries older than it.
+//   - A changed member relation or membership also marks the cluster's
+//     union screen stale (screen.go); removals leave it alone.
 //
 // The comparisons count as verify work on BaselineSW's buffers and filter
 // work on FilterThenVerifySW's.
@@ -214,10 +216,12 @@ func (f *FilterThenVerifySW) ActivateUser(c int, cluster int, common *pref.Profi
 	if li < 0 {
 		li = f.Found(cluster, c, common)
 		f.buffers = append(f.buffers, newBuffer())
+		f.unions = append(f.unions, union{})
 		f.rebuildCluster(li)
 	} else {
 		cl := &f.Clusters[li]
 		cl.Members = append(cl.Members, c)
+		f.staleScreen(li)
 		f.resyncCluster(li, common)
 	}
 	f.mendMemberFrontier(li, c)
@@ -237,13 +241,16 @@ func (f *FilterThenVerifySW) mendMemberFrontier(li, c int) {
 }
 
 // RemoveUser drops user c from its cluster and rebuilds the cluster tier
-// under the recomputed common relation; an emptied cluster goes dormant.
+// under the recomputed common relation; an emptied cluster goes dormant
+// and releases its buffer and union.
 func (f *FilterThenVerifySW) RemoveUser(c int, common *pref.Profile, _ []object.Object) {
 	li, emptied := f.DropMember(c)
 	if emptied {
 		f.buffers[li] = newBuffer()
+		f.unions[li] = union{}
 		return
 	}
+	f.staleScreen(li)
 	f.resyncCluster(li, common)
 }
 
@@ -252,15 +259,17 @@ func (f *FilterThenVerifySW) RemoveUser(c int, common *pref.Profile, _ []object.
 // frontier.
 func (f *FilterThenVerifySW) RetractPreference(c int, common *pref.Profile, _ []object.Object) {
 	li := f.ClusterOf(c)
+	f.staleScreen(li)
 	f.resyncCluster(li, common)
 	f.mendMemberFrontier(li, c)
 }
 
 // resyncCluster installs cluster li's recomputed common relation and, if
-// that changed it, rebuilds the cluster tier.
+// that changed it, rebuilds the cluster tier. A dormant cluster (no
+// relation) that a newcomer revives is always rebuilt.
 func (f *FilterThenVerifySW) resyncCluster(li int, common *pref.Profile) {
 	cl := &f.Clusters[li]
-	changed := !common.Equal(cl.Common)
+	changed := cl.Common == nil || !common.Equal(cl.Common)
 	cl.Common = common
 	if changed {
 		f.rebuildCluster(li)

@@ -86,18 +86,24 @@ type shieldWorld struct {
 	objs     []object.Object // every arrival, by id
 	removed  map[int]bool
 	slots    []object.Object // the ring: the last w arrivals, removed ones blanked
+	cases    map[string]int  // lifecycle cases a union screen must follow, as met
 
 	eng   *core.Sharded
 	views func() []window.BufferView
 }
 
+// shieldDomSize is each domain's size at the start of a history; arrivals
+// intern new values as they go (value).
 const shieldDomSize = 5
+
+// value draws a value of attribute d interned so far.
+func (s *shieldWorld) value(d int) int { return s.r.Intn(s.doms[d].Size()) }
 
 func (s *shieldWorld) randomProfile(edges int) *pref.Profile {
 	p := pref.NewProfile(s.doms)
 	for d := range s.doms {
 		for e := 0; e < edges; e++ {
-			p.Relation(d).Add(s.r.Intn(shieldDomSize), s.r.Intn(shieldDomSize))
+			p.Relation(d).Add(s.value(d), s.value(d))
 		}
 	}
 	return p
@@ -158,6 +164,16 @@ func (s *shieldWorld) clusterOf(c int) int {
 	return -1
 }
 
+// dormant returns the first cluster without members, or -1.
+func (s *shieldWorld) dormant() int {
+	for ui, members := range s.clusters {
+		if len(members) == 0 {
+			return ui
+		}
+	}
+	return -1
+}
+
 func (s *shieldWorld) aliveUsers() []int {
 	var out []int
 	for c, on := range s.active {
@@ -177,7 +193,13 @@ func (s *shieldWorld) step() string {
 	case k < 0.55:
 		o := object.Object{ID: len(s.objs), Attrs: make([]int32, len(s.doms))}
 		for d := range o.Attrs {
-			o.Attrs[d] = int32(r.Intn(shieldDomSize))
+			// Now and then a value no relation orders yet, interned behind
+			// the union screens' backs, as the Monitor interns arrivals.
+			if r.Intn(16) == 0 {
+				o.Attrs[d] = int32(s.doms[d].Intern(fmt.Sprintf("late%d", s.doms[d].Size())))
+			} else {
+				o.Attrs[d] = int32(s.value(d))
+			}
 		}
 		s.objs = append(s.objs, o)
 		if s.slots = append(s.slots, o); len(s.slots) > s.w {
@@ -201,12 +223,23 @@ func (s *shieldWorld) step() string {
 		s.eng.RemoveObject(s.objs[id], nil)
 		return fmt.Sprintf("RemoveObject(%d)", id)
 	case k < 0.78:
-		d, x, y := r.Intn(len(s.doms)), r.Intn(shieldDomSize), r.Intn(shieldDomSize)
+		d := r.Intn(len(s.doms))
+		x, y := s.value(d), s.value(d)
 		if !s.users[c].Relation(d).CanAdd(x, y) {
 			return "nothing"
 		}
+		if max(x, y) >= shieldDomSize {
+			s.cases["ApplyPreference ordering a value interned late"]++
+		}
+		var before *pref.Profile
+		if s.clusters != nil {
+			before = s.common(s.clusters[s.clusterOf(c)])
+		}
 		if err := s.eng.ApplyPreference(c, d, x, y); err != nil {
 			s.t.Fatal(err)
+		}
+		if before != nil && before.Equal(s.common(s.clusters[s.clusterOf(c)])) {
+			s.cases["ApplyPreference leaving ≻_U equal"]++
 		}
 		return fmt.Sprintf("ApplyPreference(%d: %d>%d on %d)", c, x, y, d)
 	case k < 0.87:
@@ -233,9 +266,17 @@ func (s *shieldWorld) step() string {
 		s.eng.RegisterUser(nu, p)
 		cluster, common := -1, (*pref.Profile)(nil)
 		if s.clusters != nil {
-			if cluster = s.clusterOf(c); r.Intn(3) == 0 {
+			cluster = s.clusterOf(c)
+			switch k := r.Intn(6); {
+			case k < 2:
 				cluster = len(s.clusters)
 				s.clusters = append(s.clusters, nil)
+				s.cases["ActivateUser founding a cluster"]++
+			case k < 4 && s.dormant() >= 0:
+				cluster = s.dormant()
+				s.cases["ActivateUser into a dormant cluster"]++
+			default:
+				s.cases["ActivateUser into a live cluster"]++
 			}
 			s.clusters[cluster] = append(s.clusters[cluster], nu)
 			common = s.common(s.clusters[cluster])
@@ -253,6 +294,8 @@ func (s *shieldWorld) step() string {
 			s.clusters[ui] = slices.DeleteFunc(s.clusters[ui], func(m int) bool { return m == c })
 			if members := s.clusters[ui]; len(members) > 0 {
 				common = s.common(members)
+			} else {
+				s.cases["RemoveUser emptying a cluster"]++
 			}
 		}
 		s.eng.RemoveUser(c, common, nil)
@@ -299,6 +342,9 @@ func (s *shieldWorld) check(after string) {
 		if got := sorted(v.Frontier); !reflect.DeepEqual(got, sorted(unshielded)) {
 			s.t.Fatalf("after %s: frontier of %v is %v, the entries without a shield are %v", after, v.Members, got, unshielded)
 		}
+		if v.Union != nil {
+			s.checkUnion(after, v)
+		}
 		inFilter := map[int]bool{}
 		for _, id := range v.Frontier {
 			inFilter[id] = true
@@ -323,6 +369,37 @@ func (s *shieldWorld) check(after string) {
 	}
 }
 
+// checkUnion holds a cluster's union screen to a fresh OR of its members'
+// relations, cell by cell, values interned after its build included: a
+// union that missed a change to a member's relation or to the membership
+// would skip comparisons that matter, which is the one way the screen can
+// change output silently.
+func (s *shieldWorld) checkUnion(after string, v window.BufferView) {
+	s.t.Helper()
+	for d, dom := range s.doms {
+		for x := 0; x < dom.Size(); x++ {
+			for y := 0; y < dom.Size(); y++ {
+				if x == y {
+					continue // the probe never reads the diagonal
+				}
+				var want uint8
+				for _, c := range v.Members {
+					want |= s.users[c].Relation(d).Rel(x, y)
+				}
+				// Two objects that differ on d alone read the cell.
+				a, b := object.Object{Attrs: make([]int32, len(s.doms))}, object.Object{Attrs: make([]int32, len(s.doms))}
+				a.Attrs[d], b.Attrs[d] = int32(x), int32(y)
+				var up pref.UnionProbe
+				v.Union.Prepare(a, &up)
+				if got := up.Mask(b); got != want {
+					s.t.Fatalf("after %s: union of %v has %d for (%d, %d) on %d, its members' relations give %d",
+						after, v.Members, got, x, y, d, want)
+				}
+			}
+		}
+	}
+}
+
 // roundTrip replaces the engine by one of another shard count restored
 // from its captured state: the shields are not part of a snapshot and
 // have to come back exactly.
@@ -339,7 +416,10 @@ func (s *shieldWorld) roundTrip(workers int) {
 // After every step of a seeded history of arrivals, removals, preference
 // updates and retractions, users joining and leaving — and across
 // capture/restore into another shard count — the window engines hold the
-// shield invariant and serve the definitional frontiers.
+// shield invariant and serve the definitional frontiers, and every
+// cluster's union screen is its members' relations OR-ed afresh. The
+// clustered histories must reach each lifecycle case a stale union could
+// hide in.
 func TestShieldInvariantThroughLifecycleHistories(t *testing.T) {
 	engines := []struct {
 		name      string
@@ -351,11 +431,12 @@ func TestShieldInvariantThroughLifecycleHistories(t *testing.T) {
 		{"FilterThenVerifyApproxSW", true, func(ps []*pref.Profile) *pref.Profile { return approx.Profile(ps, 6, 0.4) }},
 	}
 	for _, e := range engines {
+		cases := map[string]int{}
 		for _, workers := range []int{1, 3} {
 			for seed := int64(1); seed <= 6; seed++ {
 				t.Run(fmt.Sprintf("%s/workers=%d/seed=%d", e.name, workers, seed), func(t *testing.T) {
 					r := rand.New(rand.NewSource(seed))
-					s := &shieldWorld{t: t, r: r, w: 4 + r.Intn(12), removed: map[int]bool{}, commonFn: e.commonFn, exact: e.name != "FilterThenVerifyApproxSW"}
+					s := &shieldWorld{t: t, r: r, w: 4 + r.Intn(12), removed: map[int]bool{}, cases: cases, commonFn: e.commonFn, exact: e.name != "FilterThenVerifyApproxSW"}
 					for d := 0; d < 2+r.Intn(2); d++ {
 						dom := order.NewDomain(string(rune('a' + d)))
 						for v := 0; v < shieldDomSize; v++ {
@@ -381,6 +462,21 @@ func TestShieldInvariantThroughLifecycleHistories(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+		if !e.clustered {
+			continue
+		}
+		for _, c := range []string{
+			"ApplyPreference leaving ≻_U equal",
+			"ApplyPreference ordering a value interned late",
+			"ActivateUser into a live cluster",
+			"ActivateUser into a dormant cluster",
+			"ActivateUser founding a cluster",
+			"RemoveUser emptying a cluster",
+		} {
+			if cases[c] == 0 {
+				t.Errorf("%s: no history reached %q", e.name, c)
 			}
 		}
 	}

@@ -46,6 +46,7 @@ func (f *FilterThenVerifySW) ApplyPreference(c, d, better, worse int) error {
 		return err
 	}
 	ui := f.ClusterOf(c)
+	f.staleScreen(ui) // whether or not ≻_U moves, the union of the members' relations did
 	f.resyncCluster(ui, f.CommonOf(f.Clusters[ui].Members))
 
 	// The changed user's own frontier, filtered under their new prefs.
