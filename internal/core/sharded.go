@@ -59,11 +59,14 @@ type ShardEngine interface {
 // shard counter under a mutex after every object — measurably the
 // single largest cost of stream-mode fan-out.
 //
-// Dispatch: with async off (the default when GOMAXPROCS == 1) or a
-// single shard, Process runs the shards inline in the caller's
-// goroutine — zero synchronization. With async on, each shard has a
-// persistent worker goroutine fed through an SPSC ring; a whole
-// ProcessBatch is one ring hand-off per shard (batch coalescing).
+// Dispatch: Process always runs the shards inline in the caller's
+// goroutine, with zero synchronization — a ring hand-off per shard per
+// object cost more than the shards' work saved, at every worker count
+// measured (docs/PERFORMANCE.md). ProcessBatch runs inline too when
+// async is off (the default when GOMAXPROCS == 1, and always with a
+// single shard) or the batch holds one object. Otherwise each shard has
+// a persistent worker goroutine fed through an SPSC ring, and a whole
+// batch is one hand-off per shard (batch coalescing).
 //
 // Sharded itself is single-writer, like the engines it wraps: callers
 // serialize Process / ProcessBatch / ApplyPreference / SetAsync / Close
@@ -80,13 +83,12 @@ type Sharded struct {
 	clusterCount int   // full cluster-list length (0 for user-sharded)
 	clusterOwner []int // cluster index -> shard index (nil for user-sharded)
 
-	async     bool           // dispatch through worker goroutines
+	async     bool           // dispatch batches through worker goroutines
 	workers   []*shardWorker // started lazily on first async dispatch
 	wg        sync.WaitGroup // per-call completion barrier, reused
-	obj1      [1]object.Object
-	results   [][]int   // per-shard result scratch for the merge
-	batchOuts [][][]int // per-shard per-object results for async batches
-	merged    [][]int   // ProcessBatch's result slice, grow-only
+	results   [][]int        // per-shard result scratch for the merge
+	batchOuts [][][]int      // per-shard per-object results for async batches
+	merged    [][]int        // ProcessBatch's result slice, grow-only
 	closed    bool
 }
 
@@ -230,10 +232,11 @@ func resolveWorkers(workers, units int) int {
 	return workers
 }
 
-// SetAsync overrides the dispatch mode chosen at construction
+// SetAsync overrides the batch dispatch mode chosen at construction
 // (goroutine-per-shard when GOMAXPROCS > 1, inline otherwise). Tests
 // force both paths; single-core benchmarks force inline. Disabling stops
-// any running workers. Single-shard harnesses always stay inline.
+// any running workers. Single-shard harnesses always stay inline, and
+// Process is inline in either mode.
 func (s *Sharded) SetAsync(on bool) {
 	s.async = on && len(s.shards) > 1
 	if !s.async {
@@ -268,36 +271,26 @@ func (s *Sharded) ensureWorkers() {
 	}
 }
 
-// Process fans the object out to every shard and merges the target
-// users. Inline mode runs the shards sequentially in the caller's
-// goroutine; async mode rings each shard worker's doorbell and waits.
+// Process fans the object out to every shard, sequentially in the
+// caller's goroutine, and merges the target users.
 //
 //paretomon:hotpath
 func (s *Sharded) Process(o object.Object) []int {
-	if s.async {
-		s.ensureWorkers()
-		s.obj1[0] = o
-		s.wg.Add(len(s.workers))
-		for i, w := range s.workers {
-			w.submit(shardJob{objs: s.obj1[:], out: s.results[i : i+1 : i+1], wg: &s.wg})
-		}
-		s.wg.Wait()
-	} else {
-		for i, sh := range s.shards {
-			s.results[i] = sh.Process(o)
-		}
+	for i, sh := range s.shards {
+		s.results[i] = sh.Process(o)
 	}
 	s.ctr.AddProcessedN(1)
 	return mergeUsers(s.results)
 }
 
 // ProcessBatch pipelines a whole batch across the shards. In async mode
-// each shard receives the entire batch as one ring hand-off, so
-// synchronization happens once per batch rather than once per object;
-// inline mode walks the batch object-major. Results are per object, in
-// batch order — identical to calling Process object by object. The
-// returned outer slice is the harness's own, overwritten by the next
-// ProcessBatch; the per-object slices are fresh and may be retained.
+// a batch of more than one object reaches each shard as one ring
+// hand-off, so synchronization happens once per batch rather than once
+// per object; otherwise the batch is walked object-major, inline.
+// Results are per object, in batch order — identical to calling Process
+// object by object. The returned outer slice is the harness's own,
+// overwritten by the next ProcessBatch; the per-object slices are fresh
+// and may be retained.
 //
 //paretomon:hotpath
 func (s *Sharded) ProcessBatch(objs []object.Object) [][]int {

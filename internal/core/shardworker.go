@@ -96,17 +96,10 @@ func (w *shardWorker) drain() {
 	}
 }
 
+// exec runs one batch. Each result must be copied before the next
+// Process overwrites the engine's scratch slice. Offsets, not subslices,
+// during the fill — arena reallocation would invalidate earlier spans.
 func (w *shardWorker) exec(job shardJob) {
-	if len(job.objs) == 1 {
-		// Single-object job: the result may alias engine scratch, but the
-		// producer merges it into a fresh slice before the next submit.
-		job.out[0] = w.eng.Process(job.objs[0])
-		job.wg.Done()
-		return
-	}
-	// Batch: each result must be copied before the next Process overwrites
-	// the engine's scratch slice. Offsets, not subslices, during the fill —
-	// arena reallocation would invalidate earlier spans.
 	arena, offs := w.arena[:0], w.offs[:0]
 	for _, o := range job.objs {
 		offs = append(offs, len(arena))

@@ -12,6 +12,13 @@ import (
 // thousands while the ring stays tiny (n*64 entries).
 const DefaultVNodes = 64
 
+// maxRingPoints bounds a plan's virtual nodes, partitions × vnodes: 1 024
+// partitions at DefaultVNodes, far above any fleet this package routes.
+// Rings arrive from outside (PUT /ring), and each point costs a hash and
+// a slot, so an unbounded vnodes count would let one request allocate
+// without limit.
+const maxRingPoints = 1 << 16
+
 // Plan is the deterministic user → partition assignment: a consistent-
 // hash ring with vnodes virtual points per partition. Determinism is
 // the whole contract — a router over n URLs and a partition process
@@ -39,13 +46,17 @@ type ringPoint struct {
 }
 
 // NewPlan builds the assignment for parts partitions with vnodes
-// virtual points each (vnodes <= 0 selects DefaultVNodes).
+// virtual points each (vnodes <= 0 selects DefaultVNodes). It refuses a
+// plan of more than maxRingPoints points.
 func NewPlan(parts, vnodes int) (*Plan, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("partition: plan needs at least one partition, got %d", parts)
 	}
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
+	}
+	if vnodes > maxRingPoints || parts > maxRingPoints/vnodes {
+		return nil, fmt.Errorf("partition: plan of %d partitions × %d vnodes exceeds %d ring points", parts, vnodes, maxRingPoints)
 	}
 	p := &Plan{parts: parts, vnodes: vnodes, ring: make([]ringPoint, 0, parts*vnodes)}
 	for part := 0; part < parts; part++ {

@@ -70,6 +70,43 @@ func TestRingValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeRingRefusesOversizedPlans: a ring's plan size comes from
+// outside (PUT /ring). A vnodes count past the ring-point cap, or one
+// whose product with parts is, is refused before anything is allocated
+// for it, and a partition answers such a PUT with 400.
+func TestDecodeRingRefusesOversizedPlans(t *testing.T) {
+	oversized := []string{
+		`{"version":1,"parts":1,"vnodes":4611686018427387904,"urls":["x"]}`, // parts × vnodes past int
+		`{"version":1,"parts":1,"vnodes":3000000,"urls":["x"]}`,
+		`{"version":1,"parts":2,"vnodes":40000,"urls":["x","y"]}`, // each factor fits, the product does not
+	}
+	for _, payload := range oversized {
+		if _, err := partition.DecodeRing([]byte(payload)); err == nil {
+			t.Errorf("DecodeRing accepted %s", payload)
+		}
+	}
+	if _, err := partition.DecodeRing([]byte(`{"version":1,"parts":1,"vnodes":65536,"urls":["x"]}`)); err != nil {
+		t.Errorf("a plan at the cap was refused: %v", err)
+	}
+
+	f := startFleet(t, testCommunity(t, 2), 1)
+	defer f.close()
+	for _, payload := range oversized {
+		req, err := http.NewRequest(http.MethodPut, f.https[0].URL+"/ring", strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("PUT /ring %s: status %d, want 400", payload, resp.StatusCode)
+		}
+	}
+}
+
 // pushRing installs rg on a partition out-of-band, simulating another
 // router's commit this Router has not heard about.
 func pushRing(t *testing.T, url string, rg *partition.Ring) {

@@ -87,7 +87,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	defer s.leaseMu.Unlock()
 	rec, err := s.loadLease()
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	now := time.Now().UnixMilli()
@@ -100,7 +100,7 @@ func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 		next.Epoch++
 	}
 	if err := s.storeLease(next); err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"id": next.ID, "epoch": next.Epoch, "ttl_ms": req.TTLMillis})
@@ -114,7 +114,7 @@ func (s *Server) handleLeaseGet(w http.ResponseWriter, r *http.Request) {
 	defer s.leaseMu.Unlock()
 	rec, err := s.loadLease()
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	if rec.ID == "" {
@@ -142,7 +142,7 @@ func (s *Server) handleLeaseRelease(w http.ResponseWriter, r *http.Request) {
 	defer s.leaseMu.Unlock()
 	rec, err := s.loadLease()
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	now := time.Now().UnixMilli()
@@ -153,9 +153,9 @@ func (s *Server) handleLeaseRelease(w http.ResponseWriter, r *http.Request) {
 	if rec.ID == id && rec.Expires > now {
 		rec.Expires = now
 		if err := s.storeLease(rec); err != nil {
-			s.monitorError(w, err)
+			writeError(w, err)
 			return
 		}
 	}
-	writeJSON(w, map[string]string{"status": "ok"})
+	writeOK(w)
 }

@@ -1,0 +1,121 @@
+package server_test
+
+import (
+	"io"
+	"net/http"
+	"net/url"
+	"strings"
+	"testing"
+)
+
+// facadeReply is what a client can observe of one answer.
+type facadeReply struct {
+	status                   int
+	contentType, allow, body string
+}
+
+func doRaw(t *testing.T, method, url, body string) facadeReply {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return facadeReply{resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Allow"), string(data)}
+}
+
+// TestFacadeParity drives the shared route table's contract — the v3
+// lifecycle, TestErrorPaths' table and the 404s for unknown users,
+// objects and preferences — through both goldenFacades, step by step,
+// and requires the same status, headers and body from each. Server and
+// RouterServer serve those routes from one handler set over
+// paretomon.Driver; this is what catches either side drifting.
+//
+// Where partition.Router itself answers differently as a Driver, not as
+// a facade, a step sets routed to the RouterServer's status and only the
+// statuses are pinned: Router.Add is an AddBatch of one, so a refused
+// object is located as "batch object 0 (...)"; and a name the fleet
+// already holds replays as an idempotent retry of that object, answered
+// with its deliveries (see partition.Router.AddBatch).
+func TestFacadeParity(t *testing.T) {
+	awk := "/" + url.PathEscape(awkward)
+	steps := []struct {
+		method, path, body string
+		status, routed     int
+	}{
+		// Ingest and reads.
+		{"POST", "/objects", `{"name":"o1","values":["Lenovo","dual"]}`, 200, 0},
+		{"POST", "/objects", `{"name":"o2","values":["Apple","quad"]}`, 200, 0},
+		{"POST", "/objects/batch", `{"objects":[{"name":"o3","values":["Toshiba","single"]},{"name":"o4","values":["Sony","dual"]}]}`, 200, 0},
+		{"GET", "/frontier/amy", "", 200, 0},
+		{"GET", "/frontier" + awk, "", 200, 0},
+		{"GET", "/targets/o1", "", 200, 0},
+		{"GET", "/targets/o4", "", 200, 0},
+		{"GET", "/users", "", 200, 0},
+		{"GET", "/clusters", "", 200, 0},
+		{"GET", "/healthz", "", 200, 0},
+		// Lifecycle.
+		{"POST", "/users", `{"name":"cat","preferences":[{"attribute":"brand","better":"Sony","worse":"Apple"}]}`, 200, 0},
+		{"POST", "/users", `{"name":"cat","preferences":[]}`, 400, 0},
+		{"GET", "/frontier/cat", "", 200, 0},
+		{"GET", "/users", "", 200, 0},
+		{"POST", "/preferences", `{"user":"cat","attribute":"CPU","better":"quad","worse":"single"}`, 200, 0},
+		{"GET", "/frontier/cat", "", 200, 0},
+		{"DELETE", "/preferences", `{"user":"cat","attribute":"CPU","better":"quad","worse":"single"}`, 200, 0},
+		{"DELETE", "/preferences", `{"user":"cat","attribute":"CPU","better":"quad","worse":"single"}`, 404, 0},
+		{"DELETE", "/objects/o2", "", 200, 0},
+		{"DELETE", "/objects/o2", "", 404, 0},
+		{"GET", "/targets/o2", "", 404, 0},
+		{"GET", "/frontier/amy", "", 200, 0},
+		{"DELETE", "/users/cat", "", 200, 0},
+		{"DELETE", "/users/cat", "", 404, 0},
+		{"GET", "/frontier/cat", "", 404, 0},
+		// TestErrorPaths' table, over the golden community.
+		{"GET", "/objects", "", 405, 0},
+		{"POST", "/objects", `{bad json`, 400, 0},
+		{"POST", "/objects", `{"name":"","values":["a","b"]}`, 400, 400},
+		{"POST", "/objects", `{"name":"x","values":["only-one"]}`, 400, 400},
+		{"GET", "/frontier/ghost", "", 404, 0},
+		{"GET", "/frontier/", "", 404, 0},
+		{"POST", "/frontier/amy", "", 405, 0},
+		{"POST", "/preferences", `{"user":"amy","attribute":"brand","better":"x","worse":"x"}`, 400, 0},
+		{"POST", "/stats", "", 405, 0},
+		{"POST", "/clusters", "", 405, 0},
+		// Unknown names, duplicates and malformed lifecycle bodies.
+		{"GET", "/targets/ghost", "", 404, 0},
+		{"DELETE", "/objects/ghost", "", 404, 0},
+		{"DELETE", "/users/ghost", "", 404, 0},
+		{"POST", "/preferences", `{"user":"ghost","attribute":"brand","better":"a","worse":"b"}`, 404, 0},
+		{"DELETE", "/preferences", `{"user":"amy","attribute":"brand","better":"Toshiba","worse":"Sony"}`, 404, 0},
+		{"POST", "/preferences", `{"user":"amy","attribute":"nope","better":"a","worse":"b"}`, 400, 0},
+		{"POST", "/preferences", `{"user":"amy","attribute":"brand","better":"Toshiba","worse":"Apple"}`, 400, 0},
+		{"POST", "/objects", `{"name":"o1","values":["Apple","dual"]}`, 400, 200},
+		{"POST", "/objects/batch", `{"objects":[{"name":"b1","values":["Apple","dual"]},{"name":"o1","values":["Apple","dual"]}]}`, 400, 0},
+		{"GET", "/targets/b1", "", 404, 0},
+		{"POST", "/users", `{bad`, 400, 0},
+		{"DELETE", "/preferences", `{bad`, 400, 0},
+	}
+	bases := goldenFacades(t)
+	for _, st := range steps {
+		single := doRaw(t, st.method, bases["Server"]+st.path, st.body)
+		routed := doRaw(t, st.method, bases["RouterServer"]+st.path, st.body)
+		if single.status != st.status {
+			t.Errorf("%s %s %s: Server answered %d, want %d: %q", st.method, st.path, st.body, single.status, st.status, single.body)
+		}
+		if st.routed != 0 {
+			if routed.status != st.routed {
+				t.Errorf("%s %s %s: RouterServer answered %d, want %d: %q", st.method, st.path, st.body, routed.status, st.routed, routed.body)
+			}
+		} else if routed != single {
+			t.Errorf("%s %s %s: the facades differ\n      Server %+v\nRouterServer %+v", st.method, st.path, st.body, single, routed)
+		}
+	}
+}

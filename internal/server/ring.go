@@ -64,7 +64,7 @@ func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {
 	defer s.ringMu.Unlock()
 	data, ok, err := s.mon.GetMeta(ringMetaKey)
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	if !ok {
@@ -101,11 +101,22 @@ func (s *Server) handleRingPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.mon.PutMeta(ringMetaKey, body); err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	s.ringVer = rg.Version
 	writeJSON(w, map[string]any{"status": "ok", "version": rg.Version})
+}
+
+// writeExport streams export's replica frames as the response. An
+// export that fails before its first byte is answered as an error; one
+// that fails mid-stream can only cut the connection (the 200 is out).
+func writeExport(w http.ResponseWriter, export func(io.Writer) error) {
+	cw := &countingWriter{w: w}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if err := export(cw); err != nil && cw.n == 0 {
+		writeError(w, err)
+	}
 }
 
 // countingWriter distinguishes "failed before the first byte" (a clean
@@ -153,14 +164,7 @@ func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 			present = append(present, u)
 		}
 	}
-	cw := &countingWriter{w: w}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := s.mon.ExportUsers(present, cw); err != nil {
-		if cw.n == 0 {
-			s.monitorError(w, err)
-		}
-		return
-	}
+	writeExport(w, func(cw io.Writer) error { return s.mon.ExportUsers(present, cw) })
 }
 
 // handleMigrateImport serves POST /migrate/import: apply an export
@@ -174,7 +178,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 	}
 	added, skipped, err := s.mon.ImportUsers(r.Body)
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"added": added, "skipped": skipped})
@@ -185,14 +189,7 @@ func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 // brand-new partition to the fleet's stream position. The registry
 // length rides in the stream's head frame.
 func (s *Server) handleObjectsExport(w http.ResponseWriter, r *http.Request) {
-	cw := &countingWriter{w: w}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if err := s.mon.ExportObjects(cw); err != nil {
-		if cw.n == 0 {
-			s.monitorError(w, err)
-		}
-		return
-	}
+	writeExport(w, s.mon.ExportObjects)
 }
 
 // handleObjectsImport serves POST /migrate/objects: apply an object
@@ -204,7 +201,7 @@ func (s *Server) handleObjectsImport(w http.ResponseWriter, r *http.Request) {
 	}
 	applied, err := s.mon.ImportObjects(r.Body)
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"applied": applied})

@@ -7,15 +7,20 @@
 // errors.Is against the package's typed sentinels and mapped to proper
 // HTTP status codes.
 //
+// Server (one Monitor) and RouterServer (a partitioned fleet behind a
+// partition.Router) answer the same API: the routes whose answer is the
+// paretomon.Driver's alone are written once, as one route table both
+// facades embed, and each facade adds only the routes that are its own.
+//
 // A durable monitor (paretomon.Open / WithStore) additionally serves the
 // replication changefeed — GET /snapshot/latest and GET /wal — from
-// which read-only followers (paretomon.OpenFollower, cmd/paretomon
-// -follow) replicate the full read API; a follower's server rejects
-// writes with 403 and reports its lag under GET /storage/stats. See
+// which read-only followers (paretomon.OpenFollower, paretomon follow)
+// replicate the full read API; a follower's server rejects writes with
+// 403 and reports its lag under GET /storage/stats. See
 // docs/REPLICATION.md.
 //
 // The worker knob is the Monitor's: build it with paretomon.WithWorkers
-// (cmd/paretomon -serve wires its -workers flag through) and ingestion —
+// (paretomon serve wires its -workers flag through) and ingestion —
 // including POST /objects/batch — fans out across that many shards.
 // GET /stats then reports the resolved worker count and each shard's
 // cumulative counters, so operators can watch load skew across the
@@ -67,6 +72,9 @@ type Gate interface {
 // method+wildcard patterns, so a request with a known path but wrong
 // method is answered 405 by the mux itself.
 //
+// The shared route table, served by RouterServer too, from the same
+// handlers:
+//
 //	POST   /objects           {"name": "o1", "values": ["13-15.9", "Apple", "dual"]}
 //	  → 200 {"object": "o1", "users": ["c2"]}
 //	POST   /objects/batch     {"objects": [{"name": "o1", "values": [...]}, ...]}
@@ -79,17 +87,24 @@ type Gate interface {
 //	GET    /users             → 200 ["c1", "c2", ...]
 //	GET    /frontier/{user}   → 200 {"user": "c2", "frontier": ["o2", "o3"]}
 //	GET    /targets/{object}  → 200 {"object": "o2", "users": ["c1", "c2"]}
+//	POST   /preferences       {"user": "c1", "attribute": "brand",
+//	                           "better": "Apple", "worse": "Sony"}
+//	DELETE /preferences       same body: retract the asserted tuple
+//	GET    /clusters          → 200 [["c1","c2"], ...]
+//	GET    /healthz           → 200 {"status": "ok"}          (liveness)
+//
+// Server's own routes — the stream, storage and replication endpoints
+// of one monitor, and the partition side of ring agreement, migration
+// and the router lease (ring.go, lease.go):
+//
 //	GET    /subscribe/{user}  → SSE stream, one "delivery" event per push
 //	                            (v2 enter-only payload; deprecated)
 //	GET    /deltas/{user}     → SSE stream, one "delta" event per frontier
 //	                            change: {"object": ..., "entered": [...],
 //	                            "left": [...]}                (v3 payload)
-//	POST   /preferences       {"user": "c1", "attribute": "brand",
-//	                           "better": "Apple", "worse": "Sony"}
-//	DELETE /preferences       same body: retract the asserted tuple
 //	GET    /stats             → 200 {"Comparisons": ..., "Workers": ...,
 //	                                 "Shards": [...], ...}
-//	GET    /clusters          → 200 [["c1","c2"], ...]
+//	GET    /readyz            → 200, or 503 with the reason  (readiness)
 //	POST   /snapshot          → 200 {"status": "ok", "storage": {...}}
 //	GET    /storage/stats     → 200 {"dir": ..., "segments": ...,
 //	                                 "last_appended_seq": ..., "feeds": [...],
@@ -99,19 +114,16 @@ type Gate interface {
 //	GET    /wal?after=N       → 200 changefeed stream: every WAL record
 //	                            with Seq > N, long-polling at the tail;
 //	                            410 when N is pruned away      (replication)
+//	GET|PUT /ring, POST /migrate/{export,import}, GET|POST /migrate/objects,
+//	GET    /objects/count, POST|GET|DELETE /lease          (partitioning)
 //
 // Unknown users, objects and never-asserted preferences yield 404;
 // malformed bodies, duplicate names and invalid preferences yield 400;
 // writes on a follower yield 403; the storage and feed endpoints yield
 // 501 on a monitor built without a store (no -data-dir).
 type Server struct {
+	facade
 	mon *paretomon.Monitor
-	mux *http.ServeMux
-
-	// done is closed by Close, cancelling in-flight SSE and changefeed
-	// streams so followers and clients disconnect cleanly.
-	done      chan struct{}
-	closeOnce sync.Once
 
 	// Active changefeed streams, for GET /storage/stats observability.
 	feedMu sync.Mutex
@@ -127,10 +139,8 @@ type Server struct {
 	// Router lease state; see lease.go.
 	leaseMu sync.Mutex
 
-	// gate, when set, is consulted before every quota-metered mutation;
-	// see the Gate interface. observeSnapshot, when set, receives each
-	// POST /snapshot duration in seconds.
-	gate            Gate
+	// observeSnapshot, when set, receives each POST /snapshot duration
+	// in seconds.
 	observeSnapshot func(seconds float64)
 }
 
@@ -157,34 +167,18 @@ type feedConn struct {
 
 // New wraps an existing monitor.
 func New(mon *paretomon.Monitor, opts ...Option) *Server {
-	s := &Server{
-		mon:   mon,
-		mux:   http.NewServeMux(),
-		done:  make(chan struct{}),
-		feeds: make(map[int64]*feedConn),
-	}
+	s := &Server{mon: mon, feeds: make(map[int64]*feedConn)}
+	s.init(mon, s.checkRing)
 	for _, o := range opts {
 		o(s)
 	}
-	s.mux.HandleFunc("POST /objects", s.handleObjects)
-	s.mux.HandleFunc("POST /objects/batch", s.handleBatch)
-	s.mux.HandleFunc("DELETE /objects/{object}", s.handleObjectDelete)
-	s.mux.HandleFunc("GET /users", s.handleUsersList)
-	s.mux.HandleFunc("POST /users", s.handleUserAdd)
-	s.mux.HandleFunc("DELETE /users/{user}", s.handleUserDelete)
-	s.mux.HandleFunc("GET /frontier/{user}", s.handleFrontier)
-	s.mux.HandleFunc("GET /targets/{object}", s.handleTargets)
 	s.mux.HandleFunc("GET /subscribe/{user}", s.handleSubscribe)
 	s.mux.HandleFunc("GET /deltas/{user}", s.handleDeltas)
-	s.mux.HandleFunc("POST /preferences", s.handlePreferenceAdd)
-	s.mux.HandleFunc("DELETE /preferences", s.handlePreferenceRetract)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /clusters", s.handleClusters)
 	s.mux.HandleFunc("POST /snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /storage/stats", s.handleStorageStats)
 	s.mux.HandleFunc("GET /snapshot/latest", s.handleSnapshotLatest)
 	s.mux.HandleFunc("GET /wal", s.handleWAL)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /ring", s.handleRingGet)
 	s.mux.HandleFunc("PUT /ring", s.handleRingPut)
@@ -213,13 +207,6 @@ func New(mon *paretomon.Monitor, opts ...Option) *Server {
 	return s
 }
 
-// handleHealthz is the liveness probe: the process is up and routing
-// requests. It says nothing about whether the monitor can serve — a
-// poisoned store or a diverged follower is alive but not ready.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
-}
-
 // handleReadyz is the readiness probe: 200 only while the monitor can
 // actually serve — not closed, store healthy, and (on a follower) the
 // changefeed connected with the apply loop running. Partition routers
@@ -227,30 +214,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // balancers use it to keep traffic off replicas that are silently
 // diverging. 503 carries the reason in the error body.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	writeReady(w, s.done, s.mon.Ready)
+}
+
+// writeReady answers a readiness probe on either facade: 503 with the
+// reason while the facade is shutting down (done closed) or ready
+// reports an error, 200 otherwise.
+func writeReady(w http.ResponseWriter, done <-chan struct{}, ready func() error) {
 	select {
-	case <-s.done:
+	case <-done:
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 		return
 	default:
 	}
-	if err := s.mon.Ready(); err != nil {
+	if err := ready(); err != nil {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ok"})
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Close cancels every in-flight stream — SSE subscriptions and
-// changefeed tails — so a shutting-down process does not hang on open
-// connections. Subsequent requests still route (pair Close with
-// http.Server.Shutdown to stop accepting); followers tailing this
-// server reconnect with backoff and resume where they left off.
-func (s *Server) Close() error {
-	s.closeOnce.Do(func() { close(s.done) })
-	return nil
+	writeOK(w)
 }
 
 // statusOf maps a paretomon error to its HTTP status: missing entities
@@ -298,8 +279,27 @@ func statusOf(err error) int {
 	}
 }
 
-func (s *Server) monitorError(w http.ResponseWriter, err error) {
-	httpError(w, statusOf(err), "%v", err)
+// writeError answers a Driver error, on either facade. The partition
+// errors come first: a partition's own HTTP rejection passes through
+// with its status and message, a write lease held by another router is
+// 409 (retry against the holder, or wait for the lease to lapse), and a
+// fleet routing failure (partition down, partial fan-out) is 502 Bad
+// Gateway. Everything else is statusOf's. A *Monitor never returns a
+// partition error — the root package does not import partition — so a
+// Server's answers are statusOf's alone.
+func writeError(w http.ResponseWriter, err error) {
+	var se *partition.StatusError
+	var re *partition.RouteError
+	switch {
+	case errors.As(err, &se):
+		httpError(w, se.Status, "%s", se.Msg)
+	case errors.Is(err, partition.ErrNotLeaseHolder):
+		httpError(w, http.StatusConflict, "%v", err)
+	case errors.As(err, &re) || errors.Is(err, partition.ErrPartitionDown):
+		httpError(w, http.StatusBadGateway, "%v", err)
+	default:
+		httpError(w, statusOf(err), "%v", err)
+	}
 }
 
 // readBody reads the request body into a pooled buffer and decodes it
@@ -331,40 +331,102 @@ func writeBody[T any](w http.ResponseWriter, v T, encode func([]byte, T) []byte)
 	_, _ = w.Write(buf.B)
 }
 
-func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r) {
+// facade is what Server and RouterServer share: one mux carrying the
+// shared route table — every route whose answer is the
+// paretomon.Driver's alone — and the cancellation of in-flight streams.
+// Each facade embeds it and registers only its own routes beside the
+// shared ones. What differs between the two is carried by nil-able
+// fields, not by a second copy: a Server sets fence (the ring-version
+// check of a partition, see checkRing) and may set gate (quotas, see
+// WithGate); a RouterServer sets neither, so a routed request never
+// meets either.
+type facade struct {
+	drv paretomon.Driver
+	mux *http.ServeMux
+	// gate, when set, is consulted before every quota-metered mutation;
+	// see the Gate interface.
+	gate Gate
+	// fence, when set, vets every mutating request; on refusal it has
+	// answered the request itself and reports false.
+	fence func(http.ResponseWriter, *http.Request) bool
+
+	// done is closed by Close, cancelling in-flight streams.
+	done      chan struct{}
+	closeOnce sync.Once
+}
+
+// init builds the mux and registers the shared route table over drv.
+func (f *facade) init(drv paretomon.Driver, fence func(http.ResponseWriter, *http.Request) bool) {
+	f.drv, f.fence = drv, fence
+	f.mux, f.done = http.NewServeMux(), make(chan struct{})
+	f.mux.HandleFunc("POST /objects", f.handleObjects)
+	f.mux.HandleFunc("POST /objects/batch", f.handleBatch)
+	f.mux.HandleFunc("DELETE /objects/{object}", f.handleObjectDelete)
+	f.mux.HandleFunc("GET /users", f.handleUsersList)
+	f.mux.HandleFunc("POST /users", f.handleUserAdd)
+	f.mux.HandleFunc("DELETE /users/{user}", f.handleUserDelete)
+	f.mux.HandleFunc("GET /frontier/{user}", f.handleFrontier)
+	f.mux.HandleFunc("GET /targets/{object}", f.handleTargets)
+	f.mux.HandleFunc("POST /preferences", f.handlePreferenceAdd)
+	f.mux.HandleFunc("DELETE /preferences", f.handlePreferenceRetract)
+	f.mux.HandleFunc("GET /clusters", f.handleClusters)
+	f.mux.HandleFunc("GET /healthz", handleHealthz)
+}
+
+// ServeHTTP implements http.Handler.
+func (f *facade) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.mux.ServeHTTP(w, r) }
+
+// Close cancels every in-flight stream — SSE subscriptions and
+// changefeed tails on a Server, proxied subscriptions on a
+// RouterServer — so a shutting-down process does not hang on open
+// connections. Subsequent requests still route (pair Close with
+// http.Server.Shutdown to stop accepting); followers tailing a Server
+// reconnect with backoff and resume where they left off, and the
+// partitions behind a RouterServer keep running.
+func (f *facade) Close() error {
+	f.closeOnce.Do(func() { close(f.done) })
+	return nil
+}
+
+// admit reports whether a mutating request may proceed past the fence.
+func (f *facade) admit(w http.ResponseWriter, r *http.Request) bool {
+	return f.fence == nil || f.fence(w, r)
+}
+
+func (f *facade) handleObjects(w http.ResponseWriter, r *http.Request) {
+	if !f.admit(w, r) {
 		return
 	}
 	o, ok := readBody(w, r, wire.DecodeObject)
 	if !ok {
 		return
 	}
-	if s.gate != nil {
-		if err := s.gate.ReserveObjects([]string{o.Name}); err != nil {
-			s.monitorError(w, err)
+	if f.gate != nil {
+		if err := f.gate.ReserveObjects([]string{o.Name}); err != nil {
+			writeError(w, err)
 			return
 		}
 	}
-	d, err := s.mon.Add(o.Name, o.Values...)
+	d, err := f.drv.Add(o.Name, o.Values...)
 	if err != nil {
-		if s.gate != nil {
-			s.gate.UnreserveObjects(1)
+		if f.gate != nil {
+			f.gate.UnreserveObjects(1)
 		}
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeBody(w, d, wire.AppendDelivery)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r) {
+func (f *facade) handleBatch(w http.ResponseWriter, r *http.Request) {
+	if !f.admit(w, r) {
 		return
 	}
 	objs, ok := readBody(w, r, wire.DecodeBatch)
 	if !ok {
 		return
 	}
-	if s.gate != nil {
+	if f.gate != nil {
 		names := make([]string, len(objs))
 		for i, o := range objs {
 			names[i] = o.Name
@@ -372,48 +434,46 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The gate refuses the whole batch atomically, matching
 		// AddBatch's own all-or-nothing contract: a mid-batch quota hit
 		// ingests nothing.
-		if err := s.gate.ReserveObjects(names); err != nil {
-			s.monitorError(w, err)
+		if err := f.gate.ReserveObjects(names); err != nil {
+			writeError(w, err)
 			return
 		}
 	}
-	ds, err := s.mon.AddBatch(objs)
+	ds, err := f.drv.AddBatch(objs)
 	if err != nil {
-		if s.gate != nil {
+		if f.gate != nil {
 			// AddBatch is atomic: on error the monitor is unchanged, so
 			// the whole reservation rolls back.
-			s.gate.UnreserveObjects(len(objs))
+			f.gate.UnreserveObjects(len(objs))
 		}
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeBody(w, ds, wire.AppendDeliveries)
 }
 
-func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	user := r.PathValue("user")
-	f, err := s.mon.Frontier(user)
-	if err != nil {
-		s.monitorError(w, err)
-		return
-	}
-	if f == nil {
-		f = []string{}
-	}
-	writeJSON(w, map[string]any{"user": user, "frontier": f})
+func (f *facade) handleFrontier(w http.ResponseWriter, r *http.Request) {
+	writeNamedList(w, r, "user", "frontier", f.drv.Frontier)
 }
 
-func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
-	object := r.PathValue("object")
-	users, err := s.mon.TargetsOf(object)
+func (f *facade) handleTargets(w http.ResponseWriter, r *http.Request) {
+	writeNamedList(w, r, "object", "users", f.drv.TargetsOf)
+}
+
+// writeNamedList answers GET /frontier/{user} and GET /targets/{object}:
+// {key: the path's name, field: the list read for it}, an empty list
+// spelled [] rather than null.
+func writeNamedList(w http.ResponseWriter, r *http.Request, key, field string, read func(string) ([]string, error)) {
+	name := r.PathValue(key)
+	list, err := read(name)
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
-	if users == nil {
-		users = []string{}
+	if list == nil {
+		list = []string{}
 	}
-	writeJSON(w, map[string]any{"object": object, "users": users})
+	writeJSON(w, map[string]any{key: name, field: list})
 }
 
 // handleObjectDelete serves DELETE /objects/{object}: the v3 lifecycle
@@ -423,18 +483,18 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 // specific pattern than "DELETE /objects/{object}" only within its own
 // method, so an object literally named "batch" is deletable — the mux
 // resolves method before specificity.)
-func (s *Server) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r) {
+func (f *facade) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
+	if !f.admit(w, r) {
 		return
 	}
-	if err := s.mon.RemoveObject(r.PathValue("object")); err != nil {
-		s.monitorError(w, err)
+	if err := f.drv.RemoveObject(r.PathValue("object")); err != nil {
+		writeError(w, err)
 		return
 	}
-	if s.gate != nil {
-		s.gate.ObjectRemoved()
+	if f.gate != nil {
+		f.gate.ObjectRemoved()
 	}
-	writeJSON(w, map[string]string{"status": "ok"})
+	writeOK(w)
 }
 
 type addUserRequest struct {
@@ -443,14 +503,14 @@ type addUserRequest struct {
 }
 
 // handleUsersList serves GET /users: the alive community members.
-func (s *Server) handleUsersList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.mon.Users())
+func (f *facade) handleUsersList(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, f.drv.Users())
 }
 
 // handleUserAdd serves POST /users: join the community with initial
 // preferences.
-func (s *Server) handleUserAdd(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r) {
+func (f *facade) handleUserAdd(w http.ResponseWriter, r *http.Request) {
+	if !f.admit(w, r) {
 		return
 	}
 	var req addUserRequest
@@ -462,37 +522,88 @@ func (s *Server) handleUserAdd(w http.ResponseWriter, r *http.Request) {
 	for i, p := range req.Preferences {
 		prefs[i] = paretomon.Preference{Attr: p.Attribute, Better: p.Better, Worse: p.Worse}
 	}
-	if s.gate != nil {
-		if err := s.gate.ReserveUser(); err != nil {
-			s.monitorError(w, err)
+	if f.gate != nil {
+		if err := f.gate.ReserveUser(); err != nil {
+			writeError(w, err)
 			return
 		}
 	}
-	if err := s.mon.AddUser(req.Name, prefs); err != nil {
-		if s.gate != nil {
-			s.gate.UnreserveUser()
+	if err := f.drv.AddUser(req.Name, prefs); err != nil {
+		if f.gate != nil {
+			f.gate.UnreserveUser()
 		}
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, map[string]string{"status": "ok"})
+	writeOK(w)
 }
 
 // handleUserDelete serves DELETE /users/{user}: the user's frontier
 // disappears, their subscription streams end, and their cluster resyncs
 // without them.
-func (s *Server) handleUserDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r) {
+func (f *facade) handleUserDelete(w http.ResponseWriter, r *http.Request) {
+	if !f.admit(w, r) {
 		return
 	}
-	if err := s.mon.RemoveUser(r.PathValue("user")); err != nil {
-		s.monitorError(w, err)
+	if err := f.drv.RemoveUser(r.PathValue("user")); err != nil {
+		writeError(w, err)
 		return
 	}
-	if s.gate != nil {
-		s.gate.UserRemoved()
+	if f.gate != nil {
+		f.gate.UserRemoved()
 	}
-	writeJSON(w, map[string]string{"status": "ok"})
+	writeOK(w)
+}
+
+type preferenceRequest struct {
+	User      string `json:"user"`
+	Attribute string `json:"attribute"`
+	Better    string `json:"better"`
+	Worse     string `json:"worse"`
+}
+
+// handlePreferenceAdd serves POST /preferences: assert a tuple.
+func (f *facade) handlePreferenceAdd(w http.ResponseWriter, r *http.Request) {
+	f.handlePreference(w, r, f.drv.AddPreference)
+}
+
+// handlePreferenceRetract serves DELETE /preferences: retract an
+// asserted tuple (the same body as POST). Retracting a tuple the user
+// never asserted yields 404.
+func (f *facade) handlePreferenceRetract(w http.ResponseWriter, r *http.Request) {
+	f.handlePreference(w, r, f.drv.RetractPreference)
+}
+
+func (f *facade) handlePreference(w http.ResponseWriter, r *http.Request, apply func(user, attr, better, worse string) error) {
+	if !f.admit(w, r) {
+		return
+	}
+	var req preferenceRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return
+	}
+	if err := apply(req.User, req.Attribute, req.Better, req.Worse); err != nil {
+		writeError(w, err)
+		return
+	}
+	writeOK(w)
+}
+
+func (f *facade) handleClusters(w http.ResponseWriter, r *http.Request) {
+	cl := f.drv.Clusters()
+	if cl == nil {
+		cl = [][]string{}
+	}
+	writeJSON(w, cl)
+}
+
+// handleHealthz is the liveness probe: the process is up and routing
+// requests. It says nothing about whether the driver can serve — a
+// poisoned store, a diverged follower or a partition down is alive but
+// not ready (see each facade's /readyz).
+func handleHealthz(w http.ResponseWriter, r *http.Request) {
+	writeOK(w)
 }
 
 // reserveStream charges the subscription quota for one SSE stream; it
@@ -504,7 +615,7 @@ func (s *Server) reserveStream(w http.ResponseWriter) (release func(), ok bool) 
 	}
 	release, err := s.gate.ReserveSubscription()
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return nil, false
 	}
 	return release, true
@@ -527,19 +638,35 @@ func sseStart(w http.ResponseWriter) (http.Flusher, bool) {
 }
 
 // handleSubscribe streams the user's deliveries as server-sent events:
-// one "delivery" event per object delivered to the user, until the
-// client disconnects, the monitor closes, or Server.Close cancels the
-// stream. Slow consumers lose oldest deliveries rather than stalling
-// ingestion (see Monitor.Subscribe).
+// one "delivery" event per object delivered to the user. Slow consumers
+// lose oldest deliveries rather than stalling ingestion (see
+// Monitor.Subscribe).
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
+	serveStream(s, w, r, s.mon.Subscribe, appendDeliveryEvent)
+}
+
+// handleDeltas streams the user's frontier changes as server-sent
+// events: one "delta" event per observed mutation, carrying the v3
+// payload {"object": ..., "entered": [...], "left": [...]} — unlike the
+// deprecated /subscribe stream, removals and retractions are visible.
+func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
+	serveStream(s, w, r, s.mon.SubscribeDeltas, appendDeltaEvent)
+}
+
+// serveStream is the SSE loop behind /subscribe and /deltas: it charges
+// the subscription quota, subscribes the path's user, and writes one
+// frame per event until the client disconnects, the channel closes
+// (monitor closed or user removed), or Server.Close cancels the stream.
+func serveStream[T any](s *Server, w http.ResponseWriter, r *http.Request,
+	subscribe func(user string) (<-chan T, paretomon.CancelFunc, error), frame func([]byte, T) []byte) {
 	release, ok := s.reserveStream(w)
 	if !ok {
 		return
 	}
 	defer release()
-	ch, cancel, err := s.mon.Subscribe(r.PathValue("user"))
+	ch, cancel, err := subscribe(r.PathValue("user"))
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	defer cancel()
@@ -548,19 +675,19 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := r.Context()
-	var frame []byte // reused for every event of this stream
+	var buf []byte // reused for every event of this stream
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-s.done:
 			return
-		case d, open := <-ch:
+		case ev, open := <-ch:
 			if !open {
-				return // monitor closed
+				return
 			}
-			frame = appendDeliveryEvent(frame[:0], d)
-			if _, err := w.Write(frame); err != nil {
+			buf = frame(buf[:0], ev)
+			if _, err := w.Write(buf); err != nil {
 				return
 			}
 			fl.Flush()
@@ -575,47 +702,12 @@ func appendDeliveryEvent(dst []byte, d paretomon.Delivery) []byte {
 	return append(dst, "\n\n"...)
 }
 
-// handleDeltas streams the user's frontier changes as server-sent
-// events: one "delta" event per observed mutation, carrying the v3
-// payload {"object": ..., "entered": [...], "left": [...]} — unlike the
-// deprecated /subscribe stream, removals and retractions are visible.
-func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.reserveStream(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ch, cancel, err := s.mon.SubscribeDeltas(r.PathValue("user"))
-	if err != nil {
-		s.monitorError(w, err)
-		return
-	}
-	defer cancel()
-	fl, ok := sseStart(w)
-	if !ok {
-		return
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-s.done:
-			return
-		case d, open := <-ch:
-			if !open {
-				return // monitor closed or user removed
-			}
-			payload, err := json.Marshal(toDeltaResponse(d))
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: delta\ndata: %s\n\n", payload); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+// appendDeltaEvent appends d's whole /deltas SSE frame.
+func appendDeltaEvent(dst []byte, d paretomon.FrontierDelta) []byte {
+	payload, _ := json.Marshal(toDeltaResponse(d)) // strings only: cannot fail
+	dst = append(dst, "event: delta\ndata: "...)
+	dst = append(dst, payload...)
+	return append(dst, "\n\n"...)
 }
 
 type deltaResponse struct {
@@ -635,41 +727,6 @@ func toDeltaResponse(d paretomon.FrontierDelta) deltaResponse {
 	return deltaResponse{Object: d.Object, Entered: entered, Left: left}
 }
 
-type preferenceRequest struct {
-	User      string `json:"user"`
-	Attribute string `json:"attribute"`
-	Better    string `json:"better"`
-	Worse     string `json:"worse"`
-}
-
-// handlePreferenceAdd serves POST /preferences: assert a tuple.
-func (s *Server) handlePreferenceAdd(w http.ResponseWriter, r *http.Request) {
-	s.handlePreference(w, r, s.mon.AddPreference)
-}
-
-// handlePreferenceRetract serves DELETE /preferences: retract an
-// asserted tuple (the same body as POST). Retracting a tuple the user
-// never asserted yields 404.
-func (s *Server) handlePreferenceRetract(w http.ResponseWriter, r *http.Request) {
-	s.handlePreference(w, r, s.mon.RetractPreference)
-}
-
-func (s *Server) handlePreference(w http.ResponseWriter, r *http.Request, apply func(user, attr, better, worse string) error) {
-	if !s.checkRing(w, r) {
-		return
-	}
-	var req preferenceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
-		return
-	}
-	if err := apply(req.User, req.Attribute, req.Better, req.Worse); err != nil {
-		s.monitorError(w, err)
-		return
-	}
-	writeJSON(w, map[string]string{"status": "ok"})
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.mon.Stats())
 }
@@ -681,7 +738,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if err := s.mon.Snapshot(); err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	if s.observeSnapshot != nil {
@@ -689,7 +746,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.mon.StorageStats()
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, map[string]any{"status": "ok", "storage": st})
@@ -727,7 +784,7 @@ func (s *Server) handleStorageStats(w http.ResponseWriter, r *http.Request) {
 		// No local store, but the replication section below carries the
 		// interesting numbers.
 	default:
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	if rs := s.mon.Replication(); rs.Follower {
@@ -740,11 +797,9 @@ func (s *Server) handleStorageStats(w http.ResponseWriter, r *http.Request) {
 // accounting behind GET /storage/stats' feeds array, exported so
 // shutdown tests can assert every stream unregistered.
 func (s *Server) ActiveFeeds() []int64 {
-	s.feedMu.Lock()
-	defer s.feedMu.Unlock()
-	out := make([]int64, 0, len(s.feeds))
-	for id := range s.feeds {
-		out = append(out, id)
+	var out []int64
+	for _, f := range s.feedStatuses() {
+		out = append(out, f.ID)
 	}
 	return out
 }
@@ -782,7 +837,7 @@ func (s *Server) unregisterFeed(f *feedConn) {
 func (s *Server) handleSnapshotLatest(w http.ResponseWriter, r *http.Request) {
 	seq, body, ok, err := s.mon.LatestSnapshot()
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	if !ok {
@@ -826,7 +881,7 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	// configuration problems surface as proper statuses.
 	recs, head, err := s.mon.WALAfter(after, feedBatchLimit)
 	if err != nil {
-		s.monitorError(w, err)
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -894,12 +949,9 @@ func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
-	cl := s.mon.Clusters()
-	if cl == nil {
-		cl = [][]string{}
-	}
-	writeJSON(w, cl)
+// writeOK answers {"status": "ok"}.
+func writeOK(w http.ResponseWriter) {
+	writeJSON(w, map[string]string{"status": "ok"})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

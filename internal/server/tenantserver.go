@@ -42,19 +42,17 @@ type TenantServer struct {
 
 	// Per-tenant delegate handlers, built lazily and dropped on delete.
 	mu        sync.Mutex
-	delegates map[string]*delegate
+	delegates map[string]delegate
 
 	reqTotal telemetry.CounterVec   // labels: tenant, route, code
 	reqDur   telemetry.HistogramVec // labels: tenant, route
 	snapDur  telemetry.HistogramVec // labels: tenant
 }
 
-// delegate is one tenant's wrapped handler.
-type delegate struct {
-	handler interface {
-		http.Handler
-		Close() error
-	}
+// delegate is one tenant's wrapped handler: a Server or a RouterServer.
+type delegate interface {
+	http.Handler
+	Close() error
 }
 
 // TenantOption configures NewTenantServer.
@@ -86,7 +84,7 @@ func NewTenantServer(reg *tenant.Registry, opts ...TenantOption) *TenantServer {
 	s := &TenantServer{
 		reg:       reg,
 		mux:       http.NewServeMux(),
-		delegates: make(map[string]*delegate),
+		delegates: make(map[string]delegate),
 	}
 	for _, o := range opts {
 		o(s)
@@ -103,12 +101,12 @@ func NewTenantServer(reg *tenant.Registry, opts ...TenantOption) *TenantServer {
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
 	s.mux.HandleFunc("/t/{tenant}/{rest...}", s.handleTenant)
-	s.mux.HandleFunc("GET /admin/tenants", s.handleAdminList)
-	s.mux.HandleFunc("POST /admin/tenants", s.handleAdminCreate)
-	s.mux.HandleFunc("DELETE /admin/tenants/{name}", s.handleAdminDelete)
-	s.mux.HandleFunc("POST /admin/tenants/{name}/rotate-token", s.handleAdminRotate)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleHealthz)
+	s.mux.HandleFunc("GET /admin/tenants", s.admin(s.handleAdminList))
+	s.mux.HandleFunc("POST /admin/tenants", s.admin(s.handleAdminCreate))
+	s.mux.HandleFunc("DELETE /admin/tenants/{name}", s.admin(s.handleAdminDelete))
+	s.mux.HandleFunc("POST /admin/tenants/{name}/rotate-token", s.admin(s.handleAdminRotate))
+	s.mux.HandleFunc("GET /healthz", handleHealthz)
+	s.mux.HandleFunc("GET /readyz", handleHealthz)
 	if s.defTenant != "" {
 		// Everything not claimed above falls through to the default
 		// tenant's API — the pre-multi-tenant route surface.
@@ -126,14 +124,10 @@ func (s *TenantServer) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, d := range s.delegates {
-		_ = d.handler.Close()
+		_ = d.Close()
 		delete(s.delegates, name)
 	}
 	return nil
-}
-
-func (s *TenantServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
 }
 
 func (s *TenantServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -201,19 +195,19 @@ func (s *TenantServer) serveTenant(w http.ResponseWriter, r *http.Request, t *te
 	r2.URL.RawPath = ""
 
 	if s.tel == nil {
-		d.handler.ServeHTTP(w, r2)
+		d.ServeHTTP(w, r2)
 		return
 	}
 	route := routeLabel(path)
 	rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 	start := time.Now()
-	d.handler.ServeHTTP(rec, r2)
+	d.ServeHTTP(rec, r2)
 	s.reqDur.With(t.Name(), route).Observe(time.Since(start).Seconds())
 	s.reqTotal.With(t.Name(), route, strconv.Itoa(rec.code)).Inc()
 }
 
 // delegateFor returns (building if needed) the tenant's handler.
-func (s *TenantServer) delegateFor(t *tenant.Tenant) *delegate {
+func (s *TenantServer) delegateFor(t *tenant.Tenant) delegate {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d, ok := s.delegates[t.Name()]; ok {
@@ -221,7 +215,7 @@ func (s *TenantServer) delegateFor(t *tenant.Tenant) *delegate {
 	}
 	var d delegate
 	if rt := t.Router(); rt != nil {
-		d.handler = NewRouter(rt)
+		d = NewRouter(rt)
 	} else {
 		opts := []Option{WithGate(t)}
 		if s.tel != nil {
@@ -230,10 +224,10 @@ func (s *TenantServer) delegateFor(t *tenant.Tenant) *delegate {
 				s.snapDur.With(name).Observe(sec)
 			}))
 		}
-		d.handler = New(t.Monitor(), opts...)
+		d = New(t.Monitor(), opts...)
 	}
-	s.delegates[t.Name()] = &d
-	return &d
+	s.delegates[t.Name()] = d
+	return d
 }
 
 // dropDelegate closes and forgets a deleted tenant's handler.
@@ -241,29 +235,25 @@ func (s *TenantServer) dropDelegate(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if d, ok := s.delegates[name]; ok {
-		_ = d.handler.Close()
+		_ = d.Close()
 		delete(s.delegates, name)
 	}
 }
 
-// checkAdmin authenticates the fleet-level admin credential.
-func (s *TenantServer) checkAdmin(w http.ResponseWriter, r *http.Request) bool {
-	if s.adminToken == "" {
-		return true
+// admin guards an /admin handler with the fleet-level admin credential.
+func (s *TenantServer) admin(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.adminToken != "" && subtle.ConstantTimeCompare([]byte(bearerToken(r)), []byte(s.adminToken)) != 1 {
+			httpError(w, http.StatusUnauthorized, "admin token required")
+			return
+		}
+		h(w, r)
 	}
-	if subtle.ConstantTimeCompare([]byte(bearerToken(r)), []byte(s.adminToken)) != 1 {
-		httpError(w, http.StatusUnauthorized, "admin token required")
-		return false
-	}
-	return true
 }
 
 // handleAdminList serves GET /admin/tenants: every spec with the
 // tokens redacted — credentials travel only on rotate responses.
 func (s *TenantServer) handleAdminList(w http.ResponseWriter, r *http.Request) {
-	if !s.checkAdmin(w, r) {
-		return
-	}
 	specs := s.reg.List()
 	for i := range specs {
 		specs[i].Token = ""
@@ -273,9 +263,6 @@ func (s *TenantServer) handleAdminList(w http.ResponseWriter, r *http.Request) {
 
 // handleAdminCreate serves POST /admin/tenants: a tenant.Spec body.
 func (s *TenantServer) handleAdminCreate(w http.ResponseWriter, r *http.Request) {
-	if !s.checkAdmin(w, r) {
-		return
-	}
 	var spec tenant.Spec
 	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
@@ -292,25 +279,19 @@ func (s *TenantServer) handleAdminCreate(w http.ResponseWriter, r *http.Request)
 // handleAdminDelete serves DELETE /admin/tenants/{name}: record first,
 // then teardown — live SSE streams end via the session context.
 func (s *TenantServer) handleAdminDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.checkAdmin(w, r) {
-		return
-	}
 	name := r.PathValue("name")
 	if err := s.reg.Delete(name); err != nil {
 		httpError(w, statusOf(err), "%v", err)
 		return
 	}
 	s.dropDelegate(name)
-	writeJSON(w, map[string]string{"status": "ok"})
+	writeOK(w)
 }
 
 // handleAdminRotate serves POST /admin/tenants/{name}/rotate-token:
 // body {"token": "..."} (empty to have the registry generate one); the
 // response carries the now-active token.
 func (s *TenantServer) handleAdminRotate(w http.ResponseWriter, r *http.Request) {
-	if !s.checkAdmin(w, r) {
-		return
-	}
 	var req struct {
 		Token string `json:"token"`
 	}

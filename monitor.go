@@ -112,8 +112,9 @@ type Config struct {
 	SubscriptionBuffer int
 	// Workers is the number of ingestion shards: users (Baseline) or whole
 	// clusters (filter-then-verify) are partitioned across this many
-	// goroutines. 0 means runtime.GOMAXPROCS(0); one shard is dispatched
-	// inline, with no goroutine. Deliveries are identical either way.
+	// shards. 0 means runtime.GOMAXPROCS(0). Single arrivals run the
+	// shards inline; batches of more than one object use one goroutine
+	// per shard when GOMAXPROCS > 1. Deliveries are identical either way.
 	Workers int
 	// Store, when non-nil, makes the monitor durable: mutations are
 	// written to its WAL before being applied, and a monitor constructed

@@ -98,16 +98,16 @@ func WithThetas(theta1 int, theta2 float64) Option {
 	}
 }
 
-// WithWorkers sets how many worker goroutines ingestion fans out to.
-// Users (for Baseline) or whole clusters (for the filter-then-verify
-// engines) are partitioned across that many shards, each maintaining its
-// slice of the frontiers independently; deliveries are identical for
-// every n. n = 0 (the default) means runtime.GOMAXPROCS(0); one shard is
-// dispatched inline, with no goroutine — the paper's single-threaded
-// algorithm. The effective count is clamped to the number of shardable
-// units, so
-// WithWorkers(8) over 3 clusters fans out 3 ways — Stats().Workers
-// reports the resolved value.
+// WithWorkers sets how many shards ingestion fans out to. Users (for
+// Baseline) or whole clusters (for the filter-then-verify engines) are
+// partitioned across that many shards, each maintaining its slice of the
+// frontiers independently; deliveries are identical for every n. n = 0
+// (the default) means runtime.GOMAXPROCS(0); one shard is the paper's
+// single-threaded algorithm. Add runs the shards inline, in the caller's
+// goroutine; AddBatch of more than one object gives each shard a worker
+// goroutine of its own when GOMAXPROCS > 1. The effective count is
+// clamped to the number of shardable units, so WithWorkers(8) over 3
+// clusters fans out 3 ways — Stats().Workers reports the resolved value.
 func WithWorkers(n int) Option {
 	return func(c *Config) error {
 		if n < 0 {

@@ -7,8 +7,9 @@ package paretomon
 // frontiers and comparison totals must match. The test lives in the
 // internal package so it can force both dispatch modes of the sharded
 // harness: inline (the single-core default) and async (SPSC rings +
-// worker goroutines, the multi-core default). Under -race the async runs
-// double as a data-race check on the ring hand-off.
+// worker goroutines for batches of more than one object, the multi-core
+// default). Under -race the async runs double as a data-race check on
+// the ring hand-off.
 
 import (
 	"fmt"
@@ -218,7 +219,7 @@ func TestPropertyShardedLifecycleEquivalence(t *testing.T) {
 	}
 }
 
-// TestStatsDuringIngest hammers Stats while objects stream in on another
+// TestStatsDuringIngest hammers Stats while batches stream in on another
 // goroutine, with the async dispatch engaged. Stats must copy the
 // per-shard counter slice under the read lock — before that fix, holding
 // a returned Stats across later ingestion raced with the live shard
@@ -255,10 +256,17 @@ func TestStatsDuringIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(done)
+		// Batches of more than one object: only those reach the shard
+		// workers, so only they race Stats against live worker counters.
 		wr := rand.New(rand.NewSource(13))
-		for i := 0; i < n; i++ {
-			if _, err := m.Add(fmt.Sprintf("o%04d", i), randValues(wr)...); err != nil {
-				t.Errorf("Add: %v", err)
+		const batch = 4
+		for i := 0; i < n; i += batch {
+			objs := make([]Object, batch)
+			for j := range objs {
+				objs[j] = Object{Name: fmt.Sprintf("o%04d", i+j), Values: randValues(wr)}
+			}
+			if _, err := m.AddBatch(objs); err != nil {
+				t.Errorf("AddBatch: %v", err)
 				return
 			}
 		}
