@@ -10,29 +10,14 @@
 //	            [-workers 1,2,4,8] [-benchout BENCH_parallel.json]
 //
 // Experiment ids: fig4 fig5 fig6 fig7 table11 fig8 fig9 fig10 fig11 table12
-// parallel recovery lifecycle replication partition rebalance. The parallel sweep measures
-// ingest throughput of the sharded engines at each -workers count and,
-// with -benchout, records the sweep as JSON so CI can track the perf
-// trajectory. The recovery benchmark crashes a durable monitor
-// (internal/storage) mid-stream, restarts it, verifies the recovered
-// state is identical to an uninterrupted run, and measures snapshot size,
-// WAL write amplification, and cold-start recovery time (-benchout writes
-// BENCH_recovery.json). The lifecycle benchmark measures the v3 mutation
-// costs — mend comparisons and wall time per RemoveObject /
-// RetractPreference / AddUser — against the alive state (-benchout writes
-// BENCH_lifecycle.json). The replication benchmark bootstraps a read-only
-// follower from a live primary over HTTP (snapshot + WAL changefeed) and
-// measures catch-up time, steady-state lag vs write rate, and
-// reconnect-after-disconnect, gating on primary/follower state identity
-// (-benchout writes BENCH_replication.json). The partition benchmark
-// replays the Fig. 4 stream through a consistent-hash Router fronting
-// fleets of 1/2/4 partition primaries and gates on fleet/single-monitor
-// state identity (-benchout writes BENCH_partition.json). The rebalance
-// benchmark scales a live 2-partition fleet to 3 under sustained batch
-// writes and reports migration throughput, the write-stall distribution
-// the freeze windows induce, and time-to-converge, gating on identity
-// and on batch-for-batch delivery equality (-benchout writes
-// BENCH_rebalance.json).
+// parallel, and the ablations ablation-measures, ablation-theta,
+// ablation-granularity and ablation-clustering (not part of "all"). The
+// parallel sweep measures ingest throughput of the sharded engines at
+// each -workers count, checks their deliveries against the sequential
+// engine and, with -benchout, records the sweep as JSON: the
+// BENCH_parallel.json baseline cmd/benchdiff gates against. The layers
+// above the engines (durability, replication, partitioning) are
+// measured by bench/ and held to single-monitor identity by their tests.
 package main
 
 import (

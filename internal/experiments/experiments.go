@@ -21,7 +21,9 @@
 // attribute tuple (core.TupleClasses), which on these duplicate-heavy
 // catalogues removes most of the exact engines' comparisons and none of
 // the approximate one's; the parallel experiment and the benchmark measure
-// those.
+// those. Beside the figures the package holds only the ablations and that
+// sweep: the durable, replicated and partitioned layers are measured by
+// bench/ and held to single-monitor identity by their own tests.
 package experiments
 
 import (

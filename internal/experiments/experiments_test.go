@@ -181,83 +181,9 @@ func TestParallelSweep(t *testing.T) {
 	}
 }
 
-// The recovery benchmark must report identical frontiers and counters
-// after the simulated crash for every snapshot cadence.
-func TestRecoveryBenchmark(t *testing.T) {
-	o := tiny()
-	o.Objects, o.Users = 300, 24
-	rep := experiments.Recovery(o)[0]
-	if rep.ID != "recovery" {
-		t.Fatalf("ID = %q", rep.ID)
-	}
-	if len(rep.Rows) != 3 { // snapEvery ∈ {0, |O|/8, |O|/2}
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	for _, row := range rep.Rows {
-		if row[6] != "true" || row[7] != "true" {
-			t.Errorf("recovered state diverged: %v", row)
-		}
-	}
-}
-
-// The replication benchmark must report a follower byte-identical to
-// its primary after catch-up, paced steady-state, and the forced
-// disconnect.
-func TestReplicationBenchmark(t *testing.T) {
-	o := tiny()
-	o.Objects, o.Users = 300, 24
-	rep := experiments.Replication(o)[0]
-	if rep.ID != "replication" {
-		t.Fatalf("ID = %q", rep.ID)
-	}
-	if len(rep.Rows) != 5 { // catchup + 3 rates + reconnect
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	if rep.Rows[0][6] != "true" || rep.Rows[0][7] != "true" {
-		t.Errorf("follower diverged from primary: %v", rep.Rows[0])
-	}
-}
-
-func TestPartitionExperiment(t *testing.T) {
-	o := tiny()
-	o.Objects, o.Users = 300, 24
-	rep := experiments.Partition(o)[0]
-	if rep.ID != "partition" {
-		t.Fatalf("ID = %q", rep.ID)
-	}
-	if len(rep.Rows) != 3 { // fleets of 1, 2, 4
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	for _, row := range rep.Rows {
-		if row[5] != "true" || row[6] != "true" {
-			t.Errorf("fleet diverged from single monitor: %v", row)
-		}
-	}
-}
-
-func TestRebalanceExperiment(t *testing.T) {
-	o := tiny()
-	o.Objects, o.Users = 300, 24
-	rep := experiments.Rebalance(o)[0]
-	if rep.ID != "rebalance" {
-		t.Fatalf("ID = %q", rep.ID)
-	}
-	if len(rep.Rows) != 1 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	row := rep.Rows[0]
-	if row[8] != "true" || row[9] != "true" || row[10] != "true" {
-		t.Errorf("fleet diverged from single monitor across the rebalance: %v", row)
-	}
-	if row[0] == "0" {
-		t.Errorf("rebalance moved no users: %v", row)
-	}
-}
-
 func TestAllRegistryComplete(t *testing.T) {
-	// 10 paper experiments, the parallel sweep, the recovery, lifecycle,
-	// replication, partition and rebalance benchmarks, plus 4 ablations.
-	if len(experiments.Order) != 16 || len(experiments.All) != 20 {
+	// 10 paper experiments and the parallel sweep, plus 4 ablations.
+	if len(experiments.Order) != 11 || len(experiments.All) != 15 {
 		t.Fatalf("registry: %d runners, %d ordered", len(experiments.All), len(experiments.Order))
 	}
 	for _, id := range experiments.Order {

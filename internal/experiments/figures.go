@@ -353,9 +353,8 @@ var All = map[string]func(Options) []*Report{
 	"fig8":    Fig8, "fig9": Fig9, "fig10": Fig10, "fig11": Fig11,
 	"table12":  Table12,
 	"parallel": Parallel,
-	"recovery": Recovery,
 }
 
-// Order lists experiment ids in the paper's order, then the engineering
-// benchmarks beyond it.
-var Order = []string{"fig4", "fig5", "fig6", "fig7", "table11", "fig8", "fig9", "fig10", "fig11", "table12", "parallel", "recovery"}
+// Order lists experiment ids in the paper's order, then the parallel
+// sweep beyond it.
+var Order = []string{"fig4", "fig5", "fig6", "fig7", "table11", "fig8", "fig9", "fig10", "fig11", "table12", "parallel"}

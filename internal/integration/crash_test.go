@@ -24,7 +24,7 @@ import (
 // ingest, restarts it over the same directory, and asserts that every
 // user's frontier and the work counters match an uninterrupted server
 // fed the identical prefix. Gated behind PARETOMON_CRASH_TEST=1 (the CI
-// recovery job sets it) so tier-1 test runs stay hermetic and fast.
+// crash job sets it) so tier-1 test runs stay hermetic and fast.
 func TestKill9Recovery(t *testing.T) {
 	if os.Getenv("PARETOMON_CRASH_TEST") != "1" {
 		t.Skip("set PARETOMON_CRASH_TEST=1 to run the kill -9 recovery exercise")
@@ -77,9 +77,9 @@ func TestKill9Recovery(t *testing.T) {
 		port := freePort(t)
 		addr := fmt.Sprintf("127.0.0.1:%d", port)
 		args := append([]string{
+			"serve", "-addr", addr,
 			"-objects", objPath, "-prefs", prefPath,
 			"-algorithm", "ftv", "-h", "3.3", "-limit", fmt.Sprint(boot),
-			"-serve", addr,
 		}, extra...)
 		cmd := exec.Command(bin, args...)
 		cmd.Stderr = os.Stderr

@@ -337,142 +337,146 @@ func getStats(t *testing.T, url string) statsPayload {
 }
 
 // TestPartitionMergedStatsProperty: under randomized lifecycle
-// workloads, the router's /stats must equal the single monitor's —
+// workloads, over fleets of 1 to 4 partitions, the router's /stats must
+// equal the single monitor's —
 // work counters summed across partitions, Processed the maximum,
 // Workers the fleet total — with every partition's own workers and
 // shards reported in the partitions section.
 func TestPartitionMergedStatsProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			com := partitionCommunity(t, 24)
-			opts := []paretomon.Option{
-				paretomon.WithAlgorithm(paretomon.AlgorithmBaseline),
-				paretomon.WithWorkers(2),
-			}
-			ref, err := paretomon.NewMonitor(com, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ref.Close()
-			singleSrv := httptest.NewServer(server.New(ref))
-			defer singleSrv.Close()
-
-			const nParts = 3
-			plan, err := partition.NewPlan(nParts, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			urls := make([]string, nParts)
-			for i := 0; i < nParts; i++ {
-				sub := com.Subset(func(name string) bool { return plan.Owner(name) == i })
-				mon, err := paretomon.NewMonitor(sub, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer mon.Close()
-				hs := httptest.NewServer(server.New(mon))
-				defer hs.Close()
-				urls[i] = hs.URL
-			}
-			rt, err := partition.New(partition.Config{URLs: urls, RetryBudget: 5 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			front := httptest.NewServer(server.NewRouter(rt))
-			defer front.Close()
-
-			// Generate one op sequence, apply it to both drivers. Ops
-			// are kept valid so both sides take identical paths.
-			type op func(d paretomon.Driver) error
-			var ops []op
-			nextObj, nextUser := 1, 24
-			var alive []string
-			users := append([]string(nil), com.Users()...)
-			for i := 0; i < 60; i++ {
-				switch k := rng.Intn(10); {
-				case k < 5: // ingest a batch
-					n := 1 + rng.Intn(8)
-					batch := make([]paretomon.Object, n)
-					for j := range batch {
-						row := make([]string, len(partitionAttrs))
-						for d := range row {
-							row[d] = partitionVals[rng.Intn(len(partitionVals))]
-						}
-						batch[j] = paretomon.Object{Name: fmt.Sprintf("o%d", nextObj), Values: row}
-						alive = append(alive, batch[j].Name)
-						nextObj++
+			for _, nParts := range []int{1, 2, 3, 4} {
+				t.Run(fmt.Sprintf("parts%d", nParts), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					com := partitionCommunity(t, 24)
+					opts := []paretomon.Option{
+						paretomon.WithAlgorithm(paretomon.AlgorithmBaseline),
+						paretomon.WithWorkers(2),
 					}
-					ops = append(ops, func(d paretomon.Driver) error { _, err := d.AddBatch(batch); return err })
-				case k < 6: // join
-					name := fmt.Sprintf("u%d", nextUser)
-					nextUser++
-					users = append(users, name)
-					prefs := []paretomon.Preference{{Attr: "a", Better: "v1", Worse: "v3"}}
-					ops = append(ops, func(d paretomon.Driver) error { return d.AddUser(name, prefs) })
-				case k < 8: // assert + retract a preference
-					u := users[rng.Intn(len(users))]
-					attr := partitionAttrs[rng.Intn(len(partitionAttrs))]
-					better := partitionVals[rng.Intn(len(partitionVals))]
-					worse := partitionVals[rng.Intn(len(partitionVals))]
-					ops = append(ops, func(d paretomon.Driver) error {
-						if err := d.AddPreference(u, attr, better, worse); err != nil {
-							return nil // cycle/reflexive: rejected identically on both sides
-						}
-						return d.RetractPreference(u, attr, better, worse)
-					})
-				case k < 9 && len(alive) > 0: // takedown
-					name := alive[rng.Intn(len(alive))]
-					ops = append(ops, func(d paretomon.Driver) error {
-						err := d.RemoveObject(name)
-						if err != nil && strings.Contains(err.Error(), "unknown object") {
-							return nil // already removed by an earlier op
-						}
-						return err
-					})
-				default: // no-op round
-				}
-			}
-			for _, d := range []paretomon.Driver{ref, paretomon.Driver(rt)} {
-				for i, apply := range ops {
-					if err := apply(d); err != nil {
-						t.Fatalf("op %d on %T: %v", i, d, err)
+					ref, err := paretomon.NewMonitor(com, opts...)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			}
+					defer ref.Close()
+					singleSrv := httptest.NewServer(server.New(ref))
+					defer singleSrv.Close()
 
-			single := getStats(t, singleSrv.URL)
-			merged := getStats(t, front.URL)
-			if merged.Comparisons != single.Comparisons ||
-				merged.VerifyComparisons != single.VerifyComparisons ||
-				merged.Delivered != single.Delivered ||
-				merged.Processed != single.Processed {
-				t.Fatalf("merged /stats diverge:\nrouter: %+v\nsingle: %+v", merged.Stats, single.Stats)
-			}
-			if len(merged.Partitions) != nParts {
-				t.Fatalf("partitions section has %d entries, want %d", len(merged.Partitions), nParts)
-			}
-			workers, processedMax := 0, uint64(0)
-			for _, ps := range merged.Partitions {
-				if !ps.Ready {
-					t.Fatalf("partition %d not ready in /stats", ps.Partition)
-				}
-				if ps.Stats.Workers < 1 {
-					t.Fatalf("partition %d reports no workers", ps.Partition)
-				}
-				if ps.Stats.Workers > 1 && len(ps.Stats.Shards) == 0 {
-					t.Fatalf("partition %d reports %d workers but no shard breakdown", ps.Partition, ps.Stats.Workers)
-				}
-				workers += ps.Stats.Workers
-				if ps.Stats.Processed > processedMax {
-					processedMax = ps.Stats.Processed
-				}
-			}
-			if merged.Workers != workers {
-				t.Fatalf("merged Workers = %d, want fleet total %d", merged.Workers, workers)
-			}
-			if merged.Processed != processedMax {
-				t.Fatalf("merged Processed = %d, want per-partition max %d", merged.Processed, processedMax)
+					plan, err := partition.NewPlan(nParts, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					urls := make([]string, nParts)
+					for i := 0; i < nParts; i++ {
+						sub := com.Subset(func(name string) bool { return plan.Owner(name) == i })
+						mon, err := paretomon.NewMonitor(sub, opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer mon.Close()
+						hs := httptest.NewServer(server.New(mon))
+						defer hs.Close()
+						urls[i] = hs.URL
+					}
+					rt, err := partition.New(partition.Config{URLs: urls, RetryBudget: 5 * time.Second})
+					if err != nil {
+						t.Fatal(err)
+					}
+					front := httptest.NewServer(server.NewRouter(rt))
+					defer front.Close()
+
+					// Generate one op sequence, apply it to both drivers. Ops
+					// are kept valid so both sides take identical paths.
+					type op func(d paretomon.Driver) error
+					var ops []op
+					nextObj, nextUser := 1, 24
+					var alive []string
+					users := append([]string(nil), com.Users()...)
+					for i := 0; i < 60; i++ {
+						switch k := rng.Intn(10); {
+						case k < 5: // ingest a batch
+							n := 1 + rng.Intn(8)
+							batch := make([]paretomon.Object, n)
+							for j := range batch {
+								row := make([]string, len(partitionAttrs))
+								for d := range row {
+									row[d] = partitionVals[rng.Intn(len(partitionVals))]
+								}
+								batch[j] = paretomon.Object{Name: fmt.Sprintf("o%d", nextObj), Values: row}
+								alive = append(alive, batch[j].Name)
+								nextObj++
+							}
+							ops = append(ops, func(d paretomon.Driver) error { _, err := d.AddBatch(batch); return err })
+						case k < 6: // join
+							name := fmt.Sprintf("u%d", nextUser)
+							nextUser++
+							users = append(users, name)
+							prefs := []paretomon.Preference{{Attr: "a", Better: "v1", Worse: "v3"}}
+							ops = append(ops, func(d paretomon.Driver) error { return d.AddUser(name, prefs) })
+						case k < 8: // assert + retract a preference
+							u := users[rng.Intn(len(users))]
+							attr := partitionAttrs[rng.Intn(len(partitionAttrs))]
+							better := partitionVals[rng.Intn(len(partitionVals))]
+							worse := partitionVals[rng.Intn(len(partitionVals))]
+							ops = append(ops, func(d paretomon.Driver) error {
+								if err := d.AddPreference(u, attr, better, worse); err != nil {
+									return nil // cycle/reflexive: rejected identically on both sides
+								}
+								return d.RetractPreference(u, attr, better, worse)
+							})
+						case k < 9 && len(alive) > 0: // takedown
+							name := alive[rng.Intn(len(alive))]
+							ops = append(ops, func(d paretomon.Driver) error {
+								err := d.RemoveObject(name)
+								if err != nil && strings.Contains(err.Error(), "unknown object") {
+									return nil // already removed by an earlier op
+								}
+								return err
+							})
+						default: // no-op round
+						}
+					}
+					for _, d := range []paretomon.Driver{ref, paretomon.Driver(rt)} {
+						for i, apply := range ops {
+							if err := apply(d); err != nil {
+								t.Fatalf("op %d on %T: %v", i, d, err)
+							}
+						}
+					}
+
+					single := getStats(t, singleSrv.URL)
+					merged := getStats(t, front.URL)
+					if merged.Comparisons != single.Comparisons ||
+						merged.VerifyComparisons != single.VerifyComparisons ||
+						merged.Delivered != single.Delivered ||
+						merged.Processed != single.Processed {
+						t.Fatalf("merged /stats diverge:\nrouter: %+v\nsingle: %+v", merged.Stats, single.Stats)
+					}
+					if len(merged.Partitions) != nParts {
+						t.Fatalf("partitions section has %d entries, want %d", len(merged.Partitions), nParts)
+					}
+					workers, processedMax := 0, uint64(0)
+					for _, ps := range merged.Partitions {
+						if !ps.Ready {
+							t.Fatalf("partition %d not ready in /stats", ps.Partition)
+						}
+						if ps.Stats.Workers < 1 {
+							t.Fatalf("partition %d reports no workers", ps.Partition)
+						}
+						if ps.Stats.Workers > 1 && len(ps.Stats.Shards) == 0 {
+							t.Fatalf("partition %d reports %d workers but no shard breakdown", ps.Partition, ps.Stats.Workers)
+						}
+						workers += ps.Stats.Workers
+						if ps.Stats.Processed > processedMax {
+							processedMax = ps.Stats.Processed
+						}
+					}
+					if merged.Workers != workers {
+						t.Fatalf("merged Workers = %d, want fleet total %d", merged.Workers, workers)
+					}
+					if merged.Processed != processedMax {
+						t.Fatalf("merged Processed = %d, want per-partition max %d", merged.Processed, processedMax)
+					}
+				})
 			}
 		})
 	}

@@ -295,9 +295,9 @@ func TestKill9MidMigration(t *testing.T) {
 			addr = fmt.Sprintf("127.0.0.1:%d", freePort(t))
 		}
 		args := append([]string{
+			"serve", "-addr", addr,
 			"-objects", objPath, "-prefs", prefPath,
 			"-algorithm", "baseline", "-limit", fmt.Sprint(nObjects),
-			"-serve", addr,
 		}, extra...)
 		cmd := exec.Command(bin, args...)
 		cmd.Stderr = os.Stderr

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -117,7 +118,8 @@ func (c *client) postBatch(ctx context.Context, body []byte, sent []paretomon.Ob
 	defer resp.Body.Close()
 	buf := wire.GetBuffer()
 	defer buf.Free()
-	err = buf.ReadAll(resp.Body)
+	// Not capped: a reply is as long as the deliveries it carries.
+	err = buf.ReadAll(resp.Body, math.MaxInt)
 	var ds []paretomon.Delivery
 	if err == nil {
 		ds, err = wire.DecodeDeliveries(buf.B)

@@ -72,8 +72,7 @@ func (s *Server) storeLease(rec leaseRecord) error {
 // another router → 409 with the holder and remaining TTL in the error.
 func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if req.ID == "" || req.TTLMillis <= 0 {

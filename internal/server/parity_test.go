@@ -6,6 +6,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // facadeReply is what a client can observe of one answer.
@@ -47,6 +49,9 @@ func doRaw(t *testing.T, method, url, body string) facadeReply {
 // with its deliveries (see partition.Router.AddBatch).
 func TestFacadeParity(t *testing.T) {
 	awk := "/" + url.PathEscape(awkward)
+	// pad left-pads a well-formed body to one byte over the body cap (a
+	// JSON decoder stops at the end of the value, not of the body).
+	pad := func(body string) string { return strings.Repeat(" ", server.MaxBodyBytes+1-len(body)) + body }
 	steps := []struct {
 		method, path, body string
 		status, routed     int
@@ -102,20 +107,34 @@ func TestFacadeParity(t *testing.T) {
 		{"GET", "/targets/b1", "", 404, 0},
 		{"POST", "/users", `{bad`, 400, 0},
 		{"DELETE", "/preferences", `{bad`, 400, 0},
+		// Over the body cap: refused whole, before it is decoded.
+		{"POST", "/objects/batch", pad(`{"objects":[{"name":"big","values":["Apple","dual"]}]}`), 413, 0},
+		{"GET", "/targets/big", "", 404, 0},
+		{"POST", "/users", pad(`{"name":"big","preferences":[]}`), 413, 0},
+		{"GET", "/frontier/big", "", 404, 0},
 	}
 	bases := goldenFacades(t)
 	for _, st := range steps {
+		var count facadeReply
+		if st.status == http.StatusRequestEntityTooLarge {
+			count = doRaw(t, "GET", bases["Server"]+"/objects/count", "")
+		}
 		single := doRaw(t, st.method, bases["Server"]+st.path, st.body)
 		routed := doRaw(t, st.method, bases["RouterServer"]+st.path, st.body)
 		if single.status != st.status {
-			t.Errorf("%s %s %s: Server answered %d, want %d: %q", st.method, st.path, st.body, single.status, st.status, single.body)
+			t.Errorf("%s %s %.80s: Server answered %d, want %d: %q", st.method, st.path, st.body, single.status, st.status, single.body)
 		}
 		if st.routed != 0 {
 			if routed.status != st.routed {
-				t.Errorf("%s %s %s: RouterServer answered %d, want %d: %q", st.method, st.path, st.body, routed.status, st.routed, routed.body)
+				t.Errorf("%s %s %.80s: RouterServer answered %d, want %d: %q", st.method, st.path, st.body, routed.status, st.routed, routed.body)
 			}
 		} else if routed != single {
-			t.Errorf("%s %s %s: the facades differ\n      Server %+v\nRouterServer %+v", st.method, st.path, st.body, single, routed)
+			t.Errorf("%s %s %.80s: the facades differ\n      Server %+v\nRouterServer %+v", st.method, st.path, st.body, single, routed)
+		}
+		if st.status == http.StatusRequestEntityTooLarge {
+			if after := doRaw(t, "GET", bases["Server"]+"/objects/count", ""); after != count {
+				t.Errorf("%s %s over the body cap moved the object count: %s -> %s", st.method, st.path, count.body, after.body)
+			}
 		}
 	}
 }

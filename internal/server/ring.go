@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -21,10 +20,6 @@ import (
 
 // ringMetaKey is the store meta key holding the accepted ring payload.
 const ringMetaKey = "ring"
-
-// ringBodyLimit bounds a PUT /ring payload; rings are small (URLs plus
-// in-flight pins), anything near this size is a client bug.
-const ringBodyLimit = 32 << 20
 
 // checkRing enforces the ring-version agreement on a mutating request.
 // It reports true when the write may proceed; otherwise it has written
@@ -83,7 +78,7 @@ func (s *Server) handleRingGet(w http.ResponseWriter, r *http.Request) {
 // immediately. Idempotent by construction: re-pushing the accepted
 // ring succeeds.
 func (s *Server) handleRingPut(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, ringBodyLimit))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "reading ring payload: %v", err)
 		return
@@ -145,8 +140,7 @@ type migrateExportRequest struct {
 // serves it moments before the ring flips.
 func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 	var req migrateExportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if len(req.Users) == 0 {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"net/url"
 
@@ -66,8 +65,7 @@ type rebalanceRequest struct {
 // the CLI posts here instead of building a second router.
 func (s *RouterServer) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	var req rebalanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	rep, err := s.router.Rebalance(r.Context(), req.URLs, partition.RebalanceOptions{BatchSize: req.BatchSize})

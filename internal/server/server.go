@@ -302,22 +302,50 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxBodyBytes bounds every request body a handler reads or decodes: a
+// longer one is answered 413 and changes nothing. PUT /ring reads at
+// most this much; the streaming /migrate/import* bodies are applied
+// frame by frame and are not bounded here.
+const maxBodyBytes = 32 << 20
+
 // readBody reads the request body into a pooled buffer and decodes it
 // with one of internal/wire's decoders (whose results never alias the
-// buffer). It answers a body that does not decode itself — 400, in
-// encoding/json's words — and reports false.
+// buffer). It answers a body that does not decode itself (see badBody)
+// and reports false.
 func readBody[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (v T, ok bool) {
 	buf := wire.GetBuffer()
 	defer buf.Free()
-	err := buf.ReadAll(r.Body)
+	err := buf.ReadAll(r.Body, maxBodyBytes)
 	if err == nil {
 		v, err = decode(buf.B)
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		badBody(w, err)
 		return v, false
 	}
 	return v, true
+}
+
+// decodeJSON decodes the request body into v with encoding/json, reading
+// at most maxBodyBytes of it. It answers a body that does not decode
+// itself (see badBody) and reports false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		badBody(w, err)
+		return false
+	}
+	return true
+}
+
+// badBody answers a request body that could not be read or decoded: 413
+// past maxBodyBytes, otherwise 400 in encoding/json's words.
+func badBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.Is(err, wire.ErrTooLarge) || errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 }
 
 // writeBody answers 200 with v as one of internal/wire's encoders
@@ -514,8 +542,7 @@ func (f *facade) handleUserAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req addUserRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	prefs := make([]paretomon.Preference, len(req.Preferences))
@@ -579,8 +606,7 @@ func (f *facade) handlePreference(w http.ResponseWriter, r *http.Request, apply 
 		return
 	}
 	var req preferenceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	if err := apply(req.User, req.Attribute, req.Better, req.Worse); err != nil {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"crypto/subtle"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -264,8 +263,7 @@ func (s *TenantServer) handleAdminList(w http.ResponseWriter, r *http.Request) {
 // handleAdminCreate serves POST /admin/tenants: a tenant.Spec body.
 func (s *TenantServer) handleAdminCreate(w http.ResponseWriter, r *http.Request) {
 	var spec tenant.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !decodeJSON(w, r, &spec) {
 		return
 	}
 	if _, err := s.reg.Create(spec); err != nil {
@@ -296,8 +294,7 @@ func (s *TenantServer) handleAdminRotate(w http.ResponseWriter, r *http.Request)
 		Token string `json:"token"`
 	}
 	if r.Body != nil && r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 	}

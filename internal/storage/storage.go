@@ -105,8 +105,8 @@ type Record struct {
 	Prefs []RecordPref
 }
 
-// Stats describes a store's footprint for observability endpoints and
-// the recovery experiment.
+// Stats describes a store's footprint for observability endpoints
+// (GET /storage/stats).
 type Stats struct {
 	// Dir is the backing directory ("" for the in-memory store).
 	Dir string `json:"dir"`
@@ -126,8 +126,8 @@ type Stats struct {
 	// compare it against follower applied-seq watermarks.
 	LastAppendedSeq uint64 `json:"last_appended_seq"`
 	// AppendedRecords and AppendedBytes count WAL appends performed by
-	// this process (not prior incarnations); the recovery experiment
-	// derives write amplification from them.
+	// this process (not prior incarnations); over the raw bytes ingested
+	// they give the write amplification.
 	AppendedRecords uint64 `json:"appended_records"`
 	AppendedBytes   uint64 `json:"appended_bytes"`
 }

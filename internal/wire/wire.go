@@ -53,18 +53,31 @@ func (b *Buffer) Free() {
 	}
 }
 
-// ReadAll replaces B with everything r yields up to EOF.
-func (b *Buffer) ReadAll(r io.Reader) error {
+// ErrTooLarge reports a body longer than the limit ReadAll was given.
+var ErrTooLarge = errors.New("wire: body exceeds the size limit")
+
+// ReadAll replaces B with everything r yields up to EOF. A body of more
+// than limit bytes is ErrTooLarge, found having read at most limit+1 of
+// them.
+func (b *Buffer) ReadAll(r io.Reader, limit int) error {
 	b.B = b.B[:0]
-	for {
+	for len(b.B) <= limit {
 		b.B = slices.Grow(b.B, 512)
-		n, err := r.Read(b.B[len(b.B):cap(b.B)])
+		room := b.B[len(b.B):cap(b.B)]
+		if left := limit - len(b.B); left < len(room) {
+			room = room[:left+1]
+		}
+		n, err := r.Read(room)
 		b.B = b.B[:len(b.B)+n]
 		if errors.Is(err, io.EOF) {
-			return nil
+			break
 		}
 		if err != nil {
 			return err
 		}
 	}
+	if len(b.B) > limit {
+		return ErrTooLarge
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -300,10 +301,13 @@ func TestEncodersDoNotAllocate(t *testing.T) {
 func TestBufferReadAllAndPoolCap(t *testing.T) {
 	b := GetBuffer()
 	body := strings.Repeat("x", 5000)
-	if err := b.ReadAll(strings.NewReader(body)); err != nil || string(b.B) != body {
+	if err := b.ReadAll(strings.NewReader(body), len(body)); err != nil || string(b.B) != body {
 		t.Fatalf("ReadAll: %d bytes, err %v", len(b.B), err)
 	}
-	if err := b.ReadAll(strings.NewReader("short")); err != nil || string(b.B) != "short" {
+	if err := b.ReadAll(strings.NewReader(body), len(body)-1); !errors.Is(err, ErrTooLarge) || len(b.B) != len(body) {
+		t.Fatalf("ReadAll past the limit: %d bytes read, err %v", len(b.B), err)
+	}
+	if err := b.ReadAll(strings.NewReader("short"), len(body)); err != nil || string(b.B) != "short" {
 		t.Fatalf("ReadAll does not replace: %q, err %v", b.B, err)
 	}
 	b.Free()

@@ -192,13 +192,15 @@ func TestDurableCrashRecovery(t *testing.T) {
 	cases := []struct {
 		name string
 		opts []paretomon.Option
+		dir  bool // a file store under paretomon.Open, not a MemStore
 	}{
-		{"baseline", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}},
-		{"ftv", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}},
-		{"ftva", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithBranchCut(1.2), paretomon.WithThetas(40, 0.3)}},
-		{"ftva-vec", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithMeasure(paretomon.MeasureVectorWeightedJaccard), paretomon.WithBranchCut(0.5)}}, // 0.5: two pairs and two singletons; from 1.0 up this community stays six singletons
-		{"baselineSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWindow(13)}},
-		{"ftvSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2), paretomon.WithWindow(13)}},
+		{"baseline", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}, false},
+		{"ftv", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}, false},
+		{"ftv-file", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}, true},
+		{"ftva", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithBranchCut(1.2), paretomon.WithThetas(40, 0.3)}, false},
+		{"ftva-vec", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithMeasure(paretomon.MeasureVectorWeightedJaccard), paretomon.WithBranchCut(0.5)}, false}, // 0.5: two pairs and two singletons; from 1.0 up this community stays six singletons
+		{"baselineSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWindow(13)}, false},
+		{"ftvSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2), paretomon.WithWindow(13)}, false},
 	}
 	for _, tc := range cases {
 		for _, layout := range crashLayouts {
@@ -214,22 +216,38 @@ func TestDurableCrashRecovery(t *testing.T) {
 					}
 					refOutcomes := applyOps(t, ref, ops, 0, len(ops))
 
-					store := paretomon.NewMemStore()
-					durableOpts := append(append([]paretomon.Option{}, opts...), paretomon.WithStore(store))
+					durableOpts := append([]paretomon.Option{}, opts...)
 					if snapEvery > 0 {
 						durableOpts = append(durableOpts, paretomon.WithSnapshotEvery(snapEvery))
 					}
-					m1, err := paretomon.NewMonitor(com, durableOpts...)
+					open := paretomon.NewMonitor
+					if tc.dir {
+						dir := t.TempDir()
+						open = func(c *paretomon.Community, o ...paretomon.Option) (*paretomon.Monitor, error) {
+							return paretomon.Open(c, dir, o...)
+						}
+					} else {
+						durableOpts = append(durableOpts, paretomon.WithStore(paretomon.NewMemStore()))
+					}
+					m1, err := open(com, durableOpts...)
 					if err != nil {
 						t.Fatal(err)
 					}
 					out1 := applyOps(t, m1, ops, 0, half)
-					// No Close, no final snapshot: the crash point.
+					// No final snapshot: the crash point. A directory stays
+					// locked until its monitor closes, so the file store's
+					// crash is a Close, which writes nothing.
+					if tc.dir {
+						if err := m1.Close(); err != nil {
+							t.Fatal(err)
+						}
+					}
 
-					m2, err := paretomon.NewMonitor(com, append(durableOpts, paretomon.WithWorkers(layout.reopen))...)
+					m2, err := open(com, append(durableOpts, paretomon.WithWorkers(layout.reopen))...)
 					if err != nil {
 						t.Fatalf("recovery: %v", err)
 					}
+					defer m2.Close()
 					// Per-shard cumulative counters restart at zero after
 					// recovery (they track live load skew, not history).
 					for i, sh := range m2.Stats().Shards {
