@@ -27,8 +27,6 @@
 // the Go pprof surface under /debug/pprof/. Keeping it off the main
 // listener keeps profiling and scrape traffic away from tenant auth.
 //
-// The pre-subcommand flag spellings (paretomon -objects ... -serve
-// :8080 ...) keep working through a deprecation shim; see legacy.go.
 // Run `paretomon help` for the full flag reference of each subcommand.
 package main
 
@@ -36,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -49,46 +48,46 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) == 0 {
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-	if strings.HasPrefix(args[0], "-") {
-		// The pre-subcommand CLI: every flag in one namespace. Keep it
-		// working, but steer scripts toward the subcommands.
-		fmt.Fprintln(os.Stderr, "paretomon: note: flag-style invocation is deprecated; use 'paretomon <command>' (run 'paretomon help')")
-		runLegacy(args)
-		return
-	}
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "serve":
-		cmdServe(rest)
-	case "follow":
-		cmdFollow(rest)
-	case "route":
-		cmdRoute(rest)
-	case "rebalance":
-		cmdRebalance(rest)
-	case "reconcile":
-		cmdReconcile(rest)
-	case "snapshot":
-		cmdSnapshot(rest)
-	case "replay":
-		cmdReplay(rest)
-	case "bench":
-		cmdBench(rest)
-	case "help", "--help":
-		usage(os.Stdout)
-	default:
-		fmt.Fprintf(os.Stderr, "paretomon: unknown command %q\n\n", cmd)
-		usage(os.Stderr)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func usage(w *os.File) {
+// commands maps each subcommand to its entry point. A subcommand exits
+// the process itself on a usage or runtime error.
+var commands = map[string]func(args []string){
+	"serve":     cmdServe,
+	"follow":    cmdFollow,
+	"route":     cmdRoute,
+	"rebalance": cmdRebalance,
+	"reconcile": cmdReconcile,
+	"snapshot":  cmdSnapshot,
+	"replay":    cmdReplay,
+	"bench":     cmdBench,
+}
+
+// run dispatches args to a subcommand and returns the exit status: 2
+// with the overview on stderr when there is no command or an unknown
+// one — a flag where the command belongs included.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		usage(stderr)
+		return 2
+	}
+	cmd, rest := args[0], args[1:]
+	if cmd == "help" || cmd == "--help" {
+		usage(stdout)
+		return 0
+	}
+	f, ok := commands[cmd]
+	if !ok {
+		fmt.Fprintf(stderr, "paretomon: unknown command %q\n\n", cmd)
+		usage(stderr)
+		return 2
+	}
+	f(rest)
+	return 0
+}
+
+func usage(w io.Writer) {
 	fmt.Fprint(w, `paretomon — continuous Pareto-frontier dissemination
 
 Commands:

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -93,90 +92,68 @@ func TestValidateRebalance(t *testing.T) {
 	}
 }
 
-// TestValidateLegacy pins the deprecation shim's rules — and the exact
-// messages scripts grep for — to the flag-era behavior.
-func TestValidateLegacy(t *testing.T) {
+// TestRunOverview pins the dispatcher's own answers: the overview on
+// stdout with status 0 when asked for, on stderr with status 2 when no
+// command or an unknown one is given.
+func TestRunOverview(t *testing.T) {
 	cases := []struct {
-		name string
-		v    legacyValues
-		want string
+		name      string
+		args      []string
+		code      int
+		stdout    bool   // overview on stdout (else stderr)
+		errPrefix string // stderr's first line, "" = none
 	}{
-		{"offline replay", legacyValues{objPath: "o", prefPath: "p"}, ""},
-		{"serve", legacyValues{objPath: "o", prefPath: "p", serve: ":8080"}, ""},
-		{"durable serve", legacyValues{objPath: "o", prefPath: "p", serve: ":8080", dataDir: "d", snapEvery: 5}, ""},
-		{"follower", legacyValues{objPath: "o", prefPath: "p", serve: ":8081", follow: "http://p:8080"}, ""},
-		{"partition serve", legacyValues{objPath: "o", prefPath: "p", serve: ":8080", partSpec: "0/2"}, ""},
-		{"router", legacyValues{serve: ":9090", route: "http://a,http://b"}, ""},
-		{"router with id", legacyValues{serve: ":9090", route: "http://a", routerID: "r1"}, ""},
-		{"rebalance", legacyValues{rebalance: "http://a,http://b", router: "http://r"}, ""},
-		{"reconcile", legacyValues{reconcile: true, router: "http://r"}, ""},
-
-		{"rebalance without router", legacyValues{rebalance: "http://a"},
-			"-rebalance/-reconcile require -router (the running router drives the migration — it owns the write freeze)"},
-		{"reconcile without router", legacyValues{reconcile: true},
-			"-rebalance/-reconcile require -router"},
-		{"router-id without route", legacyValues{objPath: "o", prefPath: "p", routerID: "r1"},
-			"-router-id requires -route"},
-		{"route without serve", legacyValues{route: "http://a"},
-			"-route requires -serve"},
-		{"route with follow", legacyValues{serve: ":9090", route: "http://a", follow: "http://p"},
-			"-route is exclusive with -follow, -data-dir and -partition (the partitions own the data)"},
-		{"route with data-dir", legacyValues{serve: ":9090", route: "http://a", dataDir: "d"},
-			"-route is exclusive with -follow, -data-dir and -partition"},
-		{"route with partition", legacyValues{serve: ":9090", route: "http://a", partSpec: "0/2"},
-			"-route is exclusive with -follow, -data-dir and -partition"},
-		{"no dataset", legacyValues{},
-			"-objects and -prefs are required"},
-		{"partition without serve", legacyValues{objPath: "o", prefPath: "p", partSpec: "0/2"},
-			"-partition requires -serve"},
-		{"partition with follow", legacyValues{objPath: "o", prefPath: "p", serve: ":8080", partSpec: "0/2", follow: "http://p"},
-			"-partition and -follow are mutually exclusive (follow the partition's primary instead)"},
-		{"data-dir without serve", legacyValues{objPath: "o", prefPath: "p", dataDir: "d"},
-			"-data-dir requires -serve"},
-		{"snapshot-every without data-dir", legacyValues{objPath: "o", prefPath: "p", serve: ":8080", snapEvery: 5},
-			"-snapshot-every requires -data-dir"},
-		{"follow without serve", legacyValues{objPath: "o", prefPath: "p", follow: "http://p"},
-			"-follow requires -serve"},
-		{"follow with data-dir", legacyValues{objPath: "o", prefPath: "p", serve: ":8081", follow: "http://p", dataDir: "d"},
-			"-follow and -data-dir are mutually exclusive (the primary owns the log)"},
+		{"no arguments", nil, 2, false, ""},
+		{"help", []string{"help"}, 0, true, ""},
+		{"--help", []string{"--help"}, 0, true, ""},
+		{"misspelled command", []string{"serv", "-addr", ":8080"}, 2, false, `paretomon: unknown command "serv"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			checkValidation(t, validateLegacy(&tc.v), tc.want)
+			var stdout, stderr strings.Builder
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit status %d, want %d", code, tc.code)
+			}
+			over, other := stderr.String(), stdout.String()
+			if tc.stdout {
+				over, other = other, over
+			}
+			if !strings.Contains(over, "Commands:") {
+				t.Errorf("overview missing from %q", over)
+			}
+			if other != "" {
+				t.Errorf("unexpected output %q", other)
+			}
+			if !strings.HasPrefix(stderr.String(), tc.errPrefix) {
+				t.Errorf("stderr = %q, want prefix %q", stderr.String(), tc.errPrefix)
+			}
 		})
 	}
 }
 
-// TestParseLegacy checks the shim's flag binding end to end: old
-// spellings parse into the right fields and unknown flags error.
-func TestParseLegacy(t *testing.T) {
-	v, err := parseLegacy([]string{
-		"-objects", "o.csv", "-prefs", "p.json",
-		"-algorithm", "ftva", "-h", "2.5", "-theta1", "300", "-theta2", "0.7",
-		"-window", "100", "-workers", "4", "-limit", "500", "-quiet",
-		"-serve", ":8080", "-data-dir", "./data", "-snapshot-every", "64",
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("parseLegacy: %v", err)
-	}
-	if v.objPath != "o.csv" || v.prefPath != "p.json" {
-		t.Errorf("dataset = %q/%q", v.objPath, v.prefPath)
-	}
-	if v.eng.alg != "ftva" || v.eng.h != 2.5 || v.eng.theta1 != 300 || v.eng.theta2 != 0.7 {
-		t.Errorf("engine = %+v", v.eng)
-	}
-	if v.eng.win != 100 || v.eng.workers != 4 || v.limit != 500 || !v.quiet {
-		t.Errorf("replay knobs = win=%d workers=%d limit=%d quiet=%v", v.eng.win, v.eng.workers, v.limit, v.quiet)
-	}
-	if v.serve != ":8080" || v.dataDir != "./data" || v.snapEvery != 64 {
-		t.Errorf("serve knobs = %q %q %d", v.serve, v.dataDir, v.snapEvery)
-	}
-	if err := validateLegacy(v); err != nil {
-		t.Errorf("validateLegacy on coherent combo: %v", err)
-	}
-
-	if _, err := parseLegacy([]string{"-no-such-flag"}, io.Discard); err == nil {
-		t.Error("unknown flag parsed without error")
+// TestRunRefusesFlagSpellings: the pre-subcommand CLI is gone, so every
+// flag it bound, given where the command belongs, is an unknown command
+// — status 2 and the overview — and never starts anything.
+func TestRunRefusesFlagSpellings(t *testing.T) {
+	for _, flag := range []string{
+		"objects", "prefs", "limit", "quiet", "serve", "data-dir",
+		"snapshot-every", "follow", "partition", "route", "router-id",
+		"lease-ttl", "migrate-timeout", "rebalance", "router", "reconcile",
+	} {
+		t.Run(flag, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			args := []string{"-" + flag, "x", "-objects", "o.csv", "-prefs", "p.json"}
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Fatalf("exit status %d, want 2", code)
+			}
+			want := "paretomon: unknown command \"-" + flag + "\"\n"
+			if !strings.HasPrefix(stderr.String(), want) || !strings.Contains(stderr.String(), "Commands:") {
+				t.Errorf("stderr = %q, want %q then the overview", stderr.String(), want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("stdout = %q, want empty", stdout.String())
+			}
+		})
 	}
 }
 

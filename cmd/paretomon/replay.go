@@ -93,7 +93,6 @@ func runReplay(v replayValues) {
 	check(pf.Close())
 
 	eng := buildEngine(&v.eng, users)
-	defer eng.Close()
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()

@@ -53,7 +53,7 @@ var _ Driver = (*Monitor)(nil)
 // with their full preference profiles deep-copied onto a fresh schema.
 // The receiver is not modified. A partitioned deployment uses it to give
 // each partition its owned slice of one logical community (see
-// internal/partition.Plan and cmd/paretomon -partition); the subset can
+// internal/partition.Plan and paretomon serve -partition); the subset can
 // be empty, which NewMonitor will reject with ErrEmptyCommunity.
 func (c *Community) Subset(keep func(name string) bool) *Community {
 	s := c.schema.clone()

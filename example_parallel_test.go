@@ -6,11 +6,11 @@ import (
 	paretomon "repro"
 )
 
-// Example_parallel shards ingestion across worker goroutines with
-// WithWorkers. Clusters (or users, for Baseline) are partitioned across
-// the workers, each maintaining its slice of the frontiers
-// independently, so deliveries are identical to the sequential engines;
-// AddBatch pipelines whole batches through the shards. The branch cut
+// Example_parallel shards ingestion with WithWorkers. Clusters (or
+// users, for Baseline) are partitioned across the workers, each
+// maintaining its slice of the frontiers independently, so deliveries
+// are identical to the sequential engines; AddBatch runs the shards of
+// a whole batch in parallel. The branch cut
 // here is above any attainable similarity, so each of the three users is
 // its own cluster and the request for four workers clamps to three.
 func Example_parallel() {

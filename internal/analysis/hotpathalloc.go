@@ -7,7 +7,7 @@ import (
 
 // hotpathDirective marks a function whose body is on the per-object
 // ingest path the benchmarks defend: core.Sharded dispatch, order.Rel,
-// the frontier update, internal/ring hand-offs.
+// the frontier update, the window engines' arrival and expiry.
 const hotpathDirective = "hotpath"
 
 // HotPathAlloc enforces the allocation discipline on functions marked

@@ -15,7 +15,7 @@
 // (Alg. 1) or whole clusters (Alg. 2) over user-disjoint shards, each an
 // instance of the same Baseline / FilterThenVerify struct with explicit
 // membership (UserShard / ClusterShard, which the windowed engines embed
-// too). One shard, dispatched inline, is the paper's single-threaded
+// too). One shard is the paper's single-threaded
 // algorithm; more shards are an engineering extension beyond it, with
 // results identical by construction — the equivalence tests pin that.
 // NewBaseline and NewFilterThenVerify build the same struct standalone,

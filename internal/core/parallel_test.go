@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/fixtures"
 	"repro/internal/pref"
 	"repro/internal/stats"
+	"repro/internal/window"
 )
 
 func TestParallelMatchesSequentialPaperExample(t *testing.T) {
@@ -125,6 +127,93 @@ func TestQuickParallelEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestProcessBatchMatchesProcess drives two harnesses of one shape over
+// one stream — one through Process object by object, the other through
+// ProcessBatch's fork-join in batches of varying size — and requires the
+// same C_o for every object, the same frontiers and the same work
+// counters, at every shard count including one. Batch sizes shrink and
+// grow, empty included, so every shard's arena is reused at lengths
+// above and below its high-water mark; the results are compared only
+// after the last batch, because the per-object slices are the caller's
+// to keep.
+func TestProcessBatchMatchesProcess(t *testing.T) {
+	type build func(users []*pref.Profile, clusters []core.Cluster, workers int, ctr *stats.Counters) (*core.Sharded, error)
+	builds := []struct {
+		name  string
+		build build
+	}{
+		{"Baseline", func(u []*pref.Profile, _ []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
+			return core.NewSharded(u, nil, nil, w, c)
+		}},
+		{"BaselinePerObject", func(u []*pref.Profile, _ []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
+			return core.NewShardedPerObject(u, nil, nil, w, c)
+		}},
+		{"FTV", func(u []*pref.Profile, cl []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
+			return core.NewSharded(u, cl, nil, w, c)
+		}},
+		{"FTVPerObject", func(u []*pref.Profile, cl []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
+			return core.NewShardedPerObject(u, cl, nil, w, c)
+		}},
+		{"BaselineSW", func(u []*pref.Profile, _ []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
+			return window.NewSharded(u, nil, nil, 16, w, c)
+		}},
+		{"FTV-SW", func(u []*pref.Profile, cl []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
+			return window.NewSharded(u, cl, nil, 16, w, c)
+		}},
+	}
+	sizes := []int{7, 1, 0, 13, 2, 30, 5}
+	for _, b := range builds {
+		for workers := 1; workers <= 4; workers++ {
+			t.Run(fmt.Sprintf("%s/workers%d", b.name, workers), func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(workers)))
+				users, objs := randomWorld(r, 8, 2, 5, 150, 5)
+				common := func(ms ...int) core.Cluster {
+					ps := make([]*pref.Profile, len(ms))
+					for i, c := range ms {
+						ps[i] = users[c]
+					}
+					return core.Cluster{Members: ms, Common: pref.Common(ps)}
+				}
+				clusters := []core.Cluster{common(0, 1), common(2), common(3, 4, 5), common(6, 7)}
+				seqCtr, batCtr := &stats.Counters{}, &stats.Counters{}
+				seq, err := b.build(users, clusters, workers, seqCtr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bat, err := b.build(users, clusters, workers, batCtr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bat.Shards() != workers {
+					t.Fatalf("Shards = %d, want %d", bat.Shards(), workers)
+				}
+				var want, got [][]int
+				for i, k := 0, 0; i < len(objs); k++ {
+					batch := objs[i:min(i+sizes[k%len(sizes)], len(objs))]
+					for _, o := range batch {
+						want = append(want, seq.Process(o))
+					}
+					got = append(got, bat.ProcessBatch(batch)...)
+					i += len(batch)
+				}
+				for j := range objs {
+					if !reflect.DeepEqual(want[j], got[j]) {
+						t.Fatalf("o%d: Process %v vs ProcessBatch %v", j, want[j], got[j])
+					}
+				}
+				for c := range users {
+					if !reflect.DeepEqual(sorted(seq.UserFrontier(c)), sorted(bat.UserFrontier(c))) {
+						t.Errorf("user %d frontier mismatch", c)
+					}
+				}
+				if st, bt := seq.Totals(), bat.Totals(); st != bt || bt.Processed != uint64(len(objs)) {
+					t.Errorf("totals: Process %+v vs ProcessBatch %+v (%d objects)", st, bt, len(objs))
+				}
+			})
+		}
 	}
 }
 

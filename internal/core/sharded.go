@@ -41,15 +41,14 @@ type ShardEngine interface {
 	EnableScratch()
 }
 
-// Sharded is the engine every Monitor runs on: user-disjoint shards (one
-// single-threaded engine each) driven either inline or by persistent
-// worker goroutines fed over single-producer/single-consumer rings. One
-// shard, dispatched inline, is the paper's sequential algorithm; more
-// shards are an engineering extension (the paper's experiments are
-// single-threaded). Because shards own disjoint users — and, for the
-// clustered engines, disjoint clusters — the only cross-shard state is
-// the counters, so results are identical to a standalone engine's by
-// construction; the property tests pin that equivalence.
+// Sharded is the engine every Monitor runs on: user-disjoint shards, one
+// single-threaded engine each. One shard is the paper's sequential
+// algorithm; more shards are an engineering extension (the paper's
+// experiments are single-threaded). Because shards own disjoint users —
+// and, for the clustered engines, disjoint clusters — the only
+// cross-shard state is the counters, so results are identical to a
+// standalone engine's by construction; the property tests pin that
+// equivalence.
 //
 // Counter discipline: each shard accumulates comparisons into its own
 // private counter and is never drained on the hot path. The public
@@ -59,18 +58,17 @@ type ShardEngine interface {
 // shard counter under a mutex after every object — measurably the
 // single largest cost of stream-mode fan-out.
 //
-// Dispatch: Process always runs the shards inline in the caller's
-// goroutine, with zero synchronization — a ring hand-off per shard per
-// object cost more than the shards' work saved, at every worker count
-// measured (docs/PERFORMANCE.md). ProcessBatch runs inline too when
-// async is off (the default when GOMAXPROCS == 1, and always with a
-// single shard) or the batch holds one object. Otherwise each shard has
-// a persistent worker goroutine fed through an SPSC ring, and a whole
-// batch is one hand-off per shard (batch coalescing).
+// Dispatch: Process runs the shards one after another in the caller's
+// goroutine, with zero synchronization — a hand-off per shard per object
+// cost more than the shards' work saved, at every worker count measured
+// (docs/PERFORMANCE.md). ProcessBatch fork-joins: shard 0 walks the
+// batch in the caller's goroutine and every other shard in a goroutine
+// of its own, joined before the merge. Between calls the engine holds no
+// goroutine and nothing that must be closed.
 //
 // Sharded itself is single-writer, like the engines it wraps: callers
-// serialize Process / ProcessBatch / ApplyPreference / SetAsync / Close
-// externally (the public Monitor does so under its write lock).
+// serialize Process / ProcessBatch / ApplyPreference externally (the
+// public Monitor does so under its write lock).
 type Sharded struct {
 	shards []ShardEngine
 	ctrs   []*stats.Counters // per-shard private counters; monotonic, folded on read
@@ -83,13 +81,19 @@ type Sharded struct {
 	clusterCount int   // full cluster-list length (0 for user-sharded)
 	clusterOwner []int // cluster index -> shard index (nil for user-sharded)
 
-	async     bool           // dispatch batches through worker goroutines
-	workers   []*shardWorker // started lazily on first async dispatch
-	wg        sync.WaitGroup // per-call completion barrier, reused
-	results   [][]int        // per-shard result scratch for the merge
-	batchOuts [][][]int      // per-shard per-object results for async batches
-	merged    [][]int        // ProcessBatch's result slice, grow-only
-	closed    bool
+	wg      sync.WaitGroup // ProcessBatch's join, reused
+	results [][]int        // per-shard result scratch for the merge
+	arenas  []shardArena   // per-shard results of the batch in flight
+	merged  [][]int        // ProcessBatch's result slice, grow-only
+}
+
+// shardArena holds one shard's results for a batch. Each object's target
+// users are copied out of the engine's scratch (which the next Process
+// overwrites) into one flat slice reused across batches, so a B-object
+// batch costs O(1) steady-state allocations instead of B.
+type shardArena struct {
+	flat []int
+	offs []int // object j's users are flat[offs[j]:offs[j+1]]
 }
 
 // NewSharded builds the append-only engine for a community: Alg. 1 with
@@ -140,8 +144,8 @@ func newSharded(workers int, owner []int, ctr *stats.Counters) *Sharded {
 		ctrs:    make([]*stats.Counters, workers),
 		owner:   owner,
 		ctr:     ctr,
-		async:   runtime.GOMAXPROCS(0) > 1 && workers > 1,
 		results: make([][]int, workers),
+		arenas:  make([]shardArena, workers),
 	}
 	for i := range s.ctrs {
 		s.ctrs[i] = &stats.Counters{}
@@ -232,45 +236,6 @@ func resolveWorkers(workers, units int) int {
 	return workers
 }
 
-// SetAsync overrides the batch dispatch mode chosen at construction
-// (goroutine-per-shard when GOMAXPROCS > 1, inline otherwise). Tests
-// force both paths; single-core benchmarks force inline. Disabling stops
-// any running workers. Single-shard harnesses always stay inline, and
-// Process is inline in either mode.
-func (s *Sharded) SetAsync(on bool) {
-	s.async = on && len(s.shards) > 1
-	if !s.async {
-		s.stopWorkers()
-	}
-}
-
-// Close releases the worker goroutines. The harness remains usable
-// afterwards — a later async dispatch would just restart them — but the
-// Monitor calls this exactly once, at its own Close.
-func (s *Sharded) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.stopWorkers()
-}
-
-func (s *Sharded) stopWorkers() {
-	for _, w := range s.workers {
-		w.stop()
-	}
-	s.workers = nil
-}
-
-func (s *Sharded) ensureWorkers() {
-	if s.workers == nil {
-		s.workers = make([]*shardWorker, len(s.shards))
-		for i, sh := range s.shards {
-			s.workers[i] = newShardWorker(sh)
-		}
-	}
-}
-
 // Process fans the object out to every shard, sequentially in the
 // caller's goroutine, and merges the target users.
 //
@@ -283,14 +248,13 @@ func (s *Sharded) Process(o object.Object) []int {
 	return mergeUsers(s.results)
 }
 
-// ProcessBatch pipelines a whole batch across the shards. In async mode
-// a batch of more than one object reaches each shard as one ring
-// hand-off, so synchronization happens once per batch rather than once
-// per object; otherwise the batch is walked object-major, inline.
-// Results are per object, in batch order — identical to calling Process
-// object by object. The returned outer slice is the harness's own,
-// overwritten by the next ProcessBatch; the per-object slices are fresh
-// and may be retained.
+// ProcessBatch runs a whole batch through every shard at once: shard 0
+// walks it in the caller's goroutine, every other shard in a goroutine
+// of its own, so synchronization happens once per batch rather than once
+// per object. Results are per object, in batch order — identical to
+// calling Process object by object. The returned outer slice is the
+// harness's own, overwritten by the next ProcessBatch; the per-object
+// slices are fresh and may be retained.
 //
 //paretomon:hotpath
 func (s *Sharded) ProcessBatch(objs []object.Object) [][]int {
@@ -298,38 +262,37 @@ func (s *Sharded) ProcessBatch(objs []object.Object) [][]int {
 		s.merged = make([][]int, len(objs))
 	}
 	out := s.merged[:len(objs)]
-	if s.async && len(objs) > 1 {
-		s.ensureWorkers()
-		if s.batchOuts == nil {
-			s.batchOuts = make([][][]int, len(s.shards))
+	s.wg.Add(len(s.shards))
+	for i := 1; i < len(s.shards); i++ {
+		go s.walk(i, objs)
+	}
+	s.walk(0, objs)
+	s.wg.Wait()
+	for j := range objs {
+		for i := range s.arenas {
+			a := &s.arenas[i]
+			s.results[i] = a.flat[a.offs[j]:a.offs[j+1]]
 		}
-		for i := range s.batchOuts {
-			if cap(s.batchOuts[i]) < len(objs) {
-				s.batchOuts[i] = make([][]int, len(objs))
-			}
-			s.batchOuts[i] = s.batchOuts[i][:len(objs)]
-		}
-		s.wg.Add(len(s.workers))
-		for i, w := range s.workers {
-			w.submit(shardJob{objs: objs, out: s.batchOuts[i], wg: &s.wg})
-		}
-		s.wg.Wait()
-		for j := range objs {
-			for i := range s.shards {
-				s.results[i] = s.batchOuts[i][j]
-			}
-			out[j] = mergeUsers(s.results)
-		}
-	} else {
-		for j, o := range objs {
-			for i, sh := range s.shards {
-				s.results[i] = sh.Process(o)
-			}
-			out[j] = mergeUsers(s.results)
-		}
+		out[j] = mergeUsers(s.results)
 	}
 	s.ctr.AddProcessedN(len(objs))
 	return out
+}
+
+// walk runs shard i over the batch, copying each result into the
+// shard's arena before the next Process overwrites it. Offsets, not
+// subslices: growing flat moves it.
+//
+//paretomon:hotpath
+func (s *Sharded) walk(i int, objs []object.Object) {
+	a := &s.arenas[i]
+	a.flat, a.offs = a.flat[:0], a.offs[:0]
+	for _, o := range objs {
+		a.offs = append(a.offs, len(a.flat))
+		a.flat = append(a.flat, s.shards[i].Process(o)...)
+	}
+	a.offs = append(a.offs, len(a.flat))
+	s.wg.Done()
 }
 
 // mergeUsers merges per-shard target-user lists into one fresh sorted

@@ -156,9 +156,6 @@ func Parallel(o Options) []*Report {
 			if tot, ok := eng.(interface{ Totals() stats.Counters }); ok {
 				comparisons = tot.Totals().Comparisons
 			}
-			if c, ok := eng.(interface{ Close() }); ok {
-				c.Close()
-			}
 		}
 		return deliveries, millis, comparisons, allocsOp, bytesOp
 	}

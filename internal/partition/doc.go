@@ -17,7 +17,7 @@
 // A Plan is the deterministic contract between the router and the
 // partition processes: the same (partitions, vnodes) pair computes the
 // same owner for every user name in every process, so a partition
-// started with `cmd/paretomon -partition i/n` holds exactly the users a
+// started with `paretomon serve -partition i/n` holds exactly the users a
 // router over n URLs will send it.
 //
 // Each partition is an ordinary durable primary — its own data dir, its

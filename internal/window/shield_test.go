@@ -406,7 +406,6 @@ func (s *shieldWorld) checkUnion(after string, v window.BufferView) {
 func (s *shieldWorld) roundTrip(workers int) {
 	st := core.NewEngineState(len(s.users), len(s.clusters))
 	s.eng.CaptureState(st)
-	s.eng.Close()
 	s.build(workers)
 	if err := s.eng.RestoreState(st, nil); err != nil {
 		s.t.Fatal(err)
@@ -452,7 +451,6 @@ func TestShieldInvariantThroughLifecycleHistories(t *testing.T) {
 						s.clusters = [][]int{{0, 1, 2}, {3, 4}, {5}}
 					}
 					s.build(workers)
-					defer func() { s.eng.Close() }()
 					for i := 0; i < 220; i++ {
 						s.check(s.step())
 						if i%37 == 36 {

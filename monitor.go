@@ -113,8 +113,9 @@ type Config struct {
 	// Workers is the number of ingestion shards: users (Baseline) or whole
 	// clusters (filter-then-verify) are partitioned across this many
 	// shards. 0 means runtime.GOMAXPROCS(0). Single arrivals run the
-	// shards inline; batches of more than one object use one goroutine
-	// per shard when GOMAXPROCS > 1. Deliveries are identical either way.
+	// shards in the caller's goroutine; a batch runs each shard on its
+	// own goroutine, joined before AddBatch returns. Deliveries are
+	// identical either way.
 	Workers int
 	// Store, when non-nil, makes the monitor durable: mutations are
 	// written to its WAL before being applied, and a monitor constructed

@@ -103,9 +103,10 @@ func WithThetas(theta1 int, theta2 float64) Option {
 // partitioned across that many shards, each maintaining its slice of the
 // frontiers independently; deliveries are identical for every n. n = 0
 // (the default) means runtime.GOMAXPROCS(0); one shard is the paper's
-// single-threaded algorithm. Add runs the shards inline, in the caller's
-// goroutine; AddBatch of more than one object gives each shard a worker
-// goroutine of its own when GOMAXPROCS > 1. The effective count is
+// single-threaded algorithm. Add runs the shards one after another in
+// the caller's goroutine; AddBatch runs every shard but the first on a
+// goroutine of its own and returns once all have finished, so the
+// monitor holds no goroutine between calls. The effective count is
 // clamped to the number of shardable units, so WithWorkers(8) over 3
 // clusters fans out 3 ways — Stats().Workers reports the resolved value.
 func WithWorkers(n int) Option {

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	paretomon "repro"
 )
@@ -264,6 +266,36 @@ func TestWithWorkersValidation(t *testing.T) {
 	}
 	if st := m.Stats(); st.Workers != 1 || st.Shards != nil {
 		t.Fatalf("singleton community: Workers=%d Shards=%v", st.Workers, st.Shards)
+	}
+}
+
+// TestAddBatchLeavesNoGoroutines: AddBatch on a multi-shard monitor runs
+// its shards on goroutines it joins before returning, so afterwards the
+// monitor holds none — with no Close. GOMAXPROCS is 2 here so the shard
+// goroutines can run in parallel, as on a multi-core host.
+func TestAddBatchLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	com, objs := randomWorkload(t, rand.New(rand.NewSource(5)), 8, 64)
+	base := runtime.NumGoroutine()
+	m, err := paretomon.NewMonitor(com, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := m.Stats().Workers; w != 4 {
+		t.Fatalf("Workers = %d, want 4", w)
+	}
+	if _, err := m.AddBatch(objs); err != nil {
+		t.Fatal(err)
+	}
+	// A joined goroutine may still be on its way out after Done.
+	deadline := time.Now().Add(2 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after AddBatch, %d before NewMonitor", n, base)
 	}
 }
 

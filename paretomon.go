@@ -24,9 +24,9 @@
 // WithWorkers(n) sets how many shards all of the above run on: users
 // (Baseline) or whole clusters (filter-then-verify) are partitioned
 // across n shards — each owning its slice of the frontiers, and its own
-// window ring when a window is set. Add runs the shards inline; AddBatch
-// pipelines a whole batch through one worker goroutine per shard when
-// GOMAXPROCS > 1. Deliveries are identical for every n; Stats reports
+// window ring when a window is set. Add runs the shards one after
+// another; AddBatch runs them on goroutines of their own and joins them
+// before it returns. Deliveries are identical for every n; Stats reports
 // the per-shard work split. See docs/ARCHITECTURE.md for the sharding
 // model.
 //

@@ -280,9 +280,8 @@ func (m *Monitor) SubscribeDeltas(user string) (<-chan FrontierDelta, CancelFunc
 	return sub.dch, cancel, nil
 }
 
-// Close shuts down delivery fan-out: any shard-worker goroutines of the
-// engine are stopped, every subscription channel is closed and
-// further Subscribe calls return ErrMonitorClosed. Reads
+// Close shuts down delivery fan-out: every subscription channel is
+// closed and further Subscribe calls return ErrMonitorClosed. Reads
 // (Frontier, Stats, Clusters, TargetsOf) keep working. On a follower
 // (OpenFollower) the changefeed tail goroutine is stopped first, so no
 // replicated mutation applies after Close returns. On a monitor
@@ -300,11 +299,6 @@ func (m *Monitor) Close() error {
 		m.follower.cancel()
 		<-m.follower.done
 	}
-	// The engine may have dispatch goroutines parked on their rings; stop
-	// them under the write lock so no Process is in flight.
-	m.mu.Lock()
-	m.eng.Close()
-	m.mu.Unlock()
 	m.subs.closeAll()
 	if m.ownsStore && m.store != nil {
 		m.mu.Lock()
