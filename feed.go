@@ -141,8 +141,8 @@ type ReplicationStats struct {
 	HeadSeq    uint64 `json:"head_seq,omitempty"`
 	Lag        uint64 `json:"lag"`
 	// Connected reports whether the feed connection is currently up;
-	// Resumes counts tail (re)connections, Rebootstraps counts
-	// snapshot re-bootstraps after the primary pruned past us.
+	// Rebootstraps counts snapshot re-bootstraps after the primary
+	// pruned past us.
 	Connected    bool   `json:"connected"`
 	Rebootstraps uint64 `json:"rebootstraps,omitempty"`
 	// Err is the fatal replication error, if the apply loop stopped

@@ -7,18 +7,17 @@ import (
 	"time"
 
 	"repro/internal/replica"
-	"repro/internal/storage"
 )
 
 // Read-scaling replication, follower side. OpenFollower builds a
 // read-only Monitor that bootstraps from a primary's newest snapshot
 // and then tails its WAL changefeed over HTTP, applying every record
-// through the same live mutation paths the primary used — so the
-// follower's frontiers, targets, clusters, and work counters are
-// identical to the primary's at the same log position. Reads (Frontier,
-// TargetsOf, Stats, Subscribe...) serve locally; mutations return
-// ErrReadOnly. See docs/REPLICATION.md for the topology and operations
-// guide.
+// through the write path the primary's calls used (check, then apply,
+// for a lifecycle record) — so the follower's frontiers, targets,
+// clusters, and work counters are identical to the primary's at the
+// same log position. Reads (Frontier, TargetsOf, Stats, Subscribe...)
+// serve locally; mutations return ErrReadOnly. See docs/REPLICATION.md
+// for the topology and operations guide.
 
 // followerState is the feed-tailing side of a follower Monitor.
 type followerState struct {
@@ -129,21 +128,9 @@ func newFollowerMonitor(c *Community, cfg Config, seq uint64, body []byte, haveS
 	if err != nil {
 		return nil, err
 	}
-	if !haveSnap {
-		if err := m.buildFromCommunity(c); err != nil {
-			return nil, err
-		}
-		return m, nil
-	}
-	snap, err := storage.UnmarshalSnapshot(body)
-	if err != nil {
-		return nil, fmt.Errorf("paretomon: decoding primary snapshot: %w", err)
-	}
-	if err := m.buildFromSnapshot(c, snap); err != nil {
+	if err := m.bootstrap(c, seq, body, haveSnap); err != nil {
 		return nil, err
 	}
-	m.walSeq = seq
-	m.eng.ResetShardCounters()
 	return m, nil
 }
 
@@ -205,20 +192,7 @@ func (m *Monitor) rebootstrapFollower(ctx context.Context) error {
 	// Transplant the validated state; m keeps its identity (lock,
 	// subscriptions, walCh, follower handle) so readers and subscribers
 	// carry across the jump.
-	m.schema = fresh.schema
-	m.userIdx = fresh.userIdx
-	m.userNames = fresh.userNames
-	m.userAlive = fresh.userAlive
-	m.baseUsers = fresh.baseUsers
-	m.profiles = fresh.profiles
-	m.commonFn = fresh.commonFn
-	m.clusters = fresh.clusters
-	m.clusterMembers = fresh.clusterMembers
-	m.names = fresh.names
-	m.objects = fresh.objects
-	m.eng = fresh.eng
-	m.ctr = fresh.ctr
-	m.walSeq = seq
+	m.state = fresh.state
 	f.rebootstraps.Add(1)
 	f.advanceHead(seq)
 	for i, wasAlive := range aliveBefore {

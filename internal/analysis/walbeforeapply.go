@@ -18,10 +18,11 @@ const nowalDirective = "nowal"
 // touches engine or monitor state — assigning through the receiver,
 // calling a method on a receiver field, or calling an unexported
 // helper that does — must call appendWAL first on every path.
-// Mutex lock/unlock traffic is exempt; calls to other exported methods
-// that are themselves WAL-disciplined (Add from ImportObjects, AddUser
-// from ImportUsers) are exempt; read paths opt out explicitly with a
-// //paretomon:nowal directive so the exemption is visible in review.
+// Mutex lock/unlock traffic is exempt; calls to other methods that are
+// themselves WAL-disciplined (Add from ImportObjects, mutate from the
+// lifecycle calls and ImportUsers) are exempt; read paths opt out
+// explicitly with a //paretomon:nowal directive so the exemption is
+// visible in review.
 var WALBeforeApply = &Analyzer{
 	Name: "walbeforeapply",
 	Doc: "exported methods of WAL-owning types must append to the WAL " +

@@ -5,15 +5,18 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/order"
 	"repro/internal/pref"
 	"repro/internal/storage"
 )
 
 // The v3 lifecycle API: the community and the object set are mutable on
-// a live monitor. Each operation validates first, WAL-logs (on a durable
-// monitor) before applying — an acknowledged mutation survives a crash,
-// a rejected one leaves no trace — and then transforms the engines in
-// place by frontier mending: removing a preference edge or an object can
+// a live monitor. Every lifecycle call is one WALRecord run through one
+// write path — check it against the current state, log it (on a durable
+// monitor), apply it — and WAL recovery and the follower feed run the
+// very same check and apply. An acknowledged mutation survives a crash, a
+// rejected one leaves no trace, and the engines are transformed in place
+// by frontier mending: removing a preference edge or an object can
 // promote previously-dominated objects back into frontiers, the same
 // mechanism the sliding-window engines use on expiry.
 //
@@ -37,38 +40,183 @@ type Preference struct {
 // through AddPreference. The name must not collide with an alive user
 // (ErrDuplicateUser); a removed user's name is free for re-use.
 func (m *Monitor) AddUser(name string, prefs []Preference) error {
+	recPrefs := make([]storage.RecordPref, len(prefs))
+	for i, pr := range prefs {
+		recPrefs[i] = storage.RecordPref(pr)
+	}
+	return m.mutate(WALRecord{Op: OpAddUser, Name: name, Prefs: recPrefs})
+}
+
+// RemoveUser removes an alive community member: their frontier
+// disappears, their subscription channels close, and — for the
+// filter-then-verify engines — their cluster's common relation and
+// filter frontier resync without them (a cluster losing its last member
+// goes dormant). The name becomes free for a future AddUser; the removed
+// user's preference history stays out of all further computation.
+func (m *Monitor) RemoveUser(name string) error {
+	return m.mutate(WALRecord{Op: OpRemoveUser, User: name})
+}
+
+// AddPreference teaches a *running* monitor that user now also prefers
+// better over worse on attr, repairing the affected frontiers in place —
+// no rebuild, no replay. Adding preference tuples can only shrink Pareto
+// frontiers, so the repair is exact; the tuple is recorded as an
+// assertion, so the opposite direction is available too — see
+// RetractPreference, which mends the shrunken frontiers back.
+//
+// Note the distinction from User.Prefer: Prefer edits the community's
+// preference record used by future NewMonitor calls; AddPreference edits
+// this monitor's snapshot. Call both to keep them in step.
+//
+// The repair routes to the shard owning the user, so under
+// WithWorkers > 1 it costs what it would on an engine of that shard's
+// size. A tuple that would break the strict partial order is refused with
+// ErrCycle and changes nothing. The user's delta subscribers observe
+// evicted objects as a FrontierDelta with a populated Left list.
+func (m *Monitor) AddPreference(user, attr, better, worse string) error {
+	return m.mutate(WALRecord{Op: OpPreference, User: user, Attr: attr, Better: better, Worse: worse})
+}
+
+// RetractPreference undoes an asserted preference tuple: the user no
+// longer prefers better over worse on attr, along with everything only
+// that assertion implied (tuples still derivable from other assertions
+// survive). Only explicitly asserted tuples — community Prefer calls,
+// AddUser seeds, AddPreference updates — are retractable; an implied
+// tuple yields ErrUnknownPreference. Retraction can only grow frontiers;
+// the engines mend the affected ones in place from the alive objects,
+// and subscribers of the user observe promotions as FrontierDelta
+// events.
+func (m *Monitor) RetractPreference(user, attr, better, worse string) error {
+	return m.mutate(WALRecord{Op: OpRetractPreference, User: user, Attr: attr, Better: better, Worse: worse})
+}
+
+// RemoveObject deletes a registered object: it leaves every frontier,
+// ring and buffer it occupies, its name frees up for re-use, and the
+// objects it alone was dominating are promoted back into the affected
+// frontiers. Users who had the object in their frontier observe the
+// change as a FrontierDelta event (the object in Left, any promotions
+// in Entered). TargetsOf and HasObject no longer see it afterwards.
+// Removing an object that already expired from the window succeeds as a
+// registry-only change (expiry evicted it from every live structure but
+// does not free its name — removal does); an unknown or already-removed
+// name yields ErrUnknownObject.
+func (m *Monitor) RemoveObject(name string) error {
+	return m.mutate(WALRecord{Op: OpRemoveObject, Name: name})
+}
+
+// mutate is the write path of a live lifecycle call: check the record
+// against the current state, log it, apply it. A refused record reaches
+// neither the log nor the state.
+func (m *Monitor) mutate(rec WALRecord) error {
 	if m.readOnly {
-		return fmt.Errorf("%w: AddUser(%q)", ErrReadOnly, name)
+		return fmt.Errorf("%w: %s", ErrReadOnly, callOf(rec))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if name == "" {
-		return fmt.Errorf("%w: user name", ErrEmptyName)
-	}
-	if _, dup := m.userIdx[name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateUser, name)
-	}
-	p, err := m.buildUserProfile(name, prefs)
+	mut, err := m.check(rec)
 	if err != nil {
 		return err
 	}
-	recPrefs := make([]storage.RecordPref, len(prefs))
-	for i, pr := range prefs {
-		recPrefs[i] = storage.RecordPref{Attr: pr.Attr, Better: pr.Better, Worse: pr.Worse}
-	}
-	if err := m.appendWAL([]WALRecord{{Op: OpAddUser, Name: name, Prefs: recPrefs}}); err != nil {
+	if err := m.appendWAL([]WALRecord{rec}); err != nil {
 		return err
 	}
-	m.applyAddUserLocked(name, p)
+	m.apply(mut)
 	m.maybeSnapshotLocked(1)
 	return nil
 }
 
+// callOf names the public call behind a lifecycle record, for the error
+// a follower returns.
+func callOf(rec WALRecord) string {
+	switch rec.Op {
+	case OpAddUser:
+		return fmt.Sprintf("AddUser(%q)", rec.Name)
+	case OpRemoveUser:
+		return fmt.Sprintf("RemoveUser(%q)", rec.User)
+	case OpPreference:
+		return fmt.Sprintf("AddPreference for %q", rec.User)
+	case OpRetractPreference:
+		return fmt.Sprintf("RetractPreference for %q", rec.User)
+	default:
+		return fmt.Sprintf("RemoveObject(%q)", rec.Name)
+	}
+}
+
+// mutation is a lifecycle record checked against the state it will
+// apply to, with its names resolved to slots and ids.
+type mutation struct {
+	op      WALOp
+	name    string        // OpAddUser: the new user's name
+	profile *pref.Profile // OpAddUser: their seeded preferences
+	user    int           // the user slot of OpRemoveUser and the preference ops
+	d, b, w int           // the preference ops' attribute and value ids
+	obj     int           // OpRemoveObject: the object id
+}
+
+// check validates a lifecycle record against the current state without
+// changing it, so the record can be logged before it applies. It is the
+// only validator of these records: the live calls, WAL recovery and the
+// follower feed all run it. (Interning a preference's values may grow the
+// shared domain tables even on rejection, which is harmless — ids are
+// opaque and each monitor's value→id mapping stays internally
+// consistent.) Caller holds mu.
+func (m *Monitor) check(rec WALRecord) (mutation, error) {
+	mut := mutation{op: rec.Op}
+	var err error
+	switch rec.Op {
+	case OpAddUser:
+		if rec.Name == "" {
+			return mut, fmt.Errorf("%w: user name", ErrEmptyName)
+		}
+		if _, dup := m.userIdx[rec.Name]; dup {
+			return mut, fmt.Errorf("%w: %q", ErrDuplicateUser, rec.Name)
+		}
+		mut.name = rec.Name
+		mut.profile, err = m.buildUserProfile(rec.Name, rec.Prefs)
+		return mut, err
+	case OpRemoveUser:
+		mut.user, err = m.user(rec.User)
+		return mut, err
+	case OpPreference, OpRetractPreference:
+		if mut.user, err = m.user(rec.User); err != nil {
+			return mut, err
+		}
+		var ok bool
+		if mut.d, ok = m.schema.attrIndex(rec.Attr); !ok {
+			return mut, fmt.Errorf("%w: %q", ErrUnknownAttribute, rec.Attr)
+		}
+		dom, rel := m.schema.doms[mut.d], m.profiles[mut.user].Relation(mut.d)
+		if rec.Op == OpPreference {
+			mut.b, mut.w = dom.Intern(rec.Better), dom.Intern(rec.Worse)
+			if !rel.CanAdd(mut.b, mut.w) {
+				return mut, fmt.Errorf("%w: user %q, attribute %q: cannot prefer %q over %q: %w",
+					ErrCycle, rec.User, rec.Attr, rec.Better, rec.Worse, order.ErrNotStrictPartialOrder)
+			}
+			return mut, nil
+		}
+		var okB, okW bool
+		mut.b, okB = dom.ID(rec.Better)
+		mut.w, okW = dom.ID(rec.Worse)
+		if !okB || !okW || !rel.HasAsserted(mut.b, mut.w) {
+			return mut, fmt.Errorf("%w: user %q never asserted %q over %q on %q",
+				ErrUnknownPreference, rec.User, rec.Better, rec.Worse, rec.Attr)
+		}
+		return mut, nil
+	case OpRemoveObject:
+		var ok bool
+		if mut.obj, ok = m.names[rec.Name]; !ok {
+			return mut, fmt.Errorf("%w: %q", ErrUnknownObject, rec.Name)
+		}
+		return mut, nil
+	default:
+		return mut, fmt.Errorf("unknown op %d", rec.Op)
+	}
+}
+
 // buildUserProfile validates and assembles a new user's preference
-// profile without touching monitor state, so the operation can be
-// WAL-logged before anything changes. (Interning may grow the shared
+// profile without touching monitor state. (Interning may grow the shared
 // domain tables even on rejection, which is harmless — ids are opaque.)
-func (m *Monitor) buildUserProfile(name string, prefs []Preference) (*pref.Profile, error) {
+func (m *Monitor) buildUserProfile(name string, prefs []storage.RecordPref) (*pref.Profile, error) {
 	p := pref.NewProfile(m.schema.doms)
 	for _, pr := range prefs {
 		d, ok := m.schema.attrIndex(pr.Attr)
@@ -83,8 +231,49 @@ func (m *Monitor) buildUserProfile(name string, prefs []Preference) (*pref.Profi
 	return p, nil
 }
 
-// applyAddUserLocked claims the next user slot for a validated profile
-// and activates it in the engine. Shared by AddUser and WAL replay.
+// apply performs a checked mutation. Only the user whose preferences
+// change, or the users holding a removed object, can see their frontier
+// move: their frontiers are captured first and the change is published to
+// their delta subscribers after. Recovery replay publishes nothing, so it
+// captures nothing. Caller holds mu.
+func (m *Monitor) apply(mut mutation) {
+	var watch []int
+	var before [][]int
+	if !m.replaying {
+		switch mut.op {
+		case OpPreference, OpRetractPreference:
+			watch, before = []int{mut.user}, [][]int{nil} // on the stack
+		case OpRemoveObject:
+			watch = m.eng.Targets(mut.obj)
+			before = make([][]int, len(watch))
+		}
+	}
+	for i, c := range watch {
+		before[i] = append([]int(nil), m.eng.UserFrontier(c)...)
+	}
+	switch mut.op {
+	case OpAddUser:
+		m.applyAddUserLocked(mut.name, mut.profile)
+	case OpRemoveUser:
+		m.applyRemoveUserLocked(mut.user)
+	case OpPreference:
+		// The assertion is recorded on the relation itself, making the
+		// tuple retractable and letting snapshots carry it.
+		if err := m.eng.ApplyPreference(mut.user, mut.d, mut.b, mut.w); err != nil {
+			panic(fmt.Sprintf("paretomon: applying a checked preference: %v", err)) // check ran CanAdd, Add's exact test
+		}
+	case OpRetractPreference:
+		m.applyRetractLocked(mut.user, mut.d, mut.b, mut.w)
+	case OpRemoveObject:
+		m.applyRemoveObjectLocked(mut.obj)
+	}
+	for i, c := range watch {
+		m.publishDeltaLocked(c, before[i])
+	}
+}
+
+// applyAddUserLocked claims the next user slot for a checked profile and
+// activates it in the engine.
 func (m *Monitor) applyAddUserLocked(name string, p *pref.Profile) {
 	c := len(m.userNames)
 	m.userNames = append(m.userNames, name)
@@ -165,32 +354,8 @@ func (m *Monitor) clusterOfLocked(idx int) int {
 	panic(fmt.Sprintf("paretomon: user %d not in any cluster", idx))
 }
 
-// RemoveUser removes an alive community member: their frontier
-// disappears, their subscription channels close, and — for the
-// filter-then-verify engines — their cluster's common relation and
-// filter frontier resync without them (a cluster losing its last member
-// goes dormant). The name becomes free for a future AddUser; the removed
-// user's preference history stays out of all further computation.
-func (m *Monitor) RemoveUser(name string) error {
-	if m.readOnly {
-		return fmt.Errorf("%w: RemoveUser(%q)", ErrReadOnly, name)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx, err := m.user(name)
-	if err != nil {
-		return err
-	}
-	if err := m.appendWAL([]WALRecord{{Op: OpRemoveUser, User: name}}); err != nil {
-		return err
-	}
-	m.applyRemoveUserLocked(idx)
-	m.maybeSnapshotLocked(1)
-	return nil
-}
-
 // applyRemoveUserLocked tombstones the user slot and removes the user
-// from engine and clustering. Shared by RemoveUser and WAL replay.
+// from engine and clustering.
 func (m *Monitor) applyRemoveUserLocked(idx int) {
 	m.userAlive[idx] = false
 	delete(m.userIdx, m.userNames[idx])
@@ -214,64 +379,12 @@ func (m *Monitor) applyRemoveUserLocked(idx int) {
 	m.subs.closeUser(idx)
 }
 
-// RetractPreference undoes an asserted preference tuple: the user no
-// longer prefers better over worse on attr, along with everything only
-// that assertion implied (tuples still derivable from other assertions
-// survive). Only explicitly asserted tuples — community Prefer calls,
-// AddUser seeds, AddPreference updates — are retractable; an implied
-// tuple yields ErrUnknownPreference. Retraction can only grow frontiers;
-// the engines mend the affected ones in place from the alive objects,
-// and subscribers of the user observe promotions as FrontierDelta
-// events.
-func (m *Monitor) RetractPreference(user, attr, better, worse string) error {
-	if m.readOnly {
-		return fmt.Errorf("%w: RetractPreference for %q", ErrReadOnly, user)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx, d, b, w, err := m.checkRetractLocked(user, attr, better, worse)
-	if err != nil {
-		return err
-	}
-	if err := m.appendWAL([]WALRecord{{
-		Op: OpRetractPreference, User: user, Attr: attr, Better: better, Worse: worse,
-	}}); err != nil {
-		return err
-	}
-	before := m.frontierIDs(idx)
-	m.applyRetractLocked(idx, d, b, w)
-	m.publishDeltaLocked(idx, "", before)
-	m.maybeSnapshotLocked(1)
-	return nil
-}
-
-// checkRetractLocked validates a retraction without mutating anything,
-// so the operation can be WAL-logged before it applies.
-func (m *Monitor) checkRetractLocked(user, attr, better, worse string) (idx, d, b, w int, err error) {
-	idx, err = m.user(user)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	d, ok := m.schema.attrIndex(attr)
-	if !ok {
-		return 0, 0, 0, 0, fmt.Errorf("%w: %q", ErrUnknownAttribute, attr)
-	}
-	dom := m.schema.doms[d]
-	b, ok1 := dom.ID(better)
-	w, ok2 := dom.ID(worse)
-	if !ok1 || !ok2 || !m.profiles[idx].Relation(d).HasAsserted(b, w) {
-		return 0, 0, 0, 0, fmt.Errorf("%w: user %q never asserted %q over %q on %q",
-			ErrUnknownPreference, user, better, worse, attr)
-	}
-	return idx, d, b, w, nil
-}
-
 // applyRetractLocked shrinks the user's shared relation and mends the
-// affected frontiers. Shared by RetractPreference and WAL replay.
+// affected frontiers.
 func (m *Monitor) applyRetractLocked(idx, d, b, w int) {
 	if err := m.profiles[idx].Relation(d).Remove(b, w); err != nil {
-		// checkRetractLocked verified the assertion exists.
-		panic(fmt.Sprintf("paretomon: retracting validated tuple: %v", err))
+		// check verified the assertion exists.
+		panic(fmt.Sprintf("paretomon: retracting a checked tuple: %v", err))
 	}
 	var common *pref.Profile
 	if m.cfg.Algorithm != AlgorithmBaseline {
@@ -281,46 +394,8 @@ func (m *Monitor) applyRetractLocked(idx, d, b, w int) {
 	m.eng.RetractPreference(idx, common, m.aliveObjects())
 }
 
-// RemoveObject deletes a registered object: it leaves every frontier,
-// ring and buffer it occupies, its name frees up for re-use, and the
-// objects it alone was dominating are promoted back into the affected
-// frontiers. Users who had the object in their frontier observe the
-// change as a FrontierDelta event (the object in Left, any promotions
-// in Entered). TargetsOf and HasObject no longer see it afterwards.
-// Removing an object that already expired from the window succeeds as a
-// registry-only change (expiry evicted it from every live structure but
-// does not free its name — removal does); an unknown or already-removed
-// name yields ErrUnknownObject.
-func (m *Monitor) RemoveObject(name string) error {
-	if m.readOnly {
-		return fmt.Errorf("%w: RemoveObject(%q)", ErrReadOnly, name)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	id, ok := m.names[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownObject, name)
-	}
-	if err := m.appendWAL([]WALRecord{{Op: OpRemoveObject, Name: name}}); err != nil {
-		return err
-	}
-	// Only users holding the object in their frontier can observe a
-	// change: capture their frontiers for the delta events.
-	affected := m.eng.Targets(id)
-	before := make([][]int, len(affected))
-	for i, c := range affected {
-		before[i] = m.frontierIDs(c)
-	}
-	m.applyRemoveObjectLocked(id)
-	for i, c := range affected {
-		m.publishDeltaLocked(c, "", before[i])
-	}
-	m.maybeSnapshotLocked(1)
-	return nil
-}
-
 // applyRemoveObjectLocked tombstones the registry slot and removes the
-// object from the engine. Shared by RemoveObject and WAL replay.
+// object from the engine.
 func (m *Monitor) applyRemoveObjectLocked(id int) {
 	e := &m.objects[id]
 	e.alive = false
@@ -328,18 +403,10 @@ func (m *Monitor) applyRemoveObjectLocked(id int) {
 	m.eng.RemoveObject(e.obj, m.aliveObjects())
 }
 
-// frontierIDs snapshots a user's frontier as object ids.
-func (m *Monitor) frontierIDs(c int) []int {
-	return append([]int(nil), m.eng.UserFrontier(c)...)
-}
-
 // publishDeltaLocked diffs a user's frontier against a captured
-// before-image and pushes the change to the user's delta subscribers.
-// Suppressed during recovery replay, like all publication.
-func (m *Monitor) publishDeltaLocked(c int, object string, beforeIDs []int) {
-	if m.replaying {
-		return
-	}
+// before-image and pushes the change, if any, to the user's delta
+// subscribers.
+func (m *Monitor) publishDeltaLocked(c int, beforeIDs []int) {
 	after := m.eng.UserFrontier(c)
 	was := make(map[int]bool, len(beforeIDs))
 	for _, id := range beforeIDs {
@@ -358,10 +425,10 @@ func (m *Monitor) publishDeltaLocked(c int, object string, beforeIDs []int) {
 			left = append(left, m.objects[id].name)
 		}
 	}
-	if len(entered) == 0 && len(left) == 0 && object == "" {
+	if len(entered) == 0 && len(left) == 0 {
 		return
 	}
 	sort.Strings(entered)
 	sort.Strings(left)
-	m.subs.publishDelta(c, FrontierDelta{Object: object, Entered: entered, Left: left})
+	m.subs.publishDelta(c, FrontierDelta{Entered: entered, Left: left})
 }

@@ -16,8 +16,8 @@ import (
 // their engine state. ExportUsers ships them as replica frames (a head
 // watermark carrying the source's object count, then one OpAddUser
 // record per user); ImportUsers refuses the stream unless its own
-// object count matches the watermark, then replays each user through
-// the live AddUser path, which WAL-logs the join and mends the
+// object count matches the watermark, then runs each user's record
+// through AddUser's write path, which WAL-logs the join and mends the
 // frontier over the alive objects — byte-for-byte what an untouched
 // monitor would hold. ExportObjects/ImportObjects are the bootstrap
 // half: they bring a brand-new partition's object registry (ids,
@@ -124,14 +124,14 @@ func (m *Monitor) assertedPrefsLocked(idx int) []storage.RecordPref {
 	return out
 }
 
-// ImportUsers applies an ExportUsers stream through the live AddUser
-// path: each join is WAL-logged and the frontier mended over the alive
-// objects, exactly as a direct AddUser would. The stream's watermark
-// must equal this monitor's object count (ErrMigrateMismatch
-// otherwise) — the property that makes the imported frontier identical
-// to the exported one. Users already alive here are skipped, so
-// re-running an interrupted import converges. Returns how many users
-// were added and how many skipped.
+// ImportUsers applies an ExportUsers stream through the write path of
+// AddUser: each streamed record is checked, WAL-logged and applied, the
+// frontier mended over the alive objects, exactly as a direct AddUser
+// would. The stream's watermark must equal this monitor's object count
+// (ErrMigrateMismatch otherwise) — the property that makes the imported
+// frontier identical to the exported one. Users already alive here are
+// skipped, so re-running an interrupted import converges. Returns how
+// many users were added and how many skipped.
 func (m *Monitor) ImportUsers(r io.Reader) (added, skipped int, err error) {
 	fr := replica.NewFeedReader(r)
 	msg, err := fr.Next()
@@ -163,11 +163,7 @@ func (m *Monitor) ImportUsers(r io.Reader) (added, skipped int, err error) {
 			skipped++
 			continue
 		}
-		prefs := make([]Preference, len(rec.Prefs))
-		for i, p := range rec.Prefs {
-			prefs[i] = Preference{Attr: p.Attr, Better: p.Better, Worse: p.Worse}
-		}
-		if err := m.AddUser(rec.Name, prefs); err != nil {
+		if err := m.mutate(rec); err != nil {
 			return added, skipped, err
 		}
 		added++

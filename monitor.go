@@ -206,8 +206,51 @@ type Delivery struct {
 // Frontier, Stats, Clusters, Users and TargetsOf run concurrently as
 // readers.
 type Monitor struct {
+	// state is guarded by mu: the engines mutate frontiers in place on
+	// every Process, so they are single-writer by construction; the
+	// RWMutex recovers concurrent reads.
+	state
+	mu  sync.RWMutex
+	cfg Config
+
+	subs subscriptions
+
+	// Persistence (see persist.go). store/snapEvery mirror the config;
+	// sinceSnap counts records toward the next automatic snapshot (under
+	// mu). replaying suppresses WAL appends and subscriber publication
+	// while recovery re-ingests history. storeErr, once set (failed
+	// append, or Close on an owned store), permanently fails durable
+	// mutations and snapshots: the log can no longer be trusted to match
+	// memory, so restart-and-recover is the only way forward.
+	store     Store
+	ownsStore bool
+	snapEvery int
+	sinceSnap int
+	replaying bool
+	storeErr  error
+
+	// Coordination records (see migrate.go). PutMeta/GetMeta pass
+	// through to the store when it implements storage.MetaStore;
+	// metaMem is the process-local fallback for storeless monitors.
+	metaMu  sync.Mutex
+	metaMem map[string][]byte
+
+	// Replication (see feed.go and follower.go). walCh is rotated
+	// (closed and replaced) under mu on every WAL append, waking
+	// long-polling changefeed streams; readOnly marks a follower
+	// monitor, whose only writer is the feed apply loop; follower holds
+	// the tail goroutine's state and watermarks.
+	walCh    chan struct{}
+	readOnly bool
+	follower *followerState
+}
+
+// state is what the log determines: the same community, options and
+// records build the same state, whether by live calls, recovery or the
+// follower feed (AddBatch's scratch rides along; it carries nothing
+// between calls). A follower's re-bootstrap replaces it whole.
+type state struct {
 	schema *Schema
-	cfg    Config
 
 	// The community table. Slots are append-only — a removed user keeps
 	// its index (userAlive false) so indices baked into engine state and
@@ -220,8 +263,8 @@ type Monitor struct {
 	userAlive []bool
 	baseUsers int
 	// profiles aliases the engine's (shared, mutable) preference
-	// profiles, letting AddPreference and RetractPreference validate a
-	// tuple without applying it so the update can be WAL-logged first.
+	// profiles, letting check validate a tuple without applying it so
+	// the update can be WAL-logged first.
 	profiles []*pref.Profile
 
 	// commonFn recomputes a cluster's common relation when membership or
@@ -229,10 +272,6 @@ type Monitor struct {
 	// approx.Profile for the approximate one.
 	commonFn core.CommonFn
 
-	// mu orders ingestion (writers) against reads. The engines mutate
-	// frontiers in place on every Process, so they are single-writer by
-	// construction; the RWMutex recovers concurrent reads.
-	mu  sync.RWMutex
 	eng *core.Sharded
 	ctr *stats.Counters
 
@@ -255,38 +294,8 @@ type Monitor struct {
 	names   map[string]int // alive object name -> id
 	objects []objEntry     // object id -> registry entry
 
-	subs subscriptions
-
-	// Persistence (see persist.go). store/snapEvery mirror the config;
-	// walSeq is the last appended-or-replayed log position and sinceSnap
-	// counts records toward the next automatic snapshot (both under mu).
-	// replaying suppresses WAL appends and subscriber publication while
-	// recovery re-ingests history. storeErr, once set (failed append, or
-	// Close on an owned store), permanently fails durable mutations and
-	// snapshots: the log can no longer be trusted to match memory, so
-	// restart-and-recover is the only way forward.
-	store     Store
-	ownsStore bool
-	snapEvery int
-	walSeq    uint64
-	sinceSnap int
-	replaying bool
-	storeErr  error
-
-	// Coordination records (see migrate.go). PutMeta/GetMeta pass
-	// through to the store when it implements storage.MetaStore;
-	// metaMem is the process-local fallback for storeless monitors.
-	metaMu  sync.Mutex
-	metaMem map[string][]byte
-
-	// Replication (see feed.go and follower.go). walCh is rotated
-	// (closed and replaced) under mu on every WAL append, waking
-	// long-polling changefeed streams; readOnly marks a follower
-	// monitor, whose only writer is the feed apply loop; follower holds
-	// the tail goroutine's state and watermarks.
-	walCh    chan struct{}
-	readOnly bool
-	follower *followerState
+	// walSeq is the last appended-or-applied log position.
+	walSeq uint64
 }
 
 // objEntry is one object registry slot.
@@ -317,9 +326,8 @@ func NewMonitor(c *Community, opts ...Option) (*Monitor, error) {
 
 // monitorShell validates the configuration and assembles a Monitor with
 // everything but engine state: schema, counters, subscription fan-out,
-// persistence wiring. newMonitor fills it from the community (or a
-// recovered snapshot); OpenFollower fills it from the primary's
-// snapshot.
+// persistence wiring. bootstrap fills it: from the local store's or the
+// primary's snapshot, else from the community.
 func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 	if err := validateConfig(c, cfg); err != nil {
 		return nil, err
@@ -328,13 +336,15 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 		cfg.SubscriptionBuffer = defaultSubscriptionBuffer
 	}
 	m := &Monitor{
-		schema:  c.schema.clone(),
-		cfg:     cfg,
-		ctr:     &stats.Counters{},
-		userIdx: make(map[string]int, c.Len()),
-		names:   make(map[string]int),
-		inBatch: make(map[string]bool),
-		walCh:   make(chan struct{}),
+		state: state{
+			schema:  c.schema.clone(),
+			ctr:     &stats.Counters{},
+			userIdx: make(map[string]int, c.Len()),
+			names:   make(map[string]int),
+			inBatch: make(map[string]bool),
+		},
+		cfg:   cfg,
+		walCh: make(chan struct{}),
 	}
 	if cfg.Algorithm == AlgorithmFilterThenVerifyApprox {
 		t1, t2 := cfg.Theta1, cfg.Theta2
@@ -355,50 +365,56 @@ func newMonitor(c *Community, cfg Config) (*Monitor, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// A non-empty store recovers first: the newest valid snapshot is
-	// authoritative for the evolved community (users may have joined or
-	// left since construction), with the caller's community pinned
-	// against the snapshot's construction-time base. Without a snapshot
-	// the monitor builds fresh from the community and the WAL tail —
-	// which may itself contain lifecycle records — replays through the
-	// normal mutation paths.
-	var snap *storage.Snapshot
-	var snapSeq uint64
+	var seq uint64
+	var body []byte
+	var ok bool
 	if m.store != nil {
-		seq, body, ok, err := m.store.LoadSnapshot()
-		if err != nil {
+		if seq, body, ok, err = m.store.LoadSnapshot(); err != nil {
 			return nil, fmt.Errorf("paretomon: loading snapshot: %w", err)
 		}
-		if ok {
-			if snap, err = storage.UnmarshalSnapshot(body); err != nil {
-				return nil, fmt.Errorf("paretomon: decoding snapshot: %w", err)
-			}
-			snapSeq = seq
-		}
 	}
-	if snap != nil {
-		if err := m.buildFromSnapshot(c, snap); err != nil {
-			return nil, err
-		}
-		m.walSeq = snapSeq
-	} else if err := m.buildFromCommunity(c); err != nil {
+	if err := m.bootstrap(c, seq, body, ok); err != nil {
 		return nil, err
+	}
+	return m, nil
+}
+
+// bootstrap fills a fresh shell: from a snapshot's bytes taken at log
+// position seq (ok true), else from the community, and then replays the
+// store's WAL tail behind it, if there is a store. The snapshot is
+// authoritative for the evolved community (users may have joined or left
+// since construction), with the caller's community pinned against the
+// snapshot's construction-time base. Without a snapshot the tail — which
+// may itself contain lifecycle records — replays from the start through
+// the normal write paths. A follower has no store: its tail comes over
+// the feed.
+func (m *Monitor) bootstrap(c *Community, seq uint64, body []byte, ok bool) error {
+	if ok {
+		snap, err := storage.UnmarshalSnapshot(body)
+		if err != nil {
+			return fmt.Errorf("paretomon: decoding snapshot: %w", err)
+		}
+		if err := m.buildFromSnapshot(c, snap); err != nil {
+			return err
+		}
+		m.walSeq = seq
+	} else if err := m.buildFromCommunity(c); err != nil {
+		return err
 	}
 	if m.store != nil {
 		m.replaying = true
 		err := m.store.Replay(m.walSeq, m.replayRecord)
 		m.replaying = false
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// Per-shard cumulative counters exist to show live load skew;
-		// recovery work (state restore, log replay) would skew that
-		// picture, so they restart at zero while the public totals are
-		// restored exactly.
-		m.eng.ResetShardCounters()
 	}
-	return m, nil
+	// Per-shard cumulative counters exist to show live load skew; the
+	// work of getting here (state restore, log replay) would skew that
+	// picture, so they restart at zero while the public totals are
+	// restored exactly.
+	m.eng.ResetShardCounters()
+	return nil
 }
 
 // validateConfig rejects malformed configurations before any state is

@@ -280,99 +280,38 @@ func (s *Schema) domainValues() [][]string {
 	return out
 }
 
-// replayRecord applies one WAL record through the same code paths the
-// live mutations use, so the resulting state and work counters are
-// identical to an uninterrupted run's. It serves two callers: recovery
-// replay (m.replaying true — publication suppressed, history must never
-// reach subscribers) and the follower feed apply loop (m.replaying
-// false — subscribers observe replicated mutations as deliveries and
-// FrontierDelta events, exactly as the primary's subscribers do). A
-// record that does not apply cleanly means the log and the local state
-// have diverged — corrupt state, not a caller input error.
+// replayRecord applies one WAL record through the write path the live
+// calls use — an object through validateObject and ingest, a lifecycle
+// record through check and apply — so the resulting state and work
+// counters are identical to an uninterrupted run's. It serves two
+// callers: recovery replay (m.replaying true — publication suppressed,
+// history must never reach subscribers) and the follower feed apply loop
+// (m.replaying false — subscribers observe replicated mutations as
+// deliveries and FrontierDelta events, exactly as the primary's
+// subscribers do). A record that does not apply cleanly means the log and
+// the local state have diverged — corrupt state, not a caller input
+// error — and is refused before anything changes.
 func (m *Monitor) replayRecord(rec WALRecord) error {
-	corrupt := func(err error) error {
-		return fmt.Errorf("%w: replaying WAL record %d: %v", ErrCorrupt, rec.Seq, err)
-	}
-	switch rec.Op {
-	case OpObject:
+	if rec.Op == OpObject {
 		o := Object{Name: rec.Name, Values: rec.Values}
 		if err := m.validateObject(o, nil); err != nil {
-			return corrupt(err)
+			return corruptRecord(rec, err)
 		}
 		m.ingest(o)
-	case OpPreference:
-		idx, err := m.user(rec.User)
+	} else {
+		mut, err := m.check(rec)
 		if err != nil {
-			return corrupt(err)
+			return corruptRecord(rec, err)
 		}
-		d, ok := m.schema.attrIndex(rec.Attr)
-		if !ok {
-			return corrupt(fmt.Errorf("unknown attribute %q", rec.Attr))
-		}
-		var before []int
-		if !m.replaying {
-			before = m.frontierIDs(idx)
-		}
-		if err := m.applyPreferenceLocked(idx, d, rec.User, rec.Attr, rec.Better, rec.Worse); err != nil {
-			return corrupt(err)
-		}
-		m.publishDeltaLocked(idx, "", before)
-	case OpAddUser:
-		if rec.Name == "" {
-			return corrupt(fmt.Errorf("empty user name"))
-		}
-		if _, dup := m.userIdx[rec.Name]; dup {
-			return corrupt(fmt.Errorf("user %q already alive", rec.Name))
-		}
-		prefs := make([]Preference, len(rec.Prefs))
-		for i, p := range rec.Prefs {
-			prefs[i] = Preference{Attr: p.Attr, Better: p.Better, Worse: p.Worse}
-		}
-		p, err := m.buildUserProfile(rec.Name, prefs)
-		if err != nil {
-			return corrupt(err)
-		}
-		m.applyAddUserLocked(rec.Name, p)
-	case OpRemoveUser:
-		idx, err := m.user(rec.User)
-		if err != nil {
-			return corrupt(err)
-		}
-		m.applyRemoveUserLocked(idx)
-	case OpRetractPreference:
-		idx, d, b, w, err := m.checkRetractLocked(rec.User, rec.Attr, rec.Better, rec.Worse)
-		if err != nil {
-			return corrupt(err)
-		}
-		var before []int
-		if !m.replaying {
-			before = m.frontierIDs(idx)
-		}
-		m.applyRetractLocked(idx, d, b, w)
-		m.publishDeltaLocked(idx, "", before)
-	case OpRemoveObject:
-		id, ok := m.names[rec.Name]
-		if !ok {
-			return corrupt(fmt.Errorf("unknown object %q", rec.Name))
-		}
-		var affected []int
-		var before [][]int
-		if !m.replaying {
-			affected = m.eng.Targets(id)
-			before = make([][]int, len(affected))
-			for i, c := range affected {
-				before[i] = m.frontierIDs(c)
-			}
-		}
-		m.applyRemoveObjectLocked(id)
-		for i, c := range affected {
-			m.publishDeltaLocked(c, "", before[i])
-		}
-	default:
-		return fmt.Errorf("%w: WAL record %d has unknown op %d", ErrCorrupt, rec.Seq, rec.Op)
+		m.apply(mut)
 	}
 	m.walSeq = rec.Seq
 	return nil
+}
+
+// corruptRecord is the error for a logged record that does not apply.
+func corruptRecord(rec WALRecord, err error) error {
+	return fmt.Errorf("%w: replaying WAL record %d: %v", ErrCorrupt, rec.Seq, err)
 }
 
 // buildFromSnapshot rebuilds the monitor from a decoded self-contained

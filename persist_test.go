@@ -640,41 +640,6 @@ func TestCloseOwnedStoreFailsTyped(t *testing.T) {
 	}
 }
 
-// TestRejectedPreferenceLeavesNoTrace pins log-before-apply for
-// AddPreference: a tuple the engine would reject is refused before
-// anything is logged or mutated, so recovery sees nothing of it.
-func TestRejectedPreferenceLeavesNoTrace(t *testing.T) {
-	com := persistCommunity(t)
-	store := paretomon.NewMemStore()
-	m1, err := paretomon.NewMonitor(com, paretomon.WithStore(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m1.AddPreference("u0", "color", "c4", "c5"); err != nil {
-		t.Fatal(err)
-	}
-	// The reverse tuple now violates asymmetry.
-	if err := m1.AddPreference("u0", "color", "c5", "c4"); !errors.Is(err, paretomon.ErrCycle) {
-		t.Fatalf("reversed tuple: %v, want ErrCycle", err)
-	}
-	before, err := store.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.AppendedRecords != 1 {
-		t.Fatalf("WAL has %d records; the rejected update must not be logged", before.AppendedRecords)
-	}
-	m2, err := paretomon.NewMonitor(com, paretomon.WithStore(store))
-	if err != nil {
-		t.Fatalf("recovery after rejected preference: %v", err)
-	}
-	// The accepted tuple survived; the rejected one is still rejectable
-	// (i.e. the accepted direction still stands).
-	if err := m2.AddPreference("u0", "color", "c5", "c4"); !errors.Is(err, paretomon.ErrCycle) {
-		t.Errorf("reversed tuple after recovery: %v, want ErrCycle", err)
-	}
-}
-
 // TestOpenLockedDirectory pins the single-writer guard end to end: a
 // second Open of a live data directory fails with ErrLocked instead of
 // corrupting the first monitor's WAL.

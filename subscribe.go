@@ -101,33 +101,17 @@ func (s *subscriptions) remove(user int, sub *subscriber) {
 	}
 }
 
-// send delivers on a legacy channel without ever blocking ingestion:
-// when the buffer is full, the oldest pending delivery is discarded to
-// make room for the newest, and the loss is counted.
-func (s *subscriptions) send(sub *subscriber, d Delivery) {
+// send delivers v on ch without ever blocking ingestion: when the buffer
+// is full, the oldest pending value is discarded to make room for the
+// newest, and the loss is counted.
+func send[T any](s *subscriptions, ch chan T, v T) {
 	for {
 		select {
-		case sub.ch <- d:
+		case ch <- v:
 			return
 		default:
 			select {
-			case <-sub.ch:
-				s.dropped.Add(1)
-			default:
-			}
-		}
-	}
-}
-
-// sendDelta is send for delta channels.
-func (s *subscriptions) sendDelta(sub *subscriber, d FrontierDelta) {
-	for {
-		select {
-		case sub.dch <- d:
-			return
-		default:
-			select {
-			case <-sub.dch:
+			case <-ch:
 				s.dropped.Add(1)
 			default:
 			}
@@ -148,13 +132,13 @@ func (s *subscriptions) publish(d Delivery, users []int) {
 	for _, u := range users {
 		for _, sub := range s.byUser[u] {
 			if sub.ch != nil {
-				s.send(sub, d)
+				send(s, sub.ch, d)
 				continue
 			}
 			if delta == nil {
 				delta = &FrontierDelta{Object: d.Object, Entered: []string{d.Object}}
 			}
-			s.sendDelta(sub, *delta)
+			send(s, sub.dch, *delta)
 		}
 	}
 }
@@ -170,7 +154,7 @@ func (s *subscriptions) publishDelta(user int, delta FrontierDelta) {
 	}
 	for _, sub := range s.byUser[user] {
 		if sub.dch != nil {
-			s.sendDelta(sub, delta)
+			send(s, sub.dch, delta)
 		}
 	}
 }
@@ -237,21 +221,11 @@ func (s *subscriptions) isClosed() bool {
 //
 //paretomon:nowal — registers an in-process fan-out channel;
 func (m *Monitor) Subscribe(user string) (<-chan Delivery, CancelFunc, error) {
-	// Hold the read lock across lookup AND registration: RemoveUser
-	// closes a user's subscribers under the write lock, so registering
-	// after an unlocked lookup could attach a channel to a user removed
-	// in between — a channel nothing would ever close.
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	idx, err := m.user(user)
+	sub := &subscriber{ch: make(chan Delivery, m.subs.buffer)}
+	cancel, err := m.register(user, sub)
 	if err != nil {
 		return nil, nil, err
 	}
-	sub := &subscriber{ch: make(chan Delivery, m.subs.buffer)}
-	if err := m.subs.add(idx, sub); err != nil {
-		return nil, nil, err
-	}
-	cancel := func() { m.subs.remove(idx, sub) }
 	return sub.ch, cancel, nil
 }
 
@@ -265,19 +239,30 @@ func (m *Monitor) Subscribe(user string) (<-chan Delivery, CancelFunc, error) {
 //
 //paretomon:nowal — same ephemeral registration as Subscribe.
 func (m *Monitor) SubscribeDeltas(user string) (<-chan FrontierDelta, CancelFunc, error) {
-	// See Subscribe for why the read lock spans lookup + registration.
+	sub := &subscriber{dch: make(chan FrontierDelta, m.subs.buffer)}
+	cancel, err := m.register(user, sub)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sub.dch, cancel, nil
+}
+
+// register attaches a subscriber to the named user. It holds the read
+// lock across lookup AND registration: RemoveUser closes a user's
+// subscribers under the write lock, so registering after an unlocked
+// lookup could attach a channel to a user removed in between — a
+// channel nothing would ever close.
+func (m *Monitor) register(user string, sub *subscriber) (CancelFunc, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	idx, err := m.user(user)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sub := &subscriber{dch: make(chan FrontierDelta, m.subs.buffer)}
 	if err := m.subs.add(idx, sub); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cancel := func() { m.subs.remove(idx, sub) }
-	return sub.dch, cancel, nil
+	return func() { m.subs.remove(idx, sub) }, nil
 }
 
 // Close shuts down delivery fan-out: every subscription channel is
