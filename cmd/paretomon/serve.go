@@ -167,28 +167,17 @@ func serveSingle(v *serveValues) {
 	if v.limit > 0 && v.limit < n {
 		n = v.limit
 	}
-	// A recovered monitor holds some prefix of the CSV rows (replayed
-	// under stable names o1, o2, ...) plus whatever clients ingested
-	// over HTTP; boot-ingest only the CSV rows it does not already
-	// hold, probing by name so API-ingested objects never inflate the
-	// skip count. (Clients should avoid the reserved o<N> names.)
+	// A recovered monitor holds some prefix of the CSV rows (under stable
+	// names o1, o2, ...) plus whatever clients ingested over HTTP;
+	// BootIngest ingests the rows past the prefix it recorded. (Clients
+	// should avoid the reserved o<N> names.)
 	if recovered := mon.ObjectCount(); recovered > 0 {
 		fmt.Fprintf(os.Stderr, "recovered %d objects from %s\n", recovered, v.dataDir)
 	}
-	start := 0
-	for start < n && mon.HasObject(fmt.Sprintf("o%d", start+1)) {
-		start++
-	}
-	batch := make([]paretomon.Object, n-start)
-	for i, row := range rows[start:n] {
-		batch[i] = paretomon.Object{Name: fmt.Sprintf("o%d", start+i+1), Values: row}
-	}
-	if len(batch) > 0 {
-		_, err = mon.AddBatch(batch)
-		check(err)
-	}
+	replayed, err := tenant.BootIngest(mon, rows[:n])
+	check(err)
 	fmt.Fprintf(os.Stderr, "replayed %d objects for %d users; serving on %s\n",
-		n-start, com.Len(), v.addr)
+		replayed, com.Len(), v.addr)
 	runServer(v.addr, server.New(mon), mon.Close, singleOps(v.opsAddr, mon))
 }
 

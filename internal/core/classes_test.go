@@ -316,3 +316,50 @@ func TestTargetTrackerReleasesEmptiedSets(t *testing.T) {
 		t.Fatal("DropTargets left the slot behind")
 	}
 }
+
+// TestTargetTrackerExpire runs the windowed engines' use of the tracker:
+// keys arrive in order, each is held for a window of w arrivals, and the
+// key leaving the window expires with everything below it. The slice must
+// span at most 2w keys, answer every live key as a plain slice would, and
+// reuse its backing array once it has grown.
+func TestTargetTrackerExpire(t *testing.T) {
+	const w = 16
+	var tr TargetTracker
+	rng := rand.New(rand.NewSource(1))
+	held := map[int]int{} // live key -> user
+	steady := -1          // the backing array's capacity once the window is full
+	for key := 0; key < 50*w; key++ {
+		if out := key - w; out >= 0 {
+			delete(held, out)
+			tr.Expire(out)
+		}
+		if rng.Intn(3) > 0 { // some arrivals are held by nobody
+			user := rng.Intn(64)
+			tr.AddTarget(key, user)
+			held[key] = user
+		}
+		if tr.Span() > 2*w {
+			t.Fatalf("after key %d the tracker spans %d keys for a window of %d", key, tr.Span(), w)
+		}
+		for k := key - 2*w; k <= key; k++ {
+			user, ok := held[k]
+			if got := tr.AppendHolders(nil, k); ok != (len(got) == 1) || ok && got[0] != user {
+				t.Fatalf("after key %d: holders of %d are %v, want %v (held %v)", key, k, got, user, ok)
+			}
+		}
+		if key == 4*w {
+			steady = cap(tr.sets)
+		} else if key > 4*w && cap(tr.sets) != steady {
+			t.Fatalf("after key %d the tracker's capacity moved %d -> %d in a steady window", key, steady, cap(tr.sets))
+		}
+	}
+	// Expiring past every key empties the tracker and starts it there.
+	tr.Expire(1 << 20)
+	if tr.Span() != 0 || tr.Holds(50*w-1, held[50*w-1]) {
+		t.Errorf("expiring past every key left span %d", tr.Span())
+	}
+	tr.AddTarget(1<<20+1, 5)
+	if tr.Span() != 1 || !tr.Holds(1<<20+1, 5) {
+		t.Errorf("a key after a jump: span %d", tr.Span())
+	}
+}

@@ -26,32 +26,39 @@ type Monitor interface {
 // holder left is released with its slot. Every engine embeds a tracker
 // through its shard bookkeeping (see MemberIndex in shard.go), which
 // serves Targets from it.
+//
+// sets[i] is key base+i. The append-only engines keep base at 0; the
+// windowed engines, whose keys leave in id order, drop the expired prefix
+// through Expire, so the slice spans at most twice the keys still alive.
 type TargetTracker struct {
-	sets []*bitset.Set // key -> set of user ids; nil = empty
+	sets []*bitset.Set // key-base -> set of user ids; nil = empty
+	base int           // the key of sets[0]
 }
 
 // AddTarget records that key is Pareto-optimal for user.
 func (t *TargetTracker) AddTarget(key, user int) {
-	for len(t.sets) <= key {
+	i := key - t.base
+	for len(t.sets) <= i {
 		t.sets = append(t.sets, nil)
 	}
-	s := t.sets[key]
+	s := t.sets[i]
 	if s == nil {
 		s = &bitset.Set{}
-		t.sets[key] = s
+		t.sets[i] = s
 	}
 	s.Add(user)
 }
 
 // RemoveTarget records that key left user's frontier.
 func (t *TargetTracker) RemoveTarget(key, user int) {
-	if key < 0 || key >= len(t.sets) || t.sets[key] == nil {
+	i := key - t.base
+	if i < 0 || i >= len(t.sets) || t.sets[i] == nil {
 		return
 	}
-	s := t.sets[key]
+	s := t.sets[i]
 	s.Remove(user)
 	if s.Empty() {
-		t.sets[key] = nil
+		t.sets[i] = nil
 	}
 }
 
@@ -61,15 +68,48 @@ func (t *TargetTracker) RemoveTarget(key, user int) {
 // asks here — one bit test per user, inlined into the loop — and probes
 // only the holders' frontiers.
 func (t *TargetTracker) Holds(key, user int) bool {
-	return key >= 0 && key < len(t.sets) && t.sets[key] != nil && t.sets[key].Contains(user)
+	i := key - t.base
+	return i >= 0 && i < len(t.sets) && t.sets[i] != nil && t.sets[i].Contains(user)
 }
 
 // DropTargets forgets a member entirely (its C_o becomes empty).
 func (t *TargetTracker) DropTargets(key int) {
-	if key >= 0 && key < len(t.sets) {
-		t.sets[key] = nil
+	if i := key - t.base; i >= 0 && i < len(t.sets) {
+		t.sets[i] = nil
 	}
 }
+
+// Expire forgets key and every key below it: under a window, key has
+// left the ring and so has everything older. The keys below must hold no
+// targets already (expiry and removal drop them as they go). The slots
+// stay until the dead prefix is half the slice, then the live part moves
+// down in place, so the slice spans at most twice the keys alive and a
+// steady window allocates nothing.
+//
+//paretomon:hotpath
+func (t *TargetTracker) Expire(key int) {
+	dead := key + 1 - t.base
+	if dead <= 0 {
+		return
+	}
+	if dead >= len(t.sets) {
+		clear(t.sets)
+		t.sets = t.sets[:0]
+		t.base = key + 1
+		return
+	}
+	t.sets[dead-1] = nil
+	if 2*dead < len(t.sets) {
+		return
+	}
+	n := copy(t.sets, t.sets[dead:])
+	clear(t.sets[n:])
+	t.sets = t.sets[:n]
+	t.base += dead
+}
+
+// Span is how many key slots the tracker holds, live or not.
+func (t *TargetTracker) Span() int { return len(t.sets) }
 
 // AppendHolders appends C_key — the users for whom the member is still
 // Pareto-optimal — to dst in ascending order. It is all of a twin
@@ -77,8 +117,9 @@ func (t *TargetTracker) DropTargets(key int) {
 //
 //paretomon:hotpath
 func (t *TargetTracker) AppendHolders(dst []int, key int) []int {
-	if key < 0 || key >= len(t.sets) || t.sets[key] == nil {
+	i := key - t.base
+	if i < 0 || i >= len(t.sets) || t.sets[i] == nil {
 		return dst
 	}
-	return t.sets[key].AppendTo(dst)
+	return t.sets[i].AppendTo(dst)
 }

@@ -83,6 +83,9 @@ func (s *UserShard) SetClusterTotal(int) {}
 // SetCommonFn is a no-op: there are no cluster relations.
 func (s *UserShard) SetCommonFn(CommonFn) {}
 
+// FastForward is a no-op: an append-only engine ages nothing.
+func (s *UserShard) FastForward(int) {}
+
 // RegisterUser appends profile p as user c. The slot stays frontierless
 // until the owning shard activates it.
 func (s *UserShard) RegisterUser(c int, p *pref.Profile) {
@@ -236,6 +239,9 @@ func (s *ClusterShard) CommonOf(members []int) *pref.Profile {
 // preference updates (the monitor wires approx.Profile for the
 // approximate engine).
 func (s *ClusterShard) SetCommonFn(fn CommonFn) { s.commonFn = fn }
+
+// FastForward is a no-op: an append-only engine ages nothing.
+func (s *ClusterShard) FastForward(int) {}
 
 // setCommon installs cluster li's recomputed common relation. A shard
 // whose frontier members are tuple classes can only serve under a relation

@@ -34,6 +34,12 @@ type ShardEngine interface {
 	// SetCommonFn installs the cluster-relation recompute for online
 	// preference updates; no-op on baseline engines.
 	SetCommonFn(fn CommonFn)
+	// FastForward ages a windowed shard that holds no object yet by n
+	// arrivals, all removed (an object sync joining a source whose older
+	// arrivals expired); no-op on append-only engines.
+	FastForward(n int)
+	// Span is the shard's C_o table span (TargetTracker.Span).
+	Span() int
 	// EnableScratch lets Process reuse one internal result slice instead
 	// of allocating a fresh C_o per object. Sharded enables it on every
 	// shard — it always copies results into its own merged slice before
@@ -412,6 +418,23 @@ func (s *Sharded) RemoveObject(o object.Object, alive []object.Object) {
 func (s *Sharded) SetCommonFn(fn CommonFn) {
 	for _, sh := range s.shards {
 		sh.SetCommonFn(fn)
+	}
+}
+
+// TargetSpans reports each shard's C_o table span: under a window, at
+// most twice the window however long the stream.
+func (s *Sharded) TargetSpans() []int {
+	out := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = sh.Span()
+	}
+	return out
+}
+
+// FastForward ages every shard by n removed arrivals (see ShardEngine).
+func (s *Sharded) FastForward(n int) {
+	for _, sh := range s.shards {
+		sh.FastForward(n)
 	}
 }
 

@@ -20,11 +20,14 @@ import (
 
 // TestKill9Recovery is the acceptance exercise for the durability
 // subsystem against a real process: it builds cmd/paretomon, serves it
-// with -data-dir, POSTs a stream while SIGKILLing the process mid-
-// ingest, restarts it over the same directory, and asserts that every
-// user's frontier and the work counters match an uninterrupted server
-// fed the identical prefix. Gated behind PARETOMON_CRASH_TEST=1 (the CI
-// crash job sets it) so tier-1 test runs stay hermetic and fast.
+// with -data-dir, deletes one boot row, POSTs a stream while SIGKILLing
+// the process mid-ingest, restarts it over the same directory, and
+// asserts that every user's frontier and the work counters match an
+// uninterrupted server fed the identical history. It runs append-only and
+// under a window short enough that boot rows expire before the kill: the
+// restart must ingest no boot row twice, whether the row was deleted or
+// expired. Gated behind PARETOMON_CRASH_TEST=1 (the CI crash job sets it)
+// so tier-1 test runs stay hermetic and fast.
 func TestKill9Recovery(t *testing.T) {
 	if os.Getenv("PARETOMON_CRASH_TEST") != "1" {
 		t.Skip("set PARETOMON_CRASH_TEST=1 to run the kill -9 recovery exercise")
@@ -35,11 +38,20 @@ func TestKill9Recovery(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building paretomon: %v\n%s", err, out)
 	}
+	for _, window := range []int{0, 32} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			kill9Recovery(t, bin, window)
+		})
+	}
+}
 
+func kill9Recovery(t *testing.T, bin string, window int) {
+	tmp := t.TempDir()
 	// Dataset on disk: 120 objects, 12 users. The server boot-replays the
 	// first 60 rows; the rest arrive over HTTP as the "live" stream.
 	ds := datagen.Generate(datagen.Movie().Scaled(120, 12))
 	const boot = 60
+	const deleted = "o40" // a boot row, still in the window when deleted
 	objPath := filepath.Join(tmp, "objects.csv")
 	prefPath := filepath.Join(tmp, "prefs.json")
 	var buf bytes.Buffer
@@ -80,6 +92,7 @@ func TestKill9Recovery(t *testing.T) {
 			"serve", "-addr", addr,
 			"-objects", objPath, "-prefs", prefPath,
 			"-algorithm", "ftv", "-h", "3.3", "-limit", fmt.Sprint(boot),
+			"-window", fmt.Sprint(window),
 		}, extra...)
 		cmd := exec.Command(bin, args...)
 		cmd.Stderr = os.Stderr
@@ -96,9 +109,10 @@ func TestKill9Recovery(t *testing.T) {
 		return cmd, addr
 	}
 
-	// Incarnation A: durable server; SIGKILL it while the stream is
-	// being ingested.
+	// Incarnation A: durable server; delete a boot row, then SIGKILL it
+	// while the stream is being ingested.
 	procA, addrA := start("-data-dir", dataDir, "-snapshot-every", "25")
+	deleteObject(t, addrA, deleted)
 	kill := make(chan struct{})
 	killed := make(chan struct{})
 	go func() {
@@ -133,7 +147,7 @@ func TestKill9Recovery(t *testing.T) {
 
 	// Incarnation B: restart over the same data directory. It must hold
 	// every acknowledged object (the in-flight one may or may not have
-	// landed — it was never acknowledged).
+	// landed — it was never acknowledged) and no boot row twice.
 	_, addrB := start("-data-dir", dataDir)
 	statsB := getJSON(t, addrB, "/stats")
 	processed := int(statsB["Processed"].(float64))
@@ -142,8 +156,9 @@ func TestKill9Recovery(t *testing.T) {
 	}
 
 	// Reference: an uninterrupted, store-less server fed the identical
-	// prefix of the live stream.
+	// history: the boot rows, the deletion, the prefix of the live stream.
 	_, addrC := start()
+	deleteObject(t, addrC, deleted)
 	for _, o := range live[:processed-boot] {
 		body, _ := json.Marshal(o)
 		resp, err := http.Post("http://"+addrC+"/objects", "application/json", bytes.NewReader(body))
@@ -237,4 +252,20 @@ func postJSON(t *testing.T, addr, path string, body []byte) map[string]any {
 		t.Fatalf("POST %s: %v", path, err)
 	}
 	return out
+}
+
+func deleteObject(t *testing.T, addr, name string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, "http://"+addr+"/objects/"+name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("DELETE %s: %v", name, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s: status %d", name, resp.StatusCode)
+	}
 }

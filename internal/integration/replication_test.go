@@ -180,6 +180,11 @@ func assertReplicaEqual(t *testing.T, primary, follower *paretomon.Monitor, aliv
 		}
 	}
 	for _, o := range aliveObjs {
+		if held := primary.HasObject(o); held != follower.HasObject(o) {
+			t.Fatalf("%s is held by one side only (primary %v)", o, held)
+		} else if !held {
+			continue // expired from the window, and so forgotten by both
+		}
 		pt, err1 := primary.TargetsOf(o)
 		ft, err2 := follower.TargetsOf(o)
 		if err1 != nil || err2 != nil {

@@ -839,13 +839,10 @@ func (r *Router) objectSyncLocked() (int, error) {
 		wg.Add(1)
 		go func(i int, p *remote) {
 			defer wg.Done()
-			var reply struct {
-				Count int `json:"count"`
-			}
-			errs[i] = r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodGet, "/objects/count", nil, &reply)
+			errs[i] = r.withRetry(p, func(ctx context.Context) (err error) {
+				counts[i], err = objectCount(ctx, p)
+				return err
 			})
-			counts[i] = reply.Count
 		}(i, p)
 	}
 	wg.Wait()
@@ -877,6 +874,7 @@ func (r *Router) objectSyncLocked() (int, error) {
 		err = p.postStream(ctx, "/migrate/objects", body, &reply)
 		body.Close()
 		cancel()
+		p.counted = false
 		if err != nil {
 			return applied, fmt.Errorf("partition: syncing objects to partition %d: %w", i, err)
 		}

@@ -90,6 +90,12 @@ type remote struct {
 	*client
 	idx int
 	url string
+	// count is the partition's object count (GET /objects/count) as of
+	// this Router's last completed batch to it, valid when counted. It
+	// bounds how much of a batch whose reply was lost can have applied.
+	// Only AddBatch and the object sync touch it, both under Router.mu.
+	count   int
+	counted bool
 }
 
 // Router presents a partitioned fleet as one paretomon.Driver: writes
@@ -504,6 +510,23 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 func (r *Router) addBatchOne(p *remote, objs []paretomon.Object, body []byte) ([]paretomon.Delivery, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.budget)
 	defer cancel()
+	if !p.counted {
+		// Once per partition set: a partition that cannot answer now is
+		// probed by name alone if this batch's reply is lost.
+		n, err := objectCount(ctx, p)
+		p.count, p.counted = n, err == nil
+	}
+	ds, err := r.landBatch(ctx, p, objs, body)
+	if err != nil {
+		p.counted = false
+		return nil, err
+	}
+	p.count += len(objs)
+	return ds, nil
+}
+
+// landBatch is addBatchOne's retry loop.
+func (r *Router) landBatch(ctx context.Context, p *remote, objs []paretomon.Object, body []byte) ([]paretomon.Delivery, error) {
 	var out []paretomon.Delivery // deliveries reconstructed by advanceApplied
 	start := 0                   // first object not known to be applied on p
 	from := 0                    // body encodes objs[from:]
@@ -514,7 +537,8 @@ func (r *Router) addBatchOne(p *remote, objs []paretomon.Object, body []byte) ([
 			return nil, downError(p, lastErr)
 		}
 		if ambiguous {
-			n, err := r.advanceApplied(ctx, p, objs, start, &out)
+			n, err := r.advanceApplied(ctx, p, objs, start, true, &out)
+			start = n // out holds the deliveries up to n, even on error
 			if err != nil {
 				if retryable(err) {
 					lastErr = err
@@ -523,7 +547,6 @@ func (r *Router) addBatchOne(p *remote, objs []paretomon.Object, body []byte) ([
 				}
 				return nil, err
 			}
-			start = n
 			ambiguous = false
 			if start == len(objs) {
 				break
@@ -548,7 +571,7 @@ func (r *Router) addBatchOne(p *remote, objs []paretomon.Object, body []byte) ([
 			// A 4xx can still mean "already applied": a retry of a batch
 			// the partition fully holds is rejected as a duplicate name.
 			// The applied-prefix probe disambiguates.
-			n, perr := r.advanceApplied(ctx, p, objs, start, &out)
+			n, perr := r.advanceApplied(ctx, p, objs, start, false, &out)
 			if perr == nil && n > start {
 				start = n
 				continue
@@ -562,26 +585,91 @@ func (r *Router) addBatchOne(p *remote, objs []paretomon.Object, body []byte) ([
 	return out, nil
 }
 
-// advanceApplied walks the batch from start, probing GET /targets for
-// each object to learn which the partition already holds — a crash
-// mid-batch applies a prefix, in order — and reconstructs their
-// deliveries from current targets. Returns the index of the first
-// object not applied.
-func (r *Router) advanceApplied(ctx context.Context, p *remote, objs []paretomon.Object, start int, out *[]paretomon.Delivery) (int, error) {
-	for start < len(objs) {
-		name := objs[start].Name
-		var reply targetsReply
-		if err := p.do(ctx, http.MethodGet, "/targets/"+url.PathEscape(name), nil, &reply); err != nil {
-			var se *StatusError
-			if errors.As(err, &se) && se.Status == http.StatusNotFound {
-				return start, nil // not applied; the rest of the batch is not either
+// advanceApplied learns how much of the batch from start the partition
+// already holds — a crash mid-batch applies a prefix, in order — and
+// reconstructs those objects' deliveries from their current targets
+// (an applied object that has expired has none left). It probes GET
+// /targets from start, stopping at the first object not found: exact
+// on an append-only partition, and on a windowed one unless the batch
+// is longer than the window, when the partition may have applied an
+// object and expired it inside this very batch. So when the reply was
+// lost (lost: it never came, or was a retryable failure) and the
+// partition's count before the batch is known, the object count says
+// how many objects can have applied at most, and the newest of those
+// the partition holds ends the applied prefix: with one writer the
+// newest applied object is still in the window. A refused batch (a
+// 4xx, such as the duplicate name of a resent batch the partition
+// already holds) is probed from start only, so a resent batch whose
+// oldest objects have expired stays refused: resending is idempotent
+// only while the batch is in the window.
+//
+// Returns the index of the first object not applied.
+func (r *Router) advanceApplied(ctx context.Context, p *remote, objs []paretomon.Object, start int, lost bool, out *[]paretomon.Delivery) (int, error) {
+	for ; start < len(objs); start++ {
+		users, ok, err := probeTargets(ctx, p, objs[start].Name)
+		if err != nil || !ok {
+			if err != nil || !lost || !p.counted {
+				return start, err
 			}
+			break
+		}
+		*out = append(*out, paretomon.Delivery{Object: objs[start].Name, Users: users})
+	}
+	if start == len(objs) {
+		return start, nil
+	}
+	now, err := objectCount(ctx, p)
+	if err != nil {
+		return start, err
+	}
+	end := min(len(objs), now-p.count)
+	var found []paretomon.Delivery
+	for ; end > start; end-- {
+		users, ok, err := probeTargets(ctx, p, objs[end-1].Name)
+		if err != nil {
 			return start, err
 		}
-		*out = append(*out, paretomon.Delivery{Object: name, Users: reply.Users})
-		start++
+		if ok {
+			found = append(found, paretomon.Delivery{Object: objs[end-1].Name, Users: users})
+			break
+		}
 	}
-	return start, nil
+	for i := end - 2; i > start; i-- {
+		users, _, err := probeTargets(ctx, p, objs[i].Name)
+		if err != nil {
+			return start, err
+		}
+		found = append(found, paretomon.Delivery{Object: objs[i].Name, Users: users})
+	}
+	if end > start {
+		found = append(found, paretomon.Delivery{Object: objs[start].Name})
+	}
+	slices.Reverse(found)
+	*out = append(*out, found...)
+	return max(end, start), nil
+}
+
+// objectCount reads a partition's object count.
+func objectCount(ctx context.Context, p *remote) (int, error) {
+	var reply struct {
+		Count int `json:"count"`
+	}
+	err := p.do(ctx, http.MethodGet, "/objects/count", nil, &reply)
+	return reply.Count, err
+}
+
+// probeTargets reads an object's current targets from a partition; ok is
+// false when the partition does not know the object.
+func probeTargets(ctx context.Context, p *remote, name string) (users []string, ok bool, err error) {
+	var reply targetsReply
+	if err := p.do(ctx, http.MethodGet, "/targets/"+url.PathEscape(name), nil, &reply); err != nil {
+		var se *StatusError
+		if errors.As(err, &se) && se.Status == http.StatusNotFound {
+			return nil, false, nil
+		}
+		return nil, false, err
+	}
+	return reply.Users, true, nil
 }
 
 // mergeDeliveries unions each object's per-partition targets into one

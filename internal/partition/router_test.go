@@ -80,10 +80,11 @@ func (f *fleet) close() {
 
 // startFleet carves the community into n consistent-hash slices, serves
 // each from its own in-process HTTP server, and fronts them with a
-// Router. Baseline algorithm so work counters partition exactly.
-func startFleet(t *testing.T, com *paretomon.Community, n int) *fleet {
+// Router. Baseline algorithm so work counters partition exactly; extra
+// options apply to every monitor, the reference included.
+func startFleet(t *testing.T, com *paretomon.Community, n int, extra ...paretomon.Option) *fleet {
 	t.Helper()
-	opts := []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}
+	opts := append([]paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}, extra...)
 	ref, err := paretomon.NewMonitor(com, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -364,10 +365,18 @@ func TestRouterPartitionDown(t *testing.T) {
 // TestRouterRetryResume: a partition that applies a batch but loses the
 // response (injected 500) must not double-apply on retry — the Router
 // probes the applied prefix and reconstructs, and the fleet stays
-// identical to the reference.
+// identical to the reference. Under a window shorter than the batch the
+// batch's oldest objects have expired by the time of the probe, and must
+// still count as applied.
 func TestRouterRetryResume(t *testing.T) {
+	for _, window := range []int{0, 8} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) { testRouterRetryResume(t, window) })
+	}
+}
+
+func testRouterRetryResume(t *testing.T, window int) {
 	com := testCommunity(t, 24)
-	f := startFleet(t, com, 3)
+	f := startFleet(t, com, 3, paretomon.WithWindow(window))
 	defer f.close()
 
 	// Wrap partition 0 in a proxy that applies the first batch on the
@@ -412,12 +421,17 @@ func TestRouterRetryResume(t *testing.T) {
 		t.Fatalf("%d POSTs to the flaky partition, want exactly 1 (probe-resumed)", injected.Load())
 	}
 	// Resumed deliveries are reconstructed from current targets — the
-	// documented approximation: a subset of the at-arrival delivery
-	// (users whose delivery a later object of the same batch dominated
-	// are not re-reported), never anything extra.
+	// documented approximation: append-only, a subset of the at-arrival
+	// delivery (users whose delivery a later object of the same batch
+	// dominated are not re-reported), never anything extra. Under a window
+	// current targets also gain the users an expiry promoted the object
+	// for, so only the objects are compared.
 	for i := range want {
 		if want[i].Object != got[i].Object {
 			t.Fatalf("delivery %d: object %q vs %q", i, want[i].Object, got[i].Object)
+		}
+		if window > 0 {
+			continue
 		}
 		ref := map[string]bool{}
 		for _, u := range want[i].Users {
@@ -439,6 +453,61 @@ func TestRouterRetryResume(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(want, got) {
 			t.Fatalf("frontier(%s) after resume: ref %v, router %v (%v)", u, want, got, err)
 		}
+	}
+}
+
+// TestRouterLostRequestWithHeldName: a POST lost before the partition
+// saw it, for a batch naming an object the partition already holds,
+// applied nothing. The retry must not read the held object as the
+// newest one the batch applied: the batch is refused as a duplicate,
+// and no partition ingests any of it.
+func TestRouterLostRequestWithHeldName(t *testing.T) {
+	for _, window := range []int{0, 8} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			com := testCommunity(t, 24)
+			f := startFleet(t, com, 1, paretomon.WithWindow(window))
+			defer f.close()
+			var drop atomic.Bool
+			backend := f.https[0].Config.Handler
+			flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && r.URL.Path == "/objects/batch" && drop.CompareAndSwap(true, false) {
+					w.Header().Set("Content-Type", "application/json")
+					w.WriteHeader(http.StatusInternalServerError)
+					fmt.Fprintln(w, `{"error": "injected: request lost"}`)
+					return
+				}
+				backend.ServeHTTP(w, r)
+			}))
+			defer flaky.Close()
+			rt, err := partition.New(partition.Config{
+				URLs:          []string{flaky.URL},
+				RetryBudget:   5 * time.Second,
+				RetryInterval: 5 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			objs := stream(5)
+			if _, err := rt.AddBatch(objs[:3]); err != nil {
+				t.Fatal(err)
+			}
+			// A fresh object, a held one, then another fresh one.
+			drop.Store(true)
+			if _, err := rt.AddBatch([]paretomon.Object{objs[3], objs[2], objs[4]}); err == nil {
+				t.Fatal("AddBatch naming a held object succeeded")
+			}
+			if drop.Load() {
+				t.Fatal("no POST was lost")
+			}
+			if got := f.mons[0].ObjectCount(); got != 3 {
+				t.Fatalf("ObjectCount = %d after a refused batch, want 3", got)
+			}
+			for _, o := range objs[3:] {
+				if f.mons[0].HasObject(o.Name) {
+					t.Fatalf("%s of the refused batch was ingested", o.Name)
+				}
+			}
+		})
 	}
 }
 

@@ -55,11 +55,11 @@ type Gate interface {
 	// atomically; on a refused multi-object batch the error is a
 	// *paretomon.BatchError locating the first object over the limit.
 	ReserveObjects(names []string) error
-	// UnreserveObjects rolls back a reservation whose monitor call
-	// failed afterwards.
-	UnreserveObjects(n int)
-	// ObjectRemoved releases one slot after a successful delete.
-	ObjectRemoved()
+	// ReleaseObjects ends a reservation once its monitor call has
+	// returned, whatever the outcome: from then on the monitor's alive
+	// count meters what the call added, and removal or window expiry
+	// lowers it.
+	ReleaseObjects(n int)
 	ReserveUser() error
 	UnreserveUser()
 	UserRemoved()
@@ -434,12 +434,10 @@ func (f *facade) handleObjects(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		defer f.gate.ReleaseObjects(1)
 	}
 	d, err := f.drv.Add(o.Name, o.Values...)
 	if err != nil {
-		if f.gate != nil {
-			f.gate.UnreserveObjects(1)
-		}
 		writeError(w, err)
 		return
 	}
@@ -466,14 +464,10 @@ func (f *facade) handleBatch(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		defer f.gate.ReleaseObjects(len(objs))
 	}
 	ds, err := f.drv.AddBatch(objs)
 	if err != nil {
-		if f.gate != nil {
-			// AddBatch is atomic: on error the monitor is unchanged, so
-			// the whole reservation rolls back.
-			f.gate.UnreserveObjects(len(objs))
-		}
 		writeError(w, err)
 		return
 	}
@@ -518,9 +512,6 @@ func (f *facade) handleObjectDelete(w http.ResponseWriter, r *http.Request) {
 	if err := f.drv.RemoveObject(r.PathValue("object")); err != nil {
 		writeError(w, err)
 		return
-	}
-	if f.gate != nil {
-		f.gate.ObjectRemoved()
 	}
 	writeOK(w)
 }

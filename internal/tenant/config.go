@@ -18,8 +18,8 @@ type Quotas struct {
 	// refused; RemoveUser frees capacity).
 	MaxUsers int `json:"max_users,omitempty"`
 	// MaxObjects caps the alive object count (Add/AddBatch beyond it
-	// are refused atomically; RemoveObject frees capacity — window
-	// expiry does not, the slot is still held).
+	// are refused atomically; RemoveObject and window expiry free
+	// capacity).
 	MaxObjects int `json:"max_objects,omitempty"`
 	// MaxSubscriptions caps concurrently open SSE streams
 	// (/subscribe and /deltas combined).

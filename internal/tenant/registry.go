@@ -197,33 +197,13 @@ func (r *Registry) newTenant(s Spec) (*Tenant, error) {
 		return nil, err
 	}
 	if s.Role == RolePrimary && len(rows) > 0 {
-		if err := bootIngest(t.mon, rows); err != nil {
+		if _, err := BootIngest(t.mon, rows); err != nil {
 			_ = t.mon.Close()
 			return nil, err
 		}
 	}
 	t.users = len(t.mon.Users())
-	t.objects = t.mon.AliveObjectCount()
 	return t, nil
-}
-
-// bootIngest replays dataset rows a recovered monitor does not already
-// hold, under the same stable o<N> naming cmd/paretomon serve uses.
-// The quota gate is not consulted: the boot dataset is the operator's.
-func bootIngest(mon *paretomon.Monitor, rows [][]string) error {
-	start := 0
-	for start < len(rows) && mon.HasObject(fmt.Sprintf("o%d", start+1)) {
-		start++
-	}
-	if start == len(rows) {
-		return nil
-	}
-	batch := make([]paretomon.Object, len(rows)-start)
-	for i, row := range rows[start:] {
-		batch[i] = paretomon.Object{Name: fmt.Sprintf("o%d", start+i+1), Values: row}
-	}
-	_, err := mon.AddBatch(batch)
-	return err
 }
 
 // TenantDir returns the data directory a persistent tenant of that
@@ -460,7 +440,7 @@ func (r *Registry) collect(e *telemetry.Emitter) {
 	for _, t := range tenants {
 		users, objects, subs := t.Usage()
 		e.Emit("paretomon_tenant_users", "Alive community members.", telemetry.KindGauge, float64(users), "tenant", t.name)
-		e.Emit("paretomon_tenant_objects", "Alive (ingested, not removed) objects.", telemetry.KindGauge, float64(objects), "tenant", t.name)
+		e.Emit("paretomon_tenant_objects", "Alive objects (ingested, neither removed nor expired) plus reservations in flight.", telemetry.KindGauge, float64(objects), "tenant", t.name)
 		e.Emit("paretomon_tenant_subscriptions", "Open subscription streams (quota view).", telemetry.KindGauge, float64(subs), "tenant", t.name)
 		if t.mon != nil {
 			CollectMonitor(e, t.name, t.mon)

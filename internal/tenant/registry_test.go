@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -280,6 +281,7 @@ func TestRegistryCollectorEmitsPerTenantSeries(t *testing.T) {
 	if _, err := tn.Monitor().Add("o1", "1", "2"); err != nil {
 		t.Fatal(err)
 	}
+	tn.ReleaseObjects(1)
 
 	var sb strings.Builder
 	if err := tel.WritePrometheus(&sb); err != nil {
@@ -347,14 +349,68 @@ func TestQuotaObjectsBatchAtomicity(t *testing.T) {
 	if _, ok := err.(*paretomon.BatchError); ok {
 		t.Error("single-object refusal wrapped in BatchError")
 	}
-	tn.ObjectRemoved()
+	// A reservation ends when its monitor call returns (here: none was
+	// made, as when the call fails).
+	tn.ReleaseObjects(1)
 	if err := tn.ReserveObjects([]string{"o8"}); err != nil {
-		t.Errorf("slot not freed by removal: %v", err)
+		t.Errorf("slot not freed by release: %v", err)
 	}
-	// A failed monitor call rolls its reservation back.
-	tn.UnreserveObjects(1)
-	if err := tn.ReserveObjects([]string{"o9"}); err != nil {
-		t.Errorf("slot not freed by unreserve: %v", err)
+}
+
+// TestQuotaObjectsFollowTheMonitor: once its call returns, an admitted
+// object is metered by the monitor's alive count, so removal frees its
+// slot and so does window expiry. A windowed tenant's usage is capped at
+// its window, so a quota of exactly the window never refuses it, while
+// one below the window does.
+func TestQuotaObjectsFollowTheMonitor(t *testing.T) {
+	for _, tc := range []struct{ window, quota, fits int }{
+		{2, 3, 10}, {2, 2, 10}, {3, 2, 2},
+	} {
+		t.Run(fmt.Sprintf("window=%d,max_objects=%d", tc.window, tc.quota), func(t *testing.T) {
+			r := mustOpen(t, t.TempDir())
+			spec := inlineSpec("alpha")
+			spec.Quotas.MaxObjects, spec.Window = tc.quota, tc.window
+			tn, err := r.Create(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add := func(names ...string) error {
+				if err := tn.ReserveObjects(names); err != nil {
+					return err
+				}
+				defer tn.ReleaseObjects(len(names))
+				batch := make([]paretomon.Object, len(names))
+				for i, n := range names {
+					batch[i] = paretomon.Object{Name: n, Values: []string{"low", "high"}}
+				}
+				_, err := tn.Monitor().AddBatch(batch)
+				return err
+			}
+			for i := 0; i < 10; i++ {
+				err := add(fmt.Sprintf("o%d", i))
+				if i < tc.fits && err != nil {
+					t.Fatalf("arrival %d: %v", i, err)
+				}
+				if i >= tc.fits && !errors.Is(err, ErrQuotaExceeded) {
+					t.Fatalf("arrival %d past the quota: %v", i, err)
+				}
+			}
+			if tc.fits < 10 {
+				return
+			}
+			if err := add("b0", "b1"); err != nil {
+				t.Fatalf("a batch into a full window: %v", err)
+			}
+			if _, objects, _ := usage3(tn); objects != tc.window {
+				t.Errorf("objects = %d, want the window's %d", objects, tc.window)
+			}
+			if err := tn.Monitor().RemoveObject("b1"); err != nil {
+				t.Fatal(err)
+			}
+			if _, objects, _ := usage3(tn); objects != tc.window-1 {
+				t.Errorf("objects after a removal = %d, want %d", objects, tc.window-1)
+			}
+		})
 	}
 }
 

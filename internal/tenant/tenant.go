@@ -46,11 +46,13 @@ type Tenant struct {
 	sessCtx    context.Context
 	sessCancel context.CancelFunc
 
-	// Usage counters behind the quota gate. users and objects mirror
-	// the monitor's alive counts (initialized from it on boot, then
-	// maintained by the gate); subs counts open subscription streams.
+	// Usage counters behind the quota gate. users mirrors the monitor's
+	// alive count (initialized from it on boot, then maintained by the
+	// gate); pending counts the objects reserved by calls still in
+	// flight, on top of the monitor's alive objects; subs counts open
+	// subscription streams.
 	users   int
-	objects int
+	pending int
 	subs    int
 
 	// Token-bucket request limiter (Quotas.MaxRequestsPerSec).
@@ -165,42 +167,42 @@ func (t *Tenant) Admit() error {
 // Add/AddBatch, or refuses the whole batch atomically: nothing is
 // reserved on failure, and for a multi-object batch the error is a
 // *paretomon.BatchError locating the first object that does not fit
-// (its chain reaches ErrQuotaExceeded). On success the reservation is
-// the accounting — call UnreserveObjects only if the monitor call
-// fails afterwards.
+// (its chain reaches ErrQuotaExceeded). Usage is the monitor's alive
+// object count — which removal and window expiry lower — plus the
+// reservations in flight, capped at the window on a windowed tenant:
+// arrivals into a full window evict as many as they add. Every
+// successful reservation must be ended by ReleaseObjects once the
+// monitor call has returned, whatever its outcome.
 func (t *Tenant) ReserveObjects(names []string) error {
-	max := t.spec.Quotas.MaxObjects
+	limit := t.spec.Quotas.MaxObjects
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if max > 0 && t.objects+len(names) > max {
+	used := t.aliveObjects() + t.pending
+	after := used + len(names)
+	if w := t.spec.Window; w > 0 {
+		after = min(after, w)
+	}
+	if limit > 0 && after > limit {
 		t.tel.quotaReject("objects")
-		qerr := &QuotaError{Tenant: t.name, Resource: "objects", Limit: max}
-		over := max - t.objects // index of the first object over the line
-		if over < 0 {
-			over = 0
-		}
+		qerr := &QuotaError{Tenant: t.name, Resource: "objects", Limit: limit}
+		over := max(limit-used, 0) // index of the first object over the line
 		if len(names) > 1 {
 			return &paretomon.BatchError{Index: over, Object: names[over], Err: qerr}
 		}
 		return qerr
 	}
-	t.objects += len(names)
+	t.pending += len(names)
 	t.tel.ingested(len(names))
 	return nil
 }
 
-// UnreserveObjects rolls back a reservation whose monitor call failed.
-func (t *Tenant) UnreserveObjects(n int) {
+// ReleaseObjects ends a reservation of n objects once the monitor call
+// it admitted has returned: the objects it added are the monitor's alive
+// count from then on, and a failed call added none.
+func (t *Tenant) ReleaseObjects(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.objects -= n
-}
-
-// ObjectRemoved releases one object's quota after a successful delete.
-func (t *Tenant) ObjectRemoved() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.objects--
+	t.pending -= n
 }
 
 // ReserveUser admits one AddUser into the user quota.
@@ -256,12 +258,21 @@ func (t *Tenant) ReserveSubscription() (release func(), err error) {
 	}, nil
 }
 
-// Usage returns the current quota consumption (users, objects, open
-// subscription streams).
+// Usage returns the current quota consumption (users, objects — alive
+// or reserved —, open subscription streams).
 func (t *Tenant) Usage() (users, objects, subs int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.users, t.objects, t.subs
+	return t.users, t.aliveObjects() + t.pending, t.subs
+}
+
+// aliveObjects is the monitor's alive object count; a router tenant has
+// no monitor of its own.
+func (t *Tenant) aliveObjects() int {
+	if t.mon == nil {
+		return 0
+	}
+	return t.mon.AliveObjectCount()
 }
 
 // close cancels the session and shuts the driver down.

@@ -40,11 +40,13 @@ func newBaselineSW(s core.UserShard, w int) *BaselineSW {
 // returns C_oin.
 func (b *BaselineSW) Process(oin object.Object) []int {
 	b.Ctr.AddProcessed()
-	if oout, ok := b.win.push(oin); ok && oout.ID >= 0 {
-		for _, c := range b.Members {
-			b.expireUser(c, oout)
+	if oout, ok := b.win.push(oin); ok {
+		if oout.ID >= 0 {
+			for _, c := range b.Members {
+				b.expireUser(c, oout)
+			}
 		}
-		b.DropTargets(oout.ID)
+		b.Expire(expiredID(oout))
 	}
 	co := b.Scratch.Start()
 	for _, c := range b.Members {

@@ -114,5 +114,7 @@
 // standalone, owning every user. The shard bookkeeping's tuple-class table
 // (core.TupleClasses) stays off here: every object is its own frontier
 // member under its own id, as in the paper — the ring ages ids, and a
-// class would have to be refreshed in it.
+// class would have to be refreshed in it. Ids leave the ring in arrival
+// order, so the C_o table (core.TargetTracker) drops the prefix the ring
+// evicts and spans at most twice the window, however long the stream.
 package window

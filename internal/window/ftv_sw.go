@@ -70,14 +70,16 @@ func NewSharded(users []*pref.Profile, clusters []core.Cluster, active []bool, w
 // returns C_oin.
 func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 	f.Ctr.AddProcessed()
-	if oout, ok := f.win.push(oin); ok && oout.ID >= 0 {
-		for ui := range f.Clusters {
-			if len(f.Clusters[ui].Members) == 0 {
-				continue
+	if oout, ok := f.win.push(oin); ok {
+		if oout.ID >= 0 {
+			for ui := range f.Clusters {
+				if len(f.Clusters[ui].Members) == 0 {
+					continue
+				}
+				f.expireCluster(ui, oout)
 			}
-			f.expireCluster(ui, oout)
 		}
-		f.DropTargets(oout.ID)
+		f.Expire(expiredID(oout))
 	}
 	co := f.Scratch.Start()
 	for ui := range f.Clusters {

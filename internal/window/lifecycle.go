@@ -11,7 +11,8 @@ import (
 // Lifecycle operations under sliding-window semantics. The ring is the
 // alive set: RemoveObject tombstones the slot — the window keeps aging at
 // the same rate, removal never extends other objects' lifetimes — and
-// expiry of a tombstone is a no-op. What these operations undo is the
+// expiry of a tombstone touches no frontier (it only retires the id's C_o
+// slot). What these operations undo is the
 // premise the buffers' shields rest on, that objects leave oldest first
 // under a fixed relation, so each re-derives the shields it invalidated
 // and then reads the frontier off them (reconcile):

@@ -37,7 +37,11 @@ func (r *ring) tail() []object.Object {
 
 // restore rebuilds the ring from a captured tail. The slot of arrival i
 // is i mod w, so replaying the tail into its original slots makes every
-// future push evict exactly the object it would have originally.
+// future push evict exactly the object it would have originally. A
+// snapshot does not record a tombstone's id; its arrival index stands in.
+// Ids ascend by at least one an arrival, so the index never exceeds the
+// id (under a Monitor the two are equal): expiring through it retires no
+// C_o slot that is still in the window.
 func (r *ring) restore(seen int, tail []object.Object) error {
 	n := seen
 	if n > r.w {
@@ -47,10 +51,32 @@ func (r *ring) restore(seen int, tail []object.Object) error {
 		return fmt.Errorf("window: ring state has %d objects, want %d (seen=%d, w=%d)", len(tail), n, seen, r.w)
 	}
 	for i, o := range tail {
+		if o.ID < 0 {
+			o = tombstone(seen - n + i)
+		}
 		r.buf[(seen-n+i)%r.w] = o
 	}
 	r.seen = seen
 	return nil
+}
+
+// restoreRing rebuilds the ring from st and starts the C_o table at the
+// ring's oldest arrival: every id before it has expired (arrival indices
+// bound ids from below, as in restore).
+func restoreRing(r *ring, t *core.TargetTracker, st *core.EngineState) error {
+	if err := r.restore(st.RingSeen, st.Ring); err != nil {
+		return err
+	}
+	t.Expire(st.RingSeen - r.w - 1)
+	return nil
+}
+
+// skip ages an empty ring by n arrivals, every one of them removed.
+func (r *ring) skip(n int) {
+	for a := max(n-r.w, 0); a < n; a++ {
+		r.buf[a%r.w] = tombstone(a)
+	}
+	r.seen = n
 }
 
 // restore refills an empty Pareto frontier buffer from a captured one, in
@@ -90,7 +116,7 @@ func (b *BaselineSW) RestoreState(st *core.EngineState, _ []object.Object) error
 	if !st.HasRing || st.UserBuffers == nil {
 		return fmt.Errorf("window: state missing ring or user buffers (captured from an append-only engine?)")
 	}
-	if err := b.win.restore(st.RingSeen, st.Ring); err != nil {
+	if err := restoreRing(b.win, &b.TargetTracker, st); err != nil {
 		return err
 	}
 	for _, c := range b.Members {
@@ -131,7 +157,7 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState, _ []object.Objec
 	if !st.HasRing || st.ClusterBuffers == nil {
 		return fmt.Errorf("window: state missing ring or cluster buffers (captured from a different engine?)")
 	}
-	if err := f.win.restore(st.RingSeen, st.Ring); err != nil {
+	if err := restoreRing(f.win, &f.TargetTracker, st); err != nil {
 		return err
 	}
 	for li, cl := range f.Clusters {
@@ -148,4 +174,18 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState, _ []object.Objec
 		}
 	}
 	return nil
+}
+
+// FastForward ages the engine, which must hold no object yet, by n
+// arrivals that were all removed: its next object is arrival n. It is how
+// an object sync joins a source whose older arrivals have expired.
+func (b *BaselineSW) FastForward(n int) {
+	b.win.skip(n)
+	b.Expire(n - 1)
+}
+
+// FastForward is BaselineSW.FastForward.
+func (f *FilterThenVerifySW) FastForward(n int) {
+	f.win.skip(n)
+	f.Expire(n - 1)
 }

@@ -26,7 +26,8 @@ func newRing(w int) *ring {
 
 // push inserts o and returns the object it evicts, if the window was
 // full. The evicted object may be a tombstone (ID < 0) left by an
-// explicit removal; callers skip expiry work for those.
+// explicit removal; callers skip expiry work for those, and read the id
+// it held through expiredID.
 func (r *ring) push(o object.Object) (object.Object, bool) {
 	slot := r.seen % r.w
 	var out object.Object
@@ -39,10 +40,19 @@ func (r *ring) push(o object.Object) (object.Object, bool) {
 	return out, full
 }
 
-// tombstoneID marks a ring slot whose object was explicitly removed. The
-// slot keeps aging — removal does not extend other objects' lifetimes —
-// but expiry of a tombstone is a no-op.
-const tombstoneID = -1
+// tombstone marks a ring slot whose object, id, was explicitly removed.
+// The slot keeps aging — removal does not extend other objects'
+// lifetimes — but expiry of a tombstone is a no-op. It keeps the id,
+// complemented, so that expiry can still retire the id's C_o slot.
+func tombstone(id int) object.Object { return object.Object{ID: ^id} }
+
+// expiredID is the object id an evicted ring slot held.
+func expiredID(o object.Object) int {
+	if o.ID < 0 {
+		return ^o.ID
+	}
+	return o.ID
+}
 
 // knockOut tombstones the in-window slot holding object id, reporting
 // whether it was found (false: the object already expired or was never
@@ -55,7 +65,7 @@ func (r *ring) knockOut(id int) bool {
 	for i := r.seen - n; i < r.seen; i++ {
 		slot := i % r.w
 		if r.buf[slot].ID == id {
-			r.buf[slot] = object.Object{ID: tombstoneID}
+			r.buf[slot] = tombstone(id)
 			return true
 		}
 	}

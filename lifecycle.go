@@ -96,10 +96,8 @@ func (m *Monitor) RetractPreference(user, attr, better, worse string) error {
 // frontiers. Users who had the object in their frontier observe the
 // change as a FrontierDelta event (the object in Left, any promotions
 // in Entered). TargetsOf and HasObject no longer see it afterwards.
-// Removing an object that already expired from the window succeeds as a
-// registry-only change (expiry evicted it from every live structure but
-// does not free its name — removal does); an unknown or already-removed
-// name yields ErrUnknownObject.
+// An unknown, already-removed or expired name yields ErrUnknownObject:
+// window expiry forgets an object as removal does.
 func (m *Monitor) RemoveObject(name string) error {
 	return m.mutate(WALRecord{Op: OpRemoveObject, Name: name})
 }
@@ -397,7 +395,7 @@ func (m *Monitor) applyRetractLocked(idx, d, b, w int) {
 // applyRemoveObjectLocked tombstones the registry slot and removes the
 // object from the engine.
 func (m *Monitor) applyRemoveObjectLocked(id int) {
-	e := &m.objects[id]
+	e := m.entry(id)
 	e.alive = false
 	delete(m.names, e.name)
 	m.eng.RemoveObject(e.obj, m.aliveObjects())
@@ -417,12 +415,12 @@ func (m *Monitor) publishDeltaLocked(c int, beforeIDs []int) {
 	for _, id := range after {
 		is[id] = true
 		if !was[id] {
-			entered = append(entered, m.objects[id].name)
+			entered = append(entered, m.entry(id).name)
 		}
 	}
 	for _, id := range beforeIDs {
 		if !is[id] {
-			left = append(left, m.objects[id].name)
+			left = append(left, m.entry(id).name)
 		}
 	}
 	if len(entered) == 0 && len(left) == 0 {

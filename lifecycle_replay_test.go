@@ -293,8 +293,15 @@ func fuzzConfig(b byte) Config {
 // runFuzzHistory drives a monitor through the calls ops spells, three
 // bytes a call, and ignores their errors: a refused call must simply
 // change nothing. Half the calls are arrivals, over 24 object names (the
-// 24th empty), so frontiers fill up between the lifecycle calls.
+// 24th empty), so frontiers fill up between the lifecycle calls; one in
+// eleven re-adds the name that last left the window.
 func runFuzzHistory(m *Monitor, ops []byte) {
+	var added []string // the accepted arrivals' names, in id order
+	add := func(name string, values ...string) {
+		if _, err := m.Add(name, values...); err == nil {
+			added = append(added, name)
+		}
+	}
 	pick := func(pool []string, b byte) string { return pool[int(b)%len(pool)] }
 	object := func(b byte) string {
 		if b%24 == 23 {
@@ -307,13 +314,13 @@ func runFuzzHistory(m *Monitor, ops []byte) {
 		d := int(a/8) % len(fuzzAttrs)
 		user, attr := pick(fuzzUsers, a), fuzzAttrs[d]
 		better, worse := pick(fuzzValues[d], b), pick(fuzzValues[d], b/8)
-		switch ops[i] % 10 {
+		values := []string{pick(fuzzValues[0], b), pick(fuzzValues[1], b/8)}
+		if a%32 == 31 {
+			values = values[:1]
+		}
+		switch ops[i] % 11 {
 		case 0, 1, 2, 3, 4:
-			values := []string{pick(fuzzValues[0], b), pick(fuzzValues[1], b/8)}
-			if a%32 == 31 {
-				values = values[:1]
-			}
-			_, _ = m.Add(object(a), values...)
+			add(object(a), values...)
 		case 5:
 			_ = m.AddPreference(user, attr, better, worse)
 		case 6:
@@ -329,6 +336,10 @@ func runFuzzHistory(m *Monitor, ops []byte) {
 			_ = m.RemoveUser(user)
 		case 9:
 			_ = m.RemoveObject(object(a))
+		case 10:
+			if w := m.cfg.Window; w > 0 && len(added) > w {
+				add(added[len(added)-w-1], values...)
+			}
 		}
 	}
 }

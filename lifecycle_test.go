@@ -61,6 +61,7 @@ type lcScript struct {
 	order    []string                          // alive users in (re-)registration order
 	objs     []paretomon.Object                // added objects in arrival order
 	alive    map[string]int                    // alive object name -> objs index
+	window   int                               // the monitors' window; 0 = append-only
 	nextObj  int
 	nextUser int
 }
@@ -108,6 +109,9 @@ func (s *lcScript) emitBatch() {
 		batch[i] = s.randomObject()
 		s.alive[batch[i].Name] = len(s.objs)
 		s.objs = append(s.objs, batch[i])
+		if w := s.window; w > 0 && len(s.objs) > w {
+			delete(s.alive, s.objs[len(s.objs)-w-1].Name) // expired: forgotten
+		}
 	}
 	s.ops = append(s.ops, lcOp{kind: "batch", batch: batch})
 }
@@ -117,13 +121,15 @@ func (s *lcScript) pickUser() string {
 }
 
 // lcGenerate builds the community (base users u0..u<n-1>) and the op
-// script.
-func lcGenerate(t testing.TB, seed int64, baseUsers, steps int) (*paretomon.Community, *lcScript) {
+// script for monitors with the given window (0: append-only), whose
+// expired objects it no longer counts alive.
+func lcGenerate(t testing.TB, seed int64, baseUsers, steps, window int) (*paretomon.Community, *lcScript) {
 	t.Helper()
 	s := &lcScript{
-		rng:   rand.New(rand.NewSource(seed)),
-		users: map[string][]paretomon.Preference{},
-		alive: map[string]int{},
+		rng:    rand.New(rand.NewSource(seed)),
+		users:  map[string][]paretomon.Preference{},
+		alive:  map[string]int{},
+		window: window,
 	}
 	names := make([]string, len(lcAttrs))
 	for i, a := range lcAttrs {
@@ -290,14 +296,15 @@ func lcCompare(t *testing.T, label string, want, got *paretomon.Monitor, s *lcSc
 // cover all eight engines (sequential and sharded, append-only and
 // windowed) plus the approximate variant.
 var lcCases = []struct {
-	name string
-	opts []paretomon.Option
+	name   string
+	opts   []paretomon.Option
+	window int
 }{
-	{"baseline", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}},
-	{"ftv", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}},
-	{"ftva", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithBranchCut(1.2), paretomon.WithThetas(40, 0.3)}},
-	{"baselineSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWindow(17)}},
-	{"ftvSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2), paretomon.WithWindow(17)}},
+	{"baseline", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}, 0},
+	{"ftv", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}, 0},
+	{"ftva", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithBranchCut(1.2), paretomon.WithThetas(40, 0.3)}, 0},
+	{"baselineSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWindow(17)}, 17},
+	{"ftvSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2), paretomon.WithWindow(17)}, 17},
 }
 
 // TestLifecycleSeqVsParallel pins sharded-engine equivalence under
@@ -307,7 +314,7 @@ var lcCases = []struct {
 func TestLifecycleSeqVsParallel(t *testing.T) {
 	for _, tc := range lcCases {
 		t.Run(tc.name, func(t *testing.T) {
-			com, s := lcGenerate(t, 31, 8, 90)
+			com, s := lcGenerate(t, 31, 8, 90, tc.window)
 			seq, err := paretomon.NewMonitor(com, append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(1))...)
 			if err != nil {
 				t.Fatal(err)
@@ -334,7 +341,7 @@ func TestLifecycleCrashRecovery(t *testing.T) {
 			for _, snapEvery := range []int{0, 7} {
 				name := fmt.Sprintf("%s/workers=%s/snapEvery=%d", tc.name, layout, snapEvery)
 				t.Run(name, func(t *testing.T) {
-					com, s := lcGenerate(t, 47, 8, 80)
+					com, s := lcGenerate(t, 47, 8, 80, tc.window)
 					half := len(s.ops) / 2
 					opts := append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(layout.crash))
 
@@ -390,7 +397,7 @@ func TestLifecycleEqualsFreshBuild(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				com, s := lcGenerate(t, 59, 8, 90)
+				com, s := lcGenerate(t, 59, 8, 90, 0) // the window of 1000 outlasts the script
 				opts := append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(workers))
 				evolved, err := paretomon.NewMonitor(com, opts...)
 				if err != nil {

@@ -86,7 +86,7 @@ func (m *Monitor) HasUser(name string) bool {
 // in assertion order. Unknown users fail before anything is written.
 func (m *Monitor) ExportUsers(users []string, w io.Writer) error {
 	m.mu.RLock()
-	watermark := uint64(len(m.objects))
+	watermark := uint64(m.objectCount())
 	recs := make([]storage.Record, 0, len(users))
 	for _, u := range users {
 		idx, ok := m.userIdx[u]
@@ -170,32 +170,20 @@ func (m *Monitor) ImportUsers(r io.Reader) (added, skipped int, err error) {
 	}
 }
 
-// ExportObjects streams the full object registry as replica frames: a
-// head message with the registry length, then per slot (in id order)
-// one OpObject record — and, for tombstoned slots, an immediately
-// following OpRemoveObject — so replaying the stream through the live
-// Add/RemoveObject paths reproduces ids, tombstones, name reuse and
-// window ring positions exactly.
+// ExportObjects streams the object registry as replica frames: two head
+// messages — the registry length, then its base: the oldest id the
+// monitor still holds (0 append-only, the window's oldest arrival under a
+// window) — then per slot from the base on, in id order, one OpObject
+// record and, for tombstoned slots, an immediately following
+// OpRemoveObject. Replaying the stream through the live Add/RemoveObject
+// paths reproduces ids, tombstones, name reuse and window ring positions
+// exactly.
 func (m *Monitor) ExportObjects(w io.Writer) error {
-	m.mu.RLock()
-	recs := make([]storage.Record, 0, len(m.objects))
-	vals := make([][]string, len(m.schema.doms))
-	for d, dom := range m.schema.doms {
-		vals[d] = dom.Values()
+	recs, count, base := m.exportObjects()
+	if err := replica.WriteHead(w, uint64(count)); err != nil {
+		return err
 	}
-	for _, e := range m.objects {
-		values := make([]string, len(e.obj.Attrs))
-		for d, id := range e.obj.Attrs {
-			values[d] = vals[d][id]
-		}
-		recs = append(recs, storage.Record{Op: storage.OpObject, Name: e.name, Values: values})
-		if !e.alive {
-			recs = append(recs, storage.Record{Op: storage.OpRemoveObject, Name: e.name})
-		}
-	}
-	count := uint64(len(m.objects))
-	m.mu.RUnlock()
-	if err := replica.WriteHead(w, count); err != nil {
+	if err := replica.WriteHead(w, uint64(base)); err != nil {
 		return err
 	}
 	for _, rec := range recs {
@@ -206,6 +194,46 @@ func (m *Monitor) ExportObjects(w io.Writer) error {
 	return nil
 }
 
+// exportObjects collects ExportObjects' records, the registry length and
+// the base. The base skips leading placeholder slots (a fast-forwarded
+// monitor's, reloaded from its snapshot): they stand for removed
+// arrivals, which an importer's fast-forward reproduces.
+func (m *Monitor) exportObjects() (recs []storage.Record, count, base int) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	count, base = m.objectCount(), m.windowStart()
+	for base < count && m.entry(base).name == "" {
+		base++
+	}
+	recs = make([]storage.Record, 0, count-base)
+	vals := make([][]string, len(m.schema.doms))
+	for d, dom := range m.schema.doms {
+		vals[d] = dom.Values()
+	}
+	for _, e := range m.objects[base-m.objBase:] {
+		values := make([]string, len(e.obj.Attrs))
+		for d, id := range e.obj.Attrs {
+			values[d] = vals[d][id]
+		}
+		recs = append(recs, storage.Record{Op: storage.OpObject, Name: e.name, Values: values})
+		if !e.alive {
+			recs = append(recs, storage.Record{Op: storage.OpRemoveObject, Name: e.name})
+		}
+	}
+	return recs, count, base
+}
+
+// windowStart is the oldest id the monitor still holds: 0 on an
+// append-only monitor, the oldest arrival in the window otherwise — but
+// never below the registry base, which a fast-forward puts past ids no
+// slot stands for. Caller holds mu.
+func (m *Monitor) windowStart() int {
+	if m.cfg.Window == 0 {
+		return 0
+	}
+	return max(m.objectCount()-m.cfg.Window, m.objBase)
+}
+
 // objectID resolves an alive object name to its registry slot.
 func (m *Monitor) objectID(name string) (int, bool) {
 	m.mu.RLock()
@@ -214,19 +242,31 @@ func (m *Monitor) objectID(name string) (int, bool) {
 	return id, ok
 }
 
+// slotName is the name registered at id, if the monitor still holds id.
+func (m *Monitor) slotName(id int) (string, bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if id < m.windowStart() || id >= m.objectCount() {
+		return "", false
+	}
+	return m.entry(id).name, true
+}
+
 // ImportObjects applies an ExportObjects stream through the live
-// Add/RemoveObject paths, skipping the slot prefix this monitor
-// already holds (a re-run after an interrupted sync resumes where it
-// stopped). Skipped slots are verified by name against the local
-// registry — a divergent prefix is ErrMigrateMismatch, never silently
-// merged — and removals are applied even in the skipped region, so a
-// takedown the source saw after the interruption still lands. The
+// Add/RemoveObject paths, from the source's base on. A monitor holding no
+// object first fast-forwards to the base; one holding some, but fewer
+// than the base, cannot join (ErrMigrateMismatch). The slot prefix this
+// monitor already holds is skipped (a re-run after an interrupted sync
+// resumes where it stopped). Skipped slots are verified by name against
+// the local registry — a divergent prefix is ErrMigrateMismatch, never
+// silently merged — and removals are applied even in the skipped region,
+// so a takedown the source saw after the interruption still lands. The
 // caller must guarantee no concurrent writers (the Router's freeze).
 // Returns how many objects were newly applied.
 func (m *Monitor) ImportObjects(r io.Reader) (applied int, err error) {
 	fr := replica.NewFeedReader(r)
-	have := m.ObjectCount()
-	pos := 0 // OpObject records consumed == source slot index
+	var heads []uint64
+	pos, have := -1, 0 // pos: the source slot id of the next OpObject record, once the heads are read
 	for {
 		msg, err := fr.Next()
 		if errors.Is(err, io.EOF) {
@@ -236,16 +276,19 @@ func (m *Monitor) ImportObjects(r io.Reader) (applied int, err error) {
 			return applied, fmt.Errorf("%w: reading object sync stream: %v", ErrMigrateMismatch, err)
 		}
 		if msg.IsHead {
+			heads = append(heads, msg.Head)
 			continue
+		}
+		if pos < 0 {
+			if pos, have, err = m.syncStart(heads); err != nil {
+				return applied, err
+			}
 		}
 		rec := msg.Rec
 		switch rec.Op {
 		case storage.OpObject:
 			if pos < have {
-				m.mu.RLock()
-				name := m.objects[pos].name
-				m.mu.RUnlock()
-				if name != rec.Name {
+				if name, _ := m.slotName(pos); name != rec.Name {
 					return applied, fmt.Errorf("%w: local object %d is %q, source has %q", ErrMigrateMismatch, pos, name, rec.Name)
 				}
 			} else if _, err := m.Add(rec.Name, rec.Values...); err != nil {
@@ -269,4 +312,45 @@ func (m *Monitor) ImportObjects(r io.Reader) (applied int, err error) {
 			return applied, fmt.Errorf("%w: unexpected op %d in object sync stream", ErrMigrateMismatch, rec.Op)
 		}
 	}
+}
+
+// syncStart settles where an object sync stream joins this monitor: at
+// the source's base, its second head (0 if absent). It returns the base
+// and how many objects this monitor has ingested, after fast-forwarding
+// an empty monitor to the base.
+func (m *Monitor) syncStart(heads []uint64) (base, have int, err error) {
+	if len(heads) > 1 {
+		base = int(heads[1])
+	}
+	have = m.ObjectCount()
+	switch {
+	case have >= base:
+		return base, have, nil
+	case have > 0:
+		return 0, 0, fmt.Errorf("%w: source holds objects from %d on, this monitor has only %d", ErrMigrateMismatch, base, have)
+	}
+	return base, base, m.fastForward(base)
+}
+
+// fastForward moves a monitor that has ingested nothing to stream
+// position n, as if n objects had arrived and been removed: the registry
+// starts at id n and every shard's ring has aged by n. Under a window
+// these are all that n expired arrivals would have left behind. On a
+// durable monitor a snapshot records the new position, since the log has
+// no record for it.
+func (m *Monitor) fastForward(n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.cfg.Window == 0 {
+		return fmt.Errorf("%w: the source is windowed and holds objects from %d on; this monitor is append-only", ErrMigrateMismatch, n)
+	}
+	if m.objectCount() != 0 {
+		return fmt.Errorf("%w: fast-forward of a monitor that holds objects", ErrMigrateMismatch)
+	}
+	m.objBase = n
+	m.eng.FastForward(n)
+	if m.store == nil {
+		return nil
+	}
+	return m.writeSnapshotLocked()
 }

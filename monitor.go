@@ -286,13 +286,18 @@ type state struct {
 	clusters       [][]string // member names per cluster (nil for Baseline)
 	clusterMembers [][]int    // raw member indices per cluster, in cluster order
 
-	// The object registry. Slots are append-only in arrival order (slot
-	// index == engine object id); RemoveObject tombstones a slot and
-	// frees its name. names maps alive names only. The interned objects
-	// ride along so retraction and removal mends can rebuild frontiers
-	// from the alive set.
+	// The object registry. Slots are in arrival order: objects[i] holds
+	// engine object id objBase+i. RemoveObject tombstones a slot and frees
+	// its name; names maps alive names only. The interned objects ride
+	// along so retraction and removal mends can rebuild frontiers from the
+	// alive set. An append-only registry only grows (objBase stays 0).
+	// Under a window W, id N's arrival retires slot N-W, which every
+	// shard's ring evicts on the same arrival: its name is freed for
+	// re-use, and the slot is blanked and dropped once the blanked prefix
+	// is W long, so at most 2W slots are held however long the stream.
 	names   map[string]int // alive object name -> id
-	objects []objEntry     // object id -> registry entry
+	objBase int            // id of objects[0]
+	objects []objEntry
 
 	// walSeq is the last appended-or-applied log position.
 	walSeq uint64
@@ -562,17 +567,44 @@ func (m *Monitor) intern(o Object) object.Object {
 	for d, v := range o.Values {
 		attrs[d] = int32(doms[d].Intern(v))
 	}
-	id := len(m.objects)
+	id := m.objectCount()
 	obj := object.Object{ID: id, Attrs: attrs}
 	m.names[o.Name] = id
 	m.objects = append(m.objects, objEntry{name: o.Name, obj: obj, alive: true})
+	if w := m.cfg.Window; w > 0 && id-w >= m.objBase {
+		m.retire(id - w)
+	}
 	return obj
+}
+
+// objectCount is the number of ids ever handed out. Caller holds mu.
+func (m *Monitor) objectCount() int { return m.objBase + len(m.objects) }
+
+// entry is id's registry slot; id must not be older than objBase. Caller
+// holds mu.
+func (m *Monitor) entry(id int) *objEntry { return &m.objects[id-m.objBase] }
+
+// retire forgets id, which has just left the window: its name is free
+// again (unless a removal already freed it and another object took it),
+// and its slot is blanked. Once the blanked prefix is a window long it is
+// dropped, moving the live slots down in place. Caller holds mu.
+func (m *Monitor) retire(id int) {
+	e := m.entry(id)
+	if cur, ok := m.names[e.name]; ok && cur == id {
+		delete(m.names, e.name)
+	}
+	*e = objEntry{}
+	if dead := id + 1 - m.objBase; dead >= m.cfg.Window {
+		n := copy(m.objects, m.objects[dead:])
+		clear(m.objects[n:])
+		m.objects = m.objects[:n]
+		m.objBase += dead
+	}
 }
 
 // aliveObjects snapshots the alive object set in arrival order: the
 // mend-candidate source for the lifecycle operations. A windowed monitor
-// gets nil — its engines' ring is their alive set, and the registry (every
-// object ever ingested) only grows. Caller holds mu.
+// gets nil — its engines' ring is their alive set. Caller holds mu.
 func (m *Monitor) aliveObjects() []object.Object {
 	if m.cfg.Window > 0 {
 		return nil
@@ -682,7 +714,7 @@ func (m *Monitor) Frontier(user string) ([]string, error) {
 	ids := m.eng.UserFrontier(idx)
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = m.objects[id].name
+		out[i] = m.entry(id).name
 	}
 	m.mu.RUnlock()
 	sort.Strings(out)
@@ -777,8 +809,9 @@ func (m *Monitor) Stats() Stats {
 func (m *Monitor) Config() Config { return m.cfg }
 
 // HasObject reports whether an alive object with the given name is
-// registered, including recovered objects. Window expiry does not
-// unregister a name; RemoveObject does, freeing it for re-use.
+// registered, including recovered objects. RemoveObject unregisters a
+// name, and so does window expiry: an expired object is forgotten, and
+// its name is free for re-use.
 func (m *Monitor) HasObject(name string) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -788,8 +821,8 @@ func (m *Monitor) HasObject(name string) bool {
 
 // TargetsOf returns the current C_o of a previously added object: the
 // (sorted) users for whom it is still Pareto-optimal. An object that has
-// been dominated since arrival — or that has expired from the window —
-// has no targets.
+// been dominated since arrival has no targets. An object that was removed
+// or has expired from the window is unknown (ErrUnknownObject).
 func (m *Monitor) TargetsOf(objectName string) ([]string, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -19,7 +19,9 @@
 //
 // WithWindow(n) switches all three engines to sliding-window semantics
 // (Sec. 7): an object expires after n subsequent arrivals and frontiers
-// are mended from Pareto frontier buffers.
+// are mended from Pareto frontier buffers. An expired object is
+// forgotten, as a removed one is — its name is free again — so what a
+// windowed monitor keeps per object is bounded by the window.
 //
 // WithWorkers(n) sets how many shards all of the above run on: users
 // (Baseline) or whole clusters (filter-then-verify) are partitioned

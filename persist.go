@@ -135,17 +135,17 @@ func (m *Monitor) StorageStats() (StoreStats, error) {
 
 // ObjectCount returns how many objects the monitor has ingested over
 // its lifetime, including recovered ones (neither window expiry nor
-// RemoveObject decreases it). Stream replayers use it to skip rows a
-// recovered monitor already holds.
+// RemoveObject decreases it): the id the next object gets. It is a
+// stream position, not a count of what the monitor still holds.
 func (m *Monitor) ObjectCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.objects)
+	return m.objectCount()
 }
 
 // AliveObjectCount returns how many objects the monitor currently
-// holds: ingested and not removed (window expiry does not free the
-// name — an expired object still occupies its registry slot). Tenant
+// holds: ingested, not removed and, under a window, not expired — an
+// expired object is forgotten, so this is at most the window. Tenant
 // quotas meter this number, not the lifetime ObjectCount.
 func (m *Monitor) AliveObjectCount() int {
 	m.mu.RLock()
@@ -241,9 +241,19 @@ func (m *Monitor) writeSnapshotLocked() error {
 		}
 		users[i] = us
 	}
-	objs := make([]storage.ObjectState, len(m.objects))
+	// A retired slot (expired from the window) is written as a dead
+	// placeholder, keeping ids dense in the v3 layout.
+	objs := make([]storage.ObjectState, m.objectCount())
+	retired := storage.ObjectState{Attrs: make([]int32, dims)}
+	for i := range objs[:m.objBase] {
+		objs[i] = retired
+	}
 	for i, e := range m.objects {
-		objs[i] = storage.ObjectState{Name: e.name, Alive: e.alive, Attrs: e.obj.Attrs}
+		if e.obj.Attrs == nil {
+			objs[m.objBase+i] = retired
+			continue
+		}
+		objs[m.objBase+i] = storage.ObjectState{Name: e.name, Alive: e.alive, Attrs: e.obj.Attrs}
 	}
 	snap := &storage.Snapshot{
 		Algorithm:    uint8(m.cfg.Algorithm),
@@ -387,13 +397,20 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 		}
 	}
 
-	// Rebuild the object registry.
-	m.objects = make([]objEntry, len(snap.Objects))
-	for id, os := range snap.Objects {
+	// Rebuild the object registry. Under a window only the last W slots
+	// are alive: anything older is retired, whether the snapshot holds it
+	// as a placeholder or (written before expired objects were forgotten)
+	// as an alive entry.
+	if w := m.cfg.Window; w > 0 {
+		m.objBase = max(len(snap.Objects)-w, 0)
+	}
+	m.objects = make([]objEntry, len(snap.Objects)-m.objBase)
+	for i, os := range snap.Objects[m.objBase:] {
+		id := m.objBase + i
 		if len(os.Attrs) != dims {
 			return fmt.Errorf("%w: snapshot object %q has %d attributes, schema has %d", ErrCorrupt, os.Name, len(os.Attrs), dims)
 		}
-		m.objects[id] = objEntry{name: os.Name, obj: object.Object{ID: id, Attrs: os.Attrs}, alive: os.Alive}
+		m.objects[i] = objEntry{name: os.Name, obj: object.Object{ID: id, Attrs: os.Attrs}, alive: os.Alive}
 		if os.Alive {
 			if _, dup := m.names[os.Name]; dup {
 				return fmt.Errorf("%w: snapshot has two alive objects named %q", ErrCorrupt, os.Name)

@@ -142,6 +142,13 @@ func compareMonitors(t *testing.T, label string, want, got *paretomon.Monitor, c
 	}
 	for _, op := range ops {
 		for _, o := range op.batch {
+			if want.Config().Window > 0 && !want.HasObject(o.Name) {
+				// Expired from the window, and so forgotten.
+				if got.HasObject(o.Name) {
+					t.Errorf("%s: %s expired from the reference's window but not from the recovered one's", label, o.Name)
+				}
+				continue
+			}
 			tw, err1 := want.TargetsOf(o.Name)
 			tg, err2 := got.TargetsOf(o.Name)
 			if err1 != nil || err2 != nil {
