@@ -28,6 +28,9 @@ type Driver interface {
 	// Pareto-optimal at arrival, across the whole community.
 	Add(name string, values ...string) (Delivery, error)
 	AddBatch(objs []Object) ([]Delivery, error)
+	// AddBatchOnce is AddBatch under a writer's batch id: a re-sent batch
+	// applies each object once and answers as at arrival.
+	AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error)
 
 	// v3 lifecycle: evolve the community and the object set.
 	AddUser(name string, prefs []Preference) error

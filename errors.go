@@ -122,6 +122,13 @@ var (
 	// orchestrator aligns the destination (object sync under the write
 	// freeze) and retries; applying anyway would build wrong frontiers.
 	ErrMigrateMismatch = errors.New("paretomon: migration stream position does not match this monitor")
+
+	// ErrBadBatchID reports a malformed BatchID.
+	ErrBadBatchID = errors.New("paretomon: malformed batch id")
+
+	// ErrBatchConflict reports an AddBatchOnce seq older than the
+	// writer's last batch, or that batch re-sent with other names.
+	ErrBatchConflict = errors.New("paretomon: batch conflicts with the writer's last batch")
 )
 
 // BatchError locates the first rejected object of an AddBatch call. The

@@ -42,17 +42,21 @@ func (c *client) stampRing(req *http.Request) {
 }
 
 // send performs one request and returns its 200 response, body open. A
-// non-nil body is sent as contentType. Non-200 responses decode the
-// server's {"error": ...} envelope into a *StatusError (a ring-version
-// 409 into a *RingVersionError); everything transport-level is returned
-// as-is (and therefore retryable).
-func (c *client) send(ctx context.Context, method, path, contentType string, body io.Reader) (*http.Response, error) {
+// non-nil body is sent as contentType, and a non-nil batch as the
+// BatchHeader value. Non-200 responses decode the server's {"error":
+// ...} envelope into a *StatusError (a ring-version 409 into a
+// *RingVersionError); everything transport-level is returned as-is (and
+// therefore retryable).
+func (c *client) send(ctx context.Context, method, path, contentType string, body io.Reader, batch []string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", contentType)
+	}
+	if batch != nil {
+		req.Header[BatchHeader] = batch
 	}
 	c.stampRing(req)
 	resp, err := c.hc.Do(req)
@@ -76,7 +80,7 @@ func (c *client) sendJSON(ctx context.Context, method, path string, in any) (*ht
 		}
 		body = bytes.NewReader(data)
 	}
-	return c.send(ctx, method, path, "application/json", body)
+	return c.send(ctx, method, path, "application/json", body, nil)
 }
 
 // decodeReply closes out a 200 response: out (when non-nil) receives
@@ -105,13 +109,14 @@ func (c *client) do(ctx context.Context, method, path string, in, out any) error
 
 // postBatch is do for the ingest path: POST /objects/batch with an
 // already encoded body (internal/wire; the Router shares one encoding
-// across partitions) and the reply decoded without reflection out of a
-// pooled buffer. The reply must answer sent one delivery per object, in
-// order: a partition that says 200 to anything else has not told us
-// what it applied, which is a lost reply — a plain, retryable error
-// whose retry probes the applied prefix — not a result.
-func (c *client) postBatch(ctx context.Context, body []byte, sent []paretomon.Object) ([]paretomon.Delivery, error) {
-	resp, err := c.send(ctx, http.MethodPost, "/objects/batch", "application/json", bytes.NewReader(body))
+// across partitions) under the batch id header value batch, and the
+// reply decoded without reflection out of a pooled buffer. The reply
+// must answer sent one delivery per object, in order: a partition that
+// says 200 to anything else has not told us what it applied, which is a
+// lost reply — a plain, retryable error whose retry re-sends the batch
+// under its id — not a result.
+func (c *client) postBatch(ctx context.Context, body []byte, batch []string, sent []paretomon.Object) ([]paretomon.Delivery, error) {
+	resp, err := c.send(ctx, http.MethodPost, "/objects/batch", "application/json", bytes.NewReader(body), batch)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +181,7 @@ func (c *client) getStream(ctx context.Context, method, path string, in any) (io
 // another partition's getStream response, piped through unbuffered);
 // out, when non-nil, receives the decoded JSON 200 response.
 func (c *client) postStream(ctx context.Context, path string, body io.Reader, out any) error {
-	resp, err := c.send(ctx, http.MethodPost, path, "application/octet-stream", body)
+	resp, err := c.send(ctx, http.MethodPost, path, "application/octet-stream", body, nil)
 	if err != nil {
 		return err
 	}

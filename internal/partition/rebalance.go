@@ -96,21 +96,15 @@ func (r *Router) installRing(rg *Ring) {
 func (r *Router) RefreshRing(ctx context.Context) (*Ring, error) {
 	parts := r.remotes()
 	rings := make([]*Ring, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			var raw json.RawMessage
-			if err := p.do(ctx, http.MethodGet, "/ring", nil, &raw); err != nil {
-				return // down or 404: contributes nothing
-			}
-			if rg, err := DecodeRing(raw); err == nil {
-				rings[i] = rg
-			}
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(parts, func(i int, p *remote) {
+		var raw json.RawMessage
+		if err := p.do(ctx, http.MethodGet, "/ring", nil, &raw); err != nil {
+			return // down or 404: contributes nothing
+		}
+		if rg, err := DecodeRing(raw); err == nil {
+			rings[i] = rg
+		}
+	})
 	best := r.Ring()
 	for _, rg := range rings {
 		if rg != nil && (best == nil || rg.Version > best.Version) {
@@ -156,17 +150,11 @@ func (r *Router) commitRing(rg *Ring) error {
 	}
 	payload := json.RawMessage(rg.Encode())
 	errs := make([]error, len(all))
-	var wg sync.WaitGroup
-	for i, p := range all {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			errs[i] = r.withWriteRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodPut, "/ring", payload, nil)
-			})
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(all, func(i int, p *remote) {
+		errs[i] = r.withRetry(p, true, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodPut, "/ring", payload, nil)
+		})
+	})
 	return collect("commitRing", errs)
 }
 
@@ -261,7 +249,7 @@ func (r *Router) ensureLease() error {
 	// at or before that moment under-estimates the grant's remaining
 	// life — the safe direction for the mutation fence (leaseExpiry).
 	var t0 time.Time
-	err := r.withRetry(p0, func(ctx context.Context) error {
+	err := r.withRetry(p0, false, func(ctx context.Context) error {
 		t0 = time.Now()
 		return p0.do(ctx, http.MethodPost, "/lease", req, &grant)
 	})
@@ -414,7 +402,7 @@ func (r *Router) migrateLocked(ctx context.Context, users []string, from, to int
 
 	// Retire the source copies; 404 means a previous run already did.
 	for _, u := range users {
-		err := r.withWriteRetry(src, func(ctx context.Context) error {
+		err := r.withRetry(src, true, func(ctx context.Context) error {
 			return src.do(ctx, http.MethodDelete, "/users/"+url.PathEscape(u), nil, nil)
 		})
 		if err != nil {
@@ -439,17 +427,11 @@ func (r *Router) migrateLocked(ctx context.Context, users []string, from, to int
 func (r *Router) userLists(op string, parts []*remote) ([][]string, error) {
 	lists := make([][]string, len(parts))
 	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			errs[i] = r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodGet, "/users", nil, &lists[i])
-			})
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(parts, func(i int, p *remote) {
+		errs[i] = r.withRetry(p, false, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodGet, "/users", nil, &lists[i])
+		})
+	})
 	if err := collect(op, errs); err != nil {
 		return nil, err
 	}
@@ -550,7 +532,7 @@ func (r *Router) Reconcile(ctx context.Context) (ReconcileReport, error) {
 				continue
 			}
 			p := parts[h]
-			err := r.withWriteRetry(p, func(ctx context.Context) error {
+			err := r.withRetry(p, true, func(ctx context.Context) error {
 				return p.do(ctx, http.MethodDelete, "/users/"+url.PathEscape(u), nil, nil)
 			})
 			if err != nil {
@@ -826,6 +808,15 @@ func (r *Router) Rebalance(ctx context.Context, urls []string, opts RebalanceOpt
 	return rep, err
 }
 
+// objectCount reads a partition's object count.
+func objectCount(ctx context.Context, p *remote) (int, error) {
+	var reply struct {
+		Count int `json:"count"`
+	}
+	err := p.do(ctx, http.MethodGet, "/objects/count", nil, &reply)
+	return reply.Count, err
+}
+
 // objectSyncLocked brings every partition to the fleet's maximum
 // object-stream position by piping the most advanced partition's
 // registry export into each one that is behind. Caller holds r.mu (no
@@ -834,18 +825,12 @@ func (r *Router) objectSyncLocked() (int, error) {
 	parts := r.remotes()
 	counts := make([]int, len(parts))
 	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			errs[i] = r.withRetry(p, func(ctx context.Context) (err error) {
-				counts[i], err = objectCount(ctx, p)
-				return err
-			})
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(parts, func(i int, p *remote) {
+		errs[i] = r.withRetry(p, false, func(ctx context.Context) (err error) {
+			counts[i], err = objectCount(ctx, p)
+			return err
+		})
+	})
 	if err := collect("objectSync", errs); err != nil {
 		return 0, err
 	}
@@ -874,7 +859,6 @@ func (r *Router) objectSyncLocked() (int, error) {
 		err = p.postStream(ctx, "/migrate/objects", body, &reply)
 		body.Close()
 		cancel()
-		p.counted = false
 		if err != nil {
 			return applied, fmt.Errorf("partition: syncing objects to partition %d: %w", i, err)
 		}

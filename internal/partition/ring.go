@@ -12,6 +12,12 @@ import (
 // (refetch and retry) from any other conflict.
 const RingHeader = "X-Paretomon-Ring"
 
+// BatchHeader carries a POST /objects/batch's batch id,
+// "<writer>/<seq>" (paretomon.BatchID): a partition applies each object
+// of a re-sent batch at most once and answers with the deliveries of
+// its arrival.
+const BatchHeader = "X-Paretomon-Batch"
+
 // Ring is a versioned user → partition assignment: one Plan generation
 // plus the per-user overrides that exist while a rebalance is in
 // flight. It is the unit of agreement between routers and partitions —

@@ -146,8 +146,8 @@ func bumpRing(t *testing.T, f *fleet) *partition.Ring {
 // TestRingVersionRefetchRetry: every mutating path must survive another
 // router committing a newer ring — the partition's 409 carries the
 // installed version, the Router refetches and retries. Covered paths:
-// the fan-out batch (including the duplicate-batch probe), the
-// owner-routed op, and a cold router that has no ring at all.
+// the fan-out batch, the owner-routed op, and a cold router that has no
+// ring at all.
 func TestRingVersionRefetchRetry(t *testing.T) {
 	com := testCommunity(t, 12)
 	f := startFleet(t, com, 2)
@@ -191,10 +191,8 @@ func TestRingVersionRefetchRetry(t *testing.T) {
 	}
 
 	// Cold-router heal: a fresh router sends NO version header, which a
-	// ringed partition rejects just like a stale one. Its first write
-	// adopts v3 and lands. Re-sending the batch the fleet already holds
-	// also exercises the duplicate probe: the 4xx duplicate-name
-	// rejection resolves via GET /targets reconstruction.
+	// ringed partition rejects just like a stale one. Its first write, a
+	// fresh batch, adopts v3 and lands; so does the owner op after it.
 	rtB, err := partition.New(partition.Config{
 		URLs:          fleetURLs(f),
 		RetryBudget:   5 * time.Second,
@@ -204,24 +202,20 @@ func TestRingVersionRefetchRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rtB.Close()
-	redo, err := rtB.AddBatch(objs)
-	if err != nil {
-		t.Fatalf("duplicate batch through cold router: %v", err)
-	}
-	for _, d := range redo {
-		wantUsers, err := f.ref.TargetsOf(d.Object)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wantUsers, d.Users) {
-			t.Errorf("probe-reconstructed delivery(%s): %v, want current targets %v", d.Object, d.Users, wantUsers)
-		}
-	}
-	// The duplicate never needed the write path (the probe is a read, and
-	// reads are not ring-gated), so the cold router is STILL ringless —
-	// only a genuinely new write forces the headerless 409 and the heal.
 	if rg := rtB.Ring(); rg != nil {
-		t.Errorf("cold router adopted ring %+v from a read-only resolution", rg)
+		t.Fatalf("fresh router starts with ring %+v", rg)
+	}
+	more := stream(15)[10:]
+	want, err1 = f.ref.AddBatch(more)
+	got, err2 = rtB.AddBatch(more)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("batch through cold router: %v / %v", err1, err2)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("cold-router deliveries differ:\nreference %v\nrouter    %v", want, got)
+	}
+	if rg := rtB.Ring(); rg == nil || rg.Version != 3 {
+		t.Errorf("cold router ring = %+v after headerless heal, want version 3", rtB.Ring())
 	}
 	if err := f.ref.AddUser("u91", prefs); err != nil {
 		t.Fatal(err)
@@ -229,10 +223,7 @@ func TestRingVersionRefetchRetry(t *testing.T) {
 	if err := rtB.AddUser("u91", prefs); err != nil {
 		t.Fatalf("AddUser through cold router: %v", err)
 	}
-	if rg := rtB.Ring(); rg == nil || rg.Version != 3 {
-		t.Errorf("cold router ring = %+v after headerless heal, want version 3", rtB.Ring())
-	}
-	assertIdentical(t, f, 10)
+	assertIdentical(t, f, 15)
 }
 
 // fleetURLs lists the fleet's partition base URLs.
@@ -313,7 +304,7 @@ func TestRouterLeaseMutualExclusion(t *testing.T) {
 // one retry budget, not one per healthy partition — budgets are
 // per-partition and concurrent. The healthy partitions land the batch
 // on the first attempt, the down one exhausts its own budget, and the
-// re-issue after recovery converges via the duplicate probe.
+// re-issue after recovery, under the same batch id, lands exactly once.
 func TestRouterRetryBudgetPerPartition(t *testing.T) {
 	com := testCommunity(t, 12)
 	plan, err := partition.NewPlan(3, 0)
@@ -368,7 +359,8 @@ func TestRouterRetryBudgetPerPartition(t *testing.T) {
 	defer rt.Close()
 
 	objs := stream(6)
-	if _, err := ref.AddBatch(objs); err != nil {
+	want, err := ref.AddBatch(objs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	startT := time.Now()
@@ -396,12 +388,16 @@ func TestRouterRetryBudgetPerPartition(t *testing.T) {
 		}
 	}
 
-	// Recovery: the same batch re-issued lands everywhere — duplicates
-	// on the healthy partitions resolve via the applied-prefix probe —
+	// Recovery: the same batch re-issued lands everywhere — the healthy
+	// partitions answer it from their memo — with the reference's reply,
 	// and the fleet is identical to the reference.
 	healthy.Store(true)
-	if _, err := rt.AddBatch(objs); err != nil {
+	got, err := rt.AddBatch(objs)
+	if err != nil {
 		t.Fatalf("re-issue after recovery: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("re-issued deliveries:\nreference %v\nrouter    %v", want, got)
 	}
 	for _, u := range ref.Users() {
 		wantF, err1 := ref.Frontier(u)

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"bytes"
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net/http"
@@ -90,12 +92,6 @@ type remote struct {
 	*client
 	idx int
 	url string
-	// count is the partition's object count (GET /objects/count) as of
-	// this Router's last completed batch to it, valid when counted. It
-	// bounds how much of a batch whose reply was lost can have applied.
-	// Only AddBatch and the object sync touch it, both under Router.mu.
-	count   int
-	counted bool
 }
 
 // Router presents a partitioned fleet as one paretomon.Driver: writes
@@ -146,6 +142,13 @@ type Router struct {
 	// bodyHint is the last AddBatch body's length (guarded by mu): the
 	// next one is allocated that large up front.
 	bodyHint int
+	// writer is the batch-id writer minted at New, and seq the last
+	// batch it numbered (guarded by mu). A failed AddBatch leaves its id
+	// and body behind, so re-sending the same batch reuses the id.
+	writer     string
+	seq        uint64
+	failedID   paretomon.BatchID
+	failedBody []byte
 }
 
 var _ paretomon.Driver = (*Router)(nil)
@@ -181,7 +184,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		plan: plan, hc: hc, budget: budget, interval: interval, migrateTO: migrateTO,
-		leaseID: cfg.RouterID, leaseTTL: ttl, observe: cfg.Observe,
+		leaseID: cfg.RouterID, leaseTTL: ttl, observe: cfg.Observe, writer: rand.Text(),
 	}
 	for i, u := range cfg.URLs {
 		c := newClient(u, hc, &r.ringVer)
@@ -244,18 +247,26 @@ func (r *Router) Close() error {
 func (r *Router) Ready(ctx context.Context) error {
 	parts := r.remotes()
 	errs := make([]error, len(parts))
+	fanOut(parts, func(i int, p *remote) {
+		if err := p.ready(ctx); err != nil {
+			errs[i] = &PartitionError{Partition: p.idx, URL: p.url, Err: err}
+		}
+	})
+	return collect("Ready", errs)
+}
+
+// fanOut runs fn for every partition of parts, each in its own
+// goroutine, and returns once all have.
+func fanOut(parts []*remote, fn func(i int, p *remote)) {
 	var wg sync.WaitGroup
 	for i, p := range parts {
 		wg.Add(1)
-		go func(i int, p *remote) {
+		go func() {
 			defer wg.Done()
-			if err := p.ready(ctx); err != nil {
-				errs[i] = &PartitionError{Partition: p.idx, URL: p.url, Err: err}
-			}
-		}(i, p)
+			fn(i, p)
+		}()
 	}
 	wg.Wait()
-	return collect("Ready", errs)
 }
 
 // collect folds per-partition failures into one *RouteError (nil when
@@ -315,28 +326,6 @@ func downError(p *remote, lastErr error) *PartitionError {
 	}
 }
 
-// withRetry runs fn against one partition under the retry budget:
-// retryable failures (transport, 5xx) wait for /readyz and try again;
-// authoritative failures (4xx) return immediately. Exhausting the
-// budget yields a *PartitionError wrapping ErrPartitionDown.
-func (r *Router) withRetry(p *remote, fn func(ctx context.Context) error) error {
-	ctx, cancel := context.WithTimeout(context.Background(), r.budget)
-	defer cancel()
-	var lastErr error
-	for ctx.Err() == nil {
-		err := fn(ctx)
-		if err == nil {
-			return nil
-		}
-		if !retryable(err) {
-			return err
-		}
-		lastErr = err
-		r.awaitReady(ctx, p)
-	}
-	return downError(p, lastErr)
-}
-
 // writeAttemptCtx derives the context for one mutation attempt under
 // router HA: the parent (retry-budget) context capped at the write
 // lease's conservative expiry, renewing first when the lease has
@@ -361,27 +350,26 @@ func (r *Router) writeAttemptCtx(parent context.Context) (context.Context, conte
 	}
 }
 
-// withWriteRetry is withRetry for lease-fenced mutations: each attempt
-// runs under writeAttemptCtx, so a retry loop keeps renewing the lease
-// and no attempt outlives it. Exactly withRetry when HA is off.
-func (r *Router) withWriteRetry(p *remote, fn func(ctx context.Context) error) error {
-	if r.leaseID == "" {
-		return r.withRetry(p, fn)
-	}
+// withRetry runs fn against one partition under the retry budget:
+// retryable failures (transport, 5xx) wait for /readyz and try again;
+// authoritative failures (4xx) return immediately. Exhausting the
+// budget yields a *PartitionError wrapping ErrPartitionDown. A write is
+// lease-fenced: each attempt runs under writeAttemptCtx, so a retry
+// loop keeps renewing the lease and no attempt outlives it.
+func (r *Router) withRetry(p *remote, write bool, fn func(ctx context.Context) error) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.budget)
 	defer cancel()
 	var lastErr error
 	for ctx.Err() == nil {
-		actx, acancel, lerr := r.writeAttemptCtx(ctx)
-		if lerr != nil {
-			return lerr
+		actx, acancel := ctx, context.CancelFunc(func() {})
+		if write {
+			var err error
+			if actx, acancel, err = r.writeAttemptCtx(ctx); err != nil {
+				return err
+			}
 		}
 		err := fn(actx)
-		if err == nil {
-			acancel()
-			return nil
-		}
-		if !retryable(err) {
+		if err == nil || !retryable(err) {
 			acancel()
 			return err
 		}
@@ -443,24 +431,22 @@ func (r *Router) Add(name string, values ...string) (paretomon.Delivery, error) 
 // partition ingests the full batch against its own users, so the
 // merged deliveries — per-object union of each partition's targets,
 // sorted — match what a single monitor over the whole community would
-// deliver.
-//
-// Failure semantics: a partition that fails retryably is retried under
-// the budget, probing /readyz between attempts. Because a partition
-// may have applied the batch (fully or, after a crash mid-append, as a
-// prefix) before the response was lost, every retry first resolves the
-// applied prefix by probing GET /targets object by object — WAL records
-// apply in batch order — reconstructs those deliveries from current
-// targets, and re-sends only the remainder. The reconstruction is an
-// approximation in one corner: a user whose delivery was dominated by a
-// later object of the same batch before the crash is not re-reported.
-//
-// If any partition stays down past the budget the call returns a
-// *RouteError and the fleet may hold the batch partially; re-issuing
-// the same AddBatch is safe (applied partitions resolve it as the
-// prefix probe above) — see the failure playbook in
-// docs/PARTITIONING.md.
+// deliver. It is AddBatchOnce under the Router's own batch id: a batch
+// after a failed one whose encoded body is byte-identical reuses the
+// failed id, so re-sending a batch after a *RouteError applies it at
+// most once on every partition and answers with the deliveries of its
+// arrival. See the failure playbook in docs/PARTITIONING.md.
 func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error) {
+	return r.AddBatchOnce(paretomon.BatchID{}, objs)
+}
+
+// AddBatchOnce is AddBatch under the caller's batch id, which every
+// partition gets; the zero id selects the Router's own. A partition that
+// fails retryably is retried under the budget, probing /readyz between
+// attempts, and every attempt re-sends the same body under the same id:
+// a partition that applied the batch, or a prefix of it, before the
+// reply was lost answers that part from its memo and applies the rest.
+func (r *Router) AddBatchOnce(id paretomon.BatchID, objs []paretomon.Object) ([]paretomon.Delivery, error) {
 	if len(objs) == 0 {
 		return []paretomon.Delivery{}, nil
 	}
@@ -475,20 +461,26 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 	// (an early 409, say) and promises only to close it eventually.
 	body := wire.AppendBatch(make([]byte, 0, r.bodyHint), objs)
 	r.bodyHint = len(body)
+	own := id == (paretomon.BatchID{})
+	if own {
+		if r.failedBody == nil || !bytes.Equal(body, r.failedBody) {
+			r.seq++
+			r.failedID = paretomon.BatchID{Writer: r.writer, Seq: r.seq}
+		}
+		id, r.failedBody = r.failedID, nil
+	}
+	hdr := []string{id.String()}
 	var out []paretomon.Delivery
 	err := r.ringRetry("AddBatch", func() error {
 		parts := r.remotes()
 		results := make([][]paretomon.Delivery, len(parts))
 		errs := make([]error, len(parts))
-		var wg sync.WaitGroup
-		for i, p := range parts {
-			wg.Add(1)
-			go func(i int, p *remote) {
-				defer wg.Done()
-				results[i], errs[i] = r.addBatchOne(p, objs, body)
-			}(i, p)
-		}
-		wg.Wait()
+		fanOut(parts, func(i int, p *remote) {
+			errs[i] = r.withRetry(p, true, func(ctx context.Context) (err error) {
+				results[i], err = p.postBatch(ctx, body, hdr, objs)
+				return err
+			})
+		})
 		if err := collect("AddBatch", errs); err != nil {
 			return err
 		}
@@ -496,180 +488,12 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 		return nil
 	})
 	if err != nil {
+		if own {
+			r.failedBody = body
+		}
 		return nil, err
 	}
 	return out, nil
-}
-
-// addBatchOne lands one batch on one partition, resuming across
-// retryable failures per the AddBatch contract. body is the encoded
-// batch, shared read-only with the other partitions' calls; only a
-// retry that found a prefix applied encodes the remainder for itself.
-// The POST itself (the mutation) is lease-fenced via writeAttemptCtx;
-// the applied-prefix probes are reads and run under the plain budget.
-func (r *Router) addBatchOne(p *remote, objs []paretomon.Object, body []byte) ([]paretomon.Delivery, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.budget)
-	defer cancel()
-	if !p.counted {
-		// Once per partition set: a partition that cannot answer now is
-		// probed by name alone if this batch's reply is lost.
-		n, err := objectCount(ctx, p)
-		p.count, p.counted = n, err == nil
-	}
-	ds, err := r.landBatch(ctx, p, objs, body)
-	if err != nil {
-		p.counted = false
-		return nil, err
-	}
-	p.count += len(objs)
-	return ds, nil
-}
-
-// landBatch is addBatchOne's retry loop.
-func (r *Router) landBatch(ctx context.Context, p *remote, objs []paretomon.Object, body []byte) ([]paretomon.Delivery, error) {
-	var out []paretomon.Delivery // deliveries reconstructed by advanceApplied
-	start := 0                   // first object not known to be applied on p
-	from := 0                    // body encodes objs[from:]
-	ambiguous := false           // a failed attempt may have (partially) applied
-	var lastErr error
-	for start < len(objs) {
-		if ctx.Err() != nil {
-			return nil, downError(p, lastErr)
-		}
-		if ambiguous {
-			n, err := r.advanceApplied(ctx, p, objs, start, true, &out)
-			start = n // out holds the deliveries up to n, even on error
-			if err != nil {
-				if retryable(err) {
-					lastErr = err
-					r.awaitReady(ctx, p)
-					continue
-				}
-				return nil, err
-			}
-			ambiguous = false
-			if start == len(objs) {
-				break
-			}
-		}
-		if start != from {
-			body, from = wire.AppendBatch(nil, objs[start:]), start
-		}
-		actx, acancel, lerr := r.writeAttemptCtx(ctx)
-		if lerr != nil {
-			return nil, lerr
-		}
-		ds, err := p.postBatch(actx, body, objs[start:])
-		acancel()
-		if err == nil {
-			if out == nil {
-				return ds, nil
-			}
-			return append(out, ds...), nil
-		}
-		if !retryable(err) {
-			// A 4xx can still mean "already applied": a retry of a batch
-			// the partition fully holds is rejected as a duplicate name.
-			// The applied-prefix probe disambiguates.
-			n, perr := r.advanceApplied(ctx, p, objs, start, false, &out)
-			if perr == nil && n > start {
-				start = n
-				continue
-			}
-			return nil, err
-		}
-		lastErr = err
-		ambiguous = true
-		r.awaitReady(ctx, p)
-	}
-	return out, nil
-}
-
-// advanceApplied learns how much of the batch from start the partition
-// already holds — a crash mid-batch applies a prefix, in order — and
-// reconstructs those objects' deliveries from their current targets
-// (an applied object that has expired has none left). It probes GET
-// /targets from start, stopping at the first object not found: exact
-// on an append-only partition, and on a windowed one unless the batch
-// is longer than the window, when the partition may have applied an
-// object and expired it inside this very batch. So when the reply was
-// lost (lost: it never came, or was a retryable failure) and the
-// partition's count before the batch is known, the object count says
-// how many objects can have applied at most, and the newest of those
-// the partition holds ends the applied prefix: with one writer the
-// newest applied object is still in the window. A refused batch (a
-// 4xx, such as the duplicate name of a resent batch the partition
-// already holds) is probed from start only, so a resent batch whose
-// oldest objects have expired stays refused: resending is idempotent
-// only while the batch is in the window.
-//
-// Returns the index of the first object not applied.
-func (r *Router) advanceApplied(ctx context.Context, p *remote, objs []paretomon.Object, start int, lost bool, out *[]paretomon.Delivery) (int, error) {
-	for ; start < len(objs); start++ {
-		users, ok, err := probeTargets(ctx, p, objs[start].Name)
-		if err != nil || !ok {
-			if err != nil || !lost || !p.counted {
-				return start, err
-			}
-			break
-		}
-		*out = append(*out, paretomon.Delivery{Object: objs[start].Name, Users: users})
-	}
-	if start == len(objs) {
-		return start, nil
-	}
-	now, err := objectCount(ctx, p)
-	if err != nil {
-		return start, err
-	}
-	end := min(len(objs), now-p.count)
-	var found []paretomon.Delivery
-	for ; end > start; end-- {
-		users, ok, err := probeTargets(ctx, p, objs[end-1].Name)
-		if err != nil {
-			return start, err
-		}
-		if ok {
-			found = append(found, paretomon.Delivery{Object: objs[end-1].Name, Users: users})
-			break
-		}
-	}
-	for i := end - 2; i > start; i-- {
-		users, _, err := probeTargets(ctx, p, objs[i].Name)
-		if err != nil {
-			return start, err
-		}
-		found = append(found, paretomon.Delivery{Object: objs[i].Name, Users: users})
-	}
-	if end > start {
-		found = append(found, paretomon.Delivery{Object: objs[start].Name})
-	}
-	slices.Reverse(found)
-	*out = append(*out, found...)
-	return max(end, start), nil
-}
-
-// objectCount reads a partition's object count.
-func objectCount(ctx context.Context, p *remote) (int, error) {
-	var reply struct {
-		Count int `json:"count"`
-	}
-	err := p.do(ctx, http.MethodGet, "/objects/count", nil, &reply)
-	return reply.Count, err
-}
-
-// probeTargets reads an object's current targets from a partition; ok is
-// false when the partition does not know the object.
-func probeTargets(ctx context.Context, p *remote, name string) (users []string, ok bool, err error) {
-	var reply targetsReply
-	if err := p.do(ctx, http.MethodGet, "/targets/"+url.PathEscape(name), nil, &reply); err != nil {
-		var se *StatusError
-		if errors.As(err, &se) && se.Status == http.StatusNotFound {
-			return nil, false, nil
-		}
-		return nil, false, err
-	}
-	return reply.Users, true, nil
 }
 
 // mergeDeliveries unions each object's per-partition targets into one
@@ -721,14 +545,10 @@ func (r *Router) ringRetry(op string, fn func() error) error {
 // users that exist, until failover. write selects the lease-fenced
 // retry loop for mutations.
 func (r *Router) ownerOp(user string, write bool, fn func(ctx context.Context, p *remote) error) error {
-	retry := r.withRetry
-	if write {
-		retry = r.withWriteRetry
-	}
 	attempt := func() error {
 		return r.ringRetry("ownerOp", func() error {
 			p := r.remotes()[r.Owner(user)]
-			return retry(p, func(ctx context.Context) error { return fn(ctx, p) })
+			return r.withRetry(p, write, func(ctx context.Context) error { return fn(ctx, p) })
 		})
 	}
 	err := attempt()
@@ -819,22 +639,16 @@ func (r *Router) RemoveObject(name string) error {
 	return r.ringRetry("RemoveObject", func() error {
 		parts := r.remotes()
 		errs := make([]error, len(parts))
-		var wg sync.WaitGroup
 		notFound := make([]bool, len(parts))
-		for i, p := range parts {
-			wg.Add(1)
-			go func(i int, p *remote) {
-				defer wg.Done()
-				errs[i] = r.withWriteRetry(p, func(ctx context.Context) error {
-					return p.do(ctx, http.MethodDelete, "/objects/"+url.PathEscape(name), nil, nil)
-				})
-				var se *StatusError
-				if errs[i] != nil && errors.As(errs[i], &se) && se.Status == http.StatusNotFound {
-					notFound[i] = true
-				}
-			}(i, p)
-		}
-		wg.Wait()
+		fanOut(parts, func(i int, p *remote) {
+			errs[i] = r.withRetry(p, true, func(ctx context.Context) error {
+				return p.do(ctx, http.MethodDelete, "/objects/"+url.PathEscape(name), nil, nil)
+			})
+			var se *StatusError
+			if errs[i] != nil && errors.As(errs[i], &se) && se.Status == http.StatusNotFound {
+				notFound[i] = true
+			}
+		})
 		// All partitions ingest every object, so 404s agree — except on a
 		// retry after partial failure, where partitions that already removed
 		// it answer 404 and must count as success.
@@ -873,17 +687,11 @@ func (r *Router) TargetsOf(object string) ([]string, error) {
 	parts := r.remotes()
 	replies := make([]targetsReply, len(parts))
 	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			errs[i] = r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodGet, "/targets/"+url.PathEscape(object), nil, &replies[i])
-			})
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(parts, func(i int, p *remote) {
+		errs[i] = r.withRetry(p, false, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodGet, "/targets/"+url.PathEscape(object), nil, &replies[i])
+		})
+	})
 	for _, err := range errs {
 		if err != nil {
 			var se *StatusError
@@ -909,17 +717,11 @@ func (r *Router) TargetsOf(object string) ([]string, error) {
 func (r *Router) Users() []string {
 	parts := r.remotes()
 	lists := make([][]string, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			_ = r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodGet, "/users", nil, &lists[i])
-			})
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(parts, func(i int, p *remote) {
+		_ = r.withRetry(p, false, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodGet, "/users", nil, &lists[i])
+		})
+	})
 	users := []string{}
 	for _, l := range lists {
 		users = append(users, l...)
@@ -936,17 +738,11 @@ func (r *Router) Users() []string {
 func (r *Router) Clusters() [][]string {
 	parts := r.remotes()
 	lists := make([][][]string, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			_ = r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodGet, "/clusters", nil, &lists[i])
-			})
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(parts, func(i int, p *remote) {
+		_ = r.withRetry(p, false, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodGet, "/clusters", nil, &lists[i])
+		})
+	})
 	out := [][]string{}
 	for _, l := range lists {
 		out = append(out, l...)
@@ -989,23 +785,17 @@ type FleetStats struct {
 func (r *Router) FleetStats() FleetStats {
 	parts := r.remotes()
 	out := FleetStats{Partitions: make([]PartitionStats, len(parts))}
-	var wg sync.WaitGroup
-	for i, p := range parts {
+	fanOut(parts, func(i int, p *remote) {
 		out.Partitions[i] = PartitionStats{Partition: p.idx, URL: p.url}
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			err := r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodGet, "/stats", nil, &out.Partitions[i].Stats)
-			})
-			if err != nil {
-				out.Partitions[i].Err = err.Error()
-			} else {
-				out.Partitions[i].Ready = true
-			}
-		}(i, p)
-	}
-	wg.Wait()
+		err := r.withRetry(p, false, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodGet, "/stats", nil, &out.Partitions[i].Stats)
+		})
+		if err != nil {
+			out.Partitions[i].Err = err.Error()
+		} else {
+			out.Partitions[i].Ready = true
+		}
+	})
 	for _, ps := range out.Partitions {
 		s := ps.Stats
 		out.Comparisons += s.Comparisons
@@ -1046,24 +836,18 @@ type FleetStorageStats struct {
 func (r *Router) StorageStats() FleetStorageStats {
 	parts := r.remotes()
 	out := FleetStorageStats{Partitions: make([]PartitionStorage, len(parts))}
-	var wg sync.WaitGroup
-	for i, p := range parts {
+	fanOut(parts, func(i int, p *remote) {
 		out.Partitions[i] = PartitionStorage{Partition: p.idx, URL: p.url}
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			var st paretomon.StoreStats
-			err := r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodGet, "/storage/stats", nil, &st)
-			})
-			if err != nil {
-				out.Partitions[i].Err = err.Error()
-				return
-			}
-			out.Partitions[i].Storage = &st
-		}(i, p)
-	}
-	wg.Wait()
+		var st paretomon.StoreStats
+		err := r.withRetry(p, false, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodGet, "/storage/stats", nil, &st)
+		})
+		if err != nil {
+			out.Partitions[i].Err = err.Error()
+			return
+		}
+		out.Partitions[i].Storage = &st
+	})
 	for _, ps := range out.Partitions {
 		if ps.Storage == nil {
 			continue
@@ -1084,16 +868,10 @@ func (r *Router) Snapshot() error {
 	defer r.mu.Unlock()
 	parts := r.remotes()
 	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *remote) {
-			defer wg.Done()
-			errs[i] = r.withRetry(p, func(ctx context.Context) error {
-				return p.do(ctx, http.MethodPost, "/snapshot", nil, nil)
-			})
-		}(i, p)
-	}
-	wg.Wait()
+	fanOut(parts, func(i int, p *remote) {
+		errs[i] = r.withRetry(p, false, func(ctx context.Context) error {
+			return p.do(ctx, http.MethodPost, "/snapshot", nil, nil)
+		})
+	})
 	return collect("Snapshot", errs)
 }

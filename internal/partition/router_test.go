@@ -364,10 +364,11 @@ func TestRouterPartitionDown(t *testing.T) {
 
 // TestRouterRetryResume: a partition that applies a batch but loses the
 // response (injected 500) must not double-apply on retry — the Router
-// probes the applied prefix and reconstructs, and the fleet stays
-// identical to the reference. Under a window shorter than the batch the
-// batch's oldest objects have expired by the time of the probe, and must
-// still count as applied.
+// re-sends the batch under the same id, the partition answers it from its
+// memo, and reply and fleet are exactly the reference's. Under a window
+// shorter than the batch the batch's oldest objects have expired by the
+// time of the retry, and their deliveries are still the ones of their
+// arrival.
 func TestRouterRetryResume(t *testing.T) {
 	for _, window := range []int{0, 8} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) { testRouterRetryResume(t, window) })
@@ -414,34 +415,13 @@ func testRouterRetryResume(t *testing.T, window int) {
 	if err != nil {
 		t.Fatalf("AddBatch through flaky partition: %v", err)
 	}
-	// Exactly one POST: the batch applied on the first (failed) attempt,
-	// so the retry must resolve it entirely from the targets probe —
-	// a second POST would mean a blind, double-applying resend.
-	if injected.Load() != 1 {
-		t.Fatalf("%d POSTs to the flaky partition, want exactly 1 (probe-resumed)", injected.Load())
+	// Two POSTs: the one whose reply was lost, and its re-send, which the
+	// partition answers from its memo without applying anything again.
+	if injected.Load() != 2 {
+		t.Fatalf("%d POSTs to the flaky partition, want 2", injected.Load())
 	}
-	// Resumed deliveries are reconstructed from current targets — the
-	// documented approximation: append-only, a subset of the at-arrival
-	// delivery (users whose delivery a later object of the same batch
-	// dominated are not re-reported), never anything extra. Under a window
-	// current targets also gain the users an expiry promoted the object
-	// for, so only the objects are compared.
-	for i := range want {
-		if want[i].Object != got[i].Object {
-			t.Fatalf("delivery %d: object %q vs %q", i, want[i].Object, got[i].Object)
-		}
-		if window > 0 {
-			continue
-		}
-		ref := map[string]bool{}
-		for _, u := range want[i].Users {
-			ref[u] = true
-		}
-		for _, u := range got[i].Users {
-			if !ref[u] {
-				t.Fatalf("delivery %q reports user %s the reference never delivered to", got[i].Object, u)
-			}
-		}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("deliveries after the retry differ:\nreference %v\nrouter    %v", want, got)
 	}
 	// No double-apply: stream positions agree with the reference.
 	if rs, ms := rt.Stats(), f.ref.Stats(); rs.Processed != ms.Processed {
@@ -511,31 +491,60 @@ func TestRouterLostRequestWithHeldName(t *testing.T) {
 	}
 }
 
-// TestRouterIdempotentReplay: re-sending an entire batch the fleet
-// already holds resolves as applied (the duplicate 4xx is disambiguated
-// by the targets probe) instead of failing — the recovery path the
-// failure playbook prescribes after a partial RouteError.
+// TestRouterIdempotentReplay: re-sending a batch after a *RouteError —
+// the recovery path the failure playbook prescribes — lands it exactly
+// once: the partitions that applied it answer from their memo, the one
+// that was down applies it, and the reply is the reference's. A batch
+// re-sent after it succeeded is a new batch, refused as a duplicate
+// exactly as a single monitor refuses it.
 func TestRouterIdempotentReplay(t *testing.T) {
 	com := testCommunity(t, 24)
 	f := startFleet(t, com, 3)
 	defer f.close()
-
-	objs := stream(20)
-	first, err := f.router.AddBatch(objs)
+	var down atomic.Bool
+	backend := f.https[2].Config.Handler
+	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		backend.ServeHTTP(w, r)
+	}))
+	defer flaky.Close()
+	rt, err := partition.New(partition.Config{
+		URLs:          []string{f.https[0].URL, f.https[1].URL, flaky.URL},
+		RetryBudget:   200 * time.Millisecond,
+		RetryInterval: 5 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := f.router.AddBatch(objs)
+
+	objs := stream(20)
+	want, err := f.ref.AddBatch(objs)
 	if err != nil {
-		t.Fatalf("replaying an applied batch: %v", err)
+		t.Fatal(err)
 	}
-	// The replay reconstructs from current targets: every delivery's
-	// users are a subset of the original (objects dominated since then
-	// report fewer), and frontiers are untouched.
-	if len(again) != len(first) {
-		t.Fatalf("replay returned %d deliveries, want %d", len(again), len(first))
+	down.Store(true)
+	if _, err := rt.AddBatch(objs); !errors.Is(err, partition.ErrPartitionDown) {
+		t.Fatalf("AddBatch with partition 2 down = %v, want ErrPartitionDown", err)
 	}
-	if rs := f.router.Stats(); rs.Processed != uint64(len(objs)) {
-		t.Fatalf("replay double-applied: Processed = %d, want %d", rs.Processed, len(objs))
+	down.Store(false)
+	got, err := rt.AddBatch(objs)
+	if err != nil {
+		t.Fatalf("re-sending the batch after a RouteError: %v", err)
 	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("re-sent batch:\nreference %v\nrouter    %v", want, got)
+	}
+	f.router = rt
+	assertIdentical(t, f, len(objs))
+
+	_, errRef := f.ref.AddBatch(objs)
+	_, errRt := rt.AddBatch(objs)
+	var se *partition.StatusError
+	if !errors.Is(errRef, paretomon.ErrDuplicateObject) || !errors.As(errRt, &se) || se.Status != http.StatusBadRequest {
+		t.Fatalf("re-sending a batch that succeeded: reference %v, router %v; want a duplicate, a 400", errRef, errRt)
+	}
+	assertIdentical(t, f, len(objs))
 }

@@ -78,9 +78,9 @@ func routerOver(t *testing.T, budget time.Duration, urls ...string) *partition.R
 
 // TestRouterRejectsMismatchedReply: a partition that answers 200 with
 // fewer (or more, or other) deliveries than objects sent used to index
-// mergeDeliveries out of range. It is now a lost reply: retried, the
-// applied-prefix probe finds nothing applied, and when the budget runs
-// out the caller gets the typed fleet error.
+// mergeDeliveries out of range. It is now a lost reply: retried under the
+// same batch id, and when the budget runs out the caller gets the typed
+// fleet error.
 func TestRouterRejectsMismatchedReply(t *testing.T) {
 	objs := []paretomon.Object{{Name: "o1", Values: []string{"a"}}, {Name: "o2", Values: []string{"b"}}}
 	for name, reply := range map[string]string{
@@ -176,9 +176,9 @@ func TestRouterDecodesAnyJSONReply(t *testing.T) {
 }
 
 // TestRouterResendsOnlyUnappliedSuffix: a partition that crashed after
-// applying a prefix of the batch gets only the remainder on the retry,
-// encoded for it alone — the other partition's single POST is the whole
-// batch — and the fleet ends identical to the reference.
+// applying a prefix of the batch gets the same body under the same batch
+// id on the retry; it skips the prefix it applied, applies only the
+// remainder, and reply and fleet end exactly the reference's.
 func TestRouterResendsOnlyUnappliedSuffix(t *testing.T) {
 	com := testCommunity(t, 16)
 	f := startFleet(t, com, 2)
@@ -201,8 +201,9 @@ func TestRouterResendsOnlyUnappliedSuffix(t *testing.T) {
 		mu.Unlock()
 		if first {
 			// The crash: a prefix reaches the backend, the reply is lost.
-			prefix := string(wire.AppendBatch(nil, objs[:applied]))
-			backend.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/objects/batch", strings.NewReader(prefix)))
+			prefix := httptest.NewRequest(http.MethodPost, "/objects/batch", strings.NewReader(string(wire.AppendBatch(nil, objs[:applied]))))
+			prefix.Header = r.Header
+			backend.ServeHTTP(httptest.NewRecorder(), prefix)
 			w.WriteHeader(http.StatusInternalServerError)
 			fmt.Fprintln(w, `{"error": "injected: crashed mid-batch"}`)
 			return
@@ -213,19 +214,20 @@ func TestRouterResendsOnlyUnappliedSuffix(t *testing.T) {
 	defer flaky.Close()
 
 	rt := routerOver(t, 5*time.Second, flaky.URL, f.https[1].URL)
-	if _, err := f.ref.AddBatch(objs); err != nil {
+	want, err := f.ref.AddBatch(objs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ds, err := rt.AddBatch(objs)
 	if err != nil {
 		t.Fatalf("AddBatch through the crashing partition: %v", err)
 	}
-	if len(ds) != len(objs) {
-		t.Fatalf("%d deliveries for %d objects", len(ds), len(objs))
+	if !reflect.DeepEqual(want, ds) {
+		t.Fatalf("deliveries after the crash:\nreference %v\nrouter    %v", want, ds)
 	}
-	whole, rest := string(wire.AppendBatch(nil, objs)), string(wire.AppendBatch(nil, objs[applied:]))
-	if len(posts) != 2 || posts[0] != whole || posts[1] != rest {
-		t.Fatalf("POSTs to the crashing partition:\n got %q\nwant %q", posts, []string{whole, rest})
+	whole := string(wire.AppendBatch(nil, objs))
+	if len(posts) != 2 || posts[0] != whole || posts[1] != whole {
+		t.Fatalf("POSTs to the crashing partition:\n got %q\nwant the whole batch twice %q", posts, whole)
 	}
 	if rs, ms := rt.Stats(), f.ref.Stats(); rs.Processed != ms.Processed {
 		t.Fatalf("Processed after resume: router %d, reference %d", rs.Processed, ms.Processed)

@@ -52,13 +52,15 @@ import (
 // single-tenant server.
 type Gate interface {
 	// ReserveObjects admits the named objects or refuses them all
-	// atomically; on a refused multi-object batch the error is a
+	// atomically, and returns how many it reserved: names the monitor
+	// already holds (a re-sent batch's applied prefix) are not charged.
+	// On a refused multi-object batch the error is a
 	// *paretomon.BatchError locating the first object over the limit.
-	ReserveObjects(names []string) error
-	// ReleaseObjects ends a reservation once its monitor call has
-	// returned, whatever the outcome: from then on the monitor's alive
-	// count meters what the call added, and removal or window expiry
-	// lowers it.
+	ReserveObjects(names []string) (int, error)
+	// ReleaseObjects ends a reservation of n objects once its monitor
+	// call has returned, whatever the outcome: from then on the
+	// monitor's alive count meters what the call added, and removal or
+	// window expiry lowers it.
 	ReleaseObjects(n int)
 	ReserveUser() error
 	UnreserveUser()
@@ -79,6 +81,8 @@ type Gate interface {
 //	  → 200 {"object": "o1", "users": ["c2"]}
 //	POST   /objects/batch     {"objects": [{"name": "o1", "values": [...]}, ...]}
 //	  → 200 {"deliveries": [{"object": "o1", "users": [...]}, ...]}
+//	  with X-Paretomon-Batch: <writer>/<seq>, a re-sent batch applies once
+//	  and is answered as at arrival (paretomon.Monitor.AddBatchOnce)
 //	DELETE /objects/{object}  → 200 {"status": "ok"}          (v3 lifecycle)
 //	POST   /users             {"name": "c9", "preferences": [{"attribute": "brand",
 //	                           "better": "Apple", "worse": "Sony"}, ...]}
@@ -261,9 +265,10 @@ func statusOf(err error) int {
 		// The feed position was pruned away: re-bootstrap via
 		// GET /snapshot/latest.
 		return http.StatusGone
-	case errors.Is(err, paretomon.ErrMigrateMismatch):
-		// Stream positions disagree; the orchestrator aligns (object
-		// sync under the write freeze) and retries.
+	case errors.Is(err, paretomon.ErrMigrateMismatch), errors.Is(err, paretomon.ErrBatchConflict):
+		// Stream positions disagree (the orchestrator aligns, object sync
+		// under the write freeze, and retries), or a batch id contradicts
+		// the writer's last batch.
 		return http.StatusConflict
 	case errors.Is(err, paretomon.ErrMonitorClosed):
 		return http.StatusServiceUnavailable
@@ -430,11 +435,12 @@ func (f *facade) handleObjects(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if f.gate != nil {
-		if err := f.gate.ReserveObjects([]string{o.Name}); err != nil {
+		n, err := f.gate.ReserveObjects([]string{o.Name})
+		if err != nil {
 			writeError(w, err)
 			return
 		}
-		defer f.gate.ReleaseObjects(1)
+		defer f.gate.ReleaseObjects(n)
 	}
 	d, err := f.drv.Add(o.Name, o.Values...)
 	if err != nil {
@@ -448,6 +454,14 @@ func (f *facade) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !f.admit(w, r) {
 		return
 	}
+	var id paretomon.BatchID
+	if h := r.Header.Get(partition.BatchHeader); h != "" {
+		var err error
+		if id, err = paretomon.ParseBatchID(h); err != nil {
+			writeError(w, err)
+			return
+		}
+	}
 	objs, ok := readBody(w, r, wire.DecodeBatch)
 	if !ok {
 		return
@@ -460,13 +474,14 @@ func (f *facade) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The gate refuses the whole batch atomically, matching
 		// AddBatch's own all-or-nothing contract: a mid-batch quota hit
 		// ingests nothing.
-		if err := f.gate.ReserveObjects(names); err != nil {
+		n, err := f.gate.ReserveObjects(names)
+		if err != nil {
 			writeError(w, err)
 			return
 		}
-		defer f.gate.ReleaseObjects(len(objs))
+		defer f.gate.ReleaseObjects(n)
 	}
-	ds, err := f.drv.AddBatch(objs)
+	ds, err := f.drv.AddBatchOnce(id, objs)
 	if err != nil {
 		writeError(w, err)
 		return

@@ -317,6 +317,42 @@ func TestBatchIngestion(t *testing.T) {
 	}
 }
 
+// TestBatchHeaderRetry: a client that did not get the reply to a POST
+// /objects/batch re-sends it under the same X-Paretomon-Batch header and
+// gets the very bytes of the first answer, without a second ingest —
+// also from a restarted server, which rebuilt the answer from its WAL.
+func TestBatchHeaderRetry(t *testing.T) {
+	ts, mon, com, dir := newDurableTestServer(t)
+	const body = `{"objects":[{"name":"o1","values":["Lenovo","dual"]},{"name":"o2","values":["Apple","quad"]},{"name":"o3","values":["Toshiba","single"]}]}`
+	first := doRaw(t, "POST", ts.URL+"/objects/batch", body, "client-7/1")
+	if first.status != 200 {
+		t.Fatalf("first POST: %+v", first)
+	}
+	if again := doRaw(t, "POST", ts.URL+"/objects/batch", body, "client-7/1"); again != first {
+		t.Fatalf("retry answered %+v, first %+v", again, first)
+	}
+	if n := mon.ObjectCount(); n != 3 {
+		t.Fatalf("ObjectCount = %d after a retried batch of 3", n)
+	}
+	ts.Close()
+	if err := mon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mon, err := paretomon.Open(com, dir, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	ts = httptest.NewServer(server.New(mon))
+	defer ts.Close()
+	if again := doRaw(t, "POST", ts.URL+"/objects/batch", body, "client-7/1"); again != first {
+		t.Fatalf("retry after a restart answered %+v, first %+v", again, first)
+	}
+	if plain := doRaw(t, "POST", ts.URL+"/objects/batch", body, ""); plain.status != 400 {
+		t.Fatalf("re-sent without the header: %+v, want a duplicate's 400", plain)
+	}
+}
+
 func TestTargetsEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	post(t, ts.URL+"/objects", `{"name":"o1","values":["Lenovo","dual"]}`)

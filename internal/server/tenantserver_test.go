@@ -180,6 +180,28 @@ func TestTenantServerQuota429(t *testing.T) {
 	}
 }
 
+// TestTenantServerQuotaReplay: a batch that filled an append-only
+// tenant's max_objects, re-sent under its batch id, is answered from the
+// monitor's memo: the names it holds are not charged again, so the
+// retry gets the original reply instead of a 429.
+func TestTenantServerQuotaReplay(t *testing.T) {
+	spec := fleetSpec("small")
+	spec.Quotas.MaxObjects = 2
+	ts, _ := newFleet(t, nil, nil, spec)
+	url := ts.URL + "/t/small/objects/batch"
+	const body = `{"objects":[{"name":"o1","values":["Apple","quad"]},{"name":"o2","values":["Lenovo","dual"]}]}`
+	first := doRaw(t, "POST", url, body, "feed/1")
+	if first.status != 200 {
+		t.Fatalf("batch filling the quota: %+v", first)
+	}
+	if again := doRaw(t, "POST", url, body, "feed/1"); again != first {
+		t.Fatalf("retry answered %+v, first %+v", again, first)
+	}
+	if fresh := doRaw(t, "POST", url, `{"objects":[{"name":"o3","values":["Apple","dual"]}]}`, "feed/2"); fresh.status != 429 {
+		t.Fatalf("a new object past the quota: %+v, want 429", fresh)
+	}
+}
+
 func TestTenantServerUserQuota(t *testing.T) {
 	spec := fleetSpec("u")
 	spec.Quotas.MaxUsers = 2

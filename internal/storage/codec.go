@@ -150,6 +150,7 @@ func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b) }
 //
 //	uvar seq, u8 op, then per op:
 //	  OpObject:            str name, list<str> values
+//	                       [str writer, uvar batch]  (v4, tagged only)
 //	  OpPreference:        str user, str attr, str better, str worse
 //	  OpAddUser:           str name, list<pref>(str attr, str better, str worse)
 //	  OpRemoveUser:        str user
@@ -163,6 +164,10 @@ func encodeRecord(rec Record) []byte {
 	case OpObject:
 		e.str(rec.Name)
 		e.strs(rec.Values)
+		if rec.Writer != "" {
+			e.str(rec.Writer)
+			e.uvar(rec.Batch)
+		}
 	case OpPreference, OpRetractPreference:
 		e.str(rec.User)
 		e.str(rec.Attr)
@@ -192,6 +197,12 @@ func decodeRecord(b []byte) (Record, error) {
 	case OpObject:
 		rec.Name = d.str()
 		rec.Values = d.strs()
+		if !d.fail && d.pos < len(b) {
+			rec.Writer, rec.Batch = d.str(), d.uvar()
+			if !d.fail && (rec.Writer == "" || rec.Batch == 0) {
+				return Record{}, fmt.Errorf("%w: malformed batch tag on WAL record", ErrCorrupt)
+			}
+		}
 	case OpPreference, OpRetractPreference:
 		rec.User = d.str()
 		rec.Attr = d.str()
@@ -237,6 +248,11 @@ func decodeRecord(b []byte) (Record, error) {
 //	list<obj> objects                   (str name, u8 alive, nDims × uvar attr)
 //	uvar ×5 counters                    (comparisons, filter, verify, delivered, processed)
 //	engine state                        (see encodeEngine)
+//	list<memo> batches                  (v4: str writer, uvar seq, uvar start,
+//	                                     list<str> objects, per object list<str> users)
+//
+// A body that ends after the engine state has no memos: a v3 body, or a
+// v4 one with none to write (the section is left out, not written empty).
 func (s *Snapshot) Marshal() []byte {
 	e := &enc{b: make([]byte, 0, 1024)}
 	e.u8(s.Algorithm)
@@ -286,6 +302,18 @@ func (s *Snapshot) Marshal() []byte {
 	e.uvar(s.Counters.Delivered)
 	e.uvar(s.Counters.Processed)
 	encodeEngine(e, s.Engine, dims)
+	if len(s.Batches) > 0 {
+		e.uvar(uint64(len(s.Batches)))
+	}
+	for _, bm := range s.Batches {
+		e.str(bm.Writer)
+		e.uvar(bm.Seq)
+		e.uvar(bm.Start)
+		e.strs(bm.Objects)
+		for _, users := range bm.Users {
+			e.strs(users)
+		}
+	}
 	return e.b
 }
 
@@ -349,6 +377,17 @@ func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	var err error
 	if s.Engine, err = decodeEngine(d, dims, s.Objects); err != nil {
 		return nil, err
+	}
+	n := 0
+	if d.pos < len(b) { // a v3 body ends here
+		n = d.length()
+	}
+	for len(s.Batches) < n && !d.fail {
+		bm := BatchMemo{Writer: d.str(), Seq: d.uvar(), Start: d.uvar(), Objects: d.strs()}
+		for range bm.Objects {
+			bm.Users = append(bm.Users, d.strs())
+		}
+		s.Batches = append(s.Batches, bm)
 	}
 	if !d.done() {
 		if err := d.err(); err != nil {

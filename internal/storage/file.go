@@ -266,8 +266,8 @@ func (f *FileStore) readSegment(path string) ([]Record, error) {
 	if string(data[:6]) != walMagic {
 		return nil, fmt.Errorf("%w: %s: bad WAL magic", ErrCorrupt, filepath.Base(path))
 	}
-	if v := binary.LittleEndian.Uint16(data[6:8]); v != FormatVersion {
-		return nil, fmt.Errorf("%w: %s: WAL format version %d, this build reads %d", ErrVersion, filepath.Base(path), v, FormatVersion)
+	if v := binary.LittleEndian.Uint16(data[6:8]); v < oldestReadable || v > FormatVersion {
+		return nil, fmt.Errorf("%w: %s: WAL format version %d, this build reads %d to %d", ErrVersion, filepath.Base(path), v, oldestReadable, FormatVersion)
 	}
 	var recs []Record
 	pos := walHeaderLen
@@ -382,8 +382,8 @@ func (f *FileStore) readSnapshot(path string) (uint64, []byte, error) {
 	if len(data) < snapHeaderLen || string(data[:6]) != snapMagic {
 		return 0, nil, fmt.Errorf("%w: %s: bad snapshot header", ErrCorrupt, filepath.Base(path))
 	}
-	if v := binary.LittleEndian.Uint16(data[6:8]); v != FormatVersion {
-		return 0, nil, fmt.Errorf("%w: %s: snapshot format version %d, this build reads %d", ErrVersion, filepath.Base(path), v, FormatVersion)
+	if v := binary.LittleEndian.Uint16(data[6:8]); v < oldestReadable || v > FormatVersion {
+		return 0, nil, fmt.Errorf("%w: %s: snapshot format version %d, this build reads %d to %d", ErrVersion, filepath.Base(path), v, oldestReadable, FormatVersion)
 	}
 	seq := binary.LittleEndian.Uint64(data[8:16])
 	n := int(binary.LittleEndian.Uint32(data[16:20]))

@@ -18,9 +18,12 @@ import (
 //	go test -run=^$ -fuzz=FuzzDecodeRecord -fuzztime=60s ./internal/storage
 
 func FuzzDecodeRecord(f *testing.F) {
-	for _, rec := range append(sampleRecords(), lifecycleRecords()...) {
+	for _, rec := range append(append(sampleRecords(), lifecycleRecords()...), taggedRecords()...) {
 		f.Add(encodeRecord(rec))
 	}
+	// A tagged record cut inside its tag.
+	tagged := encodeRecord(taggedRecords()[0])
+	f.Add(tagged[:len(tagged)-3])
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0x01, 0xff})
@@ -69,6 +72,10 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 	oob := sampleSnapshot()
 	oob.Engine.UserFronts[0][0].ID = 99
 	f.Add(oob.Marshal())
+	// Batch memos (format v4), whole and cut inside the section.
+	memo := memoSnapshot().Marshal()
+	f.Add(memo)
+	f.Add(memo[:len(memo)-4])
 	f.Fuzz(func(t *testing.T, b []byte) {
 		snap, err := UnmarshalSnapshot(b)
 		if err != nil {

@@ -24,7 +24,13 @@ import (
 //	   object dedup table is gone; frontier, buffer, and ring entries
 //	   are bare object ids resolved against the snapshot's object
 //	   table (ids are dense indices into it).
-const FormatVersion = 3
+//	4  exactly-once batches: each OpObject record of a batch appended
+//	   under a batch id carries the id, and the snapshot body ends with
+//	   each writer's last-batch memo. A v4 build reads v3 files (no
+//	   tags, a body that ends before the memos).
+const FormatVersion = 4
+
+const oldestReadable = 3 // the oldest version this build reads
 
 var (
 	// ErrCorrupt reports on-disk state that cannot be trusted: a bad
@@ -84,6 +90,11 @@ type Record struct {
 	Seq uint64
 	// Op selects which of the field groups below is meaningful.
 	Op Op
+	// Writer and Batch tag each OpObject record of an AddBatchOnce
+	// append with its batch id: writer Writer's batch Batch. Zero on
+	// every other record.
+	Writer string
+	Batch  uint64
 
 	// Name and Values describe an OpObject record: the object's unique
 	// name and its attribute values in schema order. OpRemoveObject uses
@@ -242,4 +253,17 @@ type Snapshot struct {
 	// Engine is the engine-facing state: frontiers in scan order,
 	// window ring, and Pareto frontier buffers.
 	Engine *core.EngineState
+	// Batches holds each remembered writer's last-batch memo (v4).
+	Batches []BatchMemo
+}
+
+// BatchMemo is what a monitor remembers of one writer's last batch: its
+// seq, the stream position it started at, and each applied object's
+// name and at-arrival delivery, in batch order.
+type BatchMemo struct {
+	Writer  string
+	Seq     uint64
+	Start   uint64
+	Objects []string
+	Users   [][]string
 }

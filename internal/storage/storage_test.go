@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -35,8 +36,27 @@ func lifecycleRecords() []Record {
 	}
 }
 
+// taggedRecords is a batch append made under a batch id: every object
+// record carries it.
+func taggedRecords() []Record {
+	return []Record{
+		{Seq: 9, Op: OpObject, Name: "o5", Values: []string{"a", "b"}, Writer: "feed-1", Batch: 7},
+		{Seq: 10, Op: OpObject, Name: "o6", Values: []string{"b", "a"}, Writer: "feed-1", Batch: 7},
+	}
+}
+
+// memoSnapshot is sampleSnapshot carrying two writers' batch memos.
+func memoSnapshot() *Snapshot {
+	s := sampleSnapshot()
+	s.Batches = []BatchMemo{
+		{Writer: "feed-1", Seq: 7, Start: 0, Objects: []string{"o1", "o2"}, Users: [][]string{{"alice", "carol"}, {}}},
+		{Writer: "r.2_x", Seq: 1, Start: 2, Objects: []string{"o3"}, Users: [][]string{{"carol"}}},
+	}
+	return s
+}
+
 func TestRecordCodecRoundTrip(t *testing.T) {
-	for _, rec := range append(sampleRecords(), lifecycleRecords()...) {
+	for _, rec := range append(append(sampleRecords(), lifecycleRecords()...), taggedRecords()...) {
 		got, err := decodeRecord(encodeRecord(rec))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", rec, err)
@@ -60,6 +80,51 @@ func TestRecordCodecRejectsDamage(t *testing.T) {
 	}
 	if _, err := decodeRecord(append(append([]byte{}, payload...), 0)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: want ErrCorrupt")
+	}
+}
+
+// TestBatchTagCodec: an untagged object record encodes exactly as in
+// format v3, a tag rides behind the values, and a tag that is cut or
+// malformed (empty writer, batch 0) is ErrCorrupt.
+func TestBatchTagCodec(t *testing.T) {
+	tagged := taggedRecords()[0]
+	plain := tagged
+	plain.Writer, plain.Batch = "", 0
+	payload, untagged := encodeRecord(tagged), encodeRecord(plain)
+	if !bytes.HasPrefix(payload, untagged) || len(payload) != len(untagged)+len("feed-1")+2 {
+		t.Fatalf("tagged payload %x does not extend the untagged %x by the tag", payload, untagged)
+	}
+	if _, err := decodeRecord(encodeRecord(Record{Seq: 1, Op: OpObject, Name: "o", Writer: "w"})); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("tag with batch 0: got %v, want ErrCorrupt", err)
+	}
+	for cut := len(untagged) + 1; cut < len(payload); cut++ {
+		if _, err := decodeRecord(payload[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("tag cut at %d of %d: got %v, want ErrCorrupt", cut, len(payload), err)
+		}
+	}
+	if _, err := decodeRecord(append(untagged, 0, 1)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("empty writer: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestSnapshotMemoSection: memos round-trip as the body's last section; a
+// body without memos leaves the section out, so it is a v3 body; a cut
+// inside the section is ErrCorrupt.
+func TestSnapshotMemoSection(t *testing.T) {
+	want := memoSnapshot()
+	body := want.Marshal()
+	got, err := UnmarshalSnapshot(body)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: %v\ngot  %+v\nwant %+v", err, got.Batches, want.Batches)
+	}
+	bare := sampleSnapshot().Marshal()
+	if !bytes.HasPrefix(body, bare) {
+		t.Fatal("the memo section is not the body's last")
+	}
+	for cut := len(bare) + 1; cut < len(body); cut++ {
+		if _, err := UnmarshalSnapshot(body[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut at %d inside the memo section: got %v, want ErrCorrupt", cut, err)
+		}
 	}
 }
 
@@ -566,16 +631,16 @@ func TestFileStoreInteriorDamageInNewestSegment(t *testing.T) {
 	}
 }
 
-// TestFormatVersionSkew pins the v2→v3 bump: files written by any
-// previous format version (v2's engine sections carry a dedup object
-// table that v3 dropped; v1 predates lifecycle records) are intact
-// bytes this build must refuse with ErrVersion — migrate or roll back,
-// never silently misread.
+// TestFormatVersionSkew pins the v3→v4 bump: files written by v1 or v2
+// (v2's engine sections carry a dedup object table that v3 dropped; v1
+// predates lifecycle records) are intact bytes this build must refuse
+// with ErrVersion — migrate or roll back, never silently misread — while
+// a v3 directory, which is v4 without batch tags and memos, opens.
 func TestFormatVersionSkew(t *testing.T) {
-	if FormatVersion != 3 {
-		t.Fatalf("FormatVersion = %d; this test pins the v3 bump", FormatVersion)
+	if FormatVersion != 4 {
+		t.Fatalf("FormatVersion = %d; this test pins the v4 bump", FormatVersion)
 	}
-	for _, stale := range []byte{1, 2} {
+	for _, old := range []byte{1, 2, 3} {
 		dir := t.TempDir()
 		s, err := OpenFile(dir)
 		if err != nil {
@@ -589,13 +654,13 @@ func TestFormatVersionSkew(t *testing.T) {
 		}
 		s.Close()
 
-		// Rewrite both headers to claim the stale format version.
+		// Rewrite both headers to claim the old format version.
 		for _, name := range append(segmentFiles(t, dir), filepath.Join(dir, snapName(1))) {
 			data, err := os.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			data[6], data[7] = stale, 0 // u16 LE version
+			data[6], data[7] = old, 0 // u16 LE version
 			if err := os.WriteFile(name, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -605,11 +670,23 @@ func TestFormatVersionSkew(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s2.Close()
-		if err := s2.Replay(0, func(Record) error { return nil }); !errors.Is(err, ErrVersion) {
-			t.Errorf("v%d WAL segment: got %v, want ErrVersion", stale, err)
+		var recs []Record
+		werr := s2.Replay(0, func(rec Record) error { recs = append(recs, rec); return nil })
+		_, body, _, serr := s2.LoadSnapshot()
+		if old < 3 {
+			if !errors.Is(werr, ErrVersion) {
+				t.Errorf("v%d WAL segment: got %v, want ErrVersion", old, werr)
+			}
+			if !errors.Is(serr, ErrVersion) {
+				t.Errorf("v%d snapshot: got %v, want ErrVersion", old, serr)
+			}
+			continue
 		}
-		if _, _, _, err := s2.LoadSnapshot(); !errors.Is(err, ErrVersion) {
-			t.Errorf("v%d snapshot: got %v, want ErrVersion", stale, err)
+		if werr != nil || !reflect.DeepEqual(recs, sampleRecords()[:1]) {
+			t.Errorf("v3 WAL segment: %v, %+v", werr, recs)
+		}
+		if snap, err := UnmarshalSnapshot(body); serr != nil || err != nil || !reflect.DeepEqual(snap, sampleSnapshot()) {
+			t.Errorf("v3 snapshot: %v / %v", serr, err)
 		}
 	}
 }

@@ -275,7 +275,7 @@ func TestRegistryCollectorEmitsPerTenantSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.ReserveObjects([]string{"o1"}); err != nil {
+	if _, err := tn.ReserveObjects([]string{"o1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tn.Monitor().Add("o1", "1", "2"); err != nil {
@@ -311,12 +311,12 @@ func TestQuotaObjectsBatchAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.ReserveObjects([]string{"o1", "o2"}); err != nil {
+	if _, err := tn.ReserveObjects([]string{"o1", "o2"}); err != nil {
 		t.Fatalf("within quota: %v", err)
 	}
 	// Four names against one remaining slot: refused whole, typed, and
 	// pointing at the first object over the line.
-	err = tn.ReserveObjects([]string{"o3", "o4", "o5", "o6"})
+	_, err = tn.ReserveObjects([]string{"o3", "o4", "o5", "o6"})
 	if err == nil {
 		t.Fatal("over-quota batch admitted")
 	}
@@ -339,10 +339,10 @@ func TestQuotaObjectsBatchAtomicity(t *testing.T) {
 		t.Errorf("objects after refused batch = %d, want 2", objects)
 	}
 	// The remaining slot is still usable, and release works.
-	if err := tn.ReserveObjects([]string{"o3"}); err != nil {
+	if _, err := tn.ReserveObjects([]string{"o3"}); err != nil {
 		t.Fatalf("last slot refused: %v", err)
 	}
-	err = tn.ReserveObjects([]string{"o7"})
+	_, err = tn.ReserveObjects([]string{"o7"})
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Errorf("single over-quota add: %v", err)
 	}
@@ -352,8 +352,36 @@ func TestQuotaObjectsBatchAtomicity(t *testing.T) {
 	// A reservation ends when its monitor call returns (here: none was
 	// made, as when the call fails).
 	tn.ReleaseObjects(1)
-	if err := tn.ReserveObjects([]string{"o8"}); err != nil {
+	if _, err := tn.ReserveObjects([]string{"o8"}); err != nil {
 		t.Errorf("slot not freed by release: %v", err)
+	}
+}
+
+// TestQuotaObjectsChargeOnlyNewNames: names the monitor holds cost
+// nothing — a batch of them is admitted even over the quota — and a
+// refused batch is located at its first new name over the line.
+func TestQuotaObjectsChargeOnlyNewNames(t *testing.T) {
+	r := mustOpen(t, t.TempDir())
+	spec := inlineSpec("alpha")
+	spec.Quotas.MaxObjects = 1
+	tn, err := r.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Over the quota already, as after max_objects was lowered.
+	held := []paretomon.Object{{Name: "o1", Values: []string{"1", "2"}}, {Name: "o2", Values: []string{"2", "1"}}}
+	if _, err := tn.Monitor().AddBatch(held); err != nil {
+		t.Fatal(err)
+	}
+	for _, names := range [][]string{{"o1", "o2"}, {"o2"}} {
+		if n, err := tn.ReserveObjects(names); n != 0 || err != nil {
+			t.Errorf("ReserveObjects(%v) of held names = %d, %v; want 0, nil", names, n, err)
+		}
+	}
+	_, err = tn.ReserveObjects([]string{"o1", "o3", "o2"})
+	var be *paretomon.BatchError
+	if !errors.As(err, &be) || be.Index != 1 || be.Object != "o3" || !errors.Is(err, ErrQuotaExceeded) {
+		t.Errorf("a new name over the quota: %v, want a BatchError at [1]=o3", err)
 	}
 }
 
@@ -375,15 +403,16 @@ func TestQuotaObjectsFollowTheMonitor(t *testing.T) {
 				t.Fatal(err)
 			}
 			add := func(names ...string) error {
-				if err := tn.ReserveObjects(names); err != nil {
+				n, err := tn.ReserveObjects(names)
+				if err != nil {
 					return err
 				}
-				defer tn.ReleaseObjects(len(names))
+				defer tn.ReleaseObjects(n)
 				batch := make([]paretomon.Object, len(names))
 				for i, n := range names {
 					batch[i] = paretomon.Object{Name: n, Values: []string{"low", "high"}}
 				}
-				_, err := tn.Monitor().AddBatch(batch)
+				_, err = tn.Monitor().AddBatch(batch)
 				return err
 			}
 			for i := 0; i < 10; i++ {

@@ -167,33 +167,41 @@ func (t *Tenant) Admit() error {
 // Add/AddBatch, or refuses the whole batch atomically: nothing is
 // reserved on failure, and for a multi-object batch the error is a
 // *paretomon.BatchError locating the first object that does not fit
-// (its chain reaches ErrQuotaExceeded). Usage is the monitor's alive
-// object count — which removal and window expiry lower — plus the
-// reservations in flight, capped at the window on a windowed tenant:
-// arrivals into a full window evict as many as they add. Every
-// successful reservation must be ended by ReleaseObjects once the
-// monitor call has returned, whatever its outcome.
-func (t *Tenant) ReserveObjects(names []string) error {
+// (its chain reaches ErrQuotaExceeded). Names the monitor already holds
+// are not charged — a re-sent batch answered from the monitor's memo
+// adds nothing — and the count reserved is returned. Usage is the
+// monitor's alive object count — which removal and window expiry lower
+// — plus the reservations in flight, capped at the window on a windowed
+// tenant: arrivals into a full window evict as many as they add. Every
+// successful reservation must be ended by ReleaseObjects of the count
+// once the monitor call has returned, whatever its outcome.
+func (t *Tenant) ReserveObjects(names []string) (int, error) {
+	var fresh []int // the indices of names the monitor does not hold
+	for i, name := range names {
+		if t.mon == nil || !t.mon.HasObject(name) {
+			fresh = append(fresh, i)
+		}
+	}
 	limit := t.spec.Quotas.MaxObjects
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	used := t.aliveObjects() + t.pending
-	after := used + len(names)
+	after := used + len(fresh)
 	if w := t.spec.Window; w > 0 {
 		after = min(after, w)
 	}
-	if limit > 0 && after > limit {
+	if limit > 0 && len(fresh) > 0 && after > limit {
 		t.tel.quotaReject("objects")
 		qerr := &QuotaError{Tenant: t.name, Resource: "objects", Limit: limit}
-		over := max(limit-used, 0) // index of the first object over the line
+		over := fresh[max(limit-used, 0)] // the first object over the line
 		if len(names) > 1 {
-			return &paretomon.BatchError{Index: over, Object: names[over], Err: qerr}
+			return 0, &paretomon.BatchError{Index: over, Object: names[over], Err: qerr}
 		}
-		return qerr
+		return 0, qerr
 	}
-	t.pending += len(names)
-	t.tel.ingested(len(names))
-	return nil
+	t.pending += len(fresh)
+	t.tel.ingested(len(fresh))
+	return len(fresh), nil
 }
 
 // ReleaseObjects ends a reservation of n objects once the monitor call

@@ -301,6 +301,9 @@ type state struct {
 
 	// walSeq is the last appended-or-applied log position.
 	walSeq uint64
+
+	// batches is each remembered writer's last batch (batch.go).
+	batches map[string]*batchMemo
 }
 
 // objEntry is one object registry slot.
@@ -347,6 +350,7 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 			userIdx: make(map[string]int, c.Len()),
 			names:   make(map[string]int),
 			inBatch: make(map[string]bool),
+			batches: make(map[string]*batchMemo),
 		},
 		cfg:   cfg,
 		walCh: make(chan struct{}),
@@ -660,45 +664,81 @@ func (m *Monitor) Add(name string, values ...string) (Delivery, error) {
 // on error, a *BatchError locating the first bad object is returned and
 // the monitor is unchanged. Deliveries are returned in batch order. On
 // a durable monitor the batch is logged as one contiguous WAL append
-// before any object is applied.
+// before any object is applied. It is AddBatchOnce with no id.
 func (m *Monitor) AddBatch(objs []Object) ([]Delivery, error) {
+	return m.AddBatchOnce(BatchID{}, objs)
+}
+
+// AddBatchOnce is AddBatch for a writer that may re-send a batch whose
+// reply it lost. The monitor remembers each writer's last batch: re-sent
+// under that id, the prefix it applied is answered with its saved
+// at-arrival deliveries and only the rest is applied. A newer seq starts
+// a new batch; an older one, or other names, is ErrBatchConflict. The id
+// is logged with the batch, so the memo survives restarts and reaches
+// followers. The returned slice is the memo's; do not modify it.
+func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 	if m.readOnly {
 		return nil, fmt.Errorf("%w: AddBatch of %d objects", ErrReadOnly, len(objs))
 	}
+	if id != (BatchID{}) && !id.valid() {
+		return nil, fmt.Errorf("%w: %q", ErrBadBatchID, id)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	done, err := m.appliedPrefix(id, objs)
+	if err != nil {
+		return nil, err
+	}
+	if done != nil && len(done) == len(objs) {
+		return done, nil
+	}
+	rest := objs[len(done):]
 	inBatch := m.inBatch
 	if len(objs) > inBatchKeep {
 		inBatch = make(map[string]bool, len(objs))
 	} else {
 		clear(inBatch)
 	}
-	for i, o := range objs {
+	for _, d := range done {
+		inBatch[d.Object] = true
+	}
+	for i, o := range rest {
 		if err := m.validateObject(o, inBatch); err != nil {
-			return nil, &BatchError{Index: i, Object: o.Name, Err: err}
+			return nil, &BatchError{Index: len(done) + i, Object: o.Name, Err: err}
 		}
 		inBatch[o.Name] = true
 	}
-	if err := m.appendWAL(m.objectRecords(objs)); err != nil {
+	recs := m.objectRecords(rest)
+	for i := range recs {
+		recs[i].Writer, recs[i].Batch = id.Writer, id.Seq
+	}
+	if err := m.appendWAL(recs); err != nil {
 		return nil, err
 	}
+	start := m.objectCount()
 	// Intern the whole batch up front, then let every shard walk it (in
 	// its own goroutine when there are several). Deliveries are published
 	// in batch order after the fan-in, exactly as object-by-object Adds
 	// would.
 	m.interned = m.interned[:0]
-	for _, o := range objs {
+	for _, o := range rest {
 		m.interned = append(m.interned, m.intern(o))
 	}
-	out := make([]Delivery, len(objs))
+	out := make([]Delivery, len(rest))
 	for i, users := range m.eng.ProcessBatch(m.interned) {
-		d := Delivery{Object: objs[i].Name, Users: m.sortedNames(users)}
+		d := Delivery{Object: rest[i].Name, Users: m.sortedNames(users)}
 		if !m.replaying {
 			m.subs.publish(d, users)
 		}
 		out[i] = d
 	}
-	m.maybeSnapshotLocked(len(objs))
+	if id.Writer != "" && len(rest) > 0 {
+		if done != nil {
+			out = append(done, out...)
+		}
+		m.openBatch(id, start).ds = out
+	}
+	m.maybeSnapshotLocked(len(rest))
 	return out, nil
 }
 

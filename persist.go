@@ -270,6 +270,7 @@ func (m *Monitor) writeSnapshotLocked() error {
 		Objects:      objs,
 		Counters:     m.eng.Totals(),
 		Engine:       st,
+		Batches:      m.batchMemos(),
 	}
 	if err := m.store.WriteSnapshot(m.walSeq, snap.Marshal()); err != nil {
 		return fmt.Errorf("%w: writing snapshot: %w", ErrStore, err)
@@ -307,7 +308,12 @@ func (m *Monitor) replayRecord(rec WALRecord) error {
 		if err := m.validateObject(o, nil); err != nil {
 			return corruptRecord(rec, err)
 		}
-		m.ingest(o)
+		start := m.objectCount()
+		d := m.ingest(o)
+		if rec.Writer != "" {
+			bm := m.openBatch(BatchID{Writer: rec.Writer, Seq: rec.Batch}, start)
+			bm.ds = append(bm.ds, d)
+		}
 	} else {
 		mut, err := m.check(rec)
 		if err != nil {
@@ -459,5 +465,6 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	*m.ctr = snap.Counters
+	m.restoreBatchMemos(snap.Batches)
 	return nil
 }
