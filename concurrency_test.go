@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	paretomon "repro"
 )
@@ -304,4 +305,84 @@ func TestCommunityMutationDoesNotRaceMonitor(t *testing.T) {
 	if _, err := m.Frontier("late-0"); !errors.Is(err, paretomon.ErrUnknownUser) {
 		t.Errorf("late user: err = %v, want ErrUnknownUser", err)
 	}
+}
+
+// TestWALNotifyWakesWaiters pins the lazy notify channel: a channel
+// taken before an append is closed by it, one taken after is open until
+// the next; and, under concurrent Adds, a waiter that re-checks the log
+// position after taking the channel never misses an append.
+func TestWALNotifyWakesWaiters(t *testing.T) {
+	m, err := paretomon.NewMonitor(laptopCommunity(t), paretomon.WithStore(paretomon.NewMemStore()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	before := m.WALNotify()
+	if closed(before) {
+		t.Fatal("a channel taken before any append is closed")
+	}
+	if _, err := m.Add("o0", "13-15.9", "Apple", "dual"); err != nil {
+		t.Fatal(err)
+	}
+	after := m.WALNotify()
+	if !closed(before) || closed(after) {
+		t.Fatalf("after an append: the earlier channel closed %v, the later one closed %v", closed(before), closed(after))
+	}
+	if _, err := m.Add("o1", "13-15.9", "Apple", "dual"); err != nil {
+		t.Fatal(err)
+	}
+	if !closed(after) {
+		t.Fatal("the next append left the later channel open")
+	}
+
+	const writers, perWriter, waiters = 4, 50, 4
+	final := m.AppliedSeq() + writers*perWriter
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perWriter {
+				if _, err := m.Add(fmt.Sprintf("w%d-%d", w, i), "10-12.9", "Sony", "single"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for range waiters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				seq := m.AppliedSeq()
+				if seq >= final {
+					return
+				}
+				ch := m.WALNotify()
+				if m.AppliedSeq() > seq {
+					continue
+				}
+				select {
+				case <-ch:
+					if got := m.AppliedSeq(); got <= seq {
+						t.Errorf("woken at position %d, waited at %d", got, seq)
+						return
+					}
+				case <-time.After(10 * time.Second):
+					t.Errorf("no wakeup past position %d (final %d)", seq, final)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -70,12 +70,18 @@ func (m *Monitor) WALAfter(after uint64, limit int) ([]WALRecord, uint64, error)
 }
 
 // WALNotify returns a channel that is closed by the next WAL append (or
-// follower feed apply), then replaced. Long-polling changefeed streams
-// grab the channel, re-check WALAfter, and wait: any append between the
-// two closes the grabbed channel, so no wakeup is ever missed.
+// follower feed apply). Long-polling changefeed streams grab the
+// channel, re-check WALAfter, and wait: any append between the two
+// closes the grabbed channel, so no wakeup is ever missed. The channel
+// is made here, on demand, so an append with nobody waiting makes none.
+//
+//paretomon:nowal — makes the waiters' channel; no record determines it.
 func (m *Monitor) WALNotify() <-chan struct{} {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.walCh == nil {
+		m.walCh = make(chan struct{})
+	}
 	return m.walCh
 }
 

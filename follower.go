@@ -212,6 +212,8 @@ func (m *Monitor) rebootstrapFollower(ctx context.Context) error {
 // really had — records still in flight behind a shipped page cannot
 // fake it. It returns immediately on a primary (nil) and returns the
 // fatal replication error if the apply loop has stopped.
+//
+//paretomon:nowal — waits on WALNotify's channel; writes nothing.
 func (m *Monitor) WaitSynced(ctx context.Context) error {
 	f := m.follower
 	if f == nil {

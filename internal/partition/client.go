@@ -127,7 +127,7 @@ func (c *client) postBatch(ctx context.Context, body []byte, batch []string, sen
 	err = buf.ReadAll(resp.Body, math.MaxInt)
 	var ds []paretomon.Delivery
 	if err == nil {
-		ds, err = wire.DecodeDeliveries(buf.B)
+		ds, err = wire.DecodeDeliveries(buf)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("partition: decoding POST /objects/batch response: %w", err)

@@ -315,14 +315,14 @@ const maxBodyBytes = 32 << 20
 
 // readBody reads the request body into a pooled buffer and decodes it
 // with one of internal/wire's decoders (whose results never alias the
-// buffer). It answers a body that does not decode itself (see badBody)
-// and reports false.
-func readBody[T any](w http.ResponseWriter, r *http.Request, decode func([]byte) (T, error)) (v T, ok bool) {
+// buffer's bytes). It answers a body that does not decode itself (see
+// badBody) and reports false.
+func readBody[T any](w http.ResponseWriter, r *http.Request, decode func(*wire.Buffer) (T, error)) (v T, ok bool) {
 	buf := wire.GetBuffer()
 	defer buf.Free()
 	err := buf.ReadAll(r.Body, maxBodyBytes)
 	if err == nil {
-		v, err = decode(buf.B)
+		v, err = decode(buf)
 	}
 	if err != nil {
 		badBody(w, err)
@@ -736,27 +736,9 @@ func appendDeliveryEvent(dst []byte, d paretomon.Delivery) []byte {
 
 // appendDeltaEvent appends d's whole /deltas SSE frame.
 func appendDeltaEvent(dst []byte, d paretomon.FrontierDelta) []byte {
-	payload, _ := json.Marshal(toDeltaResponse(d)) // strings only: cannot fail
 	dst = append(dst, "event: delta\ndata: "...)
-	dst = append(dst, payload...)
+	dst = wire.AppendDelta(dst, d)
 	return append(dst, "\n\n"...)
-}
-
-type deltaResponse struct {
-	Object  string   `json:"object"`
-	Entered []string `json:"entered"`
-	Left    []string `json:"left"`
-}
-
-func toDeltaResponse(d paretomon.FrontierDelta) deltaResponse {
-	entered, left := d.Entered, d.Left
-	if entered == nil {
-		entered = []string{}
-	}
-	if left == nil {
-		left = []string{}
-	}
-	return deltaResponse{Object: d.Object, Entered: entered, Left: left}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

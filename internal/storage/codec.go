@@ -140,13 +140,13 @@ func (d *dec) done() bool { return !d.fail && d.pos == len(d.b) }
 // EncodeRecord serializes a WAL record to its codec-v2 payload bytes,
 // the same encoding the file store frames into segments. The replication
 // feed ships these payloads over HTTP (internal/replica frames them).
-func EncodeRecord(rec Record) []byte { return encodeRecord(rec) }
+func EncodeRecord(rec Record) []byte { return appendRecord(nil, rec) }
 
 // DecodeRecord parses one codec-v2 WAL record payload; damage is
 // ErrCorrupt, never a panic.
 func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b) }
 
-// encodeRecord serializes a WAL record payload:
+// appendRecord appends a WAL record's payload to dst:
 //
 //	uvar seq, u8 op, then per op:
 //	  OpObject:            str name, list<str> values
@@ -156,8 +156,8 @@ func DecodeRecord(b []byte) (Record, error) { return decodeRecord(b) }
 //	  OpRemoveUser:        str user
 //	  OpRetractPreference: str user, str attr, str better, str worse
 //	  OpRemoveObject:      str name
-func encodeRecord(rec Record) []byte {
-	e := &enc{b: make([]byte, 0, 16+len(rec.Name))}
+func appendRecord(dst []byte, rec Record) []byte {
+	e := enc{b: dst}
 	e.uvar(rec.Seq)
 	e.u8(uint8(rec.Op))
 	switch rec.Op {

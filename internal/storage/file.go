@@ -48,6 +48,10 @@ const (
 	// WAL segment.
 	DefaultSegmentBytes = 4 << 20
 
+	// maxAppendBuf is the largest frame buffer Append keeps for the next
+	// call: one bulk append must not pin its bytes.
+	maxAppendBuf = 1 << 20
+
 	// keepSnapshots is how many snapshot generations Prune retains; the
 	// WAL is pruned only below the oldest retained one, so losing the
 	// newest snapshot still leaves a recoverable older snapshot + tail.
@@ -77,6 +81,10 @@ type FileStore struct {
 	appendedRecords uint64
 	appendedBytes   uint64
 	lastAppendedSeq uint64
+
+	// buf is Append's frame buffer, reused across calls up to
+	// maxAppendBuf bytes.
+	buf []byte
 }
 
 // OpenFile opens (creating if needed) a file store rooted at dir and
@@ -143,14 +151,18 @@ func (f *FileStore) Append(recs ...Record) error {
 			return err
 		}
 	}
-	var buf []byte
+	buf := f.buf[:0]
 	for _, rec := range recs {
-		payload := encodeRecord(rec)
-		var frame [recFrameLen]byte
-		binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-		buf = append(buf, frame[:]...)
-		buf = append(buf, payload...)
+		frame := len(buf)
+		buf = appendRecord(append(buf, make([]byte, recFrameLen)...), rec)
+		payload := buf[frame+recFrameLen:]
+		binary.LittleEndian.PutUint32(buf[frame:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[frame+4:], crc32.ChecksumIEEE(payload))
+	}
+	if cap(buf) <= maxAppendBuf {
+		f.buf = buf
+	} else {
+		f.buf = nil
 	}
 	if _, err := f.seg.Write(buf); err != nil {
 		return fmt.Errorf("storage: appending WAL records: %w", err)

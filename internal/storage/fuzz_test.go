@@ -19,10 +19,10 @@ import (
 
 func FuzzDecodeRecord(f *testing.F) {
 	for _, rec := range append(append(sampleRecords(), lifecycleRecords()...), taggedRecords()...) {
-		f.Add(encodeRecord(rec))
+		f.Add(appendRecord(nil, rec))
 	}
 	// A tagged record cut inside its tag.
-	tagged := encodeRecord(taggedRecords()[0])
+	tagged := appendRecord(nil, taggedRecords()[0])
 	f.Add(tagged[:len(tagged)-3])
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
@@ -38,7 +38,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		// A successful decode must survive a canonical round trip. The
 		// re-encoded bytes may differ from the input (LEB128 admits
 		// redundant encodings), but the decoded value must be stable.
-		again, err := decodeRecord(encodeRecord(rec))
+		again, err := decodeRecord(appendRecord(nil, rec))
 		if err != nil {
 			t.Fatalf("re-decode of %+v: %v", rec, err)
 		}

@@ -40,7 +40,7 @@ func (m *MemStore) Append(recs ...Record) error {
 		rec.Prefs = append([]RecordPref(nil), rec.Prefs...)
 		m.recs = append(m.recs, rec)
 		m.appendedRecords++
-		m.appendedBytes += uint64(len(encodeRecord(rec)) + recFrameLen)
+		m.appendedBytes += uint64(len(appendRecord(nil, rec)) + recFrameLen)
 		m.lastAppendedSeq = rec.Seq
 	}
 	return nil
@@ -140,7 +140,7 @@ func (m *MemStore) Stats() (Stats, error) {
 		st.Segments = 1
 	}
 	for _, rec := range m.recs {
-		st.WALBytes += int64(len(encodeRecord(rec)) + recFrameLen)
+		st.WALBytes += int64(len(appendRecord(nil, rec)) + recFrameLen)
 	}
 	for _, s := range m.snaps {
 		st.Snapshots++

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -57,7 +58,7 @@ func memoSnapshot() *Snapshot {
 
 func TestRecordCodecRoundTrip(t *testing.T) {
 	for _, rec := range append(append(sampleRecords(), lifecycleRecords()...), taggedRecords()...) {
-		got, err := decodeRecord(encodeRecord(rec))
+		got, err := decodeRecord(appendRecord(nil, rec))
 		if err != nil {
 			t.Fatalf("decode(%+v): %v", rec, err)
 		}
@@ -68,7 +69,7 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 }
 
 func TestRecordCodecRejectsDamage(t *testing.T) {
-	payload := encodeRecord(sampleRecords()[0])
+	payload := appendRecord(nil, sampleRecords()[0])
 	for _, tc := range [][]byte{
 		payload[:len(payload)-1],              // truncated
 		append(payload[:0:0], 0xff),           // garbage op
@@ -90,11 +91,11 @@ func TestBatchTagCodec(t *testing.T) {
 	tagged := taggedRecords()[0]
 	plain := tagged
 	plain.Writer, plain.Batch = "", 0
-	payload, untagged := encodeRecord(tagged), encodeRecord(plain)
+	payload, untagged := appendRecord(nil, tagged), appendRecord(nil, plain)
 	if !bytes.HasPrefix(payload, untagged) || len(payload) != len(untagged)+len("feed-1")+2 {
 		t.Fatalf("tagged payload %x does not extend the untagged %x by the tag", payload, untagged)
 	}
-	if _, err := decodeRecord(encodeRecord(Record{Seq: 1, Op: OpObject, Name: "o", Writer: "w"})); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeRecord(appendRecord(nil, Record{Seq: 1, Op: OpObject, Name: "o", Writer: "w"})); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("tag with batch 0: got %v, want ErrCorrupt", err)
 	}
 	for cut := len(untagged) + 1; cut < len(payload); cut++ {
@@ -541,7 +542,7 @@ func TestFileStoreToleratesSnapshotCoveredGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := walHeaderLen + recFrameLen + len(encodeRecord(recs[0]))
+	cut := walHeaderLen + recFrameLen + len(appendRecord(nil, recs[0]))
 	if err := os.WriteFile(segs[0], data[:cut], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -687,6 +688,62 @@ func TestFormatVersionSkew(t *testing.T) {
 		}
 		if snap, err := UnmarshalSnapshot(body); serr != nil || err != nil || !reflect.DeepEqual(snap, sampleSnapshot()) {
 			t.Errorf("v3 snapshot: %v / %v", serr, err)
+		}
+	}
+}
+
+// appendBatch is n object records from seq on, tagged like a batch.
+func appendBatch(seq uint64, n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Seq: seq + uint64(i), Op: OpObject, Name: fmt.Sprint("o", seq+uint64(i)),
+			Values: []string{"13-15.9", "Apple", "dual", "g7"}, Writer: "router", Batch: seq}
+	}
+	return recs
+}
+
+// TestFileStoreAppendAllocs: a warm Append frames its records into the
+// store's reused buffer, allocating nothing.
+func TestFileStoreAppendAllocs(t *testing.T) {
+	fs, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	const n, runs = 16, 100
+	batches := make([][]Record, runs+1) // AllocsPerRun warms up once
+	for i := range batches {
+		batches[i] = appendBatch(uint64(1+i*n), n)
+	}
+	next := 0
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := fs.Append(batches[next]...); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); got != 0 {
+		t.Errorf("a warm Append of %d records allocates %v times, want 0", n, got)
+	}
+	if recs := replayAll(t, fs, 0); len(recs) != n*(runs+1) || !reflect.DeepEqual(recs[n:2*n], batches[1]) {
+		t.Fatalf("replayed %d records, want %d, the second batch intact", len(recs), n*(runs+1))
+	}
+}
+
+func BenchmarkFileStoreAppend(b *testing.B) {
+	fs, err := OpenFile(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	const n = 16
+	recs := appendBatch(1, n)
+	b.ReportAllocs()
+	for range b.N {
+		if err := fs.Append(recs...); err != nil {
+			b.Fatal(err)
+		}
+		for i := range recs {
+			recs[i].Seq += n
 		}
 	}
 }

@@ -39,12 +39,12 @@ func decodeJSON(data []byte, v any) error {
 	return json.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
 
-// DecodeObject decodes the body of POST /objects.
-func DecodeObject(data []byte) (paretomon.Object, error) {
-	if o, ok := parseObject(data); ok {
+// DecodeObject decodes b.B, the body of POST /objects.
+func DecodeObject(b *Buffer) (paretomon.Object, error) {
+	if o, ok := parseObject(b); ok {
 		return o, nil
 	}
-	return jsonObject(data)
+	return jsonObject(b.B)
 }
 
 func jsonObject(data []byte) (paretomon.Object, error) {
@@ -53,14 +53,14 @@ func jsonObject(data []byte) (paretomon.Object, error) {
 	return paretomon.Object(v), err
 }
 
-// DecodeBatch decodes the body of POST /objects/batch. Like
+// DecodeBatch decodes b.B, the body of POST /objects/batch. Like
 // encoding/json it returns nil for an absent or null "objects" and an
 // empty slice for [].
-func DecodeBatch(data []byte) ([]paretomon.Object, error) {
-	if objs, ok := parseBatch(data); ok {
+func DecodeBatch(b *Buffer) ([]paretomon.Object, error) {
+	if objs, ok := parseBatch(b); ok {
 		return objs, nil
 	}
-	return jsonBatch(data)
+	return jsonBatch(b.B)
 }
 
 func jsonBatch(data []byte) ([]paretomon.Object, error) {
@@ -75,13 +75,13 @@ func jsonBatch(data []byte) ([]paretomon.Object, error) {
 	return objs, nil
 }
 
-// DecodeDeliveries decodes the reply of POST /objects/batch; nil and
-// empty slices as for DecodeBatch.
-func DecodeDeliveries(data []byte) ([]paretomon.Delivery, error) {
-	if ds, ok := parseDeliveries(data); ok {
+// DecodeDeliveries decodes b.B, the reply of POST /objects/batch; nil
+// and empty slices as for DecodeBatch.
+func DecodeDeliveries(b *Buffer) ([]paretomon.Delivery, error) {
+	if ds, ok := parseDeliveries(b); ok {
 		return ds, nil
 	}
-	return jsonDeliveries(data)
+	return jsonDeliveries(b.B)
 }
 
 func jsonDeliveries(data []byte) ([]paretomon.Delivery, error) {
@@ -103,68 +103,79 @@ func jsonDeliveries(data []byte) ([]paretomon.Delivery, error) {
 // control bytes or invalid UTF-8; arrays never null; only whitespace
 // after the value. ok == false means "not that subset", never "invalid".
 //
-// The three array loops are spelled out rather than sharing one that
-// takes the element parser as a func value: the indirect call would
-// make the parser escape, an allocation per body.
+// An object and a delivery are both {k1: string, k2: [string, ...]}
+// (named), and a batch and a batch reply both {key: [element, ...]}
+// (list). The elements and their strings are collected into the
+// buffer's scratch, then copied out into one slice of elements and one
+// backing array of strings, whatever the length: a batch of n objects
+// costs its n names and two allocations.
 
-func parseObject(data []byte) (paretomon.Object, bool) {
-	p := parser{data: data}
-	o, ok := p.object()
-	return o, ok && p.end()
+func parseObject(b *Buffer) (paretomon.Object, bool) {
+	defer b.reset()
+	p := parser{data: b.B, buf: b}
+	e, ok := p.named(`"name"`, `"values"`)
+	if !ok || !p.end() {
+		return paretomon.Object{}, false
+	}
+	return paretomon.Object{Name: e.name, Values: b.slab()}, true
 }
 
-func parseBatch(data []byte) ([]paretomon.Object, bool) {
-	p := parser{data: data}
-	if !p.lit("{") || !p.lit(`"objects"`) || !p.lit(":") || !p.lit("[") {
+func parseBatch(b *Buffer) ([]paretomon.Object, bool) {
+	defer b.reset()
+	p := parser{data: b.B, buf: b}
+	if !p.list(`"objects"`, `"name"`, `"values"`) {
 		return nil, false
 	}
-	var scratch [arrayScratch]paretomon.Object
-	objs := scratch[:0]
-	for !p.lit("]") {
-		if len(objs) > 0 && !p.lit(",") {
-			return nil, false
-		}
-		o, ok := p.object()
-		if !ok {
-			return nil, false
-		}
-		objs = append(objs, o)
+	vals := b.slab()
+	objs := make([]paretomon.Object, len(b.elems))
+	for i, e := range b.elems {
+		objs[i] = paretomon.Object{Name: e.name, Values: vals[e.lo:e.hi:e.hi]}
 	}
-	return exact(objs), p.lit("}") && p.end()
+	return objs, true
 }
 
-func parseDeliveries(data []byte) ([]paretomon.Delivery, bool) {
-	p := parser{data: data}
-	if !p.lit("{") || !p.lit(`"deliveries"`) || !p.lit(":") || !p.lit("[") {
+func parseDeliveries(b *Buffer) ([]paretomon.Delivery, bool) {
+	defer b.reset()
+	p := parser{data: b.B, buf: b}
+	if !p.list(`"deliveries"`, `"object"`, `"users"`) {
 		return nil, false
 	}
-	var scratch [arrayScratch]paretomon.Delivery
-	ds := scratch[:0]
-	for !p.lit("]") {
-		if len(ds) > 0 && !p.lit(",") {
-			return nil, false
-		}
-		d, ok := p.delivery()
-		if !ok {
-			return nil, false
-		}
-		ds = append(ds, d)
+	users := b.slab()
+	ds := make([]paretomon.Delivery, len(b.elems))
+	for i, e := range b.elems {
+		ds[i] = paretomon.Delivery{Object: e.name, Users: users[e.lo:e.hi:e.hi]}
 	}
-	return exact(ds), p.lit("}") && p.end()
+	return ds, true
 }
 
-// arrayScratch is how many elements an array is collected into on the
-// stack: arrays up to this long cost one allocation, exactly sized.
-const arrayScratch = 16
+// elem is one decoded element of a list: its name, and its strings at
+// Buffer.strs[lo:hi].
+type elem struct {
+	name   string
+	lo, hi int
+}
 
-// exact copies vals into a slice of its own — empty, not nil, for no
-// elements, as encoding/json decodes [].
-func exact[T any](vals []T) []T { return append([]T{}, vals...) }
+// slab copies the collected strings into a backing array of their own —
+// empty, not nil, for none, so that every element's sub-slice decodes []
+// as encoding/json does.
+func (b *Buffer) slab() []string {
+	out := make([]string, len(b.strs))
+	copy(out, b.strs)
+	return out
+}
 
-// parser is a cursor over one body.
+// reset empties the scratch, dropping its references.
+func (b *Buffer) reset() {
+	clear(b.elems)
+	clear(b.strs)
+	b.elems, b.strs = b.elems[:0], b.strs[:0]
+}
+
+// parser is a cursor over one body, collecting into its buffer.
 type parser struct {
 	data []byte
 	i    int
+	buf  *Buffer
 }
 
 func (p *parser) space() {
@@ -195,11 +206,12 @@ func (p *parser) end() bool {
 	return p.i == len(p.data)
 }
 
-// str consumes a string that needs no unquoting.
-func (p *parser) str() (string, bool) {
+// str consumes a string that needs no unquoting and returns its bytes,
+// which alias the body.
+func (p *parser) str() ([]byte, bool) {
 	p.space()
 	if p.i >= len(p.data) || p.data[p.i] != '"' {
-		return "", false
+		return nil, false
 	}
 	start, ascii := p.i+1, true
 	for j := start; j < len(p.data); j++ {
@@ -207,50 +219,59 @@ func (p *parser) str() (string, bool) {
 		case c == '"':
 			s := p.data[start:j]
 			if !ascii && !utf8.Valid(s) {
-				return "", false
+				return nil, false
 			}
 			p.i = j + 1
-			return string(s), true
+			return s, true
 		case c == '\\' || c < ' ':
-			return "", false
+			return nil, false
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 	}
-	return "", false
+	return nil, false
 }
 
-// named consumes {k1: string, k2: [string, ...]} — the common form of
-// an object and a delivery.
-func (p *parser) named(k1, k2 string) (string, []string, bool) {
+// named consumes {k1: string, k2: [string, ...]}: the first string
+// becomes the element's name, a fresh string (names are unique), and the
+// list is appended to buf.strs through the cache.
+func (p *parser) named(k1, k2 string) (elem, bool) {
 	if !p.lit("{") || !p.lit(k1) || !p.lit(":") {
-		return "", nil, false
+		return elem{}, false
 	}
 	name, ok := p.str()
 	if !ok || !p.lit(",") || !p.lit(k2) || !p.lit(":") || !p.lit("[") {
-		return "", nil, false
+		return elem{}, false
 	}
-	var scratch [arrayScratch]string
-	list := scratch[:0]
+	e := elem{name: string(name), lo: len(p.buf.strs)}
 	for !p.lit("]") {
-		if len(list) > 0 && !p.lit(",") {
-			return "", nil, false
+		if len(p.buf.strs) > e.lo && !p.lit(",") {
+			return elem{}, false
 		}
 		s, ok := p.str()
 		if !ok {
-			return "", nil, false
+			return elem{}, false
 		}
-		list = append(list, s)
+		p.buf.strs = append(p.buf.strs, p.buf.str(s))
 	}
-	return name, exact(list), p.lit("}")
+	e.hi = len(p.buf.strs)
+	return e, p.lit("}")
 }
 
-func (p *parser) object() (paretomon.Object, bool) {
-	name, values, ok := p.named(`"name"`, `"values"`)
-	return paretomon.Object{Name: name, Values: values}, ok
-}
-
-func (p *parser) delivery() (paretomon.Delivery, bool) {
-	object, users, ok := p.named(`"object"`, `"users"`)
-	return paretomon.Delivery{Object: object, Users: users}, ok
+// list consumes the whole body {key: [named, ...]} into buf.elems.
+func (p *parser) list(key, k1, k2 string) bool {
+	if !p.lit("{") || !p.lit(key) || !p.lit(":") || !p.lit("[") {
+		return false
+	}
+	for !p.lit("]") {
+		if len(p.buf.elems) > 0 && !p.lit(",") {
+			return false
+		}
+		e, ok := p.named(k1, k2)
+		if !ok {
+			return false
+		}
+		p.buf.elems = append(p.buf.elems, e)
+	}
+	return p.lit("}") && p.end()
 }

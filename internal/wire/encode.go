@@ -63,6 +63,20 @@ func AppendDeliveries(dst []byte, ds []paretomon.Delivery) []byte {
 	return append(dst, "]}"...)
 }
 
+// AppendDelta appends {"object":…,"entered":[…],"left":[…]}, the data
+// of a /deltas SSE frame. nil Entered and Left encode as [].
+//
+//paretomon:hotpath
+func AppendDelta(dst []byte, d paretomon.FrontierDelta) []byte {
+	dst = append(dst, `{"object":`...)
+	dst = appendString(dst, d.Object)
+	dst = append(dst, `,"entered":`...)
+	dst = appendStrings(dst, d.Entered)
+	dst = append(dst, `,"left":`...)
+	dst = appendStrings(dst, d.Left)
+	return append(dst, '}')
+}
+
 //paretomon:hotpath
 func appendStrings(dst []byte, ss []string) []byte {
 	dst = append(dst, '[')

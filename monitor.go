@@ -235,9 +235,10 @@ type Monitor struct {
 	metaMu  sync.Mutex
 	metaMem map[string][]byte
 
-	// Replication (see feed.go and follower.go). walCh is rotated
-	// (closed and replaced) under mu on every WAL append, waking
-	// long-polling changefeed streams; readOnly marks a follower
+	// Replication (see feed.go and follower.go). walCh is made by the
+	// first WALNotify after an append and closed and cleared under mu by
+	// the next one, waking long-polling changefeed streams; an append
+	// nobody waits on finds it nil. readOnly marks a follower
 	// monitor, whose only writer is the feed apply loop; follower holds
 	// the tail goroutine's state and watermarks.
 	walCh    chan struct{}
@@ -278,6 +279,9 @@ type state struct {
 	// interned is AddBatch's batch of interned objects, reused across
 	// calls (the engine retains none of it past ProcessBatch).
 	interned []object.Object
+	// walRecs is the object ingest path's WAL record scratch (see
+	// objectRecords), empty between calls.
+	walRecs []WALRecord
 	// inBatch is AddBatch's validation scratch — the names claimed earlier
 	// in the batch being checked — cleared and reused across calls, for
 	// batches of up to inBatchKeep objects.
@@ -352,8 +356,7 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 			inBatch: make(map[string]bool),
 			batches: make(map[string]*batchMemo),
 		},
-		cfg:   cfg,
-		walCh: make(chan struct{}),
+		cfg: cfg,
 	}
 	if cfg.Algorithm == AlgorithmFilterThenVerifyApprox {
 		t1, t2 := cfg.Theta1, cfg.Theta2
@@ -564,10 +567,10 @@ func (m *Monitor) validateObject(o Object, inBatch map[string]bool) error {
 }
 
 // intern registers a pre-validated object: values are interned against
-// the schema domains and the object claims the next id. Caller holds mu.
-func (m *Monitor) intern(o Object) object.Object {
+// the schema domains into attrs (one per attribute; the object keeps it)
+// and the object claims the next id. Caller holds mu.
+func (m *Monitor) intern(o Object, attrs []int32) object.Object {
 	doms := m.schema.doms
-	attrs := make([]int32, len(o.Values))
 	for d, v := range o.Values {
 		attrs[d] = int32(doms[d].Intern(v))
 	}
@@ -627,7 +630,7 @@ func (m *Monitor) aliveObjects() []object.Object {
 // history must never reach subscribers, who only observe post-recovery
 // arrivals.
 func (m *Monitor) ingest(o Object) Delivery {
-	users := m.eng.Process(m.intern(o))
+	users := m.eng.Process(m.intern(o, make([]int32, len(o.Values))))
 	d := Delivery{Object: o.Name, Users: m.sortedNames(users)}
 	if !m.replaying {
 		m.subs.publish(d, users)
@@ -650,7 +653,10 @@ func (m *Monitor) Add(name string, values ...string) (Delivery, error) {
 	if err := m.validateObject(o, nil); err != nil {
 		return Delivery{}, err
 	}
-	if err := m.appendWAL(m.objectRecords([]Object{o})); err != nil {
+	recs := m.objectRecords(BatchID{}, []Object{o})
+	err := m.appendWAL(recs)
+	m.keepRecords(recs)
+	if err != nil {
 		return Delivery{}, err
 	}
 	d := m.ingest(o)
@@ -708,21 +714,24 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 		}
 		inBatch[o.Name] = true
 	}
-	recs := m.objectRecords(rest)
-	for i := range recs {
-		recs[i].Writer, recs[i].Batch = id.Writer, id.Seq
-	}
-	if err := m.appendWAL(recs); err != nil {
+	recs := m.objectRecords(id, rest)
+	err = m.appendWAL(recs)
+	m.keepRecords(recs)
+	if err != nil {
 		return nil, err
 	}
 	start := m.objectCount()
 	// Intern the whole batch up front, then let every shard walk it (in
 	// its own goroutine when there are several). Deliveries are published
 	// in batch order after the fan-in, exactly as object-by-object Adds
-	// would.
+	// would. The batch's attributes share one slab, each object's capped
+	// sub-slice in arrival order.
+	dims := len(m.schema.doms)
+	slab := make([]int32, len(rest)*dims)
 	m.interned = m.interned[:0]
-	for _, o := range rest {
-		m.interned = append(m.interned, m.intern(o))
+	for i, o := range rest {
+		attrs := slab[i*dims : (i+1)*dims : (i+1)*dims]
+		m.interned = append(m.interned, m.intern(o, attrs))
 	}
 	out := make([]Delivery, len(rest))
 	for i, users := range m.eng.ProcessBatch(m.interned) {

@@ -180,29 +180,47 @@ func (m *Monitor) appendWAL(recs []WALRecord) error {
 
 // rotateWALNotifyLocked wakes every WALNotify waiter — long-polling
 // changefeed streams and WaitSynced — by closing the current notify
-// channel and installing a fresh one. Every path that advances walSeq
-// must call it, and must hold mu (write).
+// channel, if a waiter made one, and clearing it for the next waiter to
+// make. Every path that advances walSeq must call it, and must hold mu
+// (write).
 func (m *Monitor) rotateWALNotifyLocked() {
-	close(m.walCh)
-	m.walCh = make(chan struct{})
+	if m.walCh != nil {
+		close(m.walCh)
+		m.walCh = nil
+	}
 }
 
 // logging reports whether mutations reach a WAL: there is a store, and
 // recovery is not replaying it.
 func (m *Monitor) logging() bool { return m.store != nil && !m.replaying }
 
-// objectRecords builds the WAL records for a validated object batch, or
-// nil when appendWAL would not log them: the ingest path of a storeless
-// monitor allocates nothing for the WAL.
-func (m *Monitor) objectRecords(objs []Object) []WALRecord {
+// objectRecords builds the WAL records for a validated object batch,
+// each tagged with id, or nil when appendWAL would not log them: the
+// ingest path of a storeless monitor allocates nothing for the WAL. The
+// records are built in walRecs's array, which keepRecords takes back
+// after the append. Caller holds mu.
+func (m *Monitor) objectRecords(id BatchID, objs []Object) []WALRecord {
 	if !m.logging() {
 		return nil
 	}
-	recs := make([]WALRecord, len(objs))
-	for i, o := range objs {
-		recs[i] = WALRecord{Op: OpObject, Name: o.Name, Values: o.Values}
+	recs := m.walRecs[:0]
+	if len(objs) > inBatchKeep {
+		recs = nil
+	}
+	for _, o := range objs {
+		recs = append(recs, WALRecord{Op: OpObject, Name: o.Name, Values: o.Values, Writer: id.Writer, Batch: id.Seq})
 	}
 	return recs
+}
+
+// keepRecords clears objectRecords's records, so they pin no names or
+// values, and keeps their array for the next call unless the batch was
+// larger than inBatchKeep. Caller holds mu.
+func (m *Monitor) keepRecords(recs []WALRecord) {
+	clear(recs)
+	if len(recs) <= inBatchKeep {
+		m.walRecs = recs[:0]
+	}
 }
 
 // maybeSnapshotLocked counts applied records toward the WithSnapshotEvery
