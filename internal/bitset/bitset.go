@@ -23,6 +23,47 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// Rows returns n empty sets with room for values in [0, bits), laid out
+// over one shared []uint64: three allocations (words, sets, pointers),
+// whatever n is. Each row's words are capped at the row's end, so a row
+// that grows copies itself out and never writes into its neighbour; the
+// shared arrays stay live while any row is reachable.
+func Rows(n, bits int) []*Set {
+	if bits < 0 {
+		bits = 0
+	}
+	w := (bits + wordBits - 1) / wordBits
+	words := make([]uint64, n*w)
+	sets := make([]Set, n)
+	rows := make([]*Set, n)
+	for i := range rows {
+		sets[i].words = words[i*w : (i+1)*w : (i+1)*w]
+		rows[i] = &sets[i]
+	}
+	return rows
+}
+
+// CloneRows returns independent copies of rows in Rows' layout: one
+// shared, capped []uint64 in three allocations. Rows may differ in length;
+// each copy keeps its source's length.
+func CloneRows(rows []*Set) []*Set {
+	total := 0
+	for _, s := range rows {
+		total += len(s.words)
+	}
+	words := make([]uint64, total)
+	sets := make([]Set, len(rows))
+	out := make([]*Set, len(rows))
+	off := 0
+	for i, s := range rows {
+		end := off + copy(words[off:], s.words)
+		sets[i].words = words[off:end:end]
+		out[i] = &sets[i]
+		off = end
+	}
+	return out
+}
+
 // FromSlice builds a set containing every value in vs.
 func FromSlice(vs []int) *Set {
 	s := &Set{}

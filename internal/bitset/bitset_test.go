@@ -90,6 +90,66 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// Rows share one backing array but behave as independent sets: writing,
+// clearing or growing one row never shows in its neighbours, and a
+// CloneRows copy is independent of its source.
+func TestRowsIsolated(t *testing.T) {
+	rows := Rows(3, 100) // two words a row
+	for i, s := range rows {
+		s.Add(i)
+		s.Add(99)
+	}
+	// Longer than the row: CopyFrom must not reslice into row 1's words.
+	rows[0].CopyFrom(FromSlice([]int{5, 150}))
+	if want := FromSlice([]int{5, 150}); !rows[0].Equal(want) {
+		t.Fatalf("row 0 after CopyFrom = %v, want %v", rows[0], want)
+	}
+	rows[1].Add(500) // past the row's cap: copies out of the slab
+	rows[1].Add(64)
+	rows[0].Clear()
+	if !rows[0].Empty() {
+		t.Fatalf("row 0 after Clear = %v", rows[0])
+	}
+	if want := FromSlice([]int{1, 64, 99, 500}); !rows[1].Equal(want) {
+		t.Fatalf("row 1 = %v, want %v", rows[1], want)
+	}
+	if want := FromSlice([]int{2, 99}); !rows[2].Equal(want) {
+		t.Fatalf("row 2 = %v, want %v (neighbour overwritten)", rows[2], want)
+	}
+
+	// Rows of different lengths keep their lengths, and each copy is
+	// capped: growing copy 0 must not reach copy 1.
+	src := []*Set{FromSlice([]int{3}), FromSlice([]int{200}), New(0)}
+	cp := CloneRows(src)
+	for i := range src {
+		if !cp[i].Equal(src[i]) || len(cp[i].words) != len(src[i].words) {
+			t.Fatalf("copy %d = %v (%d words), want %v (%d words)",
+				i, cp[i], len(cp[i].words), src[i], len(src[i].words))
+		}
+	}
+	cp[0].CopyFrom(FromSlice([]int{3, 70, 150}))
+	cp[2].Add(1)
+	if src[0].Contains(70) || src[2].Contains(1) || !cp[0].Contains(150) {
+		t.Fatal("mutating a copy changed its source")
+	}
+	if want := FromSlice([]int{200}); !cp[1].Equal(want) {
+		t.Fatalf("copy 1 = %v, want %v (neighbour overwritten)", cp[1], want)
+	}
+}
+
+// A slab costs three allocations whatever the number of rows.
+func TestRowsAllocs(t *testing.T) {
+	for _, n := range []int{1, 12, 500} {
+		rows := Rows(n, n)
+		if got := testing.AllocsPerRun(10, func() { rows = Rows(n, n) }); got != 3 {
+			t.Errorf("Rows(%d, %d): %v allocs, want 3", n, n, got)
+		}
+		if got := testing.AllocsPerRun(10, func() { _ = CloneRows(rows) }); got != 3 {
+			t.Errorf("CloneRows of %d rows: %v allocs, want 3", n, got)
+		}
+	}
+}
+
 func TestCopyFrom(t *testing.T) {
 	s := FromSlice([]int{1, 2, 3})
 	tgt := FromSlice([]int{500})

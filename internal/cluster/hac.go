@@ -151,7 +151,7 @@ func agglomerate(users []*pref.Profile, m Measure, h float64, k int) *Result {
 			alive:   true,
 		}
 		sort.Ints(merged.members)
-		merged.common = intersectProfiles(na.common, nb.common)
+		merged.common = pref.Common([]*pref.Profile{na.common, nb.common})
 		if m.IsVector() {
 			merged.vec = na.vec.Merge(nb.vec)
 		}
@@ -178,14 +178,6 @@ func agglomerate(users []*pref.Profile, m Measure, h float64, k int) *Result {
 		return res.Clusters[i].Members[0] < res.Clusters[j].Members[0]
 	})
 	return res
-}
-
-func intersectProfiles(a, b *pref.Profile) *pref.Profile {
-	c := a.Clone()
-	for d := 0; d < c.Dims(); d++ {
-		c.SetRelation(d, c.Relation(d).Intersect(b.Relation(d)))
-	}
-	return c
 }
 
 // String renders the clustering compactly, e.g. "[{0 1} {2 3}]".

@@ -13,7 +13,7 @@ type Monitor interface {
 	// Pareto frontier the object joins, in ascending order.
 	Process(o object.Object) []int
 	// UserFrontier returns the current Pareto frontier of user c as object
-	// ids in unspecified order.
+	// ids in unspecified order, in a fresh slice the caller owns.
 	UserFrontier(c int) []int
 }
 

@@ -32,6 +32,13 @@ type Tuple struct {
 // transitive closure of itself, irreflexive and asymmetric; thus Has is a
 // single bit probe and relation intersection is word-parallel.
 //
+// The rows live in one slab (bitset.Rows): NewRelation, Clone and
+// Remove's rebuild lay all n rows over one shared word array, so a
+// relation costs a constant number of allocations whatever its domain
+// size. Each row is capped at its own end; a row that grows copies itself
+// out of the slab. A value interned after the relation was made gets a
+// row of its own, appended by ensure.
+//
 // Derived views (Hasse diagram, maximal values, weights) are computed
 // lazily and invalidated on mutation.
 type Relation struct {
@@ -65,14 +72,15 @@ type derivedViews struct {
 // NewRelation creates an empty relation over dom. The relation tracks the
 // domain's current size and grows transparently as new values are interned.
 func NewRelation(dom *Domain) *Relation {
-	r := &Relation{dom: dom}
-	r.ensure(dom.Size())
-	return r
+	n := dom.Size()
+	return &Relation{dom: dom, n: n, succ: bitset.Rows(n, n)}
 }
 
 // Dom returns the domain the relation is defined over.
 func (r *Relation) Dom() *Domain { return r.dom }
 
+// ensure grows the relation to span n values. Rows added here are single
+// sets outside the slab: the domain grew after the relation was made.
 func (r *Relation) ensure(n int) {
 	if n <= r.n {
 		return
@@ -142,21 +150,19 @@ func (r *Relation) addClosure(x, y int) {
 		return
 	}
 
-	// down = {y} ∪ succ(y): everything that becomes worse than x and its preds.
-	down := r.succ[y].Clone()
-	down.Add(y)
-
-	apply := func(p int) {
-		before := r.succ[p].Count()
-		r.succ[p].Or(down)
-		r.size += r.succ[p].Count() - before
-	}
-	apply(x)
-	// Predecessors of x: every p with x ∈ succ[p].
-	for p := 0; p < r.n; p++ {
-		if r.succ[p].Contains(x) {
-			apply(p)
+	// x and every predecessor p of x (x ∈ succ[p]) gain {y} ∪ succ(y).
+	// succ[y] is read in place: it is never one of the rows written, as
+	// y ≠ x and x ∈ succ[y] would mean y ≻ x, a cycle CanAdd refuses (and
+	// Remove's rebuild re-adds a subset of a valid base).
+	down := r.succ[y]
+	for p, s := range r.succ {
+		if p != x && !s.Contains(x) {
+			continue
 		}
+		before := s.Count()
+		s.Or(down)
+		s.Add(y)
+		r.size += s.Count() - before
 	}
 	r.derived = nil
 	r.cmp.Store(nil)
@@ -195,10 +201,11 @@ func (r *Relation) Remove(x, y int) error {
 	if idx < 0 {
 		return fmt.Errorf("%w: (%d,%d)", ErrUnknownTuple, x, y)
 	}
-	kept := append(append([]Tuple(nil), r.asserted[:idx]...), r.asserted[idx+1:]...)
-	for i := range r.succ {
-		r.succ[i] = bitset.New(r.n)
-	}
+	// Fresh rows and a fresh base: a Succ row or Asserted slice taken
+	// before the Remove keeps its old content.
+	kept := make([]Tuple, 0, len(r.asserted)-1)
+	kept = append(append(kept, r.asserted[:idx]...), r.asserted[idx+1:]...)
+	r.succ = bitset.Rows(r.n, r.n)
 	r.size = 0
 	r.derived = nil
 	r.cmp.Store(nil)
@@ -247,11 +254,7 @@ func (r *Relation) CloneOnto(dom *Domain) *Relation {
 
 // Clone returns a deep copy sharing the domain.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{dom: r.dom, n: r.n, size: r.size}
-	c.succ = make([]*bitset.Set, len(r.succ))
-	for i, s := range r.succ {
-		c.succ[i] = s.Clone()
-	}
+	c := &Relation{dom: r.dom, n: r.n, size: r.size, succ: bitset.CloneRows(r.succ)}
 	c.asserted = append([]Tuple(nil), r.asserted...)
 	return c
 }
@@ -279,26 +282,38 @@ func (r *Relation) ForEachTuple(fn func(x, y int)) {
 	}
 }
 
-// Intersect returns the common preference relation r ∩ o (Def. 4.1). Both
-// relations must share the same domain. The intersection of two strict
-// partial orders is again a strict partial order (Theorem 4.2), so the
-// result maintains the closure invariant for free.
+// Intersect returns the common preference relation r ∩ o (Def. 4.1) as a
+// new relation: a Clone narrowed by IntersectWith.
 func (r *Relation) Intersect(o *Relation) *Relation {
+	c := r.Clone()
+	c.IntersectWith(o)
+	return c
+}
+
+// IntersectWith narrows r to r ∩ o in place (Def. 4.1). Both relations
+// must share the same domain. The intersection of two strict partial
+// orders is again a strict partial order (Theorem 4.2), so the closure
+// invariant holds for free. The result spans the whole domain and asserts
+// nothing: its tuples are common closure pairs, not any member's
+// assertions. Rows are rewritten word by word, so r must be a relation
+// no other goroutine reads, such as a fresh Clone.
+func (r *Relation) IntersectWith(o *Relation) {
 	if r.dom != o.dom {
 		panic("order: intersecting relations over different domains")
 	}
-	n := r.n
-	if o.n < n {
-		n = o.n
+	r.ensure(r.dom.Size())
+	r.size = 0
+	for x, s := range r.succ {
+		if x < o.n {
+			s.And(o.succ[x])
+			r.size += s.Count()
+		} else {
+			s.Clear()
+		}
 	}
-	c := NewRelation(r.dom)
-	c.ensure(r.n)
-	for x := 0; x < n; x++ {
-		c.succ[x].CopyFrom(r.succ[x])
-		c.succ[x].And(o.succ[x])
-		c.size += c.succ[x].Count()
-	}
-	return c
+	r.asserted = nil
+	r.derived = nil
+	r.cmp.Store(nil)
 }
 
 // IntersectionSize returns |r ∩ o| without materializing the intersection

@@ -219,16 +219,18 @@ func (p *Profile) Dominates(a, b object.Object) bool {
 }
 
 // Common returns the common preference profile of users (Def. 4.1):
-// per attribute, the intersection of all users' relations. It panics on an
-// empty user set — the common preferences of nobody are undefined.
+// per attribute, the intersection of all users' relations. It costs one
+// Clone of the first member, narrowed in place by each further one. It
+// panics on an empty user set — the common preferences of nobody are
+// undefined.
 func Common(users []*Profile) *Profile {
 	if len(users) == 0 {
 		panic("pref: Common of empty user set")
 	}
 	c := users[0].Clone()
 	for _, u := range users[1:] {
-		for d := range c.rels {
-			c.rels[d] = c.rels[d].Intersect(u.rels[d])
+		for d, r := range c.rels {
+			r.IntersectWith(u.rels[d])
 		}
 	}
 	return c

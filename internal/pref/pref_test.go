@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/datagen"
 	"repro/internal/fixtures"
 	"repro/internal/object"
 	"repro/internal/order"
@@ -172,6 +173,39 @@ func TestCommonPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	pref.Common(nil)
+}
+
+// movieMembers returns k user profiles over the movie workload's four
+// attribute domains (60, 40, 12 and 50 values).
+func movieMembers(k int) []*pref.Profile {
+	return datagen.Generate(datagen.Movie().Scaled(200, k)).Users
+}
+
+// Common clones the first member once and narrows the clone in place, so
+// it allocates exactly what one Profile.Clone does, whatever the number
+// of members.
+func TestCommonAllocs(t *testing.T) {
+	members := movieMembers(8)
+	clone := testing.AllocsPerRun(10, func() { _ = members[0].Clone() })
+	for _, k := range []int{1, 2, 8} {
+		if got := testing.AllocsPerRun(10, func() { _ = pref.Common(members[:k]) }); got != clone {
+			t.Errorf("Common of %d members: %v allocs, want %v as one Clone", k, got, clone)
+		}
+	}
+	// The in-place narrowing leaves every member as it was.
+	before := make([]*pref.Profile, len(members))
+	for i, m := range members {
+		before[i] = m.Clone()
+	}
+	c := pref.Common(members)
+	for i, m := range members {
+		if !m.Equal(before[i]) {
+			t.Fatalf("Common changed member %d", i)
+		}
+		if !m.Subsumes(c) {
+			t.Fatalf("member %d does not subsume the common profile", i)
+		}
+	}
 }
 
 func TestSetRelationDomainCheck(t *testing.T) {

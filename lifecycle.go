@@ -247,7 +247,7 @@ func (m *Monitor) apply(mut mutation) {
 		}
 	}
 	for i, c := range watch {
-		before[i] = append([]int(nil), m.eng.UserFrontier(c)...)
+		before[i] = m.eng.UserFrontier(c)
 	}
 	switch mut.op {
 	case OpAddUser:
@@ -403,24 +403,25 @@ func (m *Monitor) applyRemoveObjectLocked(id int) {
 
 // publishDeltaLocked diffs a user's frontier against a captured
 // before-image and pushes the change, if any, to the user's delta
-// subscribers.
+// subscribers. Both id lists are the caller's own (UserFrontier returns a
+// fresh slice), so they are sorted in place and walked together.
 func (m *Monitor) publishDeltaLocked(c int, beforeIDs []int) {
 	after := m.eng.UserFrontier(c)
-	was := make(map[int]bool, len(beforeIDs))
-	for _, id := range beforeIDs {
-		was[id] = true
-	}
-	is := make(map[int]bool, len(after))
+	sort.Ints(beforeIDs)
+	sort.Ints(after)
 	var entered, left []string
-	for _, id := range after {
-		is[id] = true
-		if !was[id] {
-			entered = append(entered, m.entry(id).name)
-		}
-	}
-	for _, id := range beforeIDs {
-		if !is[id] {
-			left = append(left, m.entry(id).name)
+	i, j := 0, 0
+	for i < len(beforeIDs) || j < len(after) {
+		switch {
+		case j == len(after) || i < len(beforeIDs) && beforeIDs[i] < after[j]:
+			left = append(left, m.entry(beforeIDs[i]).name)
+			i++
+		case i == len(beforeIDs) || after[j] < beforeIDs[i]:
+			entered = append(entered, m.entry(after[j]).name)
+			j++
+		default:
+			i++
+			j++
 		}
 	}
 	if len(entered) == 0 && len(left) == 0 {
