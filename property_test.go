@@ -1042,6 +1042,12 @@ func TestWindowedRemoveObjectOutsideFrontier(t *testing.T) {
 // object (aee2bcad07d2c5f1 and 200f13afd908cc82 before): the final sweep
 // no longer finds the expired names, which it used to hash with an empty
 // C_o. Hashing them that way reproduces the old digests exactly.
+//
+// The last two rows pin the exact append-only engines — tuple classes on —
+// through the same history, lifecycle calls included: recorded at 2ded0fc,
+// before the engines took over recomputing cluster relations and reading
+// the alive set themselves, a refactor that must not move a delivery or a
+// comparison.
 func TestApproxAndWindowedMonitorsUnchanged(t *testing.T) {
 	approx := []Option{WithAlgorithm(AlgorithmFilterThenVerifyApprox), WithClusterCount(3), WithThetas(3, 0.3)}
 	cases := []struct {
@@ -1055,6 +1061,8 @@ func TestApproxAndWindowedMonitorsUnchanged(t *testing.T) {
 		{"BaselineSW", []Option{WithAlgorithm(AlgorithmBaseline), WithWindow(24)}, "8e58ea67f5182b40", 19366},
 		{"FTV-SW", []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3), WithWindow(24)}, "8e58ea67f5182b40", 39714},
 		{"FTVA-SW", append(approx[:3:3], WithWindow(24)), "cda58a4311538d9b", 20661},
+		{"Baseline", []Option{WithAlgorithm(AlgorithmBaseline)}, "5acef684f4a2fdda", 5177},
+		{"FTV", []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3)}, "5acef684f4a2fdda", 8534},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3} {
