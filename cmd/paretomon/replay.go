@@ -149,15 +149,16 @@ func buildEngine(e *engineFlags, users []*pref.Profile) *core.Sharded {
 	default:
 		failf("unknown algorithm %q", e.alg)
 	}
+	// A replay only ingests: no lifecycle call, so no alive-object source.
 	var eng *core.Sharded
 	var err error
 	switch {
 	case e.win > 0:
 		eng, err = window.NewSharded(users, clusters, nil, e.win, e.workers, &stats.Counters{})
 	case e.alg == "ftva":
-		eng, err = core.NewShardedPerObject(users, clusters, nil, e.workers, &stats.Counters{})
+		eng, err = core.NewShardedPerObject(users, clusters, nil, nil, e.workers, &stats.Counters{})
 	default:
-		eng, err = core.NewSharded(users, clusters, nil, e.workers, &stats.Counters{})
+		eng, err = core.NewSharded(users, clusters, nil, nil, e.workers, &stats.Counters{})
 	}
 	if err != nil {
 		failf("%v", err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"slices"
 
@@ -251,18 +252,17 @@ func (t *TupleClasses) unindex(ci int) {
 	t.live--
 }
 
-// Collapse reduces an arrival-ordered list of alive objects to one
+// Collapse reduces the arrival-ordered alive objects to one
 // representative per class, ordered by each class's oldest member: the
 // candidate list a mend or a replay scans. The result is the table's
-// scratch, valid until the next Collapse. With the table off it is alive
-// itself.
-func (t *TupleClasses) Collapse(alive []object.Object) []object.Object {
-	if !t.on {
-		return alive
-	}
+// scratch, valid until the next Collapse. With the table off every object
+// is its own representative.
+func (t *TupleClasses) Collapse(alive iter.Seq[object.Object]) []object.Object {
 	t.reps = t.reps[:0]
-	for _, o := range alive {
-		if ci, ok := t.classOf(o.ID); ok && int(t.classes[ci].head) == o.ID {
+	for o := range alive {
+		if !t.on {
+			t.reps = append(t.reps, o)
+		} else if ci, ok := t.classOf(o.ID); ok && int(t.classes[ci].head) == o.ID {
 			t.reps = append(t.reps, t.rep(ci))
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/object"
@@ -170,7 +171,7 @@ func TestTupleClassesAgainstModel(t *testing.T) {
 							want = append(want, k)
 						}
 					}
-					reps := tc.Collapse(alive)
+					reps := tc.Collapse(slices.Values(alive))
 					if len(reps) != len(want) {
 						t.Fatalf("step %d: Collapse gave %d representatives for %d classes", step, len(reps), len(want))
 					}
@@ -216,8 +217,8 @@ func TestTupleClassesOffIsTransparent(t *testing.T) {
 		t.Fatalf("Leave = %v, %v with the table off", rep, last)
 	}
 	alive := []object.Object{a, b}
-	if got := tc.Collapse(alive); &got[0] != &alive[0] || len(got) != 2 {
-		t.Fatal("Collapse copied or dropped objects with the table off")
+	if got := tc.Collapse(slices.Values(alive)); !reflect.DeepEqual(got, alive) {
+		t.Fatalf("Collapse gave %v with the table off, want every object as it is", got)
 	}
 	if tc.links != nil || tc.classes != nil || tc.slots != nil {
 		t.Fatalf("the table stored something while off: %+v", tc)

@@ -1,9 +1,12 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -230,10 +233,10 @@ func TestClassKeyedEnginesRefuseUnsubsumedRelations(t *testing.T) {
 		fn()
 	}
 	mustPanic("NewFilterThenVerify(Û)", func() { core.NewFilterThenVerify(users, approx, nil) })
-	if _, err := core.NewSharded(users, approx, nil, 1, nil); err == nil {
+	if _, err := core.NewSharded(users, approx, nil, nil, 1, nil); err == nil {
 		t.Error("NewSharded(Û): expected an error")
 	}
-	if _, err := core.NewShardedPerObject(users, approx, nil, 1, nil); err != nil {
+	if _, err := core.NewShardedPerObject(users, approx, nil, nil, 1, nil); err != nil {
 		t.Errorf("NewShardedPerObject(Û): %v", err)
 	}
 
@@ -243,9 +246,23 @@ func TestClassKeyedEnginesRefuseUnsubsumedRelations(t *testing.T) {
 	ap, _ := l.Domains[1].ID("Apple")
 	sa, _ := l.Domains[1].ID("Samsung")
 	mustPanic("ApplyPreference under an approximate CommonFn", func() { f.ApplyPreference(1, 1, ap, sa) })
-	mustPanic("RetractPreference(Û)", func() {
-		core.NewFilterThenVerify(users, exact, nil).RetractPreference(1, l.UHat, nil)
-	})
+	// The failed call above still asserted Apple ≻ Samsung for user 1
+	// (the relation grows before the cluster's is recomputed; f's cluster
+	// list, exact, now holds Û), so a fresh exact engine can retract it —
+	// and must refuse the Û its CommonFn hands back for the cluster.
+	g, err := core.NewSharded(users, []core.Cluster{{Members: []int{0, 1}, Common: l.U}}, nil, slices.Values(l.Objects), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetCommonFn(func([]*pref.Profile) *pref.Profile { return l.UHat })
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not subsumed") {
+				t.Errorf("RetractPreference under an approximate CommonFn: recovered %v, want the subsumption panic", r)
+			}
+		}()
+		g.RetractPreference(1, 1, ap, sa)
+	}()
 }
 
 func TestFrontier(t *testing.T) {

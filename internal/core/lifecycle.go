@@ -7,18 +7,19 @@ import (
 
 // Lifecycle operations on the append-only engines: the community and the
 // object set become mutable after construction. Each operation mirrors a
-// public Monitor call; validation and WAL logging happen above, so the
-// engine methods only transform state (and count the comparisons the
-// transformation performs).
+// public Monitor call and carries only what changed — a user slot, a
+// cluster index, a preference tuple, an object. Validation and WAL
+// logging happen above; the engine finds the rest itself: it recomputes
+// every cluster relation a call touches (ClusterShard.CommonOf), and it
+// reads the alive objects from the source it was built with (NewSharded's
+// alive argument, the owner's registry), in arrival order.
 //
 // The central mechanism is frontier *mending* — the inverse of the
 // arrival scan. Retracting a preference tuple or deleting an object
 // removes dominance pairs, so objects the frontier previously rejected
-// can become Pareto-optimal again. The windowed engines already mend on
-// expiry (Alg. 4/5's mendParetoFrontierSW); here the same mechanism is
-// exposed as a first-class operation for the append-only engines, with
-// the alive-object registry standing in for the window ring as the
-// candidate source.
+// can become Pareto-optimal again. The windowed engines mend on expiry
+// (Alg. 4/5's mendParetoFrontierSW) from their ring; here the alive
+// objects stand in for the ring as the candidate source.
 //
 // Correctness of mendFrontier's candidate check: a candidate x enters
 // the new frontier iff no alive object dominates it. It suffices to test
@@ -31,9 +32,15 @@ import (
 //
 // In the exact engines all of this runs on tuple classes: frontier
 // members and candidates are class representatives (Collapse reduces the
-// caller's alive list to one per class), which is the same argument on
-// the quotient set — identical tuples never dominate each other and
-// dominate everything else alike.
+// alive objects to one per class), which is the same argument on the
+// quotient set — identical tuples never dominate each other and dominate
+// everything else alike.
+//
+// The filter-then-verify engines share the orchestration with the
+// windowed ones (ClusterShard's JoinCluster, LeaveCluster, RetractTuple)
+// and differ only in the Resync hook that repairs P_U: here it scans the
+// alive objects for a founded cluster and otherwise runs the
+// direction-aware resyncCluster.
 
 // CommonFn recomputes a cluster's common preference relation from its
 // member profiles. The exact engines use pref.Common (Def. 4.1); the
@@ -45,9 +52,12 @@ type CommonFn func(members []*pref.Profile) *pref.Profile
 // LifecycleEngine is the mutation surface every engine (shard and
 // harness, append-only and windowed) implements for the v3 lifecycle
 // API. Indices are monitor-global: c is the user's construction-order
-// slot, cluster the index into the monitor's full cluster list. alive
-// holds every currently alive object in arrival order; windowed engines
-// ignore it and consult their ring instead.
+// slot, cluster the index into the monitor's full cluster list. A
+// clustered engine recomputes the relation of every cluster whose
+// membership or member relation a call changes, through its CommonFn. A
+// mend draws its candidates from the window ring under a window and from
+// the alive-object source otherwise; an append-only call that needs the
+// source panics on an engine built without one.
 type LifecycleEngine interface {
 	// RegisterUser extends the engine's user table with profile p at slot
 	// c (== current table length). The user owns no frontier until
@@ -55,25 +65,24 @@ type LifecycleEngine interface {
 	// shard's table while only the owning shard activates.
 	RegisterUser(c int, p *pref.Profile)
 	// ActivateUser gives user c a live frontier built over the alive
-	// objects. For clustered engines, cluster selects the joined cluster
-	// (== cluster-list length to found a new one) and common is the
-	// cluster's recomputed common relation including c.
-	ActivateUser(c int, cluster int, common *pref.Profile, alive []object.Object)
+	// objects. For clustered engines c joins cluster (== cluster-list
+	// length to found a new one), whose relation and filter tier resync.
+	ActivateUser(c, cluster int)
 	// DeactivateUser drops user c's structures without any mending; used
 	// during recovery to blank the slots of removed users.
 	DeactivateUser(c int)
 	// RemoveUser removes user c: its frontier disappears and, for
-	// clustered engines, its cluster's common relation becomes common
-	// (recomputed without c; nil when the cluster emptied) with the
-	// filter tier resynced.
-	RemoveUser(c int, common *pref.Profile, alive []object.Object)
-	// RetractPreference mends user c's frontier after the caller removed
-	// a tuple from c's (shared) profile; common is the cluster's
-	// recomputed relation for clustered engines (nil for baselines).
-	RetractPreference(c int, common *pref.Profile, alive []object.Object)
+	// clustered engines, its cluster's relation is recomputed without c
+	// and the filter tier resynced (a cluster losing its last member goes
+	// dormant).
+	RemoveUser(c int)
+	// RetractPreference takes the asserted tuple better ≻ worse on
+	// attribute d out of user c's (shared) profile and mends the frontiers
+	// that can grow. It fails, changing nothing, if c never asserted it.
+	RetractPreference(c, d, better, worse int) error
 	// RemoveObject deletes o from every structure it occupies and mends
-	// the frontiers it was shielding. alive excludes o already.
-	RemoveObject(o object.Object, alive []object.Object)
+	// the frontiers it was shielding. The alive objects exclude o already.
+	RemoveObject(o object.Object)
 }
 
 var (
@@ -145,22 +154,24 @@ func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(
 // --- Baseline ---
 
 // ActivateUser builds user c's frontier by replaying the alive objects
-// through the standard arrival scan (cluster and common are ignored:
-// Baseline has no shared tier).
-func (b *Baseline) ActivateUser(c int, _ int, _ *pref.Profile, alive []object.Object) {
+// through the standard arrival scan (Baseline has no cluster tier).
+func (b *Baseline) ActivateUser(c, _ int) {
 	b.Activate(c)
-	for _, o := range b.Collapse(alive) {
+	for _, o := range b.collapsed() {
 		b.updateUser(c, o)
 	}
 }
 
-// RetractPreference mends user c's frontier after the caller shrank c's
-// preference relation: candidates are every alive non-frontier object
-// (any of them may have lost its last dominator).
-func (b *Baseline) RetractPreference(c int, _ *pref.Profile, alive []object.Object) {
+// RetractPreference takes the tuple out of user c's relation and mends
+// c's frontier: candidates are every alive non-frontier object (any of
+// them may have lost its last dominator).
+func (b *Baseline) RetractPreference(c, d, better, worse int) error {
+	if err := b.RetractTuple(c, d, better, worse); err != nil {
+		return err
+	}
 	f := b.Fronts[c]
 	var cands []object.Object
-	for _, x := range b.Collapse(alive) {
+	for _, x := range b.collapsed() {
 		if !f.Contains(x.ID) {
 			cands = append(cands, x)
 		}
@@ -168,17 +179,18 @@ func (b *Baseline) RetractPreference(c int, _ *pref.Profile, alive []object.Obje
 	for _, x := range MendFrontier(f, cands, b.Users[c], b.Ctr.AddVerify) {
 		b.AddTarget(x.ID, c)
 	}
+	return nil
 }
 
 // RemoveObject deletes o and, for every user whose frontier held it,
 // promotes the alive objects whose only frontier shield was o. While a
 // twin of o is alive nothing else changes: o only leaves its class.
-func (b *Baseline) RemoveObject(o object.Object, alive []object.Object) {
+func (b *Baseline) RemoveObject(o object.Object) {
 	o, last := b.Leave(o)
 	if !last {
 		return
 	}
-	alive = b.Collapse(alive)
+	alive := b.collapsed()
 	for _, c := range b.Members {
 		if !b.Holds(o.ID, c) {
 			continue // o was dominated for c: its dominator still shields everything o did
@@ -208,97 +220,46 @@ func (b *Baseline) RemoveObject(o object.Object, alive []object.Object) {
 
 // --- FilterThenVerify ---
 
-// ActivateUser joins user c to the given cluster (or founds it when the
-// index is one past the current list), resyncs the cluster's filter tier
-// under the recomputed common relation, and builds c's frontier from the
-// filter frontier by the Lemma 4.6 criterion.
-func (f *FilterThenVerify) ActivateUser(c int, cluster int, common *pref.Profile, alive []object.Object) {
-	f.UserFronts[c] = NewFrontier()
-	li := f.LocalCluster(cluster)
-	if li < 0 {
-		// Found a new cluster owned by this instance.
-		li = f.Found(cluster, c, common)
-		for _, o := range f.Collapse(alive) {
+// ActivateUser joins user c to the given cluster (or founds it) and
+// builds c's frontier from the resynced filter frontier.
+func (f *FilterThenVerify) ActivateUser(c, cluster int) { f.JoinCluster(c, cluster, f.resync) }
+
+// RemoveUser drops user c from its cluster and resyncs the filter tier
+// under the relation recomputed without c.
+func (f *FilterThenVerify) RemoveUser(c int) { f.LeaveCluster(c, f.resync) }
+
+// RetractPreference takes the tuple out of user c's relation, resyncs
+// c's cluster under its recomputed relation, and mends c's frontier from
+// the filter frontier.
+func (f *FilterThenVerify) RetractPreference(c, d, better, worse int) error {
+	return f.RetractTuple(c, d, better, worse, f.resync)
+}
+
+// resync is the engine's Resync hook. A founded (or revived) cluster
+// builds P_U by scanning the alive objects; a dormant one has nothing to
+// serve; otherwise resyncCluster repairs P_U by the direction the
+// relation moved.
+func (f *FilterThenVerify) resync(li int, old *pref.Profile) {
+	switch {
+	case f.Clusters[li].Common == nil:
+	case old == nil:
+		for _, o := range f.collapsed() {
 			f.updateClusterFrontier(li, o)
 		}
-	} else {
-		cl := &f.Clusters[li]
-		old := cl.Common
-		cl.Members = append(cl.Members, c)
-		f.setCommon(li, common)
-		f.resyncCluster(li, old, alive)
+	default:
+		f.resyncCluster(li, old)
 	}
-	f.mendMemberFrontier(li, c)
-}
-
-// mendMemberFrontier admits missing filter-frontier objects into a
-// member frontier: x enters P_c iff no other filter-frontier member
-// dominates x under ≻_c (Lemma 4.6; exact whenever ≻_U ⊆ ≻_c). Over an
-// empty frontier it builds P_c from scratch (ActivateUser).
-func (f *FilterThenVerify) mendMemberFrontier(li, c int) {
-	fu := f.ClusterFronts[li]
-	u := f.Users[c]
-	fc := f.UserFronts[c]
-	for _, x := range fu.Objects() {
-		if !fc.Contains(x.ID) {
-			f.admitMember(fu, u, c, x)
-		}
-	}
-}
-
-// admitMember adds x to P_c unless another filter-frontier member
-// dominates it under ≻_c (the Lemma 4.6 scan).
-func (f *FilterThenVerify) admitMember(fu *Frontier, u *pref.Profile, c int, x object.Object) {
-	var px pref.Probe
-	u.Prepare(x, &px)
-	for j := 0; j < fu.Len(); j++ {
-		op := fu.At(j)
-		if op.ID == x.ID {
-			continue
-		}
-		f.Ctr.AddVerify(1)
-		if px.DominatedBy(op) {
-			return
-		}
-	}
-	f.UserFronts[c].Add(x)
-	f.AddTarget(x.ID, c)
-}
-
-// RemoveUser drops user c from its cluster. The shrunken membership
-// can only grow the common relation for exact engines (intersection of
-// fewer members), shrinking the filter frontier; resyncCluster also
-// covers the approximate engine, where the relation may move either way.
-// An emptied cluster goes dormant: its structures clear and Process
-// skips it.
-func (f *FilterThenVerify) RemoveUser(c int, common *pref.Profile, alive []object.Object) {
-	li, emptied := f.DropMember(c)
-	if emptied {
-		return
-	}
-	old := f.Clusters[li].Common
-	f.setCommon(li, common)
-	f.resyncCluster(li, old, alive)
-}
-
-// RetractPreference resyncs user c's cluster under the recomputed common
-// relation (the caller already shrank c's shared profile), then mends
-// c's own frontier from the filter frontier.
-func (f *FilterThenVerify) RetractPreference(c int, common *pref.Profile, alive []object.Object) {
-	li := f.ClusterOf(c)
-	old := f.Clusters[li].Common
-	f.setCommon(li, common)
-	f.resyncCluster(li, old, alive)
-	f.mendMemberFrontier(li, c)
 }
 
 // resyncCluster reconciles the filter frontier with a changed common
 // relation. The direction decides the work: a grown relation (new ⊇ old)
 // can only evict members — the pairwise filter; a shrunken one (new ⊆
-// old) can only admit — the alive-candidate mend. The approximate
-// engine's relation can move both ways at once (the θ1 cap displaces
-// tuples), so an incomparable change runs both phases.
-func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile, alive []object.Object) {
+// old) can only admit — the alive-candidate mend. Exact relations move
+// one way (a member leaving grows the intersection, a member joining or
+// retracting shrinks it); the approximate engine's relation can move
+// both ways at once (the θ1 cap displaces tuples), so an incomparable
+// change runs both phases.
+func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile) {
 	cl := &f.Clusters[li]
 	super := cl.Common.Subsumes(old)
 	sub := old.Subsumes(cl.Common)
@@ -311,7 +272,7 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile, alive []obje
 	if !super {
 		fu := f.ClusterFronts[li]
 		var cands []object.Object
-		for _, x := range f.Collapse(alive) {
+		for _, x := range f.collapsed() {
 			if !fu.Contains(x.ID) {
 				cands = append(cands, x)
 			}
@@ -328,12 +289,12 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile, alive []obje
 // anything o shielded for that member is still shielded by o's own
 // ≻_c-dominator, which survives in the filter frontier. While a twin of o
 // is alive (exact engine) nothing else changes: o only leaves its class.
-func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) {
+func (f *FilterThenVerify) RemoveObject(o object.Object) {
 	o, last := f.Leave(o)
 	if !last {
 		return
 	}
-	alive = f.Collapse(alive)
+	alive := f.collapsed()
 	for li := range f.Clusters {
 		cl := &f.Clusters[li]
 		if len(cl.Members) == 0 {
@@ -377,17 +338,17 @@ func (f *FilterThenVerify) RemoveObject(o object.Object, alive []object.Object) 
 // implies o ≻_c x).
 func (f *FilterThenVerify) mendMemberAfterRemoval(li, c int, o object.Object) {
 	fu := f.ClusterFronts[li]
-	u := f.Users[c]
 	fc := f.UserFronts[c]
 	var po pref.Probe
-	u.Prepare(o, &po)
+	f.Users[c].Prepare(o, &po)
 	for _, x := range fu.Objects() {
 		if fc.Contains(x.ID) {
 			continue
 		}
 		f.Ctr.AddVerify(1)
-		if po.Dominates(x) {
-			f.admitMember(fu, u, c, x)
+		if po.Dominates(x) && f.Undominated(li, c, x) {
+			fc.Add(x)
+			f.AddTarget(x.ID, c)
 		}
 	}
 }

@@ -84,14 +84,14 @@ func TestParallelValidatesPartition(t *testing.T) {
 		"removed user listed": {clusters: []core.Cluster{{Members: []int{0, 1}, Common: l.U}}, active: []bool{true, false}},
 	} {
 		for _, workers := range []int{1, 2} {
-			if _, err := core.NewSharded(users, tc.clusters, tc.active, workers, nil); err == nil {
+			if _, err := core.NewSharded(users, tc.clusters, tc.active, nil, workers, nil); err == nil {
 				t.Errorf("%s, workers=%d: bad partition accepted", name, workers)
 			}
 		}
 	}
 	// Removed users and dormant clusters are not a bad partition.
 	ok := []core.Cluster{{Members: []int{0}, Common: l.C1.Clone()}, {}}
-	if _, err := core.NewSharded(users, ok, []bool{true, false}, 2, nil); err != nil {
+	if _, err := core.NewSharded(users, ok, []bool{true, false}, nil, 2, nil); err != nil {
 		t.Errorf("evolved community refused: %v", err)
 	}
 }
@@ -109,7 +109,7 @@ func TestQuickParallelEquivalence(t *testing.T) {
 		}
 		workers := 1 + r.Intn(4)
 		seq := core.NewFilterThenVerify(users, clusters, nil)
-		par, err := core.NewSharded(users, clusters, nil, workers, nil)
+		par, err := core.NewSharded(users, clusters, nil, nil, workers, nil)
 		if err != nil {
 			return false
 		}
@@ -146,16 +146,16 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 		build build
 	}{
 		{"Baseline", func(u []*pref.Profile, _ []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
-			return core.NewSharded(u, nil, nil, w, c)
+			return core.NewSharded(u, nil, nil, nil, w, c)
 		}},
 		{"BaselinePerObject", func(u []*pref.Profile, _ []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
-			return core.NewShardedPerObject(u, nil, nil, w, c)
+			return core.NewShardedPerObject(u, nil, nil, nil, w, c)
 		}},
 		{"FTV", func(u []*pref.Profile, cl []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
-			return core.NewSharded(u, cl, nil, w, c)
+			return core.NewSharded(u, cl, nil, nil, w, c)
 		}},
 		{"FTVPerObject", func(u []*pref.Profile, cl []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
-			return core.NewShardedPerObject(u, cl, nil, w, c)
+			return core.NewShardedPerObject(u, cl, nil, nil, w, c)
 		}},
 		{"BaselineSW", func(u []*pref.Profile, _ []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
 			return window.NewSharded(u, nil, nil, 16, w, c)
@@ -220,7 +220,7 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 // mustSharded builds the append-only harness over a full partition.
 func mustSharded(t testing.TB, users []*pref.Profile, clusters []core.Cluster, workers int, ctr *stats.Counters) *core.Sharded {
 	t.Helper()
-	s, err := core.NewSharded(users, clusters, nil, workers, ctr)
+	s, err := core.NewSharded(users, clusters, nil, nil, workers, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"repro/internal/object"
 	"repro/internal/pref"
@@ -21,10 +23,48 @@ import (
 // MemberIndex is what both shard kinds keep about frontier members apart
 // from the frontiers themselves: C_key per member (TargetTracker) and the
 // tuple-class table that maps an object id to its member's key
-// (TupleClasses; off, every id is its own key).
+// (TupleClasses; off, every id is its own key) — and, on an append-only
+// engine, where the alive objects are.
 type MemberIndex struct {
 	TargetTracker
 	TupleClasses
+
+	// source yields every alive object in arrival order: the owner's
+	// registry, fixed at construction (NewSharded). It is the candidate
+	// set of every append-only mend and replay, and arrival order is part
+	// of the contract — scan order after a mend, and with it every later
+	// comparison count, follows it. The windowed engines mend from their
+	// ring and leave it nil.
+	source iter.Seq[object.Object]
+}
+
+// alive returns the engine's alive-object source; an engine built
+// without one cannot serve a lifecycle call or a restore, and says so.
+func (m *MemberIndex) alive() iter.Seq[object.Object] {
+	if m.source == nil {
+		panic("core: engine built without an alive-object source (NewSharded's alive argument): " +
+			"lifecycle calls and RestoreState read the alive objects from it")
+	}
+	return m.source
+}
+
+// collapsed is the alive objects, one representative per tuple class in
+// arrival order of the oldest member: what a mend scans (Collapse's
+// scratch, valid until the next call).
+func (m *MemberIndex) collapsed() []object.Object { return m.Collapse(m.alive()) }
+
+// resolveAlive registers every alive object in the class table before a
+// restore: a captured state names frontier members only, and the
+// dominated tuples must be back in the table for the engine to go on
+// answering twins — and counting comparisons — exactly like an
+// uninterrupted one. With the table off there is nothing to register.
+func (m *MemberIndex) resolveAlive() {
+	if !m.on {
+		return
+	}
+	for o := range m.alive() {
+		m.Resolve(o)
+	}
 }
 
 // AppendTargets appends the current C_o of a previously processed object
@@ -115,7 +155,7 @@ func (s *UserShard) DeactivateUser(c int) {
 
 // RemoveUser drops user c's frontier and target entries; a no-op on the
 // shards that do not maintain c.
-func (s *UserShard) RemoveUser(c int, _ *pref.Profile, _ []object.Object) {
+func (s *UserShard) RemoveUser(c int) {
 	if s.Fronts[c] == nil {
 		return
 	}
@@ -123,6 +163,26 @@ func (s *UserShard) RemoveUser(c int, _ *pref.Profile, _ []object.Object) {
 		s.RemoveTarget(id, c)
 	}
 	s.DeactivateUser(c)
+}
+
+// AddTuple records that user c now also prefers value better over value
+// worse on attribute d, in c's shared profile. It fails if the tuple would
+// break the strict-partial-order axioms; the engine then repairs nothing.
+func (s *UserShard) AddTuple(c, d, better, worse int) error {
+	return addTuple(s.Users, c, d, better, worse)
+}
+
+// RetractTuple takes the asserted tuple out of user c's shared profile;
+// it fails, changing nothing, if c never asserted it.
+func (s *UserShard) RetractTuple(c, d, better, worse int) error {
+	return s.Users[c].Relation(d).Remove(better, worse)
+}
+
+func addTuple(users []*pref.Profile, c, d, better, worse int) error {
+	if c < 0 || c >= len(users) {
+		return fmt.Errorf("core: no user %d", c)
+	}
+	return users[c].Relation(d).Add(better, worse)
 }
 
 // ClusterShard is the bookkeeping of a filter-then-verify engine: the
@@ -144,9 +204,10 @@ type ClusterShard struct {
 	globalIdx []int
 	total     int
 
-	// commonFn recomputes a cluster's common relation when membership or
-	// member preferences change online; nil means pref.Common (the exact
-	// engines). The monitor wires approx.Profile for the approximate one.
+	// commonFn recomputes a cluster's common relation whenever its
+	// membership or a member's relation changes; nil means pref.Common
+	// (the exact engines). The monitor wires approx.Profile for the
+	// approximate one.
 	commonFn CommonFn
 }
 
@@ -235,9 +296,9 @@ func (s *ClusterShard) CommonOf(members []int) *pref.Profile {
 	return pref.Common(ps)
 }
 
-// SetCommonFn installs the cluster-relation recompute used by online
-// preference updates (the monitor wires approx.Profile for the
-// approximate engine).
+// SetCommonFn installs the cluster-relation recompute every lifecycle
+// call and preference update runs (the monitor wires approx.Profile for
+// the approximate engine).
 func (s *ClusterShard) SetCommonFn(fn CommonFn) { s.commonFn = fn }
 
 // FastForward is a no-op: an append-only engine ages nothing.
@@ -310,41 +371,137 @@ func (s *ClusterShard) RegisterUser(c int, p *pref.Profile) {
 // DeactivateUser blanks user c's slot without mending (recovery path).
 func (s *ClusterShard) DeactivateUser(c int) { s.UserFronts[c] = nil }
 
-// Found appends a new singleton cluster {c}, monitor-global index
-// cluster, with an empty filter frontier, and returns its local index.
-func (s *ClusterShard) Found(cluster, c int, common *pref.Profile) int {
-	s.Clusters = append(s.Clusters, Cluster{Members: []int{c}})
+// Resync brings cluster li's filter tier in line after its common
+// relation moved from old to Clusters[li].Common. old is nil when the
+// cluster was just founded or revived from dormancy; the new relation is
+// nil when its last member left, and the cluster goes dormant (no
+// relation, an empty filter frontier; Process skips it). Each
+// filter-then-verify engine supplies its own; ClusterShard runs the rest
+// of every lifecycle call (JoinCluster, LeaveCluster, RetractTuple,
+// ApplyTuple).
+type Resync func(li int, old *pref.Profile)
+
+// JoinCluster is ActivateUser of a filter-then-verify engine: user c
+// joins cluster (founding it when the index is new to the instance), the
+// cluster's relation is recomputed and resync repairs P_U, and c's
+// frontier is built from P_U by the Lemma 4.6 criterion.
+func (s *ClusterShard) JoinCluster(c, cluster int, resync Resync) {
+	s.UserFronts[c] = NewFrontier()
+	li := s.LocalCluster(cluster)
+	if li < 0 {
+		li = s.found(cluster)
+	}
+	s.Clusters[li].Members = append(s.Clusters[li].Members, c)
+	s.recommon(li, resync)
+	s.mendMember(li, c)
+}
+
+// found appends a memberless cluster, monitor-global index cluster, with
+// an empty filter frontier, and returns its local index.
+func (s *ClusterShard) found(cluster int) int {
+	s.Clusters = append(s.Clusters, Cluster{})
 	s.ClusterFronts = append(s.ClusterFronts, NewFrontier())
 	s.globalIdx = append(s.globalIdx, cluster)
 	s.SetClusterTotal(cluster + 1)
-	li := len(s.Clusters) - 1
-	s.setCommon(li, common)
-	return li
+	return len(s.Clusters) - 1
 }
 
-// DropMember takes user c out of its cluster: c leaves the member list,
-// its frontier and target entries disappear. It returns the cluster's
-// local index and whether the cluster emptied — an emptied cluster goes
-// dormant (no relation, a fresh empty filter frontier; Process skips it).
-func (s *ClusterShard) DropMember(c int) (li int, emptied bool) {
-	li = s.ClusterOf(c)
+// LeaveCluster is RemoveUser of a filter-then-verify engine: user c leaves
+// its cluster's member list (in place: the relation sees the members in
+// the order the monitor keeps them), its frontier and target entries
+// disappear, and the cluster's relation is recomputed and resynced.
+func (s *ClusterShard) LeaveCluster(c int, resync Resync) {
+	li := s.ClusterOf(c)
 	cl := &s.Clusters[li]
-	for i, m := range cl.Members {
-		if m == c {
-			cl.Members = append(cl.Members[:i], cl.Members[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(cl.Members, c)
+	cl.Members = slices.Delete(cl.Members, i, i+1)
 	for _, id := range s.UserFronts[c].IDs() {
 		s.RemoveTarget(id, c)
 	}
 	s.UserFronts[c] = nil
-	if len(cl.Members) > 0 {
-		return li, false
+	s.recommon(li, resync)
+}
+
+// RetractTuple is RetractPreference of a filter-then-verify engine: the
+// asserted tuple leaves user c's shared profile, c's cluster's relation
+// is recomputed and resynced, and c's frontier is mended from P_U. It
+// fails, changing nothing, if c never asserted the tuple.
+func (s *ClusterShard) RetractTuple(c, d, better, worse int, resync Resync) error {
+	if err := s.Users[c].Relation(d).Remove(better, worse); err != nil {
+		return err
 	}
-	cl.Common = nil
-	s.ClusterFronts[li] = NewFrontier()
-	return li, true
+	li := s.ClusterOf(c)
+	s.recommon(li, resync)
+	s.mendMember(li, c)
+	return nil
+}
+
+// ApplyTuple is ApplyPreference of a filter-then-verify engine: the tuple
+// joins user c's shared profile, c's cluster's relation is recomputed and
+// repair brings P_U in line, and c's own frontier is filtered pairwise
+// under the grown ≻_c — exact, since a grown relation only adds dominance
+// pairs (see update.go). A tuple that would break the strict partial
+// order fails and changes nothing.
+func (s *ClusterShard) ApplyTuple(c, d, better, worse int, repair Resync) error {
+	if err := addTuple(s.Users, c, d, better, worse); err != nil {
+		return err
+	}
+	s.recommon(s.ClusterOf(c), repair)
+	FilterFrontier(s.UserFronts[c], s.Users[c], s.Ctr.AddVerify, func(id int) {
+		s.RemoveTarget(id, c)
+	})
+	return nil
+}
+
+// recommon recomputes cluster li's relation from its members through the
+// CommonFn — or retires it, when the last member left — and hands the
+// move to resync.
+func (s *ClusterShard) recommon(li int, resync Resync) {
+	cl := &s.Clusters[li]
+	old := cl.Common
+	if len(cl.Members) == 0 {
+		cl.Common = nil
+		s.ClusterFronts[li] = NewFrontier()
+	} else {
+		s.setCommon(li, s.CommonOf(cl.Members))
+	}
+	resync(li, old)
+}
+
+// mendMember admits the filter-frontier objects user c's frontier lacks
+// and no other filter-frontier member dominates under ≻_c (Lemma 4.6;
+// exact whenever ≻_U ⊆ ≻_c). Over an empty frontier it builds P_c.
+func (s *ClusterShard) mendMember(li, c int) {
+	fc := s.UserFronts[c]
+	for _, x := range s.ClusterFronts[li].Objects() {
+		if !fc.Contains(x.ID) && s.Undominated(li, c, x) {
+			fc.Add(x)
+			s.AddTarget(x.ID, c)
+		}
+	}
+}
+
+// Undominated is the criterion of Lemma 4.6 for x ∈ P_U to belong to P_c:
+// no other P_U member dominates it under ≻_c. Every test is a verify
+// comparison. Scanning P_c alone would be wrong on a mend: x's per-user
+// dominator may itself be a pending candidate (kept out of P_c by the
+// object that just left), and P_U is not ordered so that dominators
+// precede what they dominate.
+func (s *ClusterShard) Undominated(li, c int, x object.Object) bool {
+	fu := s.ClusterFronts[li]
+	var px pref.Probe
+	s.Users[c].Prepare(x, &px)
+	for j := 0; j < fu.Len(); j++ {
+		op := fu.At(j)
+		if op.ID == x.ID {
+			continue
+		}
+		s.Ctr.AddVerify(1)
+		if px.DominatedBy(op) {
+			return false
+		}
+	}
+	return true
 }
 
 // EvictFromMembers takes object id, which just left cluster li's filter

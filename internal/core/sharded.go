@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"runtime"
 	"sort"
 	"sync"
@@ -22,7 +23,7 @@ type ShardEngine interface {
 	// CaptureState / RestoreState fill and rebuild the shard's owned
 	// slots of a unit-keyed EngineState (see state.go).
 	CaptureState(st *EngineState)
-	RestoreState(st *EngineState, alive []object.Object) error
+	RestoreState(st *EngineState) error
 	// Lifecycle mutations (see LifecycleEngine). RegisterUser and
 	// RemoveObject apply to every shard (all shards index the full user
 	// table and, for windowed engines, age private rings); the remaining
@@ -31,8 +32,8 @@ type ShardEngine interface {
 	// SetClusterTotal tells a cluster-sharded instance the full cluster
 	// list grew (its state capture is keyed by global cluster index).
 	SetClusterTotal(n int)
-	// SetCommonFn installs the cluster-relation recompute for online
-	// preference updates; no-op on baseline engines.
+	// SetCommonFn installs the cluster-relation recompute of every
+	// lifecycle call and preference update; no-op on baseline engines.
 	SetCommonFn(fn CommonFn)
 	// FastForward ages a windowed shard that holds no object yet by n
 	// arrivals, all removed (an object sync joining a source whose older
@@ -113,12 +114,16 @@ type shardArena struct {
 // every user alive. Cluster membership must partition exactly the alive
 // users, and — the shards' frontier members being tuple classes — every
 // cluster relation must be subsumed by its members' (see
-// NewFilterThenVerify). workers <= 0 means GOMAXPROCS; the count is
-// clamped to the users or non-dormant clusters there are to deal out.
-func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters) (*Sharded, error) {
+// NewFilterThenVerify). alive yields every alive object in arrival order,
+// on every call: the owner's registry, which the lifecycle calls and
+// RestoreState read their candidates from (the engine never copies it).
+// An engine that will see neither may take nil. workers <= 0 means
+// GOMAXPROCS; the count is clamped to the users or non-dormant clusters
+// there are to deal out.
+func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, alive iter.Seq[object.Object], workers int, ctr *stats.Counters) (*Sharded, error) {
 	if clusters == nil {
 		return ShardUsers(users, active, workers, ctr,
-			func(s UserShard) ShardEngine { return newBaseline(s) }), nil
+			func(s UserShard) ShardEngine { s.source = alive; return newBaseline(s) }), nil
 	}
 	if err := ValidatePartition(len(users), clusters, active); err != nil {
 		return nil, err
@@ -127,19 +132,19 @@ func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, worker
 		return nil, err
 	}
 	return ShardClusters(users, clusters, active, workers, ctr,
-		func(s ClusterShard) ShardEngine { return newFilterThenVerify(s) })
+		func(s ClusterShard) ShardEngine { s.source = alive; return newFilterThenVerify(s) })
 }
 
 // NewShardedPerObject is NewSharded with every object its own frontier
 // member: what clusters carrying approximate common relations need (see
 // NewFilterThenVerifyPerObject), and the published Algs. 1–2 otherwise.
-func NewShardedPerObject(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters) (*Sharded, error) {
+func NewShardedPerObject(users []*pref.Profile, clusters []Cluster, active []bool, alive iter.Seq[object.Object], workers int, ctr *stats.Counters) (*Sharded, error) {
 	if clusters == nil {
 		return ShardUsers(users, active, workers, ctr,
-			func(s UserShard) ShardEngine { return &Baseline{s} }), nil
+			func(s UserShard) ShardEngine { s.source = alive; return &Baseline{s} }), nil
 	}
 	return ShardClusters(users, clusters, active, workers, ctr,
-		func(s ClusterShard) ShardEngine { return &FilterThenVerify{s} })
+		func(s ClusterShard) ShardEngine { s.source = alive; return &FilterThenVerify{s} })
 }
 
 // newSharded assembles the harness with one private counter per shard
@@ -362,7 +367,7 @@ func (s *Sharded) RegisterUser(c int, p *pref.Profile) {
 // owns the joined cluster for cluster-sharded engines (founding clusters
 // round-robin, continuing the construction-time assignment), round-robin
 // over users otherwise.
-func (s *Sharded) ActivateUser(c int, cluster int, common *pref.Profile, alive []object.Object) {
+func (s *Sharded) ActivateUser(c, cluster int) {
 	var sh int
 	if s.clusterOwner != nil {
 		if cluster >= len(s.clusterOwner) {
@@ -382,7 +387,7 @@ func (s *Sharded) ActivateUser(c int, cluster int, common *pref.Profile, alive [
 		s.owner = append(s.owner, 0)
 	}
 	s.owner[c] = sh
-	s.shards[sh].ActivateUser(c, cluster, common, alive)
+	s.shards[sh].ActivateUser(c, cluster)
 }
 
 // DeactivateUser blanks the slot on every shard (only the owner holds
@@ -394,23 +399,23 @@ func (s *Sharded) DeactivateUser(c int) {
 }
 
 // RemoveUser routes the removal (and its cluster resync) to the owner.
-func (s *Sharded) RemoveUser(c int, common *pref.Profile, alive []object.Object) {
-	s.shards[s.owner[c]].RemoveUser(c, common, alive)
+func (s *Sharded) RemoveUser(c int) {
+	s.shards[s.owner[c]].RemoveUser(c)
 }
 
-// RetractPreference routes the mend to the shard owning the user's
-// frontier (and cluster); the shared profile was already shrunk by the
-// caller, once.
-func (s *Sharded) RetractPreference(c int, common *pref.Profile, alive []object.Object) {
-	s.shards[s.owner[c]].RetractPreference(c, common, alive)
+// RetractPreference routes the retraction to the shard owning the user's
+// frontier (and cluster): as for ApplyPreference, the shared profile
+// shrinks once, there, and only that shard mends.
+func (s *Sharded) RetractPreference(c, d, better, worse int) error {
+	return s.shards[s.owner[c]].RetractPreference(c, d, better, worse)
 }
 
 // RemoveObject fans the deletion to every shard: each owns disjoint
 // frontiers (and, for windowed engines, a private ring) the object may
 // occupy.
-func (s *Sharded) RemoveObject(o object.Object, alive []object.Object) {
+func (s *Sharded) RemoveObject(o object.Object) {
 	for _, sh := range s.shards {
-		sh.RemoveObject(o, alive)
+		sh.RemoveObject(o)
 	}
 }
 

@@ -69,16 +69,14 @@ func (st *EngineState) SetRing(seen int, tail []object.Object) {
 // StateEngine is implemented by every engine (shard and harness,
 // append-only and sliding-window): CaptureState fills the slots the
 // engine owns; RestoreState — valid only on a freshly constructed,
-// empty engine — rebuilds them. alive is every alive object in arrival
-// order, as for the lifecycle calls: a captured state names frontier
-// members only, and the exact append-only engines need the dominated
-// tuples back in their class tables to go on answering twins — and
-// counting comparisons — exactly like an uninterrupted engine (windowed
-// engines ignore it: their ring is in the state). Both leave work
-// counters untouched; the Monitor restores its counters separately.
+// empty engine — rebuilds them. A captured state names frontier members
+// only: the exact append-only engines read the dominated tuples back into
+// their class tables from their alive-object source, and the windowed
+// engines find everything else in the ring the state carries. Both leave
+// work counters untouched; the Monitor restores its counters separately.
 type StateEngine interface {
 	CaptureState(st *EngineState)
-	RestoreState(st *EngineState, alive []object.Object) error
+	RestoreState(st *EngineState) error
 }
 
 var (
@@ -101,24 +99,22 @@ func checkStateSize(st *EngineState, users, clusters int) error {
 
 // CaptureState fills the slots of the users this instance maintains,
 // every class expanded to its member objects.
-func (b *Baseline) CaptureState(st *EngineState) {
-	for _, c := range b.Members {
-		st.UserFronts[c] = b.MemberObjects(b.Fronts[c])
+func (s *UserShard) CaptureState(st *EngineState) {
+	for _, c := range s.Members {
+		st.UserFronts[c] = s.MemberObjects(s.Fronts[c])
 	}
 }
 
-// RestoreState rebuilds the class table from alive, then the maintained
-// users' frontiers and the target index from a captured state. The engine
-// must be freshly constructed.
-func (b *Baseline) RestoreState(st *EngineState, alive []object.Object) error {
-	if err := checkStateSize(st, len(b.Users), 0); err != nil {
+// RestoreState checks the state's geometry, registers the alive objects
+// in the class table (resolveAlive), then rebuilds the maintained users'
+// frontiers and the target index. The engine must be freshly constructed.
+func (s *UserShard) RestoreState(st *EngineState) error {
+	if err := checkStateSize(st, len(s.Users), 0); err != nil {
 		return err
 	}
-	for _, o := range alive {
-		b.Resolve(o)
-	}
-	for _, c := range b.Members {
-		if err := b.Restore(b.Fronts[c], st.UserFronts[c], &b.TargetTracker, c); err != nil {
+	s.resolveAlive()
+	for _, c := range s.Members {
+		if err := s.Restore(s.Fronts[c], st.UserFronts[c], &s.TargetTracker, c); err != nil {
 			return err
 		}
 	}
@@ -128,31 +124,30 @@ func (b *Baseline) RestoreState(st *EngineState, alive []object.Object) error {
 // CaptureState fills the slots of the clusters this instance maintains
 // and their members' frontiers, every class expanded to its member
 // objects.
-func (f *FilterThenVerify) CaptureState(st *EngineState) {
-	for li, cl := range f.Clusters {
-		st.ClusterFronts[f.GlobalIndex(li)] = f.MemberObjects(f.ClusterFronts[li])
+func (s *ClusterShard) CaptureState(st *EngineState) {
+	for li, cl := range s.Clusters {
+		st.ClusterFronts[s.GlobalIndex(li)] = s.MemberObjects(s.ClusterFronts[li])
 		for _, c := range cl.Members {
-			st.UserFronts[c] = f.MemberObjects(f.UserFronts[c])
+			st.UserFronts[c] = s.MemberObjects(s.UserFronts[c])
 		}
 	}
 }
 
-// RestoreState rebuilds the class table from alive, then the maintained
+// RestoreState checks the state's geometry, registers the alive objects
+// in the class table (resolveAlive), then rebuilds the maintained
 // clusters' filter frontiers, their members' frontiers, and the target
-// index.
-func (f *FilterThenVerify) RestoreState(st *EngineState, alive []object.Object) error {
-	if err := checkStateSize(st, len(f.Users), f.ClusterTotal()); err != nil {
+// index. The engine must be freshly constructed.
+func (s *ClusterShard) RestoreState(st *EngineState) error {
+	if err := checkStateSize(st, len(s.Users), s.ClusterTotal()); err != nil {
 		return err
 	}
-	for _, o := range alive {
-		f.Resolve(o)
-	}
-	for li, cl := range f.Clusters {
-		if err := f.Restore(f.ClusterFronts[li], st.ClusterFronts[f.GlobalIndex(li)], nil, 0); err != nil {
+	s.resolveAlive()
+	for li, cl := range s.Clusters {
+		if err := s.Restore(s.ClusterFronts[li], st.ClusterFronts[s.GlobalIndex(li)], nil, 0); err != nil {
 			return err
 		}
 		for _, c := range cl.Members {
-			if err := f.Restore(f.UserFronts[c], st.UserFronts[c], &f.TargetTracker, c); err != nil {
+			if err := s.Restore(s.UserFronts[c], st.UserFronts[c], &s.TargetTracker, c); err != nil {
 				return err
 			}
 		}
@@ -168,14 +163,14 @@ func (s *Sharded) CaptureState(st *EngineState) {
 	}
 }
 
-// RestoreState hands the full state and the alive objects to every
-// shard; each restores only the slots it owns. Counters are untouched —
+// RestoreState hands the full state to every shard; each restores only
+// the slots it owns. Counters are untouched —
 // the Monitor restores its public totals separately and calls
 // ResetShardCounters when recovery completes, so Stats().Shards reflects
 // post-recovery work only.
-func (s *Sharded) RestoreState(st *EngineState, alive []object.Object) error {
+func (s *Sharded) RestoreState(st *EngineState) error {
 	for _, sh := range s.shards {
-		if err := sh.RestoreState(st, alive); err != nil {
+		if err := sh.RestoreState(st); err != nil {
 			return err
 		}
 	}

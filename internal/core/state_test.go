@@ -1,19 +1,22 @@
 package core_test
 
 import (
+	"iter"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixtures"
+	"repro/internal/object"
 	"repro/internal/pref"
 	"repro/internal/stats"
 )
 
 // buildFTV constructs a fresh exact filter-then-verify engine over the
-// laptops fixture: the standalone engine for workers == 1, the sharded
-// harness above that.
-func buildFTV(t *testing.T, l *fixtures.Laptops, workers int, ctr *stats.Counters) interface {
+// laptops fixture, reading alive as its alive objects: the standalone
+// engine for workers == 1, the sharded harness above that.
+func buildFTV(t *testing.T, l *fixtures.Laptops, workers int, ctr *stats.Counters, alive iter.Seq[object.Object]) interface {
 	core.Monitor
 	core.StateEngine
 	Targets(objID int) []int
@@ -24,9 +27,15 @@ func buildFTV(t *testing.T, l *fixtures.Laptops, workers int, ctr *stats.Counter
 		{Members: []int{1}, Common: l.C2.Clone()},
 	}
 	if workers > 1 {
-		return mustSharded(t, users, clusters, workers, ctr)
+		s, err := core.NewSharded(users, clusters, nil, alive, workers, ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	return core.NewFilterThenVerify(users, clusters, ctr)
+	f := core.NewFilterThenVerify(users, clusters, ctr)
+	f.SetAlive(alive)
+	return f
 }
 
 // totalsOf reads an engine's true counters: the sharded harness
@@ -49,7 +58,7 @@ func TestStateRoundTripFTV(t *testing.T) {
 	for _, srcWorkers := range []int{1, 2} {
 		for _, dstWorkers := range []int{1, 2} {
 			ctr := &stats.Counters{}
-			orig := buildFTV(t, l, srcWorkers, ctr)
+			orig := buildFTV(t, l, srcWorkers, ctr, nil)
 			for _, o := range l.Objects[:half] {
 				orig.Process(o)
 			}
@@ -58,8 +67,8 @@ func TestStateRoundTripFTV(t *testing.T) {
 			atCapture := totalsOf(orig, ctr)
 
 			restCtr := &stats.Counters{}
-			restored := buildFTV(t, l, dstWorkers, restCtr)
-			if err := restored.RestoreState(st, l.Objects[:half]); err != nil {
+			restored := buildFTV(t, l, dstWorkers, restCtr, slices.Values(l.Objects[:half]))
+			if err := restored.RestoreState(st); err != nil {
 				t.Fatalf("src=%d dst=%d: RestoreState: %v", srcWorkers, dstWorkers, err)
 			}
 			for _, o := range l.Objects[half:] {
@@ -98,8 +107,11 @@ func TestStateRoundTripBaseline(t *testing.T) {
 	st := core.NewEngineState(2, 0)
 	orig.CaptureState(st)
 
-	restored := mustSharded(t, []*pref.Profile{l.C1.Clone(), l.C2.Clone()}, nil, 2, nil)
-	if err := restored.RestoreState(st, l.Objects[:half]); err != nil {
+	restored, err := core.NewSharded([]*pref.Profile{l.C1.Clone(), l.C2.Clone()}, nil, nil, slices.Values(l.Objects[:half]), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.RestoreState(st); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
 	for _, o := range l.Objects[half:] {
@@ -119,11 +131,11 @@ func TestStateRoundTripBaseline(t *testing.T) {
 func TestStateRestoreRejectsWrongGeometry(t *testing.T) {
 	l := fixtures.NewLaptops()
 	eng := core.NewBaseline([]*pref.Profile{l.C1.Clone(), l.C2.Clone()}, nil)
-	if err := eng.RestoreState(core.NewEngineState(3, 0), nil); err == nil {
+	if err := eng.RestoreState(core.NewEngineState(3, 0)); err == nil {
 		t.Fatal("restoring 3-user state into 2-user engine succeeded")
 	}
-	ftv := buildFTV(t, l, 1, nil)
-	if err := ftv.RestoreState(core.NewEngineState(2, 5), nil); err == nil {
+	ftv := buildFTV(t, l, 1, nil, nil)
+	if err := ftv.RestoreState(core.NewEngineState(2, 5)); err == nil {
 		t.Fatal("restoring 5-cluster state into 2-cluster engine succeeded")
 	}
 }

@@ -1,15 +1,12 @@
 package core
 
-import (
-	"fmt"
-)
+import "repro/internal/pref"
 
 // Online preference updates. The paper assumes preferences "stand or only
 // change occasionally"; this extension handles the occasional change
-// without rebuilding the engine, for the growth direction: adding a
-// preference tuple (plus its transitive closure) only ever adds dominance
-// pairs, so every frontier can only shrink, and filtering the current
-// frontier pairwise is exact:
+// without rebuilding the engine. Adding a preference tuple (plus its
+// transitive closure) only ever adds dominance pairs, so every frontier
+// can only shrink, and filtering the current frontier pairwise is exact:
 //
 // If an alive object x outside the old frontier dominated o under the new
 // preferences, then x was dominated by some old frontier member y, still
@@ -17,18 +14,16 @@ import (
 // dominates y — dominates o transitively. So scanning old frontier members
 // against each other loses nothing.
 //
-// Removing a preference tuple can resurrect arbitrary previously-dominated
-// objects, which an append-only engine has discarded; that direction
-// requires a rebuild and is deliberately not offered.
+// Removing a preference tuple is the other direction: it can resurrect
+// previously dominated objects, which the frontier no longer holds, so
+// RetractPreference (lifecycle.go) mends from the alive objects instead
+// of filtering.
 
 // ApplyPreference records that user c now also prefers value better over
 // value worse on attribute d, and repairs the user's frontier in place.
 // It fails if the tuple would break the strict-partial-order axioms.
 func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
-	if c < 0 || c >= len(b.Users) {
-		return fmt.Errorf("core: no user %d", c)
-	}
-	if err := b.Users[c].Relation(d).Add(better, worse); err != nil {
+	if err := b.AddTuple(c, d, better, worse); err != nil {
 		return err
 	}
 	FilterFrontier(b.Fronts[c], b.Users[c], b.Ctr.AddVerify, func(id int) {
@@ -38,35 +33,16 @@ func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
 }
 
 // ApplyPreference records a new preference tuple for user c on attribute d
-// and repairs, in order: the user's cluster's common relation (which can
-// only grow — it is the intersection of member relations and one member's
-// relation grew), the cluster's filter frontier, and the member frontiers.
+// and repairs, in order: the user's cluster's common relation, the
+// cluster's filter frontier, and the user's own frontier. The exact
+// relation can only grow — it is the intersection of member relations and
+// one member's relation grew — so the pairwise filter of P_U is exact, and
+// each object it evicts leaves every member frontier (it is dominated
+// under ≻_U, hence under every member's relation). The approximate
+// relation may move either way; the filter is then the same one-sided
+// repair the arrival path applies (Sec. 6.2's bounded inaccuracy).
 func (f *FilterThenVerify) ApplyPreference(c, d, better, worse int) error {
-	if c < 0 || c >= len(f.Users) {
-		return fmt.Errorf("core: no user %d", c)
-	}
-	if err := f.Users[c].Relation(d).Add(better, worse); err != nil {
-		return err
-	}
-	ui := f.ClusterOf(c)
-	cl := &f.Clusters[ui]
-
-	// Recompute the common relation of the affected cluster through the
-	// configured CommonFn. For the exact engines (pref.Common) it can
-	// only grow — the new intersection subsumes the old one — so the
-	// pairwise filter below is exact; the approximate relation may move
-	// either way, keeping the same one-sided repair the arrival path
-	// applies (Sec. 6.2's bounded inaccuracy).
-	f.setCommon(ui, f.CommonOf(cl.Members))
-
-	// Filter P_U pairwise under the recomputed common relation; removals
-	// propagate to every member frontier (the removed object is dominated
-	// under ≻_U, hence under every member's preferences).
-	f.FilterClusterFrontier(ui)
-
-	// Filter the changed user's own frontier under their new preferences.
-	FilterFrontier(f.UserFronts[c], f.Users[c], f.Ctr.AddVerify, func(id int) {
-		f.RemoveTarget(id, c)
+	return f.ApplyTuple(c, d, better, worse, func(li int, _ *pref.Profile) {
+		f.FilterClusterFrontier(li)
 	})
-	return nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"iter"
 	"os"
 	"reflect"
 	"runtime"
@@ -111,7 +112,7 @@ func Parallel(o Options) []*Report {
 		name       string
 		clusters   []core.Cluster
 		sequential func([]*pref.Profile, []core.Cluster, *stats.Counters) *core.FilterThenVerify
-		sharded    func([]*pref.Profile, []core.Cluster, []bool, int, *stats.Counters) (*core.Sharded, error)
+		sharded    func([]*pref.Profile, []core.Cluster, []bool, iter.Seq[object.Object], int, *stats.Counters) (*core.Sharded, error)
 	}{
 		{"FilterThenVerify", exactClusters(pu, mapH("movie", false, o.H, o.Dims)),
 			core.NewFilterThenVerify, core.NewSharded},
@@ -220,7 +221,7 @@ func Parallel(o Options) []*Report {
 				}
 				var shards int
 				deliveries, millis, cmp, allocsOp, bytesOp := measure(func(ctr *stats.Counters) engine {
-					p, err := k.sharded(pu, k.clusters, nil, w, ctr)
+					p, err := k.sharded(pu, k.clusters, nil, nil, w, ctr) // no lifecycle: no alive source
 					if err != nil {
 						panic(err) // the clusters were just built over pu
 					}

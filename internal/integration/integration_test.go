@@ -265,7 +265,7 @@ func TestParallelOnGeneratedWorkload(t *testing.T) {
 		clusters[i] = core.Cluster{Members: ci.Members, Common: ci.Common}
 	}
 	seq := core.NewFilterThenVerify(ds.Users, clusters, nil)
-	par, err := core.NewSharded(ds.Users, clusters, nil, 4, nil)
+	par, err := core.NewSharded(ds.Users, clusters, nil, nil, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

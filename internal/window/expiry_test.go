@@ -129,7 +129,7 @@ func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
 				if holders(eng, clusters, id) >= 2 {
 					multiRemovals++
 					removed[id] = true
-					eng.RemoveObject(objs[id], nil)
+					eng.RemoveObject(objs[id])
 					if got := eng.Targets(id); got != nil {
 						t.Fatalf("Targets(%d) after removal = %v, want nil", id, got)
 					}
@@ -223,7 +223,7 @@ func TestLiveHeapIgnoresStreamLength(t *testing.T) {
 	const w, early, late, perArrival = 64, 4096, 16384, 32
 	r := rand.New(rand.NewSource(9))
 	users, clusters, objs := clusteredWorld(r, 8, 8, 3, 7, early)
-	engines := map[string]window.Monitor{
+	engines := map[string]core.Monitor{
 		"BaselineSW":         window.NewBaselineSW(users, w, nil),
 		"FilterThenVerifySW": window.NewFilterThenVerifySW(users, clusters, w, nil),
 	}

@@ -123,15 +123,17 @@ func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
 // mendParetoFrontierSW). Members whose P_c did not hold out are skipped:
 // any object it dominated per c is still dominated by out's own
 // dominator. P_U is walked in place — tier 2 never changes it, and the
-// Lemma 4.6 scan in undominated makes the order immaterial — and only
-// what a member promotes (rarely more than two objects) is put in arrival
-// order before it enters P_c. Both membership questions — which members
+// Lemma 4.6 scan makes the order immaterial — and only what a member
+// promotes (rarely more than two objects) is put in arrival order before
+// it enters P_c. Both membership questions — which members
 // hold out, which candidates c already holds — are read off C_o
 // (core.TargetTracker.Holds), a bit test where the frontier's index would
-// be a probe. When two or more members hold out, one screened pass
-// (screenDeparture) first narrows P_U to the entries out could dominate
-// for some member, every holder walks only those, and the holders share
-// one screened Lemma 4.6 scan per candidate (undominatedNear).
+// be a probe. A lone holder tests a candidate by the shared Lemma 4.6
+// scan (core.ClusterShard.Undominated). When two or more members hold
+// out, one screened pass (screenDeparture) first narrows P_U to the
+// entries out could dominate for some member, every holder walks only
+// those, and the holders share one screened Lemma 4.6 scan per candidate
+// (undominatedNear).
 //
 //paretomon:hotpath
 func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
@@ -171,7 +173,7 @@ func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
 			if screened {
 				free = f.undominatedNear(ui, c, o, k)
 			} else {
-				free = f.undominated(ui, c, o)
+				free = f.Undominated(ui, c, o)
 			}
 			if free {
 				f.moved = append(f.moved, o)
@@ -188,29 +190,6 @@ func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
 // byArrival orders objects by id, which the stream assigns in arrival
 // order.
 func byArrival(a, b object.Object) int { return compareID(a, b.ID) }
-
-// undominated is the criterion of Lemma 4.6 for o ∈ P_U to belong to P_c:
-// no P_U member dominates it under ≻_c. Scanning P_c alone would be wrong
-// on a departure — o's per-user dominator may itself be a pending mend
-// candidate (it was suppressed in P_c by the same departing object), and
-// P_U candidates are not ordered so that dominators precede dominatees
-// the way PB candidates are.
-func (f *FilterThenVerifySW) undominated(ui, c int, o object.Object) bool {
-	fu := f.ClusterFronts[ui]
-	var po pref.Probe
-	f.Users[c].Prepare(o, &po)
-	for i := 0; i < fu.Len(); i++ {
-		op := fu.At(i)
-		if op.ID == o.ID {
-			continue
-		}
-		f.Ctr.AddVerify(1)
-		if po.DominatedBy(op) {
-			return false
-		}
-	}
-	return true
-}
 
 // arriveCluster runs the filter tier for o_in: one walk of PB_U decides
 // whether o_in survives the filter, evicts the buffered objects it

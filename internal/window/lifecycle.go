@@ -8,11 +8,11 @@ import (
 	"repro/internal/pref"
 )
 
-// Lifecycle operations under sliding-window semantics. The ring is the
-// alive set: RemoveObject tombstones the slot — the window keeps aging at
-// the same rate, removal never extends other objects' lifetimes — and
-// expiry of a tombstone touches no frontier (it only retires the id's C_o
-// slot). What these operations undo is the
+// Lifecycle operations and preference updates under sliding-window
+// semantics. The ring is the alive set: RemoveObject tombstones the slot
+// — the window keeps aging at the same rate, removal never extends other
+// objects' lifetimes — and expiry of a tombstone touches no frontier (it
+// only retires the id's C_o slot). What these operations undo is the
 // premise the buffers' shields rest on, that objects leave oldest first
 // under a fixed relation, so each re-derives the shields it invalidated
 // and then reads the frontier off them (reconcile):
@@ -23,7 +23,10 @@ import (
 //     objects through arrive again, in arrival order. That is exact
 //     whichever way the relation moved — grown, shrunk, or the
 //     approximate engine's incomparable change — and ActivateUser builds
-//     a newcomer's structures the same way.
+//     a newcomer's structures the same way. Adding a tuple only adds
+//     dominance pairs, so P and PB can only lose members there — but an
+//     entry that stays may have gained a younger dominator, which is why
+//     the buffer is rebuilt rather than filtered.
 //   - A mid-window removal touches only what the removed object touched
 //     (depart): the older objects it alone kept out of the buffer
 //     re-enter, and they and the entries it shielded look for their next
@@ -31,8 +34,13 @@ import (
 //   - A changed member relation or membership also marks the cluster's
 //     union screen stale (screen.go); removals leave it alone.
 //
-// The comparisons count as verify work on BaselineSW's buffers and filter
-// work on FilterThenVerifySW's.
+// FilterThenVerifySW shares the orchestration of every call that changes
+// a relation or the membership with the append-only engine
+// (core.ClusterShard), including the recompute of ≻_U and the Lemma 4.6
+// member mend, and supplies only its Resync hook. The comparisons count as
+// verify work on BaselineSW's buffers and filter work on
+// FilterThenVerifySW's.
+
 var (
 	_ core.LifecycleEngine = (*BaselineSW)(nil)
 	_ core.LifecycleEngine = (*FilterThenVerifySW)(nil)
@@ -151,7 +159,7 @@ func (b *BaselineSW) RegisterUser(c int, p *pref.Profile) {
 
 // ActivateUser builds user c's buffer and frontier from the in-window
 // objects.
-func (b *BaselineSW) ActivateUser(c int, _ int, _ *pref.Profile, _ []object.Object) {
+func (b *BaselineSW) ActivateUser(c, _ int) {
 	b.Activate(c)
 	b.buffers[c] = newBuffer()
 	b.rebuildUser(c)
@@ -164,8 +172,8 @@ func (b *BaselineSW) DeactivateUser(c int) {
 }
 
 // RemoveUser drops user c's structures and target entries.
-func (b *BaselineSW) RemoveUser(c int, _ *pref.Profile, _ []object.Object) {
-	b.UserShard.RemoveUser(c, nil, nil)
+func (b *BaselineSW) RemoveUser(c int) {
+	b.UserShard.RemoveUser(c)
 	b.buffers[c] = nil
 }
 
@@ -183,15 +191,29 @@ func (b *BaselineSW) reconcileUser(c int) {
 		func(id int) { b.AddTarget(id, c) })
 }
 
-// RetractPreference rebuilds user c's buffer and frontier after the
-// caller shrank c's preference relation.
-func (b *BaselineSW) RetractPreference(c int, _ *pref.Profile, _ []object.Object) {
+// ApplyPreference records that user c now also prefers better over worse
+// on attribute d, and rebuilds the user's buffer and frontier.
+func (b *BaselineSW) ApplyPreference(c, d, better, worse int) error {
+	if err := b.AddTuple(c, d, better, worse); err != nil {
+		return err
+	}
 	b.rebuildUser(c)
+	return nil
+}
+
+// RetractPreference takes the tuple out of user c's relation and rebuilds
+// the user's buffer and frontier.
+func (b *BaselineSW) RetractPreference(c, d, better, worse int) error {
+	if err := b.RetractTuple(c, d, better, worse); err != nil {
+		return err
+	}
+	b.rebuildUser(c)
+	return nil
 }
 
 // RemoveObject tombstones o's ring slot and takes o out of every user's
 // buffer and frontier, promoting what it kept out of either.
-func (b *BaselineSW) RemoveObject(o object.Object, _ []object.Object) {
+func (b *BaselineSW) RemoveObject(o object.Object) {
 	if !b.win.knockOut(o.ID) {
 		return // expired or never in this window: no live structure holds it
 	}
@@ -208,71 +230,46 @@ func (b *BaselineSW) RemoveObject(o object.Object, _ []object.Object) {
 
 // --- FilterThenVerifySW ---
 
-// ActivateUser joins user c to the given cluster (or founds it), rebuilds
-// the cluster tier under the recomputed common relation, and builds c's
-// frontier from the filter frontier (Lemma 4.6).
-func (f *FilterThenVerifySW) ActivateUser(c int, cluster int, common *pref.Profile, _ []object.Object) {
-	f.UserFronts[c] = core.NewFrontier()
-	li := f.LocalCluster(cluster)
-	if li < 0 {
-		li = f.Found(cluster, c, common)
-		f.buffers = append(f.buffers, newBuffer())
-		f.unions = append(f.unions, union{})
-		f.rebuildCluster(li)
-	} else {
-		cl := &f.Clusters[li]
-		cl.Members = append(cl.Members, c)
-		f.staleScreen(li)
-		f.resyncCluster(li, common)
-	}
-	f.mendMemberFrontier(li, c)
-}
-
-// mendMemberFrontier admits missing filter-frontier objects into P_c by
-// the Lemma 4.6 criterion (builds P_c from scratch over an empty
-// frontier).
-func (f *FilterThenVerifySW) mendMemberFrontier(li, c int) {
-	fc := f.UserFronts[c]
-	for _, x := range f.ClusterFronts[li].Objects() {
-		if !fc.Contains(x.ID) && f.undominated(li, c, x) {
-			fc.Add(x)
-			f.AddTarget(x.ID, c)
-		}
-	}
-}
+// ActivateUser joins user c to the given cluster (or founds it) and
+// builds c's frontier from the rebuilt filter frontier (Lemma 4.6).
+func (f *FilterThenVerifySW) ActivateUser(c, cluster int) { f.JoinCluster(c, cluster, f.resync) }
 
 // RemoveUser drops user c from its cluster and rebuilds the cluster tier
-// under the recomputed common relation; an emptied cluster goes dormant
-// and releases its buffer and union.
-func (f *FilterThenVerifySW) RemoveUser(c int, common *pref.Profile, _ []object.Object) {
-	li, emptied := f.DropMember(c)
-	if emptied {
+// under the relation recomputed without c.
+func (f *FilterThenVerifySW) RemoveUser(c int) { f.LeaveCluster(c, f.resync) }
+
+// RetractPreference takes the tuple out of user c's relation, rebuilds
+// the tier of c's cluster if its relation moved, and mends c's frontier
+// from the filter frontier.
+func (f *FilterThenVerifySW) RetractPreference(c, d, better, worse int) error {
+	return f.RetractTuple(c, d, better, worse, f.resync)
+}
+
+// ApplyPreference grows user c's relation, rebuilds the tier of c's
+// cluster if its relation moved (evictions leave the member frontiers
+// too), and filters c's own frontier.
+func (f *FilterThenVerifySW) ApplyPreference(c, d, better, worse int) error {
+	return f.ApplyTuple(c, d, better, worse, f.resync)
+}
+
+// resync is the engine's core.Resync hook. A founded cluster gets its
+// buffer and union; a dormant one releases them. Otherwise a member's
+// relation or the membership changed, so the union screen is stale
+// whether or not ≻_U moved, and the tier is rebuilt if it did — always
+// for a cluster founded or revived, which had no relation.
+func (f *FilterThenVerifySW) resync(li int, old *pref.Profile) {
+	if li == len(f.buffers) {
+		f.buffers = append(f.buffers, newBuffer())
+		f.unions = append(f.unions, union{})
+	}
+	common := f.Clusters[li].Common
+	if common == nil {
 		f.buffers[li] = newBuffer()
 		f.unions[li] = union{}
 		return
 	}
 	f.staleScreen(li)
-	f.resyncCluster(li, common)
-}
-
-// RetractPreference rebuilds the tier of user c's cluster under the
-// recomputed common relation, then mends c's own frontier from the filter
-// frontier.
-func (f *FilterThenVerifySW) RetractPreference(c int, common *pref.Profile, _ []object.Object) {
-	li := f.ClusterOf(c)
-	f.staleScreen(li)
-	f.resyncCluster(li, common)
-	f.mendMemberFrontier(li, c)
-}
-
-// resyncCluster installs cluster li's recomputed common relation and, if
-// that changed it, rebuilds the cluster tier. A dormant cluster (no
-// relation) that a newcomer revives is always rebuilt.
-func (f *FilterThenVerifySW) resyncCluster(li int, common *pref.Profile) {
-	cl := &f.Clusters[li]
-	changed := cl.Common == nil || !common.Equal(cl.Common)
-	cl.Common = common
-	if changed {
+	if old == nil || !common.Equal(old) {
 		f.rebuildCluster(li)
 	}
 }
@@ -295,7 +292,7 @@ func (f *FilterThenVerifySW) reconcileCluster(li int) {
 // tier: PB_U and P_U promote what o kept out of them, then members whose
 // own frontier held o mend from the updated P_U (mirroring
 // expireCluster).
-func (f *FilterThenVerifySW) RemoveObject(o object.Object, _ []object.Object) {
+func (f *FilterThenVerifySW) RemoveObject(o object.Object) {
 	if !f.win.knockOut(o.ID) {
 		return
 	}

@@ -161,7 +161,7 @@ func (f *FilterThenVerifySW) screenDeparture(ui int, out object.Object) {
 	}
 }
 
-// undominatedNear is undominated for o, the k-th candidate of the current
+// undominatedNear is core.ClusterShard.Undominated for o, the k-th candidate of the current
 // screened departure. A member first walks what earlier members screened
 // of P_U for o — only the entries that could dominate o for someone — and
 // extends the screen, one union probe an entry, only if it has not met a

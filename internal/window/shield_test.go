@@ -40,8 +40,8 @@ func TestRemoveObjectOutsideFrontierReadmitsItsEvictees(t *testing.T) {
 	e, x, o, z, z2 := obj(0, 0), obj(1, 2), obj(2, 1), obj(3, 3), obj(4, 3)
 
 	engines := map[string]interface {
-		window.Monitor
-		RemoveObject(o object.Object, alive []object.Object)
+		core.Monitor
+		RemoveObject(o object.Object)
 		Buffer(i int) []int
 	}{
 		"BaselineSW": window.NewBaselineSW([]*pref.Profile{newUser()}, 4, nil),
@@ -55,7 +55,7 @@ func TestRemoveObjectOutsideFrontierReadmitsItsEvictees(t *testing.T) {
 		if got, want := eng.Buffer(0), []int{e.ID, o.ID, z.ID}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: buffer %v before the removal, want %v", name, got, want)
 		}
-		eng.RemoveObject(o, nil)
+		eng.RemoveObject(o)
 		if got, want := eng.Buffer(0), []int{e.ID, x.ID, z.ID}; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: buffer %v after removing o, want %v", name, got, want)
 		}
@@ -220,7 +220,7 @@ func (s *shieldWorld) step() string {
 				s.slots[i] = object.Object{ID: -1}
 			}
 		}
-		s.eng.RemoveObject(s.objs[id], nil)
+		s.eng.RemoveObject(s.objs[id])
 		return fmt.Sprintf("RemoveObject(%d)", id)
 	case k < 0.78:
 		d := r.Intn(len(s.doms))
@@ -249,14 +249,9 @@ func (s *shieldWorld) step() string {
 			return "nothing"
 		}
 		tu := asserted[r.Intn(len(asserted))]
-		if err := s.users[c].Relation(d).Remove(tu.Better, tu.Worse); err != nil {
+		if err := s.eng.RetractPreference(c, d, tu.Better, tu.Worse); err != nil {
 			s.t.Fatal(err)
 		}
-		var common *pref.Profile
-		if s.clusters != nil {
-			common = s.common(s.clusters[s.clusterOf(c)])
-		}
-		s.eng.RetractPreference(c, common, nil)
 		return fmt.Sprintf("RetractPreference(%d: %d>%d on %d)", c, tu.Better, tu.Worse, d)
 	case k < 0.94:
 		nu := len(s.users)
@@ -264,7 +259,7 @@ func (s *shieldWorld) step() string {
 		s.users = append(s.users, p)
 		s.active = append(s.active, true)
 		s.eng.RegisterUser(nu, p)
-		cluster, common := -1, (*pref.Profile)(nil)
+		cluster := -1
 		if s.clusters != nil {
 			cluster = s.clusterOf(c)
 			switch k := r.Intn(6); {
@@ -279,26 +274,21 @@ func (s *shieldWorld) step() string {
 				s.cases["ActivateUser into a live cluster"]++
 			}
 			s.clusters[cluster] = append(s.clusters[cluster], nu)
-			common = s.common(s.clusters[cluster])
 		}
-		s.eng.ActivateUser(nu, cluster, common, nil)
+		s.eng.ActivateUser(nu, cluster)
 		return fmt.Sprintf("ActivateUser(%d in %d)", nu, cluster)
 	default:
 		if len(users) <= 2 {
 			return "nothing"
 		}
 		s.active[c] = false
-		var common *pref.Profile
 		if s.clusters != nil {
 			ui := s.clusterOf(c)
-			s.clusters[ui] = slices.DeleteFunc(s.clusters[ui], func(m int) bool { return m == c })
-			if members := s.clusters[ui]; len(members) > 0 {
-				common = s.common(members)
-			} else {
+			if s.clusters[ui] = slices.DeleteFunc(s.clusters[ui], func(m int) bool { return m == c }); len(s.clusters[ui]) == 0 {
 				s.cases["RemoveUser emptying a cluster"]++
 			}
 		}
-		s.eng.RemoveUser(c, common, nil)
+		s.eng.RemoveUser(c)
 		return fmt.Sprintf("RemoveUser(%d)", c)
 	}
 }
@@ -407,7 +397,7 @@ func (s *shieldWorld) roundTrip(workers int) {
 	st := core.NewEngineState(len(s.users), len(s.clusters))
 	s.eng.CaptureState(st)
 	s.build(workers)
-	if err := s.eng.RestoreState(st, nil); err != nil {
+	if err := s.eng.RestoreState(st); err != nil {
 		s.t.Fatal(err)
 	}
 }

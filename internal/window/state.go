@@ -95,83 +95,63 @@ func copyObjects(objs []object.Object) []object.Object {
 	return append([]object.Object(nil), objs...)
 }
 
-// CaptureState fills the maintained users' frontier and buffer slots
-// plus the (shard-identical) window ring.
+// CaptureState fills the maintained users' frontier slots (the shard's
+// own capture) and buffer slots, plus the (shard-identical) window ring.
 func (b *BaselineSW) CaptureState(st *core.EngineState) {
+	b.UserShard.CaptureState(st)
 	st.EnsureUserBuffers()
 	for _, c := range b.Members {
-		st.UserFronts[c] = copyObjects(b.Fronts[c].Objects())
 		st.UserBuffers[c] = copyObjects(b.buffers[c].objects())
 	}
 	st.SetRing(b.win.seen, b.win.tail())
 }
 
-// RestoreState rebuilds the maintained users' frontiers, buffers, the
-// target index, and the ring (which is the alive set: the parameter is
-// unused). The engine must be freshly constructed.
-func (b *BaselineSW) RestoreState(st *core.EngineState, _ []object.Object) error {
-	if len(st.UserFronts) != len(b.Users) {
-		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(b.Users))
-	}
+// RestoreState rebuilds the ring, then the maintained users' frontiers
+// and the target index (the shard's own restore), then their buffers.
+// The engine must be freshly constructed.
+func (b *BaselineSW) RestoreState(st *core.EngineState) error {
 	if !st.HasRing || st.UserBuffers == nil {
 		return fmt.Errorf("window: state missing ring or user buffers (captured from an append-only engine?)")
 	}
 	if err := restoreRing(b.win, &b.TargetTracker, st); err != nil {
 		return err
 	}
+	if err := b.UserShard.RestoreState(st); err != nil {
+		return err
+	}
 	for _, c := range b.Members {
-		for _, o := range st.UserFronts[c] {
-			b.Fronts[c].Add(o)
-			b.AddTarget(o.ID, c)
-		}
 		b.buffers[c].restore(st.UserBuffers[c], b.Users[c])
 	}
 	return nil
 }
 
-// CaptureState fills the maintained clusters' filter frontier and
-// buffer slots, their members' frontiers, and the ring.
+// CaptureState fills the maintained clusters' frontier slots and their
+// members' (the shard's own capture), the clusters' buffer slots, and the
+// ring.
 func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
+	f.ClusterShard.CaptureState(st)
 	st.EnsureClusterBuffers()
-	for li, cl := range f.Clusters {
-		gi := f.GlobalIndex(li)
-		st.ClusterFronts[gi] = copyObjects(f.ClusterFronts[li].Objects())
-		st.ClusterBuffers[gi] = copyObjects(f.buffers[li].objects())
-		for _, c := range cl.Members {
-			st.UserFronts[c] = copyObjects(f.UserFronts[c].Objects())
-		}
+	for li := range f.Clusters {
+		st.ClusterBuffers[f.GlobalIndex(li)] = copyObjects(f.buffers[li].objects())
 	}
 	st.SetRing(f.win.seen, f.win.tail())
 }
 
-// RestoreState rebuilds the maintained clusters' tiers, the target
-// index, and the ring (which is the alive set: the parameter is unused).
-// The engine must be freshly constructed.
-func (f *FilterThenVerifySW) RestoreState(st *core.EngineState, _ []object.Object) error {
-	if len(st.UserFronts) != len(f.Users) {
-		return fmt.Errorf("window: state has %d user frontiers, engine has %d users", len(st.UserFronts), len(f.Users))
-	}
-	if len(st.ClusterFronts) != f.ClusterTotal() {
-		return fmt.Errorf("window: state has %d cluster frontiers, engine has %d clusters", len(st.ClusterFronts), f.ClusterTotal())
-	}
+// RestoreState rebuilds the ring, then the maintained clusters' and
+// members' frontiers and the target index (the shard's own restore), then
+// the clusters' buffers. The engine must be freshly constructed.
+func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
 	if !st.HasRing || st.ClusterBuffers == nil {
 		return fmt.Errorf("window: state missing ring or cluster buffers (captured from a different engine?)")
 	}
 	if err := restoreRing(f.win, &f.TargetTracker, st); err != nil {
 		return err
 	}
+	if err := f.ClusterShard.RestoreState(st); err != nil {
+		return err
+	}
 	for li, cl := range f.Clusters {
-		gi := f.GlobalIndex(li)
-		for _, o := range st.ClusterFronts[gi] {
-			f.ClusterFronts[li].Add(o)
-		}
-		f.buffers[li].restore(st.ClusterBuffers[gi], cl.Common)
-		for _, c := range cl.Members {
-			for _, o := range st.UserFronts[c] {
-				f.UserFronts[c].Add(o)
-				f.AddTarget(o.ID, c)
-			}
-		}
+		f.buffers[li].restore(st.ClusterBuffers[f.GlobalIndex(li)], cl.Common)
 	}
 	return nil
 }

@@ -87,7 +87,7 @@ func TestStateRoundTripWindow(t *testing.T) {
 
 				restCtr := &stats.Counters{}
 				restored := mk(dstWorkers, restCtr)
-				if err := restored.RestoreState(st, nil); err != nil {
+				if err := restored.RestoreState(st); err != nil {
 					t.Fatalf("%s src=%d dst=%d: RestoreState: %v", name, srcWorkers, dstWorkers, err)
 				}
 				for _, o := range stream[cut:] {
@@ -122,7 +122,7 @@ func TestStateWindowRejectsForeignState(t *testing.T) {
 	l := fixtures.NewLaptops()
 	users := []*pref.Profile{l.C1.Clone(), l.C2.Clone()}
 	eng := window.NewBaselineSW(users, 4, nil)
-	if err := eng.RestoreState(core.NewEngineState(2, 0), nil); err == nil {
+	if err := eng.RestoreState(core.NewEngineState(2, 0)); err == nil {
 		t.Fatal("restoring ring-less state into a windowed engine succeeded")
 	}
 }

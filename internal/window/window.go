@@ -208,9 +208,3 @@ func (b *buffer) idSlice() []int {
 	}
 	return out
 }
-
-// Monitor is the sliding-window engine interface, mirroring core.Monitor.
-type Monitor interface {
-	Process(o object.Object) []int
-	UserFrontier(c int) []int
-}

@@ -261,7 +261,9 @@ func (m *Monitor) apply(mut mutation) {
 			panic(fmt.Sprintf("paretomon: applying a checked preference: %v", err)) // check ran CanAdd, Add's exact test
 		}
 	case OpRetractPreference:
-		m.applyRetractLocked(mut.user, mut.d, mut.b, mut.w)
+		if err := m.eng.RetractPreference(mut.user, mut.d, mut.b, mut.w); err != nil {
+			panic(fmt.Sprintf("paretomon: retracting a checked tuple: %v", err)) // check verified the assertion exists
+		}
 	case OpRemoveObject:
 		m.applyRemoveObjectLocked(mut.obj)
 	}
@@ -279,9 +281,9 @@ func (m *Monitor) applyAddUserLocked(name string, p *pref.Profile) {
 	m.userIdx[name] = c
 	m.profiles = append(m.profiles, p)
 	m.eng.RegisterUser(c, p)
-	clusterIdx, common := -1, (*pref.Profile)(nil)
+	clusterIdx := -1
 	if m.cfg.Algorithm != AlgorithmBaseline {
-		clusterIdx, common = m.assignClusterLocked(p)
+		clusterIdx = m.assignClusterLocked(p)
 		if clusterIdx == len(m.clusterMembers) {
 			m.clusterMembers = append(m.clusterMembers, []int{c})
 			m.clusters = append(m.clusters, []string{name})
@@ -290,15 +292,15 @@ func (m *Monitor) applyAddUserLocked(name string, p *pref.Profile) {
 			m.clusters[clusterIdx] = m.sortedNames(m.clusterMembers[clusterIdx])
 		}
 	}
-	m.eng.ActivateUser(c, clusterIdx, common, m.aliveObjects())
+	m.eng.ActivateUser(c, clusterIdx)
 }
 
 // assignClusterLocked picks the cluster a new profile joins: the most
 // similar active cluster under the configured measure, or — in
 // branch-cut mode, when no cluster reaches h — a freshly founded
-// singleton (index == current cluster-list length). It returns the
-// cluster's recomputed common relation including the newcomer.
-func (m *Monitor) assignClusterLocked(p *pref.Profile) (int, *pref.Profile) {
+// singleton (index == current cluster-list length). The engine
+// recomputes the cluster's relation.
+func (m *Monitor) assignClusterLocked(p *pref.Profile) int {
 	best, bestSim := -1, 0.0
 	for ui, members := range m.clusterMembers {
 		if len(members) == 0 {
@@ -310,10 +312,9 @@ func (m *Monitor) assignClusterLocked(p *pref.Profile) (int, *pref.Profile) {
 		}
 	}
 	if best < 0 || (m.cfg.ClusterCount == 0 && bestSim < m.cfg.BranchCut) {
-		return len(m.clusterMembers), m.commonFn([]*pref.Profile{p})
+		return len(m.clusterMembers)
 	}
-	ps := m.memberProfiles(m.clusterMembers[best])
-	return best, m.commonFn(append(ps, p))
+	return best
 }
 
 // similarityTo scores a profile against a cluster with the configured
@@ -353,11 +354,12 @@ func (m *Monitor) clusterOfLocked(idx int) int {
 }
 
 // applyRemoveUserLocked tombstones the user slot and removes the user
-// from engine and clustering.
+// from engine and clustering. The member lists of the monitor and the
+// engine both delete in place, so the engine recomputes the relation
+// over the members in the order listed here.
 func (m *Monitor) applyRemoveUserLocked(idx int) {
 	m.userAlive[idx] = false
 	delete(m.userIdx, m.userNames[idx])
-	var common *pref.Profile
 	if m.cfg.Algorithm != AlgorithmBaseline {
 		ui := m.clusterOfLocked(idx)
 		members := m.clusterMembers[ui]
@@ -369,27 +371,9 @@ func (m *Monitor) applyRemoveUserLocked(idx int) {
 		}
 		m.clusterMembers[ui] = members
 		m.clusters[ui] = m.sortedNames(members)
-		if len(members) > 0 {
-			common = m.commonFn(m.memberProfiles(members))
-		}
 	}
-	m.eng.RemoveUser(idx, common, m.aliveObjects())
+	m.eng.RemoveUser(idx)
 	m.subs.closeUser(idx)
-}
-
-// applyRetractLocked shrinks the user's shared relation and mends the
-// affected frontiers.
-func (m *Monitor) applyRetractLocked(idx, d, b, w int) {
-	if err := m.profiles[idx].Relation(d).Remove(b, w); err != nil {
-		// check verified the assertion exists.
-		panic(fmt.Sprintf("paretomon: retracting a checked tuple: %v", err))
-	}
-	var common *pref.Profile
-	if m.cfg.Algorithm != AlgorithmBaseline {
-		ui := m.clusterOfLocked(idx)
-		common = m.commonFn(m.memberProfiles(m.clusterMembers[ui]))
-	}
-	m.eng.RetractPreference(idx, common, m.aliveObjects())
 }
 
 // applyRemoveObjectLocked tombstones the registry slot and removes the
@@ -398,7 +382,7 @@ func (m *Monitor) applyRemoveObjectLocked(id int) {
 	e := m.entry(id)
 	e.alive = false
 	delete(m.names, e.name)
-	m.eng.RemoveObject(e.obj, m.aliveObjects())
+	m.eng.RemoveObject(e.obj)
 }
 
 // publishDeltaLocked diffs a user's frontier against a captured

@@ -268,9 +268,11 @@ type state struct {
 	// the update can be WAL-logged first.
 	profiles []*pref.Profile
 
-	// commonFn recomputes a cluster's common relation when membership or
-	// member preferences change: pref.Common for the exact engines,
-	// approx.Profile for the approximate one.
+	// commonFn computes a cluster's common relation: pref.Common for the
+	// exact engines, approx.Profile for the approximate one. The monitor
+	// uses it only to build the engine's clusters (from the community or a
+	// snapshot) and hands it to the engine, which recomputes every
+	// relation a lifecycle call changes.
 	commonFn core.CommonFn
 
 	eng *core.Sharded
@@ -290,24 +292,42 @@ type state struct {
 	clusters       [][]string // member names per cluster (nil for Baseline)
 	clusterMembers [][]int    // raw member indices per cluster, in cluster order
 
-	// The object registry. Slots are in arrival order: objects[i] holds
-	// engine object id objBase+i. RemoveObject tombstones a slot and frees
-	// its name; names maps alive names only. The interned objects ride
-	// along so retraction and removal mends can rebuild frontiers from the
-	// alive set. An append-only registry only grows (objBase stays 0).
-	// Under a window W, id N's arrival retires slot N-W, which every
-	// shard's ring evicts on the same arrival: its name is freed for
-	// re-use, and the slot is blanked and dropped once the blanked prefix
-	// is W long, so at most 2W slots are held however long the stream.
-	names   map[string]int // alive object name -> id
-	objBase int            // id of objects[0]
-	objects []objEntry
+	// The object registry; see registry.
+	*registry
 
 	// walSeq is the last appended-or-applied log position.
 	walSeq uint64
 
 	// batches is each remembered writer's last batch (batch.go).
 	batches map[string]*batchMemo
+}
+
+// registry is the object registry. Slots are in arrival order:
+// objects[i] holds engine object id objBase+i. RemoveObject tombstones a
+// slot and frees its name; names maps alive names only. The interned
+// objects ride along: the append-only engines read them, through alive,
+// as the candidates of every mend and restore. An append-only registry
+// only grows (objBase stays 0). Under a window W, id N's arrival retires
+// slot N-W, which every shard's ring evicts on the same arrival: its name
+// is freed for re-use, and the slot is blanked and dropped once the
+// blanked prefix is W long, so at most 2W slots are held however long the
+// stream. It sits behind a pointer so that the engine's view of it
+// survives a follower's transplant of the state it belongs to.
+type registry struct {
+	names   map[string]int // alive name -> id
+	objBase int            // id of objects[0]
+	objects []objEntry
+}
+
+// alive yields the alive objects in arrival order: the append-only
+// engines' candidate source, fixed when the engine is built. The engine
+// calls it under the monitor's write lock.
+func (r *registry) alive(yield func(object.Object) bool) {
+	for _, e := range r.objects {
+		if e.alive && !yield(e.obj) {
+			return
+		}
+	}
 }
 
 // objEntry is one object registry slot.
@@ -349,12 +369,12 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 	}
 	m := &Monitor{
 		state: state{
-			schema:  c.schema.clone(),
-			ctr:     &stats.Counters{},
-			userIdx: make(map[string]int, c.Len()),
-			names:   make(map[string]int),
-			inBatch: make(map[string]bool),
-			batches: make(map[string]*batchMemo),
+			schema:   c.schema.clone(),
+			ctr:      &stats.Counters{},
+			userIdx:  make(map[string]int, c.Len()),
+			registry: &registry{names: make(map[string]int)},
+			inBatch:  make(map[string]bool),
+			batches:  make(map[string]*batchMemo),
 		},
 		cfg: cfg,
 	}
@@ -507,11 +527,7 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 		for _, ci := range res.Clusters {
 			common := ci.Common
 			if cfg.Algorithm == AlgorithmFilterThenVerifyApprox {
-				members := make([]*pref.Profile, len(ci.Members))
-				for i, id := range ci.Members {
-					members[i] = profiles[id]
-				}
-				common = approx.Profile(members, cfg.Theta1, cfg.Theta2)
+				common = m.commonFn(m.memberProfiles(ci.Members))
 			}
 			clusters = append(clusters, core.Cluster{Members: ci.Members, Common: common})
 			m.clusters = append(m.clusters, m.sortedNames(ci.Members))
@@ -527,16 +543,17 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 // fill: append-only or windowed, per-user shards when clusters is nil
 // (Baseline) and whole-cluster shards otherwise. A fresh community is the
 // recovered case with every user alive: removed users own no frontier,
-// dormant clusters ride along as placeholders. It fails unless the
-// clusters partition exactly the alive users.
+// dormant clusters ride along as placeholders. The append-only engines
+// read the registry's alive objects; the windowed ones keep their own
+// ring. It fails unless the clusters partition exactly the alive users.
 func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
 	switch {
 	case m.cfg.Window > 0:
 		m.eng, err = window.NewSharded(m.profiles, clusters, m.userAlive, m.cfg.Window, m.cfg.Workers, m.ctr)
 	case m.cfg.Algorithm == AlgorithmFilterThenVerifyApprox:
-		m.eng, err = core.NewShardedPerObject(m.profiles, clusters, m.userAlive, m.cfg.Workers, m.ctr)
+		m.eng, err = core.NewShardedPerObject(m.profiles, clusters, m.userAlive, m.registry.alive, m.cfg.Workers, m.ctr)
 	default:
-		m.eng, err = core.NewSharded(m.profiles, clusters, m.userAlive, m.cfg.Workers, m.ctr)
+		m.eng, err = core.NewSharded(m.profiles, clusters, m.userAlive, m.registry.alive, m.cfg.Workers, m.ctr)
 	}
 	if err == nil {
 		m.eng.SetCommonFn(m.commonFn)
@@ -607,22 +624,6 @@ func (m *Monitor) retire(id int) {
 		m.objects = m.objects[:n]
 		m.objBase += dead
 	}
-}
-
-// aliveObjects snapshots the alive object set in arrival order: the
-// mend-candidate source for the lifecycle operations. A windowed monitor
-// gets nil — its engines' ring is their alive set. Caller holds mu.
-func (m *Monitor) aliveObjects() []object.Object {
-	if m.cfg.Window > 0 {
-		return nil
-	}
-	out := make([]object.Object, 0, len(m.objects))
-	for _, e := range m.objects {
-		if e.alive {
-			out = append(out, e.obj)
-		}
-	}
-	return out
 }
 
 // ingest processes one pre-validated object. Caller holds mu. During

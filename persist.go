@@ -477,9 +477,9 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 	if err := m.buildEngine(clusters); err != nil {
 		return fmt.Errorf("%w: snapshot clustering: %v", ErrCorrupt, err)
 	}
-	// The state names frontier members only; the alive registry gives the
-	// exact engines their dominated tuples back (core.TupleClasses).
-	if err := m.eng.RestoreState(snap.Engine, m.aliveObjects()); err != nil {
+	// The state names frontier members only; the exact engines read
+	// their dominated tuples back from the registry (core.TupleClasses).
+	if err := m.eng.RestoreState(snap.Engine); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	*m.ctr = snap.Counters
