@@ -21,6 +21,15 @@
 // NewBaseline and NewFilterThenVerify build the same struct standalone,
 // owning every user: the reference the paper figures and tests use.
 //
+// The lifecycle calls (lifecycle.go) carry only what changed — a user
+// slot, a cluster index, a tuple, an object. The engine recomputes every
+// cluster relation a call touches through its CommonFn, and an
+// append-only engine reads the alive objects, the candidates of every
+// mend and restore, from the arrival-ordered source NewSharded fixes at
+// construction: the Monitor's registry, never a copy. The
+// filter-then-verify orchestration and its Lemma 4.6 member mend live
+// once, in ClusterShard, which the windowed engine shares.
+//
 // Where the exact engines depart from Algs. 1–2 as printed: a frontier
 // member is an attribute tuple, not an object. Dominance (Def. 3.2) is a
 // function of attribute values only, so identical tuples dominate and are

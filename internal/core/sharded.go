@@ -20,10 +20,8 @@ type ShardEngine interface {
 	UserFrontier(c int) []int
 	AppendTargets(dst []int, objID int) []int
 	ApplyPreference(c, d, better, worse int) error
-	// CaptureState / RestoreState fill and rebuild the shard's owned
-	// slots of a unit-keyed EngineState (see state.go).
-	CaptureState(st *EngineState)
-	RestoreState(st *EngineState) error
+	// The shard's owned slots of a unit-keyed EngineState (state.go).
+	StateEngine
 	// Lifecycle mutations (see LifecycleEngine). RegisterUser and
 	// RemoveObject apply to every shard (all shards index the full user
 	// table and, for windowed engines, age private rings); the remaining

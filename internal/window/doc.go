@@ -111,7 +111,11 @@
 // own window ring and buffers, so arrival, expiry, and frontier mending
 // stay local to the shard and deliveries are identical for every shard
 // count. NewBaselineSW and NewFilterThenVerifySW build the same structs
-// standalone, owning every user. The shard bookkeeping's tuple-class table
+// standalone, owning every user. FilterThenVerifySW runs the calls that
+// change a relation or the membership through core.ClusterShard's
+// orchestration, shared with the append-only engine — the recompute of
+// ≻_U, the Lemma 4.6 member mend — and supplies only the hook that
+// rebuilds its tier; its candidates are the ring, never an alive list. The shard bookkeeping's tuple-class table
 // (core.TupleClasses) stays off here: every object is its own frontier
 // member under its own id, as in the paper — the ring ages ids, and a
 // class would have to be refreshed in it. Ids leave the ring in arrival

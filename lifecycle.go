@@ -2,6 +2,7 @@ package paretomon
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -341,18 +342,6 @@ func (m *Monitor) memberProfiles(members []int) []*pref.Profile {
 	return ps
 }
 
-// clusterOfLocked finds the cluster holding user idx.
-func (m *Monitor) clusterOfLocked(idx int) int {
-	for ui, members := range m.clusterMembers {
-		for _, c := range members {
-			if c == idx {
-				return ui
-			}
-		}
-	}
-	panic(fmt.Sprintf("paretomon: user %d not in any cluster", idx))
-}
-
 // applyRemoveUserLocked tombstones the user slot and removes the user
 // from engine and clustering. The member lists of the monitor and the
 // engine both delete in place, so the engine recomputes the relation
@@ -360,17 +349,12 @@ func (m *Monitor) clusterOfLocked(idx int) int {
 func (m *Monitor) applyRemoveUserLocked(idx int) {
 	m.userAlive[idx] = false
 	delete(m.userIdx, m.userNames[idx])
-	if m.cfg.Algorithm != AlgorithmBaseline {
-		ui := m.clusterOfLocked(idx)
-		members := m.clusterMembers[ui]
-		for i, c := range members {
-			if c == idx {
-				members = append(members[:i], members[i+1:]...)
-				break
-			}
+	for ui, members := range m.clusterMembers {
+		if i := slices.Index(members, idx); i >= 0 {
+			m.clusterMembers[ui] = slices.Delete(members, i, i+1)
+			m.clusters[ui] = m.sortedNames(m.clusterMembers[ui])
+			break
 		}
-		m.clusterMembers[ui] = members
-		m.clusters[ui] = m.sortedNames(members)
 	}
 	m.eng.RemoveUser(idx)
 	m.subs.closeUser(idx)

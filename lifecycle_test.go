@@ -485,23 +485,92 @@ func TestWindowedLifecycleAllocsIgnoreRegistryLength(t *testing.T) {
 			}
 		}
 	}
-	bytesPerRun := func(f func()) uint64 {
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			f()
-		}
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / runs
-	}
 	small, large := op(build(10*period)), op(build(200*period))
 	if s, l := testing.AllocsPerRun(50, small), testing.AllocsPerRun(50, large); l > s {
 		t.Errorf("allocations per lifecycle op grow with the registry: %.0f at 500 objects, %.0f at 10000", s, l)
 	}
 	// The registry snapshot this guards against is 32 B per object ever
 	// ingested: 304 KB more at the larger size.
-	if s, l := bytesPerRun(small), bytesPerRun(large); l > s+4096 {
+	if s, l := bytesPerRun(50, small), bytesPerRun(50, large); l > s+4096 {
 		t.Errorf("bytes allocated per lifecycle op grow with the registry: %d at 500 objects, %d at 10000", s, l)
+	}
+}
+
+// bytesPerRun is the heap allocated per call of f, over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// An append-only monitor's engines read the alive objects from the
+// registry where it stands; a lifecycle call copies none of it. Removing
+// an object whose tuple keeps a twin alive, outside every frontier,
+// changes nothing but the registry and the object's class, so it must
+// cost the same at 500 alive objects as at 10 000, for both exact
+// engines.
+func TestAppendOnlyRemovalAllocsIgnoreRegistryLength(t *testing.T) {
+	const period, removals = 50, 50
+	build := func(alive int, opts ...paretomon.Option) *paretomon.Monitor {
+		com := paretomon.NewCommunity(paretomon.NewSchema("brand", "cpu"))
+		for _, name := range []string{"ann", "bob", "cy"} {
+			u, err := com.AddUser(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < 7; i++ {
+				if err := u.Prefer("brand", "b0", fmt.Sprintf("b%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i < 5; i++ {
+				if err := u.Prefer("cpu", "c0", fmt.Sprintf("c%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m, err := paretomon.NewMonitor(com, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// (b0, c0) dominates every other tuple for everyone; the rest are
+		// 30 tuples, each alive at least 16 times over.
+		if _, err := m.Add("top", "b0", "c0"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < alive; i++ {
+			v := i % period
+			if _, err := m.Add(fmt.Sprintf("o%d", i), fmt.Sprintf("b%d", 1+v%6), fmt.Sprintf("c%d", v%5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		opts []paretomon.Option
+	}{
+		{"Baseline", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}},
+		{"FTV", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithClusterCount(2)}},
+	} {
+		perRemoval := func(alive int) uint64 {
+			m := build(alive, tc.opts...)
+			next := 0
+			return bytesPerRun(removals, func() {
+				if err := m.RemoveObject(fmt.Sprintf("o%d", next)); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+		}
+		// The registry copy this guards against is 32 B per alive object:
+		// 304 KB more at the larger size.
+		if s, l := perRemoval(10*period), perRemoval(200*period); l > s+4096 {
+			t.Errorf("%s: bytes allocated per removal grow with the registry: %d at 500 objects, %d at 10000", tc.name, s, l)
+		}
 	}
 }

@@ -459,11 +459,7 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 			}
 			cl := core.Cluster{Members: ms}
 			if len(ms) > 0 {
-				ps := make([]*pref.Profile, len(ms))
-				for i, c := range ms {
-					ps[i] = m.profiles[c]
-				}
-				cl.Common = m.commonFn(ps)
+				cl.Common = m.commonFn(m.memberProfiles(ms))
 			}
 			clusters[ui] = cl
 			// A copy: RemoveUser edits the monitor's list in place, and the
