@@ -68,9 +68,6 @@ type LifecycleEngine interface {
 	// objects. For clustered engines c joins cluster (== cluster-list
 	// length to found a new one), whose relation and filter tier resync.
 	ActivateUser(c, cluster int)
-	// DeactivateUser drops user c's structures without any mending; used
-	// during recovery to blank the slots of removed users.
-	DeactivateUser(c int)
 	// RemoveUser removes user c: its frontier disappears and, for
 	// clustered engines, its cluster's relation is recomputed without c
 	// and the filter tier resynced (a cluster losing its last member goes
@@ -166,7 +163,7 @@ func (b *Baseline) ActivateUser(c, _ int) {
 // c's frontier: candidates are every alive non-frontier object (any of
 // them may have lost its last dominator).
 func (b *Baseline) RetractPreference(c, d, better, worse int) error {
-	if err := b.RetractTuple(c, d, better, worse); err != nil {
+	if err := b.Users[c].Relation(d).Remove(better, worse); err != nil {
 		return err
 	}
 	f := b.Fronts[c]

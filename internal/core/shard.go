@@ -142,17 +142,6 @@ func (s *UserShard) Activate(c int) {
 	s.Fronts[c] = NewFrontier()
 }
 
-// DeactivateUser blanks user c's slot without mending (recovery path).
-func (s *UserShard) DeactivateUser(c int) {
-	s.Fronts[c] = nil
-	for i, m := range s.Members {
-		if m == c {
-			s.Members = append(s.Members[:i], s.Members[i+1:]...)
-			return
-		}
-	}
-}
-
 // RemoveUser drops user c's frontier and target entries; a no-op on the
 // shards that do not maintain c.
 func (s *UserShard) RemoveUser(c int) {
@@ -162,7 +151,9 @@ func (s *UserShard) RemoveUser(c int) {
 	for _, id := range s.Fronts[c].IDs() {
 		s.RemoveTarget(id, c)
 	}
-	s.DeactivateUser(c)
+	s.Fronts[c] = nil
+	i := slices.Index(s.Members, c)
+	s.Members = slices.Delete(s.Members, i, i+1)
 }
 
 // AddTuple records that user c now also prefers value better over value
@@ -170,12 +161,6 @@ func (s *UserShard) RemoveUser(c int) {
 // break the strict-partial-order axioms; the engine then repairs nothing.
 func (s *UserShard) AddTuple(c, d, better, worse int) error {
 	return addTuple(s.Users, c, d, better, worse)
-}
-
-// RetractTuple takes the asserted tuple out of user c's shared profile;
-// it fails, changing nothing, if c never asserted it.
-func (s *UserShard) RetractTuple(c, d, better, worse int) error {
-	return s.Users[c].Relation(d).Remove(better, worse)
 }
 
 func addTuple(users []*pref.Profile, c, d, better, worse int) error {
@@ -367,9 +352,6 @@ func (s *ClusterShard) RegisterUser(c int, p *pref.Profile) {
 	s.Users = append(s.Users, p)
 	s.UserFronts = append(s.UserFronts, nil)
 }
-
-// DeactivateUser blanks user c's slot without mending (recovery path).
-func (s *ClusterShard) DeactivateUser(c int) { s.UserFronts[c] = nil }
 
 // Resync brings cluster li's filter tier in line after its common
 // relation moved from old to Clusters[li].Common. old is nil when the

@@ -388,14 +388,6 @@ func (s *Sharded) ActivateUser(c, cluster int) {
 	s.shards[sh].ActivateUser(c, cluster)
 }
 
-// DeactivateUser blanks the slot on every shard (only the owner holds
-// state; the rest no-op).
-func (s *Sharded) DeactivateUser(c int) {
-	for _, sh := range s.shards {
-		sh.DeactivateUser(c)
-	}
-}
-
 // RemoveUser routes the removal (and its cluster resync) to the owner.
 func (s *Sharded) RemoveUser(c int) {
 	s.shards[s.owner[c]].RemoveUser(c)

@@ -165,12 +165,6 @@ func (b *BaselineSW) ActivateUser(c, _ int) {
 	b.rebuildUser(c)
 }
 
-// DeactivateUser blanks user c's slot without mending (recovery path).
-func (b *BaselineSW) DeactivateUser(c int) {
-	b.UserShard.DeactivateUser(c)
-	b.buffers[c] = nil
-}
-
 // RemoveUser drops user c's structures and target entries.
 func (b *BaselineSW) RemoveUser(c int) {
 	b.UserShard.RemoveUser(c)
@@ -204,7 +198,7 @@ func (b *BaselineSW) ApplyPreference(c, d, better, worse int) error {
 // RetractPreference takes the tuple out of user c's relation and rebuilds
 // the user's buffer and frontier.
 func (b *BaselineSW) RetractPreference(c, d, better, worse int) error {
-	if err := b.RetractTuple(c, d, better, worse); err != nil {
+	if err := b.Users[c].Relation(d).Remove(better, worse); err != nil {
 		return err
 	}
 	b.rebuildUser(c)
