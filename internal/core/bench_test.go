@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fixtures"
 	"repro/internal/object"
 	"repro/internal/pref"
 	"repro/internal/stats"
@@ -14,7 +15,7 @@ import (
 // BenchmarkBaselineProcess measures Alg. 1's per-object cost.
 func BenchmarkBaselineProcess(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
-	users, objs := randomWorld(r, 32, 3, 8, 4096, 14)
+	users, objs := fixtures.RandomWorld(r, 32, 3, 8, 4096, 14)
 	eng := core.NewBaseline(users, &stats.Counters{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -26,7 +27,7 @@ func BenchmarkBaselineProcess(b *testing.B) {
 // the same workload (4 clusters of 8 users).
 func BenchmarkFilterThenVerifyProcess(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
-	users, objs := randomWorld(r, 32, 3, 8, 4096, 14)
+	users, objs := fixtures.RandomWorld(r, 32, 3, 8, 4096, 14)
 	var clusters []core.Cluster
 	for g := 0; g < 4; g++ {
 		var members []int
@@ -47,7 +48,7 @@ func BenchmarkFilterThenVerifyProcess(b *testing.B) {
 // BenchmarkParallelProcess measures the goroutine fan-out variant.
 func BenchmarkParallelProcess(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
-	users, objs := randomWorld(r, 32, 3, 8, 4096, 14)
+	users, objs := fixtures.RandomWorld(r, 32, 3, 8, 4096, 14)
 	var clusters []core.Cluster
 	for g := 0; g < 4; g++ {
 		var members []int
@@ -124,7 +125,7 @@ func BenchmarkFrontierIndex(b *testing.B) {
 func processStream(n, tuples int) ([]*pref.Profile, []core.Cluster, []object.Object) {
 	const dims, domSize = 4, 16
 	r := rand.New(rand.NewSource(42))
-	users, _ := randomWorld(r, 32, dims, domSize, 0, 24)
+	users, _ := fixtures.RandomWorld(r, 32, dims, domSize, 0, 24)
 	var clusters []core.Cluster
 	for g := 0; g < 4; g++ {
 		var members []int

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/fixtures"
 	"repro/internal/object"
 	"repro/internal/order"
 	"repro/internal/pref"
@@ -273,9 +274,7 @@ func twinWorld(n, tuples int) (*FilterThenVerify, []object.Object) {
 func TestTwinProcessDoesNotAllocate(t *testing.T) {
 	const tuples, runs = 200, 2000
 	eng, objs := twinWorld(tuples+runs+1, tuples)
-	for _, o := range objs[:tuples] {
-		eng.Process(o)
-	}
+	fixtures.Feed(eng, objs[:tuples])
 	held := 0
 	next := tuples
 	allocs := testing.AllocsPerRun(runs, func() {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,35 +12,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixtures"
 	"repro/internal/object"
-	"repro/internal/order"
+	"repro/internal/oracle"
 	"repro/internal/pref"
 	"repro/internal/stats"
 )
-
-// ids converts 1-based paper object numbers to 0-based ids.
-func ids(ns ...int) []int {
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = n - 1
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sorted(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	if len(out) == 0 {
-		return []int{}
-	}
-	return out
-}
-
-func feed(m core.Monitor, objs []object.Object) {
-	for _, o := range objs {
-		m.Process(o)
-	}
-}
 
 // laptopFTV builds the paper's single cluster U = {c1, c2} with the given
 // exact common profile.
@@ -57,14 +31,14 @@ func TestBaselinePaperExample(t *testing.T) {
 	l := fixtures.NewLaptops()
 	b := core.NewBaseline([]*pref.Profile{l.C1, l.C2}, nil)
 
-	feed(b, l.Objects[:14]) // o1..o14
+	fixtures.Feed(b, l.Objects[:14]) // o1..o14
 
 	// Example 4.8: before o15, P_c1 = {o2} and o7 ∈ P_c2.
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, ids(2)) {
-		t.Fatalf("P_c1 after o14 = %v, want %v", got, ids(2))
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2)) {
+		t.Fatalf("P_c1 after o14 = %v, want %v", got, fixtures.PaperIDs(2))
 	}
-	if got := sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, ids(2, 3, 7)) {
-		t.Fatalf("P_c2 after o14 = %v, want %v", got, ids(2, 3, 7))
+	if got := fixtures.Sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 3, 7)) {
+		t.Fatalf("P_c2 after o14 = %v, want %v", got, fixtures.PaperIDs(2, 3, 7))
 	}
 
 	// Example 1.1 / 3.5: o15 goes to c2 only.
@@ -73,11 +47,11 @@ func TestBaselinePaperExample(t *testing.T) {
 		t.Fatalf("C_o15 = %v, want [1]", co15)
 	}
 	// Example 3.5: P_c1 = {o2}, P_c2 = {o2, o3, o15}.
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, ids(2)) {
-		t.Fatalf("P_c1 = %v, want %v", got, ids(2))
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2)) {
+		t.Fatalf("P_c1 = %v, want %v", got, fixtures.PaperIDs(2))
 	}
-	if got := sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, ids(2, 3, 15)) {
-		t.Fatalf("P_c2 = %v, want %v", got, ids(2, 3, 15))
+	if got := fixtures.Sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 3, 15)) {
+		t.Fatalf("P_c2 = %v, want %v", got, fixtures.PaperIDs(2, 3, 15))
 	}
 	// C_o2 = {c1, c2}, C_o3 = C_o15 = {c2} (Example 3.5).
 	if got := b.Targets(1); !reflect.DeepEqual(got, []int{0, 1}) {
@@ -98,11 +72,11 @@ func TestFilterThenVerifyPaperExample(t *testing.T) {
 	ctr := &stats.Counters{}
 	f := laptopFTV(l, l.U, ctr)
 
-	feed(f, l.Objects[:14])
+	fixtures.Feed(f, l.Objects[:14])
 
 	// Example 4.8: P_U = {o2, o3, o7, o10} before o15.
-	if got := sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, ids(2, 3, 7, 10)) {
-		t.Fatalf("P_U after o14 = %v, want %v", got, ids(2, 3, 7, 10))
+	if got := fixtures.Sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 3, 7, 10)) {
+		t.Fatalf("P_U after o14 = %v, want %v", got, fixtures.PaperIDs(2, 3, 7, 10))
 	}
 
 	co15 := f.Process(l.Objects[14])
@@ -110,14 +84,14 @@ func TestFilterThenVerifyPaperExample(t *testing.T) {
 		t.Fatalf("C_o15 = %v, want [1]", co15)
 	}
 	// Example 4.4 / 4.7: P_U = {o2, o3, o10, o15} (o15 replaced o7).
-	if got := sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, ids(2, 3, 10, 15)) {
-		t.Fatalf("P_U = %v, want %v", got, ids(2, 3, 10, 15))
+	if got := fixtures.Sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 3, 10, 15)) {
+		t.Fatalf("P_U = %v, want %v", got, fixtures.PaperIDs(2, 3, 10, 15))
 	}
-	if got := sorted(f.UserFrontier(0)); !reflect.DeepEqual(got, ids(2)) {
-		t.Fatalf("P_c1 = %v, want %v", got, ids(2))
+	if got := fixtures.Sorted(f.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2)) {
+		t.Fatalf("P_c1 = %v, want %v", got, fixtures.PaperIDs(2))
 	}
-	if got := sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, ids(2, 3, 15)) {
-		t.Fatalf("P_c2 = %v, want %v", got, ids(2, 3, 15))
+	if got := fixtures.Sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 3, 15)) {
+		t.Fatalf("P_c2 = %v, want %v", got, fixtures.PaperIDs(2, 3, 15))
 	}
 
 	// Example 4.8: o16 is filtered out at the cluster tier; no verify
@@ -139,14 +113,14 @@ func TestFilterThenVerifyApproxPaperExample(t *testing.T) {
 		nil,
 	)
 
-	feed(f, l.Objects[:14])
+	fixtures.Feed(f, l.Objects[:14])
 
 	// Example 6.3: P̂_U = {o2, o7} before o15; P̂_c2 = {o2, o7}.
-	if got := sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, ids(2, 7)) {
-		t.Fatalf("P̂_U after o14 = %v, want %v", got, ids(2, 7))
+	if got := fixtures.Sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 7)) {
+		t.Fatalf("P̂_U after o14 = %v, want %v", got, fixtures.PaperIDs(2, 7))
 	}
-	if got := sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, ids(2, 7)) {
-		t.Fatalf("P̂_c2 after o14 = %v, want %v", got, ids(2, 7))
+	if got := fixtures.Sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 7)) {
+		t.Fatalf("P̂_c2 after o14 = %v, want %v", got, fixtures.PaperIDs(2, 7))
 	}
 
 	// Example 6.3: o15 replaces o7; Ĉ_o15 = {c2} — identical to the exact
@@ -155,14 +129,14 @@ func TestFilterThenVerifyApproxPaperExample(t *testing.T) {
 	if !reflect.DeepEqual(co15, []int{1}) {
 		t.Fatalf("Ĉ_o15 = %v, want [1]", co15)
 	}
-	if got := sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, ids(2, 15)) {
-		t.Fatalf("P̂_U = %v, want %v", got, ids(2, 15))
+	if got := fixtures.Sorted(f.ClusterFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 15)) {
+		t.Fatalf("P̂_U = %v, want %v", got, fixtures.PaperIDs(2, 15))
 	}
-	if got := sorted(f.UserFrontier(0)); !reflect.DeepEqual(got, ids(2)) {
-		t.Fatalf("P̂_c1 = %v, want %v", got, ids(2))
+	if got := fixtures.Sorted(f.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2)) {
+		t.Fatalf("P̂_c1 = %v, want %v", got, fixtures.PaperIDs(2))
 	}
-	if got := sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, ids(2, 15)) {
-		t.Fatalf("P̂_c2 = %v, want %v", got, ids(2, 15))
+	if got := fixtures.Sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 15)) {
+		t.Fatalf("P̂_c2 = %v, want %v", got, fixtures.PaperIDs(2, 15))
 	}
 }
 
@@ -175,7 +149,7 @@ func TestIdenticalObjectsCoexist(t *testing.T) {
 	if !reflect.DeepEqual(co, []int{0}) {
 		t.Fatalf("duplicate of a Pareto object must be Pareto: C_o = %v", co)
 	}
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{1, 99}) {
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{1, 99}) {
 		t.Fatalf("frontier = %v, want both copies", got)
 	}
 }
@@ -299,68 +273,15 @@ func TestFrontier(t *testing.T) {
 
 // --- randomized equivalence and invariant tests ---
 
-// randomWorld builds nUsers random profiles over dims attributes with small
-// domains, plus nObjs random objects.
-func randomWorld(r *rand.Rand, nUsers, dims, domSize, nObjs, edges int) ([]*pref.Profile, []object.Object) {
-	doms := make([]*order.Domain, dims)
-	for d := range doms {
-		doms[d] = order.NewDomain(string(rune('a' + d)))
-		for v := 0; v < domSize; v++ {
-			doms[d].Intern(string(rune('A' + v)))
-		}
-	}
-	users := make([]*pref.Profile, nUsers)
-	for u := range users {
-		p := pref.NewProfile(doms)
-		for d := 0; d < dims; d++ {
-			for e := 0; e < edges; e++ {
-				p.Relation(d).Add(r.Intn(domSize), r.Intn(domSize)) // rejections fine
-			}
-		}
-		users[u] = p
-	}
-	objs := make([]object.Object, nObjs)
-	for i := range objs {
-		attrs := make([]int32, dims)
-		for d := range attrs {
-			attrs[d] = int32(r.Intn(domSize))
-		}
-		objs[i] = object.Object{ID: i, Attrs: attrs}
-	}
-	return users, objs
-}
-
-// bruteFrontier recomputes P_c from scratch by pairwise comparison.
-func bruteFrontier(u *pref.Profile, objs []object.Object) []int {
-	var out []int
-	for _, o := range objs {
-		dominated := false
-		for _, p := range objs {
-			if u.Dominates(p, o) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, o.ID)
-		}
-	}
-	sort.Ints(out)
-	if out == nil {
-		out = []int{}
-	}
-	return out
-}
-
 // Baseline's incremental frontier equals the from-scratch frontier.
 func TestQuickBaselineMatchesBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 3, 3, 5, 60, 6)
+		users, objs := fixtures.RandomWorld(r, 3, 3, 5, 60, 6)
 		b := core.NewBaseline(users, nil)
-		feed(b, objs)
+		fixtures.Feed(b, objs)
 		for c, u := range users {
-			if !reflect.DeepEqual(sorted(b.UserFrontier(c)), bruteFrontier(u, objs)) {
+			if !reflect.DeepEqual(fixtures.Sorted(b.UserFrontier(c)), fixtures.Frontier(fixtures.Asserted(u), objs)) {
 				return false
 			}
 		}
@@ -376,7 +297,7 @@ func TestQuickBaselineMatchesBrute(t *testing.T) {
 func TestQuickFTVEquivalentToBaseline(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 4, 3, 5, 50, 6)
+		users, objs := fixtures.RandomWorld(r, 4, 3, 5, 50, 6)
 		clusters := []core.Cluster{
 			{Members: []int{0, 1}, Common: pref.Common([]*pref.Profile{users[0], users[1]})},
 			{Members: []int{2, 3}, Common: pref.Common([]*pref.Profile{users[2], users[3]})},
@@ -384,26 +305,23 @@ func TestQuickFTVEquivalentToBaseline(t *testing.T) {
 		b := core.NewBaseline(users, nil)
 		ftv := core.NewFilterThenVerify(users, clusters, nil)
 		for _, o := range objs {
-			cb := sorted(b.Process(o))
-			cf := sorted(ftv.Process(o))
+			cb := fixtures.Sorted(b.Process(o))
+			cf := fixtures.Sorted(ftv.Process(o))
 			if !reflect.DeepEqual(cb, cf) {
 				return false
 			}
 		}
 		for c := range users {
-			if !reflect.DeepEqual(sorted(b.UserFrontier(c)), sorted(ftv.UserFrontier(c))) {
+			if !reflect.DeepEqual(fixtures.Sorted(b.UserFrontier(c)), fixtures.Sorted(ftv.UserFrontier(c))) {
 				return false
 			}
 		}
 		// Theorem 4.5: P_U ⊇ P_c for every member.
 		for ui, cl := range ftv.Clusters {
-			pu := map[int]bool{}
-			for _, id := range ftv.ClusterFrontier(ui) {
-				pu[id] = true
-			}
+			pu := ftv.ClusterFrontier(ui)
 			for _, c := range cl.Members {
 				for _, id := range ftv.UserFrontier(c) {
-					if !pu[id] {
+					if !slices.Contains(pu, id) {
 						return false
 					}
 				}
@@ -423,7 +341,7 @@ func TestQuickFTVEquivalentToBaseline(t *testing.T) {
 func TestQuickApproxContainments(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 3, 2, 5, 40, 5)
+		users, objs := fixtures.RandomWorld(r, 3, 2, 5, 40, 5)
 		common := pref.Common(users)
 		// Build an approximate profile: common plus a few random extra
 		// tuples (kept as a valid SPO by Add's rejection).
@@ -433,30 +351,19 @@ func TestQuickApproxContainments(t *testing.T) {
 				approx.Relation(d).Add(r.Intn(5), r.Intn(5))
 			}
 		}
-		members := []int{0, 1, 2}
-		exact := core.NewFilterThenVerify(users, []core.Cluster{{Members: members, Common: common}}, nil)
-		ap := core.NewFilterThenVerifyPerObject(users, []core.Cluster{{Members: members, Common: approx}}, nil)
-		feed(exact, objs)
-		feed(ap, objs)
+		ap := core.NewFilterThenVerifyPerObject(users, []core.Cluster{{Members: []int{0, 1, 2}, Common: approx}}, nil)
+		fixtures.Feed(ap, objs)
 
-		pu := map[int]bool{}
-		for _, id := range exact.ClusterFrontier(0) {
-			pu[id] = true
-		}
+		pu := fixtures.Frontier(oracle.Common(fixtures.Asserted(users[0]), fixtures.Asserted(users[1]), fixtures.Asserted(users[2])), objs) // Def. 4.1
 		puHat := map[int]bool{}
 		for _, id := range ap.ClusterFrontier(0) {
 			puHat[id] = true
-		}
-		// Theorem 6.5: P̂_U ⊆ P_U.
-		for id := range puHat {
-			if !pu[id] {
-				return false
+			if !slices.Contains(pu, id) {
+				return false // Theorem 6.5: P̂_U ⊆ P_U
 			}
 		}
 		// Theorem 6.7: P̂_U ∩ P_c ⊆ P̂_c, and Lemma 6.6: P̂_c ⊆ P̂_U.
-		b := core.NewBaseline(users, nil)
-		feed(b, objs)
-		for c := range users {
+		for c, u := range users {
 			pcHat := map[int]bool{}
 			for _, id := range ap.UserFrontier(c) {
 				pcHat[id] = true
@@ -464,7 +371,7 @@ func TestQuickApproxContainments(t *testing.T) {
 					return false // Lemma 6.6 violated
 				}
 			}
-			for _, id := range b.UserFrontier(c) {
+			for _, id := range fixtures.Frontier(fixtures.Asserted(u), objs) {
 				if puHat[id] && !pcHat[id] {
 					return false // Theorem 6.7 violated
 				}
@@ -482,7 +389,7 @@ func TestQuickApproxContainments(t *testing.T) {
 func TestQuickClusterGranularityInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 3, 2, 4, 40, 5)
+		users, objs := fixtures.RandomWorld(r, 3, 2, 4, 40, 5)
 		big := core.NewFilterThenVerify(users, []core.Cluster{
 			{Members: []int{0, 1, 2}, Common: pref.Common(users)},
 		}, nil)
@@ -492,15 +399,15 @@ func TestQuickClusterGranularityInvariance(t *testing.T) {
 		}
 		sing := core.NewFilterThenVerify(users, singles, nil)
 		b := core.NewBaseline(users, nil)
-		feed(big, objs)
-		feed(sing, objs)
-		feed(b, objs)
+		fixtures.Feed(big, objs)
+		fixtures.Feed(sing, objs)
+		fixtures.Feed(b, objs)
 		for c := range users {
-			want := sorted(b.UserFrontier(c))
-			if !reflect.DeepEqual(sorted(big.UserFrontier(c)), want) {
+			want := fixtures.Sorted(b.UserFrontier(c))
+			if !reflect.DeepEqual(fixtures.Sorted(big.UserFrontier(c)), want) {
 				return false
 			}
-			if !reflect.DeepEqual(sorted(sing.UserFrontier(c)), want) {
+			if !reflect.DeepEqual(fixtures.Sorted(sing.UserFrontier(c)), want) {
 				return false
 			}
 		}
@@ -515,7 +422,7 @@ func TestComparisonAccounting(t *testing.T) {
 	l := fixtures.NewLaptops()
 	ctr := &stats.Counters{}
 	b := core.NewBaseline([]*pref.Profile{l.C1, l.C2}, ctr)
-	feed(b, l.Objects)
+	fixtures.Feed(b, l.Objects)
 	if ctr.Processed != 16 {
 		t.Errorf("Processed = %d", ctr.Processed)
 	}
@@ -531,7 +438,7 @@ func TestComparisonAccounting(t *testing.T) {
 
 	ctr2 := &stats.Counters{}
 	f := laptopFTV(l, l.U, ctr2)
-	feed(f, l.Objects)
+	fixtures.Feed(f, l.Objects)
 	if ctr2.FilterComparisons == 0 || ctr2.VerifyComparisons == 0 {
 		t.Errorf("FTV should count both tiers: %v", ctr2)
 	}

@@ -35,7 +35,7 @@ func TestParallelMatchesSequentialPaperExample(t *testing.T) {
 		}
 	}
 	for c := range users {
-		if !reflect.DeepEqual(sorted(seq.UserFrontier(c)), sorted(par.UserFrontier(c))) {
+		if !reflect.DeepEqual(fixtures.Sorted(seq.UserFrontier(c)), fixtures.Sorted(par.UserFrontier(c))) {
 			t.Errorf("user %d frontier mismatch", c)
 		}
 	}
@@ -101,7 +101,7 @@ func TestParallelValidatesPartition(t *testing.T) {
 func TestQuickParallelEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 6, 2, 5, 40, 5)
+		users, objs := fixtures.RandomWorld(r, 6, 2, 5, 40, 5)
 		clusters := []core.Cluster{
 			{Members: []int{0, 1}, Common: pref.Common([]*pref.Profile{users[0], users[1]})},
 			{Members: []int{2}, Common: users[2].Clone()},
@@ -119,7 +119,7 @@ func TestQuickParallelEquivalence(t *testing.T) {
 			}
 		}
 		for c := range users {
-			if !reflect.DeepEqual(sorted(seq.UserFrontier(c)), sorted(par.UserFrontier(c))) {
+			if !reflect.DeepEqual(fixtures.Sorted(seq.UserFrontier(c)), fixtures.Sorted(par.UserFrontier(c))) {
 				return false
 			}
 		}
@@ -169,7 +169,7 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 		for workers := 1; workers <= 4; workers++ {
 			t.Run(fmt.Sprintf("%s/workers%d", b.name, workers), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(workers)))
-				users, objs := randomWorld(r, 8, 2, 5, 150, 5)
+				users, objs := fixtures.RandomWorld(r, 8, 2, 5, 150, 5)
 				common := func(ms ...int) core.Cluster {
 					ps := make([]*pref.Profile, len(ms))
 					for i, c := range ms {
@@ -205,7 +205,7 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 					}
 				}
 				for c := range users {
-					if !reflect.DeepEqual(sorted(seq.UserFrontier(c)), sorted(bat.UserFrontier(c))) {
+					if !reflect.DeepEqual(fixtures.Sorted(seq.UserFrontier(c)), fixtures.Sorted(bat.UserFrontier(c))) {
 						t.Errorf("user %d frontier mismatch", c)
 					}
 				}

@@ -59,9 +59,7 @@ func TestStateRoundTripFTV(t *testing.T) {
 		for _, dstWorkers := range []int{1, 2} {
 			ctr := &stats.Counters{}
 			orig := buildFTV(t, l, srcWorkers, ctr, nil)
-			for _, o := range l.Objects[:half] {
-				orig.Process(o)
-			}
+			fixtures.Feed(orig, l.Objects[:half])
 			st := core.NewEngineState(2, 2)
 			orig.CaptureState(st)
 			atCapture := totalsOf(orig, ctr)
@@ -78,7 +76,7 @@ func TestStateRoundTripFTV(t *testing.T) {
 				}
 			}
 			for c := 0; c < 2; c++ {
-				if !reflect.DeepEqual(sorted(orig.UserFrontier(c)), sorted(restored.UserFrontier(c))) {
+				if !reflect.DeepEqual(fixtures.Sorted(orig.UserFrontier(c)), fixtures.Sorted(restored.UserFrontier(c))) {
 					t.Errorf("src=%d dst=%d: user %d frontier mismatch", srcWorkers, dstWorkers, c)
 				}
 			}
@@ -101,9 +99,7 @@ func TestStateRoundTripBaseline(t *testing.T) {
 	users := []*pref.Profile{l.C1.Clone(), l.C2.Clone()}
 	half := len(l.Objects) / 2
 	orig := core.NewBaseline(users, nil)
-	for _, o := range l.Objects[:half] {
-		orig.Process(o)
-	}
+	fixtures.Feed(orig, l.Objects[:half])
 	st := core.NewEngineState(2, 0)
 	orig.CaptureState(st)
 
@@ -120,7 +116,7 @@ func TestStateRoundTripBaseline(t *testing.T) {
 		}
 	}
 	for c := 0; c < 2; c++ {
-		if !reflect.DeepEqual(sorted(orig.UserFrontier(c)), sorted(restored.UserFrontier(c))) {
+		if !reflect.DeepEqual(fixtures.Sorted(orig.UserFrontier(c)), fixtures.Sorted(restored.UserFrontier(c))) {
 			t.Errorf("user %d frontier mismatch", c)
 		}
 	}

@@ -13,6 +13,8 @@
 // ((10−12.9 ≻ 16−18.9) from Example 3.5, (Apple ≻ Lenovo) from Example
 // 1.1, CPU equal). The window tests therefore validate against a
 // recompute-from-scratch reference rather than Table 9/10 verbatim.
+//
+// world.go is the engine tests' scaffolding: RandomWorld, oracle answers by id.
 package fixtures
 
 import (

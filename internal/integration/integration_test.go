@@ -8,7 +8,6 @@ package integration_test
 import (
 	"bytes"
 	"reflect"
-	"sort"
 	"testing"
 
 	paretomon "repro"
@@ -18,20 +17,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/object"
+	"repro/internal/fixtures"
 	"repro/internal/pref"
 	"repro/internal/stats"
 	"repro/internal/window"
 )
-
-func sorted(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	if out == nil {
-		out = []int{}
-	}
-	return out
-}
 
 // smallWorkload generates a fast movie-like dataset.
 func smallWorkload(t *testing.T) *datagen.Dataset {
@@ -54,14 +44,14 @@ func TestPipelineExactEquivalence(t *testing.T) {
 	base := core.NewBaseline(ds.Users, cb)
 	ftv := core.NewFilterThenVerify(ds.Users, clusters, cf)
 	for _, o := range ds.Objects {
-		db := sorted(base.Process(o))
-		df := sorted(ftv.Process(o))
+		db := fixtures.Sorted(base.Process(o))
+		df := fixtures.Sorted(ftv.Process(o))
 		if !reflect.DeepEqual(db, df) {
 			t.Fatalf("o%d: deliveries differ: %v vs %v", o.ID, db, df)
 		}
 	}
 	for c := range ds.Users {
-		if !reflect.DeepEqual(sorted(base.UserFrontier(c)), sorted(ftv.UserFrontier(c))) {
+		if !reflect.DeepEqual(fixtures.Sorted(base.UserFrontier(c)), fixtures.Sorted(ftv.UserFrontier(c))) {
 			t.Fatalf("user %d frontier mismatch", c)
 		}
 	}
@@ -92,8 +82,8 @@ func TestPipelineApproxAccuracy(t *testing.T) {
 	exact := make([][]int, len(ds.Users))
 	got := make([][]int, len(ds.Users))
 	for c := range ds.Users {
-		exact[c] = sorted(base.UserFrontier(c))
-		got[c] = sorted(ftva.UserFrontier(c))
+		exact[c] = fixtures.Sorted(base.UserFrontier(c))
+		got[c] = fixtures.Sorted(ftva.UserFrontier(c))
 	}
 	acc := accuracy.Evaluate(exact, got)
 	if acc.Precision() < 0.98 {
@@ -120,8 +110,8 @@ func TestPipelineWindowEquivalence(t *testing.T) {
 	huge := window.NewBaselineSW(ds.Users, len(ds.Objects)+1, nil)
 	app := core.NewBaseline(ds.Users, nil)
 	for _, o := range ds.Objects {
-		db := sorted(bsw.Process(o))
-		df := sorted(fsw.Process(o))
+		db := fixtures.Sorted(bsw.Process(o))
+		df := fixtures.Sorted(fsw.Process(o))
 		if !reflect.DeepEqual(db, df) {
 			t.Fatalf("o%d: window deliveries differ", o.ID)
 		}
@@ -129,11 +119,11 @@ func TestPipelineWindowEquivalence(t *testing.T) {
 		app.Process(o)
 	}
 	for c := range ds.Users {
-		if !reflect.DeepEqual(sorted(bsw.UserFrontier(c)), sorted(fsw.UserFrontier(c))) {
+		if !reflect.DeepEqual(fixtures.Sorted(bsw.UserFrontier(c)), fixtures.Sorted(fsw.UserFrontier(c))) {
 			t.Fatalf("user %d window frontier mismatch", c)
 		}
 		// An over-wide window behaves exactly like append-only.
-		if !reflect.DeepEqual(sorted(huge.UserFrontier(c)), sorted(app.UserFrontier(c))) {
+		if !reflect.DeepEqual(fixtures.Sorted(huge.UserFrontier(c)), fixtures.Sorted(app.UserFrontier(c))) {
 			t.Fatalf("user %d: wide window differs from append-only", c)
 		}
 	}
@@ -167,9 +157,7 @@ func TestSerializationPipeline(t *testing.T) {
 	}
 	// Compare against the direct engine.
 	direct := core.NewBaseline(ds.Users, nil)
-	for _, o := range ds.Objects {
-		direct.Process(o)
-	}
+	fixtures.Feed(direct, ds.Objects)
 	for c, user := range com.Users() {
 		want := map[string]bool{}
 		for _, id := range direct.UserFrontier(c) {
@@ -199,12 +187,8 @@ func TestTheorem72NeverReenters(t *testing.T) {
 	w := 48
 	b := window.NewBaselineSW([]*pref.Profile{u}, w, nil)
 	dominatedBySuccessor := map[int]bool{}
-	var alive []object.Object
-	for _, o := range ds.Objects[:300] {
-		alive = append(alive, o)
-		if len(alive) > w {
-			alive = alive[1:]
-		}
+	for i, o := range ds.Objects[:300] {
+		alive := ds.Objects[max(0, i+1-w) : i+1]
 		b.Process(o)
 		// Record domination events: for each alive object, did a successor
 		// dominate it?
@@ -237,11 +221,9 @@ func TestDeterministicRuns(t *testing.T) {
 		ctr := &stats.Counters{}
 		eng := window.NewFilterThenVerifySW(ds.Users, clusters, 64, ctr)
 		var fronts [][]int
-		for _, o := range ds.Objects {
-			eng.Process(o)
-		}
+		fixtures.Feed(eng, ds.Objects)
 		for c := range ds.Users {
-			fronts = append(fronts, sorted(eng.UserFrontier(c)))
+			fronts = append(fronts, fixtures.Sorted(eng.UserFrontier(c)))
 		}
 		return ctr.Comparisons, fronts
 	}
@@ -275,7 +257,7 @@ func TestParallelOnGeneratedWorkload(t *testing.T) {
 		}
 	}
 	for c := range ds.Users {
-		if !reflect.DeepEqual(sorted(seq.UserFrontier(c)), sorted(par.UserFrontier(c))) {
+		if !reflect.DeepEqual(fixtures.Sorted(seq.UserFrontier(c)), fixtures.Sorted(par.UserFrontier(c))) {
 			t.Fatalf("user %d frontier mismatch", c)
 		}
 	}

@@ -5,49 +5,32 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fixtures"
 	"repro/internal/object"
+	"repro/internal/oracle"
 	"repro/internal/order"
 	"repro/internal/pref"
 )
 
-// defCompare is Def. 3.2 read off the closed successor bitsets, with no
-// table, row or probe in between: the reference the kernel must match.
-func defCompare(p *pref.Profile, a, b object.Object) pref.Cmp {
-	aBetter, bBetter := false, false
-	for d := 0; d < p.Dims(); d++ {
-		av, bv := int(a.Attrs[d]), int(b.Attrs[d])
-		switch r := p.Relation(d); {
-		case av == bv:
-		case r.Has(av, bv):
-			aBetter = true
-		case r.Has(bv, av):
-			bBetter = true
-		default:
-			return pref.Incomparable
-		}
-	}
-	switch {
-	case aBetter && bBetter:
-		return pref.Incomparable
-	case aBetter:
-		return pref.Left
-	case bBetter:
-		return pref.Right
-	default:
-		return pref.Identical
-	}
+// asPref reads the oracle's outcome as the kernel's.
+var asPref = map[oracle.Cmp]pref.Cmp{
+	oracle.Incomparable: pref.Incomparable,
+	oracle.Left:         pref.Left,
+	oracle.Right:        pref.Right,
+	oracle.Identical:    pref.Identical,
 }
 
 // checkProbes prepares a probe per object and scans every object with it:
-// Probe.Compare, Profile.Compare and the definition must agree on all
-// ordered pairs.
+// Probe.Compare, Profile.Compare and the definition, read off p's asserted
+// tuples by internal/oracle, must agree on all ordered pairs.
 func checkProbes(t *testing.T, when string, p *pref.Profile, objs []object.Object) {
 	t.Helper()
-	for _, a := range objs {
+	def := oracle.Compare(fixtures.Asserted(p), fixtures.Attrs(objs))
+	for i, a := range objs {
 		var pr pref.Probe
 		p.Prepare(a, &pr)
-		for _, b := range objs {
-			want := defCompare(p, a, b)
+		for j, b := range objs {
+			want := asPref[def[i][j]]
 			if got := pr.Compare(b); got != want {
 				t.Fatalf("%s: Probe.Compare(%v, %v) = %v, definition says %v", when, a.Attrs, b.Attrs, got, want)
 			}

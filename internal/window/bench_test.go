@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fixtures"
 	"repro/internal/pref"
 	"repro/internal/stats"
 	"repro/internal/window"
@@ -14,7 +15,7 @@ import (
 // expiry mending, at W=256.
 func BenchmarkBaselineSWProcess(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
-	users, objs := randomWorld(r, 32, 3, 8, 4096, 14)
+	users, objs := fixtures.RandomWorld(r, 32, 3, 8, 4096, 14)
 	eng := window.NewBaselineSW(users, 256, &stats.Counters{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -28,7 +29,7 @@ func BenchmarkBaselineSWProcess(b *testing.B) {
 // the same workload (4 clusters of 8 users).
 func BenchmarkFilterThenVerifySWProcess(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
-	users, objs := randomWorld(r, 32, 3, 8, 4096, 14)
+	users, objs := fixtures.RandomWorld(r, 32, 3, 8, 4096, 14)
 	var clusters []core.Cluster
 	for g := 0; g < 4; g++ {
 		var members []int

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fixtures"
 	"repro/internal/object"
 	"repro/internal/order"
 	"repro/internal/pref"
@@ -164,14 +166,9 @@ func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
 	}
 
 	// The pinned run ends in the state the definition prescribes.
-	var alive []object.Object
-	for _, o := range objs[len(objs)-w:] {
-		if !removed[o.ID] {
-			alive = append(alive, o)
-		}
-	}
+	alive := slices.DeleteFunc(slices.Clone(objs[len(objs)-w:]), func(o object.Object) bool { return removed[o.ID] })
 	for c, u := range users {
-		if got, want := sorted(eng.UserFrontier(c)), aliveFrontier(u, alive); !reflect.DeepEqual(got, want) {
+		if got, want := fixtures.Sorted(eng.UserFrontier(c)), fixtures.Frontier(fixtures.Asserted(u), alive); !reflect.DeepEqual(got, want) {
 			t.Errorf("user %d: frontier %v, reference %v", c, got, want)
 		}
 	}

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/core"
+	"repro/internal/fixtures"
 	"repro/internal/object"
+	"repro/internal/oracle"
 	"repro/internal/order"
 	"repro/internal/pref"
 	"repro/internal/window"
@@ -59,11 +61,11 @@ func TestRemoveObjectOutsideFrontierReadmitsItsEvictees(t *testing.T) {
 		if got, want := eng.Buffer(0), []int{e.ID, x.ID, z.ID}; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: buffer %v after removing o, want %v", name, got, want)
 		}
-		if got, want := sorted(eng.UserFrontier(0)), []int{e.ID, z.ID}; !reflect.DeepEqual(got, want) {
+		if got, want := fixtures.Sorted(eng.UserFrontier(0)), []int{e.ID, z.ID}; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: frontier %v after removing o, want %v", name, got, want)
 		}
 		eng.Process(z2) // expires e
-		if got, want := sorted(eng.UserFrontier(0)), []int{x.ID, z.ID, z2.ID}; !reflect.DeepEqual(got, want) {
+		if got, want := fixtures.Sorted(eng.UserFrontier(0)), []int{x.ID, z.ID, z2.ID}; !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: frontier %v once e expired, want %v", name, got, want)
 		}
 	}
@@ -304,32 +306,36 @@ func (s *shieldWorld) check(after string) {
 	alive := s.alive()
 	views := s.views()
 	served := 0
+	attrs := fixtures.Attrs(alive)
 	for _, v := range views {
 		served += len(v.Members)
-		if want := refBuffer(v.Relation, alive); !reflect.DeepEqual(v.IDs, want) {
+		rel := fixtures.Closed(v.Relation) // Sec. 6's ≻̂_U is the procedure's output
+		if s.exact {
+			members := make([]oracle.Prefs[int32], len(v.Members))
+			for i, c := range v.Members {
+				members[i] = fixtures.Asserted(s.users[c])
+			}
+			rel = oracle.Common(members...)
+		}
+		if want := fixtures.Buffer(rel, alive); !reflect.DeepEqual(v.IDs, want) {
 			s.t.Fatalf("after %s: buffer of %v is %v, Def. 7.4 says %v", after, v.Members, v.IDs, want)
 		}
-		byID := map[int]object.Object{}
-		for _, o := range alive {
-			byID[o.ID] = o
-		}
+		shields := oracle.Shields(rel, attrs)
 		var unshielded []int
-		for i, id := range v.IDs {
+		for k, i := range oracle.Buffer(rel, attrs) { // v.IDs[k] is alive[i]
 			want := window.NoShield
-			for _, o := range alive {
-				if v.Relation.Dominates(o, byID[id]) {
-					want = o.ID // alive is oldest first: the last one stands
-				}
+			if j := shields[i]; j >= 0 {
+				want = alive[j].ID
 			}
-			if v.Shields[i] != want {
+			if v.Shields[k] != want {
 				s.t.Fatalf("after %s: buffer of %v shields %d with %d, its youngest alive dominator is %d",
-					after, v.Members, id, v.Shields[i], want)
+					after, v.Members, v.IDs[k], v.Shields[k], want)
 			}
 			if want == window.NoShield {
-				unshielded = append(unshielded, id)
+				unshielded = append(unshielded, v.IDs[k])
 			}
 		}
-		if got := sorted(v.Frontier); !reflect.DeepEqual(got, sorted(unshielded)) {
+		if got := fixtures.Sorted(v.Frontier); !reflect.DeepEqual(got, fixtures.Sorted(unshielded)) {
 			s.t.Fatalf("after %s: frontier of %v is %v, the entries without a shield are %v", after, v.Members, got, unshielded)
 		}
 		if v.Union != nil {
@@ -340,9 +346,9 @@ func (s *shieldWorld) check(after string) {
 			inFilter[id] = true
 		}
 		for _, c := range v.Members {
-			got := sorted(s.eng.UserFrontier(c))
+			got := fixtures.Sorted(s.eng.UserFrontier(c))
 			if s.exact {
-				if want := aliveFrontier(s.users[c], alive); !reflect.DeepEqual(got, want) {
+				if want := fixtures.Frontier(fixtures.Asserted(s.users[c]), alive); !reflect.DeepEqual(got, want) {
 					s.t.Fatalf("after %s: frontier of user %d is %v, Def. 7.1 says %v", after, c, got, want)
 				}
 				continue

@@ -78,9 +78,7 @@ func TestStateRoundTripWindow(t *testing.T) {
 			for _, dstWorkers := range []int{1, 2} {
 				ctr := &stats.Counters{}
 				orig := mk(srcWorkers, ctr)
-				for _, o := range stream[:cut] {
-					orig.Process(o)
-				}
+				fixtures.Feed(orig, stream[:cut])
 				st := core.NewEngineState(2, clustersOf[name])
 				orig.CaptureState(st)
 				atCapture := totalsOf(orig, ctr)
@@ -97,7 +95,7 @@ func TestStateRoundTripWindow(t *testing.T) {
 					}
 				}
 				for c := 0; c < 2; c++ {
-					if !reflect.DeepEqual(sortedInts(orig.UserFrontier(c)), sortedInts(restored.UserFrontier(c))) {
+					if !reflect.DeepEqual(fixtures.Sorted(orig.UserFrontier(c)), fixtures.Sorted(restored.UserFrontier(c))) {
 						t.Errorf("%s src=%d dst=%d: user %d frontier mismatch", name, srcWorkers, dstWorkers, c)
 					}
 				}
@@ -135,14 +133,4 @@ func mustSharded(t *testing.T, users []*pref.Profile, clusters []core.Cluster, w
 		t.Fatal(err)
 	}
 	return s
-}
-
-func sortedInts(v []int) []int {
-	out := append([]int(nil), v...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fixtures"
-	"repro/internal/object"
 	"repro/internal/pref"
 	"repro/internal/window"
 )
@@ -16,10 +15,8 @@ import (
 func TestBaselineSWApplyPreference(t *testing.T) {
 	l := fixtures.NewLaptops()
 	b := window.NewBaselineSW([]*pref.Profile{l.C2.Clone()}, 15, nil)
-	for _, o := range l.Objects[:15] {
-		b.Process(o)
-	}
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, ids(2, 3, 15)) {
+	fixtures.Feed(b, l.Objects[:15])
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 3, 15)) {
 		t.Fatalf("frontier = %v", got)
 	}
 	// c2 learns Apple ≻ Samsung: o3 leaves the frontier and the buffer
@@ -30,7 +27,7 @@ func TestBaselineSWApplyPreference(t *testing.T) {
 	if err := b.ApplyPreference(0, 1, ap, sa); err != nil {
 		t.Fatal(err)
 	}
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, ids(2, 15)) {
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 15)) {
 		t.Fatalf("frontier after update = %v", got)
 	}
 	for _, id := range b.Buffer(0) {
@@ -42,11 +39,12 @@ func TestBaselineSWApplyPreference(t *testing.T) {
 	}
 }
 
-// Online updates agree with rebuild-and-replay at every subsequent step.
+// Online updates agree with the definition over the updated preferences
+// once the stream has gone on.
 func TestQuickWindowApplyPreferenceEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 4, 2, 5, 50, 4)
+		users, objs := fixtures.RandomWorld(r, 4, 2, 5, 50, 4)
 		w := 3 + r.Intn(10)
 		usersA := make([]*pref.Profile, len(users))
 		for i, u := range users {
@@ -59,25 +57,16 @@ func TestQuickWindowApplyPreferenceEquivalence(t *testing.T) {
 		live := window.NewFilterThenVerifySW(usersA, clusters, w, nil)
 
 		cut := 25 + r.Intn(20)
-		for _, o := range objs[:cut] {
-			live.Process(o)
-		}
+		fixtures.Feed(live, objs[:cut])
 		for k := 0; k < 4; k++ {
 			_ = live.ApplyPreference(r.Intn(4), r.Intn(2), r.Intn(5), r.Intn(5))
 		}
 		// Continue the stream after the update.
-		for _, o := range objs[cut:] {
-			live.Process(o)
-		}
+		fixtures.Feed(live, objs[cut:])
 
-		// Rebuild with the updated profiles (usersA were mutated in place)
-		// and replay the whole stream.
-		rebuilt := window.NewBaselineSW(usersA, w, nil)
-		for _, o := range objs {
-			rebuilt.Process(o)
-		}
+		// usersA were updated in place.
 		for c := range users {
-			if !reflect.DeepEqual(sorted(live.UserFrontier(c)), sorted(rebuilt.UserFrontier(c))) {
+			if !reflect.DeepEqual(fixtures.Sorted(live.UserFrontier(c)), fixtures.Frontier(fixtures.Asserted(usersA[c]), objs[len(objs)-w:])) {
 				return false
 			}
 		}
@@ -92,23 +81,16 @@ func TestQuickWindowApplyPreferenceEquivalence(t *testing.T) {
 func TestQuickBufferInvariantAfterUpdate(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 2, 2, 5, 40, 4)
+		users, objs := fixtures.RandomWorld(r, 2, 2, 5, 40, 4)
 		w := 3 + r.Intn(8)
 		us := []*pref.Profile{users[0].Clone(), users[1].Clone()}
 		b := window.NewBaselineSW(us, w, nil)
-		var alive []object.Object
-		for _, o := range objs {
-			alive = append(alive, o)
-			if len(alive) > w {
-				alive = alive[1:]
-			}
-			b.Process(o)
-		}
+		fixtures.Feed(b, objs)
 		for k := 0; k < 3; k++ {
 			_ = b.ApplyPreference(r.Intn(2), r.Intn(2), r.Intn(5), r.Intn(5))
 		}
 		for c, u := range us {
-			if !reflect.DeepEqual(b.Buffer(c), refBuffer(u, alive)) {
+			if !reflect.DeepEqual(b.Buffer(c), fixtures.Buffer(fixtures.Asserted(u), objs[len(objs)-w:])) {
 				return false
 			}
 		}

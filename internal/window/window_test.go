@@ -3,53 +3,33 @@ package window_test
 import (
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/fixtures"
 	"repro/internal/object"
-	"repro/internal/order"
+	"repro/internal/oracle"
 	"repro/internal/pref"
 	"repro/internal/stats"
 	"repro/internal/window"
 )
 
-func ids(ns ...int) []int {
-	out := make([]int, len(ns))
-	for i, n := range ns {
-		out[i] = n - 1
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sorted(xs []int) []int {
-	out := append([]int(nil), xs...)
-	sort.Ints(out)
-	if out == nil {
-		out = []int{}
-	}
-	return out
-}
-
 // Example 7.3 / 7.6: Table 1 objects, W = 5, window (5, 10].
 func TestExample73BaselineSW(t *testing.T) {
 	l := fixtures.NewLaptops()
 	b := window.NewBaselineSW([]*pref.Profile{l.C1, l.C2}, 5, nil)
-	for _, o := range l.Objects[:10] {
-		b.Process(o)
+	fixtures.Feed(b, l.Objects[:10])
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(8)) {
+		t.Errorf("P_c1 = %v, want %v", got, fixtures.PaperIDs(8))
 	}
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, ids(8)) {
-		t.Errorf("P_c1 = %v, want %v", got, ids(8))
-	}
-	if got := sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, ids(7, 8)) {
-		t.Errorf("P_c2 = %v, want %v", got, ids(7, 8))
+	if got := fixtures.Sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(7, 8)) {
+		t.Errorf("P_c2 = %v, want %v", got, fixtures.PaperIDs(7, 8))
 	}
 	// Example 7.6: PB_c1 = {o8, o9, o10}, in arrival order.
-	if got := b.Buffer(0); !reflect.DeepEqual(got, ids(8, 9, 10)) {
-		t.Errorf("PB_c1 = %v, want %v", got, ids(8, 9, 10))
+	if got := b.Buffer(0); !reflect.DeepEqual(got, fixtures.PaperIDs(8, 9, 10)) {
+		t.Errorf("PB_c1 = %v, want %v", got, fixtures.PaperIDs(8, 9, 10))
 	}
 }
 
@@ -64,11 +44,11 @@ func TestTable9BaselineSW(t *testing.T) {
 	for _, o := range objs[:6] { // window [1, 6]
 		b.Process(o)
 	}
-	if got := sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, ids(3, 4)) {
-		t.Errorf("P_c2 [1,6] = %v, want %v", got, ids(3, 4))
+	if got := fixtures.Sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(3, 4)) {
+		t.Errorf("P_c2 [1,6] = %v, want %v", got, fixtures.PaperIDs(3, 4))
 	}
-	if got := sorted(b.Buffer(1)); !reflect.DeepEqual(got, ids(3, 4, 5, 6)) {
-		t.Errorf("PB_c2 [1,6] = %v, want %v", got, ids(3, 4, 5, 6))
+	if got := fixtures.Sorted(b.Buffer(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(3, 4, 5, 6)) {
+		t.Errorf("PB_c2 [1,6] = %v, want %v", got, fixtures.PaperIDs(3, 4, 5, 6))
 	}
 
 	co7 := b.Process(objs[6]) // window (1, 7]
@@ -76,18 +56,18 @@ func TestTable9BaselineSW(t *testing.T) {
 	if !reflect.DeepEqual(co7, []int{0, 1}) {
 		t.Errorf("C_o7 = %v, want [0 1]", co7)
 	}
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, ids(7)) {
-		t.Errorf("P_c1 (1,7] = %v, want %v", got, ids(7))
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(7)) {
+		t.Errorf("P_c1 (1,7] = %v, want %v", got, fixtures.PaperIDs(7))
 	}
-	if got := sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, ids(4, 7)) {
-		t.Errorf("P_c2 (1,7] = %v, want %v", got, ids(4, 7))
+	if got := fixtures.Sorted(b.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(4, 7)) {
+		t.Errorf("P_c2 (1,7] = %v, want %v", got, fixtures.PaperIDs(4, 7))
 	}
 	// Table 9 lists PB_c2 (1,7] = {o4, o7}, which requires o7 ≻_c2 o6 and
 	// hence (Apple ≻ Samsung) ∈ ≻_c2 — contradicting Sec. 1's "c2 does not
 	// share ... the preference of Apple over Samsung". Under the paper's
 	// own prose, o6 = (12.5, Samsung, quad) survives in the buffer:
-	if got := sorted(b.Buffer(1)); !reflect.DeepEqual(got, ids(4, 6, 7)) {
-		t.Errorf("PB_c2 (1,7] = %v, want %v", got, ids(4, 6, 7))
+	if got := fixtures.Sorted(b.Buffer(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(4, 6, 7)) {
+		t.Errorf("PB_c2 (1,7] = %v, want %v", got, fixtures.PaperIDs(4, 6, 7))
 	}
 }
 
@@ -100,26 +80,24 @@ func TestTable10FilterThenVerifySW(t *testing.T) {
 		[]core.Cluster{{Members: []int{0, 1}, Common: l.U}},
 		6, nil)
 
-	for _, o := range objs[:6] {
-		f.Process(o)
-	}
+	fixtures.Feed(f, objs[:6])
 	// Table 10: PB_U [1,6] = {o1, o3, o4, o5, o6}.
-	if got := sorted(f.Buffer(0)); !reflect.DeepEqual(got, ids(1, 3, 4, 5, 6)) {
-		t.Errorf("PB_U [1,6] = %v, want %v", got, ids(1, 3, 4, 5, 6))
+	if got := fixtures.Sorted(f.Buffer(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(1, 3, 4, 5, 6)) {
+		t.Errorf("PB_U [1,6] = %v, want %v", got, fixtures.PaperIDs(1, 3, 4, 5, 6))
 	}
-	if got := sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, ids(3, 4)) {
-		t.Errorf("P_c2 [1,6] = %v, want %v", got, ids(3, 4))
+	if got := fixtures.Sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(3, 4)) {
+		t.Errorf("P_c2 [1,6] = %v, want %v", got, fixtures.PaperIDs(3, 4))
 	}
 
 	co7 := f.Process(objs[6])
 	if !reflect.DeepEqual(co7, []int{0, 1}) {
 		t.Errorf("C_o7 = %v, want [0 1]", co7)
 	}
-	if got := sorted(f.UserFrontier(0)); !reflect.DeepEqual(got, ids(7)) {
-		t.Errorf("P_c1 (1,7] = %v, want %v", got, ids(7))
+	if got := fixtures.Sorted(f.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(7)) {
+		t.Errorf("P_c1 (1,7] = %v, want %v", got, fixtures.PaperIDs(7))
 	}
-	if got := sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, ids(4, 7)) {
-		t.Errorf("P_c2 (1,7] = %v, want %v", got, ids(4, 7))
+	if got := fixtures.Sorted(f.UserFrontier(1)); !reflect.DeepEqual(got, fixtures.PaperIDs(4, 7)) {
+		t.Errorf("P_c2 (1,7] = %v, want %v", got, fixtures.PaperIDs(4, 7))
 	}
 }
 
@@ -134,19 +112,19 @@ func TestMendPromotesBufferedObject(t *testing.T) {
 	o1, o2 := l.Objects[0], l.Objects[1]
 	b.Process(o1)
 	b.Process(o2) // o2 dominates o1: P = {o2}, PB = {o2}
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{1}) {
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("P_c1 = %v", got)
 	}
 	// o5 = (9, Samsung, quad) is dominated by o2 but not by o4.
 	o5 := l.Objects[4]
 	b.Process(o5) // window (1,3]: {o2, o5}; o5 dominated by o2
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{1}) {
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("P_c1 after o5 = %v", got)
 	}
 	// o4 = (19, Toshiba, dual): o2 expires now; o5 must be mended in —
 	// o4 does not dominate o5 (brand Toshiba vs Samsung incomparable).
 	b.Process(l.Objects[3]) // window (2,4]: {o5, o4}
-	if got := sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{3, 4}) {
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{3, 4}) {
 		t.Fatalf("P_c1 after o2 expiry = %v, want [3 4] (o4, o5)", got)
 	}
 }
@@ -195,9 +173,7 @@ func TestCounters(t *testing.T) {
 		[]*pref.Profile{l.C1, l.C2},
 		[]core.Cluster{{Members: []int{0, 1}, Common: l.U}},
 		4, ctr)
-	for _, o := range l.Objects {
-		f.Process(o)
-	}
+	fixtures.Feed(f, l.Objects)
 	if ctr.Processed != 16 || ctr.Comparisons == 0 {
 		t.Errorf("counters: %v", ctr)
 	}
@@ -208,99 +184,22 @@ func TestCounters(t *testing.T) {
 
 // --- randomized equivalence against a from-scratch reference ---
 
-func randomWorld(r *rand.Rand, nUsers, dims, domSize, nObjs, edges int) ([]*pref.Profile, []object.Object) {
-	doms := make([]*order.Domain, dims)
-	for d := range doms {
-		doms[d] = order.NewDomain(string(rune('a' + d)))
-		for v := 0; v < domSize; v++ {
-			doms[d].Intern(string(rune('A' + v)))
-		}
-	}
-	users := make([]*pref.Profile, nUsers)
-	for u := range users {
-		p := pref.NewProfile(doms)
-		for d := 0; d < dims; d++ {
-			for e := 0; e < edges; e++ {
-				p.Relation(d).Add(r.Intn(domSize), r.Intn(domSize))
-			}
-		}
-		users[u] = p
-	}
-	objs := make([]object.Object, nObjs)
-	for i := range objs {
-		attrs := make([]int32, dims)
-		for d := range attrs {
-			attrs[d] = int32(r.Intn(domSize))
-		}
-		objs[i] = object.Object{ID: i, Attrs: attrs}
-	}
-	return users, objs
-}
-
-// aliveFrontier recomputes the frontier of the alive window from scratch.
-func aliveFrontier(u *pref.Profile, alive []object.Object) []int {
-	var out []int
-	for _, o := range alive {
-		dominated := false
-		for _, p := range alive {
-			if u.Dominates(p, o) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, o.ID)
-		}
-	}
-	sort.Ints(out)
-	if out == nil {
-		out = []int{}
-	}
-	return out
-}
-
-// refBuffer recomputes PB from scratch: alive objects not dominated by any
-// succeeding alive object (Def. 7.4).
-func refBuffer(u *pref.Profile, alive []object.Object) []int {
-	var out []int
-	for i, o := range alive {
-		dominated := false
-		for _, p := range alive[i+1:] {
-			if u.Dominates(p, o) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, o.ID)
-		}
-	}
-	if out == nil {
-		out = []int{}
-	}
-	return out
-}
-
 // BaselineSW matches the from-scratch reference at every step, for both
 // the frontier and the buffer (Def. 7.1 and Def. 7.4).
 func TestQuickBaselineSWMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 3, 3, 5, 70, 6)
+		users, objs := fixtures.RandomWorld(r, 3, 3, 5, 70, 6)
 		w := 1 + r.Intn(12)
 		b := window.NewBaselineSW(users, w, nil)
-		var alive []object.Object
-		for _, o := range objs {
-			alive = append(alive, o)
-			if len(alive) > w {
-				alive = alive[1:]
-			}
+		for i, o := range objs {
+			alive := objs[max(0, i+1-w) : i+1]
 			b.Process(o)
 			for c, u := range users {
-				if !reflect.DeepEqual(sorted(b.UserFrontier(c)), aliveFrontier(u, alive)) {
+				if !reflect.DeepEqual(fixtures.Sorted(b.UserFrontier(c)), fixtures.Frontier(fixtures.Asserted(u), alive)) {
 					return false
 				}
-				if !reflect.DeepEqual(b.Buffer(c), refBuffer(u, alive)) {
+				if !reflect.DeepEqual(b.Buffer(c), fixtures.Buffer(fixtures.Asserted(u), alive)) {
 					return false
 				}
 			}
@@ -319,7 +218,7 @@ func TestQuickBaselineSWMatchesReference(t *testing.T) {
 func TestQuickFTVSWMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 4, 3, 5, 70, 6)
+		users, objs := fixtures.RandomWorld(r, 4, 3, 5, 70, 6)
 		w := 1 + r.Intn(12)
 		clusters := []core.Cluster{
 			{Members: []int{0, 1}, Common: pref.Common([]*pref.Profile{users[0], users[1]})},
@@ -327,48 +226,38 @@ func TestQuickFTVSWMatchesReference(t *testing.T) {
 		}
 		fsw := window.NewFilterThenVerifySW(users, clusters, w, nil)
 		bsw := window.NewBaselineSW(users, w, nil)
-		var alive []object.Object
-		for _, o := range objs {
-			alive = append(alive, o)
-			if len(alive) > w {
-				alive = alive[1:]
-			}
-			cf := sorted(fsw.Process(o))
-			cb := sorted(bsw.Process(o))
+		for i, o := range objs {
+			alive := objs[max(0, i+1-w) : i+1]
+			cf := fixtures.Sorted(fsw.Process(o))
+			cb := fixtures.Sorted(bsw.Process(o))
 			if !reflect.DeepEqual(cf, cb) {
 				return false
 			}
 			for c, u := range users {
-				if !reflect.DeepEqual(sorted(fsw.UserFrontier(c)), aliveFrontier(u, alive)) {
+				if !reflect.DeepEqual(fixtures.Sorted(fsw.UserFrontier(c)), fixtures.Frontier(fixtures.Asserted(u), alive)) {
 					return false
 				}
 			}
 			for ui, cl := range clusters {
-				pu := map[int]bool{}
-				for _, id := range fsw.ClusterFrontier(ui) {
-					pu[id] = true
-				}
+				common := oracle.Common(fixtures.Asserted(users[cl.Members[0]]), fixtures.Asserted(users[cl.Members[1]])) // ≻_U, Def. 4.1
+				pu, pbu := fsw.ClusterFrontier(ui), fsw.Buffer(ui)
 				// P_U matches the reference under the common profile.
-				if !reflect.DeepEqual(sorted(fsw.ClusterFrontier(ui)), aliveFrontier(cl.Common, alive)) {
+				if !reflect.DeepEqual(fixtures.Sorted(pu), fixtures.Frontier(common, alive)) {
 					return false
 				}
-				pbu := map[int]bool{}
-				for _, id := range fsw.Buffer(ui) {
-					pbu[id] = true
-				}
 				// PB_U matches the reference buffer under ≻_U.
-				if !reflect.DeepEqual(fsw.Buffer(ui), refBuffer(cl.Common, alive)) {
+				if !reflect.DeepEqual(pbu, fixtures.Buffer(common, alive)) {
 					return false
 				}
 				for _, c := range cl.Members {
 					for _, id := range fsw.UserFrontier(c) {
-						if !pu[id] { // Theorem 4.5 under the window
+						if !slices.Contains(pu, id) { // Theorem 4.5 under the window
 							return false
 						}
 					}
 					// Theorem 7.5(ii): PB_U ⊇ PB_c.
-					for _, id := range refBuffer(users[c], alive) {
-						if !pbu[id] {
+					for _, id := range fixtures.Buffer(fixtures.Asserted(users[c]), alive) {
+						if !slices.Contains(pbu, id) {
 							return false
 						}
 					}
@@ -387,7 +276,7 @@ func TestQuickFTVSWMatchesReference(t *testing.T) {
 func TestQuickApproxSWContainments(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		users, objs := randomWorld(r, 3, 2, 5, 60, 5)
+		users, objs := fixtures.RandomWorld(r, 3, 2, 5, 60, 5)
 		w := 2 + r.Intn(10)
 		common := pref.Common(users)
 		ap := common.Clone()
@@ -396,20 +285,15 @@ func TestQuickApproxSWContainments(t *testing.T) {
 				ap.Relation(d).Add(r.Intn(5), r.Intn(5))
 			}
 		}
-		members := []int{0, 1, 2}
-		exact := window.NewFilterThenVerifySW(users, []core.Cluster{{Members: members, Common: common}}, w, nil)
-		apx := window.NewFilterThenVerifySW(users, []core.Cluster{{Members: members, Common: ap}}, w, nil)
-		for _, o := range objs {
-			exact.Process(o)
+		exact := oracle.Common(fixtures.Asserted(users[0]), fixtures.Asserted(users[1]), fixtures.Asserted(users[2])) // Def. 4.1
+		apx := window.NewFilterThenVerifySW(users, []core.Cluster{{Members: []int{0, 1, 2}, Common: ap}}, w, nil)
+		for i, o := range objs {
 			apx.Process(o)
-			pu := map[int]bool{}
-			for _, id := range exact.ClusterFrontier(0) {
-				pu[id] = true
-			}
+			pu := fixtures.Frontier(exact, objs[max(0, i+1-w):i+1])
 			puHat := map[int]bool{}
 			for _, id := range apx.ClusterFrontier(0) {
 				puHat[id] = true
-				if !pu[id] {
+				if !slices.Contains(pu, id) {
 					return false // Theorem 6.5
 				}
 			}
@@ -438,13 +322,13 @@ func TestIdenticalObjectsInWindow(t *testing.T) {
 	b.Process(o2)
 	b.Process(dupA)
 	b.Process(dupB)
-	if got := sorted(b.UserFrontier(0)); len(got) != 3 {
+	if got := fixtures.Sorted(b.UserFrontier(0)); len(got) != 3 {
 		t.Fatalf("identical triplet should all be Pareto: %v", got)
 	}
 	// Push two more dominated objects: o2 and dupA expire; dupB remains.
 	b.Process(l.Objects[0]) // o1, dominated by the twins
 	b.Process(l.Objects[7]) // o8, dominated by the twins
-	got := sorted(b.UserFrontier(0))
+	got := fixtures.Sorted(b.UserFrontier(0))
 	if !reflect.DeepEqual(got, []int{101}) {
 		t.Fatalf("frontier after expiry = %v, want [101]", got)
 	}

@@ -13,11 +13,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // propertyCatalog is the attribute catalog for the randomized workload.
@@ -580,78 +583,30 @@ func newDefModel(asserted map[string][]Preference) *defModel {
 	return d
 }
 
-// closure returns, per attribute, the transitive closure of user's
-// asserted tuples as a better→worse→true table.
-func (d *defModel) closure(user string) []map[[2]string]bool {
-	out := make([]map[[2]string]bool, len(dupAttrs))
-	for a, attr := range dupAttrs {
-		rel := map[[2]string]bool{}
-		for p := range d.users[user] {
-			if p.Attr == attr {
-				rel[[2]string{p.Better, p.Worse}] = true
-			}
-		}
-		for _, k := range dupCatalog[a] {
-			for _, i := range dupCatalog[a] {
-				for _, j := range dupCatalog[a] {
-					if rel[[2]string{i, k}] && rel[[2]string{k, j}] {
-						rel[[2]string{i, j}] = true
-					}
-				}
-			}
-		}
-		out[a] = rel
+// answer is what the definition says of the model now, as sorted names:
+// every alive user's frontier, by internal/oracle over the user's asserted
+// tuples, and every alive object's C_o, the users whose frontier holds it.
+func (d *defModel) answer() (frontier, targets map[string][]string) {
+	names := slices.Sorted(maps.Keys(d.objects))
+	vals := make([][]string, len(names))
+	targets = map[string][]string{}
+	for i, n := range names {
+		vals[i], targets[n] = d.objects[n], []string{}
 	}
-	return out
-}
-
-// dominates is Def. 3.2 under one user's closure.
-func dominates(cl []map[[2]string]bool, o, p []string) bool {
-	strict := false
-	for a := range o {
-		if o[a] == p[a] {
-			continue
+	frontier = map[string][]string{}
+	for _, u := range slices.Sorted(maps.Keys(d.users)) {
+		p := make(oracle.Prefs[string], len(dupAttrs))
+		for t := range d.users[u] {
+			a := slices.Index(dupAttrs, t.Attr)
+			p[a] = append(p[a], [2]string{t.Better, t.Worse})
 		}
-		if !cl[a][[2]string{o[a], p[a]}] {
-			return false
-		}
-		strict = true
-	}
-	return strict
-}
-
-func (d *defModel) inFrontier(cl []map[[2]string]bool, name string) bool {
-	for other, vals := range d.objects {
-		if other != name && dominates(cl, vals, d.objects[name]) {
-			return false
+		frontier[u] = []string{}
+		for _, i := range oracle.Frontier(p, vals) {
+			frontier[u] = append(frontier[u], names[i])
+			targets[names[i]] = append(targets[names[i]], u)
 		}
 	}
-	return true
-}
-
-// frontier returns user's Pareto frontier as sorted object names.
-func (d *defModel) frontier(user string) []string {
-	cl := d.closure(user)
-	out := []string{}
-	for name := range d.objects {
-		if d.inFrontier(cl, name) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// targets returns the sorted users whose frontier holds the object.
-func (d *defModel) targets(name string) []string {
-	out := []string{}
-	for user := range d.users {
-		if d.inFrontier(d.closure(user), name) {
-			out = append(out, user)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return frontier, targets
 }
 
 func (d *defModel) add(o Object) {
@@ -666,13 +621,9 @@ func (d *defModel) add(o Object) {
 
 // diff returns the sorted names in after but not in before.
 func diff(after, before []string) []string {
-	in := map[string]bool{}
-	for _, n := range before {
-		in[n] = true
-	}
 	var out []string
 	for _, n := range after {
-		if !in[n] {
+		if !slices.Contains(before, n) {
 			out = append(out, n)
 		}
 	}
@@ -717,44 +668,35 @@ func (h *dupHarness) step(op dupOp) {
 	h.t.Helper()
 	want := map[string][]FrontierDelta{} // user -> deltas the step must publish
 	var wantDeliveries []Delivery
-	lifecycleDelta := func(users []string, before map[string][]string) {
+	before, targets := h.model.answer()
+	lifecycleDelta := func(users []string) {
+		after, _ := h.model.answer()
 		for _, u := range users {
-			after := h.model.frontier(u)
-			if entered, left := diff(after, before[u]), diff(before[u], after); len(entered)+len(left) > 0 {
+			if entered, left := diff(after[u], before[u]), diff(before[u], after[u]); len(entered)+len(left) > 0 {
 				want[u] = append(want[u], FrontierDelta{Entered: entered, Left: left})
 			}
 		}
-	}
-	snapshot := func(users []string) map[string][]string {
-		before := map[string][]string{}
-		for _, u := range users {
-			before[u] = h.model.frontier(u)
-		}
-		return before
 	}
 	switch op.kind {
 	case "add", "batch":
 		for _, o := range op.objs {
 			h.model.add(o)
-			users := h.model.targets(o.Name)
+			_, targets = h.model.answer()
+			users := targets[o.Name]
 			wantDeliveries = append(wantDeliveries, Delivery{Object: o.Name, Users: users})
 			for _, u := range users {
 				want[u] = append(want[u], FrontierDelta{Object: o.Name, Entered: []string{o.Name}})
 			}
 		}
 	case "rmobj":
-		holders := h.model.targets(op.name)
-		before := snapshot(holders)
 		delete(h.model.objects, op.name)
-		lifecycleDelta(holders, before)
+		lifecycleDelta(targets[op.name])
 	case "addpref":
-		before := snapshot([]string{op.name})
 		h.model.users[op.name][op.pref] = true
-		lifecycleDelta([]string{op.name}, before)
+		lifecycleDelta([]string{op.name})
 	case "retract":
-		before := snapshot([]string{op.name})
 		delete(h.model.users[op.name], op.pref)
-		lifecycleDelta([]string{op.name}, before)
+		lifecycleDelta([]string{op.name})
 	case "adduser":
 		set := map[Preference]bool{}
 		for _, p := range op.prefs {
@@ -812,21 +754,22 @@ func (h *dupHarness) step(op dupOp) {
 // check compares every frontier, every C_o and the twin count.
 func (h *dupHarness) check(after string) {
 	h.t.Helper()
-	for user := range h.model.users {
+	frontier, targets := h.model.answer()
+	for user, want := range frontier {
 		got, err := h.m.Frontier(user)
 		if err != nil {
 			h.t.Fatalf("after %s: Frontier(%s): %v", after, user, err)
 		}
-		if want := h.model.frontier(user); !reflect.DeepEqual(append([]string{}, got...), want) {
+		if !reflect.DeepEqual(append([]string{}, got...), want) {
 			h.t.Fatalf("after %s: frontier of %s is %v, the definition says %v", after, user, got, want)
 		}
 	}
-	for name := range h.model.objects {
+	for name, want := range targets {
 		got, err := h.m.TargetsOf(name)
 		if err != nil {
 			h.t.Fatalf("after %s: TargetsOf(%s): %v", after, name, err)
 		}
-		if want := h.model.targets(name); !reflect.DeepEqual(append([]string{}, got...), want) {
+		if !reflect.DeepEqual(append([]string{}, got...), want) {
 			h.t.Fatalf("after %s: C_%s is %v, the definition says %v", after, name, got, want)
 		}
 	}
