@@ -362,6 +362,24 @@ func TestDendrogramDOT(t *testing.T) {
 	}
 }
 
+// TestDendrogramRendersPinned holds DOT and String to the bytes they
+// rendered while DOT rescanned the dendrogram for every edge and String
+// concatenated with +=.
+func TestDendrogramRendersPinned(t *testing.T) {
+	res := cluster.Agglomerative(fixtures.NewBrands().Profiles, cluster.WeightedJaccard, 1e-9)
+	const dot = "digraph \"brands\" {\n  rankdir=BT;\n" +
+		"  n6 [label=\"sim=0.923\"];\n  u2 -> n6;\n  u3 -> n6;\n" +
+		"  n7 [label=\"sim=0.778\"];\n  u0 -> n7;\n  u1 -> n7;\n" +
+		"  n8 [label=\"sim=0.778\"];\n  u4 -> n8;\n  u5 -> n8;\n" +
+		"  n9 [label=\"sim=0.273\"];\n  n7 -> n9;\n  n8 -> n9;\n}\n"
+	if got := res.DOT("brands"); got != dot {
+		t.Errorf("DOT:\n%s\nwant:\n%s", got, dot)
+	}
+	if got, want := res.String(), "[[0 1 4 5] [2 3]]"; got != want {
+		t.Errorf("String %q, want %q", got, want)
+	}
+}
+
 // TestAgglomerativeK checks the target-count cut: merging continues past
 // any similarity threshold until exactly k clusters remain.
 func TestAgglomerativeK(t *testing.T) {

@@ -18,4 +18,11 @@
 // profiles therefore give the same dendrogram, similarity bits included,
 // on every call and in every process, which is what lets a WAL-only
 // reopen or a follower re-cluster to the clusters the primary found.
+//
+// Nor does the dendrogram depend on GOMAXPROCS. Agglomerative fans the
+// all-pairs pass and each merged node's row out over
+// runtime.GOMAXPROCS(0) goroutines (inline below about 46 users); each
+// similarity is still one goroutine's fixed-order sum, and the merge heap
+// orders pairs strictly by (similarity, ids), so the pop order is the
+// inline loop's at any setting.
 package cluster

@@ -4,8 +4,11 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/pref"
 )
@@ -93,6 +96,13 @@ func AgglomerativeK(users []*pref.Profile, m Measure, k int) *Result {
 // agglomerate is the shared bottom-up merge loop. Merging stops when no
 // candidate pair reaches similarity h, or — when k > 0 — as soon as only
 // k clusters remain.
+//
+// The all-pairs pass and each merged node's row fan out over
+// runtime.GOMAXPROCS(0) goroutines (fanOut). That cannot change the
+// dendrogram: every similarity is one goroutine's fixed-order sum, the
+// same bits on any goroutine, and pairHeap.Less is a strict total order
+// on (sim, a, b), so the pop order does not depend on the order the pairs
+// reached the heap in — they reach it in ascending (a, b) anyway.
 func agglomerate(users []*pref.Profile, m Measure, h float64, k int) *Result {
 	n := len(users)
 	if n == 0 {
@@ -119,19 +129,35 @@ func agglomerate(users []*pref.Profile, m Measure, h float64, k int) *Result {
 		return Sim(m, a.common, b.common)
 	}
 
-	pq := &pairHeap{}
-	for i := 0; i < n; i++ {
+	procs := runtime.GOMAXPROCS(0)
+	if n*(n-1)/2 < minFanOutPairs {
+		procs = 1
+	}
+	if procs > 1 {
+		for _, nd := range nodes {
+			warm(m, nd)
+		}
+	}
+
+	// The all-pairs pass: row i holds the pairs (i, j > i) that reach h,
+	// in ascending j, and the rows go onto the heap in ascending i.
+	rows := make([][]pairItem, n)
+	fanOut(n, procs, func(i int) {
 		for j := i + 1; j < n; j++ {
-			s := sim(nodes[i], nodes[j])
-			if s >= h {
-				*pq = append(*pq, pairItem{sim: s, a: i, b: j})
+			if s := sim(nodes[i], nodes[j]); s >= h {
+				rows[i] = append(rows[i], pairItem{sim: s, a: i, b: j})
 			}
 		}
+	})
+	pq := &pairHeap{}
+	for _, r := range rows {
+		*pq = append(*pq, r...)
 	}
 	heap.Init(pq)
 
 	res := &Result{}
 	alive := n
+	live, sims := make([]int, 0, n), make([]float64, n)
 	for pq.Len() > 0 {
 		if k > 0 && alive <= k {
 			break
@@ -158,12 +184,24 @@ func agglomerate(users []*pref.Profile, m Measure, h float64, k int) *Result {
 		id := len(nodes)
 		nodes = append(nodes, merged)
 		res.Dendrogram = append(res.Dendrogram, MergeStep{A: it.a, B: it.b, Result: id, Sim: it.sim})
+		live = live[:0]
 		for j, nj := range nodes[:id] {
 			if nj.alive {
-				s := sim(merged, nj)
-				if s >= h {
-					heap.Push(pq, pairItem{sim: s, a: j, b: id})
-				}
+				live = append(live, j)
+			}
+		}
+		sims = sims[:len(live)]
+		rowProcs := procs
+		if len(live) < minFanOutRow {
+			rowProcs = 1
+		}
+		if rowProcs > 1 {
+			warm(m, merged)
+		}
+		fanOut(len(live), rowProcs, func(x int) { sims[x] = sim(merged, nodes[live[x]]) })
+		for x, j := range live {
+			if sims[x] >= h {
+				heap.Push(pq, pairItem{sim: sims[x], a: j, b: id})
 			}
 		}
 	}
@@ -180,41 +218,87 @@ func agglomerate(users []*pref.Profile, m Measure, h float64, k int) *Result {
 	return res
 }
 
-// String renders the clustering compactly, e.g. "[{0 1} {2 3}]".
+// The similarity passes fan out over runtime.GOMAXPROCS(0) goroutines
+// only from these sizes up: a build whose all-pairs pass has fewer than
+// minFanOutPairs pairs (about 46 users; a routed partition of a small
+// community) runs inline throughout and starts no goroutine, and so does
+// a merge row with fewer than minFanOutRow live partners.
+const (
+	minFanOutPairs = 1024
+	minFanOutRow   = 16
+)
+
+// fanOut calls f(k) for every k in [0, n) on up to procs goroutines, the
+// caller's among them, each pulling the next k from a shared counter, and
+// returns when every call has. With procs 1 no goroutine starts.
+func fanOut(n, procs int, f func(k int)) {
+	var next atomic.Int64
+	work := func() {
+		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+			f(k)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(procs, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// warm computes, on the caller's goroutine, what a similarity between nd
+// and another node reads lazily: the weighted exact measures read
+// order.Relation.Weights, whose derived views are built unsynchronised on
+// first use. The other exact measures read only the closure rows, and a
+// Vector is immutable once built.
+func warm(m Measure, nd *node) {
+	if m != WeightedIntersection && m != WeightedJaccard {
+		return
+	}
+	for d := 0; d < nd.common.Dims(); d++ {
+		nd.common.Relation(d).Weights()
+	}
+}
+
+// String renders the clustering compactly, e.g. "[[0 1] [2 3]]".
 func (r *Result) String() string {
-	s := "["
+	var b strings.Builder
+	b.WriteByte('[')
 	for i, c := range r.Clusters {
 		if i > 0 {
-			s += " "
+			b.WriteByte(' ')
 		}
-		s += fmt.Sprintf("%v", c.Members)
+		fmt.Fprint(&b, c.Members)
 	}
-	return s + "]"
+	b.WriteByte(']')
+	return b.String()
 }
 
 // DOT renders the dendrogram in Graphviz format: leaves are users
 // (labeled u<i>), internal nodes are merges labeled with their similarity.
 // Useful for eyeballing where a branch cut h will slice the tree.
 func (r *Result) DOT(name string) string {
+	// Leaf ids are those never produced by a merge.
+	merged := make(map[int]bool, len(r.Dendrogram))
+	for _, st := range r.Dendrogram {
+		merged[st.Result] = true
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=BT;\n", name)
 	for _, st := range r.Dendrogram {
 		fmt.Fprintf(&b, "  n%d [label=\"sim=%.3f\"];\n", st.Result, st.Sim)
 		for _, child := range []int{st.A, st.B} {
-			fmt.Fprintf(&b, "  %s -> n%d;\n", nodeName(child, r), st.Result)
+			prefix := "u"
+			if merged[child] {
+				prefix = "n"
+			}
+			fmt.Fprintf(&b, "  %s%d -> n%d;\n", prefix, child, st.Result)
 		}
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// nodeName labels leaves u<i> and merge nodes n<id>. Leaf ids are those
-// never produced by a merge.
-func nodeName(id int, r *Result) string {
-	for _, st := range r.Dendrogram {
-		if st.Result == id {
-			return fmt.Sprintf("n%d", id)
-		}
-	}
-	return fmt.Sprintf("u%d", id)
 }

@@ -165,23 +165,28 @@ func TestPinnedDendrogram(t *testing.T) {
 	}
 }
 
+// severalClusterCuts pairs every measure with a cut that leaves several
+// clusters on 64 movie users, so a build exercises both the heap and the
+// cut.
+var severalClusterCuts = []struct {
+	m cluster.Measure
+	h float64
+}{
+	{cluster.IntersectionSize, 2000},
+	{cluster.Jaccard, 3.3},
+	{cluster.WeightedIntersection, 600},
+	{cluster.WeightedJaccard, 3.3},
+	{cluster.VectorJaccard, 3.0},
+	{cluster.VectorWeightedJaccard, 3.0},
+}
+
 // TestClusteringIsDeterministic clusters one community three times under
 // each measure: every merge must repeat, similarity bits included. The
 // vector measures failed this while their vectors were Go maps (the
 // order of the float64 additions followed the map's iteration order).
 func TestClusteringIsDeterministic(t *testing.T) {
 	users := datagen.Generate(datagen.Movie().Scaled(1000, 64)).Users
-	for _, tc := range []struct {
-		m cluster.Measure
-		h float64 // a cut that leaves several clusters on this community
-	}{
-		{cluster.IntersectionSize, 2000},
-		{cluster.Jaccard, 3.3},
-		{cluster.WeightedIntersection, 600},
-		{cluster.WeightedJaccard, 3.3},
-		{cluster.VectorJaccard, 3.0},
-		{cluster.VectorWeightedJaccard, 3.0},
-	} {
+	for _, tc := range severalClusterCuts {
 		m, h := tc.m, tc.h
 		first := cluster.Agglomerative(users, m, h)
 		if len(first.Dendrogram) == 0 || len(first.Clusters) == 1 {

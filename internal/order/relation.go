@@ -40,7 +40,11 @@ type Tuple struct {
 // row of its own, appended by ensure.
 //
 // Derived views (Hasse diagram, maximal values, weights) are computed
-// lazily and invalidated on mutation.
+// lazily and invalidated on mutation. The first read that needs them
+// writes them, unsynchronised: before goroutines share a relation for
+// reading, warm the views on one goroutine (Weights does it), or the
+// readers race on that write. Rel's pair table is the exception; it is
+// built atomically.
 type Relation struct {
 	dom  *Domain
 	n    int

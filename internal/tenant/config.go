@@ -267,6 +267,9 @@ func (s *Spec) Validate() error {
 	if s.Window < 0 || s.Workers < 0 || s.SnapshotEvery < 0 {
 		return fmt.Errorf("%w: tenant %q: negative engine setting", ErrBadConfig, s.Name)
 	}
+	if !(s.BranchCut >= 0) {
+		return fmt.Errorf("%w: tenant %q: branch_cut must be a number >= 0, got %v", ErrBadConfig, s.Name, s.BranchCut)
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -139,6 +140,8 @@ func TestSpecValidate(t *testing.T) {
 		{"half inline", Spec{Name: "t", Schema: []string{"a"}}, "schema and at least one user"},
 		{"negative quota", inline(Spec{Name: "t", Quotas: Quotas{MaxObjects: -1}}), "negative quota"},
 		{"negative window", inline(Spec{Name: "t", Window: -1}), "negative engine setting"},
+		{"negative branch cut", inline(Spec{Name: "t", BranchCut: -1}), "branch_cut"},
+		{"NaN branch cut", inline(Spec{Name: "t", BranchCut: math.NaN()}), "branch_cut"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -157,6 +160,27 @@ func TestSpecValidate(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: error %q missing %q", c.name, err, c.frag)
+		}
+	}
+}
+
+// TestParseConfigRefusesNaNBranchCut: a NaN cut would reach
+// paretomon.WithBranchCut, under which no similarity reaches the cut and
+// every user becomes a singleton cluster. Both YAML spellings are refused.
+func TestParseConfigRefusesNaNBranchCut(t *testing.T) {
+	for _, v := range []string{".nan", "nan", "NaN"} {
+		doc := `
+listen: ":1"
+root: d
+tenants:
+  - name: a
+    branch_cut: ` + v + `
+    schema: [x]
+    users:
+      - name: u0
+`
+		if _, err := ParseConfig([]byte(doc)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("branch_cut: %s: err %v, want ErrBadConfig", v, err)
 		}
 	}
 }

@@ -54,10 +54,11 @@ func WithMeasure(m Measure) Option {
 // WithBranchCut sets the dendrogram branch cut h: hierarchical
 // agglomerative clustering merges clusters while their similarity is at
 // least h. Mutually exclusive with WithClusterCount; the one given last
-// wins.
+// wins. A NaN cut is refused: no similarity would reach it, and every
+// user would silently become a singleton cluster.
 func WithBranchCut(h float64) Option {
 	return func(c *Config) error {
-		if h < 0 {
+		if !(h >= 0) {
 			return fmt.Errorf("%w: WithBranchCut(%v): branch cut must be >= 0", ErrBadOption, h)
 		}
 		c.BranchCut = h
@@ -90,7 +91,7 @@ func WithThetas(theta1 int, theta2 float64) Option {
 		if theta1 <= 0 {
 			return fmt.Errorf("%w: WithThetas: theta1 must be > 0, got %d", ErrBadOption, theta1)
 		}
-		if theta2 < 0 || theta2 >= 1 {
+		if !(theta2 >= 0 && theta2 < 1) {
 			return fmt.Errorf("%w: WithThetas: theta2 must be in [0,1), got %v", ErrBadOption, theta2)
 		}
 		c.Theta1, c.Theta2 = theta1, theta2

@@ -2,6 +2,7 @@ package paretomon_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	paretomon "repro"
@@ -28,9 +29,11 @@ func TestOptionValueValidation(t *testing.T) {
 		{"WithClusterCount(0)", paretomon.WithClusterCount(0)},
 		{"WithClusterCount(-3)", paretomon.WithClusterCount(-3)},
 		{"WithBranchCut(-0.5)", paretomon.WithBranchCut(-0.5)},
+		{"WithBranchCut(NaN)", paretomon.WithBranchCut(math.NaN())},
 		{"WithSubscriptionBuffer(0)", paretomon.WithSubscriptionBuffer(0)},
 		{"WithThetas(0, 0.5)", paretomon.WithThetas(0, 0.5)},
 		{"WithThetas(10, 1.0)", paretomon.WithThetas(10, 1.0)},
+		{"WithThetas(10, NaN)", paretomon.WithThetas(10, math.NaN())},
 		{"WithAlgorithm(99)", paretomon.WithAlgorithm(paretomon.Algorithm(99))},
 		{"WithMeasure(99)", paretomon.WithMeasure(paretomon.Measure(99))},
 		{"WithStore(nil)", paretomon.WithStore(nil)},
