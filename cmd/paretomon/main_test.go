@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -170,6 +171,39 @@ func TestSplitURLs(t *testing.T) {
 // checkValidation asserts err matches want: nil for "", otherwise a
 // message with want as prefix (tables quote the distinguishing head of
 // long messages once, in full, and prefix-match elsewhere).
+// TestCheckEngine: replay and bench build their engine without a
+// Monitor, so checkEngine must refuse what NewMonitor refuses for serve
+// and follow — a NaN or negative branch cut, a negative window or worker
+// count, and θs out of range for ftva — and let the defaults through.
+func TestCheckEngine(t *testing.T) {
+	defaults := engineFlags{alg: "ftv", h: 3.3, theta1: 400, theta2: 0.5, win: 0, workers: 1}
+	cases := []struct {
+		name string
+		edit func(e *engineFlags)
+		want string // "" = valid
+	}{
+		{"defaults", func(e *engineFlags) {}, ""},
+		{"baseline", func(e *engineFlags) { e.alg = "baseline" }, ""},
+		{"ftva", func(e *engineFlags) { e.alg = "ftva" }, ""},
+		{"window", func(e *engineFlags) { e.win = 400 }, ""},
+		{"all workers", func(e *engineFlags) { e.workers = 0 }, ""},
+		{"NaN branch cut", func(e *engineFlags) { e.h = math.NaN() }, "paretomon: invalid configuration: bad option value: WithBranchCut(NaN)"},
+		{"negative branch cut", func(e *engineFlags) { e.h = -1 }, "paretomon: invalid configuration: bad option value: WithBranchCut(-1)"},
+		{"negative window", func(e *engineFlags) { e.win = -5 }, "paretomon: invalid configuration: bad option value: WithWindow(-5)"},
+		{"negative workers", func(e *engineFlags) { e.workers = -3 }, "paretomon: invalid configuration: bad option value: WithWorkers(-3)"},
+		{"ftva theta1", func(e *engineFlags) { e.alg, e.theta1, e.theta2 = "ftva", 0, 7 }, "paretomon: invalid configuration: bad option value: WithThetas: theta1"},
+		{"ftva theta2", func(e *engineFlags) { e.alg, e.theta2 = "ftva", 7 }, "paretomon: invalid configuration: bad option value: WithThetas: theta2"},
+		{"θs ignored outside ftva", func(e *engineFlags) { e.theta1, e.theta2 = 0, 7 }, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := defaults
+			tc.edit(&e)
+			checkValidation(t, checkEngine(&e), tc.want)
+		})
+	}
+}
+
 func checkValidation(t *testing.T, err error, want string) {
 	t.Helper()
 	if want == "" {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	paretomon "repro"
 	"repro/internal/approx"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -121,10 +122,27 @@ func runReplay(v replayValues) {
 	}
 }
 
+// checkEngine applies the flags' monitor options to the package defaults
+// and returns the first error, so that replay and bench, which build their
+// engine without a Monitor, refuse exactly the values serve and follow
+// get refused by NewMonitor.
+func checkEngine(e *engineFlags) error {
+	cfg := paretomon.DefaultConfig()
+	for _, opt := range engineOptions(e) {
+		if err := opt(&cfg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // buildEngine assembles the offline engine for the flag set through the
 // same per-package constructors the Monitor uses: baseline (no clusters)
 // or filter-then-verify, append-only or windowed.
 func buildEngine(e *engineFlags, users []*pref.Profile) *core.Sharded {
+	if err := checkEngine(e); err != nil {
+		failf("%v", err)
+	}
 	var clusters []core.Cluster
 	switch e.alg {
 	case "baseline":

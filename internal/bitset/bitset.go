@@ -112,6 +112,19 @@ func (s *Set) Contains(v int) bool {
 	return w < len(s.words) && s.words[w]&(1<<uint(v%wordBits)) != 0
 }
 
+// Word returns the i-th 64-bit word of the set: bit b of it is value
+// 64·i + b. Words past the set's length read as zero, so callers can AND
+// and OR sets of different lengths word by word without a bounds check of
+// their own.
+//
+//paretomon:hotpath
+func (s *Set) Word(i int) uint64 {
+	if uint(i) < uint(len(s.words)) {
+		return s.words[i]
+	}
+	return 0
+}
+
 // Count returns the number of elements in the set.
 func (s *Set) Count() int {
 	n := 0

@@ -64,6 +64,8 @@ func (b *Baseline) Process(o object.Object) []int {
 // classes o is the representative of a class no frontier member shares a
 // tuple with, and the procedure's Identical case is Process's twin path;
 // only a per-object engine still meets it here.
+//
+//paretomon:hotpath
 func (b *Baseline) updateUser(c int, o object.Object) bool {
 	f := b.Fronts[c]
 	var po pref.Probe

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/fixtures"
 	"repro/internal/object"
 	"repro/internal/pref"
@@ -178,6 +179,40 @@ func BenchmarkProcessDistinct(b *testing.B) { benchmarkProcess(b, 8192) }
 // from 512 tuples, so fifteen arrivals in sixteen are answered from
 // C_class without a comparison.
 func BenchmarkProcessTwins(b *testing.B) { benchmarkProcess(b, 512) }
+
+// BenchmarkProcessMovieCluster is batch_ftv's shape without the Monitor:
+// one cluster of 160 movie users, whose common relation is the
+// intersection of 160 relations, over a stream drawn from a 2¹⁵-object
+// movie catalogue (twins included). Its P_U grows into the thousands, so
+// most filter scans read the value postings; cmp/op counts the filter and
+// verify comparisons that are still made.
+func BenchmarkProcessMovieCluster(b *testing.B) {
+	const n = 16384
+	ds := datagen.Generate(datagen.Movie().Scaled(1<<15, 160))
+	members := make([]int, len(ds.Users))
+	for c := range members {
+		members[c] = c
+	}
+	clusters := []core.Cluster{{Members: members, Common: pref.Common(ds.Users)}}
+	objs := make([]object.Object, n)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(ds.Objects))[:n] {
+		objs[i] = object.Object{ID: i, Attrs: ds.Objects[k].Attrs}
+	}
+	b.ReportAllocs()
+	var eng *core.FilterThenVerify
+	ctr := &stats.Counters{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			b.StopTimer()
+			eng = core.NewFilterThenVerify(ds.Users, clusters, ctr)
+			b.StartTimer()
+		}
+		eng.Process(objs[i%n])
+	}
+	b.ReportMetric(float64(ctr.Comparisons)/float64(b.N), "cmp/op")
+	b.ReportMetric(float64(ctr.Twins)/float64(b.N), "twins/op")
+}
 
 var sinkObject object.Object
 

@@ -65,6 +65,22 @@
 // is Algs. 1–2 as printed, which internal/experiments reports the paper's
 // figures from.
 //
+// One more departure, in how the exact FilterThenVerify scans and never
+// in what it finds: each cluster keeps value postings over its filter
+// frontier P_U (postings.go) — per attribute and value, a bitset of scan
+// positions, the Bitmap skyline method carried to partial orders. A
+// member can compare as anything but Incomparable with an arrival only if
+// on every attribute its value equals the arrival's or is ordered with it
+// under ≻_U, so once P_U reaches indexMinLen members the filter scan ANDs
+// the ORed postings of those values and compares only the positions left,
+// in ascending order with the linear scan's swap-delete retry. P_U, its
+// scan order, every eviction, every P_c and every delivery are the linear
+// scan's; the filter count drops by the tests that could only have
+// returned Incomparable. The arrival path keeps the postings in step; the
+// lifecycle calls and RestoreState mark them stale, and the next long scan
+// rebuilds them from the scan list. The per-object engines, the
+// approximate one and the windowed ones keep the linear scan.
+//
 // The sliding-window counterparts (Sec. 7) live in internal/window; the
 // similarity measures and clustering in internal/cluster; the
 // partial-order machinery in internal/order and internal/pref.

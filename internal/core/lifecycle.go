@@ -217,18 +217,29 @@ func (b *Baseline) RemoveObject(o object.Object) {
 
 // --- FilterThenVerify ---
 
+// Every FilterThenVerify lifecycle call ends by marking the value
+// postings stale (staleAll): the repairs below write the filter frontiers
+// without them, and the next indexed arrival scan rebuilds.
+
 // ActivateUser joins user c to the given cluster (or founds it) and
 // builds c's frontier from the resynced filter frontier.
-func (f *FilterThenVerify) ActivateUser(c, cluster int) { f.JoinCluster(c, cluster, f.resync) }
+func (f *FilterThenVerify) ActivateUser(c, cluster int) {
+	defer f.staleAll()
+	f.JoinCluster(c, cluster, f.resync)
+}
 
 // RemoveUser drops user c from its cluster and resyncs the filter tier
 // under the relation recomputed without c.
-func (f *FilterThenVerify) RemoveUser(c int) { f.LeaveCluster(c, f.resync) }
+func (f *FilterThenVerify) RemoveUser(c int) {
+	defer f.staleAll()
+	f.LeaveCluster(c, f.resync)
+}
 
 // RetractPreference takes the tuple out of user c's relation, resyncs
 // c's cluster under its recomputed relation, and mends c's frontier from
 // the filter frontier.
 func (f *FilterThenVerify) RetractPreference(c, d, better, worse int) error {
+	defer f.staleAll()
 	return f.RetractTuple(c, d, better, worse, f.resync)
 }
 
@@ -287,6 +298,7 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile) {
 // ≻_c-dominator, which survives in the filter frontier. While a twin of o
 // is alive (exact engine) nothing else changes: o only leaves its class.
 func (f *FilterThenVerify) RemoveObject(o object.Object) {
+	defer f.staleAll()
 	o, last := f.Leave(o)
 	if !last {
 		return

@@ -142,7 +142,7 @@ func NewShardedPerObject(users []*pref.Profile, clusters []Cluster, active []boo
 			func(s UserShard) ShardEngine { s.source = alive; return &Baseline{s} }), nil
 	}
 	return ShardClusters(users, clusters, active, workers, ctr,
-		func(s ClusterShard) ShardEngine { s.source = alive; return &FilterThenVerify{s} })
+		func(s ClusterShard) ShardEngine { s.source = alive; return &FilterThenVerify{ClusterShard: s} })
 }
 
 // newSharded assembles the harness with one private counter per shard

@@ -42,6 +42,7 @@ func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
 // relation may move either way; the filter is then the same one-sided
 // repair the arrival path applies (Sec. 6.2's bounded inaccuracy).
 func (f *FilterThenVerify) ApplyPreference(c, d, better, worse int) error {
+	defer f.staleAll()
 	return f.ApplyTuple(c, d, better, worse, func(li int, _ *pref.Profile) {
 		f.FilterClusterFrontier(li)
 	})

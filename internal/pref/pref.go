@@ -198,6 +198,17 @@ func (pr *Probe) Compare(b object.Object) Cmp {
 	}
 }
 
+// Row returns the prepared row of attribute d: row[y] is the Rel code of
+// the prepared object's value against value y, for every y < len(row).
+// It is nil where the table does not reach the prepared value (interned
+// after the table was published, or a domain past order.TableMaxN).
+func (pr *Probe) Row(d int) []uint8 {
+	if pr.spill != nil {
+		return pr.spill[d]
+	}
+	return pr.inline[d]
+}
+
 // Dominates reports whether the prepared object dominates b (a ≻ b).
 func (pr *Probe) Dominates(b object.Object) bool { return pr.Compare(b) == Left }
 
