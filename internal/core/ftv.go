@@ -145,8 +145,9 @@ func (f *FilterThenVerify) updateClusterFrontier(ui int, o object.Object) bool {
 		isPareto = f.scanLinear(ui, ix, &po)
 	}
 	if isPareto {
-		fu.Add(o)
-		if ix.current(fu) && !ix.add(fu.Len()-1, o.Attrs) {
+		n := fu.Len()
+		fu.Add(o) // a no-op when o is already a member
+		if fu.Len() > n && ix.current(fu) && !ix.add(n, o.Attrs) {
 			ix.rebuild(fu, f.Clusters[ui].Common.Domains())
 		}
 	}

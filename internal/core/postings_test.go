@@ -18,13 +18,13 @@ import (
 )
 
 // checkPostings holds every current value-postings index of every
-// FilterThenVerify shard of eng to a recomputation from its frontier's
+// FilterThenVerify shard of s to a recomputation from its frontier's
 // scan list: each posting holds exactly the positions whose member has
 // its value, the counts match, values past order.TableMaxN are counted in
 // over, and no bit lies past the frontier's end.
-func checkPostings(t *testing.T, eng any) {
+func checkPostings(t *testing.T, s *Sharded) {
 	t.Helper()
-	for _, f := range ftvShards(eng) {
+	for _, f := range ftvShards(s) {
 		for ui := range f.postings {
 			ix, fu := &f.postings[ui], f.ClusterFronts[ui]
 			if !ix.current(fu) {
@@ -47,9 +47,9 @@ func checkPostings(t *testing.T, eng any) {
 				if ix.over[d] != over {
 					t.Fatalf("cluster %d attribute %d: over = %d, want %d", ui, d, ix.over[d], over)
 				}
-				for v, s := range ix.post[d] {
-					got := s.Slice()
-					if !slices.Equal(got, want[v]) && len(got)+len(want[v]) > 0 {
+				for v, set := range ix.post[d] {
+					got := set.Slice()
+					if !slices.Equal(got, want[v]) {
 						t.Fatalf("cluster %d attribute %d value %d: postings %v, scan list has %v", ui, d, v, got, want[v])
 					}
 					if int(ix.count[d][v]) != len(want[v]) {
@@ -61,27 +61,20 @@ func checkPostings(t *testing.T, eng any) {
 	}
 }
 
-// ftvShards returns the FilterThenVerify engines behind eng: itself, or a
-// harness's shards.
-func ftvShards(eng any) []*FilterThenVerify {
-	switch e := eng.(type) {
-	case *FilterThenVerify:
-		return []*FilterThenVerify{e}
-	case *Sharded:
-		var out []*FilterThenVerify
-		for _, sh := range e.shards {
-			out = append(out, sh.(*FilterThenVerify))
-		}
-		return out
+// ftvShards returns the FilterThenVerify shards of a harness.
+func ftvShards(s *Sharded) []*FilterThenVerify {
+	var out []*FilterThenVerify
+	for _, sh := range s.shards {
+		out = append(out, sh.(*FilterThenVerify))
 	}
-	panic(fmt.Sprintf("not a filter-then-verify engine: %T", eng))
+	return out
 }
 
 // clusterFronts returns every live cluster's P_U as object ids in scan
 // order, keyed by global cluster index.
-func clusterFronts(eng any) map[int][]int {
+func clusterFronts(s *Sharded) map[int][]int {
 	out := map[int][]int{}
-	for _, f := range ftvShards(eng) {
+	for _, f := range ftvShards(s) {
 		for li, cl := range f.Clusters {
 			if len(cl.Members) > 0 {
 				out[f.GlobalIndex(li)] = f.ClusterFrontier(li)
@@ -92,10 +85,12 @@ func clusterFronts(eng any) map[int][]int {
 }
 
 // indexWorld is a community whose cluster relations are sparse enough
-// that a stream of distinct tuples grows P_U well past indexMinLen: dims
-// attributes over domSize values, users with a few random preference
-// tuples each, dealt into clusters of three, and the alive objects in
-// arrival order (the engines' shared alive-object source).
+// that a stream of distinct tuples grows P_U well past indexMinLen, yet
+// not empty, so that arrivals are dominated and evict: dims attributes
+// over domSize values, users who all assert one shared base of random
+// preference tuples and a few of their own, dealt into clusters of three,
+// and the alive objects in arrival order (the engines' shared
+// alive-object source).
 type indexWorld struct {
 	r      *rand.Rand
 	doms   []*order.Domain
@@ -107,7 +102,7 @@ type indexWorld struct {
 }
 
 func newIndexWorld(seed int64, users int) *indexWorld {
-	const dims, domSize, edges = 4, 10, 3
+	const dims, domSize, baseEdges, edges = 4, 10, 9, 3
 	w := &indexWorld{r: rand.New(rand.NewSource(seed)), seen: map[[4]int32]bool{}}
 	for d := 0; d < dims; d++ {
 		dom := order.NewDomain(fmt.Sprint("attr", d))
@@ -116,8 +111,15 @@ func newIndexWorld(seed int64, users int) *indexWorld {
 		}
 		w.doms = append(w.doms, dom)
 	}
+	base := w.profile(baseEdges)
 	for u := 0; u < users; u++ {
-		w.asked = append(w.asked, w.profile(edges))
+		p := w.profile(edges)
+		for d := range w.doms {
+			for _, tu := range base.Relation(d).Asserted() {
+				p.Relation(d).Add(tu.Better, tu.Worse) // rejections fine
+			}
+		}
+		w.asked = append(w.asked, p)
 		if u%3 == 0 {
 			w.groups = append(w.groups, nil)
 		}
@@ -500,6 +502,89 @@ func TestValueIndexRestoreContinuesLikeLive(t *testing.T) {
 	}
 }
 
+// TestValueIndexRetriesTheMovedMember: an arrival that evicts the first
+// member and the last one of a long P_U. The first eviction swap-deletes
+// the last member into position 0, where the linear scan tests it next;
+// the indexed scan must read the word again to do the same, or it would
+// leave a dominated member in P_U.
+func TestValueIndexRetriesTheMovedMember(t *testing.T) {
+	doms := []*order.Domain{order.NewDomain("a"), order.NewDomain("b")}
+	for v := 0; v < 2; v++ {
+		doms[0].Intern(fmt.Sprint(v))
+	}
+	const fillers = indexMinLen
+	for v := 0; v < 3+fillers; v++ {
+		doms[1].Intern(fmt.Sprint(v))
+	}
+	// a: 0 ≻ 1. b: 0 ≻ 1 and 0 ≻ 2, every other value unordered.
+	p := pref.NewProfile(doms)
+	for _, e := range [][3]int{{0, 0, 1}, {1, 0, 1}, {1, 0, 2}} {
+		if err := p.Relation(e[0]).Add(e[1], e[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// (1,1) first, fillers with distinct unordered b values, (1,2) last:
+	// pairwise incomparable. The arrival (0,0) dominates the first and
+	// the last and no filler.
+	objs := []object.Object{{ID: 0, Attrs: []int32{1, 1}}}
+	for i := 0; i < fillers; i++ {
+		objs = append(objs, object.Object{ID: len(objs), Attrs: []int32{int32(i % 2), int32(3 + i)}})
+	}
+	objs = append(objs, object.Object{ID: len(objs), Attrs: []int32{1, 2}}, object.Object{ID: len(objs) + 1, Attrs: []int32{0, 0}})
+	clusters := func(u *pref.Profile) []Cluster { return []Cluster{{Members: []int{0}, Common: u.Clone()}} }
+	u, v := p.Clone(), p.Clone()
+	eng, err := NewSharded([]*pref.Profile{u}, clusters(u), nil, nil, 1, &stats.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewShardedPerObject([]*pref.Profile{v}, clusters(v), nil, nil, 1, &stats.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range objs {
+		if got, want := eng.Process(o), ref.Process(o); !slices.Equal(got, want) {
+			t.Fatalf("object %d delivered to %v, linear scan delivers to %v", o.ID, got, want)
+		}
+	}
+	got, want := clusterFronts(eng)[0], clusterFronts(ref)[0]
+	if !slices.Equal(got, want) || slices.Contains(got, 0) || slices.Contains(got, fillers+1) {
+		t.Fatalf("P_U is %v, linear scan has %v; the arrival dominates objects 0 and %d", got, want, fillers+1)
+	}
+	if f := ftvShards(eng)[0]; !f.postings[0].current(f.ClusterFronts[0]) {
+		t.Fatal("the arrival's scan did not read the postings")
+	}
+	checkPostings(t, eng)
+}
+
+// TestValueIndexOrderedValuesFollowTheRow: the ordered-value list cached for a value
+// is read again when the relation publishes a new table, and forget lets
+// go of the table it was read from.
+func TestValueIndexOrderedValuesFollowTheRow(t *testing.T) {
+	dom := order.NewDomain("a")
+	for v := 0; v < 4; v++ {
+		dom.Intern(fmt.Sprint(v))
+	}
+	r := order.NewRelation(dom)
+	if err := r.Add(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	var p valuePostings
+	p.near = make([][]orderedVals, 1)
+	if got := p.ordered(0, 0, r.Row(0)); !slices.Equal(got, []uint16{1}) {
+		t.Fatalf("ordered = %v, want [1]", got)
+	}
+	if err := r.Add(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.ordered(0, 0, r.Row(0)); !slices.Equal(got, []uint16{1, 2}) {
+		t.Fatalf("after 2 ≻ 0, ordered = %v, want [1 2]", got)
+	}
+	p.forget()
+	if p.near[0][0].row != nil {
+		t.Fatal("forget kept the row")
+	}
+}
+
 // FuzzValuePostings grows one cluster's P_U past indexMinLen, then reads
 // the input as arrivals and lifecycle calls — two bytes each, the first
 // picking the call — holding the indexed engine to the linear one and
@@ -511,13 +596,12 @@ func FuzzValuePostings(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := newIndexWorld(13, 3)
 		h := newIndexRun(t, w, 1)
-		pre := make([]object.Object, 2*indexMinLen)
-		for i := range pre {
-			pre[i] = w.next(nil)
-		}
-		h.arrive(pre)
-		if n := len(clusterFronts(h.eng)[0]); n < indexMinLen {
-			t.Fatalf("P_U holds %d members after the preamble: the postings would never be read", n)
+		for len(clusterFronts(h.eng)[0]) < indexMinLen+indexMinLen/2 {
+			pre := make([]object.Object, 64)
+			for i := range pre {
+				pre[i] = w.next(nil)
+			}
+			h.arrive(pre)
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			w.r.Seed(int64(data[i+1])) // the argument byte steers the step's draws
