@@ -585,6 +585,37 @@ func TestValueIndexOrderedValuesFollowTheRow(t *testing.T) {
 	}
 }
 
+// TestValueIndexScanDoesNotAllocate: once the postings and the
+// ordered-value lists exist, planning and running an indexed scan
+// allocates nothing — the plan lives in the engine's reused scratch.
+func TestValueIndexScanDoesNotAllocate(t *testing.T) {
+	w := newIndexWorld(14, 3)
+	objs := make([]object.Object, 4096)
+	for i := range objs {
+		objs[i] = w.next(nil)
+	}
+	f, probes := scanWorld(w.asked, objs, 2*indexMinLen)
+	ix := &f.postings[0]
+	scan := func(o object.Object) {
+		var po pref.Probe
+		f.Clusters[0].Common.Prepare(o, &po)
+		if !f.planIndexed(0, ix, &po, o) {
+			t.Fatalf("object %d: the scan of a %d-member P_U was not planned", o.ID, f.ClusterFronts[0].Len())
+		}
+		f.scanIndexed(0, ix, &po)
+	}
+	for _, o := range probes {
+		scan(o) // fill the ordered-value lists
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		scan(probes[i%len(probes)])
+		i++
+	}); allocs != 0 {
+		t.Fatalf("an indexed scan allocates %.1f times", allocs)
+	}
+}
+
 // FuzzValuePostings grows one cluster's P_U past indexMinLen, then reads
 // the input as arrivals and lifecycle calls — two bytes each, the first
 // picking the call — holding the indexed engine to the linear one and
