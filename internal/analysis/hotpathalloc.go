@@ -7,9 +7,9 @@ import (
 
 // hotpathDirective marks a function whose body is on the per-object
 // ingest path the benchmarks defend: core.Sharded dispatch, order.Rel,
-// the frontier update, the append-only engines' arrival scans (the filter
+// the frontier update, the append-only engine's arrival scans (the filter
 // tier's linear and value-indexed scans and its plan, the verify tier,
-// Baseline's per-user scan), the window engines' arrival and expiry.
+// which is all of Baseline's), the window engine's arrival and expiry.
 const hotpathDirective = "hotpath"
 
 // HotPathAlloc enforces the allocation discipline on functions marked

@@ -17,11 +17,9 @@ import (
 func BenchmarkBaselineProcess(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
 	users, objs := fixtures.RandomWorld(r, 32, 3, 8, 4096, 14)
-	eng := core.NewBaseline(users, &stats.Counters{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Process(objs[i%len(objs)])
-	}
+	benchmarkRebuilt(b, objs, func(ctr *stats.Counters) *core.FilterThenVerify {
+		return core.NewBaseline(users, ctr)
+	})
 }
 
 // BenchmarkFilterThenVerifyProcess measures Alg. 2's per-object cost on
@@ -39,11 +37,30 @@ func BenchmarkFilterThenVerifyProcess(b *testing.B) {
 		}
 		clusters = append(clusters, core.Cluster{Members: members, Common: pref.Common(profs)})
 	}
-	eng := core.NewFilterThenVerify(users, clusters, &stats.Counters{})
+	benchmarkRebuilt(b, objs, func(ctr *stats.Counters) *core.FilterThenVerify {
+		return core.NewFilterThenVerify(users, clusters, ctr)
+	})
+}
+
+// benchmarkRebuilt feeds objs to an engine from build, built afresh, off
+// the clock, at every pass: the ids repeat from one pass to the next, and
+// an engine that had seen them would answer every later arrival as the
+// twin of an alive object. It reports the comparisons and twins per
+// object.
+func benchmarkRebuilt(b *testing.B, objs []object.Object, build func(*stats.Counters) *core.FilterThenVerify) {
+	ctr := &stats.Counters{}
+	var eng *core.FilterThenVerify
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%len(objs) == 0 {
+			b.StopTimer()
+			eng = build(ctr)
+			b.StartTimer()
+		}
 		eng.Process(objs[i%len(objs)])
 	}
+	b.ReportMetric(float64(ctr.Comparisons)/float64(b.N), "cmp/op")
+	b.ReportMetric(float64(ctr.Twins)/float64(b.N), "twins/op")
 }
 
 // BenchmarkParallelProcess measures the goroutine fan-out variant.

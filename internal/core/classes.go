@@ -63,8 +63,9 @@ type idLink struct {
 const noID = -1
 
 // enable turns the table on. Only a freshly built, empty engine may, and
-// only this package's constructors can: NewBaseline, and NewFilterThenVerify
-// / NewSharded once checkSubsumed has passed the cluster relations.
+// only this package's constructors can: NewFilterThenVerify (and with it
+// NewBaseline) and NewSharded, once checkSubsumed has passed the cluster
+// relations.
 func (t *TupleClasses) enable() { t.on = true }
 
 // hashAttrs mixes a tuple into 64 bits whose top bits pick the home slot.

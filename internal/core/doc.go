@@ -2,7 +2,6 @@
 // monitoring of Pareto frontiers for many users over an append-only object
 // stream (Sultana & Li, EDBT 2018, Secs. 4–6).
 //
-//   - Baseline is Alg. 1: per-user BNL-style frontier maintenance.
 //   - FilterThenVerify is Alg. 2: users are clustered by preference
 //     similarity and a shared frontier P_U under each cluster's common
 //     preference relation (Def. 4.1) filters objects before any per-user
@@ -10,16 +9,20 @@
 //     negatives. Given approximate common relations (Sec. 6.2) the same
 //     engine is FilterThenVerifyApprox — "the algorithm itself remains
 //     the same".
+//   - Baseline, Alg. 1's per-user BNL-style frontier maintenance, is the
+//     same engine with every user a cluster of its own (NewBaseline): for
+//     a cluster of one ≻_U = ≻_c, so P_U = P_c, and only the per-user
+//     tier runs, every comparison counted as verify work.
 //
-// Sharded is the engine every Monitor runs on: NewSharded deals the users
-// (Alg. 1) or whole clusters (Alg. 2) over user-disjoint shards, each an
-// instance of the same Baseline / FilterThenVerify struct with explicit
-// membership (UserShard / ClusterShard, which the windowed engines embed
-// too). One shard is the paper's single-threaded
-// algorithm; more shards are an engineering extension beyond it, with
-// results identical by construction — the equivalence tests pin that.
-// NewBaseline and NewFilterThenVerify build the same struct standalone,
-// owning every user: the reference the paper figures and tests use.
+// Sharded is the engine every Monitor runs on: NewSharded deals whole
+// clusters — under Alg. 1 one-user clusters, so users — over
+// user-disjoint shards, each a FilterThenVerify with explicit membership
+// (ClusterShard, which the windowed engine embeds too). One shard is the
+// paper's single-threaded algorithm; more shards are an engineering
+// extension beyond it, with results identical by construction — the
+// equivalence tests pin that. NewBaseline and NewFilterThenVerify build
+// the same struct standalone, owning every user: the reference the paper
+// figures and tests use.
 //
 // The lifecycle calls (lifecycle.go) carry only what changed — a user
 // slot, a cluster index, a tuple, an object. The engine recomputes every
@@ -36,7 +39,7 @@
 // dominated identically, and an exact Pareto frontier over the alive
 // objects is a union of whole tuple classes. Each shard therefore keeps a
 // table of the alive tuples (TupleClasses, next to TargetTracker in
-// UserShard / ClusterShard) and keys P_c, P_U, C_o and every scan by class
+// ClusterShard) and keys P_c, P_U, C_o and every scan by class
 // id. Process first resolves the arrival: a twin — its tuple is alive —
 // joins exactly the frontiers its class is in, so C_o is C_class and no
 // comparison is made (Alg. 1's Identical case, taken once for all users

@@ -25,7 +25,8 @@ type Cluster struct {
 // the filter discards only true negatives). With approximate common
 // relations the same engine computes P̂_U ⊇ P̂_c and becomes
 // FilterThenVerifyApprox, trading exactness (Sec. 6.2's false negatives /
-// positives) for larger clusters.
+// positives) for larger clusters. Over clusters of their own (NewBaseline)
+// it is Alg. 1: P_U is P_c, and only the verify tier runs.
 type FilterThenVerify struct {
 	ClusterShard
 
@@ -61,6 +62,21 @@ func NewFilterThenVerifyPerObject(users []*pref.Profile, clusters []Cluster, ctr
 	return &FilterThenVerify{ClusterShard: AllClusters(users, clusters, ctr)}
 }
 
+// NewBaseline builds the standalone Alg. 1 engine: per-user frontier
+// maintenance, every user a cluster of its own. ctr may be nil to skip
+// accounting.
+func NewBaseline(users []*pref.Profile, ctr *stats.Counters) *FilterThenVerify {
+	return NewFilterThenVerify(users, nil, ctr)
+}
+
+// NewBaselinePerObject is NewBaseline with every object its own frontier
+// member: Alg. 1 as published, which internal/experiments runs for the
+// paper's figures. Frontiers and deliveries are NewBaseline's; only the
+// comparison count differs on streams that repeat tuples.
+func NewBaselinePerObject(users []*pref.Profile, ctr *stats.Counters) *FilterThenVerify {
+	return NewFilterThenVerifyPerObject(users, nil, ctr)
+}
+
 // newFilterThenVerify wraps one shard's bookkeeping into the exact engine,
 // whose frontier members are tuple classes (see TupleClasses). The caller
 // has run checkSubsumed over the shard's clusters.
@@ -94,11 +110,12 @@ func unsubsumed(users []*pref.Profile, cl Cluster) int {
 	return -1
 }
 
-// Process implements Alg. 2: filter per cluster, then verify per member.
-// Clusters whose last member was removed are dormant and skipped. An
-// arrival whose tuple is already alive (exact engine only) joins exactly
-// the frontiers its class is in: C_o is C_class, with no filter and no
-// verify comparison.
+// Process implements Alg. 2: filter per cluster, then verify per member —
+// on a cluster of its own, Alg. 1's updateParetoFrontier alone. Clusters
+// whose last member was removed are dormant and skipped. An arrival whose
+// tuple is already alive (exact engine only) joins exactly the frontiers
+// its class is in: C_o is C_class, with no filter and no verify
+// comparison (Alg. 1's Identical case, taken once for every user).
 func (f *FilterThenVerify) Process(o object.Object) []int {
 	f.Ctr.AddProcessed()
 	co := f.Scratch.Start()
@@ -108,11 +125,15 @@ func (f *FilterThenVerify) Process(o object.Object) []int {
 		co = f.AppendHolders(co, rep.ID)
 	} else {
 		for ui := range f.Clusters {
-			if len(f.Clusters[ui].Members) == 0 {
-				continue
-			}
-			if f.updateClusterFrontier(ui, rep) {
-				for _, c := range f.Clusters[ui].Members {
+			members := f.Clusters[ui].Members
+			switch {
+			case len(members) == 0:
+			case f.Own(ui):
+				if f.verifyUser(members[0], rep) {
+					co = append(co, members[0])
+				}
+			case f.updateClusterFrontier(ui, rep):
+				for _, c := range members {
 					if f.verifyUser(c, rep) {
 						co = append(co, c)
 					}
@@ -343,7 +364,11 @@ func (f *FilterThenVerify) RestoreState(st *EngineState) error {
 }
 
 // verifyUser discerns the "false positives" of the filter tier for one
-// member (Alg. 2 Line 6 → Alg. 1's updateParetoFrontier against P_c).
+// member (Alg. 2 Line 6 → Alg. 1's updateParetoFrontier against P_c); on
+// a cluster of its own it is all of Alg. 1's work for the user. Under
+// tuple classes o is the representative of a class no frontier member
+// shares a tuple with, and the Identical case is Process's twin path;
+// only a per-object engine still meets it here.
 //
 //paretomon:hotpath
 func (f *FilterThenVerify) verifyUser(c int, o object.Object) bool {

@@ -40,7 +40,10 @@ import (
 // windowed ones (ClusterShard's JoinCluster, LeaveCluster, RetractTuple)
 // and differ only in the Resync hook that repairs P_U: here it scans the
 // alive objects for a founded cluster and otherwise runs the
-// direction-aware resyncCluster.
+// direction-aware resyncCluster. Alg. 1's own candidate sources are its
+// arms for a cluster of its own: a join replays the alive objects, a
+// retraction mends from every alive object outside P_c, and a removal
+// from the alive objects the removed one dominated.
 
 // CommonFn recomputes a cluster's common preference relation from its
 // member profiles. The exact engines use pref.Common (Def. 4.1); the
@@ -83,7 +86,6 @@ type LifecycleEngine interface {
 }
 
 var (
-	_ LifecycleEngine = (*Baseline)(nil)
 	_ LifecycleEngine = (*FilterThenVerify)(nil)
 	_ LifecycleEngine = (*Sharded)(nil)
 )
@@ -148,73 +150,6 @@ func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(
 	}
 }
 
-// --- Baseline ---
-
-// ActivateUser builds user c's frontier by replaying the alive objects
-// through the standard arrival scan (Baseline has no cluster tier).
-func (b *Baseline) ActivateUser(c, _ int) {
-	b.Activate(c)
-	for _, o := range b.collapsed() {
-		b.updateUser(c, o)
-	}
-}
-
-// RetractPreference takes the tuple out of user c's relation and mends
-// c's frontier: candidates are every alive non-frontier object (any of
-// them may have lost its last dominator).
-func (b *Baseline) RetractPreference(c, d, better, worse int) error {
-	if err := b.Users[c].Relation(d).Remove(better, worse); err != nil {
-		return err
-	}
-	f := b.Fronts[c]
-	var cands []object.Object
-	for _, x := range b.collapsed() {
-		if !f.Contains(x.ID) {
-			cands = append(cands, x)
-		}
-	}
-	for _, x := range MendFrontier(f, cands, b.Users[c], b.Ctr.AddVerify) {
-		b.AddTarget(x.ID, c)
-	}
-	return nil
-}
-
-// RemoveObject deletes o and, for every user whose frontier held it,
-// promotes the alive objects whose only frontier shield was o. While a
-// twin of o is alive nothing else changes: o only leaves its class.
-func (b *Baseline) RemoveObject(o object.Object) {
-	o, last := b.Leave(o)
-	if !last {
-		return
-	}
-	alive := b.collapsed()
-	for _, c := range b.Members {
-		if !b.Holds(o.ID, c) {
-			continue // o was dominated for c: its dominator still shields everything o did
-		}
-		f := b.Fronts[c]
-		f.Remove(o.ID)
-		b.RemoveTarget(o.ID, c)
-		u := b.Users[c]
-		var po pref.Probe
-		u.Prepare(o, &po)
-		var cands []object.Object
-		for _, x := range alive {
-			if f.Contains(x.ID) {
-				continue
-			}
-			b.Ctr.AddVerify(1)
-			if po.Dominates(x) {
-				cands = append(cands, x)
-			}
-		}
-		for _, x := range MendFrontier(f, cands, u, b.Ctr.AddVerify) {
-			b.AddTarget(x.ID, c)
-		}
-	}
-	b.DropTargets(o.ID)
-}
-
 // --- FilterThenVerify ---
 
 // Every FilterThenVerify lifecycle call ends by marking the value
@@ -246,10 +181,21 @@ func (f *FilterThenVerify) RetractPreference(c, d, better, worse int) error {
 // resync is the engine's Resync hook. A founded (or revived) cluster
 // builds P_U by scanning the alive objects; a dormant one has nothing to
 // serve; otherwise resyncCluster repairs P_U by the direction the
-// relation moved.
+// relation moved. A cluster of its own runs Alg. 1 instead: its member
+// replays the alive objects on joining, and on a retraction — its
+// profile, edited in place, is both relations handed here — mends P_c
+// from every alive object outside it (any of them may have lost its last
+// dominator).
 func (f *FilterThenVerify) resync(li int, old *pref.Profile) {
+	cl := &f.Clusters[li]
 	switch {
-	case f.Clusters[li].Common == nil:
+	case cl.Common == nil:
+	case f.Own(li) && old == nil:
+		for _, o := range f.collapsed() {
+			f.verifyUser(cl.Members[0], o)
+		}
+	case f.Own(li):
+		f.mendFilterFrontier(li)
 	case old == nil:
 		for _, o := range f.collapsed() {
 			f.updateClusterFrontier(li, o)
@@ -278,14 +224,32 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile) {
 		f.FilterClusterFrontier(li)
 	}
 	if !super {
-		fu := f.ClusterFronts[li]
-		var cands []object.Object
-		for _, x := range f.collapsed() {
-			if !fu.Contains(x.ID) {
-				cands = append(cands, x)
-			}
+		f.mendFilterFrontier(li)
+	}
+}
+
+// mendFilterFrontier admits into P_U the alive objects outside it that
+// the shrunken relation no longer dominates; on a cluster of its own the
+// admitted objects join its member's C_o.
+func (f *FilterThenVerify) mendFilterFrontier(li int) {
+	fu := f.ClusterFronts[li]
+	var cands []object.Object
+	for _, x := range f.collapsed() {
+		if !fu.Contains(x.ID) {
+			cands = append(cands, x)
 		}
-		MendFrontier(fu, cands, cl.Common, f.Ctr.AddFilter)
+	}
+	f.admit(li, MendFrontier(fu, cands, f.Clusters[li].Common, f.tierCount(li)))
+}
+
+// admit records in C_o the objects a mend admitted to the filter frontier
+// of cluster li when it is a cluster of its own, whose P_U is its
+// member's P_c; on a shared cluster the member mends do that.
+func (f *FilterThenVerify) admit(li int, admitted []object.Object) {
+	if f.Own(li) {
+		for _, x := range admitted {
+			f.AddTarget(x.ID, f.Clusters[li].Members[0])
+		}
 	}
 }
 
@@ -295,8 +259,9 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile) {
 // members whose own frontier held o — the member frontiers from the
 // mended filter frontier. A member whose P_c did not hold o cannot gain:
 // anything o shielded for that member is still shielded by o's own
-// ≻_c-dominator, which survives in the filter frontier. While a twin of o
-// is alive (exact engine) nothing else changes: o only leaves its class.
+// ≻_c-dominator, which survives in the filter frontier. On a cluster of
+// its own the first mend is Alg. 1's, and all of it. While a twin of o is
+// alive (exact engine) nothing else changes: o only leaves its class.
 func (f *FilterThenVerify) RemoveObject(o object.Object) {
 	defer f.staleAll()
 	o, last := f.Leave(o)
@@ -306,21 +271,21 @@ func (f *FilterThenVerify) RemoveObject(o object.Object) {
 	alive := f.collapsed()
 	for li := range f.Clusters {
 		cl := &f.Clusters[li]
-		if len(cl.Members) == 0 {
+		fu := f.ClusterFronts[li]
+		// An o outside P_U is in no member's P_c (P_c ⊆ P_U): whatever it
+		// dominated, its own ≻_U-dominator still does.
+		if len(cl.Members) == 0 || !fu.Remove(o.ID) {
 			continue
 		}
 		var holders []int
 		for _, c := range cl.Members {
 			if f.Holds(o.ID, c) {
-				f.UserFronts[c].Remove(o.ID)
+				f.UserFronts[c].Remove(o.ID) // a no-op on a cluster of its own: P_c is P_U
 				f.RemoveTarget(o.ID, c)
 				holders = append(holders, c)
 			}
 		}
-		fu := f.ClusterFronts[li]
-		if !fu.Remove(o.ID) {
-			continue
-		}
+		count := f.tierCount(li)
 		var po pref.Probe
 		cl.Common.Prepare(o, &po)
 		var cands []object.Object
@@ -328,12 +293,15 @@ func (f *FilterThenVerify) RemoveObject(o object.Object) {
 			if fu.Contains(x.ID) {
 				continue
 			}
-			f.Ctr.AddFilter(1)
+			count(1)
 			if po.Dominates(x) {
 				cands = append(cands, x)
 			}
 		}
-		MendFrontier(fu, cands, cl.Common, f.Ctr.AddFilter)
+		f.admit(li, MendFrontier(fu, cands, cl.Common, count))
+		if f.Own(li) {
+			continue
+		}
 		for _, c := range holders {
 			f.mendMemberAfterRemoval(li, c, o)
 		}

@@ -11,17 +11,23 @@ import (
 )
 
 // Every engine instance is a shard with explicit membership: it indexes
-// the full, shared user table but owns frontiers only for the users (or
-// the clusters' members) it maintains. A standalone engine — the bare
-// constructors the paper's figures and the test oracles use — is the
-// one-shard case owning everyone. The bookkeeping that does not depend on
-// the algorithm lives here, once: UserShard under Baseline and
-// window.BaselineSW, ClusterShard under FilterThenVerify and
-// window.FilterThenVerifySW. The engines embed one and add their
+// the full, shared user table but owns frontiers only for the clusters'
+// members it maintains. A standalone engine — the bare constructors the
+// paper's figures and the test oracles use — is the one-shard case owning
+// everyone. The bookkeeping that does not depend on the algorithm lives
+// here, once, in ClusterShard, under FilterThenVerify and
+// window.FilterThenVerifySW; the engines embed it and add their
 // algorithms (and, under a window, the ring and buffers).
+//
+// Baseline (Algs. 1 and 4) is the same shard over one-user clusters. For
+// a cluster of one, Def. 4.1 gives ≻_U = ≻_c and so P_U = P_c: an own
+// cluster (ClusterShard.Own) keeps its member's profile as its relation
+// and its member's frontier as its filter frontier — one *Frontier under
+// both names — and the engines run one tier for it, counted as verify
+// work, where a shared cluster runs two.
 
-// MemberIndex is what both shard kinds keep about frontier members apart
-// from the frontiers themselves: C_key per member (TargetTracker) and the
+// MemberIndex is what a shard keeps about frontier members apart from
+// the frontiers themselves: C_key per member (TargetTracker) and the
 // tuple-class table that maps an object id to its member's key
 // (TupleClasses; off, every id is its own key) — and, on an append-only
 // engine, where the alive objects are.
@@ -80,96 +86,6 @@ func (m *MemberIndex) AppendTargets(dst []int, objID int) []int {
 // Targets returns AppendTargets as a fresh slice, nil if empty.
 func (m *MemberIndex) Targets(objID int) []int { return m.AppendTargets(nil, objID) }
 
-// UserShard is the bookkeeping of an engine with per-user frontiers and
-// no shared tier.
-type UserShard struct {
-	MemberIndex
-	Users   []*pref.Profile // full user table, shared across shards
-	Fronts  []*Frontier     // P_c per user; nil outside Members
-	Members []int           // users this instance maintains, ascending
-	Ctr     *stats.Counters // this instance's work counter; may be nil
-	Scratch ResultScratch
-}
-
-// NewUserShard builds the bookkeeping for the given members (ascending
-// user indices) with empty frontiers.
-func NewUserShard(users []*pref.Profile, members []int, ctr *stats.Counters) UserShard {
-	s := UserShard{Users: users, Fronts: make([]*Frontier, len(users)), Members: members, Ctr: ctr}
-	for _, c := range members {
-		s.Fronts[c] = NewFrontier()
-	}
-	return s
-}
-
-// AllUsers is the one-shard case: every user is a member.
-func AllUsers(users []*pref.Profile, ctr *stats.Counters) UserShard {
-	members := make([]int, len(users))
-	for c := range members {
-		members[c] = c
-	}
-	return NewUserShard(users, members, ctr)
-}
-
-// EnableScratch switches Process to a reused result slice; only the
-// sharded harness (which copies results out) enables it.
-func (s *UserShard) EnableScratch() { s.Scratch.Enable() }
-
-// UserFrontier returns P_c as object ids.
-func (s *UserShard) UserFrontier(c int) []int { return s.AppendMemberIDs(nil, s.Fronts[c]) }
-
-// SetClusterTotal is a no-op: there is no cluster tier.
-func (s *UserShard) SetClusterTotal(int) {}
-
-// SetCommonFn is a no-op: there are no cluster relations.
-func (s *UserShard) SetCommonFn(CommonFn) {}
-
-// FastForward is a no-op: an append-only engine ages nothing.
-func (s *UserShard) FastForward(int) {}
-
-// RegisterUser appends profile p as user c. The slot stays frontierless
-// until the owning shard activates it.
-func (s *UserShard) RegisterUser(c int, p *pref.Profile) {
-	if c != len(s.Users) {
-		panic("core: RegisterUser out of order")
-	}
-	s.Users = append(s.Users, p)
-	s.Fronts = append(s.Fronts, nil)
-}
-
-// Activate makes user c a member with an empty frontier.
-func (s *UserShard) Activate(c int) {
-	s.Members = append(s.Members, c)
-	s.Fronts[c] = NewFrontier()
-}
-
-// RemoveUser drops user c's frontier and target entries; a no-op on the
-// shards that do not maintain c.
-func (s *UserShard) RemoveUser(c int) {
-	if s.Fronts[c] == nil {
-		return
-	}
-	for _, id := range s.Fronts[c].IDs() {
-		s.RemoveTarget(id, c)
-	}
-	s.Fronts[c] = nil
-	i := slices.Index(s.Members, c)
-	s.Members = slices.Delete(s.Members, i, i+1)
-}
-
-// AddTuple records that user c now also prefers value better over value
-// worse on attribute d, in c's shared profile. It fails if the tuple would
-// break the strict-partial-order axioms; the engine then repairs nothing.
-func (s *UserShard) AddTuple(c, d, better, worse int) error {
-	return addTuple(s.Users, c, d, better, worse)
-}
-
-func addTuple(users []*pref.Profile, c, d, better, worse int) error {
-	if c < 0 || c >= len(users) {
-		return fmt.Errorf("core: no user %d", c)
-	}
-	return users[c].Relation(d).Add(better, worse)
-}
-
 // ClusterShard is the bookkeeping of a filter-then-verify engine: the
 // clusters it maintains, each with its filter frontier P_U, and their
 // members' frontiers P_c.
@@ -185,7 +101,7 @@ type ClusterShard struct {
 	// globalIdx maps each maintained cluster to its index in the monitor's
 	// full cluster list, of which total is the length: state capture keys
 	// per-cluster state by the global index, so it restores under any
-	// shard layout.
+	// shard layout. An own cluster has none (-1).
 	globalIdx []int
 	total     int
 
@@ -196,11 +112,11 @@ type ClusterShard struct {
 	commonFn CommonFn
 }
 
-// NewClusterShard builds the bookkeeping for a subset of the monitor's
+// newClusterShard builds the bookkeeping for a subset of the monitor's
 // cluster list (globalIdx[i] is clusters[i]'s index in the full list of
-// total entries) with empty frontiers. It does not validate membership;
-// see ValidatePartition.
-func NewClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int, total int, ctr *stats.Counters) ClusterShard {
+// total entries, -1 for an own cluster) with empty frontiers. It does not
+// validate membership; see ValidatePartition.
+func newClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int, total int, ctr *stats.Counters) ClusterShard {
 	s := ClusterShard{
 		Users:         users,
 		Clusters:      clusters,
@@ -213,25 +129,75 @@ func NewClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int,
 	for i, cl := range clusters {
 		s.ClusterFronts[i] = NewFrontier()
 		for _, c := range cl.Members {
-			s.UserFronts[c] = NewFrontier()
+			s.UserFronts[c] = s.memberFront(i)
 		}
 	}
 	return s
 }
 
 // AllClusters is the one-shard case: the instance maintains the whole
-// cluster list. Every user must belong to exactly one cluster; it panics
+// cluster list — every user a cluster of its own when clusters is nil
+// (Baseline). Every user must belong to exactly one cluster; it panics
 // otherwise (standalone engines are built from code, not stored input).
 func AllClusters(users []*pref.Profile, clusters []Cluster, ctr *stats.Counters) ClusterShard {
+	clusters, idx, total := layout(users, clusters, nil)
 	if err := ValidatePartition(len(users), clusters, nil); err != nil {
 		panic(err.Error())
 	}
-	idx := make([]int, len(clusters))
-	for i := range idx {
-		idx[i] = i
-	}
-	return NewClusterShard(users, clusters, idx, len(clusters), ctr)
+	return newClusterShard(users, clusters, idx, total, ctr)
 }
+
+// layout reads a community for the shards: the clusters with their
+// indices in the monitor's cluster list and its length — or, when
+// clusters is nil, Alg. 1's community, every user slot a cluster of its
+// own (dormant when active marks the user removed) with no index and an
+// empty list.
+func layout(users []*pref.Profile, clusters []Cluster, active []bool) ([]Cluster, []int, int) {
+	if clusters != nil {
+		idx := make([]int, len(clusters))
+		for i := range idx {
+			idx[i] = i
+		}
+		return clusters, idx, len(clusters)
+	}
+	own, idx := make([]Cluster, len(users)), make([]int, len(users))
+	for c, p := range users {
+		idx[c] = -1
+		if active == nil || active[c] {
+			own[c] = Cluster{Members: []int{c}, Common: p}
+		}
+	}
+	return own, idx, 0
+}
+
+// Own reports whether cluster li is a cluster of its own: one user's,
+// under Baseline. Its relation is the user's profile, its filter frontier
+// is the user's frontier, and it has no index in the monitor's cluster
+// list and no slot in a captured state.
+func (s *ClusterShard) Own(li int) bool { return s.globalIdx[li] < 0 }
+
+// memberFront is the frontier a member of cluster li starts from: a fresh
+// one, or the cluster's own filter frontier when P_U is P_c.
+func (s *ClusterShard) memberFront(li int) *Frontier {
+	if s.Own(li) {
+		return s.ClusterFronts[li]
+	}
+	return NewFrontier()
+}
+
+// CountTier counts n comparisons of cluster li's filter tier: filter
+// work, or verify work on a cluster of its own, whose one tier is its
+// member's.
+func (s *ClusterShard) CountTier(li, n int) {
+	if s.Own(li) {
+		s.Ctr.AddVerify(n)
+	} else {
+		s.Ctr.AddFilter(n)
+	}
+}
+
+// tierCount is CountTier as the counter the repairs take.
+func (s *ClusterShard) tierCount(li int) func(int) { return func(n int) { s.CountTier(li, n) } }
 
 // ValidatePartition checks that cluster membership partitions exactly the
 // active users (active == nil: every user) — a missed user would silently
@@ -314,23 +280,9 @@ func (s *ClusterShard) SetClusterTotal(n int) {
 	}
 }
 
-// ClusterTotal is the length of the monitor's full cluster list.
-func (s *ClusterShard) ClusterTotal() int { return s.total }
-
 // GlobalIndex maps a local cluster index to its index in the monitor's
 // full cluster list.
 func (s *ClusterShard) GlobalIndex(li int) int { return s.globalIdx[li] }
-
-// LocalCluster maps a monitor-global cluster index to this instance's
-// local list, or -1 if it maintains no such cluster.
-func (s *ClusterShard) LocalCluster(cluster int) int {
-	for li, gi := range s.globalIdx {
-		if gi == cluster {
-			return li
-		}
-	}
-	return -1
-}
 
 // ClusterOf locates the (local) cluster containing user c.
 func (s *ClusterShard) ClusterOf(c int) int {
@@ -364,15 +316,19 @@ func (s *ClusterShard) RegisterUser(c int, p *pref.Profile) {
 type Resync func(li int, old *pref.Profile)
 
 // JoinCluster is ActivateUser of a filter-then-verify engine: user c
-// joins cluster (founding it when the index is new to the instance), the
-// cluster's relation is recomputed and resync repairs P_U, and c's
-// frontier is built from P_U by the Lemma 4.6 criterion.
+// joins cluster (founding it when the index is new to the instance, and
+// a cluster of its own when the index is negative), the cluster's
+// relation is recomputed and resync repairs P_U, and c's frontier is
+// built from P_U by the Lemma 4.6 criterion.
 func (s *ClusterShard) JoinCluster(c, cluster int, resync Resync) {
-	s.UserFronts[c] = NewFrontier()
-	li := s.LocalCluster(cluster)
+	li := -1
+	if cluster >= 0 {
+		li = slices.Index(s.globalIdx, cluster)
+	}
 	if li < 0 {
 		li = s.found(cluster)
 	}
+	s.UserFronts[c] = s.memberFront(li)
 	s.Clusters[li].Members = append(s.Clusters[li].Members, c)
 	s.recommon(li, resync)
 	s.mendMember(li, c)
@@ -422,13 +378,21 @@ func (s *ClusterShard) RetractTuple(c, d, better, worse int, resync Resync) erro
 // joins user c's shared profile, c's cluster's relation is recomputed and
 // repair brings P_U in line, and c's own frontier is filtered pairwise
 // under the grown ≻_c — exact, since a grown relation only adds dominance
-// pairs (see update.go). A tuple that would break the strict partial
-// order fails and changes nothing.
+// pairs (see update.go) — unless it is P_U, which repair has just brought
+// in line. A tuple that would break the strict partial order fails and
+// changes nothing.
 func (s *ClusterShard) ApplyTuple(c, d, better, worse int, repair Resync) error {
-	if err := addTuple(s.Users, c, d, better, worse); err != nil {
+	if c < 0 || c >= len(s.Users) {
+		return fmt.Errorf("core: no user %d", c)
+	}
+	if err := s.Users[c].Relation(d).Add(better, worse); err != nil {
 		return err
 	}
-	s.recommon(s.ClusterOf(c), repair)
+	li := s.ClusterOf(c)
+	s.recommon(li, repair)
+	if s.Own(li) {
+		return nil
+	}
 	FilterFrontier(s.UserFronts[c], s.Users[c], s.Ctr.AddVerify, func(id int) {
 		s.RemoveTarget(id, c)
 	})
@@ -436,15 +400,19 @@ func (s *ClusterShard) ApplyTuple(c, d, better, worse int, repair Resync) error 
 }
 
 // recommon recomputes cluster li's relation from its members through the
-// CommonFn — or retires it, when the last member left — and hands the
+// CommonFn — or retires it, when the last member left, or takes its
+// member's profile, edited in place, on an own cluster — and hands the
 // move to resync.
 func (s *ClusterShard) recommon(li int, resync Resync) {
 	cl := &s.Clusters[li]
 	old := cl.Common
-	if len(cl.Members) == 0 {
+	switch {
+	case len(cl.Members) == 0:
 		cl.Common = nil
 		s.ClusterFronts[li] = NewFrontier()
-	} else {
+	case s.Own(li):
+		cl.Common = s.Users[cl.Members[0]]
+	default:
 		s.setCommon(li, s.CommonOf(cl.Members))
 	}
 	resync(li, old)
@@ -503,7 +471,7 @@ func (s *ClusterShard) EvictFromMembers(li, id int) {
 // the (grown) common relation, propagating each eviction to the member
 // frontiers.
 func (s *ClusterShard) FilterClusterFrontier(li int) {
-	FilterFrontier(s.ClusterFronts[li], s.Clusters[li].Common, s.Ctr.AddFilter, func(id int) {
+	FilterFrontier(s.ClusterFronts[li], s.Clusters[li].Common, s.tierCount(li), func(id int) {
 		s.EvictFromMembers(li, id)
 	})
 }

@@ -13,7 +13,7 @@ import (
 
 // ShardEngine is what a shard must offer to be driven by Sharded: the
 // full single-threaded monitor surface over its slice of the user set.
-// Both the append-only engines here and the sliding-window engines in
+// Both the append-only engine here and the sliding-window engine in
 // internal/window satisfy it.
 type ShardEngine interface {
 	Process(o object.Object) []int
@@ -31,7 +31,8 @@ type ShardEngine interface {
 	// list grew (its state capture is keyed by global cluster index).
 	SetClusterTotal(n int)
 	// SetCommonFn installs the cluster-relation recompute of every
-	// lifecycle call and preference update; no-op on baseline engines.
+	// lifecycle call and preference update; a cluster of its own keeps
+	// its member's profile instead.
 	SetCommonFn(fn CommonFn)
 	// FastForward ages a windowed shard that holds no object yet by n
 	// arrivals, all removed (an object sync joining a source whose older
@@ -49,8 +50,8 @@ type ShardEngine interface {
 // Sharded is the engine every Monitor runs on: user-disjoint shards, one
 // single-threaded engine each. One shard is the paper's sequential
 // algorithm; more shards are an engineering extension (the paper's
-// experiments are single-threaded). Because shards own disjoint users —
-// and, for the clustered engines, disjoint clusters — the only
+// experiments are single-threaded). Because shards own disjoint
+// clusters, and so disjoint users, the only
 // cross-shard state is the counters, so results are identical to a
 // standalone engine's by construction; the property tests pin that
 // equivalence.
@@ -83,8 +84,7 @@ type Sharded struct {
 	// (may be nil)
 	ctr *stats.Counters
 
-	clusterCount int   // full cluster-list length (0 for user-sharded)
-	clusterOwner []int // cluster index -> shard index (nil for user-sharded)
+	clusterCount int // full cluster-list length (0 over clusters of their own)
 
 	wg      sync.WaitGroup // ProcessBatch's join, reused
 	results [][]int        // per-shard result scratch for the merge
@@ -101,13 +101,13 @@ type shardArena struct {
 	offs []int // object j's users are flat[offs[j]:offs[j+1]]
 }
 
-// NewSharded builds the append-only engine for a community: Alg. 1 with
-// the users dealt round-robin over the shards when clusters is nil,
-// Alg. 2 with whole clusters dealt round-robin otherwise — a cluster's
-// filter frontier and its members' frontiers always land on the same
-// shard. active marks the alive slots of the user table (nil: all of
-// them): a removed user keeps its index but belongs to no shard and no
-// cluster, and memberless (dormant) clusters ride along as placeholders
+// NewSharded builds the append-only engine for a community: Alg. 2 with
+// whole clusters dealt round-robin over the shards — a cluster's filter
+// frontier and its members' frontiers always land on the same shard — and
+// Alg. 1 when clusters is nil, every user a cluster of its own (see
+// ShardClusters). active marks the alive slots of the user table (nil:
+// all of them): a removed user keeps its index but belongs to no shard and
+// no cluster, and memberless (dormant) clusters ride along as placeholders
 // so cluster indices stay stable; a fresh community is the case with
 // every user alive. Cluster membership must partition exactly the alive
 // users, and — the shards' frontier members being tuple classes — every
@@ -119,28 +119,21 @@ type shardArena struct {
 // GOMAXPROCS; the count is clamped to the users or non-dormant clusters
 // there are to deal out.
 func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, alive iter.Seq[object.Object], workers int, ctr *stats.Counters) (*Sharded, error) {
-	if clusters == nil {
-		return ShardUsers(users, active, workers, ctr,
-			func(s UserShard) ShardEngine { s.source = alive; return newBaseline(s) }), nil
-	}
-	if err := ValidatePartition(len(users), clusters, active); err != nil {
+	s, err := ShardClusters(users, clusters, active, workers, ctr,
+		func(s ClusterShard) ShardEngine { s.source = alive; return newFilterThenVerify(s) })
+	if err != nil {
 		return nil, err
 	}
 	if err := checkSubsumed(users, clusters); err != nil {
 		return nil, err
 	}
-	return ShardClusters(users, clusters, active, workers, ctr,
-		func(s ClusterShard) ShardEngine { s.source = alive; return newFilterThenVerify(s) })
+	return s, nil
 }
 
 // NewShardedPerObject is NewSharded with every object its own frontier
 // member: what clusters carrying approximate common relations need (see
 // NewFilterThenVerifyPerObject), and the published Algs. 1–2 otherwise.
 func NewShardedPerObject(users []*pref.Profile, clusters []Cluster, active []bool, alive iter.Seq[object.Object], workers int, ctr *stats.Counters) (*Sharded, error) {
-	if clusters == nil {
-		return ShardUsers(users, active, workers, ctr,
-			func(s UserShard) ShardEngine { s.source = alive; return &Baseline{s} }), nil
-	}
 	return ShardClusters(users, clusters, active, workers, ctr,
 		func(s ClusterShard) ShardEngine { s.source = alive; return &FilterThenVerify{ClusterShard: s} })
 }
@@ -162,41 +155,15 @@ func newSharded(workers int, owner []int, ctr *stats.Counters) *Sharded {
 	return s
 }
 
-// ShardUsers assembles a harness whose shards own round-robin partitions
-// of the alive users: shard i maintains users i, i+workers, …; build
-// wraps each shard's bookkeeping (with its private counter) into an
-// engine. Every user index keeps an owner, alive or not, so a later
-// activation routes consistently.
-func ShardUsers(users []*pref.Profile, active []bool, workers int, ctr *stats.Counters, build func(UserShard) ShardEngine) *Sharded {
-	alive := func(c int) bool { return active == nil || active[c] }
-	units := 0
-	for c := range users {
-		if alive(c) {
-			units++
-		}
-	}
-	workers = resolveWorkers(workers, units)
-	owner := make([]int, len(users))
-	members := make([][]int, workers)
-	for c := range users {
-		owner[c] = c % workers
-		if alive(c) {
-			members[c%workers] = append(members[c%workers], c)
-		}
-	}
-	s := newSharded(workers, owner, ctr)
-	for i := range s.shards {
-		s.shards[i] = build(NewUserShard(users, members[i], s.ctrs[i]))
-		s.shards[i].EnableScratch()
-	}
-	return s
-}
-
 // ShardClusters assembles a harness whose shards own round-robin
 // partitions of the cluster list; build wraps each shard's bookkeeping
 // into an engine. It fails unless membership partitions exactly the
-// alive users (see ValidatePartition).
+// alive users (see ValidatePartition). A nil cluster list is Alg. 1's
+// community: every user slot a cluster of its own, so the shards deal out
+// users, and a user activated later founds one on the shard c mod
+// workers.
 func ShardClusters(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters, build func(ClusterShard) ShardEngine) (*Sharded, error) {
+	clusters, gidx, total := layout(users, clusters, active)
 	if err := ValidatePartition(len(users), clusters, active); err != nil {
 		return nil, err
 	}
@@ -210,20 +177,18 @@ func ShardClusters(users []*pref.Profile, clusters []Cluster, active []bool, wor
 	owner := make([]int, len(users))
 	own := make([][]Cluster, workers)
 	idx := make([][]int, workers)
-	clusterOwner := make([]int, len(clusters))
 	for i, cl := range clusters {
 		sh := i % workers
-		clusterOwner[i] = sh
 		own[sh] = append(own[sh], cl)
-		idx[sh] = append(idx[sh], i)
+		idx[sh] = append(idx[sh], gidx[i])
 		for _, c := range cl.Members {
 			owner[c] = sh
 		}
 	}
 	s := newSharded(workers, owner, ctr)
-	s.clusterCount, s.clusterOwner = len(clusters), clusterOwner
+	s.clusterCount = total
 	for i := range s.shards {
-		s.shards[i] = build(NewClusterShard(users, own[i], idx[i], len(clusters), s.ctrs[i]))
+		s.shards[i] = build(newClusterShard(users, own[i], idx[i], total, s.ctrs[i]))
 		s.shards[i].EnableScratch()
 	}
 	return s, nil
@@ -361,25 +326,20 @@ func (s *Sharded) RegisterUser(c int, p *pref.Profile) {
 	}
 }
 
-// ActivateUser routes the activation to the owning shard: the shard that
-// owns the joined cluster for cluster-sharded engines (founding clusters
-// round-robin, continuing the construction-time assignment), round-robin
-// over users otherwise.
+// ActivateUser routes the activation to the owning shard: cluster i
+// lives on shard i mod shards, as ShardClusters dealt them and as a
+// founded cluster continues the deal, and a cluster of its own (cluster
+// < 0) on shard c mod shards, as its user's slot would have been dealt.
 func (s *Sharded) ActivateUser(c, cluster int) {
-	var sh int
-	if s.clusterOwner != nil {
-		if cluster >= len(s.clusterOwner) {
-			sh = cluster % len(s.shards)
-			s.clusterOwner = append(s.clusterOwner, sh)
-			s.clusterCount = cluster + 1
-			for _, e := range s.shards {
-				e.SetClusterTotal(s.clusterCount)
-			}
-		} else {
-			sh = s.clusterOwner[cluster]
-		}
-	} else {
+	sh := cluster % len(s.shards)
+	if cluster < 0 {
 		sh = c % len(s.shards)
+	}
+	if cluster >= s.clusterCount {
+		s.clusterCount = cluster + 1
+		for _, e := range s.shards {
+			e.SetClusterTotal(s.clusterCount)
+		}
 	}
 	for len(s.owner) <= c {
 		s.owner = append(s.owner, 0)

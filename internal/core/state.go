@@ -80,13 +80,13 @@ type StateEngine interface {
 }
 
 var (
-	_ StateEngine = (*Baseline)(nil)
 	_ StateEngine = (*FilterThenVerify)(nil)
 	_ StateEngine = (*Sharded)(nil)
 )
 
 // checkStateSize validates that a decoded state matches the engine's
-// user and cluster geometry before any slot is dereferenced.
+// user and cluster geometry before any slot is dereferenced: the
+// frontier lists, and the buffer lists a state carries.
 func checkStateSize(st *EngineState, users, clusters int) error {
 	if len(st.UserFronts) != users {
 		return fmt.Errorf("core: state has %d user frontiers, engine has %d users", len(st.UserFronts), users)
@@ -94,39 +94,23 @@ func checkStateSize(st *EngineState, users, clusters int) error {
 	if len(st.ClusterFronts) != clusters {
 		return fmt.Errorf("core: state has %d cluster frontiers, engine has %d clusters", len(st.ClusterFronts), clusters)
 	}
-	return nil
-}
-
-// CaptureState fills the slots of the users this instance maintains,
-// every class expanded to its member objects.
-func (s *UserShard) CaptureState(st *EngineState) {
-	for _, c := range s.Members {
-		st.UserFronts[c] = s.MemberObjects(s.Fronts[c])
+	if st.UserBuffers != nil && len(st.UserBuffers) != users {
+		return fmt.Errorf("core: state has %d user buffers, engine has %d users", len(st.UserBuffers), users)
 	}
-}
-
-// RestoreState checks the state's geometry, registers the alive objects
-// in the class table (resolveAlive), then rebuilds the maintained users'
-// frontiers and the target index. The engine must be freshly constructed.
-func (s *UserShard) RestoreState(st *EngineState) error {
-	if err := checkStateSize(st, len(s.Users), 0); err != nil {
-		return err
-	}
-	s.resolveAlive()
-	for _, c := range s.Members {
-		if err := s.Restore(s.Fronts[c], st.UserFronts[c], &s.TargetTracker, c); err != nil {
-			return err
-		}
+	if st.ClusterBuffers != nil && len(st.ClusterBuffers) != clusters {
+		return fmt.Errorf("core: state has %d cluster buffers, engine has %d clusters", len(st.ClusterBuffers), clusters)
 	}
 	return nil
 }
 
 // CaptureState fills the slots of the clusters this instance maintains
 // and their members' frontiers, every class expanded to its member
-// objects.
+// objects. A cluster of its own has no slot: its P_U is its member's P_c.
 func (s *ClusterShard) CaptureState(st *EngineState) {
 	for li, cl := range s.Clusters {
-		st.ClusterFronts[s.GlobalIndex(li)] = s.MemberObjects(s.ClusterFronts[li])
+		if !s.Own(li) {
+			st.ClusterFronts[s.GlobalIndex(li)] = s.MemberObjects(s.ClusterFronts[li])
+		}
 		for _, c := range cl.Members {
 			st.UserFronts[c] = s.MemberObjects(s.UserFronts[c])
 		}
@@ -138,13 +122,15 @@ func (s *ClusterShard) CaptureState(st *EngineState) {
 // clusters' filter frontiers, their members' frontiers, and the target
 // index. The engine must be freshly constructed.
 func (s *ClusterShard) RestoreState(st *EngineState) error {
-	if err := checkStateSize(st, len(s.Users), s.ClusterTotal()); err != nil {
+	if err := checkStateSize(st, len(s.Users), s.total); err != nil {
 		return err
 	}
 	s.resolveAlive()
 	for li, cl := range s.Clusters {
-		if err := s.Restore(s.ClusterFronts[li], st.ClusterFronts[s.GlobalIndex(li)], nil, 0); err != nil {
-			return err
+		if !s.Own(li) { // an own cluster's P_U is restored below, as its member's P_c
+			if err := s.Restore(s.ClusterFronts[li], st.ClusterFronts[s.GlobalIndex(li)], nil, 0); err != nil {
+				return err
+			}
 		}
 		for _, c := range cl.Members {
 			if err := s.Restore(s.UserFronts[c], st.UserFronts[c], &s.TargetTracker, c); err != nil {

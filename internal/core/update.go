@@ -19,19 +19,6 @@ import "repro/internal/pref"
 // RetractPreference (lifecycle.go) mends from the alive objects instead
 // of filtering.
 
-// ApplyPreference records that user c now also prefers value better over
-// value worse on attribute d, and repairs the user's frontier in place.
-// It fails if the tuple would break the strict-partial-order axioms.
-func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
-	if err := b.AddTuple(c, d, better, worse); err != nil {
-		return err
-	}
-	FilterFrontier(b.Fronts[c], b.Users[c], b.Ctr.AddVerify, func(id int) {
-		b.RemoveTarget(id, c)
-	})
-	return nil
-}
-
 // ApplyPreference records a new preference tuple for user c on attribute d
 // and repairs, in order: the user's cluster's common relation, the
 // cluster's filter frontier, and the user's own frontier. The exact
@@ -40,7 +27,8 @@ func (b *Baseline) ApplyPreference(c, d, better, worse int) error {
 // each object it evicts leaves every member frontier (it is dominated
 // under ≻_U, hence under every member's relation). The approximate
 // relation may move either way; the filter is then the same one-sided
-// repair the arrival path applies (Sec. 6.2's bounded inaccuracy).
+// repair the arrival path applies (Sec. 6.2's bounded inaccuracy). On a
+// cluster of its own the filter of P_U is Alg. 1's repair of P_c.
 func (f *FilterThenVerify) ApplyPreference(c, d, better, worse int) error {
 	defer f.staleAll()
 	return f.ApplyTuple(c, d, better, worse, func(li int, _ *pref.Profile) {

@@ -1,9 +1,11 @@
 // Package window implements Sec. 7 of the paper: continuous monitoring of
 // Pareto frontiers over alive objects under sliding-window semantics.
-// BaselineSW (Alg. 4) maintains per-user frontiers plus per-user Pareto
-// frontier buffers; FilterThenVerifySW (Alg. 5) shares one filter frontier
-// and one buffer per cluster, becoming FilterThenVerifyApproxSW when given
-// approximate common preference relations.
+// FilterThenVerifySW (Alg. 5) shares one filter frontier and one buffer
+// per cluster, becoming FilterThenVerifyApproxSW when given approximate
+// common preference relations. Over clusters of one user each
+// (NewBaselineSW) it is Alg. 4, per-user frontiers plus per-user Pareto
+// frontier buffers: PB_U is PB_c, P_U is P_c, and the member tier has
+// nothing to do.
 //
 // The Pareto frontier buffer PB (Def. 7.4) holds the alive objects not
 // dominated by any succeeding object: by Theorem 7.2 an object dominated
@@ -105,13 +107,13 @@
 // probes can cost more than they save; docs/PERFORMANCE.md, "Union
 // screen", has both regimes.
 //
-// NewSharded builds these engines as the shards of a core.Sharded — the
+// NewSharded builds the engine as the shards of a core.Sharded — the
 // engine a windowed Monitor runs on: each shard owns a disjoint slice of
-// the user set (core.UserShard / core.ClusterShard bookkeeping) plus its
-// own window ring and buffers, so arrival, expiry, and frontier mending
-// stay local to the shard and deliveries are identical for every shard
-// count. NewBaselineSW and NewFilterThenVerifySW build the same structs
-// standalone, owning every user. FilterThenVerifySW runs the calls that
+// the user set (core.ClusterShard bookkeeping) plus its own window ring
+// and buffers, so arrival, expiry, and frontier mending stay local to the
+// shard and deliveries are identical for every shard count. NewBaselineSW
+// and NewFilterThenVerifySW build the same struct standalone, owning
+// every user. FilterThenVerifySW runs the calls that
 // change a relation or the membership through core.ClusterShard's
 // orchestration, shared with the append-only engine — the recompute of
 // ≻_U, the Lemma 4.6 member mend — and supplies only the hook that

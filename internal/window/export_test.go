@@ -33,22 +33,16 @@ func viewOf(pb *buffer, p *pref.Profile, front *core.Frontier, members []int) Bu
 	}
 }
 
-// BufferViews returns PB_c of every maintained user.
-func (b *BaselineSW) BufferViews() []BufferView {
-	var out []BufferView
-	for _, c := range b.Members {
-		out = append(out, viewOf(b.buffers[c], b.Users[c], b.Fronts[c], []int{c}))
-	}
-	return out
-}
-
-// BufferViews returns PB_U of every maintained cluster that has members.
+// BufferViews returns PB_U of every maintained cluster that has members,
+// which on a cluster of its own is its member's PB_c.
 func (f *FilterThenVerifySW) BufferViews() []BufferView {
 	var out []BufferView
 	for li, cl := range f.Clusters {
 		if len(cl.Members) > 0 {
 			v := viewOf(f.buffers[li], cl.Common, f.ClusterFronts[li], cl.Members)
-			v.Union = f.screen(li)
+			if !f.Own(li) {
+				v.Union = f.screen(li)
+			}
 			out = append(out, v)
 		}
 	}
@@ -58,20 +52,13 @@ func (f *FilterThenVerifySW) BufferViews() []BufferView {
 // NewShardedViews is NewSharded that also hands out a reader of every
 // shard's buffers, which the harness keeps to itself.
 func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bool, w, workers int, ctr *stats.Counters) (*core.Sharded, func() []BufferView, error) {
-	var shards []interface{ BufferViews() []BufferView }
+	var shards []*FilterThenVerifySW
 	views := func() []BufferView {
 		var out []BufferView
 		for _, sh := range shards {
 			out = append(out, sh.BufferViews()...)
 		}
 		return out
-	}
-	if clusters == nil {
-		return core.ShardUsers(users, active, workers, ctr, func(s core.UserShard) core.ShardEngine {
-			e := newBaselineSW(s, w)
-			shards = append(shards, e)
-			return e
-		}), views, nil
 	}
 	eng, err := core.ShardClusters(users, clusters, active, workers, ctr, func(s core.ClusterShard) core.ShardEngine {
 		e := newFilterThenVerifySW(s, w)

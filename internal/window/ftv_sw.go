@@ -14,7 +14,9 @@ import (
 // Pareto frontier buffer PB_U (Theorem 7.5: PB_U ⊇ PB_c for every member,
 // so per-user buffers are unnecessary); each user keeps only P_c ⊆ P_U.
 // With approximate common preference relations the same engine is
-// FilterThenVerifyApproxSW.
+// FilterThenVerifyApproxSW. Over clusters of their own (NewBaselineSW) it
+// is Alg. 4: PB_U is the user's PB_c and P_U the user's P_c, and the
+// member tier has nothing left to do.
 type FilterThenVerifySW struct {
 	core.ClusterShard
 	buffers []*buffer // PB_U per maintained cluster
@@ -40,6 +42,13 @@ func NewFilterThenVerifySW(users []*pref.Profile, clusters []core.Cluster, w int
 	return newFilterThenVerifySW(core.AllClusters(users, clusters, ctr), w)
 }
 
+// NewBaselineSW creates the standalone Alg. 4 monitor with window size w:
+// per-user frontiers and Pareto frontier buffers, every user a cluster of
+// its own.
+func NewBaselineSW(users []*pref.Profile, w int, ctr *stats.Counters) *FilterThenVerifySW {
+	return NewFilterThenVerifySW(users, nil, w, ctr)
+}
+
 // newFilterThenVerifySW wraps one shard's bookkeeping into an engine with
 // its own window ring and a shared buffer per maintained cluster.
 func newFilterThenVerifySW(s core.ClusterShard, w int) *FilterThenVerifySW {
@@ -51,17 +60,13 @@ func newFilterThenVerifySW(s core.ClusterShard, w int) *FilterThenVerifySW {
 }
 
 // NewSharded builds the sliding-window engine for a community, window
-// size w: Alg. 4 shards when clusters is nil, Alg. 5 shards otherwise,
-// under the same contract as core.NewSharded. Each shard owns a disjoint
-// slice of the user set plus its own window ring and Pareto frontier
-// buffers, so arrival, expiry and mending all stay local to the shard:
-// every shard sees every object and ages it through an identical private
-// ring, which makes per-shard expiry equivalent to a single ring.
+// size w: Alg. 5 shards, or Alg. 4 shards when clusters is nil, under the
+// same contract as core.NewSharded. Each shard owns a disjoint slice of
+// the user set plus its own window ring and Pareto frontier buffers, so
+// arrival, expiry and mending all stay local to the shard: every shard
+// sees every object and ages it through an identical private ring, which
+// makes per-shard expiry equivalent to a single ring.
 func NewSharded(users []*pref.Profile, clusters []core.Cluster, active []bool, w, workers int, ctr *stats.Counters) (*core.Sharded, error) {
-	if clusters == nil {
-		return core.ShardUsers(users, active, workers, ctr,
-			func(s core.UserShard) core.ShardEngine { return newBaselineSW(s, w) }), nil
-	}
 	return core.ShardClusters(users, clusters, active, workers, ctr,
 		func(s core.ClusterShard) core.ShardEngine { return newFilterThenVerifySW(s, w) })
 }
@@ -83,10 +88,13 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 	}
 	co := f.Scratch.Start()
 	for ui := range f.Clusters {
-		if len(f.Clusters[ui].Members) == 0 {
-			continue
-		}
-		if f.arriveCluster(ui, oin) {
+		members := f.Clusters[ui].Members
+		switch {
+		case len(members) == 0 || !f.arriveCluster(ui, oin):
+		case f.Own(ui):
+			f.AddTarget(oin.ID, members[0])
+			co = append(co, members[0])
+		default:
 			co = f.verifyMembers(ui, oin, co)
 		}
 	}
@@ -100,7 +108,8 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 // (Procedure mendParetoFrontierUSW, decided by their shields), and each
 // member's P_c is mended from the updated P_U under ≻_c (see the package
 // comment for why the user tier needs its own dominance gate). An o_out
-// outside P_U is in no member's P_c either.
+// outside P_U is in no member's P_c either. On a cluster of its own P_U
+// is P_c, and only C_o follows (Alg. 4's mendParetoFrontierSW).
 //
 //paretomon:hotpath
 func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
@@ -114,7 +123,15 @@ func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
 	for _, o := range f.moved {
 		fu.Add(o)
 	}
-	f.mendMembers(ui, oout)
+	if !f.Own(ui) {
+		f.mendMembers(ui, oout)
+		return
+	}
+	c := f.Clusters[ui].Members[0]
+	f.RemoveTarget(oout.ID, c)
+	for _, o := range f.moved {
+		f.AddTarget(o.ID, c)
+	}
 }
 
 // mendMembers is tier 2 of an object's departure, by expiry or removal:
@@ -196,7 +213,9 @@ func byArrival(a, b object.Object) int { return compareID(a, b.ID) }
 // dominates — from P_U and the member frontiers too where they were
 // members — and admits o_in to the buffer (Procedures
 // updateParetoFrontierUSW and refreshParetoBufferSW at cluster
-// granularity). It returns whether o_in survives the filter.
+// granularity). It returns whether o_in survives the filter. On a cluster
+// of its own the walk is Alg. 4's, counted as verify work, and surviving
+// it is joining P_c.
 //
 //paretomon:hotpath
 func (f *FilterThenVerifySW) arriveCluster(ui int, oin object.Object) bool {
@@ -204,7 +223,7 @@ func (f *FilterThenVerifySW) arriveCluster(ui int, oin object.Object) bool {
 	f.Clusters[ui].Common.Prepare(oin, &po)
 	var shield, cmps int
 	shield, cmps, f.moved = f.buffers[ui].arrive(&po, oin, f.moved[:0])
-	f.Ctr.AddFilter(cmps)
+	f.CountTier(ui, cmps)
 	fu := f.ClusterFronts[ui]
 	for _, o := range f.moved {
 		fu.Remove(o.ID)

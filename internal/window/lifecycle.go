@@ -37,14 +37,11 @@ import (
 // FilterThenVerifySW shares the orchestration of every call that changes
 // a relation or the membership with the append-only engine
 // (core.ClusterShard), including the recompute of ≻_U and the Lemma 4.6
-// member mend, and supplies only its Resync hook. The comparisons count as
-// verify work on BaselineSW's buffers and filter work on
-// FilterThenVerifySW's.
+// member mend, and supplies only its Resync hook. The buffer comparisons
+// count as filter work on a shared cluster and as verify work on a
+// cluster of its own, where the buffer is its member's PB_c.
 
-var (
-	_ core.LifecycleEngine = (*BaselineSW)(nil)
-	_ core.LifecycleEngine = (*FilterThenVerifySW)(nil)
-)
+var _ core.LifecycleEngine = (*FilterThenVerifySW)(nil)
 
 // dominatorBelow returns the id of the youngest entry among list[:from]
 // that dominates list[i] under p, or noShield, and the comparisons spent.
@@ -149,79 +146,6 @@ func (b *buffer) reconcile(front *core.Frontier, left, joined func(id int)) {
 	}
 }
 
-// --- BaselineSW ---
-
-// RegisterUser appends profile p as user c (no structures yet).
-func (b *BaselineSW) RegisterUser(c int, p *pref.Profile) {
-	b.UserShard.RegisterUser(c, p)
-	b.buffers = append(b.buffers, nil)
-}
-
-// ActivateUser builds user c's buffer and frontier from the in-window
-// objects.
-func (b *BaselineSW) ActivateUser(c, _ int) {
-	b.Activate(c)
-	b.buffers[c] = newBuffer()
-	b.rebuildUser(c)
-}
-
-// RemoveUser drops user c's structures and target entries.
-func (b *BaselineSW) RemoveUser(c int) {
-	b.UserShard.RemoveUser(c)
-	b.buffers[c] = nil
-}
-
-// rebuildUser re-derives PB_c and P_c from the in-window objects under
-// user c's relation as it now stands.
-func (b *BaselineSW) rebuildUser(c int) {
-	b.Ctr.AddVerify(b.buffers[c].rebuild(b.win.aliveTail(), b.Users[c]))
-	b.reconcileUser(c)
-}
-
-// reconcileUser reads P_c, and with it C_o, off PB_c's shields.
-func (b *BaselineSW) reconcileUser(c int) {
-	b.buffers[c].reconcile(b.Fronts[c],
-		func(id int) { b.RemoveTarget(id, c) },
-		func(id int) { b.AddTarget(id, c) })
-}
-
-// ApplyPreference records that user c now also prefers better over worse
-// on attribute d, and rebuilds the user's buffer and frontier.
-func (b *BaselineSW) ApplyPreference(c, d, better, worse int) error {
-	if err := b.AddTuple(c, d, better, worse); err != nil {
-		return err
-	}
-	b.rebuildUser(c)
-	return nil
-}
-
-// RetractPreference takes the tuple out of user c's relation and rebuilds
-// the user's buffer and frontier.
-func (b *BaselineSW) RetractPreference(c, d, better, worse int) error {
-	if err := b.Users[c].Relation(d).Remove(better, worse); err != nil {
-		return err
-	}
-	b.rebuildUser(c)
-	return nil
-}
-
-// RemoveObject tombstones o's ring slot and takes o out of every user's
-// buffer and frontier, promoting what it kept out of either.
-func (b *BaselineSW) RemoveObject(o object.Object) {
-	if !b.win.knockOut(o.ID) {
-		return // expired or never in this window: no live structure holds it
-	}
-	alive := b.win.aliveTail()
-	for _, c := range b.Members {
-		held, cmps := b.buffers[c].depart(o, alive, b.Users[c])
-		b.Ctr.AddVerify(cmps)
-		if held {
-			b.reconcileUser(c)
-		}
-	}
-	b.DropTargets(o.ID)
-}
-
 // --- FilterThenVerifySW ---
 
 // ActivateUser joins user c to the given cluster (or founds it) and
@@ -250,7 +174,9 @@ func (f *FilterThenVerifySW) ApplyPreference(c, d, better, worse int) error {
 // buffer and union; a dormant one releases them. Otherwise a member's
 // relation or the membership changed, so the union screen is stale
 // whether or not ≻_U moved, and the tier is rebuilt if it did — always
-// for a cluster founded or revived, which had no relation.
+// for a cluster founded or revived, which had no relation, and for a
+// cluster of its own, whose relation is its member's profile, edited in
+// place: old is that same profile, and Equal cannot see the change.
 func (f *FilterThenVerifySW) resync(li int, old *pref.Profile) {
 	if li == len(f.buffers) {
 		f.buffers = append(f.buffers, newBuffer())
@@ -263,7 +189,7 @@ func (f *FilterThenVerifySW) resync(li int, old *pref.Profile) {
 		return
 	}
 	f.staleScreen(li)
-	if old == nil || !common.Equal(old) {
+	if old == nil || f.Own(li) || !common.Equal(old) {
 		f.rebuildCluster(li)
 	}
 }
@@ -271,21 +197,28 @@ func (f *FilterThenVerifySW) resync(li int, old *pref.Profile) {
 // rebuildCluster re-derives PB_U and P_U from the in-window objects under
 // cluster li's common relation as it now stands.
 func (f *FilterThenVerifySW) rebuildCluster(li int) {
-	f.Ctr.AddFilter(f.buffers[li].rebuild(f.win.aliveTail(), f.Clusters[li].Common))
+	f.CountTier(li, f.buffers[li].rebuild(f.win.aliveTail(), f.Clusters[li].Common))
 	f.reconcileCluster(li)
 }
 
 // reconcileCluster reads P_U off PB_U's shields; objects that leave it
-// leave the member frontiers too. Members gain nothing here: the callers
-// mend the ones an operation can promote for.
+// leave the member frontiers too. Members gain nothing here — the callers
+// mend the ones an operation can promote for — except on a cluster of its
+// own, where P_U is P_c and what enters joins C_o.
 func (f *FilterThenVerifySW) reconcileCluster(li int) {
-	f.buffers[li].reconcile(f.ClusterFronts[li], func(id int) { f.EvictFromMembers(li, id) }, nil)
+	var joined func(id int)
+	if f.Own(li) {
+		c := f.Clusters[li].Members[0]
+		joined = func(id int) { f.AddTarget(id, c) }
+	}
+	f.buffers[li].reconcile(f.ClusterFronts[li], func(id int) { f.EvictFromMembers(li, id) }, joined)
 }
 
 // RemoveObject tombstones o's ring slot and takes o out of every cluster
 // tier: PB_U and P_U promote what o kept out of them, then members whose
 // own frontier held o mend from the updated P_U (mirroring
-// expireCluster).
+// expireCluster) — on a cluster of its own, where P_U is P_c, the
+// reconcile is all of it.
 func (f *FilterThenVerifySW) RemoveObject(o object.Object) {
 	if !f.win.knockOut(o.ID) {
 		return
@@ -297,8 +230,12 @@ func (f *FilterThenVerifySW) RemoveObject(o object.Object) {
 			continue
 		}
 		held, cmps := f.buffers[li].depart(o, alive, cl.Common)
-		f.Ctr.AddFilter(cmps)
+		f.CountTier(li, cmps)
 		if !held {
+			continue
+		}
+		if f.Own(li) {
+			f.reconcileCluster(li)
 			continue
 		}
 		// o goes first, by hand: the members still holding it are how

@@ -17,10 +17,7 @@ import (
 // captured once and restored into each shard — per-shard state stays
 // keyed by user/cluster and restores under any worker count.
 
-var (
-	_ core.StateEngine = (*BaselineSW)(nil)
-	_ core.StateEngine = (*FilterThenVerifySW)(nil)
-)
+var _ core.StateEngine = (*FilterThenVerifySW)(nil)
 
 // tail returns the min(seen, w) youngest objects in arrival order.
 func (r *ring) tail() []object.Object {
@@ -95,44 +92,22 @@ func copyObjects(objs []object.Object) []object.Object {
 	return append([]object.Object(nil), objs...)
 }
 
-// CaptureState fills the maintained users' frontier slots (the shard's
-// own capture) and buffer slots, plus the (shard-identical) window ring.
-func (b *BaselineSW) CaptureState(st *core.EngineState) {
-	b.UserShard.CaptureState(st)
-	st.EnsureUserBuffers()
-	for _, c := range b.Members {
-		st.UserBuffers[c] = copyObjects(b.buffers[c].objects())
-	}
-	st.SetRing(b.win.seen, b.win.tail())
-}
-
-// RestoreState rebuilds the ring, then the maintained users' frontiers
-// and the target index (the shard's own restore), then their buffers.
-// The engine must be freshly constructed.
-func (b *BaselineSW) RestoreState(st *core.EngineState) error {
-	if !st.HasRing || st.UserBuffers == nil {
-		return fmt.Errorf("window: state missing ring or user buffers (captured from an append-only engine?)")
-	}
-	if err := restoreRing(b.win, &b.TargetTracker, st); err != nil {
-		return err
-	}
-	if err := b.UserShard.RestoreState(st); err != nil {
-		return err
-	}
-	for _, c := range b.Members {
-		b.buffers[c].restore(st.UserBuffers[c], b.Users[c])
-	}
-	return nil
-}
-
 // CaptureState fills the maintained clusters' frontier slots and their
-// members' (the shard's own capture), the clusters' buffer slots, and the
+// members' (the shard's own capture), the clusters' buffer slots — a
+// cluster of its own writes its buffer to its member's, as PB_c — and the
 // ring.
 func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
 	f.ClusterShard.CaptureState(st)
-	st.EnsureClusterBuffers()
-	for li := range f.Clusters {
-		st.ClusterBuffers[f.GlobalIndex(li)] = copyObjects(f.buffers[li].objects())
+	for li, cl := range f.Clusters {
+		if !f.Own(li) {
+			st.EnsureClusterBuffers()
+			st.ClusterBuffers[f.GlobalIndex(li)] = copyObjects(f.buffers[li].objects())
+			continue
+		}
+		st.EnsureUserBuffers()
+		for _, c := range cl.Members {
+			st.UserBuffers[c] = copyObjects(f.buffers[li].objects())
+		}
 	}
 	st.SetRing(f.win.seen, f.win.tail())
 }
@@ -141,8 +116,8 @@ func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
 // members' frontiers and the target index (the shard's own restore), then
 // the clusters' buffers. The engine must be freshly constructed.
 func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
-	if !st.HasRing || st.ClusterBuffers == nil {
-		return fmt.Errorf("window: state missing ring or cluster buffers (captured from a different engine?)")
+	if !st.HasRing {
+		return fmt.Errorf("window: state has no ring (captured from an append-only engine?)")
 	}
 	if err := restoreRing(f.win, &f.TargetTracker, st); err != nil {
 		return err
@@ -151,7 +126,17 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
 		return err
 	}
 	for li, cl := range f.Clusters {
-		f.buffers[li].restore(st.ClusterBuffers[f.GlobalIndex(li)], cl.Common)
+		bufs, i := st.ClusterBuffers, f.GlobalIndex(li)
+		if f.Own(li) {
+			if len(cl.Members) == 0 {
+				continue
+			}
+			bufs, i = st.UserBuffers, cl.Members[0]
+		}
+		if bufs == nil {
+			return fmt.Errorf("window: state missing buffers (captured from a different engine?)")
+		}
+		f.buffers[li].restore(bufs[i], cl.Common)
 	}
 	return nil
 }
@@ -159,12 +144,6 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
 // FastForward ages the engine, which must hold no object yet, by n
 // arrivals that were all removed: its next object is arrival n. It is how
 // an object sync joins a source whose older arrivals have expired.
-func (b *BaselineSW) FastForward(n int) {
-	b.win.skip(n)
-	b.Expire(n - 1)
-}
-
-// FastForward is BaselineSW.FastForward.
 func (f *FilterThenVerifySW) FastForward(n int) {
 	f.win.skip(n)
 	f.Expire(n - 1)

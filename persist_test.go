@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	paretomon "repro"
+	"repro/internal/core"
+	"repro/internal/object"
 	"repro/internal/storage"
 )
 
@@ -560,6 +562,55 @@ func TestRecoveryCorruptionHandling(t *testing.T) {
 				}
 				if _, err := paretomon.NewMonitor(com, opts...); !errors.Is(err, paretomon.ErrCorrupt) {
 					t.Errorf("%s, workers=%d: reopen err = %v, want ErrCorrupt", name, workers, err)
+				}
+			}
+		}
+	})
+
+	// A snapshot whose buffer list is shorter than the users (windowed
+	// Baseline) or the clusters (windowed FilterThenVerify) it is keyed by
+	// must be refused at reopen, not indexed past its end.
+	t.Run("snapshot buffer lists short", func(t *testing.T) {
+		engines := []struct {
+			name string
+			opts []paretomon.Option
+			list func(st *core.EngineState) *[][]object.Object
+		}{
+			{"baselineSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWindow(8)},
+				func(st *core.EngineState) *[][]object.Object { return &st.UserBuffers }},
+			{"ftvSW", []paretomon.Option{paretomon.WithBranchCut(1.2), paretomon.WithWindow(8)},
+				func(st *core.EngineState) *[][]object.Object { return &st.ClusterBuffers }},
+		}
+		for _, e := range engines {
+			for _, workers := range []int{1, 2} {
+				store := paretomon.NewMemStore()
+				opts := append([]paretomon.Option{paretomon.WithWorkers(workers), paretomon.WithStore(store)}, e.opts...)
+				m1, err := paretomon.NewMonitor(com, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				applyOps(t, m1, ops, 0, len(ops))
+				if err := m1.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				seq, body, ok, err := store.LoadSnapshot()
+				if err != nil || !ok {
+					t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+				}
+				snap, err := storage.UnmarshalSnapshot(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bufs := e.list(snap.Engine)
+				if len(*bufs) < 2 {
+					t.Fatalf("%s: the snapshot has %d buffers, want at least 2 to cut", e.name, len(*bufs))
+				}
+				*bufs = (*bufs)[:1]
+				if err := store.WriteSnapshot(seq, snap.Marshal()); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := paretomon.NewMonitor(com, opts...); !errors.Is(err, paretomon.ErrCorrupt) {
+					t.Errorf("%s, workers=%d: reopen err = %v, want ErrCorrupt", e.name, workers, err)
 				}
 			}
 		}

@@ -1025,3 +1025,39 @@ func TestApproxAndWindowedMonitorsUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// TestBaselineCountsOnlyVerifyWork runs Baseline, append-only and
+// windowed, through the lifecycle history at several worker counts: every
+// comparison is a verify comparison (the engine runs one tier per user,
+// never a shared one), the shards split the users, and the monitor
+// reports no clusters.
+func TestBaselineCountsOnlyVerifyWork(t *testing.T) {
+	for _, window := range []int{0, 24} {
+		for _, workers := range []int{1, 3, 4} {
+			t.Run(fmt.Sprintf("window=%d/workers=%d", window, workers), func(t *testing.T) {
+				users, asserted, ops := dupHistory(23, 260)
+				opts := []Option{WithAlgorithm(AlgorithmBaseline), WithWorkers(workers)}
+				if window > 0 {
+					opts = append(opts, WithWindow(window))
+				}
+				m, err := NewMonitor(dupSpace.community(t, users, asserted), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Close()
+				historyDigest(t, m, ops)
+				st := m.Stats()
+				if st.FilterComparisons != 0 || st.VerifyComparisons != st.Comparisons || st.Comparisons == 0 {
+					t.Errorf("comparisons %d = filter %d + verify %d, want all of them verify work and some made",
+						st.Comparisons, st.FilterComparisons, st.VerifyComparisons)
+				}
+				if st.Workers != workers {
+					t.Errorf("%d users dealt to %d shard(s), want %d", len(users), st.Workers, workers)
+				}
+				if cl := m.Clusters(); cl != nil {
+					t.Errorf("Clusters() = %v, want nil", cl)
+				}
+			})
+		}
+	}
+}
