@@ -9,7 +9,8 @@ import (
 // ingest path the benchmarks defend: core.Sharded dispatch, order.Rel,
 // the frontier update, the append-only engine's arrival scans (the filter
 // tier's linear and value-indexed scans and its plan, the verify tier,
-// which is all of Baseline's), the window engine's arrival and expiry.
+// which is all of Baseline's, and its scans over a member table), the
+// window engine's arrival and expiry.
 const hotpathDirective = "hotpath"
 
 // HotPathAlloc enforces the allocation discipline on functions marked

@@ -35,6 +35,15 @@ type FilterThenVerify struct {
 	// indexed scan, reused.
 	postings []valuePostings
 	scan     indexScan
+
+	// tables[ui] is cluster ui's member table, on the exact engine's
+	// shared clusters of at least memberMin members (membertable.go);
+	// memberScan is the verify tier's scratch over one. memberMin is
+	// memberTableMin; the benchmarks move it to price the table on every
+	// shared cluster or on none.
+	tables     []memberTable
+	memberScan memberScan
+	memberMin  int
 }
 
 // NewFilterThenVerify builds the standalone exact engine. Every user must
@@ -82,7 +91,7 @@ func NewBaselinePerObject(users []*pref.Profile, ctr *stats.Counters) *FilterThe
 // has run checkSubsumed over the shard's clusters.
 func newFilterThenVerify(s ClusterShard) *FilterThenVerify {
 	s.enable()
-	return &FilterThenVerify{ClusterShard: s}
+	return &FilterThenVerify{ClusterShard: s, memberMin: memberTableMin}
 }
 
 // checkSubsumed reports the first cluster whose common relation some
@@ -111,11 +120,13 @@ func unsubsumed(users []*pref.Profile, cl Cluster) int {
 }
 
 // Process implements Alg. 2: filter per cluster, then verify per member —
-// on a cluster of its own, Alg. 1's updateParetoFrontier alone. Clusters
-// whose last member was removed are dormant and skipped. An arrival whose
-// tuple is already alive (exact engine only) joins exactly the frontiers
-// its class is in: C_o is C_class, with no filter and no verify
-// comparison (Alg. 1's Identical case, taken once for every user).
+// on a cluster of its own, Alg. 1's updateParetoFrontier alone, and on a
+// cluster with a member table sharing each dominator a member's scan
+// finds (verifyMembers). Clusters whose last member was removed are
+// dormant and skipped. An arrival whose tuple is already alive (exact
+// engine only) joins exactly the frontiers its class is in: C_o is
+// C_class, with no filter and no verify comparison (Alg. 1's Identical
+// case, taken once for every user).
 func (f *FilterThenVerify) Process(o object.Object) []int {
 	f.Ctr.AddProcessed()
 	co := f.Scratch.Start()
@@ -133,6 +144,10 @@ func (f *FilterThenVerify) Process(o object.Object) []int {
 					co = append(co, members[0])
 				}
 			case f.updateClusterFrontier(ui, rep):
+				if t := f.memberTableOf(ui); t != nil {
+					co = f.verifyMembers(ui, t, rep, co)
+					continue
+				}
 				for _, c := range members {
 					if f.verifyUser(c, rep) {
 						co = append(co, c)
@@ -348,16 +363,21 @@ func (f *FilterThenVerify) growPostings() {
 	f.postings = append(f.postings, make([]valuePostings, len(f.Clusters)-len(f.postings))...)
 }
 
-// staleAll marks every cluster's postings stale. The lifecycle calls and
-// a restore write P_U without them, and recompute the cluster relations;
-// the next indexed scan rebuilds.
+// staleAll marks every cluster's postings and member table stale. The
+// lifecycle calls and a restore write P_U without the postings, and
+// change member relations, member lists and the cluster relations; the
+// next indexed scan and the next verify tier over a table rebuild.
 func (f *FilterThenVerify) staleAll() {
 	for i := range f.postings {
 		f.postings[i].forget()
 	}
+	for i := range f.tables {
+		f.tables[i].built = false
+	}
 }
 
-// RestoreState is ClusterShard's, with the postings marked stale.
+// RestoreState is ClusterShard's, with the postings and member tables
+// marked stale.
 func (f *FilterThenVerify) RestoreState(st *EngineState) error {
 	defer f.staleAll()
 	return f.ClusterShard.RestoreState(st)

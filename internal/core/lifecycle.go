@@ -153,8 +153,10 @@ func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(
 // --- FilterThenVerify ---
 
 // Every FilterThenVerify lifecycle call ends by marking the value
-// postings stale (staleAll): the repairs below write the filter frontiers
-// without them, and the next indexed arrival scan rebuilds.
+// postings and the member tables stale (staleAll): the repairs below
+// write the filter frontiers without the postings and change member
+// relations and lists under the tables, and the next arrival scan that
+// reads one rebuilds it.
 
 // ActivateUser joins user c to the given cluster (or founds it) and
 // builds c's frontier from the resynced filter frontier.

@@ -218,14 +218,23 @@ type indexRun struct {
 	t        *testing.T
 	w        *indexWorld
 	eng, ref *Sharded
-	users    [2][]*pref.Profile
-	active   []bool // user slots alive in both engines
+	users    [3][]*pref.Profile // eng's, ref's and ctl's
+	active   []bool             // user slots alive in every engine
 	members  [][]int
+
+	// ctl, when set (withControl), is a third engine: eng with its member
+	// tables off. eng's filter counts must then equal ctl's and its
+	// verify counts may only fall; ctl holds ref's verify counts.
+	ctl *Sharded
+	// counts is eng's totals after every step.
+	counts []stats.Counters
 }
 
 func newIndexRun(t *testing.T, w *indexWorld, workers int) *indexRun {
 	h := &indexRun{t: t, w: w}
-	h.eng, h.ref, h.users = w.engines(t, workers)
+	var users [2][]*pref.Profile
+	h.eng, h.ref, users = w.engines(t, workers)
+	h.users[0], h.users[1] = users[0], users[1]
 	for range w.asked {
 		h.active = append(h.active, true)
 	}
@@ -244,6 +253,13 @@ func (h *indexRun) arrive(objs []object.Object) {
 	for _, co := range h.eng.ProcessBatch(objs) {
 		got = append(got, slices.Clone(co))
 	}
+	if h.ctl != nil {
+		for j, co := range h.ctl.ProcessBatch(objs) {
+			if !slices.Equal(got[j], co) {
+				h.t.Fatalf("object %d delivered to %v, without member tables to %v", objs[j].ID, got[j], co)
+			}
+		}
+	}
 	want := h.ref.ProcessBatch(objs)
 	for j := range objs {
 		if !slices.Equal(got[j], want[j]) {
@@ -253,9 +269,10 @@ func (h *indexRun) arrive(objs []object.Object) {
 	h.agree("after arrivals")
 }
 
-// agree compares every P_U (members and scan order), every P_c and the
-// verify counts, holds the filter counts to at most the reference's, and
-// checks the postings against their scan lists.
+// agree compares every P_U (members and scan order), every P_c, every
+// C_o and the verify counts, holds the filter counts to at most the
+// reference's, and checks the postings against their scan lists. With a
+// control engine, the verify counts are compared through it.
 func (h *indexRun) agree(when string) {
 	h.t.Helper()
 	gotU, wantU := clusterFronts(h.eng), clusterFronts(h.ref)
@@ -275,7 +292,21 @@ func (h *indexRun) agree(when string) {
 			h.t.Fatalf("%s: P_c of user %d is %v, linear scan has %v", when, c, got, want)
 		}
 	}
+	for _, o := range h.w.alive {
+		if got, want := h.eng.Targets(o.ID), h.ref.Targets(o.ID); !slices.Equal(got, want) {
+			h.t.Fatalf("%s: C_o of object %d is %v, linear scan has %v", when, o.ID, got, want)
+		}
+	}
 	got, want := h.eng.Totals(), h.ref.Totals()
+	h.counts = append(h.counts, got)
+	if h.ctl != nil {
+		ctl := h.ctl.Totals()
+		if got.FilterComparisons != ctl.FilterComparisons || got.VerifyComparisons > ctl.VerifyComparisons {
+			h.t.Fatalf("%s: filter/verify comparisons %d/%d, without member tables %d/%d",
+				when, got.FilterComparisons, got.VerifyComparisons, ctl.FilterComparisons, ctl.VerifyComparisons)
+		}
+		got = ctl // the control, not eng, makes ref's verify comparisons
+	}
 	if got.VerifyComparisons != want.VerifyComparisons || got.FilterComparisons > want.FilterComparisons {
 		h.t.Fatalf("%s: filter/verify comparisons %d/%d, linear scan %d/%d",
 			when, got.FilterComparisons, got.VerifyComparisons, want.FilterComparisons, want.VerifyComparisons)
@@ -318,6 +349,11 @@ func (h *indexRun) applyBoth(what string, call func(s *Sharded) error) {
 	gotErr, wantErr := call(h.eng), call(h.ref)
 	if (gotErr == nil) != (wantErr == nil) {
 		h.t.Fatalf("%s: error %v, linear scan %v", what, gotErr, wantErr)
+	}
+	if h.ctl != nil {
+		if ctlErr := call(h.ctl); (ctlErr == nil) != (wantErr == nil) {
+			h.t.Fatalf("%s: error %v without member tables, linear scan %v", what, ctlErr, wantErr)
+		}
 	}
 	h.agree(what)
 }
@@ -364,13 +400,18 @@ func (h *indexRun) lifecycle(k int) {
 	case 3:
 		c, ci := len(h.active), w.r.Intn(len(h.members))
 		p := w.profile(3)
-		h.users[0], h.users[1] = append(h.users[0], p.Clone()), append(h.users[1], p.Clone())
+		for k := range h.users {
+			h.users[k] = append(h.users[k], p.Clone())
+		}
 		h.active = append(h.active, true)
 		h.members[ci] = append(h.members[ci], c)
 		h.applyBoth("AddUser", func(s *Sharded) error {
 			k := 0
-			if s == h.ref {
+			switch s {
+			case h.ref:
 				k = 1
+			case h.ctl:
+				k = 2
 			}
 			s.RegisterUser(c, h.users[k][c])
 			s.ActivateUser(c, ci)
