@@ -10,7 +10,8 @@ import (
 // the frontier update, the append-only engine's arrival scans (the filter
 // tier's linear and value-indexed scans and its plan, the verify tier,
 // which is all of Baseline's, and its scans over a member table), the
-// window engine's arrival and expiry.
+// window engine's arrival and expiry, and the windowed member tier
+// core.ClusterShard runs for all members at once over a member table.
 const hotpathDirective = "hotpath"
 
 // HotPathAlloc enforces the allocation discipline on functions marked

@@ -307,7 +307,7 @@ func (t *TupleClasses) MemberObjects(f *Frontier) []object.Object {
 // the capture expanded — mirroring membership into tr for a user
 // frontier (tr nil: a filter frontier). The objects must be alive: with
 // the table on, registered by an earlier Resolve.
-func (t *TupleClasses) Restore(f *Frontier, objs []object.Object, tr *TargetTracker, user int) error {
+func (t *TupleClasses) Restore(f *Frontier, objs []object.Object, tr interface{ AddTarget(key, user int) }, user int) error {
 	for _, o := range objs {
 		ci, ok := t.classOf(o.ID)
 		if !ok {

@@ -84,25 +84,17 @@
 // rebuilds them from the scan list. The per-object engines, the
 // approximate one and the windowed ones keep the linear scan.
 //
-// Second, a shared cluster of memberTableMin or more members keeps a
-// member table for its verify tier (membertable.go): per attribute and
-// value pair (x, y), a bitset over the member slots saying who has
-// x ≻ y, built from the members' closed relations on first use. The
-// verify scans compare through it instead of each member's own
-// comparison table, and a dominator p that one member's scan of P_c finds
-// rejects the arrival o for every member p dominates it for — one AND
-// over the attributes of p's cells — whose scans are then skipped. That
-// is exact: o is dominated by an alive object under their relation, so
-// their scan could only end in Right, and it would evict nothing (a P_c
-// member o dominated would be dominated by p too). Every P_c, its scan
-// order and every delivery are the per-member scans'; the verify count
-// drops by the skipped scans and rises by one per member-set evaluation.
-// The table goes stale with the postings; a value interned after its
-// build reads as unordered (ordering one takes a lifecycle call), and a
-// domain past order.TableMaxN turns it off for as long as it lasts, so the
-// counts never depend on when a shard last built it. Own clusters,
-// smaller clusters, the per-object engines, the approximate one and the
-// windowed ones keep the per-member scans.
+// Second, a shared cluster of memberTableMin or more members verifies
+// through its member table (membertable.go, kept by ClusterShard for both
+// families): per attribute and value pair (x, y), a bitset over the
+// member slots saying who has x ≻ y. A dominator p that one member's scan
+// of P_c finds rejects the arrival for every member p dominates it for —
+// one AND over p's cells — and their scans, which could only end in Right
+// and evict nothing, are skipped. Every P_c, its scan order and every
+// delivery are the per-member scans'; the verify count drops by the
+// skipped scans and rises by one per member-set evaluation. Own clusters,
+// smaller clusters, the per-object and the approximate engines keep the
+// per-member scans.
 //
 // The sliding-window counterparts (Sec. 7) live in internal/window; the
 // similarity measures and clustering in internal/cluster; the

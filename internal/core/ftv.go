@@ -36,12 +36,9 @@ type FilterThenVerify struct {
 	postings []valuePostings
 	scan     indexScan
 
-	// tables[ui] is cluster ui's member table, on the exact engine's
-	// shared clusters of at least memberMin members (membertable.go);
-	// memberScan is the verify tier's scratch over one. memberMin is
-	// memberTableMin; the benchmarks move it to price the table on every
-	// shared cluster or on none.
-	tables     []memberTable
+	// The verify tier reads the member table of a shared cluster of at
+	// least memberMin (memberTableMin; only benchmarks move it) members,
+	// with memberScan as its scratch (membertable.go).
 	memberScan memberScan
 	memberMin  int
 }
@@ -363,21 +360,17 @@ func (f *FilterThenVerify) growPostings() {
 	f.postings = append(f.postings, make([]valuePostings, len(f.Clusters)-len(f.postings))...)
 }
 
-// staleAll marks every cluster's postings and member table stale. The
-// lifecycle calls and a restore write P_U without the postings, and
-// change member relations, member lists and the cluster relations; the
-// next indexed scan and the next verify tier over a table rebuild.
+// staleAll marks every cluster's postings stale. The lifecycle calls and
+// a restore write P_U without the postings; the next indexed scan
+// rebuilds them. The member tables follow the lifecycle calls one member
+// at a time instead (ClusterShard).
 func (f *FilterThenVerify) staleAll() {
 	for i := range f.postings {
 		f.postings[i].forget()
 	}
-	for i := range f.tables {
-		f.tables[i].built = false
-	}
 }
 
-// RestoreState is ClusterShard's, with the postings and member tables
-// marked stale.
+// RestoreState is ClusterShard's, with the postings marked stale.
 func (f *FilterThenVerify) RestoreState(st *EngineState) error {
 	defer f.staleAll()
 	return f.ClusterShard.RestoreState(st)

@@ -123,25 +123,24 @@ func MendFrontier(f *Frontier, cands []object.Object, p *pref.Profile, count fun
 }
 
 // FilterFrontier is the inverse repair, for a grown relation: it evicts
-// every member of f that another member dominates under p. Grown
-// preferences only add dominance pairs, so the pairwise filter is exact
-// (see update.go). Every dominance test invokes count; evicted is called
-// with each removed id.
-func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(id int)) {
+// every member of f that another member dominates under the relation dm
+// reads. Grown preferences only add dominance pairs, so the pairwise
+// filter is exact (see update.go). Every dominance test invokes count;
+// evicted is called with each removed id.
+func FilterFrontier(f *Frontier, dm *dominance, count func(int), evicted func(id int)) {
 	for _, id := range f.IDs() {
 		o, ok := f.ByID(id)
 		if !ok {
 			continue // removed by an earlier iteration
 		}
-		var po pref.Probe
-		p.Prepare(o, &po)
+		dm.fix(o)
 		for j := 0; j < f.Len(); j++ {
 			op := f.At(j)
 			if op.ID == id {
 				continue
 			}
 			count(1)
-			if po.DominatedBy(op) {
+			if dm.by(op) {
 				f.Remove(id)
 				evicted(id)
 				break
@@ -153,10 +152,8 @@ func FilterFrontier(f *Frontier, p *pref.Profile, count func(int), evicted func(
 // --- FilterThenVerify ---
 
 // Every FilterThenVerify lifecycle call ends by marking the value
-// postings and the member tables stale (staleAll): the repairs below
-// write the filter frontiers without the postings and change member
-// relations and lists under the tables, and the next arrival scan that
-// reads one rebuilds it.
+// postings stale (staleAll): the repairs below write the filter frontiers
+// without them. The member tables follow each call in ClusterShard.
 
 // ActivateUser joins user c to the given cluster (or founds it) and
 // builds c's frontier from the resynced filter frontier.

@@ -198,9 +198,10 @@ func TestMemberTableRestoreContinuesLikeLive(t *testing.T) {
 }
 
 // TestMemberTableVerifyDoesNotAllocate: once the table and the engine's
-// scratch exist, the verify tier over a table allocates nothing, and
-// neither does rebuilding the table in place after an ApplyPreference
-// over unchanged domains. The arrivals are dominated under the cluster
+// scratch exist, the verify tier over a table allocates nothing; an
+// ApplyPreference rewrites its member's column and leaves the table
+// current, and neither that rewrite nor rebuilding the table in place
+// over unchanged domains allocates. The arrivals are dominated under the cluster
 // relation by an alive object, so every member's scan rejects them and
 // changes nothing: the measurement can repeat them.
 func TestMemberTableVerifyDoesNotAllocate(t *testing.T) {
@@ -244,8 +245,15 @@ func TestMemberTableVerifyDoesNotAllocate(t *testing.T) {
 			applied = true
 		}
 	}
-	if !applied || f.tables[0].built {
-		t.Fatal("no ApplyPreference marked the table stale")
+	if !applied || !f.tables[0].built {
+		t.Fatal("no ApplyPreference was applied, or it dropped the table instead of rewriting a column")
+	}
+	if err := f.CheckMemberTable(0); err != nil {
+		t.Fatal(err)
+	}
+	m := int(f.slot[c])
+	if allocs := testing.AllocsPerRun(10, func() { f.tables[0].refresh(f.Users, m, -1) }); allocs != 0 {
+		t.Fatalf("rewriting a member's columns allocates %.1f times", allocs)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		f.tables[0].built = false

@@ -110,6 +110,17 @@ type ClusterShard struct {
 	// (the exact engines). The monitor wires approx.Profile for the
 	// approximate one.
 	commonFn CommonFn
+
+	// tables[li] is cluster li's member table (membertable.go); home[c]
+	// and slot[c] place user c in it: its local cluster (-1 outside the
+	// maintained clusters) and its member slot. holding says whether C_o
+	// writes are mirrored into the tables' holder words, and tier is the
+	// windowed member tier's scratch.
+	tables  []memberTable
+	home    []int32
+	slot    []int32
+	holding bool
+	tier    memberTier
 }
 
 // newClusterShard builds the bookkeeping for a subset of the monitor's
@@ -125,11 +136,20 @@ func newClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int,
 		Ctr:           ctr,
 		globalIdx:     globalIdx,
 		total:         total,
+		tables:        make([]memberTable, len(clusters)),
+		home:          make([]int32, len(users)),
+		slot:          make([]int32, len(users)),
+	}
+	for c := range s.home {
+		s.home[c], s.slot[c] = -1, -1
 	}
 	for i, cl := range clusters {
 		s.ClusterFronts[i] = NewFrontier()
-		for _, c := range cl.Members {
+		s.tables[i].users = slices.Clone(cl.Members)
+		s.tables[i].words = wordsFor(len(cl.Members))
+		for m, c := range cl.Members {
 			s.UserFronts[c] = s.memberFront(i)
+			s.home[c], s.slot[c] = int32(i), int32(m)
 		}
 	}
 	return s
@@ -286,12 +306,8 @@ func (s *ClusterShard) GlobalIndex(li int) int { return s.globalIdx[li] }
 
 // ClusterOf locates the (local) cluster containing user c.
 func (s *ClusterShard) ClusterOf(c int) int {
-	for li, cl := range s.Clusters {
-		for _, m := range cl.Members {
-			if m == c {
-				return li
-			}
-		}
+	if li := s.home[c]; li >= 0 {
+		return int(li)
 	}
 	panic(fmt.Sprintf("core: user %d not in any cluster", c))
 }
@@ -303,6 +319,8 @@ func (s *ClusterShard) RegisterUser(c int, p *pref.Profile) {
 	}
 	s.Users = append(s.Users, p)
 	s.UserFronts = append(s.UserFronts, nil)
+	s.home = append(s.home, -1)
+	s.slot = append(s.slot, -1)
 }
 
 // Resync brings cluster li's filter tier in line after its common
@@ -328,6 +346,7 @@ func (s *ClusterShard) JoinCluster(c, cluster int, resync Resync) {
 	if li < 0 {
 		li = s.found(cluster)
 	}
+	s.home[c], s.slot[c] = int32(li), int32(s.tables[li].seat(s.Users, c))
 	s.UserFronts[c] = s.memberFront(li)
 	s.Clusters[li].Members = append(s.Clusters[li].Members, c)
 	s.recommon(li, resync)
@@ -339,6 +358,7 @@ func (s *ClusterShard) JoinCluster(c, cluster int, resync Resync) {
 func (s *ClusterShard) found(cluster int) int {
 	s.Clusters = append(s.Clusters, Cluster{})
 	s.ClusterFronts = append(s.ClusterFronts, NewFrontier())
+	s.tables = append(s.tables, memberTable{})
 	s.globalIdx = append(s.globalIdx, cluster)
 	s.SetClusterTotal(cluster + 1)
 	return len(s.Clusters) - 1
@@ -356,7 +376,9 @@ func (s *ClusterShard) LeaveCluster(c int, resync Resync) {
 	for _, id := range s.UserFronts[c].IDs() {
 		s.RemoveTarget(id, c)
 	}
+	s.tables[li].unseat(int(s.slot[c]))
 	s.UserFronts[c] = nil
+	s.home[c], s.slot[c] = -1, -1
 	s.recommon(li, resync)
 }
 
@@ -369,6 +391,7 @@ func (s *ClusterShard) RetractTuple(c, d, better, worse int, resync Resync) erro
 		return err
 	}
 	li := s.ClusterOf(c)
+	s.tables[li].refresh(s.Users, int(s.slot[c]), d)
 	s.recommon(li, resync)
 	s.mendMember(li, c)
 	return nil
@@ -389,11 +412,13 @@ func (s *ClusterShard) ApplyTuple(c, d, better, worse int, repair Resync) error 
 		return err
 	}
 	li := s.ClusterOf(c)
+	s.tables[li].refresh(s.Users, int(s.slot[c]), d)
 	s.recommon(li, repair)
 	if s.Own(li) {
 		return nil
 	}
-	FilterFrontier(s.UserFronts[c], s.Users[c], s.Ctr.AddVerify, func(id int) {
+	dm := s.memberDominance(li, c)
+	FilterFrontier(s.UserFronts[c], &dm, s.Ctr.AddVerify, func(id int) {
 		s.RemoveTarget(id, c)
 	})
 	return nil
@@ -439,15 +464,15 @@ func (s *ClusterShard) mendMember(li, c int) {
 // precede what they dominate.
 func (s *ClusterShard) Undominated(li, c int, x object.Object) bool {
 	fu := s.ClusterFronts[li]
-	var px pref.Probe
-	s.Users[c].Prepare(x, &px)
+	dm := s.memberDominance(li, c)
+	dm.fix(x)
 	for j := 0; j < fu.Len(); j++ {
 		op := fu.At(j)
 		if op.ID == x.ID {
 			continue
 		}
 		s.Ctr.AddVerify(1)
-		if px.DominatedBy(op) {
+		if dm.by(op) {
 			return false
 		}
 	}
@@ -471,7 +496,7 @@ func (s *ClusterShard) EvictFromMembers(li, id int) {
 // the (grown) common relation, propagating each eviction to the member
 // frontiers.
 func (s *ClusterShard) FilterClusterFrontier(li int) {
-	FilterFrontier(s.ClusterFronts[li], s.Clusters[li].Common, s.tierCount(li), func(id int) {
+	FilterFrontier(s.ClusterFronts[li], &dominance{p: s.Clusters[li].Common}, s.tierCount(li), func(id int) {
 		s.EvictFromMembers(li, id)
 	})
 }

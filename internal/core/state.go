@@ -133,7 +133,7 @@ func (s *ClusterShard) RestoreState(st *EngineState) error {
 			}
 		}
 		for _, c := range cl.Members {
-			if err := s.Restore(s.UserFronts[c], st.UserFronts[c], &s.TargetTracker, c); err != nil {
+			if err := s.Restore(s.UserFronts[c], st.UserFronts[c], s, c); err != nil {
 				return err
 			}
 		}

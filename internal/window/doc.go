@@ -71,41 +71,23 @@
 // The third: Alg. 5's member tier compares member by member — each member
 // scans P_c for o_in, and on a departure each holder scans P_U for the
 // objects o_out suppressed and each of those against P_U again (Lemma
-// 4.6) — although most of those pairs are incomparable for every member
-// of the cluster. Each cluster therefore keeps the union of its members'
-// relations, per attribute one table of OR-ed Rel codes (pref.Union), and
-// one probe answers for all members at once. The argument is a necessary
-// condition: if some member has a ≻_c b, then on every attribute where a
-// and b differ that member, hence the union, prefers a's value, so the
-// AND of the union's cells keeps the "a ≻ b" bit. A pair whose mask lacks
-// it cannot be a ≻ b for any member, and a mask of 0 means incomparable
-// for all of them. The screen decides which comparisons are made, never
-// their outcome:
-//
-//   - Arrival: one pass over P_U lists the entries some member could
-//     order against o_in; each member walks that list, skipping the
-//     entries it does not hold (P_c ⊆ P_U, a bit test), and prepares o_in
-//     only if it meets one. The order is immaterial, since o_in cannot
-//     dominate one entry of the antichain P_c and be dominated by, or equal
-//     to, another.
-//   - Departure: one pass over P_U lists the entries o_out could dominate
-//     for some member, the only candidates any holder can promote. Each
-//     candidate's Lemma 4.6 scan keeps the P_U entries that could dominate
-//     it for some member, screened only as far as a member has had to
-//     look, and every later member walks those first.
-//
-// Each probe is a counted comparison. Every filter-passing arrival is
-// screened; a departure is screened when two or more members held o_out
-// (one holder walks P_U itself, which is what one pass of probes would
-// cost). Anything that changes a member's relation or the membership
-// (ApplyPreference — whether or not ≻_U moved —, RetractPreference,
-// ActivateUser, RemoveUser) marks the union stale; it is rebuilt in place
-// on its next use. A value interned after the build lies outside the
-// tables and reads as unordered against every other value: no member can
-// order it without one of those calls. With clusters of two or three
-// users over a short window, whose scans are short and stop early, the
-// probes can cost more than they save; docs/PERFORMANCE.md, "Union
-// screen", has both regimes.
+// 4.6). Here it runs for all members of a cluster at once
+// (core.ClusterShard.AdmitToMembers and MendMembers) over the cluster's
+// member table — per attribute and value pair, the members that order it,
+// so one AND over two objects' cells names every member for whom the one
+// dominates the other — and each P_U entry's holders, C_o restricted to
+// the cluster. On arrival each P_U entry p is probed once, for the members
+// holding it that have not rejected o_in yet: p ≻_c o_in rejects, o_in ≻_c
+// p evicts. On a departure the candidates of entry x are the holders of
+// o_out that lack x and for whom o_out ≻_c x; every other P_U entry clears
+// the members it dominates x for, and the rest promote x. Every verdict is
+// the member's own: P_c is an antichain under ≻_c, for the exact and the
+// approximate ≻̂_U alike, so o_in cannot be dominated by one entry of P_c
+// and dominate another, and the order of the probes changes nothing. A
+// probe is one counted comparison. The table follows the lifecycle calls
+// one member at a time; a value interned after its build reads as
+// unordered, and a domain past order.TableMaxN is read through the
+// members' own relations.
 //
 // NewSharded builds the engine as the shards of a core.Sharded — the
 // engine a windowed Monitor runs on: each shard owns a disjoint slice of

@@ -12,15 +12,15 @@ const NoShield = noShield
 // BufferView is one Pareto frontier buffer with everything the shield
 // invariant speaks about: its relation, its entries and their shields in
 // arrival order, the frontier it backs, and the users served from it —
-// and, for a cluster's buffer, the union relation screening its members'
-// tier, as the engine would use it next.
+// and, for a cluster's buffer, the first disagreement of its member table
+// with the members' relations and C_o (core.ClusterShard.CheckMemberTable).
 type BufferView struct {
 	Relation *pref.Profile
 	IDs      []int
 	Shields  []int
 	Frontier []int
 	Members  []int
-	Union    *pref.Union // nil under Alg. 4
+	TableErr error
 }
 
 func viewOf(pb *buffer, p *pref.Profile, front *core.Frontier, members []int) BufferView {
@@ -41,7 +41,7 @@ func (f *FilterThenVerifySW) BufferViews() []BufferView {
 		if len(cl.Members) > 0 {
 			v := viewOf(f.buffers[li], cl.Common, f.ClusterFronts[li], cl.Members)
 			if !f.Own(li) {
-				v.Union = f.screen(li)
+				v.TableErr = f.CheckMemberTable(li)
 			}
 			out = append(out, v)
 		}

@@ -20,19 +20,11 @@ import (
 type FilterThenVerifySW struct {
 	core.ClusterShard
 	buffers []*buffer // PB_U per maintained cluster
-	unions  []union   // ∪≻_c per maintained cluster: the member tier's screen
 	win     *ring
 
 	// moved is the scratch frontier changes are reported into: the P_U
-	// members an arrival evicted, the entries an expiry promoted into P_U,
-	// the P_U members a departure promoted into one member's P_c.
+	// members an arrival evicted, the entries an expiry promoted into P_U.
 	moved []object.Object
-
-	// Scratch of the screened member tier (screen.go), as positions in
-	// P_U, which the member tier never changes: near holds what the last
-	// screen passed, lemma one departure's Lemma 4.6 lists.
-	near  []int32
-	lemma []lemmaList
 }
 
 // NewFilterThenVerifySW creates the standalone monitor with window size
@@ -52,7 +44,8 @@ func NewBaselineSW(users []*pref.Profile, w int, ctr *stats.Counters) *FilterThe
 // newFilterThenVerifySW wraps one shard's bookkeeping into an engine with
 // its own window ring and a shared buffer per maintained cluster.
 func newFilterThenVerifySW(s core.ClusterShard, w int) *FilterThenVerifySW {
-	f := &FilterThenVerifySW{ClusterShard: s, buffers: make([]*buffer, len(s.Clusters)), unions: make([]union, len(s.Clusters)), win: newRing(w)}
+	s.KeepHolders()
+	f := &FilterThenVerifySW{ClusterShard: s, buffers: make([]*buffer, len(s.Clusters)), win: newRing(w)}
 	for i := range f.buffers {
 		f.buffers[i] = newBuffer()
 	}
@@ -95,7 +88,7 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 			f.AddTarget(oin.ID, members[0])
 			co = append(co, members[0])
 		default:
-			co = f.verifyMembers(ui, oin, co)
+			co = f.AdmitToMembers(ui, oin, co)
 		}
 	}
 	slices.Sort(co)
@@ -105,11 +98,10 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 
 // expireCluster handles o_out for one cluster: it leaves PB_U and P_U, the
 // buffered objects it was the last alive ≻_U-dominator of enter P_U
-// (Procedure mendParetoFrontierUSW, decided by their shields), and each
-// member's P_c is mended from the updated P_U under ≻_c (see the package
-// comment for why the user tier needs its own dominance gate). An o_out
-// outside P_U is in no member's P_c either. On a cluster of its own P_U
-// is P_c, and only C_o follows (Alg. 4's mendParetoFrontierSW).
+// (Procedure mendParetoFrontierUSW, decided by their shields), and the
+// members mend from the updated P_U (core.ClusterShard.MendMembers, under
+// ≻_c: see the package comment). An o_out outside P_U is in no P_c
+// either. On a cluster of its own P_U is P_c, and only C_o follows.
 //
 //paretomon:hotpath
 func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
@@ -124,7 +116,7 @@ func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
 		fu.Add(o)
 	}
 	if !f.Own(ui) {
-		f.mendMembers(ui, oout)
+		f.MendMembers(ui, oout)
 		return
 	}
 	c := f.Clusters[ui].Members[0]
@@ -133,80 +125,6 @@ func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
 		f.AddTarget(o.ID, c)
 	}
 }
-
-// mendMembers is tier 2 of an object's departure, by expiry or removal:
-// out leaves every member frontier holding it, and each such member
-// promotes the P_U objects whose only ≻_c shield was out (Procedure
-// mendParetoFrontierSW). Members whose P_c did not hold out are skipped:
-// any object it dominated per c is still dominated by out's own
-// dominator. P_U is walked in place — tier 2 never changes it, and the
-// Lemma 4.6 scan makes the order immaterial — and only what a member
-// promotes (rarely more than two objects) is put in arrival order before
-// it enters P_c. Both membership questions — which members
-// hold out, which candidates c already holds — are read off C_o
-// (core.TargetTracker.Holds), a bit test where the frontier's index would
-// be a probe. A lone holder tests a candidate by the shared Lemma 4.6
-// scan (core.ClusterShard.Undominated). When two or more members hold
-// out, one screened pass (screenDeparture) first narrows P_U to the
-// entries out could dominate for some member, every holder walks only
-// those, and the holders share one screened Lemma 4.6 scan per candidate
-// (undominatedNear).
-//
-//paretomon:hotpath
-func (f *FilterThenVerifySW) mendMembers(ui int, out object.Object) {
-	fu := f.ClusterFronts[ui]
-	screened := f.holders(ui, out.ID) >= 2
-	if screened {
-		f.screenDeparture(ui, out)
-	}
-	for _, c := range f.Clusters[ui].Members {
-		if !f.Holds(out.ID, c) {
-			continue
-		}
-		fc := f.UserFronts[c]
-		fc.Remove(out.ID)
-		f.RemoveTarget(out.ID, c)
-		var po pref.Probe
-		f.Users[c].Prepare(out, &po)
-		f.moved = f.moved[:0]
-		n := fu.Len()
-		if screened {
-			n = len(f.near)
-		}
-		for k := 0; k < n; k++ {
-			i := k
-			if screened {
-				i = int(f.near[k])
-			}
-			o := fu.At(i)
-			if f.Holds(o.ID, c) {
-				continue // already in P_c
-			}
-			f.Ctr.AddVerify(1)
-			if !po.Dominates(o) {
-				continue
-			}
-			var free bool
-			if screened {
-				free = f.undominatedNear(ui, c, o, k)
-			} else {
-				free = f.Undominated(ui, c, o)
-			}
-			if free {
-				f.moved = append(f.moved, o)
-			}
-		}
-		slices.SortFunc(f.moved, byArrival)
-		for _, o := range f.moved {
-			fc.Add(o)
-			f.AddTarget(o.ID, c)
-		}
-	}
-}
-
-// byArrival orders objects by id, which the stream assigns in arrival
-// order.
-func byArrival(a, b object.Object) int { return compareID(a, b.ID) }
 
 // arriveCluster runs the filter tier for o_in: one walk of PB_U decides
 // whether o_in survives the filter, evicts the buffered objects it

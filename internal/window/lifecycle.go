@@ -31,8 +31,6 @@ import (
 //     (depart): the older objects it alone kept out of the buffer
 //     re-enter, and they and the entries it shielded look for their next
 //     dominator among the entries older than it.
-//   - A changed member relation or membership also marks the cluster's
-//     union screen stale (screen.go); removals leave it alone.
 //
 // FilterThenVerifySW shares the orchestration of every call that changes
 // a relation or the membership with the append-only engine
@@ -171,24 +169,20 @@ func (f *FilterThenVerifySW) ApplyPreference(c, d, better, worse int) error {
 }
 
 // resync is the engine's core.Resync hook. A founded cluster gets its
-// buffer and union; a dormant one releases them. Otherwise a member's
-// relation or the membership changed, so the union screen is stale
-// whether or not ≻_U moved, and the tier is rebuilt if it did — always
-// for a cluster founded or revived, which had no relation, and for a
-// cluster of its own, whose relation is its member's profile, edited in
-// place: old is that same profile, and Equal cannot see the change.
+// buffer; a dormant one releases it. Otherwise the tier is rebuilt if ≻_U
+// moved — always for a cluster founded or revived, which had no relation,
+// and for a cluster of its own, whose relation is its member's profile,
+// edited in place: old is that same profile, and Equal cannot see the
+// change. The member table follows the call in core.ClusterShard.
 func (f *FilterThenVerifySW) resync(li int, old *pref.Profile) {
 	if li == len(f.buffers) {
 		f.buffers = append(f.buffers, newBuffer())
-		f.unions = append(f.unions, union{})
 	}
 	common := f.Clusters[li].Common
 	if common == nil {
 		f.buffers[li] = newBuffer()
-		f.unions[li] = union{}
 		return
 	}
-	f.staleScreen(li)
 	if old == nil || f.Own(li) || !common.Equal(old) {
 		f.rebuildCluster(li)
 	}
@@ -239,10 +233,10 @@ func (f *FilterThenVerifySW) RemoveObject(o object.Object) {
 			continue
 		}
 		// o goes first, by hand: the members still holding it are how
-		// mendMembers knows whom to mend.
+		// MendMembers knows whom to mend.
 		f.ClusterFronts[li].Remove(o.ID)
 		f.reconcileCluster(li)
-		f.mendMembers(li, o)
+		f.MendMembers(li, o)
 	}
 	f.DropTargets(o.ID)
 }

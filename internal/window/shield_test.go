@@ -88,7 +88,7 @@ type shieldWorld struct {
 	objs     []object.Object // every arrival, by id
 	removed  map[int]bool
 	slots    []object.Object // the ring: the last w arrivals, removed ones blanked
-	cases    map[string]int  // lifecycle cases a union screen must follow, as met
+	cases    map[string]int  // lifecycle cases a member table must follow, as met
 
 	eng   *core.Sharded
 	views func() []window.BufferView
@@ -196,7 +196,7 @@ func (s *shieldWorld) step() string {
 		o := object.Object{ID: len(s.objs), Attrs: make([]int32, len(s.doms))}
 		for d := range o.Attrs {
 			// Now and then a value no relation orders yet, interned behind
-			// the union screens' backs, as the Monitor interns arrivals.
+			// the member tables' backs, as the Monitor interns arrivals.
 			if r.Intn(16) == 0 {
 				o.Attrs[d] = int32(s.doms[d].Intern(fmt.Sprintf("late%d", s.doms[d].Size())))
 			} else {
@@ -338,8 +338,8 @@ func (s *shieldWorld) check(after string) {
 		if got := fixtures.Sorted(v.Frontier); !reflect.DeepEqual(got, fixtures.Sorted(unshielded)) {
 			s.t.Fatalf("after %s: frontier of %v is %v, the entries without a shield are %v", after, v.Members, got, unshielded)
 		}
-		if v.Union != nil {
-			s.checkUnion(after, v)
+		if v.TableErr != nil {
+			s.t.Fatalf("after %s: member table of %v: %v", after, v.Members, v.TableErr)
 		}
 		inFilter := map[int]bool{}
 		for _, id := range v.Frontier {
@@ -365,37 +365,6 @@ func (s *shieldWorld) check(after string) {
 	}
 }
 
-// checkUnion holds a cluster's union screen to a fresh OR of its members'
-// relations, cell by cell, values interned after its build included: a
-// union that missed a change to a member's relation or to the membership
-// would skip comparisons that matter, which is the one way the screen can
-// change output silently.
-func (s *shieldWorld) checkUnion(after string, v window.BufferView) {
-	s.t.Helper()
-	for d, dom := range s.doms {
-		for x := 0; x < dom.Size(); x++ {
-			for y := 0; y < dom.Size(); y++ {
-				if x == y {
-					continue // the probe never reads the diagonal
-				}
-				var want uint8
-				for _, c := range v.Members {
-					want |= s.users[c].Relation(d).Rel(x, y)
-				}
-				// Two objects that differ on d alone read the cell.
-				a, b := object.Object{Attrs: make([]int32, len(s.doms))}, object.Object{Attrs: make([]int32, len(s.doms))}
-				a.Attrs[d], b.Attrs[d] = int32(x), int32(y)
-				var up pref.UnionProbe
-				v.Union.Prepare(a, &up)
-				if got := up.Mask(b); got != want {
-					s.t.Fatalf("after %s: union of %v has %d for (%d, %d) on %d, its members' relations give %d",
-						after, v.Members, got, x, y, d, want)
-				}
-			}
-		}
-	}
-}
-
 // roundTrip replaces the engine by one of another shard count restored
 // from its captured state: the shields are not part of a snapshot and
 // have to come back exactly.
@@ -412,8 +381,8 @@ func (s *shieldWorld) roundTrip(workers int) {
 // updates and retractions, users joining and leaving — and across
 // capture/restore into another shard count — the window engines hold the
 // shield invariant and serve the definitional frontiers, and every
-// cluster's union screen is its members' relations OR-ed afresh. The
-// clustered histories must reach each lifecycle case a stale union could
+// cluster's member table is its members' relations and C_o. The
+// clustered histories must reach each lifecycle case a stale table could
 // hide in.
 func TestShieldInvariantThroughLifecycleHistories(t *testing.T) {
 	engines := []struct {

@@ -57,17 +57,6 @@ func (r *ring) restore(seen int, tail []object.Object) error {
 	return nil
 }
 
-// restoreRing rebuilds the ring from st and starts the C_o table at the
-// ring's oldest arrival: every id before it has expired (arrival indices
-// bound ids from below, as in restore).
-func restoreRing(r *ring, t *core.TargetTracker, st *core.EngineState) error {
-	if err := r.restore(st.RingSeen, st.Ring); err != nil {
-		return err
-	}
-	t.Expire(st.RingSeen - r.w - 1)
-	return nil
-}
-
 // skip ages an empty ring by n arrivals, every one of them removed.
 func (r *ring) skip(n int) {
 	for a := max(n-r.w, 0); a < n; a++ {
@@ -119,9 +108,12 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
 	if !st.HasRing {
 		return fmt.Errorf("window: state has no ring (captured from an append-only engine?)")
 	}
-	if err := restoreRing(f.win, &f.TargetTracker, st); err != nil {
+	if err := f.win.restore(st.RingSeen, st.Ring); err != nil {
 		return err
 	}
+	// The C_o table starts at the ring's oldest arrival: every id before
+	// it has expired (arrival indices bound ids from below, as in restore).
+	f.Expire(st.RingSeen - f.win.w - 1)
 	if err := f.ClusterShard.RestoreState(st); err != nil {
 		return err
 	}

@@ -75,17 +75,7 @@ func (r *ring) knockOut(id int) bool {
 // aliveTail returns the in-window objects in arrival order, skipping
 // tombstones: the candidate set for lifecycle mends.
 func (r *ring) aliveTail() []object.Object {
-	n := r.seen
-	if n > r.w {
-		n = r.w
-	}
-	out := make([]object.Object, 0, n)
-	for i := r.seen - n; i < r.seen; i++ {
-		if o := r.buf[i%r.w]; o.ID >= 0 {
-			out = append(out, o)
-		}
-	}
-	return out
+	return slices.DeleteFunc(r.tail(), func(o object.Object) bool { return o.ID < 0 })
 }
 
 // noShield marks a buffer entry that no alive object dominates: a member

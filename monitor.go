@@ -540,8 +540,9 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 
 // buildEngine constructs the engine — the one place that does — over the
 // monitor's community table, empty, for ingestion or RestoreState to
-// fill: append-only or windowed, per-user shards when clusters is nil
-// (Baseline) and whole-cluster shards otherwise. A fresh community is the
+// fill: append-only or windowed, over own clusters (one user each) when
+// clusters is nil (Baseline) and the given clusters otherwise, each shard
+// owning whole clusters. A fresh community is the
 // recovered case with every user alive: removed users own no frontier,
 // dormant clusters ride along as placeholders. The append-only engines
 // read the registry's alive objects; the windowed ones keep their own
