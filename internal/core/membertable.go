@@ -25,7 +25,7 @@ const memberTableMin = 64
 // m of cell (x, y) says the user seated in slot m has x ≻ y. It is the
 // Bitmap skyline method (Tan, Eng & Ooi, VLDB 2001) run across a
 // cluster's users: one AND over two objects' cells names every member for
-// whom the one dominates the other (order).
+// whom the one dominates the other (dominators).
 //
 // A member keeps its slot while it stays. The cells are built on first
 // use, then kept current one member at a time by the lifecycle calls: a
@@ -59,9 +59,8 @@ type memberScan struct {
 // memberTier is the windowed member tier's scratch: one member set, and a
 // departure's promotions, each to the members in cand[at:at+words].
 type memberTier struct {
-	set      []uint64
-	cand     []uint64
-	promoted []promotion
+	set, cand []uint64
+	promoted  []promotion
 }
 
 type promotion struct {
@@ -131,9 +130,9 @@ func (t *memberTable) rebuild(users []*pref.Profile, slots []int, doms []*order.
 	t.built = true
 }
 
-// writeColumn rewrites slot m's bits of attribute d from r (nil: clears
-// them). It reports false, the column part-written, if r orders a value
-// the cells do not cover.
+// writeColumn rewrites slot m's bits of attribute d from r. It reports
+// false, the column part-written, if r orders a value the cells do not
+// cover.
 func (t *memberTable) writeColumn(r *order.Relation, d, m int) bool {
 	n, cells := t.n[d], t.cells[d]
 	w, bit := m/wordBits, uint64(1)<<(m%wordBits)
@@ -141,7 +140,7 @@ func (t *memberTable) writeColumn(r *order.Relation, d, m int) bool {
 		cells[i] &^= bit
 	}
 	covered := true
-	for x := 0; r != nil && x < r.N() && covered; x++ {
+	for x := 0; x < r.N() && covered; x++ {
 		r.Succ(x).ForEach(func(y int) bool {
 			if covered = x < n && y < n; covered {
 				cells[(x*n+y)*t.words+w] |= bit
@@ -206,15 +205,6 @@ func (t *memberTable) seat(users []*pref.Profile, c int) int {
 	return m
 }
 
-// unseat frees slot m, whose member left; its holder bits are gone
-// already, since the leaver's frontier left C_o first.
-func (t *memberTable) unseat(m int) {
-	t.users[m] = -1
-	for d := range t.n {
-		t.writeColumn(nil, d, m)
-	}
-}
-
 // holders returns key's holder words, nil when the table keeps none for
 // it; they are valid until the next C_o write.
 //
@@ -267,31 +257,33 @@ func (t *memberTable) expireHolders(key int) {
 // tier reads; it must be called before any frontier is written.
 func (s *ClusterShard) KeepHolders() { s.holding = true }
 
-// heldIn returns the table user c's C_o writes are mirrored in, or nil:
-// on a shard that keeps no holders, and for a cluster of its own.
-func (s *ClusterShard) heldIn(c int) *memberTable {
-	if s.holding && s.home[c] >= 0 && !s.Own(int(s.home[c])) {
-		return &s.tables[s.home[c]]
-	}
-	return nil
-}
-
 // AddTarget records that key is Pareto-optimal for user c: in C_o, and in
 // the holder words of c's cluster where the shard keeps them.
 func (s *ClusterShard) AddTarget(key, c int) {
 	s.TargetTracker.AddTarget(key, c)
-	if t := s.heldIn(c); t != nil {
-		t.addHolder(key, int(s.slot[c]))
+	if s.holding {
+		s.hold(key, c, true)
 	}
 }
 
 // RemoveTarget records that key left user c's frontier.
 func (s *ClusterShard) RemoveTarget(key, c int) {
 	s.TargetTracker.RemoveTarget(key, c)
-	if t := s.heldIn(c); t != nil {
-		if h := t.holders(key); h != nil {
-			h[s.slot[c]/wordBits] &^= 1 << (s.slot[c] % wordBits)
-		}
+	if s.holding {
+		s.hold(key, c, false)
+	}
+}
+
+// hold sets or clears user c's bit in key's holder words, unless c's
+// cluster is a cluster of its own.
+func (s *ClusterShard) hold(key, c int, held bool) {
+	li, m := s.home[c], int(s.slot[c])
+	switch t := &s.tables[max(li, 0)]; {
+	case li < 0 || s.Own(int(li)):
+	case held:
+		t.addHolder(key, m)
+	case t.holders(key) != nil:
+		t.holders(key)[m/wordBits] &^= 1 << (m % wordBits)
 	}
 }
 
@@ -309,7 +301,9 @@ func (s *ClusterShard) DropTargets(key int) {
 func (s *ClusterShard) Expire(key int) {
 	s.TargetTracker.Expire(key)
 	for li := range s.tables {
-		s.tables[li].expireHolders(key)
+		if len(s.tables[li].hold) > 0 {
+			s.tables[li].expireHolders(key)
+		}
 	}
 }
 
@@ -376,7 +370,7 @@ func (t *memberTable) compare(sc *memberScan, m int, b object.Object) pref.Cmp {
 //paretomon:hotpath
 func (t *memberTable) dominatedFor(sc *memberScan, p object.Object) {
 	for w := range sc.rejected {
-		ab, _, _ := t.order(p, sc.o, w, ^uint64(0))
+		ab, _ := t.dominators(p, sc.o, w, ^uint64(0))
 		sc.rejected[w] |= ab
 	}
 }
@@ -438,53 +432,43 @@ scan:
 	return isPareto
 }
 
-// order probes a against b for the slots in word w of mask: those for
-// whom a ≻ b, those for whom b ≻ a, and whether the two are twins (then
-// the sets are meaningless). It ANDs the two objects' cells over the
-// attributes on which they differ; a value the cells do not cover leaves
-// nobody.
+// dominators returns the slots in word w of mask for whom a ≻ b, and
+// whether the two are twins (then the set is meaningless): the AND of
+// cells (a_d, b_d) over the attributes on which they differ. A value the
+// cells do not cover leaves nobody.
 //
 //paretomon:hotpath
-func (t *memberTable) order(a, b object.Object, w int, mask uint64) (ab, ba uint64, twin bool) {
-	ab, ba, twin = mask, mask, true
+func (t *memberTable) dominators(a, b object.Object, w int, mask uint64) (ab uint64, twin bool) {
+	ab, twin = mask, true
 	for d, n := range t.n {
 		x, y := int(a.Attrs[d]), int(b.Attrs[d])
 		if x == y {
 			continue
 		}
 		if uint(x) >= uint(n) || uint(y) >= uint(n) {
-			return 0, 0, false
+			return 0, false
 		}
-		cells := t.cells[d]
-		ab &= cells[(x*n+y)*t.words+w]
-		ba &= cells[(y*n+x)*t.words+w]
-		if twin = false; ab|ba == 0 {
-			return 0, 0, false
+		if twin, ab = false, ab&t.cells[d][(x*n+y)*t.words+w]; ab == 0 {
+			return 0, false
 		}
 	}
-	return ab, ba, twin
+	return ab, twin
 }
 
-// order is memberTable.order where on, and past order.TableMaxN each
-// member's own relation.
+// dominators is memberTable.dominators where on, and past
+// order.TableMaxN each member's own relation.
 //
 //paretomon:hotpath
-func (s *ClusterShard) order(t *memberTable, on bool, a, b object.Object, w int, mask uint64) (ab, ba uint64, twin bool) {
+func (s *ClusterShard) dominators(t *memberTable, on bool, a, b object.Object, w int, mask uint64) (ab uint64, twin bool) {
 	if on {
-		return t.order(a, b, w, mask)
-	}
-	if slices.Equal(a.Attrs, b.Attrs) {
-		return 0, 0, true
+		return t.dominators(a, b, w, mask)
 	}
 	for ; mask != 0; mask &= mask - 1 {
-		switch s.Users[t.users[w*wordBits+bits.TrailingZeros64(mask)]].Compare(a, b) {
-		case pref.Left:
+		if s.Users[t.users[w*wordBits+bits.TrailingZeros64(mask)]].Dominates(a, b) {
 			ab |= mask & -mask
-		case pref.Right:
-			ba |= mask & -mask
 		}
 	}
-	return ab, ba, false
+	return ab, slices.Equal(a.Attrs, b.Attrs)
 }
 
 // dominance tests whether an object dominates a fixed one: through a
@@ -523,7 +507,7 @@ func (dm *dominance) by(op object.Object) bool {
 	if dm.t == nil {
 		return dm.px.DominatedBy(op)
 	}
-	ab, _, twin := dm.s.order(dm.t, dm.on, op, dm.x, dm.w, dm.bit)
+	ab, twin := dm.s.dominators(dm.t, dm.on, op, dm.x, dm.w, dm.bit)
 	return !twin && ab != 0
 }
 
@@ -554,10 +538,11 @@ func (s *ClusterShard) AdmitToMembers(li int, o object.Object, co []int) []int {
 			if hw &^= rej[w]; hw == 0 {
 				continue
 			}
-			evict, reject, twin := s.order(t, on, o, p, w, hw)
+			evict, twin := s.dominators(t, on, o, p, w, hw)
 			if twin {
 				break
 			}
+			reject, _ := s.dominators(t, on, p, o, w, hw)
 			if !probed {
 				s.Ctr.AddVerify(1)
 				probed = true
@@ -662,7 +647,7 @@ func (s *ClusterShard) narrow(t *memberTable, on bool, a, b object.Object, cand 
 		if cw == 0 {
 			continue
 		}
-		ab, _, twin := s.order(t, on, a, b, w, cw)
+		ab, twin := s.dominators(t, on, a, b, w, cw)
 		if twin {
 			return !keep
 		}

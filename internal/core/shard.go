@@ -376,7 +376,10 @@ func (s *ClusterShard) LeaveCluster(c int, resync Resync) {
 	for _, id := range s.UserFronts[c].IDs() {
 		s.RemoveTarget(id, c)
 	}
-	s.tables[li].unseat(int(s.slot[c]))
+	// The leaver's slot is free; its holder bits left with its frontier,
+	// and its column, which nothing reads, is rewritten when it is next
+	// seated.
+	s.tables[li].users[s.slot[c]] = -1
 	s.UserFronts[c] = nil
 	s.home[c], s.slot[c] = -1, -1
 	s.recommon(li, resync)
