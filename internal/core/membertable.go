@@ -227,8 +227,8 @@ func (t *memberTable) addHolder(key, m int) {
 		t.base = key
 	}
 	i := (key - t.base) * t.words
-	if n := i + t.words - len(t.hold); n > 0 {
-		t.hold = append(t.hold, make([]uint64, n)...)
+	for len(t.hold) < i+t.words {
+		t.hold = append(t.hold, 0)
 	}
 	t.hold[i+m/wordBits] |= 1 << (m % wordBits)
 }
@@ -313,7 +313,7 @@ func (s *ClusterShard) Expire(key int) {
 //paretomon:hotpath
 func (t *memberTable) prepare(o object.Object, sc *memberScan) {
 	sc.o = o
-	sc.rejected = append(sc.rejected[:0], make([]uint64, t.words)...)
+	sc.rejected = clearedWords(sc.rejected, t.words)
 }
 
 // rejects reports whether a dominator found earlier already rejects the
@@ -511,6 +511,17 @@ func (dm *dominance) by(op object.Object) bool {
 	return !twin && ab != 0
 }
 
+// clearedWords returns buf resized to n words, all zero. (An append of a
+// make allocates the make under the race detector.)
+func clearedWords(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // AdmitToMembers is Alg. 5's member tier for o_in, which passed cluster
 // li's filter and joined P_U, for all members at once; it appends the
 // members whose frontier o_in joins to co. Each P_U entry p is probed
@@ -523,7 +534,7 @@ func (dm *dominance) by(op object.Object) bool {
 //paretomon:hotpath
 func (s *ClusterShard) AdmitToMembers(li int, o object.Object, co []int) []int {
 	t, on := s.tableOf(li)
-	s.tier.set = append(s.tier.set[:0], make([]uint64, t.words)...)
+	s.tier.set = clearedWords(s.tier.set, t.words)
 	rej := s.tier.set
 	members := s.Clusters[li].Members
 	open := len(members)
@@ -580,7 +591,7 @@ func (s *ClusterShard) AdmitToMembers(li int, o object.Object, co []int) []int {
 func (s *ClusterShard) MendMembers(li int, out object.Object) {
 	t, on := s.tableOf(li)
 	sc := &s.tier
-	sc.set = append(sc.set[:0], make([]uint64, t.words)...)
+	sc.set = clearedWords(sc.set, t.words)
 	left, held := sc.set, 0
 	copy(left, t.holders(out.ID))
 	for w, lw := range left {

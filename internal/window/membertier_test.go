@@ -28,11 +28,34 @@ type tierWorld struct {
 	refUsers []*pref.Profile
 	ref      *core.Sharded
 	workers  int
+	span     int // objects and preferences draw from the first span values; 0: from all
+}
+
+// value draws a value of attribute d interned so far, among the first
+// span of them.
+func (tw *tierWorld) value(d int) int {
+	if tw.span == 0 {
+		return tw.shieldWorld.value(d)
+	}
+	return tw.r.Intn(min(tw.doms[d].Size(), tw.span))
+}
+
+// randomProfile is shieldWorld's, drawing its pairs through tw.value.
+func (tw *tierWorld) randomProfile(edges int) *pref.Profile {
+	p := pref.NewProfile(tw.doms)
+	for d := range tw.doms {
+		for e := 0; e < edges; e++ {
+			p.Relation(d).Add(tw.value(d), tw.value(d))
+		}
+	}
+	return p
 }
 
 // newTierWorld builds a world of 2–3 attributes and the given clusters
-// over a window of 4–19 objects.
-func newTierWorld(t *testing.T, r *rand.Rand, clusters [][]int, workers int) *tierWorld {
+// over a window of 4–19 objects. With wide, the last attribute's domain
+// is past order.TableMaxN (the objects draw from its first values), so
+// the tier reads the members' own relations instead of the cells.
+func newTierWorld(t *testing.T, r *rand.Rand, clusters [][]int, workers int, wide bool) *tierWorld {
 	s := &shieldWorld{t: t, r: r, w: 4 + r.Intn(16), removed: map[int]bool{}, cases: map[string]int{}, commonFn: pref.Common, exact: true}
 	for d := 0; d < 2+r.Intn(2); d++ {
 		dom := order.NewDomain(string(rune('a' + d)))
@@ -42,9 +65,12 @@ func newTierWorld(t *testing.T, r *rand.Rand, clusters [][]int, workers int) *ti
 		s.doms = append(s.doms, dom)
 	}
 	tw := &tierWorld{shieldWorld: s, workers: workers}
+	for last := s.doms[len(s.doms)-1]; wide && last.Size() <= order.TableMaxN; tw.span = 2 * shieldDomSize {
+		last.Intern(fmt.Sprint("wide", last.Size()))
+	}
 	for _, members := range clusters {
 		for range members {
-			p := s.randomProfile(4)
+			p := tw.randomProfile(4)
 			s.users = append(s.users, p)
 			s.active = append(s.active, true)
 			tw.refUsers = append(tw.refUsers, p.Clone())
@@ -87,7 +113,7 @@ func (tw *tierWorld) step() string {
 				if r.Intn(16) == 0 { // a value no relation orders yet
 					o.Attrs[d] = int32(s.doms[d].Intern(fmt.Sprintf("late%d", s.doms[d].Size())))
 				} else {
-					o.Attrs[d] = int32(s.value(d))
+					o.Attrs[d] = int32(tw.value(d))
 				}
 			}
 			s.objs = append(s.objs, o)
@@ -118,7 +144,7 @@ func (tw *tierWorld) step() string {
 		return fmt.Sprintf("RemoveObject(%d)", id)
 	case k < 0.78:
 		d := r.Intn(len(s.doms))
-		x, y := s.value(d), s.value(d)
+		x, y := tw.value(d), tw.value(d)
 		if !s.users[c].Relation(d).CanAdd(x, y) {
 			return "nothing"
 		}
@@ -135,7 +161,7 @@ func (tw *tierWorld) step() string {
 		return fmt.Sprintf("RetractPreference(%d: %d>%d on %d)", c, tu.Better, tu.Worse, d)
 	case k < 0.94:
 		nu := len(s.users)
-		p := s.randomProfile(3)
+		p := tw.randomProfile(3)
 		s.users, tw.refUsers = append(s.users, p), append(tw.refUsers, p.Clone())
 		s.active = append(s.active, true)
 		tw.eng.RegisterUser(nu, p)
@@ -205,9 +231,9 @@ func (tw *tierWorld) roundTrip() {
 
 // runTierHistory plays steps operations, restores mid-stream, and ends
 // with every alive user's frontier held to Def. 7.1 (internal/oracle).
-func runTierHistory(t *testing.T, seed int64, clusters [][]int, workers, steps int) {
+func runTierHistory(t *testing.T, seed int64, clusters [][]int, workers, steps int, wide bool) {
 	r := rand.New(rand.NewSource(seed))
-	tw := newTierWorld(t, r, clusters, workers)
+	tw := newTierWorld(t, r, clusters, workers, wide)
 	restoreAt := steps/3 + r.Intn(steps/3+1)
 	for i := 0; i < steps; i++ {
 		tw.check(tw.step())
@@ -248,13 +274,17 @@ func tierClusters(sizes ...int) [][]int {
 // count: identical deliveries, P_c and C_o after every step, member
 // tables equal to the members' relations and holder words to C_o, and
 // the oracle's frontiers at the end. One community has a cluster of 70
-// members, so its member sets take two words.
+// members, so its member sets take two words; one has a domain past
+// order.TableMaxN, so its tier reads no cells.
 func TestMemberTierMatchesBaselineSW(t *testing.T) {
-	for _, sizes := range [][]int{{3, 4, 1}, {70, 2, 1}} {
+	for _, world := range []struct {
+		sizes []int
+		wide  bool
+	}{{[]int{3, 4, 1}, false}, {[]int{70, 2, 1}, false}, {[]int{3, 4, 1}, true}} {
 		for _, workers := range []int{1, 2, 3} {
 			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("clusters=%v/workers=%d/seed=%d", sizes, workers, seed), func(t *testing.T) {
-					runTierHistory(t, seed, tierClusters(sizes...), workers, 200)
+				t.Run(fmt.Sprintf("clusters=%v/wide=%v/workers=%d/seed=%d", world.sizes, world.wide, workers, seed), func(t *testing.T) {
+					runTierHistory(t, seed, tierClusters(world.sizes...), workers, 200, world.wide)
 				})
 			}
 		}
@@ -268,7 +298,7 @@ func FuzzMemberTier(f *testing.F) {
 	f.Add(int64(2), uint8(69), uint8(1), uint8(1), uint8(90))
 	f.Add(int64(3), uint8(1), uint8(1), uint8(2), uint8(120))
 	f.Fuzz(func(t *testing.T, seed int64, a, b, workers, steps uint8) {
-		runTierHistory(t, seed, tierClusters(1+int(a)%80, 1+int(b)%6, 1), 1+int(workers)%3, 20+int(steps)%120)
+		runTierHistory(t, seed, tierClusters(1+int(a)%80, 1+int(b)%6, 1), 1+int(workers)%3, 20+int(steps)%120, seed%7 == 0)
 	})
 }
 
