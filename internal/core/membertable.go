@@ -123,20 +123,20 @@ func (t *memberTable) rebuild(users []*pref.Profile, slots []int, doms []*order.
 	for m, c := range slots {
 		for d := range t.n {
 			if c >= 0 {
-				t.writeColumn(users[c].Relation(d), d, m)
+				t.writeColumn(users[c].Relation(d), d, m, false)
 			}
 		}
 	}
 	t.built = true
 }
 
-// writeColumn rewrites slot m's bits of attribute d from r. It reports
-// false, the column part-written, if r orders a value the cells do not
-// cover.
-func (t *memberTable) writeColumn(r *order.Relation, d, m int) bool {
+// writeColumn writes slot m's bits of attribute d from r, clearing them
+// first unless they are clear already (a rebuild). It reports false, the
+// column part-written, if r orders a value the cells do not cover.
+func (t *memberTable) writeColumn(r *order.Relation, d, m int, dirty bool) bool {
 	n, cells := t.n[d], t.cells[d]
 	w, bit := m/wordBits, uint64(1)<<(m%wordBits)
-	for i := w; i < len(cells); i += t.words {
+	for i := w; dirty && i < len(cells); i += t.words {
 		cells[i] &^= bit
 	}
 	covered := true
@@ -161,7 +161,7 @@ func (t *memberTable) refresh(users []*pref.Profile, m, d int) {
 	}
 	p := users[t.users[m]]
 	for e := range t.n {
-		if (d < 0 || e == d) && !t.writeColumn(p.Relation(e), e, m) {
+		if (d < 0 || e == d) && !t.writeColumn(p.Relation(e), e, m, true) {
 			t.rebuildAt(users, p.Domains())
 			return
 		}
