@@ -277,13 +277,15 @@ func (s *ClusterShard) RemoveTarget(key, c int) {
 // hold sets or clears user c's bit in key's holder words, unless c's
 // cluster is a cluster of its own.
 func (s *ClusterShard) hold(key, c int, held bool) {
-	li, m := s.home[c], int(s.slot[c])
-	switch t := &s.tables[max(li, 0)]; {
-	case li < 0 || s.Own(int(li)):
-	case held:
+	li, m := int(s.home[c]), int(s.slot[c])
+	if li < 0 || s.Own(li) {
+		return
+	}
+	t := &s.tables[li]
+	if held {
 		t.addHolder(key, m)
-	case t.holders(key) != nil:
-		t.holders(key)[m/wordBits] &^= 1 << (m % wordBits)
+	} else if h := t.holders(key); h != nil {
+		h[m/wordBits] &^= 1 << (m % wordBits)
 	}
 }
 

@@ -137,11 +137,8 @@ func newClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int,
 		globalIdx:     globalIdx,
 		total:         total,
 		tables:        make([]memberTable, len(clusters)),
-		home:          make([]int32, len(users)),
-		slot:          make([]int32, len(users)),
-	}
-	for c := range s.home {
-		s.home[c], s.slot[c] = -1, -1
+		home:          slices.Repeat([]int32{-1}, len(users)),
+		slot:          slices.Repeat([]int32{-1}, len(users)),
 	}
 	for i, cl := range clusters {
 		s.ClusterFronts[i] = NewFrontier()
@@ -376,9 +373,8 @@ func (s *ClusterShard) LeaveCluster(c int, resync Resync) {
 	for _, id := range s.UserFronts[c].IDs() {
 		s.RemoveTarget(id, c)
 	}
-	// The leaver's slot is free; its holder bits left with its frontier,
-	// and its column, which nothing reads, is rewritten when it is next
-	// seated.
+	// Its slot is free: its holder bits left with its frontier, and its
+	// column, which nothing reads, is rewritten when the slot is seated.
 	s.tables[li].users[s.slot[c]] = -1
 	s.UserFronts[c] = nil
 	s.home[c], s.slot[c] = -1, -1
