@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +55,14 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 					t.Errorf("TargetsOf(ghost): %v", err)
 					return
 				}
+				// Read C_o in name order while the writer ranks joining users.
+				if users, err := m.TargetsOf("obj-0"); err == nil && !sort.StringsAreSorted(users) {
+					t.Errorf("TargetsOf(obj-0) = %q, not in name order", users)
+					return
+				} else if err != nil && !errors.Is(err, paretomon.ErrUnknownObject) {
+					t.Errorf("TargetsOf(obj-0): %v", err)
+					return
+				}
 			}
 		}(r)
 	}
@@ -70,6 +79,11 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 		if i%10 == 0 {
 			if err := m.AddPreference("c1", "brand", vocabB[0], vocabB[i/10%4+1]); err != nil &&
 				!errors.Is(err, paretomon.ErrCycle) {
+				t.Fatal(err)
+			}
+		}
+		if i%50 == 0 {
+			if err := m.AddUser(fmt.Sprintf("a%d", i), nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -119,3 +119,29 @@ func (e *Engine) Reset() {
 	defer e.mu.Unlock()
 	e.n = 0
 }
+
+// Reserve claims k through a helper opted out as a tentative write,
+// logs, and takes the claim back when the append fails.
+func (e *Engine) Reserve(k string) error {
+	e.claim(k)
+	if err := e.appendWAL([]rec{{op: k}}); err != nil {
+		delete(e.vals, k)
+		return err
+	}
+	e.n++
+	return nil
+}
+
+// claim is a tentative write that its callers undo when the append
+// fails.
+//
+//paretomon:nowal
+func (e *Engine) claim(k string) { e.vals[k] = -1 }
+
+// ReserveFirst writes before logging after the claim: the claim's
+// exemption covers the helper's own writes, not the caller's.
+func (e *Engine) ReserveFirst(k string) error {
+	e.claim(k)
+	e.n++ // want `assignment to receiver state before appendWAL`
+	return e.appendWAL([]rec{{op: k}})
+}

@@ -10,7 +10,10 @@ import (
 const walMethodName = "appendWAL"
 
 // nowalDirective opts a read path (or a deliberately non-logged
-// mutation, like Subscribe's fan-out registration) out of the check.
+// mutation, like Subscribe's fan-out registration) out of the check. On
+// an unexported helper it declares a tentative write that its callers
+// take back when the append fails (the Monitor's name claims): calling
+// it before appendWAL is not a state write.
 const nowalDirective = "nowal"
 
 // WALBeforeApply enforces docs/PERSISTENCE.md's core invariant: on any
@@ -92,7 +95,10 @@ func runWALBeforeApply(pass *Pass) error {
 
 // walCheckType summarizes, classifies and reports one WAL-owning type.
 func walCheckType(pass *Pass, tname string, methods map[string]*walMethod) {
-	for _, m := range methods {
+	for name, m := range methods {
+		if m.nowal && !ast.IsExported(name) {
+			continue // a tentative write: no effects, so never a writer
+		}
 		m.effects = walSummarize(pass, m.decl)
 		for _, e := range m.effects {
 			if e.callee == "" {

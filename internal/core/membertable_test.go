@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -260,6 +261,68 @@ func TestMemberTableVerifyDoesNotAllocate(t *testing.T) {
 		f.memberTableOf(0)
 	}); allocs != 0 {
 		t.Fatalf("an in-place rebuild allocates %.1f times", allocs)
+	}
+}
+
+// TestRemoveObjectKeepsMemberTable: a RemoveObject changes no relation,
+// so on an append-only cluster of memberTableMin or more members it
+// leaves the member table built (only the postings go stale), and the
+// next arrival's verify tier reads the table as it stands: it allocates
+// nothing.
+func TestRemoveObjectKeepsMemberTable(t *testing.T) {
+	w := newMemberWorld(24)
+	s, err := NewSharded(w.asked, w.clusters(w.asked), nil, w.source(), 1, &stats.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := ftvShards(s)[0]
+	dominated := func(o object.Object) bool {
+		var po pref.Probe
+		f.Clusters[0].Common.Prepare(o, &po)
+		return slices.ContainsFunc(f.ClusterFronts[0].Objects(), po.DominatedBy)
+	}
+	var probes []object.Object
+	for len(probes) < 64 {
+		o := w.next(nil)
+		if f.ClusterFronts[0].Len() > 0 && dominated(o) {
+			probes = append(probes, o)
+			continue
+		}
+		w.alive = append(w.alive, o)
+		s.Process(o)
+	}
+	tab := f.memberTableOf(0)
+	if tab == nil {
+		t.Fatal("the 75-member cluster has no member table")
+	}
+	var co []int
+	for _, o := range probes {
+		co = f.verifyMembers(0, tab, o, co[:0]) // warm the scratch
+	}
+
+	gone := f.ClusterFronts[0].Objects()[0]
+	w.alive = slices.DeleteFunc(w.alive, func(o object.Object) bool { return o.ID == gone.ID })
+	s.RemoveObject(gone)
+	if !f.tables[0].built {
+		t.Fatal("RemoveObject dropped the member table")
+	}
+	if err := f.CheckMemberTable(0); err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(probes, dominated)
+	if i < 0 {
+		t.Fatal("the removal left no probe dominated under the cluster relation")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	co = f.verifyMembers(0, f.memberTableOf(0), probes[i], co[:0])
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("the first verify tier after a RemoveObject allocates %d times", n)
+	}
+	if len(co) != 0 {
+		t.Fatalf("an arrival dominated under the cluster relation was delivered to %v", co)
 	}
 }
 

@@ -278,6 +278,7 @@ func (m *Monitor) apply(mut mutation) {
 func (m *Monitor) applyAddUserLocked(name string, p *pref.Profile) {
 	c := len(m.userNames)
 	m.userNames = append(m.userNames, name)
+	m.rankNewUser()
 	m.userAlive = append(m.userAlive, true)
 	m.userIdx[name] = c
 	m.profiles = append(m.profiles, p)

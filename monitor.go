@@ -1,8 +1,12 @@
 package paretomon
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/approx"
@@ -110,12 +114,12 @@ type Config struct {
 	// SubscriptionBuffer is the per-subscriber channel capacity; 0 means
 	// the default (64).
 	SubscriptionBuffer int
-	// Workers is the number of ingestion shards: users (Baseline) or whole
-	// clusters (filter-then-verify) are partitioned across this many
-	// shards. 0 means runtime.GOMAXPROCS(0). Single arrivals run the
-	// shards in the caller's goroutine; a batch runs each shard on its
-	// own goroutine, joined before AddBatch returns. Deliveries are
-	// identical either way.
+	// Workers is the number of ingestion shards: whole clusters are
+	// partitioned across this many shards, Baseline's clusters of one user
+	// each as well as filter-then-verify's shared ones. 0 means
+	// runtime.GOMAXPROCS(0). Single arrivals run the shards in the caller's
+	// goroutine; a batch runs each shard on its own goroutine, joined
+	// before AddBatch returns. Deliveries are identical either way.
 	Workers int
 	// Store, when non-nil, makes the monitor durable: mutations are
 	// written to its WAL before being applied, and a monitor constructed
@@ -263,6 +267,12 @@ type state struct {
 	userNames []string
 	userAlive []bool
 	baseUsers int
+	// rank[slot] is the slot's position in name order (equal names, a
+	// removed user and its re-added namesake, by slot) and byRank its
+	// inverse: sortedNames orders a delivery by them without comparing a
+	// string. rankUsers and rankNewUser keep them in step with userNames.
+	rank   []int32
+	byRank []int32
 	// profiles aliases the engine's (shared, mutable) preference
 	// profiles, letting check validate a tuple without applying it so
 	// the update can be WAL-logged first.
@@ -284,10 +294,10 @@ type state struct {
 	// walRecs is the object ingest path's WAL record scratch (see
 	// objectRecords), empty between calls.
 	walRecs []WALRecord
-	// inBatch is AddBatch's validation scratch — the names claimed earlier
-	// in the batch being checked — cleared and reused across calls, for
-	// batches of up to inBatchKeep objects.
-	inBatch map[string]bool
+	// rankBits (one word per 64 user slots, all zero between calls) and
+	// rankSort are sortedNames's scratch.
+	rankBits []uint64
+	rankSort []int32
 
 	clusters       [][]string // member names per cluster (nil for Baseline)
 	clusterMembers [][]int    // raw member indices per cluster, in cluster order
@@ -304,7 +314,8 @@ type state struct {
 
 // registry is the object registry. Slots are in arrival order:
 // objects[i] holds engine object id objBase+i. RemoveObject tombstones a
-// slot and frees its name; names maps alive names only. The interned
+// slot and frees its name; names maps alive names only, and, inside an
+// ingest call, the names it has claimed (claimObject). The interned
 // objects ride along: the append-only engines read them, through alive,
 // as the candidates of every mend and restore. An append-only registry
 // only grows (objBase stays 0). Under a window W, id N's arrival retires
@@ -373,7 +384,6 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 			ctr:      &stats.Counters{},
 			userIdx:  make(map[string]int, c.Len()),
 			registry: &registry{names: make(map[string]int)},
-			inBatch:  make(map[string]bool),
 			batches:  make(map[string]*batchMemo),
 		},
 		cfg: cfg,
@@ -512,6 +522,7 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 		m.userAlive[i] = true
 	}
 	m.profiles = profiles
+	m.rankUsers()
 
 	var clusters []core.Cluster
 	switch cfg.Algorithm {
@@ -562,31 +573,50 @@ func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
 	return err
 }
 
-// inBatchKeep is the largest batch Monitor.inBatch serves. clear costs the
-// map's high-water size, not its length, so one boot-time AddBatch of a
-// whole catalogue must not be what every later batch clears: a bigger
-// batch gets a map of its own.
-const inBatchKeep = 1024
+// scratchKeep is the largest batch whose WAL record scratch (walRecs) is
+// kept for the next call: one boot-time AddBatch of a whole catalogue
+// must not pin an array of its size for good, so a bigger batch gets an
+// array of its own.
+const scratchKeep = 1024
 
-// validateObject checks one object against the monitor state and the
-// names already claimed earlier in the same batch. Caller holds mu.
-func (m *Monitor) validateObject(o Object, inBatch map[string]bool) error {
+// claimObject checks one object against the monitor state and claims its
+// name for id, the id it is to be interned under: from here on names maps
+// the name, so a later object of the same batch that repeats it is a
+// duplicate, and intern leaves names alone. A batch that validation or
+// the WAL append refuses drops its claims again (unclaim). Caller holds
+// mu. A claim is tentative until the WAL append succeeds.
+//
+//paretomon:nowal — the caller deletes the claim on a refusal.
+func (m *Monitor) claimObject(o Object, id int) error {
 	if o.Name == "" {
 		return fmt.Errorf("%w: object name", ErrEmptyName)
 	}
-	if _, dup := m.names[o.Name]; dup || inBatch[o.Name] {
+	if _, dup := m.names[o.Name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateObject, o.Name)
 	}
 	if got, want := len(o.Values), len(m.schema.doms); got != want {
 		return fmt.Errorf("%w: object %q has %d values, schema has %d attributes",
 			ErrSchemaMismatch, o.Name, got, want)
 	}
+	m.names[o.Name] = id
 	return nil
 }
 
-// intern registers a pre-validated object: values are interned against
-// the schema domains into attrs (one per attribute; the object keeps it)
-// and the object claims the next id. Caller holds mu.
+// unclaim drops the claims claimObject made for objs. Caller holds mu.
+func (m *Monitor) unclaim(objs []Object) {
+	for _, o := range objs {
+		delete(m.names, o.Name)
+	}
+}
+
+// prefixHold is the id an AddBatchOnce retry claims its applied prefix's
+// freed names under while it validates the rest.
+const prefixHold = -1
+
+// intern registers a claimed object: values are interned against the
+// schema domains into attrs (one per attribute; the object keeps it) and
+// the object takes the next id, the one its name was claimed for. Caller
+// holds mu.
 func (m *Monitor) intern(o Object, attrs []int32) object.Object {
 	doms := m.schema.doms
 	for d, v := range o.Values {
@@ -594,7 +624,6 @@ func (m *Monitor) intern(o Object, attrs []int32) object.Object {
 	}
 	id := m.objectCount()
 	obj := object.Object{ID: id, Attrs: attrs}
-	m.names[o.Name] = id
 	m.objects = append(m.objects, objEntry{name: o.Name, obj: obj, alive: true})
 	if w := m.cfg.Window; w > 0 && id-w >= m.objBase {
 		m.retire(id - w)
@@ -652,13 +681,14 @@ func (m *Monitor) Add(name string, values ...string) (Delivery, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	o := Object{Name: name, Values: values}
-	if err := m.validateObject(o, nil); err != nil {
+	if err := m.claimObject(o, m.objectCount()); err != nil {
 		return Delivery{}, err
 	}
 	recs := m.objectRecords(BatchID{}, []Object{o})
 	err := m.appendWAL(recs)
 	m.keepRecords(recs)
 	if err != nil {
+		delete(m.names, name)
 		return Delivery{}, err
 	}
 	d := m.ingest(o)
@@ -701,25 +731,14 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 		return done, nil
 	}
 	rest := objs[len(done):]
-	inBatch := m.inBatch
-	if len(objs) > inBatchKeep {
-		inBatch = make(map[string]bool, len(objs))
-	} else {
-		clear(inBatch)
-	}
-	for _, d := range done {
-		inBatch[d.Object] = true
-	}
-	for i, o := range rest {
-		if err := m.validateObject(o, inBatch); err != nil {
-			return nil, &BatchError{Index: len(done) + i, Object: o.Name, Err: err}
-		}
-		inBatch[o.Name] = true
+	if err := m.claimBatch(done, rest); err != nil {
+		return nil, err
 	}
 	recs := m.objectRecords(id, rest)
 	err = m.appendWAL(recs)
 	m.keepRecords(recs)
 	if err != nil {
+		m.unclaim(rest)
 		return nil, err
 	}
 	start := m.objectCount()
@@ -751,6 +770,37 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 	}
 	m.maybeSnapshotLocked(len(rest))
 	return out, nil
+}
+
+// claimBatch claims the names of rest, the part of a batch still to be
+// applied, for the ids they are to take; done is the batch's applied
+// prefix. A name of the prefix stays taken for the rest even where a
+// removal or expiry has freed it since: it is held under prefixHold while
+// rest is checked. On a refusal nothing stays claimed, and the error is a
+// *BatchError locating the first bad object. Caller holds mu.
+//
+//paretomon:nowal — AddBatchOnce deletes the claims if the append fails.
+func (m *Monitor) claimBatch(done []Delivery, rest []Object) error {
+	for _, d := range done {
+		if _, ok := m.names[d.Object]; !ok {
+			m.names[d.Object] = prefixHold
+		}
+	}
+	var err error
+	first := m.objectCount()
+	for i, o := range rest {
+		if e := m.claimObject(o, first+i); e != nil {
+			m.unclaim(rest[:i])
+			err = &BatchError{Index: len(done) + i, Object: o.Name, Err: e}
+			break
+		}
+	}
+	for _, d := range done {
+		if m.names[d.Object] == prefixHold {
+			delete(m.names, d.Object)
+		}
+	}
+	return err
 }
 
 // Frontier returns the named user's current Pareto frontier as sorted
@@ -796,14 +846,76 @@ func (m *Monitor) Users() []string {
 	return out
 }
 
-// sortedNames maps snapshot user indices to sorted names.
-func (m *Monitor) sortedNames(idx []int) []string {
-	out := make([]string, len(idx))
-	for i, id := range idx {
-		out[i] = m.userNames[id]
+// rankUsers orders every user slot by name into rank and byRank, and
+// sizes sortedNames's bit scratch to the community.
+func (s *state) rankUsers() {
+	n := len(s.userNames)
+	s.byRank = make([]int32, n)
+	for i := range s.byRank {
+		s.byRank[i] = int32(i)
 	}
-	sort.Strings(out)
-	return out
+	slices.SortFunc(s.byRank, func(a, b int32) int {
+		return cmp.Or(strings.Compare(s.userNames[a], s.userNames[b]), cmp.Compare(a, b))
+	})
+	s.rank = make([]int32, n)
+	for r, c := range s.byRank {
+		s.rank[c] = int32(r)
+	}
+	s.rankBits = make([]uint64, (n+63)/64)
+}
+
+// rankNewUser places the newest user slot into the name order: after
+// every slot whose name sorts before or equals its own, the slots behind
+// it moving up one rank.
+func (s *state) rankNewUser() {
+	c := len(s.userNames) - 1
+	name := s.userNames[c]
+	at := sort.Search(len(s.byRank), func(r int) bool { return s.userNames[s.byRank[r]] > name })
+	s.byRank = slices.Insert(s.byRank, at, int32(c))
+	s.rank = append(s.rank, 0)
+	for r := at; r < len(s.byRank); r++ {
+		s.rank[s.byRank[r]] = int32(r)
+	}
+	if len(s.rankBits) < (c+64)/64 {
+		s.rankBits = append(s.rankBits, 0)
+	}
+}
+
+// sortedNames maps user slots to their names in name order, comparing no
+// string: each slot sets its rank's bit in rankBits, read back in bit
+// order and left all zero, or, where the slots are sparse for the
+// community (8·k < ⌈n/64⌉), their ranks are sorted as integers. The
+// slots must be distinct: a repeated one may appear once. Caller holds
+// mu (write): it uses the state's scratch.
+func (s *state) sortedNames(idx []int) []string {
+	out := make([]string, len(idx))
+	words := s.rankBits
+	if 8*len(idx) < len(words) {
+		ranks := s.rankSort[:0]
+		for _, c := range idx {
+			ranks = append(ranks, s.rank[c])
+		}
+		slices.Sort(ranks)
+		for i, r := range ranks {
+			out[i] = s.userNames[s.byRank[r]]
+		}
+		s.rankSort = ranks
+		return out
+	}
+	for _, c := range idx {
+		r := s.rank[c]
+		words[r>>6] |= 1 << (r & 63)
+	}
+	i := 0
+	for w := 0; i < len(out) && w < len(words); w++ {
+		word := words[w]
+		words[w] = 0
+		for ; word != 0; word &= word - 1 {
+			out[i] = s.userNames[s.byRank[w<<6|bits.TrailingZeros64(word)]]
+			i++
+		}
+	}
+	return out[:i]
 }
 
 // Clusters returns the user names per cluster, or nil for Baseline.
@@ -881,5 +993,13 @@ func (m *Monitor) TargetsOf(objectName string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownObject, objectName)
 	}
-	return m.sortedNames(m.eng.Targets(id)), nil
+	// Under the read lock sortedNames's scratch is off limits; Targets
+	// returns a fresh slice, ordered by rank in place.
+	ids := m.eng.Targets(id)
+	slices.SortFunc(ids, func(a, b int) int { return cmp.Compare(m.rank[a], m.rank[b]) })
+	out := make([]string, len(ids))
+	for i, c := range ids {
+		out[i] = m.userNames[c]
+	}
+	return out, nil
 }

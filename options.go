@@ -99,10 +99,11 @@ func WithThetas(theta1 int, theta2 float64) Option {
 	}
 }
 
-// WithWorkers sets how many shards ingestion fans out to. Users (for
-// Baseline) or whole clusters (for the filter-then-verify engines) are
-// partitioned across that many shards, each maintaining its slice of the
-// frontiers independently; deliveries are identical for every n. n = 0
+// WithWorkers sets how many shards ingestion fans out to. Whole clusters
+// (Baseline's of one user each, the filter-then-verify engines' shared
+// ones) are partitioned across that many shards, each maintaining its
+// slice of the frontiers independently; deliveries are identical for
+// every n. n = 0
 // (the default) means runtime.GOMAXPROCS(0); one shard is the paper's
 // single-threaded algorithm. Add runs the shards one after another in
 // the caller's goroutine; AddBatch runs every shard but the first on a

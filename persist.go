@@ -204,7 +204,7 @@ func (m *Monitor) objectRecords(id BatchID, objs []Object) []WALRecord {
 		return nil
 	}
 	recs := m.walRecs[:0]
-	if len(objs) > inBatchKeep {
+	if len(objs) > scratchKeep {
 		recs = nil
 	}
 	for _, o := range objs {
@@ -215,10 +215,10 @@ func (m *Monitor) objectRecords(id BatchID, objs []Object) []WALRecord {
 
 // keepRecords clears objectRecords's records, so they pin no names or
 // values, and keeps their array for the next call unless the batch was
-// larger than inBatchKeep. Caller holds mu.
+// larger than scratchKeep. Caller holds mu.
 func (m *Monitor) keepRecords(recs []WALRecord) {
 	clear(recs)
-	if len(recs) <= inBatchKeep {
+	if len(recs) <= scratchKeep {
 		m.walRecs = recs[:0]
 	}
 }
@@ -310,7 +310,7 @@ func (s *Schema) domainValues() [][]string {
 }
 
 // replayRecord applies one WAL record through the write path the live
-// calls use — an object through validateObject and ingest, a lifecycle
+// calls use — an object through claimObject and ingest, a lifecycle
 // record through check and apply — so the resulting state and work
 // counters are identical to an uninterrupted run's. It serves two
 // callers: recovery replay (m.replaying true — publication suppressed,
@@ -323,10 +323,10 @@ func (s *Schema) domainValues() [][]string {
 func (m *Monitor) replayRecord(rec WALRecord) error {
 	if rec.Op == OpObject {
 		o := Object{Name: rec.Name, Values: rec.Values}
-		if err := m.validateObject(o, nil); err != nil {
+		start := m.objectCount()
+		if err := m.claimObject(o, start); err != nil {
 			return corruptRecord(rec, err)
 		}
-		start := m.objectCount()
 		d := m.ingest(o)
 		if rec.Writer != "" {
 			bm := m.openBatch(BatchID{Writer: rec.Writer, Seq: rec.Batch}, start)
@@ -420,6 +420,7 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 			m.userIdx[us.Name] = i
 		}
 	}
+	m.rankUsers()
 
 	// Rebuild the object registry. Under a window only the last W slots
 	// are alive: anything older is retired, whether the snapshot holds it
