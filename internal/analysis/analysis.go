@@ -58,7 +58,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 }
 
 // directivePrefix introduces the project's analyzer control comments:
-// //paretomon:hotpath and //paretomon:nowal.
+// //paretomon:hotpath, //paretomon:nowal and //paretomon:tentative.
 const directivePrefix = "//paretomon:"
 
 // funcDirectives collects the paretomon directives attached to a
@@ -82,6 +82,26 @@ func funcDirectives(fd *ast.FuncDecl) map[string]bool {
 		}
 	}
 	return out
+}
+
+// directiveArg returns the first word after the paretomon directive
+// name in a function declaration's doc comment ("names" for
+// //paretomon:tentative names — ...), or "" when the directive is absent
+// or bare.
+func directiveArg(fd *ast.FuncDecl, name string) string {
+	if fd.Doc == nil {
+		return ""
+	}
+	for _, c := range fd.Doc.List {
+		rest, ok := strings.CutPrefix(strings.TrimSpace(c.Text), directivePrefix+name+" ")
+		if !ok {
+			continue
+		}
+		if f := strings.Fields(rest); len(f) > 0 {
+			return f[0]
+		}
+	}
+	return ""
 }
 
 // isSyncLockerType reports whether t (after pointer indirection) is

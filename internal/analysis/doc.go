@@ -13,8 +13,9 @@
 //
 //   - walbeforeapply: exported mutations of a WAL-owning type (one with
 //     an appendWAL method) must append to the WAL before touching engine
-//     or monitor state. Read paths opt out with //paretomon:nowal, and
-//     so do helpers whose writes their callers undo on a failed append.
+//     or monitor state. Read paths opt out with //paretomon:nowal; a
+//     helper's writes to one field its callers undo on a failed append
+//     are declared with //paretomon:tentative <field>.
 //   - sentinelerr: no ==/!= comparisons against declared error
 //     sentinels (use errors.Is), and no fmt.Errorf that stringifies an
 //     error without wrapping anything (%w or a declared sentinel).

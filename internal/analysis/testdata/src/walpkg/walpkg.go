@@ -120,8 +120,8 @@ func (e *Engine) Reset() {
 	e.n = 0
 }
 
-// Reserve claims k through a helper opted out as a tentative write,
-// logs, and takes the claim back when the append fails.
+// Reserve claims k through a helper whose writes to vals are
+// tentative, logs, and takes the claim back when the append fails.
 func (e *Engine) Reserve(k string) error {
 	e.claim(k)
 	if err := e.appendWAL([]rec{{op: k}}); err != nil {
@@ -132,16 +132,39 @@ func (e *Engine) Reserve(k string) error {
 	return nil
 }
 
-// claim is a tentative write that its callers undo when the append
-// fails.
+// claim is a tentative write to vals that its callers undo when the
+// append fails.
 //
-//paretomon:nowal
+//paretomon:tentative vals
 func (e *Engine) claim(k string) { e.vals[k] = -1 }
 
 // ReserveFirst writes before logging after the claim: the claim's
-// exemption covers the helper's own writes, not the caller's.
+// exemption covers the helper's writes to vals, not the caller's.
 func (e *Engine) ReserveFirst(k string) error {
 	e.claim(k)
 	e.n++ // want `assignment to receiver state before appendWAL`
 	return e.appendWAL([]rec{{op: k}})
 }
+
+// ReserveCounted calls a tentative helper that also writes a field
+// its directive does not name: that write is still a state write.
+func (e *Engine) ReserveCounted(k string) error {
+	e.claimCounted(k) // want `call to state-writing method claimCounted before appendWAL`
+	return e.appendWAL([]rec{{op: k}})
+}
+
+//paretomon:tentative vals
+func (e *Engine) claimCounted(k string) {
+	e.vals[k] = -1
+	e.n++
+}
+
+// ReserveHidden marks a helper nowal instead: on an unexported helper
+// that opts nothing out, so its write still counts.
+func (e *Engine) ReserveHidden(k string) error {
+	e.claimHidden(k) // want `call to state-writing method claimHidden before appendWAL`
+	return e.appendWAL([]rec{{op: k}})
+}
+
+//paretomon:nowal
+func (e *Engine) claimHidden(k string) { e.vals[k] = -1 }

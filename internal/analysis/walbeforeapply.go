@@ -10,11 +10,15 @@ import (
 const walMethodName = "appendWAL"
 
 // nowalDirective opts a read path (or a deliberately non-logged
-// mutation, like Subscribe's fan-out registration) out of the check. On
-// an unexported helper it declares a tentative write that its callers
-// take back when the append fails (the Monitor's name claims): calling
-// it before appendWAL is not a state write.
+// mutation, like Subscribe's fan-out registration) out of the check.
 const nowalDirective = "nowal"
+
+// tentativeDirective, written //paretomon:tentative <field>, declares
+// that the method's writes to that one receiver field are tentative:
+// its callers take them back when the append fails (the Monitor's name
+// claims). Those writes are not state writes; every other write in the
+// method still is.
+const tentativeDirective = "tentative"
 
 // WALBeforeApply enforces docs/PERSISTENCE.md's core invariant: on any
 // type that owns an appendWAL method, every exported method that
@@ -25,7 +29,8 @@ const nowalDirective = "nowal"
 // themselves WAL-disciplined (Add from ImportObjects, mutate from the
 // lifecycle calls and ImportUsers) are exempt; read paths opt out
 // explicitly with a //paretomon:nowal directive so the exemption is
-// visible in review.
+// visible in review, and a method's tentative writes to one named field
+// with //paretomon:tentative <field>.
 var WALBeforeApply = &Analyzer{
 	Name: "walbeforeapply",
 	Doc: "exported methods of WAL-owning types must append to the WAL " +
@@ -55,6 +60,8 @@ type walMethod struct {
 	// Optimistically true; the fixpoint demotes.
 	protected bool
 	nowal     bool
+	// tentative is the field named by //paretomon:tentative, or "".
+	tentative string
 }
 
 func runWALBeforeApply(pass *Pass) error {
@@ -80,6 +87,7 @@ func runWALBeforeApply(pass *Pass) error {
 				decl:      fd,
 				protected: true,
 				nowal:     funcDirectives(fd)[nowalDirective],
+				tentative: directiveArg(fd, tentativeDirective),
 			}
 		}
 	}
@@ -95,11 +103,8 @@ func runWALBeforeApply(pass *Pass) error {
 
 // walCheckType summarizes, classifies and reports one WAL-owning type.
 func walCheckType(pass *Pass, tname string, methods map[string]*walMethod) {
-	for name, m := range methods {
-		if m.nowal && !ast.IsExported(name) {
-			continue // a tentative write: no effects, so never a writer
-		}
-		m.effects = walSummarize(pass, m.decl)
+	for _, m := range methods {
+		m.effects = walSummarize(pass, m.decl, m.tentative)
 		for _, e := range m.effects {
 			if e.callee == "" {
 				m.directWriter = true
@@ -442,6 +447,8 @@ func terminatesStmt(s ast.Stmt) bool {
 // walSummarize lists m's state effects in source order: assignments
 // through the receiver, calls on receiver fields (mutex ops exempt),
 // and calls to sibling methods (resolved by the fixpoint later).
+// Assignments to the receiver field named tentative (if any) are left
+// out: see tentativeDirective.
 //
 // A call through a receiver field counts as an effect only when it
 // plausibly mutates: its results are discarded (statement position —
@@ -450,10 +457,14 @@ func terminatesStmt(s ast.Stmt) bool {
 // error (m.schema.attrIndex, profile CanAdd/HasAsserted probes) is a
 // validation read by project convention — exactly the lookups the
 // append-before-apply pattern performs before logging.
-func walSummarize(pass *Pass, fd *ast.FuncDecl) []walEffect {
+func walSummarize(pass *Pass, fd *ast.FuncDecl, tentative string) []walEffect {
 	recv := receiverObject(pass.TypesInfo, fd)
 	if recv == nil {
 		return nil
+	}
+	var tentField types.Object // nil: no directive, or no such field
+	if tentative != "" {
+		tentField, _, _ = types.LookupFieldOrMethod(recv.Type(), true, pass.Pkg, tentative)
 	}
 	stmtPos := make(map[*ast.CallExpr]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -477,13 +488,13 @@ func walSummarize(pass *Pass, fd *ast.FuncDecl) []walEffect {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, l := range st.Lhs {
-				if isUseOf(pass.TypesInfo, l, recv) {
+				if isUseOf(pass.TypesInfo, l, recv) && !writesField(pass.TypesInfo, l, tentField) {
 					add(st, "assignment to receiver state", "")
 					break
 				}
 			}
 		case *ast.IncDecStmt:
-			if isUseOf(pass.TypesInfo, st.X, recv) {
+			if isUseOf(pass.TypesInfo, st.X, recv) && !writesField(pass.TypesInfo, st.X, tentField) {
 				add(st, "assignment to receiver state", "")
 			}
 		case *ast.CallExpr:
@@ -513,4 +524,27 @@ func walSummarize(pass *Pass, fd *ast.FuncDecl) []walEffect {
 		return true
 	})
 	return out
+}
+
+// writesField reports whether the lvalue l, after unwrapping indexing,
+// derefs and parens, selects field (m.names[k] writes names); false for
+// a nil field.
+func writesField(info *types.Info, l ast.Expr, field types.Object) bool {
+	if field == nil {
+		return false
+	}
+	for {
+		switch x := l.(type) {
+		case *ast.IndexExpr:
+			l = x.X
+		case *ast.StarExpr:
+			l = x.X
+		case *ast.ParenExpr:
+			l = x.X
+		case *ast.SelectorExpr:
+			return info.Uses[x.Sel] == field
+		default:
+			return false
+		}
+	}
 }

@@ -294,10 +294,9 @@ type state struct {
 	// walRecs is the object ingest path's WAL record scratch (see
 	// objectRecords), empty between calls.
 	walRecs []WALRecord
-	// rankBits (one word per 64 user slots, all zero between calls) and
-	// rankSort are sortedNames's scratch.
+	// rankBits (one word per 64 user slots, all zero between calls) is
+	// sortedNames's scratch.
 	rankBits []uint64
-	rankSort []int32
 
 	clusters       [][]string // member names per cluster (nil for Baseline)
 	clusterMembers [][]int    // raw member indices per cluster, in cluster order
@@ -586,7 +585,7 @@ const scratchKeep = 1024
 // the WAL append refuses drops its claims again (unclaim). Caller holds
 // mu. A claim is tentative until the WAL append succeeds.
 //
-//paretomon:nowal — the caller deletes the claim on a refusal.
+//paretomon:tentative names — the caller deletes the claim on a refusal.
 func (m *Monitor) claimObject(o Object, id int) error {
 	if o.Name == "" {
 		return fmt.Errorf("%w: object name", ErrEmptyName)
@@ -779,7 +778,7 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 // rest is checked. On a refusal nothing stays claimed, and the error is a
 // *BatchError locating the first bad object. Caller holds mu.
 //
-//paretomon:nowal — AddBatchOnce deletes the claims if the append fails.
+//paretomon:tentative names — AddBatchOnce deletes the claims if the append fails.
 func (m *Monitor) claimBatch(done []Delivery, rest []Object) error {
 	for _, d := range done {
 		if _, ok := m.names[d.Object]; !ok {
@@ -847,7 +846,7 @@ func (m *Monitor) Users() []string {
 }
 
 // rankUsers orders every user slot by name into rank and byRank, and
-// sizes sortedNames's bit scratch to the community.
+// sizes rankBits to the community.
 func (s *state) rankUsers() {
 	n := len(s.userNames)
 	s.byRank = make([]int32, n)
@@ -883,25 +882,11 @@ func (s *state) rankNewUser() {
 
 // sortedNames maps user slots to their names in name order, comparing no
 // string: each slot sets its rank's bit in rankBits, read back in bit
-// order and left all zero, or, where the slots are sparse for the
-// community (8·k < ⌈n/64⌉), their ranks are sorted as integers. The
-// slots must be distinct: a repeated one may appear once. Caller holds
-// mu (write): it uses the state's scratch.
+// order and left all zero. The slots must be distinct: a repeated one
+// appears once. Caller holds mu (write): it uses the state's scratch.
 func (s *state) sortedNames(idx []int) []string {
 	out := make([]string, len(idx))
 	words := s.rankBits
-	if 8*len(idx) < len(words) {
-		ranks := s.rankSort[:0]
-		for _, c := range idx {
-			ranks = append(ranks, s.rank[c])
-		}
-		slices.Sort(ranks)
-		for i, r := range ranks {
-			out[i] = s.userNames[s.byRank[r]]
-		}
-		s.rankSort = ranks
-		return out
-	}
 	for _, c := range idx {
 		r := s.rank[c]
 		words[r>>6] |= 1 << (r & 63)
@@ -993,13 +978,13 @@ func (m *Monitor) TargetsOf(objectName string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownObject, objectName)
 	}
-	// Under the read lock sortedNames's scratch is off limits; Targets
-	// returns a fresh slice, ordered by rank in place.
+	// A cold read path under the read lock, where sortedNames's scratch
+	// is off limits: a plain string sort.
 	ids := m.eng.Targets(id)
-	slices.SortFunc(ids, func(a, b int) int { return cmp.Compare(m.rank[a], m.rank[b]) })
 	out := make([]string, len(ids))
 	for i, c := range ids {
 		out[i] = m.userNames[c]
 	}
+	sort.Strings(out)
 	return out, nil
 }

@@ -233,10 +233,9 @@ func TestDeliveriesFollowNameOrder(t *testing.T) {
 	}
 }
 
-// TestSortedNamesByRank holds sortedNames to sort.Strings on both of its
-// paths — rank bits for dense deliveries, sorted ranks for sparse ones —
-// over communities on both sides of a word, with the rank table built
-// whole and grown one join at a time.
+// TestSortedNamesByRank holds sortedNames to sort.Strings over
+// communities on both sides of a word, for few and many targets, with the
+// rank table built whole and grown one join at a time.
 func TestSortedNamesByRank(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	alphabet := []string{"a", "B", "z", "Z", "0", "é", "ü", "日", "u1", "u10", "u2"}
