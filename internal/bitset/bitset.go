@@ -206,20 +206,6 @@ func (s *Set) AndNot(t *Set) {
 	}
 }
 
-// Intersects reports whether s ∩ t is non-empty.
-func (s *Set) Intersects(t *Set) bool {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // IntersectionCount returns |s ∩ t| without allocating.
 func (s *Set) IntersectionCount(t *Set) int {
 	n := len(s.words)
@@ -243,18 +229,6 @@ func (s *Set) UnionCount(t *Set) int {
 	for i, w := range long {
 		if i < len(short) {
 			w |= short[i]
-		}
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// DifferenceCount returns |s − t| without allocating.
-func (s *Set) DifferenceCount(t *Set) int {
-	c := 0
-	for i, w := range s.words {
-		if i < len(t.words) {
-			w &^= t.words[i]
 		}
 		c += bits.OnesCount64(w)
 	}

@@ -221,24 +221,6 @@ func TestCountsNoAlloc(t *testing.T) {
 	if got := a.UnionCount(b); got != 5 {
 		t.Errorf("UnionCount = %d, want 5", got)
 	}
-	if got := a.DifferenceCount(b); got != 2 {
-		t.Errorf("DifferenceCount = %d, want 2", got)
-	}
-	if got := b.DifferenceCount(a); got != 1 {
-		t.Errorf("reverse DifferenceCount = %d, want 1", got)
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := FromSlice([]int{1, 100})
-	b := FromSlice([]int{100})
-	c := FromSlice([]int{2})
-	if !a.Intersects(b) {
-		t.Error("a should intersect b")
-	}
-	if a.Intersects(c) {
-		t.Error("a should not intersect c")
-	}
 }
 
 func TestSubsetEqual(t *testing.T) {
@@ -351,9 +333,6 @@ func TestQuickAlgebra(t *testing.T) {
 			return false
 		}
 		if a.UnionCount(b) != union {
-			return false
-		}
-		if a.DifferenceCount(b) != diff {
 			return false
 		}
 		// |A| = |A∩B| + |A−B|

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -256,7 +257,8 @@ func TestRouterCrashMidFlip(t *testing.T) {
 // fires between commit and the source delete), a restart over the same
 // data directory, and a Reconcile that must roll the migration forward
 // — the ring survived in the store's meta records, so the restarted
-// source learns it retired the user. Gated like TestKill9Recovery.
+// source learns it retired the user. Gated behind
+// PARETOMON_CRASH_TEST=1 (the CI crash job sets it).
 func TestKill9MidMigration(t *testing.T) {
 	if os.Getenv("PARETOMON_CRASH_TEST") != "1" {
 		t.Skip("set PARETOMON_CRASH_TEST=1 to run the kill -9 migration exercise")
@@ -448,4 +450,65 @@ func TestKill9MidMigration(t *testing.T) {
 	if !reflect.DeepEqual(refUsers, gotUsers) {
 		t.Fatalf("post-recovery delivery: reference %v, fleet %v", refUsers, gotUsers)
 	}
+}
+
+func freePort(t *testing.T) int {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := l.Addr().(*net.TCPAddr).Port
+	l.Close()
+	return port
+}
+
+func waitReady(t *testing.T, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get("http://" + addr + "/stats")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	t.Fatalf("server on %s never became ready", addr)
+}
+
+func getJSON(t *testing.T, addr, path string) map[string]any {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return out
+}
+
+func postJSON(t *testing.T, addr, path string, body []byte) map[string]any {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+	}
+	var out map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	return out
 }

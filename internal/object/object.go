@@ -35,38 +35,6 @@ func (o Object) Project(d int) Object {
 	return Object{ID: o.ID, Attrs: o.Attrs[:d:d]}
 }
 
-// Table is an append-only collection of objects, the O of the problem
-// statement. Object ids equal their index.
-type Table struct {
-	objs []Object
-}
-
-// NewTable creates an empty table.
-func NewTable() *Table { return &Table{} }
-
-// Append adds an object, assigning it the next id, and returns it.
-func (t *Table) Append(attrs []int32) Object {
-	o := Object{ID: len(t.objs), Attrs: attrs}
-	t.objs = append(t.objs, o)
-	return o
-}
-
-// Add appends a pre-built object, re-assigning its ID to the next slot.
-func (t *Table) Add(o Object) Object {
-	o.ID = len(t.objs)
-	t.objs = append(t.objs, o)
-	return o
-}
-
-// Len returns the number of objects.
-func (t *Table) Len() int { return len(t.objs) }
-
-// Get returns the object with the given id.
-func (t *Table) Get(id int) Object { return t.objs[id] }
-
-// All returns the backing slice; callers must not mutate it.
-func (t *Table) All() []Object { return t.objs }
-
 // Stream replays a fixed object list cyclically up to n objects, assigning
 // fresh sequential ids — exactly how the paper builds its 1M-object streams
 // ("O is composed of duplicated sequence of the corresponding dataset",
@@ -101,9 +69,6 @@ func (s *Stream) Next() (Object, bool) {
 	s.next++
 	return o, true
 }
-
-// Remaining returns how many objects are left.
-func (s *Stream) Remaining() int { return s.n - s.next }
 
 // Reset rewinds the stream to the beginning.
 func (s *Stream) Reset() { s.next = 0 }

@@ -36,24 +36,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	tb := NewTable()
-	o1 := tb.Append([]int32{1})
-	o2 := tb.Add(Object{ID: 999, Attrs: []int32{2}})
-	if o1.ID != 0 || o2.ID != 1 {
-		t.Errorf("ids = %d, %d", o1.ID, o2.ID)
-	}
-	if tb.Len() != 2 {
-		t.Errorf("Len = %d", tb.Len())
-	}
-	if tb.Get(1).Attrs[0] != 2 {
-		t.Error("Get(1) wrong object")
-	}
-	if len(tb.All()) != 2 {
-		t.Error("All length")
-	}
-}
-
 func TestStreamCyclesAndProjects(t *testing.T) {
 	base := []Object{
 		{ID: 0, Attrs: []int32{1, 10}},
@@ -82,12 +64,9 @@ func TestStreamCyclesAndProjects(t *testing.T) {
 			t.Errorf("object %d attr = %d, want %d (cyclic replay)", i, o.Attrs[0], want)
 		}
 	}
-	if s.Remaining() != 0 {
-		t.Errorf("Remaining = %d", s.Remaining())
-	}
 	s.Reset()
-	if s.Remaining() != 5 {
-		t.Errorf("Remaining after Reset = %d", s.Remaining())
+	if o, ok := s.Next(); !ok || o.ID != 0 {
+		t.Errorf("after Reset: Next = %+v, %v; want object 0", o, ok)
 	}
 }
 

@@ -220,17 +220,6 @@ func (r *Relation) Remove(x, y int) error {
 	return nil
 }
 
-// RemoveValues is Remove over raw string values; values never interned
-// cannot have been asserted.
-func (r *Relation) RemoveValues(better, worse string) error {
-	b, ok1 := r.dom.ID(better)
-	w, ok2 := r.dom.ID(worse)
-	if !ok1 || !ok2 {
-		return fmt.Errorf("%w: (%q,%q)", ErrUnknownTuple, better, worse)
-	}
-	return r.Remove(b, w)
-}
-
 // AddValues is a convenience wrapper interning both strings before Add.
 func (r *Relation) AddValues(better, worse string) error {
 	b := r.dom.Intern(better)

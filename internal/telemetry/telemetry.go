@@ -125,9 +125,6 @@ func (g Gauge) Add(v float64) { g.s.add(v) }
 // Inc adds one.
 func (g Gauge) Inc() { g.s.add(1) }
 
-// Dec subtracts one.
-func (g Gauge) Dec() { g.s.add(-1) }
-
 // Value returns the current value.
 func (g Gauge) Value() float64 { return g.s.value() }
 

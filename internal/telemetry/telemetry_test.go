@@ -25,7 +25,7 @@ func TestCounterGauge(t *testing.T) {
 	c.With("b").Inc()
 	g := r.NewGauge("paretomon_depth", "queue depth")
 	g.With().Set(4)
-	g.With().Dec()
+	g.With().Add(-1)
 
 	out := scrape(t, r)
 	for _, want := range []string{

@@ -4,8 +4,9 @@ package paretomon
 // current state, logged, then applied, whether it comes from a live call,
 // WAL recovery or the follower feed. These tests hold that path from the
 // outside: a record that does not apply is refused on both replay paths
-// with nothing applied, and a random history of valid and invalid calls
-// leaves a live monitor, its reopened twin and a follower equal.
+// with nothing applied, and a refused call leaves no trace. The
+// simulator (sim_test.go) runs random histories of valid and invalid
+// calls through a primary, its reopened self and a follower.
 
 import (
 	"errors"
@@ -246,28 +247,28 @@ func TestRejectedMutationLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// fuzzCommunity is four users over two attributes, the first two alike
-// so the filter-then-verify engines find a cluster of more than one.
-func fuzzCommunity(t testing.TB) *Community {
-	t.Helper()
-	com := NewCommunity(NewSchema(fuzzAttrs[:2]...))
-	for i, chain := range [][2][]string{
+// fuzzAsserted is what the fuzz community's four users assert over two
+// attributes, the first two alike so the filter-then-verify engines find
+// a cluster of more than one.
+func fuzzAsserted() map[string][]Preference {
+	asserted := map[string][]Preference{}
+	for i, chains := range [][2][]string{
 		{{"b0", "b1", "b2"}, {"c0", "c1"}},
 		{{"b0", "b1", "b2"}, {"c0", "c1", "c2"}},
 		{{"b3", "b2", "b1"}, {"c3", "c0"}},
 		{{"b4", "b0"}, {"c2", "c3"}},
 	} {
-		u, err := com.AddUser(fuzzUsers[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d, values := range chain {
-			if err := u.PreferChain(fuzzAttrs[d], values...); err != nil {
-				t.Fatal(err)
+		for d, chain := range chains {
+			for k := 1; k < len(chain); k++ {
+				asserted[fuzzUsers[i]] = append(asserted[fuzzUsers[i]], Preference{Attr: fuzzAttrs[d], Better: chain[k-1], Worse: chain[k]})
 			}
 		}
 	}
-	return com
+	return asserted
+}
+
+func fuzzCommunity(t testing.TB) *Community {
+	return catalog{attrs: fuzzAttrs[:2]}.community(t, fuzzUsers[:4], fuzzAsserted())
 }
 
 // The pools a fuzzed history draws from: names the monitor knows, names
@@ -288,109 +289,4 @@ func fuzzConfig(b byte) Config {
 	cfg.Workers = []int{1, 3}[b/6%2]
 	cfg.Theta1, cfg.Theta2 = 40, 0.3
 	return cfg
-}
-
-// runFuzzHistory drives a monitor through the calls ops spells, three
-// bytes a call, and ignores their errors: a refused call must simply
-// change nothing. Half the calls are arrivals, over 24 object names (the
-// 24th empty), so frontiers fill up between the lifecycle calls; one in
-// eleven re-adds the name that last left the window.
-func runFuzzHistory(m *Monitor, ops []byte) {
-	var added []string // the accepted arrivals' names, in id order
-	add := func(name string, values ...string) {
-		if _, err := m.Add(name, values...); err == nil {
-			added = append(added, name)
-		}
-	}
-	pick := func(pool []string, b byte) string { return pool[int(b)%len(pool)] }
-	object := func(b byte) string {
-		if b%24 == 23 {
-			return ""
-		}
-		return fmt.Sprintf("o%d", b%24)
-	}
-	for i := 0; i+2 < len(ops); i += 3 {
-		a, b := ops[i+1], ops[i+2]
-		d := int(a/8) % len(fuzzAttrs)
-		user, attr := pick(fuzzUsers, a), fuzzAttrs[d]
-		better, worse := pick(fuzzValues[d], b), pick(fuzzValues[d], b/8)
-		values := []string{pick(fuzzValues[0], b), pick(fuzzValues[1], b/8)}
-		if a%32 == 31 {
-			values = values[:1]
-		}
-		switch ops[i] % 11 {
-		case 0, 1, 2, 3, 4:
-			add(object(a), values...)
-		case 5:
-			_ = m.AddPreference(user, attr, better, worse)
-		case 6:
-			_ = m.RetractPreference(user, attr, better, worse)
-		case 7:
-			var prefs []Preference
-			for k := 0; k < int(a/64); k++ {
-				e := int(b>>k) % len(fuzzAttrs)
-				prefs = append(prefs, Preference{Attr: fuzzAttrs[e], Better: pick(fuzzValues[e], b>>k), Worse: pick(fuzzValues[e], b>>(k+3))})
-			}
-			_ = m.AddUser(user, prefs)
-		case 8:
-			_ = m.RemoveUser(user)
-		case 9:
-			_ = m.RemoveObject(object(a))
-		case 10:
-			if w := m.cfg.Window; w > 0 && len(added) > w {
-				add(added[len(added)-w-1], values...)
-			}
-		}
-	}
-}
-
-// FuzzLifecycleHistory runs random valid and invalid calls on a durable
-// monitor. It must never panic, and two monitors built from its WAL — one
-// reopened over the store, one a follower fed record by record — must
-// read exactly as it does: frontiers, C_o, clusters and work counters.
-func FuzzLifecycleHistory(f *testing.F) {
-	for shape := 0; shape < 12; shape++ {
-		seed := []byte{byte(shape)}
-		x := uint32(shape*2654435761 + 1)
-		for i := 0; i < 150; i++ {
-			x = x*1664525 + 1013904223
-			seed = append(seed, byte(x>>24))
-		}
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		cfg := fuzzConfig(data[0])
-		com := fuzzCommunity(t)
-		store := NewMemStore()
-		durable := cfg
-		durable.Store = store
-		live, err := newMonitor(com, durable)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runFuzzHistory(live, data[1:])
-		want := viewOf(t, live)
-
-		reopened, err := newMonitor(com, durable)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		if got := viewOf(t, reopened); !reflect.DeepEqual(got, want) {
-			t.Errorf("reopened monitor:\n got %+v\nwant %+v", got, want)
-		}
-
-		follower, err := newFollowerMonitor(com, cfg, 0, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Replay(0, follower.applyFeedRecord); err != nil {
-			t.Fatalf("feeding the follower: %v", err)
-		}
-		if got := viewOf(t, follower); !reflect.DeepEqual(got, want) {
-			t.Errorf("follower:\n got %+v\nwant %+v", got, want)
-		}
-	})
 }

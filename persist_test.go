@@ -124,51 +124,6 @@ func applyOps(t *testing.T, m *paretomon.Monitor, ops []persistOp, from, to int)
 	return outcomes
 }
 
-// compareMonitors asserts two monitors are observably identical:
-// clusters, frontiers of every user, targets of every object, and work
-// counters.
-func compareMonitors(t *testing.T, label string, want, got *paretomon.Monitor, com *paretomon.Community, ops []persistOp) {
-	t.Helper()
-	if cw, cg := want.Clusters(), got.Clusters(); !reflect.DeepEqual(cw, cg) {
-		t.Errorf("%s: clusters: %v, want %v", label, cg, cw)
-	}
-	for _, u := range com.Users() {
-		fw, err1 := want.Frontier(u)
-		fg, err2 := got.Frontier(u)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: Frontier(%s): %v / %v", label, u, err1, err2)
-		}
-		if !reflect.DeepEqual(fw, fg) {
-			t.Errorf("%s: frontier of %s: %v, want %v", label, u, fg, fw)
-		}
-	}
-	for _, op := range ops {
-		for _, o := range op.batch {
-			if want.Config().Window > 0 && !want.HasObject(o.Name) {
-				// Expired from the window, and so forgotten.
-				if got.HasObject(o.Name) {
-					t.Errorf("%s: %s expired from the reference's window but not from the recovered one's", label, o.Name)
-				}
-				continue
-			}
-			tw, err1 := want.TargetsOf(o.Name)
-			tg, err2 := got.TargetsOf(o.Name)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s: TargetsOf(%s): %v / %v", label, o.Name, err1, err2)
-			}
-			if !reflect.DeepEqual(tw, tg) {
-				t.Errorf("%s: targets of %s: %v, want %v", label, o.Name, tg, tw)
-			}
-		}
-	}
-	sw, sg := want.Stats(), got.Stats()
-	if sw.Comparisons != sg.Comparisons || sw.FilterComparisons != sg.FilterComparisons ||
-		sw.VerifyComparisons != sg.VerifyComparisons || sw.Delivered != sg.Delivered ||
-		sw.Processed != sg.Processed {
-		t.Errorf("%s: stats diverged: got %+v, want %+v", label, sg, sw)
-	}
-}
-
 // crashLayout is one input of the crash-recovery suites: the worker
 // count the monitor crashes under and the one it reopens under. Engine
 // state is keyed by users and clusters, never by shards, so a restart
@@ -182,97 +137,6 @@ func (l crashLayout) String() string {
 		return fmt.Sprint(l.crash)
 	}
 	return fmt.Sprintf("%dto%d", l.crash, l.reopen)
-}
-
-// TestDurableCrashRecovery simulates a kill -9 for every engine shape:
-// a durable monitor ingests half the script and is abandoned without
-// any shutdown; a second monitor over the same store recovers and
-// finishes the script; the result must be indistinguishable from an
-// uninterrupted run — including the comparison counters and the
-// clusters. Only the snapEvery=0 rows re-cluster on reopen: with no
-// snapshot the recovering monitor builds from the community, so
-// cluster.Agglomerative runs a second time and must find the clusters the
-// crashed monitor found (ftva-vec is the measure whose sums once followed
-// Go's map order). The snapshot path never calls cluster.*; it reads the
-// clusters back.
-func TestDurableCrashRecovery(t *testing.T) {
-	ops := persistScript(40)
-	half := len(ops) / 2
-	cases := []struct {
-		name string
-		opts []paretomon.Option
-		dir  bool // a file store under paretomon.Open, not a MemStore
-	}{
-		{"baseline", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline)}, false},
-		{"ftv", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}, false},
-		{"ftv-file", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2)}, true},
-		{"ftva", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithBranchCut(1.2), paretomon.WithThetas(40, 0.3)}, false},
-		{"ftva-vec", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerifyApprox), paretomon.WithMeasure(paretomon.MeasureVectorWeightedJaccard), paretomon.WithBranchCut(0.5)}, false}, // 0.5: two pairs and two singletons; from 1.0 up this community stays six singletons
-		{"baselineSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmBaseline), paretomon.WithWindow(13)}, false},
-		{"ftvSW", []paretomon.Option{paretomon.WithAlgorithm(paretomon.AlgorithmFilterThenVerify), paretomon.WithBranchCut(1.2), paretomon.WithWindow(13)}, false},
-	}
-	for _, tc := range cases {
-		for _, layout := range crashLayouts {
-			for _, snapEvery := range []int{0, 7} {
-				name := fmt.Sprintf("%s/workers=%s/snapEvery=%d", tc.name, layout, snapEvery)
-				t.Run(name, func(t *testing.T) {
-					com := persistCommunity(t)
-					opts := append(append([]paretomon.Option{}, tc.opts...), paretomon.WithWorkers(layout.crash))
-
-					ref, err := paretomon.NewMonitor(com, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					refOutcomes := applyOps(t, ref, ops, 0, len(ops))
-
-					durableOpts := append([]paretomon.Option{}, opts...)
-					if snapEvery > 0 {
-						durableOpts = append(durableOpts, paretomon.WithSnapshotEvery(snapEvery))
-					}
-					open := paretomon.NewMonitor
-					if tc.dir {
-						dir := t.TempDir()
-						open = func(c *paretomon.Community, o ...paretomon.Option) (*paretomon.Monitor, error) {
-							return paretomon.Open(c, dir, o...)
-						}
-					} else {
-						durableOpts = append(durableOpts, paretomon.WithStore(paretomon.NewMemStore()))
-					}
-					m1, err := open(com, durableOpts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					out1 := applyOps(t, m1, ops, 0, half)
-					// No final snapshot: the crash point. A directory stays
-					// locked until its monitor closes, so the file store's
-					// crash is a Close, which writes nothing.
-					if tc.dir {
-						if err := m1.Close(); err != nil {
-							t.Fatal(err)
-						}
-					}
-
-					m2, err := open(com, append(durableOpts, paretomon.WithWorkers(layout.reopen))...)
-					if err != nil {
-						t.Fatalf("recovery: %v", err)
-					}
-					defer m2.Close()
-					// Per-shard cumulative counters restart at zero after
-					// recovery (they track live load skew, not history).
-					for i, sh := range m2.Stats().Shards {
-						if sh.Comparisons != 0 || sh.Processed != 0 {
-							t.Errorf("shard %d counters not reset after recovery: %+v", i, sh)
-						}
-					}
-					out2 := applyOps(t, m2, ops, half, len(ops))
-					if got := append(out1, out2...); !reflect.DeepEqual(got, refOutcomes) {
-						t.Errorf("op outcomes diverged after recovery")
-					}
-					compareMonitors(t, name, ref, m2, com, ops)
-				})
-			}
-		}
-	}
 }
 
 // TestExplicitSnapshotReopen covers the tentpole's happy path: open,
