@@ -27,177 +27,6 @@ func newMemberWorld(seed int64) *indexWorld {
 	return w
 }
 
-// withControl adds the control engine: a class-keyed engine over its own
-// clones of the profiles, with its member tables off.
-func (h *indexRun) withControl(workers int) {
-	h.t.Helper()
-	for _, p := range h.w.asked {
-		h.users[2] = append(h.users[2], p.Clone())
-	}
-	s, err := NewSharded(h.users[2], h.w.clusters(h.users[2]), nil, h.w.source(), workers, &stats.Counters{})
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	for _, f := range ftvShards(s) {
-		f.memberMin = math.MaxInt
-	}
-	h.ctl = s
-}
-
-// tablesRead reports whether some shard of s holds a built member table.
-func tablesRead(s *Sharded) bool {
-	for _, f := range ftvShards(s) {
-		for i := range f.tables {
-			if f.tables[i].built {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// tableBehind reports whether some shard of s holds a built member table
-// over fewer values than one of doms now has.
-func tableBehind(s *Sharded, doms []*order.Domain) bool {
-	for _, f := range ftvShards(s) {
-		for i := range f.tables {
-			for d, n := range f.tables[i].n {
-				if f.tables[i].built && n < doms[d].Size() {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// TestMemberTableChangesOnlyWhichComparisons holds the class-keyed
-// engine, whose verify tier reads member tables on the two 75-user
-// clusters, to the per-object engine's per-member linear scans and to the
-// same class-keyed engine with its tables off, over every lifecycle call
-// between batches, a value interned after the tables were built and then
-// ordered, and a domain grown past order.TableMaxN and then reached by a
-// relation. Deliveries, every P_U and P_c in scan order and every C_o
-// must be identical, the filter counts equal to the control's, and the
-// verify counts no higher at any step and lower overall. The counts must
-// be the same at every shard count, and the frontiers Def. 3.2's (checked
-// on one shard: every engine holds them equal to the reference's).
-func TestMemberTableChangesOnlyWhichComparisons(t *testing.T) {
-	var counts [][]stats.Counters
-	for _, workers := range []int{1, 2, 3} {
-		t.Run(fmt.Sprint("workers=", workers), func(t *testing.T) {
-			w := newMemberWorld(21)
-			h := newIndexRun(t, w, workers)
-			h.withControl(workers)
-			const batch, batches = 8, 90
-			read := false
-			for b := 0; b < batches; b++ {
-				var span []int // nil: every value; else attribute d draws from its first span[d]
-				switch b {
-				case 41: // one value interned after the tables were built
-					w.doms[1].Intern("late")
-				case 50: // a preference on it
-					c := h.activeUser()
-					late := w.doms[1].Size() - 1
-					h.applyBoth("ApplyPreference(late)", func(s *Sharded) error { return s.ApplyPreference(c, 1, late, 0) })
-				case 60: // attribute 2's domain passes order.TableMaxN
-					for w.doms[2].Size() <= order.TableMaxN+8 {
-						w.doms[2].Intern(fmt.Sprint("wide", w.doms[2].Size()))
-					}
-				case 75: // and a relation reaches past it
-					c := h.activeUser()
-					h.applyBoth("ApplyPreference(wide)", func(s *Sharded) error {
-						return s.ApplyPreference(c, 2, w.doms[2].Size()-1, 1)
-					})
-				}
-				if b >= 60 && b < 70 {
-					span = []int{w.doms[0].Size(), w.doms[1].Size(), 10, w.doms[3].Size()} // not yet the wide values
-				}
-				objs := make([]object.Object, batch)
-				for j := range objs {
-					objs[j] = w.next(span)
-				}
-				h.arrive(objs)
-				read = read || tablesRead(h.eng)
-				if b == 41 && !tableBehind(h.eng, w.doms) {
-					t.Fatal("no member table was read past the late value")
-				}
-				if b >= 20 && b%3 == 0 {
-					h.lifecycle(b / 3)
-				}
-			}
-			if workers == 1 { // the other shard counts end in the same frontiers
-				h.againstOracle()
-			}
-			if !read {
-				t.Fatal("no verify tier read a member table")
-			}
-			got, want := h.eng.Totals(), h.ctl.Totals()
-			if got.VerifyComparisons >= want.VerifyComparisons {
-				t.Fatalf("verify comparisons %d, without member tables %d: no dominator was shared", got.VerifyComparisons, want.VerifyComparisons)
-			}
-			t.Logf("verify comparisons %d, without member tables %d", got.VerifyComparisons, want.VerifyComparisons)
-			counts = append(counts, h.counts)
-		})
-	}
-	for k := 1; k < len(counts); k++ {
-		if !slices.Equal(counts[k], counts[0]) {
-			t.Fatalf("the counts after each step differ between %d shards and one", k+1)
-		}
-	}
-}
-
-// TestMemberTableRestoreContinuesLikeLive captures the engine mid-stream,
-// restores the state into fresh engines under one and two shards, and
-// feeds all of them the rest of the stream: the restored engines rebuild
-// their member tables and make exactly the comparisons the live one makes.
-func TestMemberTableRestoreContinuesLikeLive(t *testing.T) {
-	w := newMemberWorld(22)
-	live, _, users := w.engines(t, 1)
-	for i := 0; i < 600; i++ {
-		o := w.next(nil)
-		w.alive = append(w.alive, o)
-		live.Process(o)
-	}
-	st := NewEngineState(len(users[0]), len(w.groups))
-	live.CaptureState(st)
-	var restored []*Sharded
-	for _, workers := range []int{1, 2} {
-		s, err := NewSharded(users[0], w.clusters(users[0]), nil, w.source(), workers, &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RestoreState(st); err != nil {
-			t.Fatal(err)
-		}
-		restored = append(restored, s)
-	}
-	base := live.Totals()
-	for i := 0; i < 400; i++ {
-		o := w.next(nil)
-		w.alive = append(w.alive, o)
-		want := live.Process(o)
-		for k, s := range restored {
-			if got := s.Process(o); !slices.Equal(got, want) {
-				t.Fatalf("restored engine %d delivers object %d to %v, live to %v", k, o.ID, got, want)
-			}
-		}
-	}
-	wantCtr := live.Totals()
-	for k, s := range restored {
-		got := s.Totals()
-		if got.FilterComparisons != wantCtr.FilterComparisons-base.FilterComparisons ||
-			got.VerifyComparisons != wantCtr.VerifyComparisons-base.VerifyComparisons {
-			t.Fatalf("restored engine %d: filter/verify comparisons %d/%d, live %d/%d", k,
-				got.FilterComparisons, got.VerifyComparisons,
-				wantCtr.FilterComparisons-base.FilterComparisons, wantCtr.VerifyComparisons-base.VerifyComparisons)
-		}
-		if !tablesRead(s) {
-			t.Fatalf("restored engine %d read no member table", k)
-		}
-	}
-}
-
 // TestMemberTableVerifyDoesNotAllocate: once the table and the engine's
 // scratch exist, the verify tier over a table allocates nothing; an
 // ApplyPreference rewrites its member's column and leaves the table
@@ -210,7 +39,7 @@ func TestMemberTableVerifyDoesNotAllocate(t *testing.T) {
 	f := NewFilterThenVerify(w.asked, w.clusters(w.asked), nil)
 	var probes []object.Object
 	for len(probes) < 64 {
-		o := w.next(nil)
+		o := w.next()
 		var po pref.Probe
 		f.Clusters[0].Common.Prepare(o, &po)
 		if f.ClusterFronts[0].Len() > 0 && slices.ContainsFunc(f.ClusterFronts[0].Objects(), po.DominatedBy) {
@@ -271,11 +100,11 @@ func TestMemberTableVerifyDoesNotAllocate(t *testing.T) {
 // nothing.
 func TestRemoveObjectKeepsMemberTable(t *testing.T) {
 	w := newMemberWorld(24)
-	s, err := NewSharded(w.asked, w.clusters(w.asked), nil, w.source(), 1, &stats.Counters{})
+	s, err := NewSharded(w.asked, w.clusters(w.asked), nil, w.source, 1, &stats.Counters{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ftvShards(s)[0]
+	f := s.shards[0].(*FilterThenVerify)
 	dominated := func(o object.Object) bool {
 		var po pref.Probe
 		f.Clusters[0].Common.Prepare(o, &po)
@@ -283,7 +112,7 @@ func TestRemoveObjectKeepsMemberTable(t *testing.T) {
 	}
 	var probes []object.Object
 	for len(probes) < 64 {
-		o := w.next(nil)
+		o := w.next()
 		if f.ClusterFronts[0].Len() > 0 && dominated(o) {
 			probes = append(probes, o)
 			continue

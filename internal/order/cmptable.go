@@ -14,8 +14,8 @@ const (
 
 // TableMaxN caps the dense table at n×n = 1 MiB of uint8 cells. Real
 // categorical domains (genres, languages, publishers) sit far below this;
-// a pathological domain simply keeps the bitset-probe path. pref.Union's
-// tables share the cap.
+// a pathological domain simply keeps the bitset-probe path. The member
+// tables' cells (internal/core) share the cap.
 const TableMaxN = 1 << 10
 
 // cmpTable is a dense n×n matrix of Rel codes derived from the closed
