@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	paretomon "repro"
 )
 
 // TestValidateServe exercises serve's contradiction table: -config is
@@ -171,12 +173,16 @@ func TestSplitURLs(t *testing.T) {
 // checkValidation asserts err matches want: nil for "", otherwise a
 // message with want as prefix (tables quote the distinguishing head of
 // long messages once, in full, and prefix-match elsewhere).
-// TestCheckEngine: replay and bench build their engine without a
-// Monitor, so checkEngine must refuse what NewMonitor refuses for serve
-// and follow — a NaN or negative branch cut, a negative window or worker
-// count, and θs out of range for ftva — and let the defaults through.
+// TestCheckEngine: every subcommand builds its monitor from
+// engineOptions through NewMonitor, which must refuse a NaN or negative
+// branch cut, a negative window or worker count, and θs out of range for
+// ftva, and let the defaults through.
 func TestCheckEngine(t *testing.T) {
 	defaults := engineFlags{alg: "ftv", h: 3.3, theta1: 400, theta2: 0.5, win: 0, workers: 1}
+	com := paretomon.NewCommunity(paretomon.NewSchema("a"))
+	if _, err := com.AddUser("u0"); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		edit func(e *engineFlags)
@@ -199,7 +205,11 @@ func TestCheckEngine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := defaults
 			tc.edit(&e)
-			checkValidation(t, checkEngine(&e), tc.want)
+			mon, err := paretomon.NewMonitor(com, engineOptions(&e)...)
+			if err == nil {
+				mon.Close()
+			}
+			checkValidation(t, err, tc.want)
 		})
 	}
 }

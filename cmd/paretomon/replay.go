@@ -5,16 +5,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	paretomon "repro"
-	"repro/internal/approx"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/pref"
-	"repro/internal/stats"
-	"repro/internal/window"
 )
 
 // engineFlags are the offline/serving engine knobs shared by several
@@ -78,112 +72,41 @@ func cmdBench(args []string) {
 	runReplay(v)
 }
 
-// runReplay drives the offline dataset replay through the chosen
-// engine, printing deliveries (unless quiet) and a closing summary.
+// runReplay loads the dataset as serve does, builds the Monitor from
+// the engine flags and adds the rows one by one under serve's boot
+// names o1, o2, ..., printing each delivery (unless quiet: its users in
+// name order) and a closing summary; bench times the adds.
 func runReplay(v replayValues) {
-	of, err := os.Open(v.objPath)
+	com, rows := loadDataset(v.objPath, v.prefPath)
+	mon, err := paretomon.NewMonitor(com, engineOptions(&v.eng)...)
 	check(err)
-	doms, objs, err := dataset.ReadObjectsCSV(of)
-	check(err)
-	check(of.Close())
-
-	pf, err := os.Open(v.prefPath)
-	check(err)
-	users, err := dataset.ReadProfilesJSON(pf, doms)
-	check(err)
-	check(pf.Close())
-
-	eng := buildEngine(&v.eng, users)
+	defer mon.Close()
+	if v.eng.alg != "baseline" {
+		fmt.Fprintf(os.Stderr, "clustered %d users into %d clusters (h=%.2f, %d workers)\n",
+			com.Len(), len(mon.Clusters()), v.eng.h, mon.Stats().Workers)
+	}
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-	n := len(objs)
+	n := len(rows)
 	if v.limit > 0 && v.limit < n {
 		n = v.limit
 	}
 	start := time.Now()
-	for _, o := range objs[:n] {
-		co := eng.Process(o)
-		if !v.quiet && len(co) > 0 {
-			fmt.Fprintf(out, "o%d ->", o.ID+1)
-			for _, c := range co {
-				fmt.Fprintf(out, " u%d", c)
-			}
-			fmt.Fprintln(out)
+	for i, row := range rows[:n] {
+		d, err := mon.Add(fmt.Sprintf("o%d", i+1), row...)
+		check(err)
+		if !v.quiet && len(d.Users) > 0 {
+			fmt.Fprintf(out, "%s -> %s\n", d.Object, strings.Join(d.Users, " "))
 		}
 	}
 	elapsed := time.Since(start)
-	totals := eng.Totals()
-	fmt.Fprintf(os.Stderr, "processed %d objects for %d users: %s\n", n, len(users), &totals)
+	s := mon.Stats()
+	fmt.Fprintf(os.Stderr, "processed %d objects for %d users: cmp=%d (filter=%d verify=%d) delivered=%d processed=%d\n",
+		n, com.Len(), s.Comparisons, s.FilterComparisons, s.VerifyComparisons, s.Delivered, s.Processed)
 	if v.timing {
 		rate := float64(n) / elapsed.Seconds()
 		fmt.Printf("bench: %d objects in %s (%.0f objects/sec, algorithm=%s, workers=%d, window=%d)\n",
 			n, elapsed.Round(time.Millisecond), rate, v.eng.alg, v.eng.workers, v.eng.win)
 	}
-}
-
-// checkEngine applies the flags' monitor options to the package defaults
-// and returns the first error, so that replay and bench, which build their
-// engine without a Monitor, refuse exactly the values serve and follow
-// get refused by NewMonitor.
-func checkEngine(e *engineFlags) error {
-	cfg := paretomon.DefaultConfig()
-	for _, opt := range engineOptions(e) {
-		if err := opt(&cfg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// buildEngine assembles the offline engine for the flag set through the
-// same per-package constructors the Monitor uses: baseline (no clusters)
-// or filter-then-verify, append-only or windowed.
-func buildEngine(e *engineFlags, users []*pref.Profile) *core.Sharded {
-	if err := checkEngine(e); err != nil {
-		failf("%v", err)
-	}
-	var clusters []core.Cluster
-	switch e.alg {
-	case "baseline":
-	case "ftv", "ftva":
-		measure := cluster.WeightedJaccard
-		if e.alg == "ftva" {
-			measure = cluster.VectorWeightedJaccard
-		}
-		res := cluster.Agglomerative(users, measure, e.h)
-		clusters = make([]core.Cluster, len(res.Clusters))
-		for i, ci := range res.Clusters {
-			common := ci.Common
-			if e.alg == "ftva" {
-				members := make([]*pref.Profile, len(ci.Members))
-				for j, id := range ci.Members {
-					members[j] = users[id]
-				}
-				common = approx.Profile(members, e.theta1, e.theta2)
-			}
-			clusters[i] = core.Cluster{Members: ci.Members, Common: common}
-		}
-	default:
-		failf("unknown algorithm %q", e.alg)
-	}
-	// A replay only ingests: no lifecycle call, so no alive-object source.
-	var eng *core.Sharded
-	var err error
-	switch {
-	case e.win > 0:
-		eng, err = window.NewSharded(users, clusters, nil, e.win, e.workers, &stats.Counters{})
-	case e.alg == "ftva":
-		eng, err = core.NewShardedPerObject(users, clusters, nil, nil, e.workers, &stats.Counters{})
-	default:
-		eng, err = core.NewSharded(users, clusters, nil, nil, e.workers, &stats.Counters{})
-	}
-	if err != nil {
-		failf("%v", err)
-	}
-	if clusters != nil {
-		fmt.Fprintf(os.Stderr, "clustered %d users into %d clusters (h=%.2f, %d workers)\n",
-			len(users), len(clusters), e.h, eng.Shards())
-	}
-	return eng
 }

@@ -21,236 +21,6 @@ import (
 	"repro/internal/partition"
 )
 
-// migrateCrashAbort is the sentinel the chaos observer panics with to
-// simulate the orchestrating router dying at an exact phase boundary.
-type migrateCrashAbort struct{ phase string }
-
-// crashingRouter builds a router whose Observe hook kills the
-// orchestration (panic, recovered by the caller) the first time the
-// named phase completes — the deterministic stand-in for kill -9'ing
-// the router between migration steps.
-func crashingRouter(t *testing.T, urls []string, phase string) *partition.Router {
-	t.Helper()
-	fired := false
-	rt, err := partition.New(partition.Config{
-		URLs:          urls,
-		RetryBudget:   5 * time.Second,
-		RetryInterval: 5 * time.Millisecond,
-		Observe: func(e partition.RebalanceEvent) {
-			if e.Phase == phase && !fired {
-				fired = true
-				panic(migrateCrashAbort{phase: phase})
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rt
-}
-
-// migrateExpectingCrash runs Migrate expecting the observer to abort it
-// at the configured phase.
-func migrateExpectingCrash(t *testing.T, rt *partition.Router, users []string, from, to int) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("migration completed; the crash hook never fired")
-		}
-		if _, ok := r.(migrateCrashAbort); !ok {
-			panic(r)
-		}
-	}()
-	_ = rt.Migrate(users, from, to)
-}
-
-// TestMigrateCrashReconcile kills the orchestrator (deterministically,
-// via a panicking observer) at both phase boundaries of a migration and
-// asserts a fresh router's Reconcile recovers the fleet to a consistent
-// ring: the migration is fully rolled back (crash before the ring
-// commit) or rolled forward (crash after), no user is owned by zero or
-// two partitions, and the fleet stays frontier-identical to the
-// sequential reference.
-func TestMigrateCrashReconcile(t *testing.T) {
-	cases := []struct {
-		name      string
-		phase     string // observer phase that kills the orchestrator
-		wantOwner int    // owning partition after recovery (0 = rolled back, 1 = rolled forward)
-	}{
-		// Crash after the import, before the ring commit: the user is held
-		// by both partitions and the ring still says the source owns them —
-		// Reconcile must delete the destination copy.
-		{"pre-commit-rollback", "import", 0},
-		// Crash after the ring commit, before the source delete: the ring
-		// says the destination owns them and the source holds a stale copy
-		// — Reconcile must delete the source copy.
-		{"post-commit-rollforward", "commit", 1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			com := partitionCommunity(t, 20)
-			f := startRebalanceFleet(t, com, 2)
-			defer f.close()
-
-			objs := partitionStream(30, 5)
-			if _, err := f.ref.AddBatch(objs); err != nil {
-				t.Fatal(err)
-			}
-			rtA := crashingRouter(t, f.urls, tc.phase)
-			defer rtA.Close()
-			if _, err := rtA.AddBatch(objs); err != nil {
-				t.Fatal(err)
-			}
-			victim := ""
-			for i := 0; i < 20; i++ {
-				if u := fmt.Sprintf("u%d", i); rtA.Owner(u) == 0 {
-					victim = u
-					break
-				}
-			}
-			migrateExpectingCrash(t, rtA, []string{victim}, 0, 1)
-
-			// The wreckage the crash leaves: the import always landed, so
-			// the destination holds a copy; the source's copy survives in
-			// both cases (the delete phase never ran).
-			holders := 0
-			for _, m := range f.mons {
-				for _, u := range m.Users() {
-					if u == victim {
-						holders++
-					}
-				}
-			}
-			if holders != 2 {
-				t.Fatalf("expected the crash to leave %q dual-held, found %d cop(ies)", victim, holders)
-			}
-
-			// A fresh router — the replacement orchestrator — reconciles.
-			rtB, err := partition.New(partition.Config{
-				URLs:          f.urls,
-				RetryBudget:   5 * time.Second,
-				RetryInterval: 5 * time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rtB.Close()
-			rec, err := rtB.Reconcile(context.Background())
-			if err != nil {
-				t.Fatalf("reconcile: %v", err)
-			}
-			if rec.Removed != 1 || rec.Repinned != 0 {
-				t.Fatalf("reconcile report %+v, want exactly the stray copy removed", rec)
-			}
-			if got := rtB.Owner(victim); got != tc.wantOwner {
-				t.Fatalf("after recovery %q is owned by partition %d, want %d", victim, got, tc.wantOwner)
-			}
-			assertOneOwner(t, f)
-
-			objects := make([]string, len(objs))
-			for i := range objs {
-				objects[i] = objs[i].Name
-			}
-			assertFleetIdentity(t, rtB, f, objects, true)
-
-			// And the recovered fleet keeps serving: one more batch lands
-			// identically on both sides.
-			extra := partitionStream(35, 5)[30:]
-			want, err1 := f.ref.AddBatch(extra)
-			got, err2 := rtB.AddBatch(extra)
-			if err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
-				t.Fatalf("post-recovery batch: reference %v (%v), router %v (%v)", want, err1, got, err2)
-			}
-		})
-	}
-}
-
-// TestRouterCrashMidFlip simulates a router dying halfway through a
-// ring commit — the new version pushed to some partitions but not all —
-// and asserts the fleet self-heals: a replacement router's first write
-// hits the version conflict, refetches the newest ring, pushes it to
-// the stragglers, and retries to success.
-func TestRouterCrashMidFlip(t *testing.T) {
-	com := partitionCommunity(t, 20)
-	f := startRebalanceFleet(t, com, 2)
-	defer f.close()
-
-	objs := partitionStream(20, 21)
-	if _, err := f.ref.AddBatch(objs); err != nil {
-		t.Fatal(err)
-	}
-	rtA, err := partition.New(partition.Config{URLs: f.urls, RetryBudget: 5 * time.Second, RetryInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rtA.AddBatch(objs); err != nil {
-		t.Fatal(err)
-	}
-	// Install ring v1 everywhere (a same-topology rebalance bootstraps it).
-	if _, err := rtA.Rebalance(context.Background(), f.urls, partition.RebalanceOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	rtA.Close()
-
-	// The "crashed mid-flip" state: craft the successor ring and push it
-	// to partition 0 only.
-	cur := rtA.Ring()
-	if cur == nil || cur.Version != 1 {
-		t.Fatalf("bootstrap ring = %+v, want version 1", cur)
-	}
-	next, err := partition.NewRing(cur.Version+1, cur.Parts, cur.VNodes, cur.URLs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPut, f.urls[0]+"/ring", bytes.NewReader(next.Encode()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("partial ring push: status %d", resp.StatusCode)
-	}
-
-	// Replacement router, cold: its first fleet write conflicts (v2 on
-	// partition 0, and it carries no version at all), heals, and lands.
-	rtB, err := partition.New(partition.Config{URLs: f.urls, RetryBudget: 5 * time.Second, RetryInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rtB.Close()
-	extra := partitionStream(25, 21)[20:]
-	want, err1 := f.ref.AddBatch(extra)
-	got, err2 := rtB.AddBatch(extra)
-	if err1 != nil || err2 != nil || !reflect.DeepEqual(want, got) {
-		t.Fatalf("post-heal batch: reference %v (%v), router %v (%v)", want, err1, got, err2)
-	}
-	if rg := rtB.Ring(); rg == nil || rg.Version != 2 {
-		t.Fatalf("replacement router ring = %+v, want the half-pushed version 2", rtB.Ring())
-	}
-	// The straggler partition converged too.
-	sresp, err := http.Get(f.urls[1] + "/ring")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	if hdr := sresp.Header.Get("X-Paretomon-Ring"); hdr != "2" {
-		t.Fatalf("straggler partition reports ring %q, want 2", hdr)
-	}
-	objects := make([]string, 0, 25)
-	for _, o := range objs {
-		objects = append(objects, o.Name)
-	}
-	for _, o := range extra {
-		objects = append(objects, o.Name)
-	}
-	assertFleetIdentity(t, rtB, f, objects, true)
-}
-
 // TestKill9MidMigration is the full-fidelity chaos exercise: real
 // paretomon partition processes with durable stores, a SIGKILL of the
 // migration source the instant the ring commit lands (the observer
