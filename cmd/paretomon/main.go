@@ -215,3 +215,22 @@ func check(err error) {
 		os.Exit(1)
 	}
 }
+
+// postRelay POSTs a JSON body to url and prints the reply (at most
+// 1 MiB) on 200; any other status prints "<who> replied <status>: <msg>"
+// and exits 1.
+func postRelay(ctx context.Context, who, url, body string) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(body))
+	check(err)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	check(err)
+	defer resp.Body.Close()
+	out, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	check(err)
+	if resp.StatusCode != http.StatusOK {
+		fmt.Fprintf(os.Stderr, "paretomon: %s replied %s: %s\n", who, resp.Status, strings.TrimSpace(string(out)))
+		os.Exit(1)
+	}
+	fmt.Println(strings.TrimSpace(string(out)))
+}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -150,18 +148,5 @@ func runRebalance(routerURL string, urls []string, reconcile bool) {
 	}
 	// No request timeout: a rebalance legitimately runs for minutes, and
 	// interrupting the client does not interrupt the migration anyway.
-	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost,
-		base+path, strings.NewReader(body))
-	check(err)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	check(err)
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	check(err)
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "paretomon: router replied %s: %s\n", resp.Status, strings.TrimSpace(string(out)))
-		os.Exit(1)
-	}
-	fmt.Println(strings.TrimSpace(string(out)))
+	postRelay(context.Background(), "router", base+path, body)
 }

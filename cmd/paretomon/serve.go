@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -246,20 +245,7 @@ func cmdSnapshot(args []string) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimRight(*url, "/")+"/snapshot", strings.NewReader("{}"))
-	check(err)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	check(err)
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	check(err)
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "paretomon: server replied %s: %s\n", resp.Status, strings.TrimSpace(string(out)))
-		os.Exit(1)
-	}
-	fmt.Println(strings.TrimSpace(string(out)))
+	postRelay(ctx, "server", strings.TrimRight(*url, "/")+"/snapshot", "{}")
 }
 
 // loadDataset opens the cmd/datagen pair through the public facade.

@@ -8,9 +8,9 @@ import (
 
 // ctxhttpPackages are the import-path segments whose packages carry
 // the context obligation: the partition router's retry budgets and
-// lease fences, the replica tailer's cancellation, the server's
-// shutdown path, and the tenant admin client's request deadlines all
-// propagate exclusively through request contexts.
+// lease fences, the replica tailer's cancellation and the server's
+// shutdown path propagate exclusively through request contexts, and a
+// request the tenant registry ever makes must take its caller's.
 var ctxhttpPackages = []string{"partition", "replica", "server", "tenant"}
 
 // ctxhttpBanned are the context-free request constructors and

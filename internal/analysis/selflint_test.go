@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -16,11 +17,7 @@ func TestRepoInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")
 	}
-	root, err := moduleRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := analysis.Load(root, "./...")
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +33,16 @@ func TestRepoInvariants(t *testing.T) {
 		t.Errorf("%s: [%s] %s", fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 }
+
+// loadModule type-checks the whole module once for every test that
+// needs it.
+var loadModule = sync.OnceValues(func() ([]*analysis.LoadedPackage, error) {
+	root, err := moduleRoot()
+	if err != nil {
+		return nil, err
+	}
+	return analysis.Load(root, "./...")
+})
 
 func moduleRoot() (string, error) {
 	dir, err := os.Getwd()

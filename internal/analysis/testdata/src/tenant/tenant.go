@@ -1,6 +1,6 @@
-// Package tenant is the ctxhttp golden corpus for the multi-tenant
-// admin client: its directory name matches a context-obligated
-// package, so the banned constructors are flagged here too.
+// Package tenant is the ctxhttp golden corpus for the tenant registry:
+// its directory name matches a context-obligated package, so the
+// banned constructors are flagged here too.
 package tenant
 
 import (
@@ -8,8 +8,8 @@ import (
 	"net/http"
 )
 
-// rotate is the blessed shape the real AdminClient uses: every admin
-// call threads its caller's context into the request.
+// rotate is the blessed shape: an HTTP call threads its caller's
+// context into the request.
 func rotate(ctx context.Context, c *http.Client, url string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
 	if err != nil {

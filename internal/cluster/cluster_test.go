@@ -1,10 +1,10 @@
 package cluster_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -345,35 +345,17 @@ func TestQuickBranchCutMonotone(t *testing.T) {
 	}
 }
 
-func TestDendrogramDOT(t *testing.T) {
-	b := fixtures.NewBrands()
-	res := cluster.Agglomerative(b.Profiles, cluster.WeightedJaccard, 1e-9)
-	dot := res.DOT("brands")
-	for _, frag := range []string{"digraph", "u0 ->", "u2 ->", "sim="} {
-		if !strings.Contains(dot, frag) {
-			t.Errorf("DOT missing %q:\n%s", frag, dot)
-		}
-	}
-	// Every merge node appears as a target.
-	for _, st := range res.Dendrogram {
-		if !strings.Contains(dot, "n"+strconv.Itoa(st.Result)) {
-			t.Errorf("DOT missing merge node n%d", st.Result)
-		}
-	}
-}
-
-// TestDendrogramRendersPinned holds DOT and String to the bytes they
-// rendered while DOT rescanned the dendrogram for every edge and String
-// concatenated with +=.
+// TestDendrogramRendersPinned holds the merge steps (pairs, result ids,
+// similarities to three digits) and String to what they were while
+// String concatenated with +=.
 func TestDendrogramRendersPinned(t *testing.T) {
 	res := cluster.Agglomerative(fixtures.NewBrands().Profiles, cluster.WeightedJaccard, 1e-9)
-	const dot = "digraph \"brands\" {\n  rankdir=BT;\n" +
-		"  n6 [label=\"sim=0.923\"];\n  u2 -> n6;\n  u3 -> n6;\n" +
-		"  n7 [label=\"sim=0.778\"];\n  u0 -> n7;\n  u1 -> n7;\n" +
-		"  n8 [label=\"sim=0.778\"];\n  u4 -> n8;\n  u5 -> n8;\n" +
-		"  n9 [label=\"sim=0.273\"];\n  n7 -> n9;\n  n8 -> n9;\n}\n"
-	if got := res.DOT("brands"); got != dot {
-		t.Errorf("DOT:\n%s\nwant:\n%s", got, dot)
+	var steps strings.Builder
+	for _, st := range res.Dendrogram {
+		fmt.Fprintf(&steps, "%d+%d=%d@%.3f ", st.A, st.B, st.Result, st.Sim)
+	}
+	if got, want := steps.String(), "2+3=6@0.923 0+1=7@0.778 4+5=8@0.778 7+8=9@0.273 "; got != want {
+		t.Errorf("Dendrogram %q, want %q", got, want)
 	}
 	if got, want := res.String(), "[[0 1 4 5] [2 3]]"; got != want {
 		t.Errorf("String %q, want %q", got, want)

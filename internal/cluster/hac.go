@@ -277,28 +277,3 @@ func (r *Result) String() string {
 	b.WriteByte(']')
 	return b.String()
 }
-
-// DOT renders the dendrogram in Graphviz format: leaves are users
-// (labeled u<i>), internal nodes are merges labeled with their similarity.
-// Useful for eyeballing where a branch cut h will slice the tree.
-func (r *Result) DOT(name string) string {
-	// Leaf ids are those never produced by a merge.
-	merged := make(map[int]bool, len(r.Dendrogram))
-	for _, st := range r.Dendrogram {
-		merged[st.Result] = true
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=BT;\n", name)
-	for _, st := range r.Dendrogram {
-		fmt.Fprintf(&b, "  n%d [label=\"sim=%.3f\"];\n", st.Result, st.Sim)
-		for _, child := range []int{st.A, st.B} {
-			prefix := "u"
-			if merged[child] {
-				prefix = "n"
-			}
-			fmt.Fprintf(&b, "  %s%d -> n%d;\n", prefix, child, st.Result)
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

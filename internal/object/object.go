@@ -4,29 +4,12 @@
 // attribute; all dominance logic lives in package pref.
 package object
 
-import "fmt"
-
 // Object is one row of the object table O. ID is its arrival position
 // (timestamp in the sliding-window semantics of Sec. 7); Attrs[d] is the
 // interned value id of attribute d.
 type Object struct {
 	ID    int
 	Attrs []int32
-}
-
-// Identical reports whether o and p agree on every attribute (o = p in
-// Def. 3.2's notation). It panics if the attribute counts differ, which
-// indicates objects from different schemas.
-func (o Object) Identical(p Object) bool {
-	if len(o.Attrs) != len(p.Attrs) {
-		panic(fmt.Sprintf("object: schema mismatch (%d vs %d attrs)", len(o.Attrs), len(p.Attrs)))
-	}
-	for d, v := range o.Attrs {
-		if p.Attrs[d] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Project returns a copy of o restricted to the first d attributes. The

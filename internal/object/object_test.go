@@ -2,27 +2,6 @@ package object
 
 import "testing"
 
-func TestIdentical(t *testing.T) {
-	a := Object{ID: 1, Attrs: []int32{1, 2, 3}}
-	b := Object{ID: 2, Attrs: []int32{1, 2, 3}}
-	c := Object{ID: 3, Attrs: []int32{1, 2, 4}}
-	if !a.Identical(b) {
-		t.Error("a and b should be identical (ID is not an attribute)")
-	}
-	if a.Identical(c) {
-		t.Error("a and c differ on attr 2")
-	}
-}
-
-func TestIdenticalSchemaMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("schema mismatch should panic")
-		}
-	}()
-	Object{Attrs: []int32{1}}.Identical(Object{Attrs: []int32{1, 2}})
-}
-
 func TestProject(t *testing.T) {
 	a := Object{ID: 7, Attrs: []int32{1, 2, 3, 4}}
 	p := a.Project(2)

@@ -1,9 +1,8 @@
 package order
 
 // Diagnostics over the poset structure. These are not on any hot path;
-// datagen's tests and the experiment logs use them to characterize how
-// chain-like (dense) or antichain-like (sparse) generated preference
-// relations are.
+// datagen's tests use them to characterize how chain-like (dense) or
+// antichain-like (sparse) generated preference relations are.
 
 // Height returns the number of values on a longest chain in the relation
 // (1 for an empty or edgeless relation over a non-empty domain, 0 for an

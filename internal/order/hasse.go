@@ -2,8 +2,6 @@ package order
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/bitset"
 )
@@ -217,67 +215,4 @@ func (r *Relation) IsStrictPartialOrder() error {
 		}
 	}
 	return nil
-}
-
-// DOT renders the Hasse diagram in Graphviz format, mirroring the paper's
-// figures (Tables 2, 3; Fig. 1).
-func (r *Relation) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n", name)
-	active := bitset.New(r.n)
-	h := r.computeDerived().hasse
-	for x := 0; x < r.n; x++ {
-		h[x].ForEach(func(y int) bool {
-			active.Add(x)
-			active.Add(y)
-			fmt.Fprintf(&b, "  %q -> %q;\n", r.dom.Value(x), r.dom.Value(y))
-			return true
-		})
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
-// TopoOrder returns the relation's values in a deterministic topological
-// order (better values first, ties by id). The sort key is the longest
-// chain above each value — unlike the shortest distance used for weights,
-// it is monotone along every edge (x ≻ y implies a strictly greater depth
-// for y), which makes the order topological on arbitrary posets, not just
-// chains. Used by serializers and pretty-printers.
-func (r *Relation) TopoOrder() []int {
-	depth := make([]int, r.n)
-	for v := range depth {
-		depth[v] = -1
-	}
-	var longest func(v int) int
-	longest = func(v int) int {
-		if depth[v] >= 0 {
-			return depth[v]
-		}
-		depth[v] = 0 // break would-be cycles defensively; the DAG has none
-		best := 0
-		for p := 0; p < r.n; p++ {
-			if r.succ[p].Contains(v) {
-				if d := longest(p) + 1; d > best {
-					best = d
-				}
-			}
-		}
-		depth[v] = best
-		return best
-	}
-	for v := 0; v < r.n; v++ {
-		longest(v)
-	}
-	out := make([]int, r.n)
-	for i := range out {
-		out[i] = i
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if depth[out[i]] != depth[out[j]] {
-			return depth[out[i]] < depth[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

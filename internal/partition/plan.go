@@ -92,19 +92,6 @@ func (p *Plan) Owner(user string) int {
 	return p.ring[i].part
 }
 
-// Assign buckets the given user names by owner, in input order: the
-// slice at index i holds partition i's users. Partition processes use
-// it to carve their community subset; tests and docs use it to inspect
-// the spread.
-func (p *Plan) Assign(users []string) [][]string {
-	out := make([][]string, p.parts)
-	for _, u := range users {
-		o := p.Owner(u)
-		out[o] = append(out[o], u)
-	}
-	return out
-}
-
 // hash64 is FNV-1a 64 followed by a splitmix64-style finalizer. Raw
 // FNV avalanches poorly on short sequential keys like "u17" — ring
 // positions come out clustered and ownership badly skewed — so the

@@ -193,14 +193,10 @@ func TestRingVersionRefetchRetry(t *testing.T) {
 	// Cold-router heal: a fresh router sends NO version header, which a
 	// ringed partition rejects just like a stale one. Its first write, a
 	// fresh batch, adopts v3 and lands; so does the owner op after it.
-	rtB, err := partition.New(partition.Config{
-		URLs:          fleetURLs(f),
-		RetryBudget:   5 * time.Second,
-		RetryInterval: 5 * time.Millisecond,
+	rtB := newRouter(t, partition.Config{
+		URLs:        fleetURLs(f),
+		RetryBudget: 5 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer rtB.Close()
 	if rg := rtB.Ring(); rg != nil {
 		t.Fatalf("fresh router starts with ring %+v", rg)
@@ -226,6 +222,40 @@ func TestRingVersionRefetchRetry(t *testing.T) {
 	assertIdentical(t, f, 15)
 }
 
+// faultyFleet serves plan's slices of com from Baseline monitors behind
+// in-process HTTP servers, partition i's handler wrapped by wrap(i, h) so
+// a test can inject faults. Everything closes with the test.
+func faultyFleet(t *testing.T, com *paretomon.Community, plan *partition.Plan, wrap func(i int, h http.Handler) http.Handler) (mons []*paretomon.Monitor, urls []string) {
+	t.Helper()
+	for i := range plan.Partitions() {
+		sub := com.Subset(func(name string) bool { return plan.Owner(name) == i })
+		if sub.Len() == 0 {
+			t.Fatalf("partition %d owns no users", i)
+		}
+		mon, err := paretomon.NewMonitor(sub, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { mon.Close() })
+		hs := httptest.NewServer(wrap(i, server.New(mon)))
+		t.Cleanup(hs.Close)
+		mons, urls = append(mons, mon), append(urls, hs.URL)
+	}
+	return mons, urls
+}
+
+// refusing answers status and msg to the requests when picks and passes
+// the others to h.
+func refusing(h http.Handler, status int, msg string, when func(*http.Request) bool) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if when(r) {
+			http.Error(w, msg, status)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 // fleetURLs lists the fleet's partition base URLs.
 func fleetURLs(f *fleet) []string {
 	urls := make([]string, len(f.https))
@@ -246,18 +276,12 @@ func TestRouterLeaseMutualExclusion(t *testing.T) {
 
 	const ttl = 250 * time.Millisecond
 	mk := func(id string) *partition.Router {
-		t.Helper()
-		rt, err := partition.New(partition.Config{
-			URLs:          fleetURLs(f),
-			RetryBudget:   2 * time.Second,
-			RetryInterval: 5 * time.Millisecond,
-			RouterID:      id,
-			LeaseTTL:      ttl,
+		return newRouter(t, partition.Config{
+			URLs:        fleetURLs(f),
+			RetryBudget: 2 * time.Second,
+			RouterID:    id,
+			LeaseTTL:    ttl,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rt
 	}
 	ra, rb, rc := mk("ra"), mk("rb"), mk("rc")
 	defer rb.Close()
@@ -318,44 +342,19 @@ func TestRouterRetryBudgetPerPartition(t *testing.T) {
 	defer ref.Close()
 
 	var healthy atomic.Bool
-	mons := make([]*paretomon.Monitor, 3)
-	urls := make([]string, 3)
-	for i := 0; i < 3; i++ {
-		sub := com.Subset(func(name string) bool { return plan.Owner(name) == i })
-		if sub.Len() == 0 {
-			t.Fatalf("partition %d owns no users", i)
+	mons, urls := faultyFleet(t, com, plan, func(i int, h http.Handler) http.Handler {
+		if i != 2 {
+			return h
 		}
-		mon, err := paretomon.NewMonitor(sub, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mon.Close()
-		mons[i] = mon
-		h := http.Handler(server.New(mon))
-		if i == 2 {
-			inner := h
-			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if !healthy.Load() {
-					http.Error(w, "flapping", http.StatusServiceUnavailable)
-					return
-				}
-				inner.ServeHTTP(w, r)
-			})
-		}
-		hs := httptest.NewServer(h)
-		defer hs.Close()
-		urls[i] = hs.URL
-	}
+		return refusing(h, http.StatusServiceUnavailable, "flapping", func(*http.Request) bool { return !healthy.Load() })
+	})
 
 	const budget = 500 * time.Millisecond
-	rt, err := partition.New(partition.Config{
+	rt := newRouter(t, partition.Config{
 		URLs:          urls,
 		RetryBudget:   budget,
 		RetryInterval: 20 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer rt.Close()
 
 	objs := stream(6)
@@ -399,21 +398,7 @@ func TestRouterRetryBudgetPerPartition(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("re-issued deliveries:\nreference %v\nrouter    %v", want, got)
 	}
-	for _, u := range ref.Users() {
-		wantF, err1 := ref.Frontier(u)
-		gotF, err2 := rt.Frontier(u)
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(wantF, gotF) {
-			t.Fatalf("frontier(%s): reference %v (%v), router %v (%v)", u, wantF, err1, gotF, err2)
-		}
-	}
-	for i := 1; i <= len(objs); i++ {
-		name := fmt.Sprintf("o%d", i)
-		wantT, err1 := ref.TargetsOf(name)
-		gotT, err2 := rt.TargetsOf(name)
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(wantT, gotT) {
-			t.Fatalf("targets(%s): reference %v (%v), router %v (%v)", name, wantT, err1, gotT, err2)
-		}
-	}
+	assertIdentical(t, &fleet{router: rt, ref: ref}, len(objs))
 }
 
 // TestLeaseTTLServerClamp: a misconfigured router asking for an
@@ -475,54 +460,26 @@ func TestMutationFencedByLeaseLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var denyLease, flapping atomic.Bool
-	mons := make([]*paretomon.Monitor, 2)
-	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		sub := com.Subset(func(name string) bool { return plan.Owner(name) == i })
-		mon, err := paretomon.NewMonitor(sub, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mon.Close()
-		mons[i] = mon
-		h := http.Handler(server.New(mon))
-		switch i {
-		case 0: // the lease arbiter: simulate another router taking over
-			inner := h
-			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if denyLease.Load() && r.Method == http.MethodPost && r.URL.Path == "/lease" {
-					http.Error(w, `{"error":"lease held by \"other\" for another 9999ms"}`, http.StatusConflict)
-					return
-				}
-				inner.ServeHTTP(w, r)
-			})
-		case 1: // the mutation target: slow partition, alive but rejecting
-			inner := h
-			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if flapping.Load() && r.Method != http.MethodGet {
-					http.Error(w, "flapping", http.StatusServiceUnavailable)
-					return
-				}
-				inner.ServeHTTP(w, r)
+	_, urls := faultyFleet(t, com, plan, func(i int, h http.Handler) http.Handler {
+		if i == 0 { // the lease arbiter: simulate another router taking over
+			return refusing(h, http.StatusConflict, `{"error":"lease held by \"other\" for another 9999ms"}`, func(r *http.Request) bool {
+				return denyLease.Load() && r.Method == http.MethodPost && r.URL.Path == "/lease"
 			})
 		}
-		hs := httptest.NewServer(h)
-		defer hs.Close()
-		urls[i] = hs.URL
-	}
+		// The mutation target: slow partition, alive but rejecting.
+		return refusing(h, http.StatusServiceUnavailable, "flapping", func(r *http.Request) bool {
+			return flapping.Load() && r.Method != http.MethodGet
+		})
+	})
 
 	const ttl = 200 * time.Millisecond
 	const budget = 6 * time.Second
-	rt, err := partition.New(partition.Config{
-		URLs:          urls,
-		RetryBudget:   budget,
-		RetryInterval: 5 * time.Millisecond,
-		RouterID:      "ra",
-		LeaseTTL:      ttl,
+	rt := newRouter(t, partition.Config{
+		URLs:        urls,
+		RetryBudget: budget,
+		RouterID:    "ra",
+		LeaseTTL:    ttl,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer rt.Close()
 
 	// Warm up: acquire the lease while the fleet is healthy.
@@ -560,43 +517,22 @@ func TestMutationOutlivesTTLByRenewing(t *testing.T) {
 	}
 	var flapping atomic.Bool
 	flapping.Store(true)
-	mons := make([]*paretomon.Monitor, 2)
-	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		sub := com.Subset(func(name string) bool { return plan.Owner(name) == i })
-		mon, err := paretomon.NewMonitor(sub, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline))
-		if err != nil {
-			t.Fatal(err)
+	_, urls := faultyFleet(t, com, plan, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
 		}
-		defer mon.Close()
-		mons[i] = mon
-		h := http.Handler(server.New(mon))
-		if i == 1 {
-			inner := h
-			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if flapping.Load() && r.Method != http.MethodGet {
-					http.Error(w, "flapping", http.StatusServiceUnavailable)
-					return
-				}
-				inner.ServeHTTP(w, r)
-			})
-		}
-		hs := httptest.NewServer(h)
-		defer hs.Close()
-		urls[i] = hs.URL
-	}
+		return refusing(h, http.StatusServiceUnavailable, "flapping", func(r *http.Request) bool {
+			return flapping.Load() && r.Method != http.MethodGet
+		})
+	})
 
 	const ttl = 150 * time.Millisecond
-	rt, err := partition.New(partition.Config{
-		URLs:          urls,
-		RetryBudget:   6 * time.Second,
-		RetryInterval: 5 * time.Millisecond,
-		RouterID:      "ra",
-		LeaseTTL:      ttl,
+	rt := newRouter(t, partition.Config{
+		URLs:        urls,
+		RetryBudget: 6 * time.Second,
+		RouterID:    "ra",
+		LeaseTTL:    ttl,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer rt.Close()
 
 	// Heal the partition only after several TTLs have lapsed: the old
@@ -627,18 +563,12 @@ func TestStandbyReadsFollowRingFlip(t *testing.T) {
 	f := startFleet(t, com, 2)
 	defer f.close()
 	mk := func(id string) *partition.Router {
-		t.Helper()
-		rt, err := partition.New(partition.Config{
-			URLs:          fleetURLs(f),
-			RetryBudget:   5 * time.Second,
-			RetryInterval: 5 * time.Millisecond,
-			RouterID:      id,
-			LeaseTTL:      2 * time.Second,
+		return newRouter(t, partition.Config{
+			URLs:        fleetURLs(f),
+			RetryBudget: 5 * time.Second,
+			RouterID:    id,
+			LeaseTTL:    2 * time.Second,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rt
 	}
 	ra, rb := mk("ra"), mk("rb")
 	defer ra.Close()
@@ -691,44 +621,23 @@ func TestRebalanceAbortsWhenUserListUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var usersCalls atomic.Int64
-	mons := make([]*paretomon.Monitor, 2)
-	urls := make([]string, 2)
-	for i := 0; i < 2; i++ {
-		sub := com.Subset(func(name string) bool { return plan.Owner(name) == i })
-		mon, err := paretomon.NewMonitor(sub, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline))
-		if err != nil {
-			t.Fatal(err)
+	mons, urls := faultyFleet(t, com, plan, func(i int, h http.Handler) http.Handler {
+		if i != 1 {
+			return h
 		}
-		defer mon.Close()
-		mons[i] = mon
-		h := http.Handler(server.New(mon))
-		if i == 1 {
-			// The first GET /users (the pre-migration Reconcile) succeeds;
-			// the partition then goes dark for listings only — everything
-			// else (readyz, ring, reads) keeps answering, which is exactly
-			// the window the seeded bug silently planned through.
-			inner := h
-			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.Method == http.MethodGet && r.URL.Path == "/users" && usersCalls.Add(1) > 1 {
-					http.Error(w, "listing unavailable", http.StatusServiceUnavailable)
-					return
-				}
-				inner.ServeHTTP(w, r)
-			})
-		}
-		hs := httptest.NewServer(h)
-		defer hs.Close()
-		urls[i] = hs.URL
-	}
-
-	rt, err := partition.New(partition.Config{
-		URLs:          urls,
-		RetryBudget:   400 * time.Millisecond,
-		RetryInterval: 5 * time.Millisecond,
+		// The first GET /users (the pre-migration Reconcile) succeeds;
+		// the partition then goes dark for listings only — everything
+		// else (readyz, ring, reads) keeps answering, which is exactly
+		// the window the seeded bug silently planned through.
+		return refusing(h, http.StatusServiceUnavailable, "listing unavailable", func(r *http.Request) bool {
+			return r.Method == http.MethodGet && r.URL.Path == "/users" && usersCalls.Add(1) > 1
+		})
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+
+	rt := newRouter(t, partition.Config{
+		URLs:        urls,
+		RetryBudget: 400 * time.Millisecond,
+	})
 	defer rt.Close()
 
 	_, err = rt.Rebalance(context.Background(), urls[:1], partition.RebalanceOptions{})

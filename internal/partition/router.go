@@ -193,11 +193,6 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// Plan returns the Router's static user → partition assignment — the
-// bootstrap plan the fleet was started with. Once a ring is installed
-// (any rebalance), Ring supersedes it for routing.
-func (r *Router) Plan() *Plan { return r.plan }
-
 // remotes snapshots the current partition set. The slice is replaced,
 // never mutated, on ring install, so holding a snapshot across a ring
 // flip is safe — at worst an operation lands with a stale version

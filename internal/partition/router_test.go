@@ -109,15 +109,25 @@ func startFleet(t *testing.T, com *paretomon.Community, n int, extra ...paretomo
 		f.https = append(f.https, hs)
 		urls[i] = hs.URL
 	}
-	f.router, err = partition.New(partition.Config{
-		URLs:          urls,
-		RetryBudget:   5 * time.Second,
-		RetryInterval: 5 * time.Millisecond,
+	f.router = newRouter(t, partition.Config{
+		URLs:        urls,
+		RetryBudget: 5 * time.Second,
 	})
+	return f
+}
+
+// newRouter is partition.New with a 5 ms retry interval unless cfg sets
+// one.
+func newRouter(t *testing.T, cfg partition.Config) *partition.Router {
+	t.Helper()
+	if cfg.RetryInterval == 0 {
+		cfg.RetryInterval = 5 * time.Millisecond
+	}
+	rt, err := partition.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return rt
 }
 
 // assertIdentical checks the router and the reference agree on every
@@ -217,10 +227,7 @@ func TestRouterClustersMerge(t *testing.T) {
 		https = append(https, hs)
 		urls[i] = hs.URL
 	}
-	rt, err := partition.New(partition.Config{URLs: urls})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRouter(t, partition.Config{URLs: urls})
 	seen := map[string]bool{}
 	clusters := rt.Clusters()
 	for _, cl := range clusters {
@@ -312,18 +319,15 @@ func TestRouterPartitionDown(t *testing.T) {
 	}
 
 	// Kill partition 1 and shrink the budget so the test stays fast.
-	fast, err := partition.New(partition.Config{
+	fast := newRouter(t, partition.Config{
 		URLs: []string{f.https[0].URL, f.https[1].URL, f.https[2].URL},
 
 		RetryBudget:   150 * time.Millisecond,
 		RetryInterval: 10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	f.https[1].Close()
 
-	_, err = fast.AddBatch(stream(12)[10:])
+	_, err := fast.AddBatch(stream(12)[10:])
 	var re *partition.RouteError
 	if !errors.As(err, &re) {
 		t.Fatalf("AddBatch with a dead partition = %v, want *RouteError", err)
@@ -397,14 +401,10 @@ func testRouterRetryResume(t *testing.T, window int) {
 	}))
 	defer flaky.Close()
 
-	rt, err := partition.New(partition.Config{
-		URLs:          []string{flaky.URL, f.https[1].URL, f.https[2].URL},
-		RetryBudget:   5 * time.Second,
-		RetryInterval: 5 * time.Millisecond,
+	rt := newRouter(t, partition.Config{
+		URLs:        []string{flaky.URL, f.https[1].URL, f.https[2].URL},
+		RetryBudget: 5 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	objs := stream(40)
 	want, err := f.ref.AddBatch(objs)
@@ -427,13 +427,7 @@ func testRouterRetryResume(t *testing.T, window int) {
 	if rs, ms := rt.Stats(), f.ref.Stats(); rs.Processed != ms.Processed {
 		t.Fatalf("Processed after resume: router %d, reference %d", rs.Processed, ms.Processed)
 	}
-	for _, u := range f.ref.Users() {
-		want, _ := f.ref.Frontier(u)
-		got, err := rt.Frontier(u)
-		if err != nil || !reflect.DeepEqual(want, got) {
-			t.Fatalf("frontier(%s) after resume: ref %v, router %v (%v)", u, want, got, err)
-		}
-	}
+	assertIdentical(t, &fleet{router: rt, ref: f.ref}, 0) // frontiers only: a window expires objects
 }
 
 // TestRouterLostRequestWithHeldName: a POST lost before the partition
@@ -459,14 +453,10 @@ func TestRouterLostRequestWithHeldName(t *testing.T) {
 				backend.ServeHTTP(w, r)
 			}))
 			defer flaky.Close()
-			rt, err := partition.New(partition.Config{
-				URLs:          []string{flaky.URL},
-				RetryBudget:   5 * time.Second,
-				RetryInterval: 5 * time.Millisecond,
+			rt := newRouter(t, partition.Config{
+				URLs:        []string{flaky.URL},
+				RetryBudget: 5 * time.Second,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			objs := stream(5)
 			if _, err := rt.AddBatch(objs[:3]); err != nil {
 				t.Fatal(err)
@@ -503,22 +493,12 @@ func TestRouterIdempotentReplay(t *testing.T) {
 	defer f.close()
 	var down atomic.Bool
 	backend := f.https[2].Config.Handler
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
-			http.Error(w, "down", http.StatusServiceUnavailable)
-			return
-		}
-		backend.ServeHTTP(w, r)
-	}))
+	flaky := httptest.NewServer(refusing(backend, http.StatusServiceUnavailable, "down", func(*http.Request) bool { return down.Load() }))
 	defer flaky.Close()
-	rt, err := partition.New(partition.Config{
-		URLs:          []string{f.https[0].URL, f.https[1].URL, flaky.URL},
-		RetryBudget:   200 * time.Millisecond,
-		RetryInterval: 5 * time.Millisecond,
+	rt := newRouter(t, partition.Config{
+		URLs:        []string{f.https[0].URL, f.https[1].URL, flaky.URL},
+		RetryBudget: 200 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	objs := stream(20)
 	want, err := f.ref.AddBatch(objs)

@@ -194,39 +194,28 @@ type Hooks struct {
 	Connected func(up bool)
 }
 
-// Backoff tunes the tailer's reconnect delays.
-type Backoff struct {
-	// Min is the first retry delay (default 100ms); Max caps the
-	// exponential growth (default 5s).
-	Min, Max time.Duration
-}
-
-func (b Backoff) withDefaults() Backoff {
-	if b.Min <= 0 {
-		b.Min = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	return b
-}
+// Reconnect delays: a failed connect, and an empty stream after another,
+// waits minBackoff, doubling up to maxBackoff while they keep coming.
+const (
+	minBackoff = 100 * time.Millisecond
+	maxBackoff = 5 * time.Second
+)
 
 // Tailer is the resilient follower loop: connect, apply, and on any
 // failure reconnect from the applied position with exponential backoff —
 // records are applied exactly once because the resume cursor only
 // advances on apply.
 type Tailer struct {
-	Client  *Client
-	Hooks   Hooks
-	Backoff Backoff
+	Client *Client
+	Hooks  Hooks
 }
 
 // Run tails the feed until the context ends or an apply fails (the
 // returned error; nil on context cancellation). Transport errors are
 // retried forever: a follower outliving a primary restart is the point.
 func (t *Tailer) Run(ctx context.Context) error {
-	b := t.Backoff.withDefaults()
-	delay := b.Min
+	delay := minBackoff
+	empty := 0 // streams in a row that ended without applying a record
 	setConnected := func(up bool) {
 		if t.Hooks.Connected != nil {
 			t.Hooks.Connected(up)
@@ -239,7 +228,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 			if errors.Is(err, ErrGone) && t.Hooks.Rebootstrap != nil {
 				switch rbErr := t.Hooks.Rebootstrap(ctx); {
 				case rbErr == nil:
-					delay = b.Min
+					delay = minBackoff
 					continue
 				case errors.Is(rbErr, ErrPermanent):
 					return rbErr
@@ -251,7 +240,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 			if !sleep(ctx, delay) {
 				return nil
 			}
-			delay = min(delay*2, b.Max)
+			delay = min(delay*2, maxBackoff)
 			continue
 		}
 		// A primary head behind our applied position means the primary
@@ -272,28 +261,40 @@ func (t *Tailer) Run(ctx context.Context) error {
 			t.Hooks.Head(stream.Head)
 		}
 		setConnected(true)
-		delay = b.Min
-		err = t.drain(stream)
+		delay = minBackoff
+		applied, err := t.drain(stream)
 		stream.Close()
 		setConnected(false)
 		if err != nil {
 			return err // fatal apply failure
 		}
-		// Transport-level end of stream: reconnect from the applied seq.
-		if !sleep(ctx, delay) {
+		// Transport-level end of stream: reconnect from the applied seq,
+		// at once after a stream that applied records or after the first
+		// that ended without one (an idle feed through a primary restart
+		// or Server.Close). Streams that keep ending empty back off, so a
+		// primary that closes every stream never makes this a busy loop;
+		// the shift stops growing once minBackoff<<6 is past maxBackoff.
+		if applied {
+			empty = 0
+			continue
+		}
+		if empty++; empty == 1 {
+			continue
+		}
+		if !sleep(ctx, min(minBackoff<<min(empty-2, 6), maxBackoff)) {
 			return nil
 		}
 	}
 	return nil
 }
 
-// drain applies stream messages until the stream ends (nil) or an apply
-// fails (the error).
-func (t *Tailer) drain(stream *Stream) error {
+// drain applies stream messages until the stream ends or an apply fails
+// (the error); applied reports whether it applied any record.
+func (t *Tailer) drain(stream *Stream) (applied bool, err error) {
 	for {
 		msg, err := stream.Next()
 		if err != nil {
-			return nil // disconnect, tear, or damaged frame: resume
+			return applied, nil // disconnect, tear, or damaged frame: resume
 		}
 		if msg.IsHead {
 			if t.Hooks.Head != nil {
@@ -302,8 +303,9 @@ func (t *Tailer) drain(stream *Stream) error {
 			continue
 		}
 		if err := t.Hooks.Apply(msg.Rec); err != nil {
-			return err
+			return applied, err
 		}
+		applied = true
 		if t.Hooks.Head != nil {
 			t.Hooks.Head(msg.Rec.Seq)
 		}
@@ -311,8 +313,8 @@ func (t *Tailer) drain(stream *Stream) error {
 }
 
 // sleep waits d or until ctx ends; it reports whether the full wait
-// elapsed.
-func sleep(ctx context.Context, d time.Duration) bool {
+// elapsed. Tests swap it to record the delays Run asks for.
+var sleep = func(ctx context.Context, d time.Duration) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

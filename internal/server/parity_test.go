@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -21,22 +20,11 @@ type facadeReply struct {
 // X-Paretomon-Batch header.
 func doRaw(t *testing.T, method, url, body, batch string) facadeReply {
 	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	var header []string
 	if batch != "" {
-		req.Header.Set(partition.BatchHeader, batch)
+		header = []string{partition.BatchHeader, batch}
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, data := send(t, method, url, body, header...)
 	return facadeReply{resp.StatusCode, resp.Header.Get("Content-Type"), resp.Header.Get("Allow"), string(data)}
 }
 

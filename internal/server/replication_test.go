@@ -128,12 +128,7 @@ func TestSnapshotLatest(t *testing.T) {
 func TestChangefeedWithoutStore(t *testing.T) {
 	ts := newTestServer(t)
 	for _, path := range []string{"/wal", "/snapshot/latest"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotImplemented {
+		if resp, _ := send(t, "GET", ts.URL+path, ""); resp.StatusCode != http.StatusNotImplemented {
 			t.Errorf("GET %s without store: %d, want 501", path, resp.StatusCode)
 		}
 	}
@@ -179,12 +174,7 @@ func TestChangefeedRetired(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/wal?after=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
+	if resp, _ := send(t, "GET", ts.URL+"/wal?after=0", ""); resp.StatusCode != http.StatusGone {
 		t.Fatalf("GET /wal?after=0 after prune: %d, want 410", resp.StatusCode)
 	}
 	if _, err := replica.NewClient(ts.URL).Tail(context.Background(), 0); !errors.Is(err, replica.ErrGone) {
@@ -259,24 +249,10 @@ func TestServerCloseCancelsStreams(t *testing.T) {
 func TestDeleteObjectNamedBatch(t *testing.T) {
 	ts := newTestServer(t)
 	post(t, ts.URL+"/objects", `{"name":"batch","values":["Apple","quad"]}`)
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/objects/batch", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp, _ := send(t, http.MethodDelete, ts.URL+"/objects/batch", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE /objects/batch: %d", resp.StatusCode)
 	}
-	r2, err := http.Get(ts.URL + "/targets/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusNotFound {
+	if r2, _ := send(t, "GET", ts.URL+"/targets/batch", ""); r2.StatusCode != http.StatusNotFound {
 		t.Errorf("object %q still known after delete: %d", "batch", r2.StatusCode)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -38,31 +39,82 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func post(t *testing.T, url, body string) (*http.Response, map[string]any) {
+// send issues one request with a JSON body, setting the header
+// key/value pairs, and reads the whole reply.
+func send(t *testing.T, method, url, body string, header ...string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	req, err := http.NewRequestWithContext(context.Background(), method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	req.Header.Set("Content-Type", "application/json")
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+// doJSON is send with the reply decoded as a JSON object (nil when it is
+// not one).
+func doJSON(t *testing.T, method, url, body string, header ...string) (*http.Response, map[string]any) {
+	t.Helper()
+	resp, data := send(t, method, url, body, header...)
+	var out map[string]any
+	_ = json.Unmarshal(data, &out)
+	return resp, out
+}
+
+// openStream opens a streaming GET that must answer 200; the caller
+// closes the body.
+func openStream(t *testing.T, ctx context.Context, url string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, body)
+	}
+	return resp
+}
+
+// decode unmarshals a reply that must be JSON into v.
+func decode(t *testing.T, data []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("reply %q: %v", data, err)
+	}
+}
+
+// post and get are doJSON for a reply that must be a JSON object.
+func post(t *testing.T, url, body string) (*http.Response, map[string]any) {
+	t.Helper()
+	resp, data := send(t, http.MethodPost, url, body)
+	var out map[string]any
+	decode(t, data, &out)
 	return resp, out
 }
 
 func get(t *testing.T, url string) (*http.Response, map[string]any) {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, data := send(t, http.MethodGet, url, "")
 	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	decode(t, data, &out)
 	return resp, out
 }
 
@@ -136,16 +188,7 @@ func TestErrorPaths(t *testing.T) {
 		{"POST", "/stats", "", http.StatusMethodNotAllowed},
 		{"POST", "/clusters", "", http.StatusMethodNotAllowed},
 	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.wantStatus {
+		if resp, _ := send(t, tc.method, ts.URL+tc.path, tc.body); resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.wantStatus)
 		}
 	}
@@ -162,16 +205,9 @@ func TestStatsAndClusters(t *testing.T) {
 		t.Errorf("stats = %v", out)
 	}
 	// Baseline engine: no clusters (empty array, not null).
-	r2, err := http.Get(ts.URL + "/clusters")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data := send(t, "GET", ts.URL+"/clusters", "")
 	var cl [][]string
-	if err := json.NewDecoder(r2.Body).Decode(&cl); err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if cl == nil || len(cl) != 0 {
+	if decode(t, data, &cl); cl == nil || len(cl) != 0 {
 		t.Errorf("clusters = %v", cl)
 	}
 }
@@ -252,16 +288,7 @@ func TestTypedErrorStatusMapping(t *testing.T) {
 			`{"objects":[{"name":"b1","values":["Apple","dual"]},{"name":"o1","values":["Apple","dual"]}]}`,
 			http.StatusBadRequest},
 	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.wantStatus {
+		if resp, _ := send(t, tc.method, ts.URL+tc.path, tc.body); resp.StatusCode != tc.wantStatus {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.wantStatus)
 		}
 	}
@@ -270,27 +297,17 @@ func TestTypedErrorStatusMapping(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatal("frontier after failed batch")
 	}
-	r2, err := http.Get(ts.URL + "/targets/b1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Body.Close()
-	if r2.StatusCode != http.StatusNotFound {
+	if r2, _ := send(t, "GET", ts.URL+"/targets/b1", ""); r2.StatusCode != http.StatusNotFound {
 		t.Errorf("b1 from rejected batch should be unknown, got status %d", r2.StatusCode)
 	}
 }
 
 func TestBatchIngestion(t *testing.T) {
 	ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/objects/batch", "application/json", strings.NewReader(
-		`{"objects":[
+	resp, data := send(t, "POST", ts.URL+"/objects/batch", `{"objects":[
 			{"name":"o1","values":["Lenovo","dual"]},
 			{"name":"o2","values":["Apple","quad"]},
-			{"name":"o3","values":["Toshiba","single"]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+			{"name":"o3","values":["Toshiba","single"]}]}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
@@ -300,10 +317,7 @@ func TestBatchIngestion(t *testing.T) {
 			Users  []string `json:"users"`
 		} `json:"deliveries"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Deliveries) != 3 {
+	if decode(t, data, &out); len(out.Deliveries) != 3 {
 		t.Fatalf("deliveries = %+v", out)
 	}
 	if !reflect.DeepEqual(out.Deliveries[0].Users, []string{"alice"}) ||
@@ -374,18 +388,8 @@ func TestSSESubscription(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/subscribe/alice", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := openStream(t, ctx, ts.URL+"/subscribe/alice")
 	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("subscribe status %d", resp.StatusCode)
-	}
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
@@ -477,14 +481,10 @@ func TestSnapshotAndStorageStatsEndpoints(t *testing.T) {
 
 	// Method guards: the mux answers these itself (plain-text body, so
 	// no JSON decoding here).
-	if resp, err := http.Get(ts.URL + "/snapshot"); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
+	if resp, _ := send(t, "GET", ts.URL+"/snapshot", ""); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /snapshot: %d", resp.StatusCode)
 	}
-	if resp, err := http.Post(ts.URL+"/storage/stats", "application/json", strings.NewReader("")); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
+	if resp, _ := send(t, "POST", ts.URL+"/storage/stats", ""); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /storage/stats: %d", resp.StatusCode)
 	}
 
@@ -525,30 +525,6 @@ func TestStorageEndpointsWithoutStore(t *testing.T) {
 	}
 }
 
-// doJSON issues a request with an arbitrary method and optional JSON body.
-func doJSON(t *testing.T, method, url, body string) (*http.Response, map[string]any) {
-	t.Helper()
-	var rd *strings.Reader
-	if body == "" {
-		rd = strings.NewReader("")
-	} else {
-		rd = strings.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&out)
-	resp.Body.Close()
-	return resp, out
-}
-
 // TestLifecycleEndpoints drives the v3 lifecycle over HTTP: join a user,
 // retract a preference, delete an object, delete a user — and checks the
 // status mapping for the failure shapes (404 unknown, 400 duplicate).
@@ -579,16 +555,9 @@ func TestLifecycleEndpoints(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("duplicate user: %d, want 400", resp.StatusCode)
 	}
-	r2, err := http.Get(ts.URL + "/users")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, data := send(t, "GET", ts.URL+"/users", "")
 	var users []string
-	if err := json.NewDecoder(r2.Body).Decode(&users); err != nil {
-		t.Fatal(err)
-	}
-	r2.Body.Close()
-	if !reflect.DeepEqual(users, []string{"alice", "bob"}) {
+	if decode(t, data, &users); !reflect.DeepEqual(users, []string{"alice", "bob"}) {
 		t.Fatalf("GET /users = %v", users)
 	}
 
@@ -647,18 +616,8 @@ func TestSSEDeltas(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/deltas/alice", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := openStream(t, ctx, ts.URL+"/deltas/alice")
 	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("deltas status %d", resp.StatusCode)
-	}
 
 	// o1 arrives (delivered to alice), o2 dominates nothing for alice
 	// but also enters, then o1 is removed.

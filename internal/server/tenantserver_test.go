@@ -4,10 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -53,28 +50,14 @@ func fleetSpec(name string) tenant.Spec {
 	}
 }
 
-// doReq issues a request with an optional bearer token and returns the
-// status and decoded JSON body (nil when not JSON).
+// doReq is doJSON with an optional bearer token, returning the status.
 func doReq(t *testing.T, method, url, token, body string) (int, map[string]any) {
 	t.Helper()
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(context.Background(), method, url, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var header []string
 	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
+		header = []string{"Authorization", "Bearer " + token}
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]any
-	_ = json.NewDecoder(resp.Body).Decode(&out)
+	resp, out := doJSON(t, method, url, body, header...)
 	return resp.StatusCode, out
 }
 
@@ -226,26 +209,29 @@ func TestTenantServerAdminCRUD(t *testing.T) {
 	ts, _ := newFleet(t, nil,
 		[]server.TenantOption{server.WithAdminToken("admintok")},
 		fleetSpec("alpha"))
-	ac := tenant.NewAdminClient(ts.URL, "admintok")
-	ctx := context.Background()
+	admin := ts.URL + "/admin/tenants"
 
 	// Admin surface is fenced off from non-admin callers.
-	bad := tenant.NewAdminClient(ts.URL, "wrong")
-	if _, err := bad.List(ctx); !errors.Is(err, tenant.ErrUnauthorized) {
-		t.Errorf("bad admin token: %v", err)
+	if code, _ := doReq(t, "GET", admin, "wrong", ""); code != 401 {
+		t.Errorf("bad admin token: %d, want 401", code)
 	}
 
 	spec := fleetSpec("beta")
 	spec.Token = "beta-tok"
-	if err := ac.Create(ctx, spec); err != nil {
-		t.Fatalf("create: %v", err)
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ac.Create(ctx, spec); !errors.Is(err, tenant.ErrDuplicateTenant) {
-		t.Errorf("duplicate create: %v", err)
+	if code, _ := doReq(t, "POST", admin, "admintok", string(body)); code != 201 {
+		t.Fatalf("create: %d", code)
 	}
-	specs, err := ac.List(ctx)
-	if err != nil || len(specs) != 2 {
-		t.Fatalf("list: %v %v", specs, err)
+	if code, _ := doReq(t, "POST", admin, "admintok", string(body)); code != 409 {
+		t.Errorf("duplicate create: %d, want 409", code)
+	}
+	resp, data := send(t, "GET", admin, "", "Authorization", "Bearer admintok")
+	var specs []tenant.Spec
+	if decode(t, data, &specs); resp.StatusCode != 200 || len(specs) != 2 {
+		t.Fatalf("list: %d %v", resp.StatusCode, specs)
 	}
 	for _, s := range specs {
 		if s.Token != "" {
@@ -257,9 +243,10 @@ func TestTenantServerAdminCRUD(t *testing.T) {
 		t.Errorf("created tenant not serving: %d", code)
 	}
 
-	tok, err := ac.RotateToken(ctx, "beta", "")
-	if err != nil || tok == "" {
-		t.Fatalf("rotate: %q %v", tok, err)
+	code, out := doReq(t, "POST", admin+"/beta/rotate-token", "admintok", "")
+	tok, _ := out["token"].(string)
+	if code != 200 || tok == "" {
+		t.Fatalf("rotate: %d %v", code, out)
 	}
 	if code, _ := doReq(t, "GET", ts.URL+"/t/beta/users", "beta-tok", ""); code != 401 {
 		t.Errorf("old token survives rotation: %d", code)
@@ -268,11 +255,11 @@ func TestTenantServerAdminCRUD(t *testing.T) {
 		t.Errorf("rotated token refused: %d", code)
 	}
 
-	if err := ac.Delete(ctx, "beta"); err != nil {
-		t.Fatalf("delete: %v", err)
+	if code, _ := doReq(t, "DELETE", admin+"/beta", "admintok", ""); code != 200 {
+		t.Fatalf("delete: %d", code)
 	}
-	if err := ac.Delete(ctx, "beta"); !errors.Is(err, tenant.ErrUnknownTenant) {
-		t.Errorf("double delete: %v", err)
+	if code, _ := doReq(t, "DELETE", admin+"/beta", "admintok", ""); code != 404 {
+		t.Errorf("double delete: %d, want 404", code)
 	}
 	if code, _ := doReq(t, "GET", ts.URL+"/t/beta/users", tok, ""); code != 404 {
 		t.Errorf("deleted tenant still serving: %d", code)
@@ -285,19 +272,7 @@ func sseOpen(t *testing.T, url string) (done chan struct{}) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("sse open: %d %s", resp.StatusCode, body)
-	}
+	resp := openStream(t, ctx, url)
 	done = make(chan struct{})
 	go func() {
 		defer close(done)
@@ -369,15 +344,10 @@ func TestTenantServerMetricsEndpoint(t *testing.T) {
 	if code, _ := doReq(t, "POST", ts.URL+"/t/alpha/objects", "", `{"name":"o1","values":["Apple","quad"]}`); code != 200 {
 		t.Fatal("add failed")
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, raw := send(t, "GET", ts.URL+"/metrics", "")
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Errorf("content type %q", ct)
 	}
-	raw, _ := io.ReadAll(resp.Body)
 	out := string(raw)
 	for _, want := range []string{
 		`paretomon_objects_ingested_total{tenant="alpha"} 1`,

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -91,15 +90,7 @@ func goldenFacades(t *testing.T) map[string]string {
 
 func postRaw(t *testing.T, url, body string) (status int, contentType, reply string) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp, data := send(t, http.MethodPost, url, body)
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(data)
 }
 

@@ -122,12 +122,6 @@ func (g Gauge) Set(v float64) { g.s.set(v) }
 // Add adds v (negative to decrement).
 func (g Gauge) Add(v float64) { g.s.add(v) }
 
-// Inc adds one.
-func (g Gauge) Inc() { g.s.add(1) }
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return g.s.value() }
-
 // Histogram accumulates observations into fixed buckets.
 type Histogram struct {
 	s      *series

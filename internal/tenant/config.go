@@ -72,8 +72,11 @@ type Spec struct {
 	// -partition index order.
 	Fleet []string `json:"fleet,omitempty"`
 
-	// Engine configuration, mirroring the cmd/paretomon serve flags.
-	// Zero values take the library defaults (ftv, branch cut 3.3, ...).
+	// Engine configuration, named after the cmd/paretomon serve flags
+	// but not defaulting like them: a zero field passes no option, so
+	// it takes the library default (ftv, branch cut 0.55, GOMAXPROCS
+	// workers, θ1/θ2 500/0.5) where serve's flags default to 3.3, 1 and
+	// 400/0.5. Under ftva a θ1 given alone comes with θ2 = 0.5.
 	Algorithm     string  `json:"algorithm,omitempty"` // baseline | ftv | ftva
 	BranchCut     float64 `json:"branch_cut,omitempty"`
 	Window        int     `json:"window,omitempty"`

@@ -212,9 +212,6 @@ func (r *Registry) TenantDir(name string) string {
 	return filepath.Join(r.root, "tenants", name)
 }
 
-// Root returns the registry's root directory.
-func (r *Registry) Root() string { return r.root }
-
 // Create stands up a new tenant from spec and records it durably. The
 // spec is validated; the name must be free. On success the tenant is
 // live and serving-ready.

@@ -38,14 +38,20 @@ func mustOpen(t *testing.T, root string, opts ...Option) *Registry {
 	return r
 }
 
+// mustCreate stands spec up in r.
+func mustCreate(t *testing.T, r *Registry, spec Spec) *Tenant {
+	t.Helper()
+	tn, err := r.Create(spec)
+	if err != nil {
+		t.Fatalf("create %s: %v", spec.Name, err)
+	}
+	return tn
+}
+
 func TestRegistryCreateGetListDelete(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
-	if _, err := r.Create(inlineSpec("alpha")); err != nil {
-		t.Fatalf("create alpha: %v", err)
-	}
-	if _, err := r.Create(inlineSpec("beta")); err != nil {
-		t.Fatalf("create beta: %v", err)
-	}
+	mustCreate(t, r, inlineSpec("alpha"))
+	mustCreate(t, r, inlineSpec("beta"))
 	if _, err := r.Create(inlineSpec("alpha")); !errors.Is(err, ErrDuplicateTenant) {
 		t.Errorf("duplicate create: %v, want ErrDuplicateTenant", err)
 	}
@@ -82,10 +88,7 @@ func TestRegistryReopenRecoversTenants(t *testing.T) {
 	spec.Persist = true
 	spec.Token = "tok"
 	spec.Quotas.MaxObjects = 10
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
+	tn := mustCreate(t, r, spec)
 	if _, err := tn.Monitor().Add("o1", "100", "4.5"); err != nil {
 		t.Fatalf("add: %v", err)
 	}
@@ -123,9 +126,7 @@ func TestRegistryDeleteRemovesDataDir(t *testing.T) {
 	r := mustOpen(t, root)
 	spec := inlineSpec("doomed")
 	spec.Persist = true
-	if _, err := r.Create(spec); err != nil {
-		t.Fatalf("create: %v", err)
-	}
+	mustCreate(t, r, spec)
 	dir := r.TenantDir("doomed")
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatalf("data dir missing before delete: %v", err)
@@ -149,10 +150,7 @@ func TestRegistryRotateToken(t *testing.T) {
 	r := mustOpen(t, root)
 	spec := inlineSpec("alpha")
 	spec.Token = "old"
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
+	tn := mustCreate(t, r, spec)
 	oldSess := tn.SessionContext()
 
 	got, err := r.RotateToken("alpha", "new")
@@ -229,9 +227,7 @@ func TestRegistryEnsure(t *testing.T) {
 
 func TestRegistryClosedRefusesWork(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
-	if _, err := r.Create(inlineSpec("alpha")); err != nil {
-		t.Fatal(err)
-	}
+	mustCreate(t, r, inlineSpec("alpha"))
 	r.Close()
 	if _, err := r.Get("alpha"); !errors.Is(err, ErrRegistryClosed) {
 		t.Errorf("Get after close: %v", err)
@@ -271,10 +267,7 @@ func TestRegistryCollectorEmitsPerTenantSeries(t *testing.T) {
 	r := mustOpen(t, t.TempDir(), WithTelemetry(tel))
 	spec := inlineSpec("alpha")
 	spec.Persist = true
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := mustCreate(t, r, spec)
 	if _, err := tn.ReserveObjects([]string{"o1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -307,16 +300,13 @@ func TestQuotaObjectsBatchAtomicity(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
 	spec := inlineSpec("alpha")
 	spec.Quotas.MaxObjects = 3
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := mustCreate(t, r, spec)
 	if _, err := tn.ReserveObjects([]string{"o1", "o2"}); err != nil {
 		t.Fatalf("within quota: %v", err)
 	}
 	// Four names against one remaining slot: refused whole, typed, and
 	// pointing at the first object over the line.
-	_, err = tn.ReserveObjects([]string{"o3", "o4", "o5", "o6"})
+	_, err := tn.ReserveObjects([]string{"o3", "o4", "o5", "o6"})
 	if err == nil {
 		t.Fatal("over-quota batch admitted")
 	}
@@ -364,10 +354,7 @@ func TestQuotaObjectsChargeOnlyNewNames(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
 	spec := inlineSpec("alpha")
 	spec.Quotas.MaxObjects = 1
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := mustCreate(t, r, spec)
 	// Over the quota already, as after max_objects was lowered.
 	held := []paretomon.Object{{Name: "o1", Values: []string{"1", "2"}}, {Name: "o2", Values: []string{"2", "1"}}}
 	if _, err := tn.Monitor().AddBatch(held); err != nil {
@@ -378,7 +365,7 @@ func TestQuotaObjectsChargeOnlyNewNames(t *testing.T) {
 			t.Errorf("ReserveObjects(%v) of held names = %d, %v; want 0, nil", names, n, err)
 		}
 	}
-	_, err = tn.ReserveObjects([]string{"o1", "o3", "o2"})
+	_, err := tn.ReserveObjects([]string{"o1", "o3", "o2"})
 	var be *paretomon.BatchError
 	if !errors.As(err, &be) || be.Index != 1 || be.Object != "o3" || !errors.Is(err, ErrQuotaExceeded) {
 		t.Errorf("a new name over the quota: %v, want a BatchError at [1]=o3", err)
@@ -398,10 +385,7 @@ func TestQuotaObjectsFollowTheMonitor(t *testing.T) {
 			r := mustOpen(t, t.TempDir())
 			spec := inlineSpec("alpha")
 			spec.Quotas.MaxObjects, spec.Window = tc.quota, tc.window
-			tn, err := r.Create(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tn := mustCreate(t, r, spec)
 			add := func(names ...string) error {
 				n, err := tn.ReserveObjects(names)
 				if err != nil {
@@ -449,14 +433,11 @@ func TestQuotaUsers(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
 	spec := inlineSpec("alpha") // ships one user
 	spec.Quotas.MaxUsers = 2
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := mustCreate(t, r, spec)
 	if err := tn.ReserveUser(); err != nil {
 		t.Fatalf("second user refused: %v", err)
 	}
-	err = tn.ReserveUser()
+	err := tn.ReserveUser()
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Errorf("third user: %v, want ErrQuotaExceeded", err)
 	}
@@ -474,10 +455,7 @@ func TestQuotaSubscriptions(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
 	spec := inlineSpec("alpha")
 	spec.Quotas.MaxSubscriptions = 1
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := mustCreate(t, r, spec)
 	release, err := tn.ReserveSubscription()
 	if err != nil {
 		t.Fatal(err)
@@ -503,10 +481,7 @@ func TestQuotaRequestRate(t *testing.T) {
 	r := mustOpen(t, t.TempDir(), WithClock(clock))
 	spec := inlineSpec("alpha")
 	spec.Quotas.MaxRequestsPerSec = 2
-	tn, err := r.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tn := mustCreate(t, r, spec)
 	// Burst = rate = 2: two requests pass, the third is refused.
 	if err := tn.Admit(); err != nil {
 		t.Fatalf("first: %v", err)
@@ -514,7 +489,7 @@ func TestQuotaRequestRate(t *testing.T) {
 	if err := tn.Admit(); err != nil {
 		t.Fatalf("second: %v", err)
 	}
-	err = tn.Admit()
+	err := tn.Admit()
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("third: %v, want ErrQuotaExceeded", err)
 	}
@@ -531,10 +506,7 @@ func TestQuotaRequestRate(t *testing.T) {
 		t.Errorf("bucket not drained: %v", err)
 	}
 	// An unlimited tenant never waits.
-	free, err := r.Create(inlineSpec("free"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	free := mustCreate(t, r, inlineSpec("free"))
 	for i := 0; i < 100; i++ {
 		if err := free.Admit(); err != nil {
 			t.Fatalf("unlimited tenant throttled: %v", err)
@@ -546,10 +518,7 @@ func TestTenantAuthorize(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
 	spec := inlineSpec("locked")
 	spec.Token = "secret"
-	locked, err := r.Create(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	locked := mustCreate(t, r, spec)
 	if err := locked.Authorize("secret"); err != nil {
 		t.Errorf("right token: %v", err)
 	}
@@ -559,10 +528,7 @@ func TestTenantAuthorize(t *testing.T) {
 	if err := locked.Authorize(""); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("missing token: %v", err)
 	}
-	open, err := r.Create(inlineSpec("open"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	open := mustCreate(t, r, inlineSpec("open"))
 	if err := open.Authorize(""); err != nil {
 		t.Errorf("open tenant refused empty credential: %v", err)
 	}
@@ -573,14 +539,40 @@ func TestTenantAuthorize(t *testing.T) {
 
 func TestRouterTenant(t *testing.T) {
 	r := mustOpen(t, t.TempDir())
-	tn, err := r.Create(Spec{Name: "edge", Role: RoleRouter, Fleet: []string{"http://a:1", "http://b:2"}})
-	if err != nil {
-		t.Fatalf("create router tenant: %v", err)
-	}
+	tn := mustCreate(t, r, Spec{Name: "edge", Role: RoleRouter, Fleet: []string{"http://a:1", "http://b:2"}})
 	if tn.Monitor() != nil || tn.Router() == nil {
 		t.Error("router tenant shape wrong")
 	}
-	if tn.Driver() == nil {
-		t.Error("router tenant has no driver")
+}
+
+// TestZeroSpecTakesLibraryDefaults pins the engine a spec without engine
+// fields builds: the library's defaults (branch cut 0.55, Workers 0 =
+// GOMAXPROCS, θ1/θ2 500/0.5), not the serve flags' (3.3, one worker,
+// 400/0.5). Specs persisted in tenants.json rebuild under this config,
+// so it must not drift.
+func TestZeroSpecTakesLibraryDefaults(t *testing.T) {
+	r := mustOpen(t, t.TempDir())
+	for _, tc := range []struct {
+		algorithm string
+		theta1    int
+		want      paretomon.Config
+	}{
+		{"", 0, paretomon.Config{Algorithm: paretomon.AlgorithmFilterThenVerify,
+			Measure: paretomon.MeasureWeightedJaccard, BranchCut: 0.55, Theta1: 500, Theta2: 0.5}},
+		{"ftva", 0, paretomon.Config{Algorithm: paretomon.AlgorithmFilterThenVerifyApprox,
+			Measure: paretomon.MeasureVectorWeightedJaccard, BranchCut: 0.55, Theta1: 500, Theta2: 0.5}},
+		// θ1 alone brings θ2 = 0.5 with it.
+		{"ftva", 7, paretomon.Config{Algorithm: paretomon.AlgorithmFilterThenVerifyApprox,
+			Measure: paretomon.MeasureVectorWeightedJaccard, BranchCut: 0.55, Theta1: 7, Theta2: 0.5}},
+	} {
+		spec := inlineSpec(fmt.Sprintf("t%d", tc.theta1) + tc.algorithm)
+		spec.Algorithm, spec.Theta1 = tc.algorithm, tc.theta1
+		tn := mustCreate(t, r, spec)
+		cfg := tn.Monitor().Config()
+		got := paretomon.Config{Algorithm: cfg.Algorithm, Measure: cfg.Measure, BranchCut: cfg.BranchCut,
+			Theta1: cfg.Theta1, Theta2: cfg.Theta2, Window: cfg.Window, Workers: cfg.Workers}
+		if got != tc.want {
+			t.Errorf("%s: config %+v, want %+v", spec.Name, got, tc.want)
+		}
 	}
 }

@@ -83,14 +83,6 @@ func (t *Tenant) Monitor() *paretomon.Monitor { return t.mon }
 // Router returns the tenant's partition router, or nil otherwise.
 func (t *Tenant) Router() *partition.Router { return t.rt }
 
-// Driver returns the tenant's dissemination surface.
-func (t *Tenant) Driver() paretomon.Driver {
-	if t.rt != nil {
-		return t.rt
-	}
-	return t.mon
-}
-
 // SessionContext returns a context cancelled when the tenant's token
 // rotates or the tenant is deleted. The HTTP layer merges it into
 // every tenant-scoped request context, which is what makes rotation
