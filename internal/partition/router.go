@@ -51,9 +51,6 @@ type Config struct {
 	// process started with -partition i/len(URLs) (or an equivalent
 	// Subset), or the plan's owners and the fleet's holdings disagree.
 	URLs []string
-	// VNodes is the per-partition virtual-node count; 0 selects
-	// DefaultVNodes. It must match the partitions' own plans.
-	VNodes int
 	// Client is the HTTP client for partition calls; nil selects
 	// http.DefaultClient.
 	Client *http.Client
@@ -158,7 +155,7 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.URLs) == 0 {
 		return nil, errors.New("partition: router needs at least one partition URL")
 	}
-	plan, err := NewPlan(len(cfg.URLs), cfg.VNodes)
+	plan, err := NewPlan(len(cfg.URLs), DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -195,10 +195,13 @@ type Hooks struct {
 }
 
 // Reconnect delays: a failed connect, and an empty stream after another,
-// waits minBackoff, doubling up to maxBackoff while they keep coming.
+// waits minBackoff, doubling up to maxBackoff while they keep coming. The
+// first failed connect after a stream waits only restartBackoff, doubling
+// from there: a restarting primary is usually back within milliseconds.
 const (
-	minBackoff = 100 * time.Millisecond
-	maxBackoff = 5 * time.Second
+	restartBackoff = 10 * time.Millisecond
+	minBackoff     = 100 * time.Millisecond
+	maxBackoff     = 5 * time.Second
 )
 
 // Tailer is the resilient follower loop: connect, apply, and on any
@@ -261,7 +264,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 			t.Hooks.Head(stream.Head)
 		}
 		setConnected(true)
-		delay = minBackoff
+		delay = restartBackoff
 		applied, err := t.drain(stream)
 		stream.Close()
 		setConnected(false)

@@ -18,12 +18,15 @@ import (
 // GET /wal requests and records the delays the Tailer sleeps between
 // them. A stream that applied a record, and the first of a run of
 // streams that end without one, are followed at once; later empty
-// streams and failed connects back off exponentially.
+// streams back off exponentially from minBackoff. Failed connects back
+// off exponentially up to maxBackoff, from minBackoff before the first
+// stream and from restartBackoff after one.
 func TestTailerReconnectDelays(t *testing.T) {
 	const empty, down = -1, 0 // a stream of one head watermark; a 503
 	// Each entry is the seq of the one record a stream ships, or empty
 	// or down. The request after the script ends the run.
-	script := []int{1, 2, empty, empty, empty, empty, empty, empty, empty, empty, empty, down, down, 3}
+	script := []int{down, 1, 2, empty, empty, empty, empty, empty, empty, empty, empty, empty,
+		down, down, down, down, down, down, down, down, down, down, down, 3}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex
@@ -65,14 +68,18 @@ func TestTailerReconnectDelays(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if want := strings.Fields("0 1 2 2 2 2 2 2 2 2 2 2 2 2 3"); !slices.Equal(afters, want) {
+	if want := strings.Fields("0 0 1 " + strings.Repeat("2 ", 21) + "3"); !slices.Equal(afters, want) {
 		t.Errorf("after= %v, want %v", afters, want)
 	}
-	var want []time.Duration
-	for i := range 8 { // the second to ninth empty stream
+	// The 503 before any stream; the second to ninth empty stream.
+	want := []time.Duration{minBackoff}
+	for i := range 8 {
 		want = append(want, min(minBackoff<<i, maxBackoff))
 	}
-	want = append(want, minBackoff, 2*minBackoff, minBackoff) // the two 503s; the one that ends the run
+	for i := range 11 { // the eleven 503s: 10ms … 2.56s, 5s, 5s
+		want = append(want, min(restartBackoff<<i, maxBackoff))
+	}
+	want = append(want, restartBackoff) // the 503 that ends the run
 	if !slices.Equal(delays, want) {
 		t.Errorf("delays %v, want %v", delays, want)
 	}

@@ -1,9 +1,9 @@
 package paretomon_test
 
 // The crash-and-replication simulator. One seeded history drives, call
-// by call, a durable primary, a storeless reference that is never
-// interrupted and, on the follower rows, a follower tailing the primary
-// over HTTP. At seeded steps it injects faults:
+// by call, a durable primary, a storeless one-shard reference that is
+// never interrupted and, on the follower rows, a follower tailing the
+// primary over HTTP. At seeded steps it injects faults:
 //
 //   - crash: the primary is closed without a snapshot and reopened over
 //     the same store, under the row's reopen worker count;
@@ -24,8 +24,7 @@ package paretomon_test
 // AliveObjectCount, the work counters). The properties:
 //
 //  1. A reopened primary reads exactly like the reference. Each call's
-//     error class and deliveries equal the reference's. Per-shard
-//     counters are zero right after recovery.
+//     error class and deliveries equal the reference's.
 //  2. An AddBatchOnce retried after a torn append is answered as at
 //     arrival.
 //  3. Runs start with tenant.BootIngest, and after a crash it ingests
@@ -38,7 +37,13 @@ package paretomon_test
 //     file-store row without a follower opens one at its end, which must
 //     catch up from the newest snapshot or a log with torn segments.
 //  5. For the exact shapes, the reference's frontiers at the end are
-//     internal/oracle's over the alive objects.
+//     internal/oracle's over the alive objects, and every alive object's
+//     C_o is the users whose oracle frontier holds it.
+//  6. Sharding changes no answer: wherever the primary runs on three
+//     workers, every step above holds it to the one-shard reference.
+//     A seeded row that asks for three workers gets at least two shards,
+//     and the shards' counters sum to what the primary's totals accrued
+//     since it was opened: a recovery restarts them at zero.
 //
 // A failing run prints its seed, its fault schedule and the history up
 // to the failing step.
@@ -94,7 +99,8 @@ var (
 // tear; every other shape runs on a MemStore. ftva-vec is the measure
 // whose sums once followed Go's map order: at snapEvery 0 its reopen
 // clusters the community again and must find the clusters the crashed
-// primary found.
+// primary found. ftvaSW is the one shape that shards the approximate
+// engine over a window.
 var crashShapes = []simShape{
 	{"baseline", []paretomon.Option{simBaseline}, 0, true},
 	{"ftv", []paretomon.Option{simFTV, simThree}, 0, true},
@@ -103,6 +109,7 @@ var crashShapes = []simShape{
 	{"ftva-vec", []paretomon.Option{simFTVA, simVecJac, simThree}, 0, false},
 	{"baselineSW", []paretomon.Option{simBaseline, paretomon.WithWindow(13)}, 13, true},
 	{"ftvSW", []paretomon.Option{simFTV, simThree, paretomon.WithWindow(13)}, 13, true},
+	{"ftvaSW", []paretomon.Option{simFTVA, simThree, paretomon.WithThetas(40, 0.3), paretomon.WithWindow(13)}, 13, false},
 }
 
 // followerShapes are the shapes a follower tails a primary under.
@@ -151,7 +158,8 @@ type simRow struct {
 	boot      [][]string
 	calls     []simCall
 	faults    []simFault
-	twins     int // dominated twins the calls after the first crash must hold at least
+	twins     int  // dominated twins the calls after the first crash must hold at least
+	fanOut    bool // a primary asked for three workers must resolve at least two
 }
 
 // sim is one run in progress.
@@ -166,6 +174,8 @@ type sim struct {
 	fs           *storage.FileStore
 	mem          paretomon.Store
 	primary, ref *paretomon.Monitor
+	workers      int             // the primary's requested worker count
+	opened       paretomon.Stats // the primary's totals when it was opened
 	feed         *simFeed
 	cut          bool
 	cutAt        uint64
@@ -219,7 +229,7 @@ func runSim(t *testing.T, row simRow) {
 		s.prefs[u] = tupleSet(row.asserted[u])
 	}
 	var err error
-	if s.ref, err = paretomon.NewMonitor(s.com, append(slices.Clip(row.shape.opts), paretomon.WithWorkers(row.layout.crash))...); err != nil {
+	if s.ref, err = paretomon.NewMonitor(s.com, append(slices.Clip(row.shape.opts), paretomon.WithWorkers(1))...); err != nil {
 		t.Fatal(err)
 	}
 	defer s.close()
@@ -296,6 +306,7 @@ func (s *sim) open(workers int) {
 	if s.primary, err = paretomon.NewMonitor(s.com, opts...); err != nil {
 		s.fatalf("recovery: %v", err)
 	}
+	s.workers, s.opened = workers, s.primary.Stats()
 	if s.feed != nil && !s.cut {
 		s.feed.up(s.primary)
 	}
@@ -317,15 +328,10 @@ func (s *sim) shut() {
 	}
 }
 
-// reopen recovers the primary and holds it to properties 1 and 3.
+// reopen recovers the primary and holds it to property 3.
 func (s *sim) reopen() {
 	s.t.Helper()
 	s.open(s.row.layout.reopen)
-	for i, sh := range s.primary.Stats().Shards {
-		if sh.Comparisons != 0 || sh.Processed != 0 {
-			s.fatalf("shard %d counters not reset after recovery: %+v", i, sh)
-		}
-	}
 	s.boot(s.primary, 0)
 	s.crashed = true
 	for i := range s.row.boot {
@@ -568,6 +574,7 @@ func (s *sim) check() {
 	if !sameView(got, want) {
 		s.fatalf("the primary diverged from the reference:\n%s", viewDiff(got, want))
 	}
+	s.checkShards()
 	if s.follower == nil || s.cut {
 		return
 	}
@@ -579,6 +586,42 @@ func (s *sim) check() {
 	got.Applied = applied
 	if f := s.view(s.follower); !sameView(f, got) {
 		s.fatalf("the follower diverged from the primary:\n%s", viewDiff(f, got))
+	}
+}
+
+// checkShards is the rest of property 6: a row that asks for three
+// workers gets at least two shards, and the shards' counters add up to
+// what the primary's totals accrued since it was opened.
+func (s *sim) checkShards() {
+	s.t.Helper()
+	st := s.primary.Stats()
+	if s.row.fanOut && s.workers == 3 && st.Workers < 2 {
+		s.fatalf("WithWorkers(3) resolved %d shard(s)", st.Workers)
+	}
+	if st.Workers < 2 {
+		return
+	}
+	if len(st.Shards) != st.Workers {
+		s.fatalf("Stats lists %d shards of %d", len(st.Shards), st.Workers)
+	}
+	var sum paretomon.ShardStats
+	for _, sh := range st.Shards {
+		sum.Comparisons += sh.Comparisons
+		sum.FilterComparisons += sh.FilterComparisons
+		sum.VerifyComparisons += sh.VerifyComparisons
+		sum.Delivered += sh.Delivered
+		if sh.Processed != st.Processed-s.opened.Processed {
+			s.fatalf("a shard processed %d arrivals, the primary %d since it was opened", sh.Processed, st.Processed-s.opened.Processed)
+		}
+	}
+	since := paretomon.ShardStats{
+		Comparisons:       st.Comparisons - s.opened.Comparisons,
+		FilterComparisons: st.FilterComparisons - s.opened.FilterComparisons,
+		VerifyComparisons: st.VerifyComparisons - s.opened.VerifyComparisons,
+		Delivered:         st.Delivered - s.opened.Delivered,
+	}
+	if sum != since {
+		s.fatalf("the shards' counters sum to %+v, the totals accrued %+v since the primary was opened", sum, since)
 	}
 }
 
@@ -721,6 +764,10 @@ func (s *sim) checkOracle() {
 			names, objs = append(names, name), append(objs, vals)
 		}
 	}
+	targets := map[string][]string{}
+	for _, name := range names {
+		targets[name] = []string{}
+	}
 	for _, u := range s.ref.Users() {
 		p := make(oracle.Prefs[string], len(s.row.attrs))
 		for t := range s.prefs[u] {
@@ -730,10 +777,17 @@ func (s *sim) checkOracle() {
 		want := []string{}
 		for _, i := range oracle.Frontier(p, objs) {
 			want = append(want, names[i])
+			targets[names[i]] = append(targets[names[i]], u)
 		}
 		sort.Strings(want)
 		if got, err := s.ref.Frontier(u); err != nil || !slices.Equal(got, want) {
 			s.fatalf("frontier of %s is %v (%v); Def. 3.2 says %v", u, got, err, want)
+		}
+	}
+	for name, want := range targets {
+		sort.Strings(want)
+		if got, err := s.ref.TargetsOf(name); err != nil || !slices.Equal(got, want) {
+			s.fatalf("C_o of %s is %v (%v); Def. 3.2 says %v", name, got, err, want)
 		}
 	}
 }
@@ -770,11 +824,11 @@ func (f *simFeed) down() {
 }
 
 // seededRow draws a row's history and boot rows from seed: dupHistory's
-// calls after a deletion of boot row o2, half the batches under an
-// AddBatchOnce id.
+// calls after a deletion of boot row o2 and a preference that reverses
+// one u00 asserts (ErrCycle), half the batches under an AddBatchOnce id.
 func seededRow(name string, shape simShape, seed int64, steps int) simRow {
 	r := rand.New(rand.NewSource(seed))
-	row := simRow{name: name, shape: shape, seed: seed, attrs: paretomon.DupAttrs}
+	row := simRow{name: name, shape: shape, seed: seed, attrs: paretomon.DupAttrs, fanOut: true}
 	var ops []paretomon.HistoryOp
 	row.users, row.asserted, ops = paretomon.DupHistory(seed, steps)
 	for range 6 {
@@ -784,7 +838,11 @@ func seededRow(name string, shape simShape, seed int64, steps int) simRow {
 		}
 		row.boot = append(row.boot, vals)
 	}
-	row.calls = []simCall{{HistoryOp: paretomon.HistoryOp{Kind: "rmobj", Name: "o2"}}}
+	p := row.asserted[row.users[0]][0]
+	row.calls = []simCall{
+		{HistoryOp: paretomon.HistoryOp{Kind: "rmobj", Name: "o2"}},
+		{HistoryOp: paretomon.HistoryOp{Kind: "addpref", Name: row.users[0], Pref: paretomon.Preference{Attr: p.Attr, Better: p.Worse, Worse: p.Better}}},
+	}
 	for i, op := range ops {
 		c := simCall{HistoryOp: op}
 		if op.Kind == "batch" && r.Intn(2) == 0 {
