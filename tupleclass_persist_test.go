@@ -149,7 +149,10 @@ func restoresParentSnapshot(t *testing.T, file string, opts ...Option) {
 // every class has one member, and the monitor must do the parent's
 // comparisons, keep the parent's frontiers in the parent's scan order and
 // therefore write the parent's snapshot, byte for byte. The sums and
-// counts were recorded at the parent commit (83a22ee) with this function.
+// counts were recorded at the parent commit (83a22ee) with this function;
+// the windowed rows (window 24; the history's removals of expired objects
+// are refused) were recorded at b345bff, where every shard still kept a
+// private copy of the window.
 func TestDistinctHistoryCostsWhatItDid(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -161,6 +164,10 @@ func TestDistinctHistoryCostsWhatItDid(t *testing.T) {
 			"4634e7728159163c2ed3bcb8f458dc10c45c9a421ab05708d8414766e987c571", 29052},
 		{"FTV", []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3)},
 			"9c02c481f1ddd46c1cb708af5c6c6921f7750c9204a3f098f3c5d62c405ee3b2", 51386},
+		{"BaselineSW", []Option{WithAlgorithm(AlgorithmBaseline), WithWindow(24)},
+			"bebabdfe98953582dd14ae9cd51a705ca6053911c30366a0b69b722d6c2b310b", 15633},
+		{"FTV-SW", []Option{WithAlgorithm(AlgorithmFilterThenVerify), WithClusterCount(3), WithWindow(24)},
+			"d2b6de2c7f03b82de7e5c6433ee22771a63c8d7aeab9b512c54ef4618a8e66f9", 15807},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 3} {
