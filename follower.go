@@ -65,11 +65,9 @@ const followerBootstrapTimeout = 30 * time.Second
 // follower's position. Replication() and Lag() report progress;
 // WaitSynced blocks until caught up. Close stops the tail goroutine.
 func OpenFollower(c *Community, primaryURL string, opts ...Option) (*Monitor, error) {
-	cfg := DefaultConfig()
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Store != nil || cfg.SnapshotEvery != 0 {
 		return nil, fmt.Errorf("%w: a follower cannot have its own store; the primary owns the log", ErrBadOption)

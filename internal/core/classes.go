@@ -33,10 +33,11 @@ import (
 //
 // The zero value is off: Resolve answers "new tuple" with the object
 // itself, every object is its own class keyed by its own id, and nothing
-// is stored. The windowed engines (the ring ages ids; a class would have
-// to be refreshed in it) and the approximate engine (P̂_c is what the
-// procedure leaves, Sec. 6.2: a twin can sit outside P̂_c while a later
-// copy's scan would admit it) run that way.
+// is stored. The windowed engines (the window ages ids; a class would
+// have to hand its membership on at every twin's expiry) and the
+// approximate engine (P̂_c is what the procedure leaves, Sec. 6.2: a twin
+// can sit outside P̂_c while a later copy's scan would admit it) run that
+// way.
 type TupleClasses struct {
 	on      bool
 	classes []tupleClass // class id -> class; a retired id has head == noID
@@ -47,6 +48,10 @@ type TupleClasses struct {
 	links   []idLink     // object id -> class and next twin
 
 	reps []object.Object // Collapse's result, reused across calls
+	// keep is Collapse's yield, bound to self, the table it was made for:
+	// a range over the source would allocate its loop body on every call.
+	keep func(object.Object) bool
+	self *TupleClasses
 }
 
 type tupleClass struct {
@@ -259,15 +264,27 @@ func (t *TupleClasses) unindex(ci int) {
 // scratch, valid until the next Collapse. With the table off every object
 // is its own representative.
 func (t *TupleClasses) Collapse(alive iter.Seq[object.Object]) []object.Object {
-	t.reps = t.reps[:0]
-	for o := range alive {
-		if !t.on {
-			t.reps = append(t.reps, o)
-		} else if ci, ok := t.classOf(o.ID); ok && int(t.classes[ci].head) == o.ID {
-			t.reps = append(t.reps, t.rep(ci))
-		}
+	if t.self != t { // first use, or a copy of a table that was used
+		t.self, t.keep = t, t.collect
 	}
+	t.reps = t.reps[:0]
+	alive(t.keep)
 	return t.reps
+}
+
+// Reserve sizes Collapse's scratch for n alive objects: a windowed
+// engine, which never has more than its window alive, reserves it once,
+// where the copy of the window it kept before lived.
+func (t *TupleClasses) Reserve(n int) { t.reps = slices.Grow(t.reps[:0], n) }
+
+// collect is Collapse's step for one alive object.
+func (t *TupleClasses) collect(o object.Object) bool {
+	if !t.on {
+		t.reps = append(t.reps, o)
+	} else if ci, ok := t.classOf(o.ID); ok && int(t.classes[ci].head) == o.ID {
+		t.reps = append(t.reps, t.rep(ci))
+	}
+	return true
 }
 
 // AppendMemberIDs appends the object ids a frontier stands for — every

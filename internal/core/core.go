@@ -80,7 +80,7 @@ func (t *TargetTracker) DropTargets(key int) {
 }
 
 // Expire forgets key and every key below it: under a window, key has
-// left the ring and so has everything older. The keys below must hold no
+// left the window and so has everything older. The keys below must hold no
 // targets already (expiry and removal drop them as they go). The slots
 // stay until the dead prefix is half the slice, then the live part moves
 // down in place, so the slice spans at most twice the keys alive and a

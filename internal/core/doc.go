@@ -26,9 +26,9 @@
 //
 // The lifecycle calls (lifecycle.go) carry only what changed — a user
 // slot, a cluster index, a tuple, an object. The engine recomputes every
-// cluster relation a call touches through its CommonFn, and an
-// append-only engine reads the alive objects, the candidates of every
-// mend and restore, from the arrival-ordered source NewSharded fixes at
+// cluster relation a call touches through its CommonFn, and reads the
+// alive objects, the candidates of every mend and restore, from the
+// arrival-ordered source NewSharded (or window.NewSharded) fixes at
 // construction: the Monitor's registry, never a copy. The
 // filter-then-verify orchestration and its Lemma 4.6 member mend live
 // once, in ClusterShard, which the windowed engine shares.
@@ -57,8 +57,9 @@
 // values determine: a member evicted from P̂_U under a pair of ≻̂_U that
 // is not in ≻_c can leave a twin outside P̂_c that a later copy's scan
 // would admit, so answering the copy from the twin would change Sec. 6.2's
-// output. The windowed engines (internal/window), because the ring ages
-// object ids and a class would have to be refreshed in it on every twin.
+// output. The windowed engines (internal/window), because the window ages
+// object ids — the arrival with id n retires id n − W — and a class would
+// have to hand its membership on at every twin's expiry.
 // Only this package can switch the table on, and the class-keyed
 // constructors (NewFilterThenVerify, NewSharded) refuse a cluster relation
 // that some member's does not subsume — as does a class-keyed shard handed

@@ -49,7 +49,7 @@ type FilterThenVerify struct {
 // or any subset of it); the constructor panics otherwise. Clusters with
 // approximate relations go through NewFilterThenVerifyPerObject.
 func NewFilterThenVerify(users []*pref.Profile, clusters []Cluster, ctr *stats.Counters) *FilterThenVerify {
-	s := AllClusters(users, clusters, ctr)
+	s := AllClusters(users, clusters, nil, ctr)
 	if err := checkSubsumed(users, clusters); err != nil {
 		panic(err.Error())
 	}
@@ -65,7 +65,7 @@ func NewFilterThenVerify(users []*pref.Profile, clusters []Cluster, ctr *stats.C
 // — and internal/experiments runs the exact engine this way too, for the
 // paper's figures.
 func NewFilterThenVerifyPerObject(users []*pref.Profile, clusters []Cluster, ctr *stats.Counters) *FilterThenVerify {
-	return &FilterThenVerify{ClusterShard: AllClusters(users, clusters, ctr)}
+	return &FilterThenVerify{ClusterShard: AllClusters(users, clusters, nil, ctr)}
 }
 
 // NewBaseline builds the standalone Alg. 1 engine: per-user frontier

@@ -18,8 +18,9 @@ import (
 // arrival scan. Retracting a preference tuple or deleting an object
 // removes dominance pairs, so objects the frontier previously rejected
 // can become Pareto-optimal again. The windowed engines mend on expiry
-// (Alg. 4/5's mendParetoFrontierSW) from their ring; here the alive
-// objects stand in for the ring as the candidate source.
+// (Alg. 4/5's mendParetoFrontierSW) from their Pareto frontier buffers;
+// here the alive objects are the candidate source, as they are for every
+// lifecycle call of the windowed engines.
 //
 // Correctness of mendFrontier's candidate check: a candidate x enters
 // the new frontier iff no alive object dominates it. It suffices to test
@@ -58,9 +59,9 @@ type CommonFn func(members []*pref.Profile) *pref.Profile
 // slot, cluster the index into the monitor's full cluster list. A
 // clustered engine recomputes the relation of every cluster whose
 // membership or member relation a call changes, through its CommonFn. A
-// mend draws its candidates from the window ring under a window and from
-// the alive-object source otherwise; an append-only call that needs the
-// source panics on an engine built without one.
+// mend draws its candidates from the alive-object source — under a
+// window, the objects in it — and a call that needs the source panics on
+// an engine built without one.
 type LifecycleEngine interface {
 	// RegisterUser extends the engine's user table with profile p at slot
 	// c (== current table length). The user owns no frontier until
@@ -190,13 +191,13 @@ func (f *FilterThenVerify) resync(li int, old *pref.Profile) {
 	switch {
 	case cl.Common == nil:
 	case f.Own(li) && old == nil:
-		for _, o := range f.collapsed() {
+		for _, o := range f.Collapsed() {
 			f.verifyUser(cl.Members[0], o)
 		}
 	case f.Own(li):
 		f.mendFilterFrontier(li)
 	case old == nil:
-		for _, o := range f.collapsed() {
+		for _, o := range f.Collapsed() {
 			f.updateClusterFrontier(li, o)
 		}
 	default:
@@ -233,7 +234,7 @@ func (f *FilterThenVerify) resyncCluster(li int, old *pref.Profile) {
 func (f *FilterThenVerify) mendFilterFrontier(li int) {
 	fu := f.ClusterFronts[li]
 	var cands []object.Object
-	for _, x := range f.collapsed() {
+	for _, x := range f.Collapsed() {
 		if !fu.Contains(x.ID) {
 			cands = append(cands, x)
 		}
@@ -267,7 +268,7 @@ func (f *FilterThenVerify) RemoveObject(o object.Object) {
 	if !last {
 		return
 	}
-	alive := f.collapsed()
+	alive := f.Collapsed()
 	for li := range f.Clusters {
 		cl := &f.Clusters[li]
 		fu := f.ClusterFronts[li]

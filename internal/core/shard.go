@@ -17,7 +17,7 @@ import (
 // everyone. The bookkeeping that does not depend on the algorithm lives
 // here, once, in ClusterShard, under FilterThenVerify and
 // window.FilterThenVerifySW; the engines embed it and add their
-// algorithms (and, under a window, the ring and buffers).
+// algorithms (and, under a window, the buffers).
 //
 // Baseline (Algs. 1 and 4) is the same shard over one-user clusters. For
 // a cluster of one, Def. 4.1 gives ≻_U = ≻_c and so P_U = P_c: an own
@@ -29,23 +29,24 @@ import (
 // MemberIndex is what a shard keeps about frontier members apart from
 // the frontiers themselves: C_key per member (TargetTracker) and the
 // tuple-class table that maps an object id to its member's key
-// (TupleClasses; off, every id is its own key) — and, on an append-only
-// engine, where the alive objects are.
+// (TupleClasses; off, every id is its own key) — and where the alive
+// objects are.
 type MemberIndex struct {
 	TargetTracker
 	TupleClasses
 
 	// source yields every alive object in arrival order: the owner's
-	// registry, fixed at construction (NewSharded). It is the candidate
-	// set of every append-only mend and replay, and arrival order is part
-	// of the contract — scan order after a mend, and with it every later
-	// comparison count, follows it. The windowed engines mend from their
-	// ring and leave it nil.
+	// registry, fixed at construction (NewSharded, window.NewSharded) —
+	// under a window, the objects in the window not removed. It is the
+	// candidate set of every mend and replay, of both families, and
+	// arrival order is part of the contract — scan order after a mend,
+	// and with it every later comparison count, follows it.
 	source iter.Seq[object.Object]
 }
 
 // alive returns the engine's alive-object source; an engine built
-// without one cannot serve a lifecycle call or a restore, and says so.
+// without one cannot serve a lifecycle call or (append-only) a restore,
+// and says so.
 func (m *MemberIndex) alive() iter.Seq[object.Object] {
 	if m.source == nil {
 		panic("core: engine built without an alive-object source (NewSharded's alive argument): " +
@@ -54,10 +55,11 @@ func (m *MemberIndex) alive() iter.Seq[object.Object] {
 	return m.source
 }
 
-// collapsed is the alive objects, one representative per tuple class in
+// Collapsed is the alive objects, one representative per tuple class in
 // arrival order of the oldest member: what a mend scans (Collapse's
-// scratch, valid until the next call).
-func (m *MemberIndex) collapsed() []object.Object { return m.Collapse(m.alive()) }
+// scratch, valid until the next call). With the table off — the windowed
+// engines — it is the alive objects themselves.
+func (m *MemberIndex) Collapsed() []object.Object { return m.Collapse(m.alive()) }
 
 // resolveAlive registers every alive object in the class table before a
 // restore: a captured state names frontier members only, and the
@@ -125,10 +127,12 @@ type ClusterShard struct {
 
 // newClusterShard builds the bookkeeping for a subset of the monitor's
 // cluster list (globalIdx[i] is clusters[i]'s index in the full list of
-// total entries, -1 for an own cluster) with empty frontiers. It does not
-// validate membership; see ValidatePartition.
-func newClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int, total int, ctr *stats.Counters) ClusterShard {
+// total entries, -1 for an own cluster) with empty frontiers, reading the
+// alive objects from alive (see MemberIndex.source). It does not validate
+// membership; see ValidatePartition.
+func newClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int, total int, alive iter.Seq[object.Object], ctr *stats.Counters) ClusterShard {
 	s := ClusterShard{
+		MemberIndex:   MemberIndex{source: alive},
 		Users:         users,
 		Clusters:      clusters,
 		ClusterFronts: make([]*Frontier, len(clusters)),
@@ -156,12 +160,13 @@ func newClusterShard(users []*pref.Profile, clusters []Cluster, globalIdx []int,
 // cluster list — every user a cluster of its own when clusters is nil
 // (Baseline). Every user must belong to exactly one cluster; it panics
 // otherwise (standalone engines are built from code, not stored input).
-func AllClusters(users []*pref.Profile, clusters []Cluster, ctr *stats.Counters) ClusterShard {
+// The standalone constructors pass a nil alive: they serve Process only.
+func AllClusters(users []*pref.Profile, clusters []Cluster, alive iter.Seq[object.Object], ctr *stats.Counters) ClusterShard {
 	clusters, idx, total := layout(users, clusters, nil)
 	if err := ValidatePartition(len(users), clusters, nil); err != nil {
 		panic(err.Error())
 	}
-	return newClusterShard(users, clusters, idx, total, ctr)
+	return newClusterShard(users, clusters, idx, total, alive, ctr)
 }
 
 // layout reads a community for the shards: the clusters with their
@@ -269,7 +274,7 @@ func (s *ClusterShard) CommonOf(members []int) *pref.Profile {
 // the approximate engine).
 func (s *ClusterShard) SetCommonFn(fn CommonFn) { s.commonFn = fn }
 
-// FastForward is a no-op: an append-only engine ages nothing.
+// FastForward is a no-op: an append-only engine expires nothing.
 func (s *ClusterShard) FastForward(int) {}
 
 // setCommon installs cluster li's recomputed common relation. A shard

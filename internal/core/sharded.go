@@ -24,8 +24,8 @@ type ShardEngine interface {
 	StateEngine
 	// Lifecycle mutations (see LifecycleEngine). RegisterUser and
 	// RemoveObject apply to every shard (all shards index the full user
-	// table and, for windowed engines, age private rings); the remaining
-	// calls go to the owning shard only.
+	// table, and an object may sit in any shard's frontiers and buffers);
+	// the remaining calls go to the owning shard only.
 	LifecycleEngine
 	// SetClusterTotal tells a cluster-sharded instance the full cluster
 	// list grew (its state capture is keyed by global cluster index).
@@ -34,9 +34,10 @@ type ShardEngine interface {
 	// lifecycle call and preference update; a cluster of its own keeps
 	// its member's profile instead.
 	SetCommonFn(fn CommonFn)
-	// FastForward ages a windowed shard that holds no object yet by n
-	// arrivals, all removed (an object sync joining a source whose older
-	// arrivals expired); no-op on append-only engines.
+	// FastForward moves a windowed shard that holds no object yet to
+	// stream position n, as if n arrivals had come and gone (an object
+	// sync joining a source whose older arrivals expired): its C_o table
+	// starts at id n. No-op on append-only engines.
 	FastForward(n int)
 	// Span is the shard's C_o table span (TargetTracker.Span).
 	Span() int
@@ -119,8 +120,8 @@ type shardArena struct {
 // GOMAXPROCS; the count is clamped to the users or non-dormant clusters
 // there are to deal out.
 func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, alive iter.Seq[object.Object], workers int, ctr *stats.Counters) (*Sharded, error) {
-	s, err := ShardClusters(users, clusters, active, workers, ctr,
-		func(s ClusterShard) ShardEngine { s.source = alive; return newFilterThenVerify(s) })
+	s, err := ShardClusters(users, clusters, active, alive, workers, ctr,
+		func(s ClusterShard) ShardEngine { return newFilterThenVerify(s) })
 	if err != nil {
 		return nil, err
 	}
@@ -134,8 +135,8 @@ func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, alive 
 // member: what clusters carrying approximate common relations need (see
 // NewFilterThenVerifyPerObject), and the published Algs. 1–2 otherwise.
 func NewShardedPerObject(users []*pref.Profile, clusters []Cluster, active []bool, alive iter.Seq[object.Object], workers int, ctr *stats.Counters) (*Sharded, error) {
-	return ShardClusters(users, clusters, active, workers, ctr,
-		func(s ClusterShard) ShardEngine { s.source = alive; return &FilterThenVerify{ClusterShard: s} })
+	return ShardClusters(users, clusters, active, alive, workers, ctr,
+		func(s ClusterShard) ShardEngine { return &FilterThenVerify{ClusterShard: s} })
 }
 
 // newSharded assembles the harness with one private counter per shard
@@ -156,13 +157,14 @@ func newSharded(workers int, owner []int, ctr *stats.Counters) *Sharded {
 }
 
 // ShardClusters assembles a harness whose shards own round-robin
-// partitions of the cluster list; build wraps each shard's bookkeeping
-// into an engine. It fails unless membership partitions exactly the
-// alive users (see ValidatePartition). A nil cluster list is Alg. 1's
+// partitions of the cluster list, each reading the alive objects from
+// alive; build wraps each shard's bookkeeping into an engine. It fails
+// unless membership partitions exactly the alive users (see
+// ValidatePartition). A nil cluster list is Alg. 1's
 // community: every user slot a cluster of its own, so the shards deal out
 // users, and a user activated later founds one on the shard c mod
 // workers.
-func ShardClusters(users []*pref.Profile, clusters []Cluster, active []bool, workers int, ctr *stats.Counters, build func(ClusterShard) ShardEngine) (*Sharded, error) {
+func ShardClusters(users []*pref.Profile, clusters []Cluster, active []bool, alive iter.Seq[object.Object], workers int, ctr *stats.Counters, build func(ClusterShard) ShardEngine) (*Sharded, error) {
 	clusters, gidx, total := layout(users, clusters, active)
 	if err := ValidatePartition(len(users), clusters, active); err != nil {
 		return nil, err
@@ -188,7 +190,7 @@ func ShardClusters(users []*pref.Profile, clusters []Cluster, active []bool, wor
 	s := newSharded(workers, owner, ctr)
 	s.clusterCount = total
 	for i := range s.shards {
-		s.shards[i] = build(newClusterShard(users, own[i], idx[i], total, s.ctrs[i]))
+		s.shards[i] = build(newClusterShard(users, own[i], idx[i], total, alive, s.ctrs[i]))
 		s.shards[i].EnableScratch()
 	}
 	return s, nil
@@ -361,8 +363,7 @@ func (s *Sharded) RetractPreference(c, d, better, worse int) error {
 }
 
 // RemoveObject fans the deletion to every shard: each owns disjoint
-// frontiers (and, for windowed engines, a private ring) the object may
-// occupy.
+// frontiers (and, for windowed engines, buffers) the object may occupy.
 func (s *Sharded) RemoveObject(o object.Object) {
 	for _, sh := range s.shards {
 		sh.RemoveObject(o)
@@ -386,7 +387,7 @@ func (s *Sharded) TargetSpans() []int {
 	return out
 }
 
-// FastForward ages every shard by n removed arrivals (see ShardEngine).
+// FastForward moves every shard to stream position n (see ShardEngine).
 func (s *Sharded) FastForward(n int) {
 	for _, sh := range s.shards {
 		sh.FastForward(n)

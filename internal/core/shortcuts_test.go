@@ -192,7 +192,7 @@ func (h *history) build(name string, users []*pref.Profile, workers int, ref boo
 	var err error
 	switch {
 	case h.w.windowed:
-		e.Sharded, err = window.NewSharded(e.users, clusters, h.active, h.window, workers, ctr)
+		e.Sharded, err = window.NewSharded(e.users, clusters, h.active, h.source, h.window, workers, ctr)
 	case ref:
 		e.Sharded, err = core.NewShardedPerObject(e.users, clusters, h.active, h.source, workers, ctr)
 	default:

@@ -24,17 +24,17 @@ type EngineState struct {
 	// ClusterBuffers is PB_U per cluster, in arrival order
 	// (sliding-window FilterThenVerify only; nil otherwise).
 	ClusterBuffers [][]object.Object
-	// RingSeen is the total number of objects pushed through the window
-	// ring; Ring holds the min(RingSeen, W) youngest objects in arrival
-	// order. HasRing distinguishes an append-only engine (false) from a
-	// windowed engine that has seen nothing yet (true, empty Ring).
-	HasRing  bool
-	RingSeen int
-	Ring     []object.Object
+	// Windowed distinguishes a sliding-window engine's state (true) from
+	// an append-only one's; Seen is its stream position, the id its next
+	// arrival takes, from which a restore knows which ids have expired.
+	// The window's contents are not part of the state: they are the
+	// owner's registry (a snapshot's object table).
+	Windowed bool
+	Seen     int
 }
 
 // NewEngineState allocates a state sized for the given shardable units.
-// Buffer and ring fields stay zero until a sliding-window engine sets
+// Buffer and window fields stay zero until a sliding-window engine sets
 // them during capture.
 func NewEngineState(users, clusters int) *EngineState {
 	return &EngineState{
@@ -58,22 +58,15 @@ func (st *EngineState) EnsureClusterBuffers() {
 	}
 }
 
-// SetRing records the window ring. Shards hold identical rings (every
-// shard sees every object), so concurrent-equal writes are harmless.
-func (st *EngineState) SetRing(seen int, tail []object.Object) {
-	st.HasRing = true
-	st.RingSeen = seen
-	st.Ring = tail
-}
-
 // StateEngine is implemented by every engine (shard and harness,
 // append-only and sliding-window): CaptureState fills the slots the
 // engine owns; RestoreState — valid only on a freshly constructed,
 // empty engine — rebuilds them. A captured state names frontier members
 // only: the exact append-only engines read the dominated tuples back into
 // their class tables from their alive-object source, and the windowed
-// engines find everything else in the ring the state carries. Both leave
-// work counters untouched; the Monitor restores its counters separately.
+// engines need nothing beyond their buffers, whose shields they derive.
+// Both leave work counters untouched; the Monitor restores its counters
+// separately.
 type StateEngine interface {
 	CaptureState(st *EngineState)
 	RestoreState(st *EngineState) error

@@ -301,7 +301,7 @@ func (s *Snapshot) Marshal() []byte {
 	e.uvar(s.Counters.VerifyComparisons)
 	e.uvar(s.Counters.Delivered)
 	e.uvar(s.Counters.Processed)
-	encodeEngine(e, s.Engine, dims)
+	encodeEngine(e, s, dims)
 	if len(s.Batches) > 0 {
 		e.uvar(uint64(len(s.Batches)))
 	}
@@ -375,7 +375,7 @@ func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	s.Counters.Delivered = d.uvar()
 	s.Counters.Processed = d.uvar()
 	var err error
-	if s.Engine, err = decodeEngine(d, dims, s.Objects); err != nil {
+	if s.Engine, err = decodeEngine(d, dims, s.Objects, s.Window); err != nil {
 		return nil, err
 	}
 	n := 0
@@ -417,23 +417,28 @@ func (d *dec) intList() []int {
 	return out
 }
 
-// encodeEngine serializes an EngineState. Since object ids are dense
-// indices into the snapshot's object registry, frontier, buffer, and
-// ring entries are stored as bare ids and resolved against that registry
-// on decode — format v3; v2 carried a per-snapshot dedup table of
-// id → attrs here that duplicated what the registry already holds.
+// encodeEngine serializes s's EngineState. Since object ids are dense
+// indices into the snapshot's object registry, frontier and buffer
+// entries are stored as bare ids and resolved against that registry on
+// decode — format v3; v2 carried a per-snapshot dedup table of id → attrs
+// here that duplicated what the registry already holds.
 //
 //	uvar nDims
 //	list<list<uvar>> userFronts         (object ids, scan order)
 //	list<list<uvar>> clusterFronts
 //	u8 hasUserBuffers [+ list<list<uvar>>]
 //	u8 hasClusterBuffers [+ list<list<uvar>>]
-//	u8 hasRing [+ uvar seen, list<uvar> ring tail as id+1; 0 = tombstone]
+//	u8 hasRing [+ uvar seen, list<uvar> window as id+1; 0 = not alive]
 //
-// Ring entries are shifted by one because a slot whose object was
-// removed (RemoveObject) holds a tombstone with a negative id: 0 encodes
-// the tombstone, id+1 encodes a live slot.
-func encodeEngine(e *enc, st *core.EngineState, dims int) {
+// The hasRing section marks a windowed engine's state. It is written
+// from the object table and the window, not from the engine, which keeps
+// no copy of the window: seen is the table length, the stream position,
+// and the list holds the table's last min(seen, W) slots in arrival
+// order, id+1 for an alive object and 0 for a removed one: format v3's
+// bytes, under v3's name. decodeEngine refuses a section that disagrees
+// with the table.
+func encodeEngine(e *enc, s *Snapshot, dims int) {
+	st := s.Engine
 	e.uvar(uint64(dims))
 	idList := func(l []object.Object) {
 		e.uvar(uint64(len(l)))
@@ -461,26 +466,37 @@ func encodeEngine(e *enc, st *core.EngineState, dims int) {
 	} else {
 		e.u8(0)
 	}
-	if st.HasRing {
-		e.u8(1)
-		e.uvar(uint64(st.RingSeen))
-		e.uvar(uint64(len(st.Ring)))
-		for _, o := range st.Ring {
-			if o.ID < 0 {
-				e.uvar(0) // tombstone
-			} else {
-				e.uvar(uint64(o.ID) + 1)
-			}
-		}
-	} else {
+	if !st.Windowed {
 		e.u8(0)
+		return
+	}
+	e.u8(1)
+	seen := len(s.Objects)
+	from := windowStart(seen, s.Window)
+	e.uvar(uint64(seen))
+	e.uvar(uint64(seen - from))
+	for id := from; id < seen; id++ {
+		e.uvar(windowEntry(s.Objects, id))
 	}
 }
 
+// windowStart is the id of the oldest of seen arrivals inside a window of
+// w.
+func windowStart(seen, w int) int { return seen - min(seen, max(w, 0)) }
+
+// windowEntry is id's entry in the hasRing section.
+func windowEntry(objs []ObjectState, id int) uint64 {
+	if objs[id].Alive {
+		return uint64(id) + 1
+	}
+	return 0
+}
+
 // decodeEngine parses the engine-state section; ids must resolve in the
-// snapshot's object registry (they are indices into it) or the state is
-// corrupt.
-func decodeEngine(d *dec, wantDims int, objs []ObjectState) (*core.EngineState, error) {
+// snapshot's object registry (they are indices into it), and a window
+// section must be the one the registry and window w spell, or the state
+// is corrupt.
+func decodeEngine(d *dec, wantDims int, objs []ObjectState, w int) (*core.EngineState, error) {
 	dims := int(d.uvar())
 	if d.fail {
 		return nil, d.err()
@@ -488,11 +504,11 @@ func decodeEngine(d *dec, wantDims int, objs []ObjectState) (*core.EngineState, 
 	if dims != wantDims {
 		return nil, fmt.Errorf("%w: engine state has %d attribute dims, snapshot schema has %d", ErrCorrupt, dims, wantDims)
 	}
-	var missing error
+	var bad error
 	resolve := func(id int) object.Object {
 		if id < 0 || id >= len(objs) {
-			if !d.fail && missing == nil {
-				missing = fmt.Errorf("%w: engine state references unknown object %d", ErrCorrupt, id)
+			if !d.fail && bad == nil {
+				bad = fmt.Errorf("%w: engine state references unknown object %d", ErrCorrupt, id)
 			}
 			return object.Object{}
 		}
@@ -530,26 +546,25 @@ func decodeEngine(d *dec, wantDims int, objs []ObjectState) (*core.EngineState, 
 		st.ClusterBuffers = lists()
 	}
 	if d.u8() == 1 {
-		st.HasRing = true
-		st.RingSeen = int(d.uvar())
-		n := d.length()
-		if !d.fail {
-			st.Ring = make([]object.Object, n)
-			for i := range st.Ring {
-				shifted := int(d.uvar())
-				if shifted == 0 {
-					st.Ring[i] = object.Object{ID: -1} // tombstone
-					continue
-				}
-				st.Ring[i] = resolve(shifted - 1)
+		seen, n := d.uvar(), d.length()
+		from := windowStart(len(objs), w)
+		if !d.fail && bad == nil && (w <= 0 || seen != uint64(len(objs)) || n != len(objs)-from) {
+			bad = fmt.Errorf("%w: window section holds %d of %d arrivals, the object table %d of %d under window %d",
+				ErrCorrupt, n, seen, len(objs)-from, len(objs), w)
+		}
+		for i := 0; i < n && !d.fail; i++ {
+			got := d.uvar()
+			if id := from + i; !d.fail && bad == nil && id < len(objs) && got != windowEntry(objs, id) {
+				bad = fmt.Errorf("%w: window section has %d for object %d, the object table %d", ErrCorrupt, got, id, windowEntry(objs, id))
 			}
 		}
+		st.Windowed, st.Seen = true, len(objs)
 	}
 	if err := d.err(); err != nil {
 		return nil, err
 	}
-	if missing != nil {
-		return nil, missing
+	if bad != nil {
+		return nil, bad
 	}
 	return st, nil
 }

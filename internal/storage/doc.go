@@ -19,7 +19,7 @@
 //     engine-facing state at one log position: the interned attribute
 //     domains (Sec. 3's categorical values), the object name table, the
 //     per-user and per-cluster Pareto frontiers P_c / P_U (Secs. 4–6),
-//     the sliding-window ring and Pareto frontier buffers PB (Sec. 7),
+//     the sliding window and Pareto frontier buffers PB (Sec. 7),
 //     the cluster membership (Sec. 5, verified against the re-clustered
 //     community on restore), the applied online preference updates, and
 //     the comparison counters (Sec. 8's measurements).

@@ -21,7 +21,7 @@ import (
 //	   and alive flags, full object table with attribute values and
 //	   alive flags — so recovery can rebuild an evolved community.
 //	3  interned-id engine state: the engine section's per-snapshot
-//	   object dedup table is gone; frontier, buffer, and ring entries
+//	   object dedup table is gone; frontier, buffer, and window entries
 //	   are bare object ids resolved against the snapshot's object
 //	   table (ids are dense indices into it).
 //	4  exactly-once batches: each OpObject record of a batch appended
@@ -250,8 +250,9 @@ type Snapshot struct {
 	Objects []ObjectState
 	// Counters is the work accounting at the snapshot position.
 	Counters stats.Counters
-	// Engine is the engine-facing state: frontiers in scan order,
-	// window ring, and Pareto frontier buffers.
+	// Engine is the engine-facing state: frontiers in scan order and
+	// Pareto frontier buffers. Under a window the window itself is
+	// Objects' tail, which the codec writes (see encodeEngine).
 	Engine *core.EngineState
 	// Batches holds each remembered writer's last-batch memo (v4).
 	Batches []BatchMemo

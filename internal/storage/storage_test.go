@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -136,10 +137,10 @@ func sampleSnapshot() *Snapshot {
 	st.ClusterFronts[0] = []object.Object{obj(0, 1, 2), obj(3, 0, 0)}
 	st.EnsureClusterBuffers()
 	st.ClusterBuffers[0] = []object.Object{obj(2, 1, 1), obj(3, 0, 0)}
-	st.SetRing(7, []object.Object{obj(2, 1, 1), obj(3, 0, 0)})
-	st.Ring = append(st.Ring, object.Object{ID: -1}) // a removed object's tombstone slot
+	// The window of 3 holds o2 (removed: its entry is 0), o3 and o4.
+	st.Windowed, st.Seen = true, 4
 	return &Snapshot{
-		Algorithm: 1, Window: 2, Measure: 3, BranchCut: 0.55,
+		Algorithm: 1, Window: 3, Measure: 3, BranchCut: 0.55,
 		ClusterCount: 0, Theta1: 500, Theta2: 0.5,
 		BaseUsers: 2,
 		Users: []UserState{
@@ -180,6 +181,29 @@ func TestSnapshotCodecRejectsDamage(t *testing.T) {
 	}
 	if _, err := UnmarshalSnapshot(append(append([]byte{}, body...), 1)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte: want ErrCorrupt")
+	}
+}
+
+// TestSnapshotWindowSectionMatchesTable: the window section is written
+// from the object table, and a section that disagrees with the table — a
+// removed object's slot spelled alive, an alive one blanked, another
+// stream position — is ErrCorrupt.
+func TestSnapshotWindowSectionMatchesTable(t *testing.T) {
+	body := sampleSnapshot().Marshal()
+	tail := []byte{1, 4, 3, 0, 3, 4} // hasRing, seen, 3 slots: o2 removed, o3, o4
+	if !bytes.HasSuffix(body, tail) {
+		t.Fatalf("body ends %v, want the window section %v", body[len(body)-len(tail):], tail)
+	}
+	head := body[:len(body)-len(tail)]
+	for _, bad := range [][]byte{{1, 4, 3, 2, 3, 4}, {1, 4, 3, 0, 0, 4}, {1, 5, 3, 0, 3, 4}, {1, 4, 2, 3, 4}} {
+		if _, err := UnmarshalSnapshot(append(slices.Clip(head), bad...)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("window section %v: got %v, want ErrCorrupt", bad, err)
+		}
+	}
+	appendOnly := sampleSnapshot()
+	appendOnly.Window = 0
+	if _, err := UnmarshalSnapshot(appendOnly.Marshal()); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a window section without a window: got %v, want ErrCorrupt", err)
 	}
 }
 

@@ -89,20 +89,31 @@
 // unordered, and a domain past order.TableMaxN is read through the
 // members' own relations.
 //
+// The window (Def. 7.1) is one for the whole stream, and no shard keeps
+// a copy of it. Expiry goes by id: object ids are arrival indices, so the
+// arrival of id n retires id n − W, which — if any buffer holds it — is
+// that buffer's first entry; a removed object is in no buffer already.
+// The lifecycle calls read the objects in the window that were not
+// removed, their candidates, from the source the engine was built with:
+// the owner's registry, the same one the append-only engines read
+// (core.NewSharded's alive argument).
+//
 // NewSharded builds the engine as the shards of a core.Sharded — the
 // engine a windowed Monitor runs on: each shard owns a disjoint slice of
-// the user set (core.ClusterShard bookkeeping) plus its own window ring
-// and buffers, so arrival, expiry, and frontier mending stay local to the
-// shard and deliveries are identical for every shard count. NewBaselineSW
-// and NewFilterThenVerifySW build the same struct standalone, owning
-// every user. FilterThenVerifySW runs the calls that
-// change a relation or the membership through core.ClusterShard's
+// the user set (core.ClusterShard bookkeeping) plus its buffers, so
+// arrival, expiry, and frontier mending stay local to the shard and
+// deliveries are identical for every shard count. NewBaselineSW and
+// NewFilterThenVerifySW build the same struct standalone, owning every
+// user, with no source: they serve Process only, as the standalone
+// append-only engines do. FilterThenVerifySW runs the calls that change
+// a relation or the membership through core.ClusterShard's
 // orchestration, shared with the append-only engine — the recompute of
 // ≻_U, the Lemma 4.6 member mend — and supplies only the hook that
-// rebuilds its tier; its candidates are the ring, never an alive list. The shard bookkeeping's tuple-class table
+// rebuilds its tier. The shard bookkeeping's tuple-class table
 // (core.TupleClasses) stays off here: every object is its own frontier
-// member under its own id, as in the paper — the ring ages ids, and a
-// class would have to be refreshed in it. Ids leave the ring in arrival
-// order, so the C_o table (core.TargetTracker) drops the prefix the ring
-// evicts and spans at most twice the window, however long the stream.
+// member under its own id, as in the paper — expiry ages ids, and a class
+// would have to hand its membership on at every twin's expiry. Ids leave
+// the window in arrival order, so the C_o table (core.TargetTracker)
+// drops the expired prefix and spans at most twice the window, however
+// long the stream.
 package window

@@ -66,7 +66,7 @@ func clusteredWorld(r *rand.Rand, nClusters, perCluster, dims, domSize, nObjs in
 
 // holders counts, per cluster, the members whose frontier holds id, and
 // returns the largest count.
-func holders(eng *window.FilterThenVerifySW, clusters []core.Cluster, id int) int {
+func holders(eng interface{ UserFrontier(c int) []int }, clusters []core.Cluster, id int) int {
 	most := 0
 	for _, cl := range clusters {
 		n := 0
@@ -110,7 +110,7 @@ func TestMultiHolderDepartureMatchesPinnedState(t *testing.T) {
 	r := rand.New(rand.NewSource(20180326))
 	users, clusters, objs := clusteredWorld(r, 3, 4, 3, 7, 400)
 	ctr := &stats.Counters{}
-	eng := window.NewFilterThenVerifySW(users, clusters, w, ctr)
+	eng := window.NewSourcedFilterThenVerifySW(users, clusters, w, ctr)
 
 	digest := fnv.New64a()
 	record := func(tag string, vs []int) { fmt.Fprintf(digest, "%s%v;", tag, vs) }
@@ -214,8 +214,8 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// A windowed engine's state is its frontiers, buffers and ring — all
-// bounded by the window — so its live heap must not follow the stream:
+// A windowed engine's state is its frontiers and buffers — both bounded
+// by the window — so its live heap must not follow the stream:
 // what an arrival may leave behind for good is its 8 B slot in the C_o
 // table. (With an id-indexed position array per frontier and an
 // id-indexed bitset per buffer this run kept 315–345 B per arrival:

@@ -1,7 +1,11 @@
 package window
 
 import (
+	"fmt"
+	"iter"
+
 	"repro/internal/core"
+	"repro/internal/object"
 	"repro/internal/pref"
 	"repro/internal/stats"
 )
@@ -51,7 +55,7 @@ func (f *FilterThenVerifySW) BufferViews() []BufferView {
 
 // NewShardedViews is NewSharded that also hands out a reader of every
 // shard's buffers, which the harness keeps to itself.
-func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bool, w, workers int, ctr *stats.Counters) (*core.Sharded, func() []BufferView, error) {
+func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bool, alive iter.Seq[object.Object], w, workers int, ctr *stats.Counters) (*core.Sharded, func() []BufferView, error) {
 	var shards []*FilterThenVerifySW
 	views := func() []BufferView {
 		var out []BufferView
@@ -60,10 +64,55 @@ func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bo
 		}
 		return out
 	}
-	eng, err := core.ShardClusters(users, clusters, active, workers, ctr, func(s core.ClusterShard) core.ShardEngine {
+	eng, err := core.ShardClusters(users, clusters, active, alive, workers, ctr, func(s core.ClusterShard) core.ShardEngine {
 		e := newFilterThenVerifySW(s, w)
 		shards = append(shards, e)
 		return e
 	})
 	return eng, views, err
+}
+
+// Sourced is a standalone engine with the object registry a Monitor keeps
+// beside it, for the tests that drive lifecycle calls: Process interns
+// each arrival, whose id must be its arrival index, and RemoveObject
+// forgets the object before the engine hears of it. The engine reads the
+// window from it, as a Monitor's engine reads the Monitor's registry.
+type Sourced struct {
+	*FilterThenVerifySW
+	objs    []object.Object // every arrival, by id
+	removed map[int]bool
+}
+
+// NewSourcedBaselineSW is NewBaselineSW with a registry.
+func NewSourcedBaselineSW(users []*pref.Profile, w int, ctr *stats.Counters) *Sourced {
+	return NewSourcedFilterThenVerifySW(users, nil, w, ctr)
+}
+
+// NewSourcedFilterThenVerifySW is NewFilterThenVerifySW with a registry.
+func NewSourcedFilterThenVerifySW(users []*pref.Profile, clusters []core.Cluster, w int, ctr *stats.Counters) *Sourced {
+	s := &Sourced{removed: map[int]bool{}}
+	s.FilterThenVerifySW = newFilterThenVerifySW(core.AllClusters(users, clusters, s.alive, ctr), w)
+	return s
+}
+
+// alive yields the window's objects that were not removed, oldest first.
+func (s *Sourced) alive(yield func(object.Object) bool) {
+	for _, o := range s.objs[max(len(s.objs)-s.w, 0):] {
+		if !s.removed[o.ID] && !yield(o) {
+			return
+		}
+	}
+}
+
+func (s *Sourced) Process(o object.Object) []int {
+	if o.ID != len(s.objs) {
+		panic(fmt.Sprintf("window: arrival %d carries id %d", len(s.objs), o.ID))
+	}
+	s.objs = append(s.objs, o)
+	return s.FilterThenVerifySW.Process(o)
+}
+
+func (s *Sourced) RemoveObject(o object.Object) {
+	s.removed[o.ID] = true
+	s.FilterThenVerifySW.RemoveObject(o)
 }

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"fmt"
+	"iter"
 	"slices"
 
 	"repro/internal/core"
@@ -20,7 +22,8 @@ import (
 type FilterThenVerifySW struct {
 	core.ClusterShard
 	buffers []*buffer // PB_U per maintained cluster
-	win     *ring
+	w       int       // the window size W
+	next    int       // the id the next arrival takes: the stream position
 
 	// moved is the scratch frontier changes are reported into: the P_U
 	// members an arrival evicted, the entries an expiry promoted into P_U.
@@ -29,9 +32,12 @@ type FilterThenVerifySW struct {
 
 // NewFilterThenVerifySW creates the standalone monitor with window size
 // w. Clusters must partition the user set; the constructor panics
-// otherwise.
+// otherwise. Object ids must be arrival indices, 0, 1, 2, …: the arrival
+// of id n retires id n − w. Like the standalone append-only engines it
+// has no alive-object source, and serves Process only: a lifecycle call
+// panics.
 func NewFilterThenVerifySW(users []*pref.Profile, clusters []core.Cluster, w int, ctr *stats.Counters) *FilterThenVerifySW {
-	return newFilterThenVerifySW(core.AllClusters(users, clusters, ctr), w)
+	return newFilterThenVerifySW(core.AllClusters(users, clusters, nil, ctr), w)
 }
 
 // NewBaselineSW creates the standalone Alg. 4 monitor with window size w:
@@ -42,10 +48,14 @@ func NewBaselineSW(users []*pref.Profile, w int, ctr *stats.Counters) *FilterThe
 }
 
 // newFilterThenVerifySW wraps one shard's bookkeeping into an engine with
-// its own window ring and a shared buffer per maintained cluster.
+// window size w and a shared buffer per maintained cluster.
 func newFilterThenVerifySW(s core.ClusterShard, w int) *FilterThenVerifySW {
+	if w <= 0 {
+		panic(fmt.Sprintf("window: window size must be positive, got %d", w))
+	}
 	s.KeepHolders()
-	f := &FilterThenVerifySW{ClusterShard: s, buffers: make([]*buffer, len(s.Clusters)), win: newRing(w)}
+	s.Reserve(w) // the window's alive objects, the most a lifecycle call reads
+	f := &FilterThenVerifySW{ClusterShard: s, buffers: make([]*buffer, len(s.Clusters)), w: w}
 	for i := range f.buffers {
 		f.buffers[i] = newBuffer()
 	}
@@ -54,30 +64,31 @@ func newFilterThenVerifySW(s core.ClusterShard, w int) *FilterThenVerifySW {
 
 // NewSharded builds the sliding-window engine for a community, window
 // size w: Alg. 5 shards, or Alg. 4 shards when clusters is nil, under the
-// same contract as core.NewSharded. Each shard owns a disjoint slice of
-// the user set plus its own window ring and Pareto frontier buffers, so
-// arrival, expiry and mending all stay local to the shard: every shard
-// sees every object and ages it through an identical private ring, which
-// makes per-shard expiry equivalent to a single ring.
-func NewSharded(users []*pref.Profile, clusters []core.Cluster, active []bool, w, workers int, ctr *stats.Counters) (*core.Sharded, error) {
-	return core.ShardClusters(users, clusters, active, workers, ctr,
+// same contract as core.NewSharded. alive yields the objects in the
+// window that were not removed, in arrival order, on every call: the
+// owner's registry, one window for every shard, which the lifecycle calls
+// read their candidates from. Each shard owns a disjoint slice of the
+// user set plus its Pareto frontier buffers, so arrival, expiry and
+// mending all stay local to the shard: every shard sees every object, and
+// the arrival of id n retires id n − w in each.
+func NewSharded(users []*pref.Profile, clusters []core.Cluster, active []bool, alive iter.Seq[object.Object], w, workers int, ctr *stats.Counters) (*core.Sharded, error) {
+	return core.ShardClusters(users, clusters, active, alive, workers, ctr,
 		func(s core.ClusterShard) core.ShardEngine { return newFilterThenVerifySW(s, w) })
 }
 
-// Process ingests o_in, expiring the object leaving the window, and
-// returns C_oin.
+// Process ingests o_in, expiring the object leaving the window — id
+// o_in − W — and returns C_oin.
 func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 	f.Ctr.AddProcessed()
-	if oout, ok := f.win.push(oin); ok {
-		if oout.ID >= 0 {
-			for ui := range f.Clusters {
-				if len(f.Clusters[ui].Members) == 0 {
-					continue
-				}
-				f.expireCluster(ui, oout)
+	f.next = oin.ID + 1
+	if out := oin.ID - f.w; out >= 0 {
+		for ui := range f.Clusters {
+			if len(f.Clusters[ui].Members) == 0 {
+				continue
 			}
+			f.expireCluster(ui, out)
 		}
-		f.Expire(expiredID(oout))
+		f.Expire(out)
 	}
 	co := f.Scratch.Start()
 	for ui := range f.Clusters {
@@ -96,20 +107,22 @@ func (f *FilterThenVerifySW) Process(oin object.Object) []int {
 	return f.Scratch.Finish(co)
 }
 
-// expireCluster handles o_out for one cluster: it leaves PB_U and P_U, the
-// buffered objects it was the last alive ≻_U-dominator of enter P_U
-// (Procedure mendParetoFrontierUSW, decided by their shields), and the
-// members mend from the updated P_U (core.ClusterShard.MendMembers, under
-// ≻_c: see the package comment). An o_out outside P_U is in no P_c
-// either. On a cluster of its own P_U is P_c, and only C_o follows.
+// expireCluster handles o_out, the object with id out, for one cluster:
+// it leaves PB_U and P_U, the buffered objects it was the last alive
+// ≻_U-dominator of enter P_U (Procedure mendParetoFrontierUSW, decided by
+// their shields), and the members mend from the updated P_U
+// (core.ClusterShard.MendMembers, under ≻_c: see the package comment). An
+// o_out outside PB_U — dominated by a younger object, or removed — is in
+// no frontier. On a cluster of its own P_U is P_c, and only C_o follows.
 //
 //paretomon:hotpath
-func (f *FilterThenVerifySW) expireCluster(ui int, oout object.Object) {
-	var held bool
-	held, f.moved = f.buffers[ui].expire(oout.ID, f.moved[:0])
+func (f *FilterThenVerifySW) expireCluster(ui, out int) {
+	pb := f.buffers[ui]
+	oout, held := pb.expiring(out)
 	if !held {
 		return
 	}
+	f.moved = pb.expire(f.moved[:0])
 	fu := f.ClusterFronts[ui]
 	fu.Remove(oout.ID)
 	for _, o := range f.moved {

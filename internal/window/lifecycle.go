@@ -9,13 +9,16 @@ import (
 )
 
 // Lifecycle operations and preference updates under sliding-window
-// semantics. The ring is the alive set: RemoveObject tombstones the slot
-// — the window keeps aging at the same rate, removal never extends other
-// objects' lifetimes — and expiry of a tombstone touches no frontier (it
-// only retires the id's C_o slot). What these operations undo is the
-// premise the buffers' shields rest on, that objects leave oldest first
-// under a fixed relation, so each re-derives the shields it invalidated
-// and then reads the frontier off them (reconcile):
+// semantics. The candidates are the objects in the window that were not
+// removed, which the engine reads from its owner's registry (NewSharded's
+// alive argument) and never copies. A removed object leaves nothing
+// behind — it is out of every buffer and its C_o is dropped — and the
+// window keeps aging at the same rate: the arrival of id n retires id
+// n − W whether or not it was removed, so removal never extends other
+// objects' lifetimes. What these operations undo is the premise the
+// buffers' shields rest on, that objects leave oldest first under a fixed
+// relation, so each re-derives the shields it invalidated and then reads
+// the frontier off them (reconcile):
 //
 //   - A changed relation (ApplyPreference, RetractPreference, a cluster
 //     gaining or losing a member) can move any entry in or out of the
@@ -73,7 +76,7 @@ func (b *buffer) rebuild(alive []object.Object, p *pref.Profile) (cmps int) {
 
 // depart takes o, which RemoveObject retired from the middle of the
 // window, out of the buffer; alive is the window without it, in arrival
-// order. It reports whether o was buffered and the comparisons spent. An
+// order (only the objects older than o are read). It reports whether o was buffered and the comparisons spent. An
 // unbuffered o changes nothing: a younger object dominates it, and with it
 // everything o kept out. Otherwise the alive objects older than o that o
 // dominates and no younger entry does re-enter at their arrival position
@@ -191,7 +194,7 @@ func (f *FilterThenVerifySW) resync(li int, old *pref.Profile) {
 // rebuildCluster re-derives PB_U and P_U from the in-window objects under
 // cluster li's common relation as it now stands.
 func (f *FilterThenVerifySW) rebuildCluster(li int) {
-	f.CountTier(li, f.buffers[li].rebuild(f.win.aliveTail(), f.Clusters[li].Common))
+	f.CountTier(li, f.buffers[li].rebuild(f.Collapsed(), f.Clusters[li].Common))
 	f.reconcileCluster(li)
 }
 
@@ -208,16 +211,14 @@ func (f *FilterThenVerifySW) reconcileCluster(li int) {
 	f.buffers[li].reconcile(f.ClusterFronts[li], func(id int) { f.EvictFromMembers(li, id) }, joined)
 }
 
-// RemoveObject tombstones o's ring slot and takes o out of every cluster
-// tier: PB_U and P_U promote what o kept out of them, then members whose
-// own frontier held o mend from the updated P_U (mirroring
+// RemoveObject takes o, which the alive objects no longer yield, out of
+// every cluster tier: PB_U and P_U promote what o kept out of them, then
+// members whose own frontier held o mend from the updated P_U (mirroring
 // expireCluster) — on a cluster of its own, where P_U is P_c, the
-// reconcile is all of it.
+// reconcile is all of it. An o that has expired is in no buffer, and
+// nothing changes.
 func (f *FilterThenVerifySW) RemoveObject(o object.Object) {
-	if !f.win.knockOut(o.ID) {
-		return
-	}
-	alive := f.win.aliveTail()
+	alive := f.Collapsed()
 	for li := range f.Clusters {
 		cl := &f.Clusters[li]
 		if len(cl.Members) == 0 {

@@ -46,8 +46,8 @@ func TestRemoveObjectOutsideFrontierReadmitsItsEvictees(t *testing.T) {
 		RemoveObject(o object.Object)
 		Buffer(i int) []int
 	}{
-		"BaselineSW": window.NewBaselineSW([]*pref.Profile{newUser()}, 4, nil),
-		"FilterThenVerifySW": window.NewFilterThenVerifySW([]*pref.Profile{newUser()},
+		"BaselineSW": window.NewSourcedBaselineSW([]*pref.Profile{newUser()}, 4, nil),
+		"FilterThenVerifySW": window.NewSourcedFilterThenVerifySW([]*pref.Profile{newUser()},
 			[]core.Cluster{{Members: []int{0}, Common: newUser()}}, 4, nil),
 	}
 	for name, eng := range engines {
@@ -87,7 +87,7 @@ type shieldWorld struct {
 	exact    bool            // cluster relations are the members' intersection
 	objs     []object.Object // every arrival, by id
 	removed  map[int]bool
-	slots    []object.Object // the ring: the last w arrivals, removed ones blanked
+	slots    []object.Object // the window: the last w arrivals, removed ones blanked
 	cases    map[string]int  // lifecycle cases a member table must follow, as met
 
 	eng   *core.Sharded
@@ -136,13 +136,17 @@ func (s *shieldWorld) common(members []int) *pref.Profile {
 }
 
 func (s *shieldWorld) build(workers int) {
-	eng, views, err := window.NewShardedViews(s.users, s.coreClusters(), s.active, s.w, workers, nil)
+	eng, views, err := window.NewShardedViews(s.users, s.coreClusters(), s.active, s.source, s.w, workers, nil)
 	if err != nil {
 		s.t.Fatal(err)
 	}
 	eng.SetCommonFn(s.commonFn)
 	s.eng, s.views = eng, views
 }
+
+// source yields the window's objects, oldest first: the engine's
+// registry.
+func (s *shieldWorld) source(yield func(object.Object) bool) { slices.Values(s.alive())(yield) }
 
 // alive returns the window's objects, oldest first.
 func (s *shieldWorld) alive() []object.Object {

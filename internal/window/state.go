@@ -9,61 +9,15 @@ import (
 )
 
 // State capture/restore for the sliding-window engines, mirroring
-// core/state.go. Window state adds the ring of alive objects and the
-// Pareto frontier buffers; both serialize in arrival order so a restored
-// engine expires, mends, and counts comparisons exactly like an
-// uninterrupted one. Every shard of a sharded window engine sees every
-// object and therefore holds an identical private ring, so the ring is
-// captured once and restored into each shard — per-shard state stays
-// keyed by user/cluster and restores under any worker count.
+// core/state.go. Window state adds the Pareto frontier buffers, in
+// arrival order, and the stream position, so a restored engine expires,
+// mends, and counts comparisons exactly like an uninterrupted one. The
+// window itself is the owner's registry, restored beside the engine (a
+// snapshot's object table), and is no part of the engine's state;
+// per-shard state stays keyed by user/cluster and restores under any
+// worker count.
 
 var _ core.StateEngine = (*FilterThenVerifySW)(nil)
-
-// tail returns the min(seen, w) youngest objects in arrival order.
-func (r *ring) tail() []object.Object {
-	n := r.seen
-	if n > r.w {
-		n = r.w
-	}
-	out := make([]object.Object, 0, n)
-	for i := r.seen - n; i < r.seen; i++ {
-		out = append(out, r.buf[i%r.w])
-	}
-	return out
-}
-
-// restore rebuilds the ring from a captured tail. The slot of arrival i
-// is i mod w, so replaying the tail into its original slots makes every
-// future push evict exactly the object it would have originally. A
-// snapshot does not record a tombstone's id; its arrival index stands in.
-// Ids ascend by at least one an arrival, so the index never exceeds the
-// id (under a Monitor the two are equal): expiring through it retires no
-// C_o slot that is still in the window.
-func (r *ring) restore(seen int, tail []object.Object) error {
-	n := seen
-	if n > r.w {
-		n = r.w
-	}
-	if len(tail) != n {
-		return fmt.Errorf("window: ring state has %d objects, want %d (seen=%d, w=%d)", len(tail), n, seen, r.w)
-	}
-	for i, o := range tail {
-		if o.ID < 0 {
-			o = tombstone(seen - n + i)
-		}
-		r.buf[(seen-n+i)%r.w] = o
-	}
-	r.seen = seen
-	return nil
-}
-
-// skip ages an empty ring by n arrivals, every one of them removed.
-func (r *ring) skip(n int) {
-	for a := max(n-r.w, 0); a < n; a++ {
-		r.buf[a%r.w] = tombstone(a)
-	}
-	r.seen = n
-}
 
 // restore refills an empty Pareto frontier buffer from a captured one, in
 // arrival order, and re-derives the shields under p: a snapshot carries
@@ -84,7 +38,7 @@ func copyObjects(objs []object.Object) []object.Object {
 // CaptureState fills the maintained clusters' frontier slots and their
 // members' (the shard's own capture), the clusters' buffer slots — a
 // cluster of its own writes its buffer to its member's, as PB_c — and the
-// ring.
+// stream position, which every shard shares.
 func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
 	f.ClusterShard.CaptureState(st)
 	for li, cl := range f.Clusters {
@@ -98,22 +52,21 @@ func (f *FilterThenVerifySW) CaptureState(st *core.EngineState) {
 			st.UserBuffers[c] = copyObjects(f.buffers[li].objects())
 		}
 	}
-	st.SetRing(f.win.seen, f.win.tail())
+	st.Windowed, st.Seen = true, f.next
 }
 
-// RestoreState rebuilds the ring, then the maintained clusters' and
-// members' frontiers and the target index (the shard's own restore), then
-// the clusters' buffers. The engine must be freshly constructed.
+// RestoreState restores the stream position, then the maintained
+// clusters' and members' frontiers and the target index (the shard's own
+// restore), then the clusters' buffers. The engine must be freshly
+// constructed.
 func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
-	if !st.HasRing {
-		return fmt.Errorf("window: state has no ring (captured from an append-only engine?)")
+	if !st.Windowed {
+		return fmt.Errorf("window: state is not a window engine's (captured from an append-only engine?)")
 	}
-	if err := f.win.restore(st.RingSeen, st.Ring); err != nil {
-		return err
-	}
-	// The C_o table starts at the ring's oldest arrival: every id before
-	// it has expired (arrival indices bound ids from below, as in restore).
-	f.Expire(st.RingSeen - f.win.w - 1)
+	// The C_o table starts at the window's oldest arrival: every id
+	// before it has expired.
+	f.next = st.Seen
+	f.Expire(st.Seen - f.w - 1)
 	if err := f.ClusterShard.RestoreState(st); err != nil {
 		return err
 	}
@@ -133,10 +86,11 @@ func (f *FilterThenVerifySW) RestoreState(st *core.EngineState) error {
 	return nil
 }
 
-// FastForward ages the engine, which must hold no object yet, by n
-// arrivals that were all removed: its next object is arrival n. It is how
-// an object sync joins a source whose older arrivals have expired.
+// FastForward moves the engine, which must hold no object yet, to stream
+// position n, as if n arrivals had come and gone: its next object is
+// arrival n, and its C_o table starts there. It is how an object sync
+// joins a source whose older arrivals have expired.
 func (f *FilterThenVerifySW) FastForward(n int) {
-	f.win.skip(n)
+	f.next = n
 	f.Expire(n - 1)
 }

@@ -43,13 +43,13 @@ func totalsOf(eng any, ctr *stats.Counters) stats.Counters {
 // TestStateRoundTripWindow checks, for both sliding-window engines and
 // across worker layouts, that capture + restore mid-stream leaves the
 // continuation identical to the uninterrupted engine: deliveries,
-// frontiers, targets, and comparison counts (which depend on ring and
-// buffer order surviving exactly).
+// frontiers, targets, and comparison counts (which depend on buffer order
+// surviving exactly).
 func TestStateRoundTripWindow(t *testing.T) {
 	l := fixtures.NewLaptops()
 	const w = 7
 	stream := stateStream(l, 40)
-	cut := 23 // past one full wrap of the ring
+	cut := 23 // past three windows
 
 	build := map[string]func(workers int, ctr *stats.Counters) swEngine{
 		"baselineSW": func(workers int, ctr *stats.Counters) swEngine {
@@ -128,7 +128,7 @@ func TestStateWindowRejectsForeignState(t *testing.T) {
 // mustSharded builds the windowed harness over a full partition.
 func mustSharded(t *testing.T, users []*pref.Profile, clusters []core.Cluster, w, workers int, ctr *stats.Counters) *core.Sharded {
 	t.Helper()
-	s, err := window.NewSharded(users, clusters, nil, w, workers, ctr)
+	s, err := window.NewSharded(users, clusters, nil, nil, w, workers, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 func TestBaselineSWApplyPreference(t *testing.T) {
 	l := fixtures.NewLaptops()
-	b := window.NewBaselineSW([]*pref.Profile{l.C2.Clone()}, 15, nil)
+	b := window.NewSourcedBaselineSW([]*pref.Profile{l.C2.Clone()}, 15, nil)
 	fixtures.Feed(b, l.Objects[:15])
 	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, fixtures.PaperIDs(2, 3, 15)) {
 		t.Fatalf("frontier = %v", got)
@@ -54,7 +54,7 @@ func TestQuickWindowApplyPreferenceEquivalence(t *testing.T) {
 			{Members: []int{0, 1}, Common: pref.Common([]*pref.Profile{usersA[0], usersA[1]})},
 			{Members: []int{2, 3}, Common: pref.Common([]*pref.Profile{usersA[2], usersA[3]})},
 		}
-		live := window.NewFilterThenVerifySW(usersA, clusters, w, nil)
+		live := window.NewSourcedFilterThenVerifySW(usersA, clusters, w, nil)
 
 		cut := 25 + r.Intn(20)
 		fixtures.Feed(live, objs[:cut])
@@ -84,7 +84,7 @@ func TestQuickBufferInvariantAfterUpdate(t *testing.T) {
 		users, objs := fixtures.RandomWorld(r, 2, 2, 5, 40, 4)
 		w := 3 + r.Intn(8)
 		us := []*pref.Profile{users[0].Clone(), users[1].Clone()}
-		b := window.NewBaselineSW(us, w, nil)
+		b := window.NewSourcedBaselineSW(us, w, nil)
 		fixtures.Feed(b, objs)
 		for k := 0; k < 3; k++ {
 			_ = b.ApplyPreference(r.Intn(2), r.Intn(2), r.Intn(5), r.Intn(5))

@@ -2,81 +2,11 @@ package window
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/object"
 	"repro/internal/pref"
 )
-
-// ring stores the W most recent objects so the expiring object is
-// available when its successor arrives.
-type ring struct {
-	buf  []object.Object
-	w    int
-	seen int // total objects pushed
-}
-
-func newRing(w int) *ring {
-	if w <= 0 {
-		panic(fmt.Sprintf("window: window size must be positive, got %d", w))
-	}
-	return &ring{buf: make([]object.Object, w), w: w}
-}
-
-// push inserts o and returns the object it evicts, if the window was
-// full. The evicted object may be a tombstone (ID < 0) left by an
-// explicit removal; callers skip expiry work for those, and read the id
-// it held through expiredID.
-func (r *ring) push(o object.Object) (object.Object, bool) {
-	slot := r.seen % r.w
-	var out object.Object
-	full := r.seen >= r.w
-	if full {
-		out = r.buf[slot]
-	}
-	r.buf[slot] = o
-	r.seen++
-	return out, full
-}
-
-// tombstone marks a ring slot whose object, id, was explicitly removed.
-// The slot keeps aging — removal does not extend other objects'
-// lifetimes — but expiry of a tombstone is a no-op. It keeps the id,
-// complemented, so that expiry can still retire the id's C_o slot.
-func tombstone(id int) object.Object { return object.Object{ID: ^id} }
-
-// expiredID is the object id an evicted ring slot held.
-func expiredID(o object.Object) int {
-	if o.ID < 0 {
-		return ^o.ID
-	}
-	return o.ID
-}
-
-// knockOut tombstones the in-window slot holding object id, reporting
-// whether it was found (false: the object already expired or was never
-// in this window).
-func (r *ring) knockOut(id int) bool {
-	n := r.seen
-	if n > r.w {
-		n = r.w
-	}
-	for i := r.seen - n; i < r.seen; i++ {
-		slot := i % r.w
-		if r.buf[slot].ID == id {
-			r.buf[slot] = tombstone(id)
-			return true
-		}
-	}
-	return false
-}
-
-// aliveTail returns the in-window objects in arrival order, skipping
-// tombstones: the candidate set for lifecycle mends.
-func (r *ring) aliveTail() []object.Object {
-	return slices.DeleteFunc(r.tail(), func(o object.Object) bool { return o.ID < 0 })
-}
 
 // noShield marks a buffer entry that no alive object dominates: a member
 // of the frontier the buffer backs.
@@ -166,18 +96,23 @@ walk:
 	return shield, cmps, evicted
 }
 
-// expire retires the oldest alive object, id. It has outlived every
-// object that could dominate it, so if it is buffered at all it is the
-// first entry and a member of P; the entries it shields have now outlived
-// their last dominator and enter P, in arrival order, without a single
-// comparison. expire reports whether id was buffered and appends the
-// promoted entries to promoted.
+// expiring returns the first entry if it is id, the oldest alive object.
+// That object has outlived every object that could dominate it, so if it
+// is buffered at all it is the first entry and a member of P.
+func (b *buffer) expiring(id int) (object.Object, bool) {
+	if len(b.list) == 0 || b.list[0].ID != id {
+		return object.Object{}, false
+	}
+	return b.list[0], true
+}
+
+// expire retires the first entry, which expiring found: the entries it
+// shields have now outlived their last dominator and enter P, in arrival
+// order, without a single comparison. expire appends them to promoted.
 //
 //paretomon:hotpath
-func (b *buffer) expire(id int, promoted []object.Object) (bool, []object.Object) {
-	if len(b.list) == 0 || b.list[0].ID != id {
-		return false, promoted
-	}
+func (b *buffer) expire(promoted []object.Object) []object.Object {
+	id := b.list[0].ID
 	b.removeAt(0)
 	for i, s := range b.shield {
 		if s == id {
@@ -185,7 +120,7 @@ func (b *buffer) expire(id int, promoted []object.Object) (bool, []object.Object
 			promoted = append(promoted, b.list[i])
 		}
 	}
-	return true, promoted
+	return promoted
 }
 
 // objects returns the buffer in arrival order; callers must not mutate it.

@@ -102,7 +102,8 @@ func TestTable10FilterThenVerifySW(t *testing.T) {
 }
 
 // A frontier object must be re-deliverable after its dominator expires:
-// the mend path (Theorem 7.2 / Def. 7.4).
+// the mend path (Theorem 7.2 / Def. 7.4). Ids are arrival indices: the
+// stream is o1, o2, o5, o4 under ids 0, 1, 2, 3.
 func TestMendPromotesBufferedObject(t *testing.T) {
 	l := fixtures.NewLaptops()
 	b := window.NewBaselineSW([]*pref.Profile{l.C1}, 2, nil)
@@ -116,16 +117,16 @@ func TestMendPromotesBufferedObject(t *testing.T) {
 		t.Fatalf("P_c1 = %v", got)
 	}
 	// o5 = (9, Samsung, quad) is dominated by o2 but not by o4.
-	o5 := l.Objects[4]
+	o5 := object.Object{ID: 2, Attrs: l.Objects[4].Attrs}
 	b.Process(o5) // window (1,3]: {o2, o5}; o5 dominated by o2
 	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("P_c1 after o5 = %v", got)
 	}
 	// o4 = (19, Toshiba, dual): o2 expires now; o5 must be mended in —
 	// o4 does not dominate o5 (brand Toshiba vs Samsung incomparable).
-	b.Process(l.Objects[3]) // window (2,4]: {o5, o4}
-	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{3, 4}) {
-		t.Fatalf("P_c1 after o2 expiry = %v, want [3 4] (o4, o5)", got)
+	b.Process(object.Object{ID: 3, Attrs: l.Objects[3].Attrs}) // window (2,4]: {o5, o4}
+	if got := fixtures.Sorted(b.UserFrontier(0)); !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Fatalf("P_c1 after o2 expiry = %v, want [2 3] (o5, o4)", got)
 	}
 }
 
@@ -313,12 +314,14 @@ func TestQuickApproxSWContainments(t *testing.T) {
 }
 
 // Identical objects inside a window coexist and expire independently.
+// Ids are arrival indices: o2, its twins dupA and dupB, o1 and o8 arrive
+// under ids 0 to 4.
 func TestIdenticalObjectsInWindow(t *testing.T) {
 	l := fixtures.NewLaptops()
 	b := window.NewBaselineSW([]*pref.Profile{l.C1}, 3, nil)
-	o2 := l.Objects[1]
-	dupA := object.Object{ID: 100, Attrs: append([]int32(nil), o2.Attrs...)}
-	dupB := object.Object{ID: 101, Attrs: append([]int32(nil), o2.Attrs...)}
+	o2 := object.Object{ID: 0, Attrs: l.Objects[1].Attrs}
+	dupA := object.Object{ID: 1, Attrs: append([]int32(nil), o2.Attrs...)}
+	dupB := object.Object{ID: 2, Attrs: append([]int32(nil), o2.Attrs...)}
 	b.Process(o2)
 	b.Process(dupA)
 	b.Process(dupB)
@@ -326,10 +329,10 @@ func TestIdenticalObjectsInWindow(t *testing.T) {
 		t.Fatalf("identical triplet should all be Pareto: %v", got)
 	}
 	// Push two more dominated objects: o2 and dupA expire; dupB remains.
-	b.Process(l.Objects[0]) // o1, dominated by the twins
-	b.Process(l.Objects[7]) // o8, dominated by the twins
+	b.Process(object.Object{ID: 3, Attrs: l.Objects[0].Attrs}) // o1, dominated by the twins
+	b.Process(object.Object{ID: 4, Attrs: l.Objects[7].Attrs}) // o8, dominated by the twins
 	got := fixtures.Sorted(b.UserFrontier(0))
-	if !reflect.DeepEqual(got, []int{101}) {
-		t.Fatalf("frontier after expiry = %v, want [101]", got)
+	if !reflect.DeepEqual(got, []int{dupB.ID}) {
+		t.Fatalf("frontier after expiry = %v, want [%d] (dupB)", got, dupB.ID)
 	}
 }

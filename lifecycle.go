@@ -91,8 +91,8 @@ func (m *Monitor) RetractPreference(user, attr, better, worse string) error {
 	return m.mutate(WALRecord{Op: OpRetractPreference, User: user, Attr: attr, Better: better, Worse: worse})
 }
 
-// RemoveObject deletes a registered object: it leaves every frontier,
-// ring and buffer it occupies, its name frees up for re-use, and the
+// RemoveObject deletes a registered object: it leaves every frontier and
+// buffer it occupies, its name frees up for re-use, and the
 // objects it alone was dominating are promoted back into the affected
 // frontiers. Users who had the object in their frontier observe the
 // change as a FrontierDelta event (the object in Left, any promotions

@@ -443,11 +443,14 @@ func TestLifecycleEqualsFreshBuild(t *testing.T) {
 	}
 }
 
-// A windowed monitor's lifecycle operations must not pay for the object
-// registry, which holds every object ever ingested and only grows: the
-// window ring is the engines' alive set. Two monitors whose windows hold
-// the same objects behind registries of different lengths allocate the
-// same number of times, and the same number of bytes, per operation.
+// A windowed monitor's lifecycle operations must pay neither for the
+// object registry nor for the window: the engines read the window's
+// objects where the registry holds them — at most 2W slots however long
+// the stream, and each call copies none of them. Two monitors whose
+// windows hold the same objects behind registries of different lengths
+// allocate the same number of times, and the same number of bytes, per
+// operation; and two monitors whose windows differ sixteenfold in length
+// but whose frontiers are alike allocate within 4 KB of each other.
 func TestWindowedLifecycleAllocsIgnoreRegistryLength(t *testing.T) {
 	const w, period = 16, 50
 	build := func(registry int) *paretomon.Monitor {
@@ -493,6 +496,52 @@ func TestWindowedLifecycleAllocsIgnoreRegistryLength(t *testing.T) {
 	// ingested: 304 KB more at the larger size.
 	if s, l := bytesPerRun(50, small), bytesPerRun(50, large); l > s+4096 {
 		t.Errorf("bytes allocated per lifecycle op grow with the registry: %d at 500 objects, %d at 10000", s, l)
+	}
+
+	// Over the window's own length: Baseline on one worker, users who
+	// prefer b0 ≻ b1 and c0 ≻ c1..c4, and 4W arrivals of which every
+	// W/4-th is (b0, c0), which dominates the rest. Every frontier holds
+	// the window's four copies of (b0, c0) at either size, so the mend
+	// work is alike; a copy of the window on each call, in each shard,
+	// would cost 16 B … 64 B per object in it.
+	sized := func(w int) func() {
+		com := paretomon.NewCommunity(paretomon.NewSchema("brand", "cpu"))
+		for _, name := range []string{"ann", "bob", "cy"} {
+			u, err := com.AddUser(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.Prefer("brand", "b0", "b1"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < 5; i++ {
+				if err := u.Prefer("cpu", "c0", fmt.Sprintf("c%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		m, err := paretomon.NewMonitor(com, paretomon.WithAlgorithm(paretomon.AlgorithmBaseline),
+			paretomon.WithWorkers(1), paretomon.WithWindow(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4*w; i++ {
+			vals := []string{"b1", fmt.Sprintf("c%d", 1+i%4)}
+			if i%(w/4) == 0 {
+				vals = []string{"b0", "c0"}
+			}
+			if _, err := m.Add(fmt.Sprintf("o%d", i), vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f, _ := m.Frontier("ann"); len(f) != 4 {
+			t.Fatalf("W=%d: ann's frontier is %v, want the window's four copies of (b0, c0)", w, f)
+		}
+		return op(m)
+	}
+	short, long := sized(64), sized(1024)
+	if s, l := bytesPerRun(50, short), bytesPerRun(50, long); l > s+4096 {
+		t.Errorf("bytes allocated per lifecycle op grow with the window: %d at W=64, %d at W=1024", s, l)
 	}
 }
 

@@ -176,7 +176,7 @@ func (m *Monitor) ImportUsers(r io.Reader) (added, skipped int, err error) {
 // window) — then per slot from the base on, in id order, one OpObject
 // record and, for tombstoned slots, an immediately following
 // OpRemoveObject. Replaying the stream through the live Add/RemoveObject
-// paths reproduces ids, tombstones, name reuse and window ring positions
+// paths reproduces ids, tombstones, name reuse and window positions
 // exactly.
 func (m *Monitor) ExportObjects(w io.Writer) error {
 	recs, count, base := m.exportObjects()
@@ -334,8 +334,8 @@ func (m *Monitor) syncStart(heads []uint64) (base, have int, err error) {
 
 // fastForward moves a monitor that has ingested nothing to stream
 // position n, as if n objects had arrived and been removed: the registry
-// starts at id n and every shard's ring has aged by n. Under a window
-// these are all that n expired arrivals would have left behind. On a
+// starts at id n and every shard's C_o table there. Under a window these
+// are all that n expired arrivals would have left behind. On a
 // durable monitor a snapshot records the new position, since the log has
 // no record for it.
 func (m *Monitor) fastForward(n int) error {

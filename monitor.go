@@ -315,23 +315,24 @@ type state struct {
 // objects[i] holds engine object id objBase+i. RemoveObject tombstones a
 // slot and frees its name; names maps alive names only, and, inside an
 // ingest call, the names it has claimed (claimObject). The interned
-// objects ride along: the append-only engines read them, through alive,
-// as the candidates of every mend and restore. An append-only registry
-// only grows (objBase stays 0). Under a window W, id N's arrival retires
-// slot N-W, which every shard's ring evicts on the same arrival: its name
-// is freed for re-use, and the slot is blanked and dropped once the
-// blanked prefix is W long, so at most 2W slots are held however long the
-// stream. It sits behind a pointer so that the engine's view of it
-// survives a follower's transplant of the state it belongs to.
+// objects ride along: every engine reads them, through alive, as the
+// candidates of every mend and restore. An append-only registry only
+// grows (objBase stays 0). Under a window W it is the window, the one
+// every shard reads: id N's arrival retires slot N-W, as every shard
+// retires id N-W on the same arrival. Its name is freed for re-use, and
+// the slot is blanked and dropped once the blanked prefix is W long, so
+// at most 2W slots are held however long the stream. It sits behind a
+// pointer so that the engine's view of it survives a follower's
+// transplant of the state it belongs to.
 type registry struct {
 	names   map[string]int // alive name -> id
 	objBase int            // id of objects[0]
 	objects []objEntry
 }
 
-// alive yields the alive objects in arrival order: the append-only
-// engines' candidate source, fixed when the engine is built. The engine
-// calls it under the monitor's write lock.
+// alive yields the alive objects in arrival order: the engines' candidate
+// source, fixed when the engine is built. The engine calls it under the
+// monitor's write lock.
 func (r *registry) alive(yield func(object.Object) bool) {
 	for _, e := range r.objects {
 		if e.alive && !yield(e.obj) {
@@ -357,11 +358,9 @@ type objEntry struct {
 //	    paretomon.WithWindow(1000),
 //	)
 func NewMonitor(c *Community, opts ...Option) (*Monitor, error) {
-	cfg := DefaultConfig()
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := configure(opts)
+	if err != nil {
+		return nil, err
 	}
 	return newMonitor(c, cfg)
 }
@@ -458,46 +457,17 @@ func (m *Monitor) bootstrap(c *Community, seq uint64, body []byte, ok bool) erro
 	return nil
 }
 
-// validateConfig rejects malformed configurations before any state is
-// built.
+// validateConfig rejects, before any state is built, what no single
+// option can: an empty community, and snapshots without a store. Every
+// field is in range already: a Config is DefaultConfig with options
+// folded over it (configure), and each option refuses a value out of its
+// own range.
 func validateConfig(c *Community, cfg Config) error {
 	if c.Len() == 0 {
 		return ErrEmptyCommunity
 	}
-	if cfg.Window < 0 {
-		return fmt.Errorf("%w: negative window %d", ErrInvalidConfig, cfg.Window)
-	}
-	if cfg.ClusterCount < 0 {
-		return fmt.Errorf("%w: negative cluster count %d", ErrInvalidConfig, cfg.ClusterCount)
-	}
-	if cfg.Workers < 0 {
-		return fmt.Errorf("%w: negative worker count %d", ErrInvalidConfig, cfg.Workers)
-	}
-	if cfg.SnapshotEvery < 0 {
-		return fmt.Errorf("%w: negative snapshot interval %d", ErrInvalidConfig, cfg.SnapshotEvery)
-	}
 	if cfg.SnapshotEvery > 0 && cfg.Store == nil {
 		return fmt.Errorf("%w: SnapshotEvery without a Store", ErrInvalidConfig)
-	}
-	if cfg.SubscriptionBuffer < 0 {
-		return fmt.Errorf("%w: negative subscription buffer %d", ErrInvalidConfig, cfg.SubscriptionBuffer)
-	}
-	switch cfg.Measure {
-	case MeasureIntersectionSize, MeasureJaccard, MeasureWeightedIntersection,
-		MeasureWeightedJaccard, MeasureVectorJaccard, MeasureVectorWeightedJaccard:
-	default:
-		return fmt.Errorf("%w: unknown measure %d", ErrInvalidConfig, int(cfg.Measure))
-	}
-	switch cfg.Algorithm {
-	case AlgorithmBaseline, AlgorithmFilterThenVerify, AlgorithmFilterThenVerifyApprox:
-	default:
-		return fmt.Errorf("%w: unknown algorithm %v", ErrInvalidConfig, cfg.Algorithm)
-	}
-	if cfg.Algorithm == AlgorithmFilterThenVerifyApprox {
-		if cfg.Theta1 <= 0 || cfg.Theta2 < 0 || cfg.Theta2 >= 1 {
-			return fmt.Errorf("%w: approx engine needs Theta1 > 0 and Theta2 in [0,1), got θ1=%d θ2=%v",
-				ErrInvalidConfig, cfg.Theta1, cfg.Theta2)
-		}
 	}
 	return nil
 }
@@ -554,13 +524,13 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 // clusters is nil (Baseline) and the given clusters otherwise, each shard
 // owning whole clusters. A fresh community is the
 // recovered case with every user alive: removed users own no frontier,
-// dormant clusters ride along as placeholders. The append-only engines
-// read the registry's alive objects; the windowed ones keep their own
-// ring. It fails unless the clusters partition exactly the alive users.
+// dormant clusters ride along as placeholders. Every engine reads the
+// registry's alive objects — under a window, the window — and copies
+// none. It fails unless the clusters partition exactly the alive users.
 func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
 	switch {
 	case m.cfg.Window > 0:
-		m.eng, err = window.NewSharded(m.profiles, clusters, m.userAlive, m.cfg.Window, m.cfg.Workers, m.ctr)
+		m.eng, err = window.NewSharded(m.profiles, clusters, m.userAlive, m.registry.alive, m.cfg.Window, m.cfg.Workers, m.ctr)
 	case m.cfg.Algorithm == AlgorithmFilterThenVerifyApprox:
 		m.eng, err = core.NewShardedPerObject(m.profiles, clusters, m.userAlive, m.registry.alive, m.cfg.Workers, m.ctr)
 	default:

@@ -122,10 +122,7 @@ func (h *nameOrderHarness) addUser(m *Monitor, name string) {
 	if err := m.AddUser(name, ps); err != nil {
 		h.t.Fatal(err)
 	}
-	h.model.users[name] = map[Preference]bool{}
-	for _, p := range ps {
-		h.model.users[name][p] = true
-	}
+	h.model.setUser(name, ps)
 }
 
 func TestDeliveriesFollowNameOrder(t *testing.T) {
@@ -155,7 +152,7 @@ func TestDeliveriesFollowNameOrder(t *testing.T) {
 			if err := m.RemoveUser("u10"); err != nil {
 				t.Fatal(err)
 			}
-			delete(h.model.users, "u10")
+			h.model.dropUser("u10")
 			h.feed(m, 4)
 			h.addUser(m, "u10") // a fresh slot under a removed user's name
 			h.feed(m, 8)

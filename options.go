@@ -10,6 +10,18 @@ import "fmt"
 // ErrInvalidConfig).
 type Option func(*Config) error
 
+// configure folds opts over DefaultConfig, in order: the Config of
+// NewMonitor and OpenFollower alike.
+func configure(opts []Option) (Config, error) {
+	cfg := DefaultConfig()
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return cfg, err
+		}
+	}
+	return cfg, nil
+}
+
 // WithAlgorithm selects the monitoring engine.
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *Config) error {

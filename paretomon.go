@@ -25,8 +25,9 @@
 //
 // WithWorkers(n) sets how many shards all of the above run on: users
 // (Baseline) or whole clusters (filter-then-verify) are partitioned
-// across n shards — each owning its slice of the frontiers, and its own
-// window ring when a window is set. Add runs the shards one after
+// across n shards — each owning its slice of the frontiers, and of the
+// buffers when a window is set; the window itself is the monitor's
+// object registry, which every shard reads. Add runs the shards one after
 // another; AddBatch runs them on goroutines of their own and joins them
 // before it returns. Deliveries are identical for every n; Stats reports
 // the per-shard work split. See docs/ARCHITECTURE.md for the sharding

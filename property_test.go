@@ -373,11 +373,17 @@ func expiredDupObject(m *Monitor, name string) bool {
 }
 
 // defModel is the definitional monitor: alive users with their asserted
-// tuples, alive objects with their values, and nothing incremental.
+// tuples, alive objects with their values, and nothing incremental. Its
+// fields are read directly and changed only through its methods, which
+// drop the answer it keeps while it is unchanged.
 type defModel struct {
 	users   map[string]map[Preference]bool
 	objects map[string][]string
 	twins   uint64 // arrivals whose tuple was alive when they came
+
+	// frontier and targets are answer's result for the model as it
+	// stands, nil once a method changed it.
+	frontier, targets map[string][]string
 }
 
 func newDefModel(asserted map[string][]Preference) *defModel {
@@ -394,7 +400,18 @@ func newDefModel(asserted map[string][]Preference) *defModel {
 // answer is what the definition says of the model now, as sorted names:
 // every alive user's frontier, by internal/oracle over the user's asserted
 // tuples, and every alive object's C_o, the users whose frontier holds it.
+// It is computed once per state of the model; callers must not modify it.
 func (d *defModel) answer() (frontier, targets map[string][]string) {
+	if d.frontier == nil {
+		d.frontier, d.targets = d.compute()
+	}
+	return d.frontier, d.targets
+}
+
+// changed drops the kept answer.
+func (d *defModel) changed() { d.frontier, d.targets = nil, nil }
+
+func (d *defModel) compute() (frontier, targets map[string][]string) {
 	names := slices.Sorted(maps.Keys(d.objects))
 	vals := make([][]string, len(names))
 	targets = map[string][]string{}
@@ -425,6 +442,38 @@ func (d *defModel) add(o Object) {
 		}
 	}
 	d.objects[o.Name] = o.Values
+	d.changed()
+}
+
+// forget takes an object out: removed, or expired from a window.
+func (d *defModel) forget(name string) {
+	delete(d.objects, name)
+	d.changed()
+}
+
+// setUser gives user exactly the tuples ps, a new user included.
+func (d *defModel) setUser(user string, ps []Preference) {
+	set := map[Preference]bool{}
+	for _, p := range ps {
+		set[p] = true
+	}
+	d.users[user] = set
+	d.changed()
+}
+
+func (d *defModel) dropUser(user string) {
+	delete(d.users, user)
+	d.changed()
+}
+
+// prefer asserts (on) or retracts one of user's tuples.
+func (d *defModel) prefer(user string, p Preference, on bool) {
+	if on {
+		d.users[user][p] = true
+	} else {
+		delete(d.users[user], p)
+	}
+	d.changed()
 }
 
 // diff returns the sorted names in after but not in before.
@@ -497,22 +546,18 @@ func (h *dupHarness) step(op dupOp) {
 			}
 		}
 	case "rmobj":
-		delete(h.model.objects, op.name)
+		h.model.forget(op.name)
 		lifecycleDelta(targets[op.name])
 	case "addpref":
-		h.model.users[op.name][op.pref] = true
+		h.model.prefer(op.name, op.pref, true)
 		lifecycleDelta([]string{op.name})
 	case "retract":
-		delete(h.model.users[op.name], op.pref)
+		h.model.prefer(op.name, op.pref, false)
 		lifecycleDelta([]string{op.name})
 	case "adduser":
-		set := map[Preference]bool{}
-		for _, p := range op.prefs {
-			set[p] = true
-		}
-		h.model.users[op.name] = set
+		h.model.setUser(op.name, op.prefs)
 	case "rmuser":
-		delete(h.model.users, op.name)
+		h.model.dropUser(op.name)
 	}
 
 	got, err := applyDupOp(h.m, op)
@@ -760,9 +805,9 @@ func TestWindowedRemoveObjectOutsideFrontier(t *testing.T) {
 				if err := m.RemoveObject("o"); err != nil {
 					t.Fatal(err)
 				}
-				delete(h.model.objects, "o")
+				h.model.forget("o")
 				h.check("remove o")
-				delete(h.model.objects, "e") // the fifth arrival expires it
+				h.model.forget("e") // the fifth arrival expires it
 				add("z2", "a0", "b1", "c2")
 				if f, _ := m.Frontier("ann"); !reflect.DeepEqual(f, []string{"x", "z", "z2"}) {
 					t.Errorf("ann's frontier is %v, want [x z z2]", f)
