@@ -50,10 +50,12 @@ type memberTable struct {
 }
 
 // memberScan is the append-only verify tier's scratch for one arrival o:
-// the members some dominator found so far already rejects o for.
+// the members some dominator found so far already rejects o for, and the
+// members whose scan has not run yet.
 type memberScan struct {
-	o        object.Object
-	rejected []uint64
+	o         object.Object
+	rejected  []uint64
+	unvisited []uint64
 }
 
 // memberTier is the windowed member tier's scratch: one member set, and a
@@ -310,18 +312,30 @@ func (s *ClusterShard) Expire(key int) {
 }
 
 // prepare readies sc for the verify scans of arrival o: no member
-// rejected yet.
+// rejected yet, and none visited.
 //
 //paretomon:hotpath
 func (t *memberTable) prepare(o object.Object, sc *memberScan) {
 	sc.o = o
 	sc.rejected = clearedWords(sc.rejected, t.words)
+	sc.unvisited = clearedWords(sc.unvisited, t.words)
 }
 
 // rejects reports whether a dominator found earlier already rejects the
 // arrival for member slot m.
 func (sc *memberScan) rejects(m int) bool {
 	return sc.rejected[m/wordBits]&(1<<(m%wordBits)) != 0
+}
+
+// awaited reports whether a member whose scan has not run yet is still
+// unrejected: only then can sharing a dominator save a scan.
+func (sc *memberScan) awaited() bool {
+	for w, u := range sc.unvisited {
+		if u&^sc.rejected[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // compare is pref.Probe.Compare of the arrival against b under member
@@ -387,9 +401,14 @@ func (f *FilterThenVerify) verifyMembers(ui int, t *memberTable, o object.Object
 	sc := &f.memberScan
 	t.prepare(o, sc)
 	members := f.Clusters[ui].Members
-	for i, c := range members {
+	for _, c := range members {
 		m := int(f.slot[c])
-		if !sc.rejects(m) && f.verifyMember(t, m, c, o, i+1 < len(members)) {
+		sc.unvisited[m/wordBits] |= 1 << (m % wordBits)
+	}
+	for _, c := range members {
+		m := int(f.slot[c])
+		sc.unvisited[m/wordBits] &^= 1 << (m % wordBits)
+		if !sc.rejects(m) && f.verifyMember(t, m, c, o) {
 			co = append(co, c)
 		}
 	}
@@ -398,11 +417,12 @@ func (f *FilterThenVerify) verifyMembers(ui int, t *memberTable, o object.Object
 
 // verifyMember is verifyUser for member slot m (user c) of a cluster with
 // a member table, comparing through the table. A dominator it meets is
-// shared when members follow: one more verify comparison evaluates the
-// member set it dominates the arrival for.
+// shared while a member whose scan is still to run is unrejected: one
+// more verify comparison evaluates the member set it dominates the
+// arrival for.
 //
 //paretomon:hotpath
-func (f *FilterThenVerify) verifyMember(t *memberTable, m, c int, o object.Object, share bool) bool {
+func (f *FilterThenVerify) verifyMember(t *memberTable, m, c int, o object.Object) bool {
 	fc := f.UserFronts[c]
 	sc := &f.memberScan
 	isPareto := true
@@ -416,7 +436,7 @@ scan:
 			f.RemoveTarget(op.ID, c)
 		case pref.Right:
 			isPareto = false
-			if share {
+			if sc.awaited() {
 				f.Ctr.AddVerify(1)
 				t.dominatedFor(sc, op)
 			}

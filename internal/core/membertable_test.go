@@ -155,6 +155,51 @@ func TestRemoveObjectKeepsMemberTable(t *testing.T) {
 	}
 }
 
+// TestVerifyShareWaitsForAnUnrejectedMember: a dominator a member's scan
+// meets is shared only while a member still to scan is unrejected. In a
+// cluster of memberTableMin users that all order a ≻ x but member 1,
+// which orders b ≻ x instead, P_U and every P_c are [A, B] and the
+// arrival X passes the filter (≻_U is empty). Member 0's scan meets
+// A ≻ X, and sharing A rejects X for everyone but member 1. Member 1's
+// scan passes A and meets B ≻ X with every later member rejected
+// already, so B is not shared: 4 verify comparisons (member 0: A and
+// its share; member 1: A and B), where a share whenever members follow
+// spent 5.
+func TestVerifyShareWaitsForAnUnrejectedMember(t *testing.T) {
+	dom := order.NewDomain("v")
+	a, b, x := dom.Intern("a"), dom.Intern("b"), dom.Intern("x")
+	users := make([]*pref.Profile, memberTableMin)
+	members := make([]int, memberTableMin)
+	for c := range users {
+		users[c], members[c] = pref.NewProfile([]*order.Domain{dom}), c
+		better := a
+		if c == 1 {
+			better = b
+		}
+		if err := users[c].Relation(0).Add(better, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctr := &stats.Counters{}
+	f := NewFilterThenVerify(users, []Cluster{{Members: members, Common: pref.Common(users)}}, ctr)
+	for id, v := range []int{a, b} {
+		if co := f.Process(object.Object{ID: id, Attrs: []int32{int32(v)}}); len(co) != len(users) {
+			t.Fatalf("object %d reached %d of %d users", id, len(co), len(users))
+		}
+	}
+	if f.memberTableOf(0) == nil {
+		t.Fatal("the cluster has no member table")
+	}
+	before := ctr.Snapshot()
+	if co := f.Process(object.Object{ID: 2, Attrs: []int32{int32(x)}}); len(co) != 0 {
+		t.Fatalf("X, dominated for every user, reached %v", co)
+	}
+	after := ctr.Snapshot()
+	if got := after.VerifyComparisons - before.VerifyComparisons; got != 4 {
+		t.Fatalf("X cost %d verify comparisons, want 4: a share no later member could use was spent", got)
+	}
+}
+
 // addablePair returns a pair r does not order and can take as x ≻ y.
 func addablePair(r *order.Relation) (x, y int, ok bool) {
 	n := r.Dom().Size()
