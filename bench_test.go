@@ -222,3 +222,33 @@ func BenchmarkMonitorAddBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMonitorAddBatchLongStream is an AddBatch of 256 into a monitor
+// that already holds 100 000 objects: the per-arrival bookkeeping (name
+// claims, registry slots) must not grow with what the stream has seen.
+func BenchmarkMonitorAddBatchLongStream(b *testing.B) {
+	const held, batch = 100_000, 256
+	com, objs := benchCommunity(b, 60, held+batch)
+	mon, err := paretomon.NewMonitor(com, paretomon.WithBranchCut(0.3), paretomon.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < held; i += batch {
+		if _, err := mon.AddBatch(objs[i:min(i+batch, held)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next := objs[held:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range next {
+			next[j].Name = "n" + strconv.Itoa(i*batch+j)
+		}
+		b.StartTimer()
+		if _, err := mon.AddBatch(next); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,11 +13,18 @@ func (j *journal) append(r rec) error { j.log = append(j.log, r); return nil }
 func (j *journal) count() int         { return len(j.log) }
 func (j *journal) flush()             {}
 
+// claimSet is a claim table with methods of its own.
+type claimSet struct{ m map[string]bool }
+
+func (c *claimSet) put(k string)  { c.m[k] = true }
+func (c *claimSet) give(k string) { delete(c.m, k) }
+
 type Engine struct {
-	mu   sync.Mutex
-	wal  journal
-	vals map[string]int
-	n    int
+	mu     sync.Mutex
+	wal    journal
+	vals   map[string]int
+	claims claimSet
+	n      int
 }
 
 func (e *Engine) appendWAL(rs []rec) error {
@@ -168,3 +175,43 @@ func (e *Engine) ReserveHidden(k string) error {
 
 //paretomon:nowal
 func (e *Engine) claimHidden(k string) { e.vals[k] = -1 }
+
+// Take claims k through a helper that calls the claim table's own
+// methods under the directive, logs, and gives the claim back when the
+// append fails.
+func (e *Engine) Take(k string) error {
+	e.putClaim(k)
+	if err := e.appendWAL([]rec{{op: k}}); err != nil {
+		e.claims.give(k)
+		return err
+	}
+	e.n++
+	return nil
+}
+
+// putClaim's call on claims is a tentative write, like an assignment.
+//
+//paretomon:tentative claims
+func (e *Engine) putClaim(k string) { e.claims.put(k) }
+
+// TakeUnmarked makes the same call through a helper without the
+// directive: a state write.
+func (e *Engine) TakeUnmarked(k string) error {
+	e.putClaimUnmarked(k) // want `call to state-writing method putClaimUnmarked before appendWAL`
+	return e.appendWAL([]rec{{op: k}})
+}
+
+func (e *Engine) putClaimUnmarked(k string) { e.claims.put(k) }
+
+// TakeFlushed calls a tentative helper that also calls a method on a
+// field its directive does not name: that call is still a state write.
+func (e *Engine) TakeFlushed(k string) error {
+	e.putClaimFlushed(k) // want `call to state-writing method putClaimFlushed before appendWAL`
+	return e.appendWAL([]rec{{op: k}})
+}
+
+//paretomon:tentative claims
+func (e *Engine) putClaimFlushed(k string) {
+	e.claims.put(k)
+	e.wal.flush()
+}

@@ -16,8 +16,9 @@ const nowalDirective = "nowal"
 // tentativeDirective, written //paretomon:tentative <field>, declares
 // that the method's writes to that one receiver field are tentative:
 // its callers take them back when the append fails (the Monitor's name
-// claims). Those writes are not state writes; every other write in the
-// method still is.
+// claims). Those writes, assignments to the field and calls of the
+// field's own methods alike, are not state writes; every other write in
+// the method still is.
 const tentativeDirective = "tentative"
 
 // WALBeforeApply enforces docs/PERSISTENCE.md's core invariant: on any
@@ -447,8 +448,8 @@ func terminatesStmt(s ast.Stmt) bool {
 // walSummarize lists m's state effects in source order: assignments
 // through the receiver, calls on receiver fields (mutex ops exempt),
 // and calls to sibling methods (resolved by the fixpoint later).
-// Assignments to the receiver field named tentative (if any) are left
-// out: see tentativeDirective.
+// Assignments to the receiver field named tentative (if any), and calls
+// of its methods, are left out: see tentativeDirective.
 //
 // A call through a receiver field counts as an effect only when it
 // plausibly mutates: its results are discarded (statement position —
@@ -514,8 +515,9 @@ func walSummarize(pass *Pass, fd *ast.FuncDecl, tentative string) []walEffect {
 				return true
 			}
 			// m.field.Foo(...), m.field[i].Foo(...): direct state effect
-			// unless it is a value-position, error-free read.
-			if isUseOf(pass.TypesInfo, sel.X, recv) {
+			// unless it is a value-position, error-free read, or the
+			// field is the tentative one.
+			if isUseOf(pass.TypesInfo, sel.X, recv) && !writesField(pass.TypesInfo, sel.X, tentField) {
 				if stmtPos[st] || walCallMayMutate(pass.TypesInfo, st) {
 					add(st, "call through receiver field ("+types.ExprString(sel)+")", "")
 				}

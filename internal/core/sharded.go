@@ -91,7 +91,12 @@ type Sharded struct {
 	results [][]int        // per-shard result scratch for the merge
 	arenas  []shardArena   // per-shard results of the batch in flight
 	merged  [][]int        // ProcessBatch's result slice, grow-only
+	block   []int          // what is left of the block ProcessBatch carves C_o from
 }
+
+// userBlockLen is how many target users a block of merged C_o holds:
+// 16 KiB, a size class of its own (ints carry no malloc header).
+const userBlockLen = 2048
 
 // shardArena holds one shard's results for a batch. Each object's target
 // users are copied out of the engine's scratch (which the next Process
@@ -230,7 +235,8 @@ func (s *Sharded) Process(o object.Object) []int {
 // per object. Results are per object, in batch order — identical to
 // calling Process object by object. The returned outer slice is the
 // harness's own, overwritten by the next ProcessBatch; the per-object
-// slices are fresh and may be retained.
+// slices are fresh and may be retained: capped pieces carved from a block
+// carried across batches.
 //
 //paretomon:hotpath
 func (s *Sharded) ProcessBatch(objs []object.Object) [][]int {
@@ -245,13 +251,33 @@ func (s *Sharded) ProcessBatch(objs []object.Object) [][]int {
 	s.walk(0, objs)
 	s.wg.Wait()
 	for j := range objs {
+		n := 0
 		for i := range s.arenas {
 			a := &s.arenas[i]
 			s.results[i] = a.flat[a.offs[j]:a.offs[j+1]]
+			n += len(s.results[i])
 		}
-		out[j] = mergeUsers(s.results)
+		out[j] = nil
+		if n > 0 {
+			out[j] = mergeInto(s.carve(n), s.results)
+		}
 	}
 	s.ctr.AddProcessedN(len(objs))
+	return out
+}
+
+// carve returns n fresh ints, capped, from the block, opening a new block
+// when what is left is too short; more than a quarter block gets an array
+// of its own.
+func (s *Sharded) carve(n int) []int {
+	if n > userBlockLen/4 {
+		return make([]int, n)
+	}
+	if n > len(s.block) {
+		s.block = make([]int, userBlockLen)
+	}
+	out := s.block[:n:n]
+	s.block = s.block[n:]
 	return out
 }
 
@@ -276,19 +302,25 @@ func (s *Sharded) walk(i int, objs []object.Object) {
 // disjoint users, so no deduplication is needed, and each shard's list
 // is already sorted, so a single non-empty list just gets copied.
 func mergeUsers(results [][]int) []int {
-	total, nonEmpty := 0, 0
+	total := 0
 	for _, r := range results {
-		if len(r) > 0 {
-			total += len(r)
-			nonEmpty++
-		}
+		total += len(r)
 	}
 	if total == 0 {
 		return nil
 	}
-	co := make([]int, 0, total)
+	return mergeInto(make([]int, total), results)
+}
+
+// mergeInto copies the per-shard lists into co, as long as all of them
+// together, and sorts it when more than one contributed.
+func mergeInto(co []int, results [][]int) []int {
+	at, nonEmpty := 0, 0
 	for _, r := range results {
-		co = append(co, r...)
+		if len(r) > 0 {
+			at += copy(co[at:], r)
+			nonEmpty++
+		}
 	}
 	if nonEmpty > 1 {
 		sort.Ints(co)

@@ -203,7 +203,7 @@ func (m *Monitor) check(rec WALRecord) (mutation, error) {
 		return mut, nil
 	case OpRemoveObject:
 		var ok bool
-		if mut.obj, ok = m.names[rec.Name]; !ok {
+		if mut.obj, ok = m.names.find(rec.Name); !ok {
 			return mut, fmt.Errorf("%w: %q", ErrUnknownObject, rec.Name)
 		}
 		return mut, nil
@@ -366,8 +366,8 @@ func (m *Monitor) applyRemoveUserLocked(idx int) {
 func (m *Monitor) applyRemoveObjectLocked(id int) {
 	e := m.entry(id)
 	e.alive = false
-	delete(m.names, e.name)
-	m.eng.RemoveObject(e.obj)
+	m.names.drop(e.name, id)
+	m.eng.RemoveObject(m.object(id))
 }
 
 // publishDeltaLocked diffs a user's frontier against a captured

@@ -52,8 +52,8 @@ func viewOf(t testing.TB, m *Monitor) monitorView {
 	}
 	m.mu.RLock()
 	var alive []string
-	for _, e := range m.objects {
-		if e.alive {
+	for id := m.objBase; id < m.objectCount(); id++ {
+		if e := m.entry(id); e.alive {
 			alive = append(alive, e.name)
 		}
 	}

@@ -210,10 +210,11 @@ func (m *Monitor) exportObjects() (recs []storage.Record, count, base int) {
 	for d, dom := range m.schema.doms {
 		vals[d] = dom.Values()
 	}
-	for _, e := range m.objects[base-m.objBase:] {
-		values := make([]string, len(e.obj.Attrs))
-		for d, id := range e.obj.Attrs {
-			values[d] = vals[d][id]
+	for id := base; id < count; id++ {
+		e := m.entry(id)
+		values := make([]string, len(e.attrs))
+		for d, v := range e.attrs {
+			values[d] = vals[d][v]
 		}
 		recs = append(recs, storage.Record{Op: storage.OpObject, Name: e.name, Values: values})
 		if !e.alive {
@@ -238,8 +239,7 @@ func (m *Monitor) windowStart() int {
 func (m *Monitor) objectID(name string) (int, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	id, ok := m.names[name]
-	return id, ok
+	return m.names.find(name)
 }
 
 // slotName is the name registered at id, if the monitor still holds id.

@@ -295,8 +295,11 @@ type state struct {
 	// objectRecords), empty between calls.
 	walRecs []WALRecord
 	// rankBits (one word per 64 user slots, all zero between calls) is
-	// sortedNames's scratch.
+	// rankNames's scratch.
 	rankBits []uint64
+	// nameBlock is what is left of the block AddBatch carves its
+	// deliveries' name lists from (userList).
+	nameBlock []string
 
 	clusters       [][]string // member names per cluster (nil for Baseline)
 	clusterMembers [][]int    // raw member indices per cluster, in cluster order
@@ -309,43 +312,6 @@ type state struct {
 
 	// batches is each remembered writer's last batch (batch.go).
 	batches map[string]*batchMemo
-}
-
-// registry is the object registry. Slots are in arrival order:
-// objects[i] holds engine object id objBase+i. RemoveObject tombstones a
-// slot and frees its name; names maps alive names only, and, inside an
-// ingest call, the names it has claimed (claimObject). The interned
-// objects ride along: every engine reads them, through alive, as the
-// candidates of every mend and restore. An append-only registry only
-// grows (objBase stays 0). Under a window W it is the window, the one
-// every shard reads: id N's arrival retires slot N-W, as every shard
-// retires id N-W on the same arrival. Its name is freed for re-use, and
-// the slot is blanked and dropped once the blanked prefix is W long, so
-// at most 2W slots are held however long the stream. It sits behind a
-// pointer so that the engine's view of it survives a follower's
-// transplant of the state it belongs to.
-type registry struct {
-	names   map[string]int // alive name -> id
-	objBase int            // id of objects[0]
-	objects []objEntry
-}
-
-// alive yields the alive objects in arrival order: the engines' candidate
-// source, fixed when the engine is built. The engine calls it under the
-// monitor's write lock.
-func (r *registry) alive(yield func(object.Object) bool) {
-	for _, e := range r.objects {
-		if e.alive && !yield(e.obj) {
-			return
-		}
-	}
-}
-
-// objEntry is one object registry slot.
-type objEntry struct {
-	name  string
-	obj   object.Object
-	alive bool
 }
 
 // NewMonitor builds a monitor for the community. With no options it runs
@@ -381,7 +347,7 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 			schema:   c.schema.clone(),
 			ctr:      &stats.Counters{},
 			userIdx:  make(map[string]int, c.Len()),
-			registry: &registry{names: make(map[string]int)},
+			registry: newRegistry(cfg.Window),
 			batches:  make(map[string]*batchMemo),
 		},
 		cfg: cfg,
@@ -549,88 +515,89 @@ func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
 const scratchKeep = 1024
 
 // claimObject checks one object against the monitor state and claims its
-// name for id, the id it is to be interned under: from here on names maps
-// the name, so a later object of the same batch that repeats it is a
-// duplicate, and intern leaves names alone. A batch that validation or
-// the WAL append refuses drops its claims again (unclaim). Caller holds
-// mu. A claim is tentative until the WAL append succeeds.
+// name for id, the id it is to be interned under, whose name must be
+// staged (nameIndex.stage): from here on names maps the name, so a later
+// object of the same batch that repeats it is a duplicate, and intern
+// leaves names alone. A batch that validation or the WAL append refuses
+// drops its claims again (unclaim). Caller holds mu. A claim is tentative
+// until the WAL append succeeds.
 //
 //paretomon:tentative names — the caller deletes the claim on a refusal.
 func (m *Monitor) claimObject(o Object, id int) error {
 	if o.Name == "" {
 		return fmt.Errorf("%w: object name", ErrEmptyName)
 	}
-	if _, dup := m.names[o.Name]; dup {
+	if !m.names.claim(o.Name, id) {
 		return fmt.Errorf("%w: %q", ErrDuplicateObject, o.Name)
 	}
 	if got, want := len(o.Values), len(m.schema.doms); got != want {
+		m.names.drop(o.Name, id)
 		return fmt.Errorf("%w: object %q has %d values, schema has %d attributes",
 			ErrSchemaMismatch, o.Name, got, want)
 	}
-	m.names[o.Name] = id
 	return nil
 }
 
-// unclaim drops the claims claimObject made for objs. Caller holds mu.
-func (m *Monitor) unclaim(objs []Object) {
-	for _, o := range objs {
-		delete(m.names, o.Name)
+// claimAdd stages Add's object and claims its name for the next id; on a
+// refusal nothing stays claimed or staged. Caller holds mu.
+//
+//paretomon:tentative names — Add deletes the claim if the append fails.
+func (m *Monitor) claimAdd(o Object) error {
+	id := m.objectCount()
+	m.names.stage(id, []Object{o})
+	err := m.claimObject(o, id)
+	if err != nil {
+		m.names.unstage()
+	}
+	return err
+}
+
+// unclaim drops the claims claimObject made for objs, the staged names of
+// ids first, first+1, …. Caller holds mu.
+//
+//paretomon:tentative names — it takes claims back.
+func (m *Monitor) unclaim(objs []Object, first int) {
+	for i, o := range objs {
+		m.names.drop(o.Name, first+i)
 	}
 }
 
-// prefixHold is the id an AddBatchOnce retry claims its applied prefix's
-// freed names under while it validates the rest.
-const prefixHold = -1
-
 // intern registers a claimed object: values are interned against the
 // schema domains into attrs (one per attribute; the object keeps it) and
-// the object takes the next id, the one its name was claimed for. Caller
-// holds mu.
+// the object takes the next id, the one its name was claimed for. Under a
+// window it first retires the id the arrival pushes out. Caller holds mu.
 func (m *Monitor) intern(o Object, attrs []int32) object.Object {
 	doms := m.schema.doms
 	for d, v := range o.Values {
 		attrs[d] = int32(doms[d].Intern(v))
 	}
 	id := m.objectCount()
-	obj := object.Object{ID: id, Attrs: attrs}
-	m.objects = append(m.objects, objEntry{name: o.Name, obj: obj, alive: true})
 	if w := m.cfg.Window; w > 0 && id-w >= m.objBase {
 		m.retire(id - w)
 	}
-	return obj
+	m.registry.push(objEntry{name: o.Name, attrs: attrs, alive: true})
+	return object.Object{ID: id, Attrs: attrs}
 }
-
-// objectCount is the number of ids ever handed out. Caller holds mu.
-func (m *Monitor) objectCount() int { return m.objBase + len(m.objects) }
-
-// entry is id's registry slot; id must not be older than objBase. Caller
-// holds mu.
-func (m *Monitor) entry(id int) *objEntry { return &m.objects[id-m.objBase] }
 
 // retire forgets id, which has just left the window: its name is free
 // again (unless a removal already freed it and another object took it),
-// and its slot is blanked. Once the blanked prefix is a window long it is
-// dropped, moving the live slots down in place. Caller holds mu.
+// and its slot is blanked; the chunk it ends, if it ends one, is dropped.
+// Caller holds mu.
 func (m *Monitor) retire(id int) {
 	e := m.entry(id)
-	if cur, ok := m.names[e.name]; ok && cur == id {
-		delete(m.names, e.name)
-	}
+	m.names.drop(e.name, id)
 	*e = objEntry{}
-	if dead := id + 1 - m.objBase; dead >= m.cfg.Window {
-		n := copy(m.objects, m.objects[dead:])
-		clear(m.objects[n:])
-		m.objects = m.objects[:n]
-		m.objBase += dead
-	}
+	m.registry.retired(id)
 }
 
-// ingest processes one pre-validated object. Caller holds mu. During
-// recovery replay the delivery is computed but not published: replayed
-// history must never reach subscribers, who only observe post-recovery
-// arrivals.
+// ingest processes one object claimed by claimAdd; the registry holds its
+// name from here on, so it is unstaged. Caller holds mu. During recovery
+// replay the delivery is computed but not published: replayed history
+// must never reach subscribers, who only observe post-recovery arrivals.
 func (m *Monitor) ingest(o Object) Delivery {
-	users := m.eng.Process(m.intern(o, make([]int32, len(o.Values))))
+	obj := m.intern(o, make([]int32, len(o.Values)))
+	m.names.unstage()
+	users := m.eng.Process(obj)
 	d := Delivery{Object: o.Name, Users: m.sortedNames(users)}
 	if !m.replaying {
 		m.subs.publish(d, users)
@@ -650,14 +617,15 @@ func (m *Monitor) Add(name string, values ...string) (Delivery, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	o := Object{Name: name, Values: values}
-	if err := m.claimObject(o, m.objectCount()); err != nil {
+	if err := m.claimAdd(o); err != nil {
 		return Delivery{}, err
 	}
 	recs := m.objectRecords(BatchID{}, []Object{o})
 	err := m.appendWAL(recs)
 	m.keepRecords(recs)
 	if err != nil {
-		delete(m.names, name)
+		m.names.drop(name, m.objectCount())
+		m.names.unstage()
 		return Delivery{}, err
 	}
 	d := m.ingest(o)
@@ -703,19 +671,21 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 	if err := m.claimBatch(done, rest); err != nil {
 		return nil, err
 	}
+	start := m.objectCount()
 	recs := m.objectRecords(id, rest)
 	err = m.appendWAL(recs)
 	m.keepRecords(recs)
 	if err != nil {
-		m.unclaim(rest)
+		m.unclaim(rest, start)
+		m.names.unstage()
 		return nil, err
 	}
-	start := m.objectCount()
 	// Intern the whole batch up front, then let every shard walk it (in
 	// its own goroutine when there are several). Deliveries are published
 	// in batch order after the fan-in, exactly as object-by-object Adds
 	// would. The batch's attributes share one slab, each object's capped
-	// sub-slice in arrival order.
+	// sub-slice in arrival order; the deliveries' name lists are carved
+	// from a block carried across batches.
 	dims := len(m.schema.doms)
 	slab := make([]int32, len(rest)*dims)
 	m.interned = m.interned[:0]
@@ -723,9 +693,10 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 		attrs := slab[i*dims : (i+1)*dims : (i+1)*dims]
 		m.interned = append(m.interned, m.intern(o, attrs))
 	}
+	m.names.unstage()
 	out := make([]Delivery, len(rest))
 	for i, users := range m.eng.ProcessBatch(m.interned) {
-		d := Delivery{Object: rest[i].Name, Users: m.sortedNames(users)}
+		d := Delivery{Object: rest[i].Name, Users: m.rankNames(m.userList(len(users)), users)}
 		if !m.replaying {
 			m.subs.publish(d, users)
 		}
@@ -741,33 +712,32 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 	return out, nil
 }
 
-// claimBatch claims the names of rest, the part of a batch still to be
-// applied, for the ids they are to take; done is the batch's applied
-// prefix. A name of the prefix stays taken for the rest even where a
-// removal or expiry has freed it since: it is held under prefixHold while
-// rest is checked. On a refusal nothing stays claimed, and the error is a
-// *BatchError locating the first bad object. Caller holds mu.
+// claimBatch stages rest, the part of a batch still to be applied, and
+// claims its names for the ids they are to take; done is the batch's
+// applied prefix. A name of the prefix stays taken for the rest even where
+// a removal or expiry has freed it since: it is held, staged behind rest,
+// while rest is checked. On a refusal nothing stays claimed or staged, and
+// the error is a *BatchError locating the first bad object. Caller holds
+// mu.
 //
 //paretomon:tentative names — AddBatchOnce deletes the claims if the append fails.
 func (m *Monitor) claimBatch(done []Delivery, rest []Object) error {
+	first := m.objectCount()
+	m.names.stage(first, rest)
 	for _, d := range done {
-		if _, ok := m.names[d.Object]; !ok {
-			m.names[d.Object] = prefixHold
-		}
+		m.names.hold(d.Object)
 	}
 	var err error
-	first := m.objectCount()
 	for i, o := range rest {
 		if e := m.claimObject(o, first+i); e != nil {
-			m.unclaim(rest[:i])
+			m.unclaim(rest[:i], first)
 			err = &BatchError{Index: len(done) + i, Object: o.Name, Err: e}
 			break
 		}
 	}
-	for _, d := range done {
-		if m.names[d.Object] == prefixHold {
-			delete(m.names, d.Object)
-		}
+	m.names.release(len(rest))
+	if err != nil {
+		m.names.unstage()
 	}
 	return err
 }
@@ -850,12 +820,18 @@ func (s *state) rankNewUser() {
 	}
 }
 
-// sortedNames maps user slots to their names in name order, comparing no
-// string: each slot sets its rank's bit in rankBits, read back in bit
-// order and left all zero. The slots must be distinct: a repeated one
-// appears once. Caller holds mu (write): it uses the state's scratch.
+// sortedNames maps user slots to their names in name order, in a slice
+// of its own. Caller holds mu (write): it uses the state's scratch.
 func (s *state) sortedNames(idx []int) []string {
-	out := make([]string, len(idx))
+	return s.rankNames(make([]string, len(idx)), idx)
+}
+
+// rankNames writes the names of the user slots idx into out, of the same
+// length, in name order, comparing no string: each slot sets its rank's
+// bit in rankBits, read back in bit order and left all zero. The slots
+// must be distinct: a repeated one appears once. Caller holds mu (write):
+// it uses the state's scratch.
+func (s *state) rankNames(out []string, idx []int) []string {
 	words := s.rankBits
 	for _, c := range idx {
 		r := s.rank[c]
@@ -871,6 +847,28 @@ func (s *state) sortedNames(idx []int) []string {
 		}
 	}
 	return out[:i]
+}
+
+// nameBlockLen is how many user names a block of deliveries' name lists
+// holds: 1 023 strings and the 8 B malloc header of an object with
+// pointers fill a 16 KiB size class exactly.
+const nameBlockLen = 1023
+
+// userList returns n fresh name slots for one delivery of a batch, capped,
+// carved from a block carried across batches: a block is abandoned only
+// when a list does not fit in what is left of it. A list longer than a
+// quarter block gets an array of its own. It is never nil, so an empty
+// delivery list is not either. Caller holds mu (write).
+func (s *state) userList(n int) []string {
+	if n > nameBlockLen/4 {
+		return make([]string, n)
+	}
+	if s.nameBlock == nil || n > len(s.nameBlock) {
+		s.nameBlock = make([]string, nameBlockLen)
+	}
+	out := s.nameBlock[:n:n]
+	s.nameBlock = s.nameBlock[n:]
+	return out
 }
 
 // Clusters returns the user names per cluster, or nil for Baseline.
@@ -933,7 +931,7 @@ func (m *Monitor) Config() Config { return m.cfg }
 func (m *Monitor) HasObject(name string) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	_, ok := m.names[name]
+	_, ok := m.names.find(name)
 	return ok
 }
 
@@ -944,7 +942,7 @@ func (m *Monitor) HasObject(name string) bool {
 func (m *Monitor) TargetsOf(objectName string) ([]string, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	id, ok := m.names[objectName]
+	id, ok := m.names.find(objectName)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownObject, objectName)
 	}

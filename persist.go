@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/object"
 	"repro/internal/pref"
 	"repro/internal/storage"
 )
@@ -150,7 +149,7 @@ func (m *Monitor) ObjectCount() int {
 func (m *Monitor) AliveObjectCount() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return len(m.names)
+	return m.names.n
 }
 
 // appendWAL assigns sequence numbers to the pre-validated records and
@@ -266,12 +265,12 @@ func (m *Monitor) writeSnapshotLocked() error {
 	for i := range objs[:m.objBase] {
 		objs[i] = retired
 	}
-	for i, e := range m.objects {
-		if e.obj.Attrs == nil {
-			objs[m.objBase+i] = retired
-			continue
+	for id := m.objBase; id < len(objs); id++ {
+		if e := m.entry(id); e.attrs != nil {
+			objs[id] = storage.ObjectState{Name: e.name, Alive: e.alive, Attrs: e.attrs}
+		} else {
+			objs[id] = retired
 		}
-		objs[m.objBase+i] = storage.ObjectState{Name: e.name, Alive: e.alive, Attrs: e.obj.Attrs}
 	}
 	snap := &storage.Snapshot{
 		Algorithm:    uint8(m.cfg.Algorithm),
@@ -310,7 +309,7 @@ func (s *Schema) domainValues() [][]string {
 }
 
 // replayRecord applies one WAL record through the write path the live
-// calls use — an object through claimObject and ingest, a lifecycle
+// calls use — an object through claimAdd and ingest, a lifecycle
 // record through check and apply — so the resulting state and work
 // counters are identical to an uninterrupted run's. It serves two
 // callers: recovery replay (m.replaying true — publication suppressed,
@@ -324,7 +323,7 @@ func (m *Monitor) replayRecord(rec WALRecord) error {
 	if rec.Op == OpObject {
 		o := Object{Name: rec.Name, Values: rec.Values}
 		start := m.objectCount()
-		if err := m.claimObject(o, start); err != nil {
+		if err := m.claimAdd(o); err != nil {
 			return corruptRecord(rec, err)
 		}
 		d := m.ingest(o)
@@ -429,18 +428,13 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 	if w := m.cfg.Window; w > 0 {
 		m.objBase = max(len(snap.Objects)-w, 0)
 	}
-	m.objects = make([]objEntry, len(snap.Objects)-m.objBase)
 	for i, os := range snap.Objects[m.objBase:] {
-		id := m.objBase + i
 		if len(os.Attrs) != dims {
 			return fmt.Errorf("%w: snapshot object %q has %d attributes, schema has %d", ErrCorrupt, os.Name, len(os.Attrs), dims)
 		}
-		m.objects[i] = objEntry{name: os.Name, obj: object.Object{ID: id, Attrs: os.Attrs}, alive: os.Alive}
-		if os.Alive {
-			if _, dup := m.names[os.Name]; dup {
-				return fmt.Errorf("%w: snapshot has two alive objects named %q", ErrCorrupt, os.Name)
-			}
-			m.names[os.Name] = id
+		m.registry.push(objEntry{name: os.Name, attrs: os.Attrs, alive: os.Alive})
+		if os.Alive && !m.names.claim(os.Name, m.objBase+i) {
+			return fmt.Errorf("%w: snapshot has two alive objects named %q", ErrCorrupt, os.Name)
 		}
 	}
 

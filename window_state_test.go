@@ -23,10 +23,10 @@ func assertWindowBounded(t *testing.T, label string, m *Monitor) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	w := m.cfg.Window
-	if n := len(m.objects); n > 2*w {
+	if n := m.objectCount() - m.objBase; n > 2*w {
 		t.Errorf("%s: %d registry slots for a window of %d", label, n, w)
 	}
-	if n := len(m.names); n > w {
+	if n := m.names.n; n > w {
 		t.Errorf("%s: %d names for a window of %d", label, n, w)
 	}
 	for i, span := range m.eng.TargetSpans() {
