@@ -15,7 +15,8 @@
 //     an appendWAL method) must append to the WAL before touching engine
 //     or monitor state. Read paths opt out with //paretomon:nowal; a
 //     helper's writes to one field its callers undo on a failed append
-//     are declared with //paretomon:tentative <field>.
+//     are declared with //paretomon:tentative <field> (assignments to
+//     the field and calls of its methods).
 //   - sentinelerr: no ==/!= comparisons against declared error
 //     sentinels (use errors.Is), and no fmt.Errorf that stringifies an
 //     error without wrapping anything (%w or a declared sentinel).

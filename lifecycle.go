@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/cluster"
+	"repro/internal/object"
 	"repro/internal/order"
 	"repro/internal/pref"
 	"repro/internal/storage"
@@ -367,7 +368,7 @@ func (m *Monitor) applyRemoveObjectLocked(id int) {
 	e := m.entry(id)
 	e.alive = false
 	m.names.drop(e.name, id)
-	m.eng.RemoveObject(m.object(id))
+	m.eng.RemoveObject(object.Object{ID: id, Attrs: e.attrs})
 }
 
 // publishDeltaLocked diffs a user's frontier against a captured

@@ -68,11 +68,6 @@ func (r *registry) entry(id int) *objEntry {
 	return &r.chunks[i>>r.shift][i&(1<<r.shift-1)]
 }
 
-// object is the engine's view of id's slot.
-func (r *registry) object(id int) object.Object {
-	return object.Object{ID: id, Attrs: r.entry(id).attrs}
-}
-
 // alive yields the alive objects in arrival order: the engines' candidate
 // source, fixed when the engine is built. The engine calls it under the
 // monitor's write lock.
