@@ -69,7 +69,7 @@ const noID = -1
 
 // enable turns the table on. Only a freshly built, empty engine may, and
 // only this package's constructors can: NewFilterThenVerify (and with it
-// NewBaseline) and NewSharded, once checkSubsumed has passed the cluster
+// NewBaseline) and NewSharded, once CheckSubsumed has passed the cluster
 // relations.
 func (t *TupleClasses) enable() { t.on = true }
 

@@ -50,7 +50,7 @@ type FilterThenVerify struct {
 // approximate relations go through NewFilterThenVerifyPerObject.
 func NewFilterThenVerify(users []*pref.Profile, clusters []Cluster, ctr *stats.Counters) *FilterThenVerify {
 	s := AllClusters(users, clusters, nil, ctr)
-	if err := checkSubsumed(users, clusters); err != nil {
+	if err := CheckSubsumed(users, clusters); err != nil {
 		panic(err.Error())
 	}
 	return newFilterThenVerify(s)
@@ -85,17 +85,17 @@ func NewBaselinePerObject(users []*pref.Profile, ctr *stats.Counters) *FilterThe
 
 // newFilterThenVerify wraps one shard's bookkeeping into the exact engine,
 // whose frontier members are tuple classes (see TupleClasses). The caller
-// has run checkSubsumed over the shard's clusters.
+// has run CheckSubsumed over the shard's clusters.
 func newFilterThenVerify(s ClusterShard) *FilterThenVerify {
 	s.enable()
 	return &FilterThenVerify{ClusterShard: s, memberMin: memberTableMin}
 }
 
-// checkSubsumed reports the first cluster whose common relation some
+// CheckSubsumed reports the first cluster whose common relation some
 // member's does not subsume. ≻_U ⊆ ≻_c is what makes P_U ⊇ P_c exact sets
 // the attribute values determine (Theorem 4.5), i.e. what tuple classes
 // rest on; membership is taken as already validated.
-func checkSubsumed(users []*pref.Profile, clusters []Cluster) error {
+func CheckSubsumed(users []*pref.Profile, clusters []Cluster) error {
 	for i, cl := range clusters {
 		if c := unsubsumed(users, cl); c >= 0 {
 			return fmt.Errorf("core: cluster %d's common relation is not subsumed by user %d's: "+

@@ -599,6 +599,31 @@ func (s *ClusterShard) AdmitToMembers(li int, o object.Object, co []int) []int {
 	return co
 }
 
+// AdmitTwin is the member tier for o_in, which passed cluster li's
+// filter on twin, an alive P_U entry with o_in's tuple, on an engine whose
+// member frontiers the attribute values determine (≻_U ⊆ ≻_c, so each
+// P_c is the frontier of the alive objects under ≻_c). Dominance reads
+// attribute values only: o_in joins exactly the frontiers holding twin,
+// and evicts nothing — what it dominates, twin dominates and keeps out.
+// No comparison is made. It appends the members o_in joins to co, in
+// member order, as AdmitToMembers does.
+//
+//paretomon:hotpath
+func (s *ClusterShard) AdmitTwin(li int, o object.Object, twin int, co []int) []int {
+	t := &s.tables[li]
+	s.tier.set = clearedWords(s.tier.set, t.words)
+	held := s.tier.set // a copy: o's holder words may move the twin's
+	copy(held, t.holders(twin))
+	for _, c := range s.Clusters[li].Members {
+		if m := s.slot[c]; held[m/wordBits]>>(m%wordBits)&1 != 0 {
+			s.UserFronts[c].Add(o)
+			s.AddTarget(o.ID, c)
+			co = append(co, c)
+		}
+	}
+	return co
+}
+
 // MendMembers is the member tier of a departure from cluster li, by
 // expiry or removal, for all members at once: out, already out of P_U,
 // leaves the frontiers holding it, and those members promote the P_U
@@ -607,11 +632,14 @@ func (s *ClusterShard) AdmitToMembers(li int, o object.Object, co []int) []int {
 // candidates for entry x are the holders of out that lack x and for whom
 // out ≻ x; every other entry clears the members it dominates x for, and
 // the members left promote x, in arrival order. An entry every holder of
-// out holds, and a twin, is no probe.
+// out holds, and a twin, is no probe. When twin says a twin of out is in
+// P_U, that is all: the twin dominates whatever out did, for every
+// member, and nothing is promoted — under the approximate relations too,
+// where the probes would reach the same verdict.
 //
 //paretomon:hotpath
-func (s *ClusterShard) MendMembers(li int, out object.Object) {
-	t, on := s.tableOf(li)
+func (s *ClusterShard) MendMembers(li int, out object.Object, twin bool) {
+	t := &s.tables[li]
 	sc := &s.tier
 	sc.set = clearedWords(sc.set, t.words)
 	left, held := sc.set, 0
@@ -624,6 +652,10 @@ func (s *ClusterShard) MendMembers(li int, out object.Object) {
 			s.RemoveTarget(out.ID, c)
 		}
 	}
+	if twin || held == 0 {
+		return
+	}
+	t, on := s.tableOf(li)
 	sc.cand, sc.promoted = sc.cand[:0], sc.promoted[:0]
 	fu := s.ClusterFronts[li]
 	for i := 0; i < fu.Len() && held > 0; i++ {

@@ -158,10 +158,10 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 			return core.NewShardedPerObject(u, cl, nil, nil, w, c)
 		}},
 		{"BaselineSW", func(u []*pref.Profile, _ []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
-			return window.NewSharded(u, nil, nil, nil, 16, w, c)
+			return window.NewSharded(u, nil, nil, nil, 16, w, true, c)
 		}},
 		{"FTV-SW", func(u []*pref.Profile, cl []core.Cluster, w int, c *stats.Counters) (*core.Sharded, error) {
-			return window.NewSharded(u, cl, nil, nil, 16, w, c)
+			return window.NewSharded(u, cl, nil, nil, 16, w, true, c)
 		}},
 	}
 	sizes := []int{7, 1, 0, 13, 2, 30, 5}

@@ -279,7 +279,7 @@ func (s *ClusterShard) FastForward(int) {}
 
 // setCommon installs cluster li's recomputed common relation. A shard
 // whose frontier members are tuple classes can only serve under a relation
-// every member's subsumes (see checkSubsumed); handed another — an
+// every member's subsumes (see CheckSubsumed); handed another — an
 // approximate CommonFn wired to an exact engine — it panics rather than
 // serve different frontiers silently.
 func (s *ClusterShard) setCommon(li int, common *pref.Profile) {

@@ -130,7 +130,7 @@ func NewSharded(users []*pref.Profile, clusters []Cluster, active []bool, alive 
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSubsumed(users, clusters); err != nil {
+	if err := CheckSubsumed(users, clusters); err != nil {
 		return nil, err
 	}
 	return s, nil

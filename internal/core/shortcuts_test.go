@@ -52,14 +52,19 @@ var rows = []world{
 			return h.seen.behind && h.eng.Totals().VerifyComparisons < h.ref.Totals().VerifyComparisons
 		}},
 	{name: "member-tier/3-4-1", windowed: true, sizes: []int{3, 4, 1}, dims: 3, values: 5, own: 4, batch: 3, steps: 200, seeds: 3, workers: []int{1, 2, 3},
-		premise: "the member tier reads cells",
-		met:     func(h *history) bool { return h.seen.built }},
+		premise: "the member tier reads cells, and takes the twin shortcut on arrival, expiry and the removal of a younger twin",
+		met: func(h *history) bool {
+			return h.seen.built && h.seen.twinArrival && h.seen.twinExpiry && h.seen.youngerRemoved
+		}},
 	{name: "member-tier/70-2-1", windowed: true, sizes: []int{70, 2, 1}, dims: 3, values: 5, own: 4, batch: 3, steps: 200, seeds: 3, workers: []int{1, 2, 3},
 		premise: "a member set takes two words",
 		met:     func(h *history) bool { return h.seen.twoWords }},
 	{name: "member-tier/wide", windowed: true, sizes: []int{3, 4, 1}, dims: 3, values: 5, own: 4, wide: true, batch: 3, steps: 200, seeds: 3, workers: []int{1, 2, 3},
 		premise: "the member tier reads no cell past order.TableMaxN",
 		met:     func(h *history) bool { return !h.seen.built }},
+	{name: "member-tier/twins", windowed: true, sizes: []int{4, 3}, dims: 2, values: 3, own: 2, batch: 4, steps: 200, seeds: 3, workers: []int{1, 2, 3},
+		premise: "nine tuples: the twin shortcut is taken on arrival, expiry and the removal of a younger twin",
+		met:     func(h *history) bool { return h.seen.twinArrival && h.seen.twinExpiry && h.seen.youngerRemoved }},
 }
 
 // TestShortcutsMatchReference runs every row's histories at each of its
@@ -99,8 +104,9 @@ func FuzzShortcuts(f *testing.F) {
 		f.Add(uint8(i), int64(i), uint8(i), uint8(0), uint8(w.sizes[0]-1))
 	}
 	f.Add(uint8(3), int64(7), uint8(1), uint8(80), uint8(62))
-	f.Add(uint8(0), int64(11), uint8(1), uint8(60), uint8(2)) // postings at two workers
-	f.Add(uint8(0), int64(12), uint8(0), uint8(30), uint8(5)) // postings, a six-member first cluster
+	f.Add(uint8(0), int64(11), uint8(1), uint8(60), uint8(2))  // postings at two workers
+	f.Add(uint8(0), int64(12), uint8(0), uint8(30), uint8(5))  // postings, a six-member first cluster
+	f.Add(uint8(5), int64(21), uint8(2), uint8(150), uint8(5)) // twins at three workers, a six-member first cluster
 	f.Fuzz(func(t *testing.T, row uint8, seed int64, workers, steps, size uint8) {
 		w := rows[int(row)%len(rows)]
 		w.steps = 20 + int(steps)%w.steps
@@ -135,7 +141,13 @@ type history struct {
 
 	eng, ref, restored *engine
 	counts             []stats.Counters // eng's totals after every step
-	seen               struct{ built, behind, twoWords bool }
+	seen               struct {
+		built, behind, twoWords bool
+		// On a windowed row: an arrival, an expiry and a removal of a
+		// younger twin, each with a twin in a shared cluster's P_U — the
+		// member tier's twin shortcut.
+		twinArrival, twinExpiry, youngerRemoved bool
+	}
 }
 
 func newHistory(t *testing.T, w world, seed int64, workers int) *history {
@@ -192,7 +204,7 @@ func (h *history) build(name string, users []*pref.Profile, workers int, ref boo
 	var err error
 	switch {
 	case h.w.windowed:
-		e.Sharded, err = window.NewSharded(e.users, clusters, h.active, h.source, h.window, workers, ctr)
+		e.Sharded, err = window.NewSharded(e.users, clusters, h.active, h.source, h.window, workers, true, ctr)
 	case ref:
 		e.Sharded, err = core.NewShardedPerObject(e.users, clusters, h.active, h.source, workers, ctr)
 	default:
@@ -236,6 +248,10 @@ func (h *history) run(next int, oracle bool) {
 		case 3 * n / 5: // the last domain grows past order.TableMaxN; arrivals keep to its first values
 			h.widen()
 			h.narrow = true
+		case 13 * n / 20: // twins of a P_U entry arrive, and the younger leaves before the older expires
+			if h.w.windowed {
+				h.twinEvents()
+			}
 		case 7 * n / 10:
 			h.narrow = h.w.wide
 		case 3 * n / 4: // a relation reaches past order.TableMaxN
@@ -292,12 +308,21 @@ func (h *history) step() string {
 	}
 }
 
-// arrive feeds every engine a batch and compares deliveries.
+// arrive feeds every engine a random batch.
 func (h *history) arrive() string {
 	batch := make([]object.Object, 1+h.r.Intn(h.w.batch))
 	for i := range batch {
 		batch[i] = h.object()
-		h.objs = append(h.objs, batch[i])
+		batch[i].ID += i
+	}
+	return h.feed(batch)
+}
+
+// feed feeds every engine a batch and compares deliveries.
+func (h *history) feed(batch []object.Object) string {
+	h.objs = append(h.objs, batch...)
+	if h.w.windowed {
+		h.seeTwins(batch[0])
 	}
 	want := h.ref.ProcessBatch(batch)
 	for _, e := range h.shortcut() {
@@ -308,6 +333,45 @@ func (h *history) arrive() string {
 		}
 	}
 	return fmt.Sprintf("ProcessBatch(%d…%d)", batch[0].ID, batch[len(batch)-1].ID)
+}
+
+// twinEvents has two twins of the oldest entry of a shared cluster's P_U
+// arrive, and removes the younger of them.
+func (h *history) twinEvents() {
+	oldest := -1
+	for _, ids := range core.ClusterFronts(h.eng.Sharded) {
+		for _, id := range ids {
+			if oldest < 0 || id < oldest {
+				oldest = id
+			}
+		}
+	}
+	if oldest < 0 {
+		return
+	}
+	for range 2 {
+		h.check(h.feed([]object.Object{{ID: len(h.objs), Attrs: slices.Clone(h.objs[oldest].Attrs)}}))
+	}
+	h.check(h.remove(len(h.objs) - 1))
+}
+
+// seeTwins notes whether o, about to arrive first in a batch, has a twin
+// in a shared cluster's P_U, and whether the object it retires leaves one
+// there.
+func (h *history) seeTwins(o object.Object) {
+	out := o.ID - h.window
+	for _, ids := range core.ClusterFronts(h.eng.Sharded) {
+		for _, id := range ids {
+			h.seen.twinArrival = h.seen.twinArrival || id != out && h.twins(id, o.ID)
+			h.seen.twinExpiry = h.seen.twinExpiry || id > out && slices.Contains(ids, out) && h.twins(id, out)
+		}
+	}
+}
+
+// twins reports whether arrivals a and b carry the same tuple; b may be
+// the one about to arrive.
+func (h *history) twins(a, b int) bool {
+	return slices.Equal(h.objs[a].Attrs, h.objs[b].Attrs)
 }
 
 // object draws the next arrival; on an append-only row, one whose tuple
@@ -374,7 +438,17 @@ func (h *history) removeObject() string {
 	if pool = slices.DeleteFunc(pool, func(id int) bool { return h.removed[id] }); len(pool) == 0 {
 		return "nothing"
 	}
-	id := pool[h.r.Intn(len(pool))]
+	return h.remove(pool[h.r.Intn(len(pool))])
+}
+
+// remove removes the alive object id.
+func (h *history) remove(id int) string {
+	if h.w.windowed {
+		for _, ids := range core.ClusterFronts(h.eng.Sharded) {
+			h.seen.youngerRemoved = h.seen.youngerRemoved ||
+				slices.Contains(ids, id) && slices.ContainsFunc(ids, func(y int) bool { return y < id && h.twins(y, id) })
+		}
+	}
 	h.removed[id] = true
 	h.all(func(e *engine) error { e.RemoveObject(h.objs[id]); return nil })
 	return fmt.Sprintf("RemoveObject(%d)", id)

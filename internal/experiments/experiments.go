@@ -295,7 +295,7 @@ func windowEngines(dsName string, users []*pref.Profile, d, w int, o Options) []
 			return window.NewFilterThenVerifySW(pu, exactClusters(pu, mapH(dsName, false, o.H, d)), w, ctr)
 		}},
 		{"FilterThenVerifyApproxSW", func(ctr *stats.Counters) engine {
-			return window.NewFilterThenVerifySW(pu, approxClusters(pu, mapH(dsName, true, o.H, d), o.Theta1, o.Theta2), w, ctr)
+			return window.NewFilterThenVerifyApproxSW(pu, approxClusters(pu, mapH(dsName, true, o.H, d), o.Theta1, o.Theta2), w, ctr)
 		}},
 	}
 }

@@ -14,14 +14,16 @@ import (
 const NoShield = noShield
 
 // BufferView is one Pareto frontier buffer with everything the shield
-// invariant speaks about: its relation, its entries and their shields in
-// arrival order, the frontier it backs, and the users served from it —
+// invariant speaks about: its relation, its entries, their shields and
+// younger-twin bits in arrival order, the frontier it backs, and the
+// users served from it —
 // and, for a cluster's buffer, the first disagreement of its member table
 // with the members' relations and C_o (core.ClusterShard.CheckMemberTable).
 type BufferView struct {
 	Relation *pref.Profile
 	IDs      []int
 	Shields  []int
+	Younger  []bool
 	Frontier []int
 	Members  []int
 	TableErr error
@@ -32,6 +34,7 @@ func viewOf(pb *buffer, p *pref.Profile, front *core.Frontier, members []int) Bu
 		Relation: p,
 		IDs:      pb.idSlice(),
 		Shields:  append([]int(nil), pb.shield...),
+		Younger:  append([]bool(nil), pb.younger...),
 		Frontier: front.IDs(),
 		Members:  members,
 	}
@@ -55,7 +58,7 @@ func (f *FilterThenVerifySW) BufferViews() []BufferView {
 
 // NewShardedViews is NewSharded that also hands out a reader of every
 // shard's buffers, which the harness keeps to itself.
-func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bool, alive iter.Seq[object.Object], w, workers int, ctr *stats.Counters) (*core.Sharded, func() []BufferView, error) {
+func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bool, alive iter.Seq[object.Object], w, workers int, exact bool, ctr *stats.Counters) (*core.Sharded, func() []BufferView, error) {
 	var shards []*FilterThenVerifySW
 	views := func() []BufferView {
 		var out []BufferView
@@ -65,7 +68,7 @@ func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bo
 		return out
 	}
 	eng, err := core.ShardClusters(users, clusters, active, alive, workers, ctr, func(s core.ClusterShard) core.ShardEngine {
-		e := newFilterThenVerifySW(s, w)
+		e := newFilterThenVerifySW(s, w, exact)
 		shards = append(shards, e)
 		return e
 	})
@@ -88,10 +91,18 @@ func NewSourcedBaselineSW(users []*pref.Profile, w int, ctr *stats.Counters) *So
 	return NewSourcedFilterThenVerifySW(users, nil, w, ctr)
 }
 
+// NewSourcedFilterThenVerifyApproxSW is NewFilterThenVerifyApproxSW with
+// a registry.
+func NewSourcedFilterThenVerifyApproxSW(users []*pref.Profile, clusters []core.Cluster, w int, ctr *stats.Counters) *Sourced {
+	s := &Sourced{removed: map[int]bool{}}
+	s.FilterThenVerifySW = newFilterThenVerifySW(core.AllClusters(users, clusters, s.alive, ctr), w, false)
+	return s
+}
+
 // NewSourcedFilterThenVerifySW is NewFilterThenVerifySW with a registry.
 func NewSourcedFilterThenVerifySW(users []*pref.Profile, clusters []core.Cluster, w int, ctr *stats.Counters) *Sourced {
 	s := &Sourced{removed: map[int]bool{}}
-	s.FilterThenVerifySW = newFilterThenVerifySW(core.AllClusters(users, clusters, s.alive, ctr), w)
+	s.FilterThenVerifySW = newFilterThenVerifySW(core.AllClusters(users, clusters, s.alive, ctr), w, true)
 	return s
 }
 

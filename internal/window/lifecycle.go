@@ -62,13 +62,13 @@ func (b *buffer) dominatorBelow(p *pref.Profile, i, from int) (shield, cmps int)
 // objects, given in arrival order, and returns the comparisons spent.
 func (b *buffer) rebuild(alive []object.Object, p *pref.Profile) (cmps int) {
 	clear(b.list)
-	b.list, b.shield = b.list[:0], b.shield[:0]
+	b.list, b.shield, b.younger = b.list[:0], b.shield[:0], b.younger[:0]
 	var evicted []object.Object // reconcile reads the frontier off the shields instead
 	for _, o := range alive {
 		var po pref.Probe
 		p.Prepare(o, &po)
 		var n int
-		_, n, evicted = b.arrive(&po, o, evicted[:0])
+		_, _, n, evicted = b.arrive(&po, o, evicted[:0])
 		cmps += n
 	}
 	return cmps
@@ -76,20 +76,31 @@ func (b *buffer) rebuild(alive []object.Object, p *pref.Profile) (cmps int) {
 
 // depart takes o, which RemoveObject retired from the middle of the
 // window, out of the buffer; alive is the window without it, in arrival
-// order (only the objects older than o are read). It reports whether o was buffered and the comparisons spent. An
-// unbuffered o changes nothing: a younger object dominates it, and with it
-// everything o kept out. Otherwise the alive objects older than o that o
-// dominates and no younger entry does re-enter at their arrival position
-// — youngest first, so that each is in place to keep out the older ones it
-// dominates — and they, like the entries o shielded, find their next
-// shield among the entries older than o: o was the youngest dominator of
-// them all.
-func (b *buffer) depart(o object.Object, alive []object.Object, p *pref.Profile) (held bool, cmps int) {
+// order (only the objects older than o are read). It reports whether o
+// was buffered, whether a twin of o still is — an older one, or a
+// younger one, whose bit o hands back to the youngest older twin — and
+// the comparisons spent. An unbuffered o changes nothing: a younger
+// object dominates it, and with it everything o kept out. Otherwise the
+// alive objects older than o that o dominates and no younger entry does
+// re-enter at their arrival position — youngest first, so that each is
+// in place to keep out the older ones it dominates, and learns on the way
+// whether a younger twin of it is buffered — and they, like the entries o
+// shielded, find their next shield among the entries older than o: o was
+// the youngest dominator of them all. Twin lookups read tuples and count
+// no comparison.
+func (b *buffer) depart(o object.Object, alive []object.Object, p *pref.Profile) (held, twin bool, cmps int) {
 	at, ok := b.find(o.ID)
 	if !ok {
-		return false, 0
+		return false, false, 0
 	}
+	twin = b.younger[at]
 	b.removeAt(at)
+	for k := at - 1; k >= 0; k-- {
+		if sameTuple(b.list[k], o, p.Dims()) {
+			b.younger[k], twin = twin, true
+			break
+		}
+	}
 	var po pref.Probe
 	p.Prepare(o, &po)
 	older, _ := slices.BinarySearchFunc(alive, o.ID, compareID)
@@ -105,14 +116,20 @@ func (b *buffer) depart(o object.Object, alive []object.Object, p *pref.Profile)
 		}
 		var px pref.Probe
 		p.Prepare(x, &px)
-		blocked := false
+		blocked, younger := false, false
 		for j := len(b.list) - 1; j >= i && !blocked; j-- {
 			cmps++
-			blocked = px.DominatedBy(b.list[j])
+			switch px.Compare(b.list[j]) {
+			case pref.Right:
+				blocked = true
+			case pref.Identical:
+				younger = true
+			}
 		}
 		if !blocked {
 			b.list = slices.Insert(b.list, i, x)
 			b.shield = slices.Insert(b.shield, i, o.ID) // o was its youngest dominator; re-derived below
+			b.younger = slices.Insert(b.younger, i, younger)
 			at++
 		}
 	}
@@ -123,7 +140,13 @@ func (b *buffer) depart(o object.Object, alive []object.Object, p *pref.Profile)
 			cmps += n
 		}
 	}
-	return true, cmps
+	return true, twin, cmps
+}
+
+// sameTuple reports whether a and b carry the same values on the first
+// dims attributes, those a relation over dims attributes reads.
+func sameTuple(a, b object.Object, dims int) bool {
+	return slices.Equal(a.Attrs[:dims], b.Attrs[:dims])
 }
 
 // reconcile makes front the set of entries without a shield, after a
@@ -224,7 +247,7 @@ func (f *FilterThenVerifySW) RemoveObject(o object.Object) {
 		if len(cl.Members) == 0 {
 			continue
 		}
-		held, cmps := f.buffers[li].depart(o, alive, cl.Common)
+		held, twin, cmps := f.buffers[li].depart(o, alive, cl.Common)
 		f.CountTier(li, cmps)
 		if !held {
 			continue
@@ -237,7 +260,7 @@ func (f *FilterThenVerifySW) RemoveObject(o object.Object) {
 		// MendMembers knows whom to mend.
 		f.ClusterFronts[li].Remove(o.ID)
 		f.reconcileCluster(li)
-		f.MendMembers(li, o)
+		f.MendMembers(li, o, twin)
 	}
 	f.DropTargets(o.ID)
 }

@@ -79,7 +79,7 @@ func TestMemberTierDoesNotAllocate(t *testing.T) {
 		before := sizes()
 		held := len(eng.Targets(x.ID)) / 2
 		fu.Remove(x.ID)
-		eng.MendMembers(0, x)
+		eng.MendMembers(0, x, false)
 		after := sizes()
 		fu.Add(x)
 		eng.AdmitToMembers(0, x, co[:0])
@@ -93,7 +93,7 @@ func TestMemberTierDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		fu.Remove(out.ID)
-		eng.MendMembers(0, out)
+		eng.MendMembers(0, out, false)
 		fu.Add(out)
 		co = eng.AdmitToMembers(0, out, co[:0])
 	}); allocs != 0 {

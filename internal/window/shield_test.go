@@ -136,7 +136,7 @@ func (s *shieldWorld) common(members []int) *pref.Profile {
 }
 
 func (s *shieldWorld) build(workers int) {
-	eng, views, err := window.NewShardedViews(s.users, s.coreClusters(), s.active, s.source, s.w, workers, nil)
+	eng, views, err := window.NewShardedViews(s.users, s.coreClusters(), s.active, s.source, s.w, workers, s.exact, nil)
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -337,6 +337,13 @@ func (s *shieldWorld) check(after string) {
 			}
 			if want == window.NoShield {
 				unshielded = append(unshielded, v.IDs[k])
+			}
+		}
+		for k, id := range v.IDs {
+			o := s.objs[id]
+			want := slices.ContainsFunc(v.IDs[k+1:], func(y int) bool { return slices.Equal(s.objs[y].Attrs, o.Attrs) })
+			if v.Younger[k] != want {
+				s.t.Fatalf("after %s: buffer of %v says %v for a younger twin of %d, want %v", after, v.Members, v.Younger[k], id, want)
 			}
 		}
 		if got := fixtures.Sorted(v.Frontier); !reflect.DeepEqual(got, fixtures.Sorted(unshielded)) {

@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/object"
@@ -20,14 +21,16 @@ import (
 var _ core.StateEngine = (*FilterThenVerifySW)(nil)
 
 // restore refills an empty Pareto frontier buffer from a captured one, in
-// arrival order, and re-derives the shields under p: a snapshot carries
-// the entries only. Like the C_o and slot-table rebuilds of a restore,
-// that work is not counted.
+// arrival order, and re-derives the shields and the younger-twin bits
+// under p: a snapshot carries the entries only. Like the C_o and
+// slot-table rebuilds of a restore, that work is not counted.
 func (b *buffer) restore(objs []object.Object, p *pref.Profile) {
 	b.list = copyObjects(objs)
 	b.shield = make([]int, len(objs))
-	for i := range b.list {
+	b.younger = make([]bool, len(objs))
+	for i, o := range b.list {
 		b.shield[i], _ = b.dominatorBelow(p, i, i)
+		b.younger[i] = slices.ContainsFunc(b.list[i+1:], func(x object.Object) bool { return sameTuple(x, o, p.Dims()) })
 	}
 }
 

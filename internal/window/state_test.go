@@ -128,7 +128,7 @@ func TestStateWindowRejectsForeignState(t *testing.T) {
 // mustSharded builds the windowed harness over a full partition.
 func mustSharded(t *testing.T, users []*pref.Profile, clusters []core.Cluster, w, workers int, ctr *stats.Counters) *core.Sharded {
 	t.Helper()
-	s, err := window.NewSharded(users, clusters, nil, nil, w, workers, ctr)
+	s, err := window.NewSharded(users, clusters, nil, nil, w, workers, true, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}

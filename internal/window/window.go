@@ -12,6 +12,9 @@ import (
 // of the frontier the buffer backs.
 const noShield = -1
 
+// noTwin marks an arrival whose walk ended on no twin.
+const noTwin = -1
+
 // buffer is a Pareto frontier buffer PB (Def. 7.4) in arrival order: the
 // alive objects no succeeding object dominates under the buffer's
 // relation. Object ids are assigned in arrival order, so arrival order is
@@ -26,9 +29,16 @@ const noShield = -1
 // the shield is the last to go: the frontier P is exactly the entries
 // without one, and an entry joins P the moment its shield expires — see
 // the package comment.
+//
+// Beside each entry sits also whether a younger twin of it — an object
+// with the same tuple under the buffer's relation — is buffered. Twins
+// have the same dominators, so all of a tuple's alive twins are buffered
+// or none younger than a buffered one is, and they share one shield: an
+// entry of P with that bit set leaves P with a twin still in it.
 type buffer struct {
-	list   []object.Object
-	shield []int // shield[i] belongs to list[i]
+	list    []object.Object
+	shield  []int  // shield[i] belongs to list[i]
+	younger []bool // younger[i]: a younger twin of list[i] is buffered
 }
 
 func newBuffer() *buffer { return &buffer{} }
@@ -45,6 +55,7 @@ func compareID(o object.Object, id int) int { return cmp.Compare(o.ID, id) }
 func (b *buffer) removeAt(i int) {
 	b.list = slices.Delete(b.list, i, i+1)
 	b.shield = slices.Delete(b.shield, i, i+1)
+	b.younger = slices.Delete(b.younger, i, i+1)
 }
 
 // arrive admits o_in, prepared as po under the buffer's relation:
@@ -57,12 +68,14 @@ func (b *buffer) removeAt(i int) {
 // and nothing older can be dominated by o_in — the dominator would
 // dominate it too, from a later arrival, so it is not buffered. A twin
 // ends the walk as well and hands o_in its own shield: whatever either
-// dominates, or is dominated by, so is the other. arrive returns o_in's
-// shield (noShield: o_in enters P), the comparisons made, and evicted.
+// dominates, or is dominated by, so is the other; that twin is the
+// youngest one buffered, and now has a younger twin. arrive returns
+// o_in's shield (noShield: o_in enters P), the id of the twin that ended
+// the walk (noTwin if none did), the comparisons made, and evicted.
 //
 //paretomon:hotpath
-func (b *buffer) arrive(po *pref.Probe, oin object.Object, evicted []object.Object) (shield, cmps int, _ []object.Object) {
-	shield = noShield
+func (b *buffer) arrive(po *pref.Probe, oin object.Object, evicted []object.Object) (shield, twin, cmps int, _ []object.Object) {
+	shield, twin = noShield, noTwin
 	n := len(b.list)
 	i, w := n-1, n // the walk's survivors collect in list[w:n]
 walk:
@@ -78,22 +91,25 @@ walk:
 			shield = b.list[i].ID
 			break walk
 		case pref.Identical:
-			shield = b.shield[i]
+			shield, twin = b.shield[i], b.list[i].ID
+			b.younger[i] = true
 			break walk
 		}
 		if w--; w != i {
-			b.list[w], b.shield[w] = b.list[i], b.shield[i]
+			b.list[w], b.shield[w], b.younger[w] = b.list[i], b.shield[i], b.younger[i]
 		}
 	}
 	if gap := w - (i + 1); gap > 0 { // evictions left a gap above the entries the walk did not reach
 		copy(b.list[i+1:], b.list[w:n])
 		copy(b.shield[i+1:], b.shield[w:n])
+		copy(b.younger[i+1:], b.younger[w:n])
 		clear(b.list[n-gap : n]) // do not pin the evicted objects' Attrs
 		n -= gap
 	}
 	b.list = append(b.list[:n], oin)
 	b.shield = append(b.shield[:n], shield)
-	return shield, cmps, evicted
+	b.younger = append(b.younger[:n], false)
+	return shield, twin, cmps, evicted
 }
 
 // expiring returns the first entry if it is id, the oldest alive object.
@@ -108,11 +124,13 @@ func (b *buffer) expiring(id int) (object.Object, bool) {
 
 // expire retires the first entry, which expiring found: the entries it
 // shields have now outlived their last dominator and enter P, in arrival
-// order, without a single comparison. expire appends them to promoted.
+// order, without a single comparison. expire appends them to promoted,
+// and reports whether a younger twin of the retired entry is buffered —
+// then in P, and the retired entry shielded nothing.
 //
 //paretomon:hotpath
-func (b *buffer) expire(promoted []object.Object) []object.Object {
-	id := b.list[0].ID
+func (b *buffer) expire(promoted []object.Object) (_ []object.Object, twin bool) {
+	id, twin := b.list[0].ID, b.younger[0]
 	b.removeAt(0)
 	for i, s := range b.shield {
 		if s == id {
@@ -120,7 +138,7 @@ func (b *buffer) expire(promoted []object.Object) []object.Object {
 			promoted = append(promoted, b.list[i])
 		}
 	}
-	return promoted
+	return promoted, twin
 }
 
 // objects returns the buffer in arrival order; callers must not mutate it.

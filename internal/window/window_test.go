@@ -287,7 +287,7 @@ func TestQuickApproxSWContainments(t *testing.T) {
 			}
 		}
 		exact := oracle.Common(fixtures.Asserted(users[0]), fixtures.Asserted(users[1]), fixtures.Asserted(users[2])) // Def. 4.1
-		apx := window.NewFilterThenVerifySW(users, []core.Cluster{{Members: []int{0, 1, 2}, Common: ap}}, w, nil)
+		apx := window.NewFilterThenVerifyApproxSW(users, []core.Cluster{{Members: []int{0, 1, 2}, Common: ap}}, w, nil)
 		for i, o := range objs {
 			apx.Process(o)
 			pu := fixtures.Frontier(exact, objs[max(0, i+1-w):i+1])

@@ -496,7 +496,8 @@ func (m *Monitor) buildFromCommunity(c *Community) error {
 func (m *Monitor) buildEngine(clusters []core.Cluster) (err error) {
 	switch {
 	case m.cfg.Window > 0:
-		m.eng, err = window.NewSharded(m.profiles, clusters, m.userAlive, m.registry.alive, m.cfg.Window, m.cfg.Workers, m.ctr)
+		exact := m.cfg.Algorithm != AlgorithmFilterThenVerifyApprox
+		m.eng, err = window.NewSharded(m.profiles, clusters, m.userAlive, m.registry.alive, m.cfg.Window, m.cfg.Workers, exact, m.ctr)
 	case m.cfg.Algorithm == AlgorithmFilterThenVerifyApprox:
 		m.eng, err = core.NewShardedPerObject(m.profiles, clusters, m.userAlive, m.registry.alive, m.cfg.Workers, m.ctr)
 	default:
