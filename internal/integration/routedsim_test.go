@@ -269,7 +269,9 @@ type routedSim struct {
 
 	// A Rebalance beside the history, and whether a batch request went out
 	// between two of its events, so between two of its freeze windows:
-	// both are sent under the router's lock.
+	// both are sent under the router's lock. Until one has, the history
+	// sends its next batch only after the Rebalance's first event, and the
+	// Rebalance waits at each event for it (awaitBatch).
 	scaling       chan struct{}
 	scaleRep      *partition.RebalanceReport
 	scaleErr      error
@@ -277,6 +279,9 @@ type routedSim struct {
 	events        atomic.Int64 // of the running Rebalance
 	batched       atomic.Bool  // a batch request went out since the last event
 	inside        atomic.Bool  // a batch request went out between two events
+	holding       atomic.Bool  // a Rebalance runs beside the history and waits for a batch
+	sending       atomic.Bool  // the history's batch is on its way to the router
+	joining       atomic.Bool  // the history waits for the Rebalance to end
 	interleaved   bool
 	quiet         sync.Mutex // held by the migrator around each Migrate, and by check
 	stopped       atomic.Bool
@@ -415,17 +420,45 @@ func (s *routedSim) newRouter() {
 	s.net.serve("router.sim", s.front)
 }
 
-// observe notes a batch request between two rebalance events and stops
-// the orchestrator at an armed crash.
+// observe notes a batch request between two rebalance events, holds a
+// Rebalance until one can go out, and stops the orchestrator at an armed
+// crash.
 func (s *routedSim) observe(e partition.RebalanceEvent) {
 	if s.batched.Swap(false) && s.events.Load() > 0 {
 		s.inside.Store(true)
 	}
 	s.events.Add(1)
+	if s.holding.Load() && !s.inside.Load() {
+		s.awaitBatch()
+	}
 	if s.crashAt != "" && e.Phase == s.crashAt {
 		s.crashAt = ""
 		panic(errCrash)
 	}
+}
+
+// afterFirstEvent waits, while a Rebalance runs and no batch went out
+// between two of its events yet, until it has had its first event.
+func (s *routedSim) afterFirstEvent() {
+	for deadline := time.Now().Add(5 * time.Second); s.holding.Load() && !s.inside.Load() && s.events.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
+}
+
+// awaitBatch holds the Rebalance, inside a freeze window, until the
+// history's next batch is on its way to the router, and then 2 ms more,
+// which the batch spends waiting on the router's lock. A sync.Mutex
+// waiter that has waited over 1 ms is handed the lock at the next unlock
+// but one at the latest (its starvation mode), so the batch goes out
+// after this freeze window or the next, and every Rebalance has a freeze
+// window with an event after its first event's and its next one. Every
+// event holds until a batch went out between two of them: the
+// interleaving the scale row asserts is arranged, not hoped for.
+func (s *routedSim) awaitBatch() {
+	for deadline := time.Now().Add(5 * time.Second); !s.sending.Load() && !s.joining.Load() && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
+	time.Sleep(2 * time.Millisecond)
 }
 
 func (s *routedSim) close() {
@@ -548,7 +581,12 @@ func errClass(err error) string {
 // records what the reference accepted.
 func (s *routedSim) call(c routedCall) {
 	s.t.Helper()
+	if c.kind == "batch" {
+		s.afterFirstEvent()
+		s.sending.Store(true)
+	}
 	got, err := runCall(s.rt, c)
+	s.sending.Store(false)
 	want, werr := runCall(s.ref, c)
 	if errClass(err) != errClass(werr) || !slices.EqualFunc(got, want, func(a, b paretomon.Delivery) bool {
 		return a.Object == b.Object && slices.Equal(a.Users, b.Users)
@@ -708,6 +746,7 @@ func (s *routedSim) rebalance(n int) {
 	s.scaling = make(chan struct{})
 	s.events.Store(0)
 	s.inside.Store(false)
+	s.holding.Store(true)
 	urls := s.urls(n)
 	go func() {
 		defer close(s.scaling)
@@ -728,9 +767,12 @@ func (s *routedSim) joinScale(wait bool) bool {
 		if !wait {
 			return false
 		}
+		s.joining.Store(true)
 		<-s.scaling
+		s.joining.Store(false)
 	}
 	s.scaling = nil
+	s.holding.Store(false)
 	rep := s.scaleRep
 	if s.scaleErr != nil || rep.ToParts == s.active || rep.FromParts != s.active || rep.UsersMoved == 0 ||
 		rep.RingVersion <= s.ringVersion {
