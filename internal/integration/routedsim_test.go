@@ -280,7 +280,7 @@ type routedSim struct {
 	batched       atomic.Bool  // a batch request went out since the last event
 	inside        atomic.Bool  // a batch request went out between two events
 	holding       atomic.Bool  // a Rebalance runs beside the history and waits for a batch
-	sending       atomic.Bool  // the history's batch is on its way to the router
+	sending       atomic.Bool  // the history's call is on its way to the router
 	joining       atomic.Bool  // the history waits for the Rebalance to end
 	interleaved   bool
 	quiet         sync.Mutex // held by the migrator around each Migrate, and by check
@@ -446,14 +446,16 @@ func (s *routedSim) afterFirstEvent() {
 }
 
 // awaitBatch holds the Rebalance, inside a freeze window, until the
-// history's next batch is on its way to the router, and then 2 ms more,
-// which the batch spends waiting on the router's lock. A sync.Mutex
-// waiter that has waited over 1 ms is handed the lock at the next unlock
-// but one at the latest (its starvation mode), so the batch goes out
-// after this freeze window or the next, and every Rebalance has a freeze
-// window with an event after its first event's and its next one. Every
-// event holds until a batch went out between two of them: the
-// interleaving the scale row asserts is arranged, not hoped for.
+// history's next call — on the scale row, a batch — is on its way to the
+// router, and then 2 ms more, which the call spends waiting on the
+// router's lock. A sync.Mutex
+// waiter that has waited over 1 ms gets the lock at the next unlock but
+// one at the latest (the mutex's starvation mode), so the batch goes out
+// after this freeze window or the next, and each of the scale row's
+// Rebalances has at least two freeze windows with events after its
+// first event's. The Rebalance holds at every event until a batch went
+// out between two of them: the interleaving the row asserts is arranged,
+// not hoped for.
 func (s *routedSim) awaitBatch() {
 	for deadline := time.Now().Add(5 * time.Second); !s.sending.Load() && !s.joining.Load() && time.Now().Before(deadline); {
 		time.Sleep(50 * time.Microsecond)
@@ -583,8 +585,8 @@ func (s *routedSim) call(c routedCall) {
 	s.t.Helper()
 	if c.kind == "batch" {
 		s.afterFirstEvent()
-		s.sending.Store(true)
 	}
+	s.sending.Store(true)
 	got, err := runCall(s.rt, c)
 	s.sending.Store(false)
 	want, werr := runCall(s.ref, c)

@@ -28,7 +28,9 @@ type Counters struct {
 	// Twins counts the processed objects whose attribute tuple was already
 	// alive and that were answered from their tuple class's C_o without a
 	// scan (exact append-only engines; see core.TupleClasses). Twins over
-	// Processed is the stream's duplicate rate as the engine saw it.
+	// Processed is the stream's duplicate rate as the engine saw it. The
+	// windowed engines count none: a twin walks its buffer there, and only
+	// the member tier is skipped.
 	Twins uint64
 }
 

@@ -89,6 +89,23 @@
 // unordered, and a domain past order.TableMaxN is read through the
 // members' own relations.
 //
+// Twins — objects with the same tuple — cost the member tier nothing,
+// since dominance reads attribute values only. All of a tuple's alive
+// twins have the same dominators, so they share one shield, and each
+// buffer entry carries one more bit: whether a younger twin of it is
+// buffered. The arrival walk sets it where it ends on a twin, depart hands
+// a removed entry's bit to its youngest older twin, and rebuild and
+// RestoreState derive it as they derive shields. An arrival whose walk
+// ends on a twin in P_U joins exactly the member frontiers that hold the
+// twin and evicts nothing — what it dominates, the twin dominates and
+// keeps out (core.ClusterShard.AdmitTwin) — on the exact engine, where
+// every P_c is the frontier the attribute values determine. Under the
+// approximate ≻̂_U P̂_c is what the procedure leaves, a twin can sit
+// outside it unjustly, and such an arrival scans. A departure, by expiry
+// or removal, that leaves a twin in P_U only leaves the frontiers that
+// held it, on both engines: the twin dominates whatever o_out did, for
+// every member, so nobody promotes anything.
+//
 // The window (Def. 7.1) is one for the whole stream, and no shard keeps
 // a copy of it. Expiry goes by id: object ids are arrival indices, so the
 // arrival of id n retires id n − W, which — if any buffer holds it — is
@@ -112,7 +129,10 @@
 // rebuilds its tier. The shard bookkeeping's tuple-class table
 // (core.TupleClasses) stays off here: every object is its own frontier
 // member under its own id, as in the paper — expiry ages ids, and a class
-// would have to hand its membership on at every twin's expiry. Ids leave
+// would have to hand its membership on at every twin's expiry. A twin
+// still walks its buffer, so the Twins counter (stats.Counters, an
+// arrival answered with no comparison at all) stays 0 under a window; the
+// member tier's twin shortcut above is what the buffer's bits buy. Ids leave
 // the window in arrival order, so the C_o table (core.TargetTracker)
 // drops the expired prefix and spans at most twice the window, however
 // long the stream.

@@ -41,13 +41,14 @@ func viewOf(pb *buffer, p *pref.Profile, front *core.Frontier, members []int) Bu
 }
 
 // BufferViews returns PB_U of every maintained cluster that has members,
-// which on a cluster of its own is its member's PB_c.
-func (f *FilterThenVerifySW) BufferViews() []BufferView {
+// which on a cluster of its own is its member's PB_c; with tables, each
+// shared cluster's TableErr too, a check of every cell.
+func (f *FilterThenVerifySW) BufferViews(tables bool) []BufferView {
 	var out []BufferView
 	for li, cl := range f.Clusters {
 		if len(cl.Members) > 0 {
 			v := viewOf(f.buffers[li], cl.Common, f.ClusterFronts[li], cl.Members)
-			if !f.Own(li) {
+			if tables && !f.Own(li) {
 				v.TableErr = f.CheckMemberTable(li)
 			}
 			out = append(out, v)
@@ -63,7 +64,7 @@ func NewShardedViews(users []*pref.Profile, clusters []core.Cluster, active []bo
 	views := func() []BufferView {
 		var out []BufferView
 		for _, sh := range shards {
-			out = append(out, sh.BufferViews()...)
+			out = append(out, sh.BufferViews(true)...)
 		}
 		return out
 	}
@@ -91,18 +92,20 @@ func NewSourcedBaselineSW(users []*pref.Profile, w int, ctr *stats.Counters) *So
 	return NewSourcedFilterThenVerifySW(users, nil, w, ctr)
 }
 
+// NewSourcedFilterThenVerifySW is NewFilterThenVerifySW with a registry.
+func NewSourcedFilterThenVerifySW(users []*pref.Profile, clusters []core.Cluster, w int, ctr *stats.Counters) *Sourced {
+	return newSourced(users, clusters, w, true, ctr)
+}
+
 // NewSourcedFilterThenVerifyApproxSW is NewFilterThenVerifyApproxSW with
 // a registry.
 func NewSourcedFilterThenVerifyApproxSW(users []*pref.Profile, clusters []core.Cluster, w int, ctr *stats.Counters) *Sourced {
-	s := &Sourced{removed: map[int]bool{}}
-	s.FilterThenVerifySW = newFilterThenVerifySW(core.AllClusters(users, clusters, s.alive, ctr), w, false)
-	return s
+	return newSourced(users, clusters, w, false, ctr)
 }
 
-// NewSourcedFilterThenVerifySW is NewFilterThenVerifySW with a registry.
-func NewSourcedFilterThenVerifySW(users []*pref.Profile, clusters []core.Cluster, w int, ctr *stats.Counters) *Sourced {
+func newSourced(users []*pref.Profile, clusters []core.Cluster, w int, exact bool, ctr *stats.Counters) *Sourced {
 	s := &Sourced{removed: map[int]bool{}}
-	s.FilterThenVerifySW = newFilterThenVerifySW(core.AllClusters(users, clusters, s.alive, ctr), w, true)
+	s.FilterThenVerifySW = newFilterThenVerifySW(core.AllClusters(users, clusters, s.alive, ctr), w, exact)
 	return s
 }
 

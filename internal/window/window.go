@@ -32,9 +32,9 @@ const noTwin = -1
 //
 // Beside each entry sits also whether a younger twin of it — an object
 // with the same tuple under the buffer's relation — is buffered. Twins
-// have the same dominators, so all of a tuple's alive twins are buffered
-// or none younger than a buffered one is, and they share one shield: an
-// entry of P with that bit set leaves P with a twin still in it.
+// have the same dominators, so the younger twins of an entry are buffered
+// too and share its shield: an entry of P with that bit set leaves P with
+// a twin still in it.
 type buffer struct {
 	list    []object.Object
 	shield  []int  // shield[i] belongs to list[i]

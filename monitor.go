@@ -161,8 +161,10 @@ type Stats struct {
 	// Twins counts the processed objects that repeated an alive attribute
 	// tuple and were answered from their twin's C_o without a comparison
 	// (exact append-only engines; 0 under a window or the approximate
-	// engine). Twins/Processed is the stream's duplicate rate. Not part of
-	// a snapshot: it restarts with the process.
+	// engine). Twins/Processed is the stream's duplicate rate. Under a
+	// window a twin still walks its cluster's buffer, and only its member
+	// tier is skipped, so it is not counted here. Not part of a snapshot:
+	// it restarts with the process.
 	Twins uint64
 	// DroppedDeliveries counts deliveries lost because a subscriber's
 	// channel was full (slow consumer).
