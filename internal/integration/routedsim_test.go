@@ -11,12 +11,14 @@ package integration_test
 //
 // No socket is opened. simNet, the http.RoundTripper of every client,
 // maps a host such as p0.sim or router.sim to its current handler and
-// streams each response through an io.Pipe. Its faults sleep nowhere:
-// down (requests fail until the host's n-th refused /readyz probe),
-// restart (a durable partition closes without a snapshot and reopens over
-// its store on that probe, so the router's retry loop brings it back) and
-// lost (the host runs a POST /objects/batch, then the client gets an
-// error). The other faults are the router's own calls: crash-import and
+// streams each response through an io.Pipe; an ingest stream is a
+// net.Pipe whose one end the partition's handler hijacks (on a plain row
+// it cannot, and batches go as POSTs). Its faults sleep nowhere: down
+// (the host's streams are cut and requests fail until its n-th refused
+// /readyz probe), restart (the same, and a durable partition closes
+// without a snapshot and reopens over its store on that probe, so the
+// router's retry loop brings it back) and lost (the host applies a batch,
+// then its reply — a POST's or a frame — is lost and the stream cut). The other faults are the router's own calls: crash-import and
 // crash-commit (an Observe panic after that phase of a migration, then a
 // fresh router's Reconcile), half-ring (a ring pushed to partition 0 only
 // before the router is replaced) and scale-out / scale-in (a Rebalance
@@ -28,11 +30,13 @@ package integration_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"reflect"
 	"slices"
@@ -46,22 +50,29 @@ import (
 	paretomon "repro"
 	"repro/internal/partition"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // simNet is an http.RoundTripper over in-process handlers, keyed by host.
+// An ingest stream (GET /objects/stream) is one net.Pipe: the handler
+// hijacks one end, the response's body is the other.
 type simNet struct {
 	mu      sync.Mutex
 	hosts   map[string]*simHost
-	onBatch func() // sees every POST /objects/batch a host serves
+	plain   bool   // handlers cannot hijack: every host refuses the ingest stream
+	onBatch func() // sees every batch a host serves, a POST or a request frame
+	// posts and frames count the batches sent each way.
+	posts, frames atomic.Int64
 }
 
 // simHost is one host's handler and its pending faults.
 type simHost struct {
-	h      http.Handler
-	down   bool
-	wake   int                 // refused /readyz probes until the host serves again
-	revive func() http.Handler // run on the last refused probe: the handler from then on
-	lose   int                 // POST /objects/batch replies still to lose
+	h       http.Handler
+	down    bool
+	wake    int                 // refused /readyz probes until the host serves again
+	revive  func() http.Handler // run on the last refused probe: the handler from then on
+	lose    int                 // batch replies still to lose, a POST's or a frame
+	streams []net.Conn          // both ends of every ingest stream opened to the host
 }
 
 func (n *simNet) serve(host string, h http.Handler) {
@@ -70,9 +81,10 @@ func (n *simNet) serve(host string, h http.Handler) {
 	n.hosts[host] = &simHost{h: h}
 }
 
-// down refuses host's requests until the wake-th refused /readyz probe;
-// revive, when non-nil, then supplies the handler. It reports whether a
-// revive was already pending, which stays pending.
+// down refuses host's requests until the wake-th refused /readyz probe,
+// and cuts its ingest streams; revive, when non-nil, then supplies the
+// handler. It reports whether a revive was already pending, which stays
+// pending.
 func (n *simNet) down(host string, wake int, revive func() http.Handler) (pending bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -81,6 +93,10 @@ func (n *simNet) down(host string, wake int, revive func() http.Handler) (pendin
 	if !pending {
 		h.revive = revive
 	}
+	for _, c := range h.streams {
+		c.Close()
+	}
+	h.streams = nil
 	return pending
 }
 
@@ -109,8 +125,11 @@ func (n *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
 		host.lose--
 	}
 	n.mu.Unlock()
-	if batch && n.onBatch != nil {
-		n.onBatch()
+	if batch {
+		n.posts.Add(1)
+		if n.onBatch != nil {
+			n.onBatch()
+		}
 	}
 
 	ctx, cancel := context.WithCancel(req.Context())
@@ -121,6 +140,11 @@ func (n *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	sreq.RequestURI = req.URL.RequestURI()
 	pr, pw := io.Pipe()
 	w := &simWriter{header: http.Header{}, pw: pw, sent: make(chan struct{})}
+	var near net.Conn // the router's end of an ingest stream; w.conn the partition's
+	if !n.plain && req.URL.Path == "/objects/stream" {
+		a, b := net.Pipe()
+		w.conn, near = &simConn{Conn: a, n: n, host: host}, &simConn{Conn: b, n: n}
+	}
 	go func() {
 		defer func() {
 			w.WriteHeader(http.StatusOK)
@@ -131,6 +155,13 @@ func (n *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
 		h.ServeHTTP(w, sreq)
 	}()
 	<-w.sent
+	if w.hijacked {
+		pr.Close()
+		return n.switched(host, req, near, w.conn)
+	}
+	if near != nil {
+		near.Close()
+	}
 	if lost {
 		_, _ = io.Copy(io.Discard, pr)
 		return nil, fmt.Errorf("simnet: the reply of %s%s was lost", req.URL.Host, req.URL.Path)
@@ -142,14 +173,79 @@ func (n *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	}, nil
 }
 
+// switched reads the handler's answer to an upgrade off the router's end
+// of the pipe, as a transport does, and hands that end over as the body.
+func (n *simNet) switched(host *simHost, req *http.Request, near, far net.Conn) (*http.Response, error) {
+	br := bufio.NewReader(near)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		near.Close()
+		return nil, err
+	}
+	n.mu.Lock()
+	host.streams = append(host.streams, near, far)
+	n.mu.Unlock()
+	resp.Body = simStream{br: br, Conn: near}
+	return resp, nil
+}
+
+// simStream is a switched response's body: reads through the reader that
+// parsed the 101, writes and Close on the pipe.
+type simStream struct {
+	br *bufio.Reader
+	net.Conn
+}
+
+func (s simStream) Read(p []byte) (int, error) { return s.br.Read(p) }
+
+// simConn is one end of an ingest stream. Every frame is one Write (the
+// simulator checks it): on the router's end each request frame counts as
+// a batch, on the partition's end (host set) a reply frame is lost, and
+// the stream cut, while the host has replies to lose.
+type simConn struct {
+	net.Conn
+	n    *simNet
+	host *simHost
+}
+
+func (c *simConn) Write(p []byte) (int, error) {
+	if len(p) == 0 || p[0] != wire.TagBatch && p[0] != wire.TagReply {
+		return c.Conn.Write(p) // the 101
+	}
+	if len(p) < wire.FrameHeader || int(binary.LittleEndian.Uint32(p[1:])) != len(p)-wire.FrameHeader {
+		panic(fmt.Sprintf("simnet: a write of %d bytes is not one whole frame", len(p)))
+	}
+	if c.host == nil {
+		c.n.frames.Add(1)
+		if c.n.onBatch != nil {
+			c.n.onBatch()
+		}
+		return c.Conn.Write(p)
+	}
+	c.n.mu.Lock()
+	lost := c.host.lose > 0
+	if lost {
+		c.host.lose--
+	}
+	c.n.mu.Unlock()
+	if lost {
+		c.Conn.Close()
+		return 0, errors.New("simnet: a reply frame was lost")
+	}
+	return c.Conn.Write(p)
+}
+
 // simWriter is the handler's side of one exchange: the status and header
 // go out on the first write or flush, the body through the pipe
-// unbuffered.
+// unbuffered. With conn set (an ingest stream's partition end) it can be
+// hijacked.
 type simWriter struct {
 	header, sentHeader http.Header
 	status             int
 	pw                 *io.PipeWriter
 	sent               chan struct{}
+	conn               net.Conn
+	hijacked           bool
 }
 
 func (w *simWriter) Header() http.Header { return w.header }
@@ -167,6 +263,17 @@ func (w *simWriter) Write(p []byte) (int, error) {
 }
 
 func (w *simWriter) Flush() { w.WriteHeader(http.StatusOK) }
+
+// Hijack hands the handler the partition's end of the stream's pipe; the
+// handler writes its 101 there.
+func (w *simWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	if w.conn == nil || w.status != 0 {
+		return nil, nil, http.ErrNotSupported
+	}
+	w.status, w.hijacked = http.StatusSwitchingProtocols, true
+	close(w.sent)
+	return w.conn, bufio.NewReadWriter(bufio.NewReader(w.conn), bufio.NewWriter(w.conn)), nil
+}
 
 // The fleet's community: user i's chain on attribute d is the five values
 // rotated by i + d, so frontiers are user-specific.
@@ -219,6 +326,7 @@ type routedRow struct {
 	ftv                        bool
 	batchesOnly                bool
 	durable                    bool   // partitions run on MemStores and can restart
+	plain                      bool   // partitions refuse the ingest stream: batches go as POSTs
 	routerID                   string // router HA lease identity
 	migrator                   bool   // a goroutine migrates the first users beside the history
 	watch                      bool   // a user's /deltas stream through the router front
@@ -312,7 +420,7 @@ func runRouted(t testing.TB, row routedRow) *routedSim {
 	com, asserted := fleetCommunity(t, row.users)
 	s := &routedSim{
 		t: t, row: row, rng: rand.New(rand.NewSource(row.seed)), com: com,
-		net: &simNet{hosts: map[string]*simHost{}}, asserted: asserted, nextObj: 1, nextUser: row.users,
+		net: &simNet{hosts: map[string]*simHost{}, plain: row.plain}, asserted: asserted, nextObj: 1, nextUser: row.users,
 	}
 	s.client = &http.Client{Transport: s.net}
 	s.net.onBatch = func() { s.batched.Store(true) }
@@ -447,20 +555,16 @@ func (s *routedSim) afterFirstEvent() {
 
 // awaitBatch holds the Rebalance, inside a freeze window, until the
 // history's next call — on the scale row, a batch — is on its way to the
-// router, and then 2 ms more, which the call spends waiting on the
-// router's lock. A sync.Mutex
-// waiter that has waited over 1 ms gets the lock at the next unlock but
-// one at the latest (the mutex's starvation mode), so the batch goes out
-// after this freeze window or the next, and each of the scale row's
-// Rebalances has at least two freeze windows with events after its
-// first event's. The Rebalance holds at every event until a batch went
-// out between two of them: the interleaving the row asserts is arranged,
-// not hoped for.
+// router's lock. Between two migration windows a Rebalance hands the
+// lock to a write call already waiting for it, so the batch goes out
+// after this window or the next, and each of the scale row's Rebalances
+// has at least two freeze windows with events after its first event's.
+// The Rebalance holds at every event until a batch went out between two
+// of them: the interleaving the row asserts is arranged, not hoped for.
 func (s *routedSim) awaitBatch() {
 	for deadline := time.Now().Add(5 * time.Second); !s.sending.Load() && !s.joining.Load() && time.Now().Before(deadline); {
 		time.Sleep(50 * time.Microsecond)
 	}
-	time.Sleep(2 * time.Millisecond)
 }
 
 func (s *routedSim) close() {
@@ -1033,6 +1137,10 @@ func (s *routedSim) finish() {
 	if s.grown && !s.interleaved {
 		s.fatalf("no batch request went out between the freeze windows of a Rebalance")
 	}
+	if posts, frames := s.net.posts.Load(), s.net.frames.Load(); s.row.plain && frames > 0 || !s.row.plain && posts > 0 {
+		s.fatalf("%d batches went as POSTs and %d as stream frames; the partitions %s the stream", posts, frames,
+			map[bool]string{true: "refuse", false: "accept"}[s.row.plain])
+	}
 	s.fleetClusters, s.refClusters = s.rt.Clusters(), s.ref.Clusters()
 	if s.gotCh != nil {
 		s.checkDeltas()
@@ -1053,6 +1161,11 @@ func TestRoutedSim(t *testing.T) {
 	// /deltas stream runs through the router front all along.
 	row(t, "restart", routedRow{seed: 7, parts: 3, users: 30, steps: 24, batch: 8, durable: true, watch: true,
 		faults: []routedFault{{8, "restart", 1}, {16, "down", 2}}})
+	// The restart row's fleet behind handlers that cannot hijack: every
+	// batch is a POST, through a restart, a down partition and lost
+	// replies.
+	row(t, "post", routedRow{seed: 7, parts: 3, users: 30, steps: 24, batch: 8, durable: true, plain: true,
+		faults: []routedFault{{4, "lost", 0}, {8, "restart", 1}, {12, "lost", 2}, {16, "down", 2}}})
 	// One to four partitions of two workers each; one goes down once.
 	t.Run("stats", func(t *testing.T) {
 		for _, seed := range []int64{1, 7, 23} {
@@ -1107,14 +1220,17 @@ func TestRoutedSim(t *testing.T) {
 }
 
 // FuzzRoutedSim runs one sequential history of a fuzzed shape (Baseline
-// on MemStores, which can restart; windowed Baseline; FilterThenVerify)
-// with up to three faults of any kind but the concurrent ones.
+// on MemStores, which can restart; windowed Baseline; FilterThenVerify;
+// each over the ingest stream or, shape/3 odd, over POSTs) with up to
+// three faults of any kind but the concurrent ones.
 func FuzzRoutedSim(f *testing.F) {
 	f.Add(uint8(0), int64(1), uint8(2), uint8(12))
 	f.Add(uint8(1), int64(2), uint8(3), uint8(16))
 	f.Add(uint8(2), int64(3), uint8(2), uint8(14))
+	f.Add(uint8(3), int64(4), uint8(2), uint8(14))
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, parts, steps uint8) {
-		row := routedRow{seed: seed, parts: 1 + int(parts)%4, users: 16, steps: 4 + int(steps)%24, batch: 5}
+		row := routedRow{seed: seed, parts: 1 + int(parts)%4, users: 16, steps: 4 + int(steps)%24, batch: 5,
+			plain: shape/3%2 == 1}
 		kinds := []string{"down", "lost"}
 		switch shape % 3 {
 		case 0:

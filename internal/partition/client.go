@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	paretomon "repro"
@@ -26,6 +27,10 @@ type client struct {
 	// request with a non-zero value carries it in RingHeader, and a 409
 	// echoing the header back decodes to *RingVersionError.
 	ring *atomic.Uint64
+
+	// smu guards st, the partition's open ingest stream (nil: none).
+	smu sync.Mutex
+	st  *stream
 }
 
 func newClient(base string, hc *http.Client, ring *atomic.Uint64) *client {
@@ -132,15 +137,25 @@ func (c *client) postBatch(ctx context.Context, body []byte, batch []string, sen
 	if err != nil {
 		return nil, fmt.Errorf("partition: decoding POST /objects/batch response: %w", err)
 	}
+	if err := checkReply(ds, sent); err != nil {
+		return nil, err
+	}
+	return ds, nil
+}
+
+// checkReply holds a batch reply to the objects sent: one delivery per
+// object, in order. A partition that answers anything else has not told
+// us what it applied — a lost reply, retryable.
+func checkReply(ds []paretomon.Delivery, sent []paretomon.Object) error {
 	if len(ds) != len(sent) {
-		return nil, fmt.Errorf("partition: POST /objects/batch answered %d deliveries for %d objects", len(ds), len(sent))
+		return fmt.Errorf("partition: a batch reply answered %d deliveries for %d objects", len(ds), len(sent))
 	}
 	for i, d := range ds {
 		if d.Object != sent[i].Name {
-			return nil, fmt.Errorf("partition: POST /objects/batch delivery %d is for %q, sent %q", i, d.Object, sent[i].Name)
+			return fmt.Errorf("partition: a batch reply's delivery %d is for %q, sent %q", i, d.Object, sent[i].Name)
 		}
 	}
-	return ds, nil
+	return nil
 }
 
 // decodeStatusError turns a non-200 response into a *StatusError,
@@ -149,6 +164,12 @@ func (c *client) postBatch(ctx context.Context, body []byte, batch []string, sen
 // version in RingHeader is the typed ring conflict instead.
 func decodeStatusError(resp *http.Response) error {
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+	return statusError(resp.StatusCode, resp.Header.Get(RingHeader), data)
+}
+
+// statusError is decodeStatusError over a status, its RingHeader value
+// and its body.
+func statusError(status int, ring string, data []byte) error {
 	var envelope struct {
 		Error string `json:"error"`
 	}
@@ -156,14 +177,12 @@ func decodeStatusError(resp *http.Response) error {
 	if json.Unmarshal(data, &envelope) == nil && envelope.Error != "" {
 		msg = envelope.Error
 	}
-	if resp.StatusCode == http.StatusConflict {
-		if hdr := resp.Header.Get(RingHeader); hdr != "" {
-			if have, err := strconv.ParseUint(hdr, 10, 64); err == nil {
-				return &RingVersionError{Have: have, Msg: msg}
-			}
+	if status == http.StatusConflict && ring != "" {
+		if have, err := strconv.ParseUint(ring, 10, 64); err == nil {
+			return &RingVersionError{Have: have, Msg: msg}
 		}
 	}
-	return &StatusError{Status: resp.StatusCode, Msg: msg}
+	return &StatusError{Status: status, Msg: msg}
 }
 
 // getStream performs a request whose 200 response body is a raw stream

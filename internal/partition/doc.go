@@ -7,9 +7,11 @@
 // arriving object is evaluated against each user's preference order
 // independently (Alg. 1; the cluster tier of Algs. 2–3 only shares work
 // *within* a cluster of similar users), so the community partitions
-// cleanly by user. The Router therefore fans Add/AddBatch to every
-// partition concurrently — each partition does only its users' share of
-// the comparison work — and routes user-scoped calls (Frontier,
+// cleanly by user. The Router therefore sends every Add/AddBatch to
+// every partition — each does only its users' share of the comparison
+// work, all at once: a batch goes out to each partition over its ingest
+// stream (one upgraded connection, see stream.go) before any reply is
+// read — and routes user-scoped calls (Frontier,
 // lifecycle, preferences, subscriptions) to the single partition that
 // owns the user. Aggregate reads (Stats, Users, Clusters, storage
 // stats) are merged across the fleet.

@@ -63,7 +63,8 @@ func (r *Router) event(e RebalanceEvent) {
 
 // installRing adopts rg when it is newer than the installed one,
 // rebuilding the partition set from its URLs (clients are reused per
-// URL, so connection pools survive a flip).
+// URL, so connection pools and ingest streams survive a flip; a remote
+// that refused the stream is asked again).
 func (r *Router) installRing(rg *Ring) {
 	r.ringMu.Lock()
 	defer r.ringMu.Unlock()
@@ -79,10 +80,16 @@ func (r *Router) installRing(rg *Ring) {
 		base := strings.TrimRight(u, "/")
 		if ex, ok := byURL[base]; ok {
 			parts[i] = &remote{client: ex.client, idx: i, url: base}
+			delete(byURL, base)
 		} else {
 			c := newClient(u, r.hc, &r.ringVer)
 			parts[i] = &remote{client: c, idx: i, url: c.base}
+			r.clients = append(r.clients, c)
 		}
+	}
+	// A partition the ring no longer names gets no more batches.
+	for _, p := range byURL {
+		p.closeStream()
 	}
 	r.parts = parts
 	r.ring = rg
@@ -332,18 +339,15 @@ func (r *Router) Migrate(users []string, from, to int) error {
 	if len(users) == 0 {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ensureLease(); err != nil {
-		return err
-	}
-	ctx := context.Background()
-	if r.Ring() == nil {
-		if _, err := r.ensureRingLocked(ctx); err != nil {
-			return err
+	return r.write(func() error {
+		ctx := context.Background()
+		if r.Ring() == nil {
+			if _, err := r.ensureRingLocked(ctx); err != nil {
+				return err
+			}
 		}
-	}
-	return r.migrateLocked(ctx, users, from, to)
+		return r.migrateLocked(ctx, users, from, to)
+	})
 }
 
 // migrateLocked is Migrate's body; caller holds r.mu and has ensured a
@@ -767,9 +771,17 @@ func (r *Router) Rebalance(ctx context.Context, urls []string, opts RebalanceOpt
 				}
 				return r.migrateLocked(ctx, chunk, key[0], key[1])
 			}()
+			// Hand the lock to a write call already waiting for it before
+			// the next freeze window: without this the window would likely
+			// take it back at once, and the writer would get in only once
+			// the mutex turns to starvation mode.
+			yield := r.writerWaiting()
 			r.mu.Unlock()
 			if err != nil {
 				return rep, err
+			}
+			if yield {
+				r.awaitWriter(ctx)
 			}
 			rep.UsersMoved += n
 			rep.Batches++

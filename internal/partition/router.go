@@ -89,6 +89,10 @@ type remote struct {
 	*client
 	idx int
 	url string
+	// refused is set once the partition answered the ingest stream's
+	// upgrade with anything but 101: its batches go out as POSTs until a
+	// ring install replaces this remote (see stream.go).
+	refused atomic.Bool
 }
 
 // Router presents a partitioned fleet as one paretomon.Driver: writes
@@ -120,6 +124,9 @@ type Router struct {
 	ring   *Ring
 	// ringVer is shared with every client by pointer.
 	ringVer atomic.Uint64
+	// clients is every client the Router made (guarded by ringMu), so
+	// Close ends every ingest stream, a retired partition's too.
+	clients []*client
 
 	// Router HA lease state; see rebalance.go.
 	leaseID  string
@@ -136,9 +143,18 @@ type Router struct {
 
 	// mu serializes mutations fleet-wide; see the type comment.
 	mu sync.Mutex
+	// writers counts write calls blocked on mu, and each one that gets
+	// it signals handoff (capacity 1): Rebalance's phase C hands mu to a
+	// waiting writer between two freeze windows (see write).
+	writers atomic.Int32
+	handoff chan struct{}
 	// bodyHint is the last AddBatch body's length (guarded by mu): the
 	// next one is allocated that large up front.
 	bodyHint int
+	// frame is the ingest stream's request frame (guarded by mu),
+	// rewritten for every batch: a stream write has returned before the
+	// next batch starts.
+	frame []byte
 	// writer is the batch-id writer minted at New, and seq the last
 	// batch it numbered (guarded by mu). A failed AddBatch leaves its id
 	// and body behind, so re-sending the same batch reuses the id.
@@ -182,10 +198,12 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		plan: plan, hc: hc, budget: budget, interval: interval, migrateTO: migrateTO,
 		leaseID: cfg.RouterID, leaseTTL: ttl, observe: cfg.Observe, writer: rand.Text(),
+		handoff: make(chan struct{}, 1),
 	}
 	for i, u := range cfg.URLs {
 		c := newClient(u, hc, &r.ringVer)
 		r.parts = append(r.parts, &remote{client: c, idx: i, url: c.base})
+		r.clients = append(r.clients, c)
 	}
 	return r, nil
 }
@@ -226,12 +244,59 @@ func (r *Router) PartitionURL(i int) string { return r.remotes()[i].url }
 // server reuses it to proxy subscription streams to owner partitions.
 func (r *Router) HTTPClient() *http.Client { return r.hc }
 
-// Close releases the Router: if it holds the write lease it steps down
-// (best-effort) so a standby takes over immediately. The partitions
-// are independent processes and keep running.
+// Close releases the Router: it closes its ingest streams and, if it
+// holds the write lease, steps down (best-effort) so a standby takes over
+// immediately. The partitions are independent processes and keep
+// running.
 func (r *Router) Close() error {
+	r.ringMu.RLock()
+	clients := r.clients
+	r.ringMu.RUnlock()
+	for _, c := range clients {
+		c.closeStream()
+	}
 	r.releaseLease()
 	return nil
+}
+
+// write runs fn, a write call, under mu and the write lease. While it
+// waits for mu it counts in writers, and once it holds mu it signals
+// handoff, which is what Rebalance's phase C waits for (see
+// writerWaiting).
+func (r *Router) write(fn func() error) error {
+	r.writers.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.writers.Add(-1)
+	select {
+	case r.handoff <- struct{}{}:
+	default:
+	}
+	if err := r.ensureLease(); err != nil {
+		return err
+	}
+	return fn()
+}
+
+// writerWaiting reports, to a caller holding mu that is about to release
+// it, whether a write call is waiting for mu; it clears handoff of
+// signals from writers that held mu before. A caller told true
+// unlocks and then waits on handoff (awaitWriter) before it locks again,
+// so the waiting writer gets in between.
+func (r *Router) writerWaiting() bool {
+	select {
+	case <-r.handoff:
+	default:
+	}
+	return r.writers.Load() > 0
+}
+
+// awaitWriter waits, within ctx, until a write call has taken mu.
+func (r *Router) awaitWriter(ctx context.Context) {
+	select {
+	case <-r.handoff:
+	case <-ctx.Done():
+	}
 }
 
 // Ready probes every partition's /readyz; nil means the whole fleet is
@@ -351,7 +416,17 @@ func (r *Router) writeAttemptCtx(parent context.Context) (context.Context, conte
 func (r *Router) withRetry(p *remote, write bool, fn func(ctx context.Context) error) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.budget)
 	defer cancel()
-	var lastErr error
+	return r.retryAfter(ctx, p, write, nil, fn)
+}
+
+// retryAfter is withRetry's loop under the budget ctx, after a first
+// attempt that failed retryably with failed (nil: none was made): it
+// waits for /readyz before the next.
+func (r *Router) retryAfter(ctx context.Context, p *remote, write bool, failed error, fn func(ctx context.Context) error) error {
+	lastErr := failed
+	if failed != nil {
+		r.awaitReady(ctx, p)
+	}
 	for ctx.Err() == nil {
 		actx, acancel := ctx, context.CancelFunc(func() {})
 		if write {
@@ -438,70 +513,149 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 // attempts, and every attempt re-sends the same body under the same id:
 // a partition that applied the batch, or a prefix of it, before the
 // reply was lost answers that part from its memo and applies the rest.
+//
+// A batch travels over each partition's ingest stream (see stream.go),
+// opened on the first batch: the first attempt writes the frame to every
+// partition from this goroutine, then reads the replies in partition
+// order. Only a partition that failed retryably, or takes POSTs, gets a
+// goroutine of its own, for the retry loop.
 func (r *Router) AddBatchOnce(id paretomon.BatchID, objs []paretomon.Object) ([]paretomon.Delivery, error) {
 	if len(objs) == 0 {
 		return []paretomon.Delivery{}, nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ensureLease(); err != nil {
-		return nil, err
-	}
-	// Every partition ingests the same batch: encode it once and share
-	// the bytes. A fresh slice per call, sized by the last one, because
-	// the transport may still be reading a request body after Do returns
-	// (an early 409, say) and promises only to close it eventually.
-	body := wire.AppendBatch(make([]byte, 0, r.bodyHint), objs)
-	r.bodyHint = len(body)
-	own := id == (paretomon.BatchID{})
-	if own {
-		if r.failedBody == nil || !bytes.Equal(body, r.failedBody) {
-			r.seq++
-			r.failedID = paretomon.BatchID{Writer: r.writer, Seq: r.seq}
-		}
-		id, r.failedBody = r.failedID, nil
-	}
-	hdr := []string{id.String()}
 	var out []paretomon.Delivery
-	err := r.ringRetry("AddBatch", func() error {
-		parts := r.remotes()
-		results := make([][]paretomon.Delivery, len(parts))
-		errs := make([]error, len(parts))
-		fanOut(parts, func(i int, p *remote) {
-			errs[i] = r.withRetry(p, true, func(ctx context.Context) (err error) {
-				results[i], err = p.postBatch(ctx, body, hdr, objs)
-				return err
-			})
-		})
-		if err := collect("AddBatch", errs); err != nil {
-			return err
-		}
-		out = mergeDeliveries(objs, results)
-		return nil
-	})
-	if err != nil {
+	err := r.write(func() error {
+		// Every partition ingests the same batch: encode it once and share
+		// the bytes. A fresh slice per call, sized by the last one, because
+		// the transport may still be reading a POST's body after Do returns
+		// (an early 409, say) and promises only to close it eventually.
+		body := wire.AppendBatch(make([]byte, 0, r.bodyHint), objs)
+		r.bodyHint = len(body)
+		own := id == (paretomon.BatchID{})
 		if own {
+			if r.failedBody == nil || !bytes.Equal(body, r.failedBody) {
+				r.seq++
+				r.failedID = paretomon.BatchID{Writer: r.writer, Seq: r.seq}
+			}
+			id, r.failedBody = r.failedID, nil
+		}
+		hdr := []string{id.String()}
+		err := r.ringRetry("AddBatch", func() error {
+			parts := r.remotes()
+			results := make([][]paretomon.Delivery, len(parts))
+			errs := make([]error, len(parts))
+			r.frame = wire.AppendBatchFrame(r.frame[:0], hdr[0], r.ringVer.Load(), body)
+			frame := r.frame
+			if len(frame)-wire.FrameHeader > wire.MaxRequestPayload {
+				frame = nil // a POST, answered 413 past the partition's body limit
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), r.budget)
+			defer cancel()
+			if r.streamBatch(ctx, parts, frame, objs, results, errs) {
+				fanOut(parts, func(i int, p *remote) {
+					if results[i] != nil || errs[i] != nil && !retryable(errs[i]) {
+						return // answered, or refused for good
+					}
+					errs[i] = r.retryAfter(ctx, p, true, errs[i], func(ctx context.Context) (err error) {
+						results[i], err = p.addBatch(ctx, frame, body, hdr, objs)
+						return err
+					})
+				})
+			}
+			if err := collect("AddBatch", errs); err != nil {
+				return err
+			}
+			out = mergeDeliveries(objs, results)
+			return nil
+		})
+		if err != nil && own {
 			r.failedBody = body
 		}
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// streamBatch is a batch's first attempt on every partition with an
+// ingest stream, open or opened now: the frame goes to each from this
+// goroutine, then the replies are read in partition order, all within
+// one lease-fenced attempt of ctx. It fills results and errs for the
+// partitions it tried and reports whether any partition is left for the
+// retry loop: one that failed retryably, or one that takes POSTs (it
+// refused the stream, or frame is nil).
+func (r *Router) streamBatch(ctx context.Context, parts []*remote, frame []byte, objs []paretomon.Object, results [][]paretomon.Delivery, errs []error) (rest bool) {
+	actx, acancel, err := r.writeAttemptCtx(ctx)
+	if err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return false
+	}
+	defer acancel()
+	sent := make([]*stream, len(parts))
+	for i, p := range parts {
+		if frame == nil || p.refused.Load() {
+			rest = true
+			continue
+		}
+		st, err := p.ingest(actx)
+		if errors.Is(err, errRefused) {
+			p.refused.Store(true)
+			rest = true
+			continue
+		}
+		if err == nil {
+			err = st.send(actx, frame)
+		}
+		if err != nil {
+			errs[i], rest = err, true
+			continue
+		}
+		sent[i] = st
+	}
+	for i, st := range sent {
+		if st == nil {
+			continue
+		}
+		results[i], errs[i] = st.receive(actx, objs)
+		rest = rest || errs[i] != nil && retryable(errs[i])
+	}
+	return rest
 }
 
 // mergeDeliveries unions each object's per-partition targets into one
 // community-wide delivery, sorted and deduplicated like a Monitor's —
 // dedup matters during migration's crash window, where a user can
 // transiently be held by both the source and the destination and must
-// still be delivered to once.
+// still be delivered to once. An object only one partition delivers
+// keeps that partition's list, which is sorted already.
 func mergeDeliveries(objs []paretomon.Object, results [][]paretomon.Delivery) []paretomon.Delivery {
 	out := make([]paretomon.Delivery, len(objs))
 	for i, o := range objs {
-		users := []string{}
+		n, named := 0, 0
+		var only []string
 		for _, ds := range results {
-			users = append(users, ds[i].Users...)
+			if us := ds[i].Users; len(us) > 0 {
+				n, named, only = n+len(us), named+1, us
+			}
 		}
-		slices.Sort(users)
-		out[i] = paretomon.Delivery{Object: o.Name, Users: slices.Compact(users)}
+		users := []string{}
+		switch named {
+		case 0:
+		case 1:
+			users = only
+		default:
+			users = make([]string, 0, n)
+			for _, ds := range results {
+				users = append(users, ds[i].Users...)
+			}
+			slices.Sort(users)
+			users = slices.Compact(users)
+		}
+		out[i] = paretomon.Delivery{Object: o.Name, Users: users}
 	}
 	return out
 }
@@ -565,25 +719,19 @@ func (r *Router) AddUser(name string, prefs []paretomon.Preference) error {
 	for i, pr := range prefs {
 		req.Preferences[i] = preferencePayload{Attribute: pr.Attr, Better: pr.Better, Worse: pr.Worse}
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ensureLease(); err != nil {
-		return err
-	}
-	return r.ownerOp(name, true, func(ctx context.Context, p *remote) error {
-		return p.do(ctx, http.MethodPost, "/users", req, nil)
+	return r.write(func() error {
+		return r.ownerOp(name, true, func(ctx context.Context, p *remote) error {
+			return p.do(ctx, http.MethodPost, "/users", req, nil)
+		})
 	})
 }
 
 // RemoveUser removes a user from its owning partition.
 func (r *Router) RemoveUser(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ensureLease(); err != nil {
-		return err
-	}
-	err := r.ownerOp(name, true, func(ctx context.Context, p *remote) error {
-		return p.do(ctx, http.MethodDelete, "/users/"+url.PathEscape(name), nil, nil)
+	err := r.write(func() error {
+		return r.ownerOp(name, true, func(ctx context.Context, p *remote) error {
+			return p.do(ctx, http.MethodDelete, "/users/"+url.PathEscape(name), nil, nil)
+		})
 	})
 	return mapNotFound(err, paretomon.ErrUnknownUser)
 }
@@ -592,13 +740,10 @@ func (r *Router) RemoveUser(name string) error {
 // partition.
 func (r *Router) AddPreference(user, attr, better, worse string) error {
 	req := preferencePayload{User: user, Attribute: attr, Better: better, Worse: worse}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ensureLease(); err != nil {
-		return err
-	}
-	err := r.ownerOp(user, true, func(ctx context.Context, p *remote) error {
-		return p.do(ctx, http.MethodPost, "/preferences", req, nil)
+	err := r.write(func() error {
+		return r.ownerOp(user, true, func(ctx context.Context, p *remote) error {
+			return p.do(ctx, http.MethodPost, "/preferences", req, nil)
+		})
 	})
 	return mapNotFound(err, paretomon.ErrUnknownUser)
 }
@@ -607,13 +752,10 @@ func (r *Router) AddPreference(user, attr, better, worse string) error {
 // owning partition.
 func (r *Router) RetractPreference(user, attr, better, worse string) error {
 	req := preferencePayload{User: user, Attribute: attr, Better: better, Worse: worse}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ensureLease(); err != nil {
-		return err
-	}
-	err := r.ownerOp(user, true, func(ctx context.Context, p *remote) error {
-		return p.do(ctx, http.MethodDelete, "/preferences", req, nil)
+	err := r.write(func() error {
+		return r.ownerOp(user, true, func(ctx context.Context, p *remote) error {
+			return p.do(ctx, http.MethodDelete, "/preferences", req, nil)
+		})
 	})
 	return mapNotFound(err, paretomon.ErrUnknownPreference)
 }
@@ -623,11 +765,11 @@ func (r *Router) RetractPreference(user, attr, better, worse string) error {
 // *RouteError; re-issuing is safe (partitions that already removed it
 // answer 404, which the Router treats as done).
 func (r *Router) RemoveObject(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.ensureLease(); err != nil {
-		return err
-	}
+	return r.write(func() error { return r.removeObject(name) })
+}
+
+// removeObject is RemoveObject's body; the caller holds mu and the lease.
+func (r *Router) removeObject(name string) error {
 	return r.ringRetry("RemoveObject", func() error {
 		parts := r.remotes()
 		errs := make([]error, len(parts))

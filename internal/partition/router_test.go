@@ -19,7 +19,7 @@ import (
 // testSchema builds a small community whose users disagree enough that
 // frontiers differ per user: three attributes with five values each,
 // user i preferring a chain rotated by i.
-func testCommunity(t *testing.T, users int) *paretomon.Community {
+func testCommunity(t testing.TB, users int) *paretomon.Community {
 	t.Helper()
 	attrs := []string{"a", "b", "c"}
 	com := paretomon.NewCommunity(paretomon.NewSchema(attrs...))
@@ -114,6 +114,19 @@ func startFleet(t *testing.T, com *paretomon.Community, n int, extra ...paretomo
 		RetryBudget: 5 * time.Second,
 	})
 	return f
+}
+
+// postOnly serves h as a partition that has no ingest stream (a build
+// before it) would: GET /objects/stream is 404, so the router sends its
+// batches as POST /objects/batch, which h sees.
+func postOnly(h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects/stream" {
+			http.NotFound(w, r)
+			return
+		}
+		h(w, r)
+	})
 }
 
 // newRouter is partition.New with a 5 ms retry interval unless cfg sets
@@ -385,10 +398,11 @@ func testRouterRetryResume(t *testing.T, window int) {
 	defer f.close()
 
 	// Wrap partition 0 in a proxy that applies the first batch on the
-	// backend but answers 500 — the "response lost in transit" crash.
+	// backend but answers 500 — the "response lost in transit" crash. It
+	// takes POSTs only; TestStreamFaultsApplyOnce loses a reply frame.
 	var injected atomic.Int32
 	backend := f.https[0].Config.Handler
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	flaky := httptest.NewServer(postOnly(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/objects/batch" && injected.Add(1) == 1 {
 			rec := httptest.NewRecorder()
 			backend.ServeHTTP(rec, r) // backend applies the batch
@@ -443,7 +457,7 @@ func TestRouterLostRequestWithHeldName(t *testing.T) {
 			defer f.close()
 			var drop atomic.Bool
 			backend := f.https[0].Config.Handler
-			flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			flaky := httptest.NewServer(postOnly(func(w http.ResponseWriter, r *http.Request) {
 				if r.Method == http.MethodPost && r.URL.Path == "/objects/batch" && drop.CompareAndSwap(true, false) {
 					w.Header().Set("Content-Type", "application/json")
 					w.WriteHeader(http.StatusInternalServerError)

@@ -189,7 +189,7 @@ func TestRouterResendsOnlyUnappliedSuffix(t *testing.T) {
 	var mu sync.Mutex
 	var posts []string
 	backend := f.https[0].Config.Handler
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	flaky := httptest.NewServer(postOnly(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/objects/batch" {
 			backend.ServeHTTP(w, r)
 			return

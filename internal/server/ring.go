@@ -21,15 +21,14 @@ import (
 // ringMetaKey is the store meta key holding the accepted ring payload.
 const ringMetaKey = "ring"
 
-// checkRing enforces the ring-version agreement on a mutating request.
-// It reports true when the write may proceed; otherwise it has written
-// the 409 (with the installed version in the response RingHeader) and
-// the handler must return.
-func (s *Server) checkRing(w http.ResponseWriter, r *http.Request) bool {
+// checkRing enforces the ring-version agreement on a mutating request
+// whose RingHeader value is hdr. It reports true when the write may
+// proceed; otherwise it has written the 409 (with the installed version
+// in the response RingHeader) and the handler must return.
+func (s *Server) checkRing(w http.ResponseWriter, hdr string) bool {
 	s.ringMu.Lock()
 	cur := s.ringVer
 	s.ringMu.Unlock()
-	hdr := r.Header.Get(partition.RingHeader)
 	if hdr == "" {
 		if cur == 0 {
 			return true
@@ -167,7 +166,7 @@ func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 // a new one has moved on. 409 with ErrMigrateMismatch when the
 // watermark disagrees with this partition's stream position.
 func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r) {
+	if !s.checkRing(w, r.Header.Get(partition.RingHeader)) {
 		return
 	}
 	added, skipped, err := s.mon.ImportUsers(r.Body)
@@ -190,7 +189,7 @@ func (s *Server) handleObjectsExport(w http.ResponseWriter, r *http.Request) {
 // export stream, skipping the already-held prefix. Ring-gated for the
 // same reason as /migrate/import.
 func (s *Server) handleObjectsImport(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r) {
+	if !s.checkRing(w, r.Header.Get(partition.RingHeader)) {
 		return
 	}
 	applied, err := s.mon.ImportObjects(r.Body)

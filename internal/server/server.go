@@ -83,6 +83,9 @@ type Gate interface {
 //	  → 200 {"deliveries": [{"object": "o1", "users": [...]}, ...]}
 //	  with X-Paretomon-Batch: <writer>/<seq>, a re-sent batch applies once
 //	  and is answered as at arrival (paretomon.Monitor.AddBatchOnce)
+//	GET    /objects/stream    Connection: Upgrade, Upgrade: paretomon-batch
+//	  → 101, then POST /objects/batch as frames on the same connection
+//	  (see handleStream and internal/wire); 501 when it cannot switch
 //	DELETE /objects/{object}  → 200 {"status": "ok"}          (v3 lifecycle)
 //	POST   /users             {"name": "c9", "preferences": [{"attribute": "brand",
 //	                           "better": "Apple", "worse": "Sony"}, ...]}
@@ -318,9 +321,14 @@ const maxBodyBytes = 32 << 20
 // buffer's bytes). It answers a body that does not decode itself (see
 // badBody) and reports false.
 func readBody[T any](w http.ResponseWriter, r *http.Request, decode func(*wire.Buffer) (T, error)) (v T, ok bool) {
+	return decodeBody(w, func(b *wire.Buffer) error { return b.ReadAll(r.Body, maxBodyBytes) }, decode)
+}
+
+// decodeBody is readBody over a body that read puts into the buffer.
+func decodeBody[T any](w http.ResponseWriter, read func(*wire.Buffer) error, decode func(*wire.Buffer) (T, error)) (v T, ok bool) {
 	buf := wire.GetBuffer()
 	defer buf.Free()
-	err := buf.ReadAll(r.Body, maxBodyBytes)
+	err := read(buf)
 	if err == nil {
 		v, err = decode(buf)
 	}
@@ -379,21 +387,25 @@ type facade struct {
 	// gate, when set, is consulted before every quota-metered mutation;
 	// see the Gate interface.
 	gate Gate
-	// fence, when set, vets every mutating request; on refusal it has
-	// answered the request itself and reports false.
-	fence func(http.ResponseWriter, *http.Request) bool
+	// fence, when set, vets every mutating request by its RingHeader
+	// value; on refusal it has answered the request itself and reports
+	// false.
+	fence func(w http.ResponseWriter, ring string) bool
 
 	// done is closed by Close, cancelling in-flight streams.
 	done      chan struct{}
 	closeOnce sync.Once
+	// shut ends ingest streams on Shutdown; see handleStream.
+	shut shutdowns
 }
 
 // init builds the mux and registers the shared route table over drv.
-func (f *facade) init(drv paretomon.Driver, fence func(http.ResponseWriter, *http.Request) bool) {
+func (f *facade) init(drv paretomon.Driver, fence func(w http.ResponseWriter, ring string) bool) {
 	f.drv, f.fence = drv, fence
 	f.mux, f.done = http.NewServeMux(), make(chan struct{})
 	f.mux.HandleFunc("POST /objects", f.handleObjects)
 	f.mux.HandleFunc("POST /objects/batch", f.handleBatch)
+	f.mux.HandleFunc("GET /objects/stream", f.handleStream)
 	f.mux.HandleFunc("DELETE /objects/{object}", f.handleObjectDelete)
 	f.mux.HandleFunc("GET /users", f.handleUsersList)
 	f.mux.HandleFunc("POST /users", f.handleUserAdd)
@@ -423,7 +435,7 @@ func (f *facade) Close() error {
 
 // admit reports whether a mutating request may proceed past the fence.
 func (f *facade) admit(w http.ResponseWriter, r *http.Request) bool {
-	return f.fence == nil || f.fence(w, r)
+	return f.fence == nil || f.fence(w, r.Header.Get(partition.RingHeader))
 }
 
 func (f *facade) handleObjects(w http.ResponseWriter, r *http.Request) {
@@ -451,18 +463,29 @@ func (f *facade) handleObjects(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *facade) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !f.admit(w, r) {
+	f.applyBatch(w, r.Header.Get(partition.RingHeader), r.Header.Get(partition.BatchHeader), func(b *wire.Buffer) error {
+		return b.ReadAll(r.Body, maxBodyBytes)
+	})
+}
+
+// applyBatch is POST /objects/batch past the transport, for the request
+// and for the ingest stream's frames alike: the ring fence on ring (the
+// RingHeader value), the batch id batch (the BatchHeader value), the
+// body read reads into a pooled buffer, the quota gate, the batch-id
+// memo of AddBatchOnce and the mapping of every error to its answer.
+func (f *facade) applyBatch(w http.ResponseWriter, ring, batch string, read func(*wire.Buffer) error) {
+	if f.fence != nil && !f.fence(w, ring) {
 		return
 	}
 	var id paretomon.BatchID
-	if h := r.Header.Get(partition.BatchHeader); h != "" {
+	if batch != "" {
 		var err error
-		if id, err = paretomon.ParseBatchID(h); err != nil {
+		if id, err = paretomon.ParseBatchID(batch); err != nil {
 			writeError(w, err)
 			return
 		}
 	}
-	objs, ok := readBody(w, r, wire.DecodeBatch)
+	objs, ok := decodeBody(w, read, wire.DecodeBatch)
 	if !ok {
 		return
 	}
