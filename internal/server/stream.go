@@ -27,13 +27,21 @@ const switchingProtocols = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgr
 //
 // A switched connection is outside http.Server's bookkeeping: the stream
 // ends when the client closes it, on Close, and on Shutdown of the
-// http.Server that accepted it.
+// http.Server that accepted it. After Close the upgrade is refused (503).
 func (f *facade) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !hasToken(r.Header["Connection"], "upgrade") || !hasToken(r.Header["Upgrade"], wire.StreamProtocol) {
 		w.Header().Set("Connection", "Upgrade")
 		w.Header().Set("Upgrade", wire.StreamProtocol)
 		httpError(w, http.StatusUpgradeRequired, "GET /objects/stream needs Connection: Upgrade and Upgrade: %s", wire.StreamProtocol)
 		return
+	}
+	select {
+	case <-f.done:
+		// Requests still route after Close; a new stream would be cut at
+		// once, so its batches go as POSTs instead.
+		httpError(w, http.StatusServiceUnavailable, "server shutting down")
+		return
+	default:
 	}
 	conn, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {

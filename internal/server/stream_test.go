@@ -171,8 +171,8 @@ func TestStreamRefusals(t *testing.T) {
 	}
 }
 
-// TestStreamTeardown: with an ingest stream open, Server.Close ends it,
-// http.Server.Shutdown returns and ends it, and httptest.Server.Close
+// TestStreamTeardown: with an ingest stream open, Server.Close ends it
+// (and refuses a new one, 503), http.Server.Shutdown returns and ends it, and httptest.Server.Close
 // returns with it open — a switched connection is outside both servers'
 // bookkeeping — and it ends when the client closes it. Ending, the
 // partition's handler goroutine returns.
@@ -224,10 +224,14 @@ func TestStreamTeardown(t *testing.T) {
 	}
 
 	t.Run("Server.Close", func(t *testing.T) {
-		serve, _ := testServer(t)
+		serve, ts := testServer(t)
 		srv, in, exited := start(t, serve)
 		returns(t, "Server.Close", func() { srv.Close() })
 		ended(t, in, exited)
+		resp, data := send(t, http.MethodGet, (*ts).URL+"/objects/stream", "", "Connection", "Upgrade", "Upgrade", wire.StreamProtocol)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("an upgrade after Close: %d %s, want 503", resp.StatusCode, data)
+		}
 	})
 	t.Run("http.Server.Shutdown", func(t *testing.T) {
 		var hs *http.Server
