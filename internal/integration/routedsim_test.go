@@ -132,19 +132,23 @@ func (n *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 
-	ctx, cancel := context.WithCancel(req.Context())
+	pr, pw := io.Pipe()
+	w := &simWriter{header: http.Header{}, pw: pw, sent: make(chan struct{})}
+	var near net.Conn // the router's end of an ingest stream; w.conn the partition's
+	base := req.Context()
+	if !n.plain && req.URL.Path == "/objects/stream" {
+		a, b := net.Pipe()
+		w.conn, near = &simConn{Conn: a, n: n, host: host}, &simConn{Conn: b, n: n}
+		// A switched connection outlives the request that opened it: the
+		// partition's request context is not the router's attempt's.
+		base = context.WithoutCancel(base)
+	}
+	ctx, cancel := context.WithCancel(base)
 	sreq := req.Clone(ctx)
 	if sreq.Body == nil {
 		sreq.Body = http.NoBody
 	}
 	sreq.RequestURI = req.URL.RequestURI()
-	pr, pw := io.Pipe()
-	w := &simWriter{header: http.Header{}, pw: pw, sent: make(chan struct{})}
-	var near net.Conn // the router's end of an ingest stream; w.conn the partition's
-	if !n.plain && req.URL.Path == "/objects/stream" {
-		a, b := net.Pipe()
-		w.conn, near = &simConn{Conn: a, n: n, host: host}, &simConn{Conn: b, n: n}
-	}
 	go func() {
 		defer func() {
 			w.WriteHeader(http.StatusOK)

@@ -28,9 +28,11 @@ type client struct {
 	// echoing the header back decodes to *RingVersionError.
 	ring *atomic.Uint64
 
-	// smu guards st, the partition's open ingest stream (nil: none).
-	smu sync.Mutex
-	st  *stream
+	// smu guards st, the partition's open ingest stream (nil: none), and
+	// retired, set once the ring no longer names the partition.
+	smu     sync.Mutex
+	st      *stream
+	retired bool
 }
 
 func newClient(base string, hc *http.Client, ring *atomic.Uint64) *client {

@@ -84,12 +84,11 @@ func (r *Router) installRing(rg *Ring) {
 		} else {
 			c := newClient(u, r.hc, &r.ringVer)
 			parts[i] = &remote{client: c, idx: i, url: c.base}
-			r.clients = append(r.clients, c)
 		}
 	}
 	// A partition the ring no longer names gets no more batches.
 	for _, p := range byURL {
-		p.closeStream()
+		p.closeStream(true)
 	}
 	r.parts = parts
 	r.ring = rg

@@ -89,9 +89,9 @@ type remote struct {
 	*client
 	idx int
 	url string
-	// refused is set once the partition answered the ingest stream's
-	// upgrade with anything but 101: its batches go out as POSTs until a
-	// ring install replaces this remote (see stream.go).
+	// refused is set once the partition said it has no ingest stream:
+	// its batches go out as POSTs until a ring install replaces this
+	// remote (see stream.go).
 	refused atomic.Bool
 }
 
@@ -124,9 +124,6 @@ type Router struct {
 	ring   *Ring
 	// ringVer is shared with every client by pointer.
 	ringVer atomic.Uint64
-	// clients is every client the Router made (guarded by ringMu), so
-	// Close ends every ingest stream, a retired partition's too.
-	clients []*client
 
 	// Router HA lease state; see rebalance.go.
 	leaseID  string
@@ -203,7 +200,6 @@ func New(cfg Config) (*Router, error) {
 	for i, u := range cfg.URLs {
 		c := newClient(u, hc, &r.ringVer)
 		r.parts = append(r.parts, &remote{client: c, idx: i, url: c.base})
-		r.clients = append(r.clients, c)
 	}
 	return r, nil
 }
@@ -249,11 +245,8 @@ func (r *Router) HTTPClient() *http.Client { return r.hc }
 // immediately. The partitions are independent processes and keep
 // running.
 func (r *Router) Close() error {
-	r.ringMu.RLock()
-	clients := r.clients
-	r.ringMu.RUnlock()
-	for _, c := range clients {
-		c.closeStream()
+	for _, p := range r.remotes() {
+		p.closeStream(false)
 	}
 	r.releaseLease()
 	return nil
@@ -553,11 +546,15 @@ func (r *Router) AddBatchOnce(id paretomon.BatchID, objs []paretomon.Object) ([]
 			defer cancel()
 			if r.streamBatch(ctx, parts, frame, objs, results, errs) {
 				fanOut(parts, func(i int, p *remote) {
+					f := frame
+					if errors.Is(errs[i], errNotNow) {
+						f, errs[i] = nil, nil // this batch goes as a POST
+					}
 					if results[i] != nil || errs[i] != nil && !retryable(errs[i]) {
 						return // answered, or refused for good
 					}
 					errs[i] = r.retryAfter(ctx, p, true, errs[i], func(ctx context.Context) (err error) {
-						results[i], err = p.addBatch(ctx, frame, body, hdr, objs)
+						results[i], err = p.addBatch(ctx, f, body, hdr, objs)
 						return err
 					})
 				})

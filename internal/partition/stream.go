@@ -18,13 +18,21 @@ import (
 // instead of one POST /objects/batch each. The stream changes only the
 // transport: a request frame carries the POST's body, batch id and ring
 // version, a reply frame its status, ring version and body, and the
-// partition answers both from one function. A partition that answers the
-// upgrade with anything but 101 — an older build (404), a ResponseWriter
-// that cannot hand its connection over (501), a proxy — gets POSTs, as
-// before, until a ring install replaces its remote.
+// partition answers both from one function. A partition that says it has
+// no stream — an older build (404, 405), a ResponseWriter that cannot hand
+// its connection over (501), a proxy that strips Upgrade (426) — gets
+// POSTs, as before, until a ring install replaces its remote. Any other
+// answer (a 503 from a closing or restarting partition, a tenant's 401 or
+// 429) sends only the batch at hand as a POST, whose answer stands; the
+// next batch asks for the stream again.
 
-// errRefused is an upgrade answered with anything but 101.
-var errRefused = errors.New("partition: the partition did not switch to the ingest stream")
+var (
+	// errRefused is an upgrade answered as if the route were missing or
+	// the connection could not switch.
+	errRefused = errors.New("partition: the partition has no ingest stream")
+	// errNotNow is an upgrade answered with any other status.
+	errNotNow = errors.New("partition: the partition did not switch to the ingest stream")
+)
 
 // stream is one open ingest stream.
 type stream struct {
@@ -42,8 +50,9 @@ type stream struct {
 
 // openStream asks the partition to switch GET /objects/stream to the
 // ingest stream, within ctx. A transport error is returned as-is
-// (retryable); an answer other than 101, or a client that does not hand
-// the connection over (an http.Client with a Timeout), is errRefused.
+// (retryable); 404, 405, 426, 501 or a client that does not hand the
+// connection over (an http.Client with a Timeout) is errRefused, any other
+// answer but 101 errNotNow.
 func (c *client) openStream(ctx context.Context) (*stream, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/objects/stream", nil)
 	if err != nil {
@@ -59,7 +68,13 @@ func (c *client) openStream(ctx context.Context) (*stream, error) {
 	if resp.StatusCode != http.StatusSwitchingProtocols || !ok {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 		resp.Body.Close()
-		return nil, fmt.Errorf("%w: GET /objects/stream answered %s", errRefused, resp.Status)
+		why := errNotNow
+		switch resp.StatusCode {
+		case http.StatusSwitchingProtocols, http.StatusNotFound, http.StatusMethodNotAllowed,
+			http.StatusUpgradeRequired, http.StatusNotImplemented:
+			why = errRefused
+		}
+		return nil, fmt.Errorf("%w: GET /objects/stream answered %s", why, resp.Status)
 	}
 	st := &stream{c: c, rw: rw, br: bufio.NewReader(rw)}
 	st.closeFn = func() { st.rw.Close() }
@@ -67,29 +82,40 @@ func (c *client) openStream(ctx context.Context) (*stream, error) {
 }
 
 // ingest returns the partition's open ingest stream, opening one within
-// ctx when none is.
+// ctx when none is. A retired client opens none: its batches go as POSTs.
 func (c *client) ingest(ctx context.Context) (*stream, error) {
 	c.smu.Lock()
-	st := c.st
+	st, retired := c.st, c.retired
 	c.smu.Unlock()
 	if st != nil {
 		return st, nil
+	}
+	if retired {
+		return nil, fmt.Errorf("%w: %s left the ring", errRefused, c.base)
 	}
 	st, err := c.openStream(ctx)
 	if err != nil {
 		return nil, err
 	}
 	c.smu.Lock()
+	defer c.smu.Unlock()
+	if c.retired {
+		st.closeFn()
+		return nil, fmt.Errorf("%w: %s left the ring", errRefused, c.base)
+	}
 	c.st = st
-	c.smu.Unlock()
 	return st, nil
 }
 
-// closeStream closes the partition's ingest stream, if one is open.
-func (c *client) closeStream() {
+// closeStream closes the partition's ingest stream, if one is open;
+// retire also keeps the client from opening another (the ring no longer
+// names the partition, but a batch that snapshot the old ring may still
+// be on its way to it).
+func (c *client) closeStream(retire bool) {
 	c.smu.Lock()
 	st := c.st
 	c.st = nil
+	c.retired = c.retired || retire
 	c.smu.Unlock()
 	if st != nil {
 		st.closeFn()
@@ -165,13 +191,15 @@ func (st *stream) receive(ctx context.Context, sent []paretomon.Object) ([]paret
 
 // addBatch is one attempt at a batch on p after its first: over p's
 // ingest stream (opened within ctx when none is), or as a POST when p
-// refused the stream or frame is nil (a batch too long for a frame).
+// does not switch to the stream or frame is nil (a batch too long for a
+// frame, or one p would not take a stream for).
 func (p *remote) addBatch(ctx context.Context, frame, body []byte, batch []string, sent []paretomon.Object) ([]paretomon.Delivery, error) {
 	if frame != nil && !p.refused.Load() {
 		st, err := p.ingest(ctx)
 		switch {
 		case errors.Is(err, errRefused):
 			p.refused.Store(true)
+		case errors.Is(err, errNotNow):
 		case err != nil:
 			return nil, err
 		default:

@@ -217,6 +217,64 @@ func TestStreamExchangeFencedByLease(t *testing.T) {
 	}
 }
 
+// TestStreamUpgradeAnswers: a partition that answers the first upgrade
+// with a status saying it has no stream (404, 426) gets POSTs from then
+// on; one that answers anything else (503 while closing, 429) gets that
+// batch as a POST and the next one over the stream.
+func TestStreamUpgradeAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		status       int
+		opens, posts int32
+	}{
+		{http.StatusServiceUnavailable, 2, 1},
+		{http.StatusTooManyRequests, 2, 1},
+		{http.StatusNotFound, 1, 2},
+		{http.StatusUpgradeRequired, 1, 2},
+	} {
+		t.Run(strconv.Itoa(tc.status), func(t *testing.T) {
+			com := testCommunity(t, 24)
+			f := startFleet(t, com, 2)
+			defer f.close()
+			var opens, posts atomic.Int32
+			backend := f.https[0].Config.Handler
+			refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/objects/stream":
+					if opens.Add(1) == 1 {
+						http.Error(w, "not now", tc.status)
+						return
+					}
+				case "/objects/batch":
+					posts.Add(1)
+				}
+				backend.ServeHTTP(w, r)
+			}))
+			defer refusing.Close()
+			rt := newRouter(t, partition.Config{URLs: []string{refusing.URL, f.https[1].URL}})
+			defer rt.Close()
+			objs := stream(16)
+			for _, batch := range [][]paretomon.Object{objs[:8], objs[8:]} {
+				want, err := f.ref.AddBatch(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rt.AddBatch(batch)
+				if err != nil {
+					t.Fatalf("AddBatch: %v", err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("deliveries:\nreference %v\nrouter    %v", want, got)
+				}
+			}
+			if n, p := opens.Load(), posts.Load(); n != tc.opens || p != tc.posts {
+				t.Fatalf("%d upgrades asked and %d POSTs, want %d and %d", n, p, tc.opens, tc.posts)
+			}
+			f.router = rt
+			assertIdentical(t, f, 16)
+		})
+	}
+}
+
 // hideHijack wraps a ResponseWriter without Hijack or Unwrap, as a
 // telemetry or tracing wrapper does: the partition answers the upgrade
 // 501, and the router sends POSTs.

@@ -26,8 +26,10 @@ const switchingProtocols = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgr
 // and the router sends its batches as POSTs instead.
 //
 // A switched connection is outside http.Server's bookkeeping: the stream
-// ends when the client closes it, on Close, and on Shutdown of the
-// http.Server that accepted it. After Close the upgrade is refused (503).
+// ends when the client closes it, on Close, on Shutdown of the
+// http.Server that accepted it, and when r's context ends (a tenant's
+// token rotation or deletion, see TenantServer). After Close the upgrade
+// is refused (503).
 func (f *facade) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !hasToken(r.Header["Connection"], "upgrade") || !hasToken(r.Header["Upgrade"], wire.StreamProtocol) {
 		w.Header().Set("Connection", "Upgrade")
@@ -58,6 +60,7 @@ func (f *facade) handleStream(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-f.done:
 		case <-shutdown:
+		case <-r.Context().Done():
 		case <-ended:
 		}
 		conn.Close()
@@ -65,14 +68,21 @@ func (f *facade) handleStream(w http.ResponseWriter, r *http.Request) {
 	if _, err := brw.WriteString(switchingProtocols); err != nil || brw.Flush() != nil {
 		return
 	}
-	f.streamBatches(conn, brw.Reader)
+	admit, _ := r.Context().Value(admitKey{}).(func() error)
+	f.streamBatches(conn, brw.Reader, admit)
 }
+
+// admitKey carries, in an ingest stream's request context, the check
+// each of its batches passes before it is applied (a tenant's request
+// rate, see TenantServer): the stream stands for one request per batch.
+type admitKey struct{}
 
 // streamBatches answers request frames until the stream ends or a frame
 // cannot be trusted; either way the connection closes, and the router
 // re-sends an unanswered batch under its id on a new one. Each reply
-// goes out in one Write.
-func (f *facade) streamBatches(conn net.Conn, br *bufio.Reader) {
+// goes out in one Write. A batch admit refuses is answered with the
+// refusal and not applied.
+func (f *facade) streamBatches(conn net.Conn, br *bufio.Reader, admit func() error) {
 	var in []byte
 	fw := &frameWriter{h: http.Header{}}
 	for {
@@ -90,13 +100,20 @@ func (f *facade) streamBatches(conn net.Conn, br *bufio.Reader) {
 			hdr = strconv.FormatUint(ring, 10)
 		}
 		fw.reset()
-		f.applyBatch(fw, hdr, string(id), func(b *wire.Buffer) error {
-			if len(body) > maxBodyBytes {
-				return wire.ErrTooLarge
-			}
-			b.B = append(b.B[:0], body...)
-			return nil
-		})
+		if admit != nil {
+			err = admit()
+		}
+		if err != nil {
+			httpError(fw, statusOf(err), "%v", err)
+		} else {
+			f.applyBatch(fw, hdr, string(id), func(b *wire.Buffer) error {
+				if len(body) > maxBodyBytes {
+					return wire.ErrTooLarge
+				}
+				b.B = append(b.B[:0], body...)
+				return nil
+			})
+		}
 		if _, err := conn.Write(fw.frame()); err != nil {
 			return
 		}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	paretomon "repro"
 	"repro/internal/partition"
 	"repro/internal/server"
+	"repro/internal/tenant"
 	"repro/internal/wire"
 )
 
@@ -25,8 +27,8 @@ type ingest struct {
 }
 
 // dialIngest opens an ingest stream on the server at url, which must
-// answer 101.
-func dialIngest(t *testing.T, url string) *ingest {
+// answer 101; header holds further request header pairs.
+func dialIngest(t *testing.T, url string, header ...string) *ingest {
 	t.Helper()
 	req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, url+"/objects/stream", nil)
 	if err != nil {
@@ -34,6 +36,9 @@ func dialIngest(t *testing.T, url string) *ingest {
 	}
 	req.Header.Set("Connection", "Upgrade")
 	req.Header.Set("Upgrade", wire.StreamProtocol)
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -262,6 +267,89 @@ func TestStreamTeardown(t *testing.T) {
 		case <-exited:
 		case <-time.After(5 * time.Second):
 			t.Fatal("the stream's handler never returned after the client closed it")
+		}
+	})
+}
+
+// TestTenantStream: a tenant's ingest stream stands for one request per
+// batch. Rotating the tenant's token or deleting the tenant cuts it, and
+// the old token opens no new one; each batch is charged to the tenant's
+// request rate, and a batch over it is answered 429, not applied, on a
+// stream that stays open.
+func TestTenantStream(t *testing.T) {
+	body := func(names ...string) string {
+		objs := make([]paretomon.Object, len(names))
+		for i, n := range names {
+			objs[i] = paretomon.Object{Name: n, Values: []string{"Apple", "dual"}}
+		}
+		return string(wire.AppendBatch(nil, objs))
+	}
+	cut := func(t *testing.T, in *ingest, what string) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { _, err := in.br.ReadByte(); done <- err }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("the stream sent bytes after %s", what)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the stream survived %s", what)
+		}
+	}
+	auth := []string{"Authorization", "Bearer tok"}
+
+	t.Run("rotation", func(t *testing.T) {
+		spec := fleetSpec("live")
+		spec.Token = "tok"
+		ts, reg := newFleet(t, nil, nil, spec)
+		in := dialIngest(t, ts.URL+"/t/live", auth...)
+		if got := in.exchange(t, "", "", body("o1")); got.status != 200 {
+			t.Fatalf("a batch on the stream: %+v", got)
+		}
+		if _, err := reg.RotateToken("live", "newtok"); err != nil {
+			t.Fatal(err)
+		}
+		cut(t, in, "token rotation")
+		resp, data := send(t, http.MethodGet, ts.URL+"/t/live/objects/stream", "",
+			"Connection", "Upgrade", "Upgrade", wire.StreamProtocol, "Authorization", "Bearer tok")
+		if resp.StatusCode != http.StatusUnauthorized {
+			t.Fatalf("an upgrade with the old token: %d %s, want 401", resp.StatusCode, data)
+		}
+		in = dialIngest(t, ts.URL+"/t/live", "Authorization", "Bearer newtok")
+		if got := in.exchange(t, "", "", body("o2")); got.status != 200 {
+			t.Fatalf("a batch on the new token's stream: %+v", got)
+		}
+	})
+	t.Run("deletion", func(t *testing.T) {
+		ts, reg := newFleet(t, nil, nil, fleetSpec("doomed"))
+		in := dialIngest(t, ts.URL+"/t/doomed")
+		if got := in.exchange(t, "", "", body("o1")); got.status != 200 {
+			t.Fatalf("a batch on the stream: %+v", got)
+		}
+		if err := reg.Delete("doomed"); err != nil {
+			t.Fatal(err)
+		}
+		cut(t, in, "tenant deletion")
+	})
+	t.Run("rate", func(t *testing.T) {
+		now := time.Unix(0, 0)
+		clock := func() time.Time { return now }
+		spec := fleetSpec("throttled")
+		spec.Quotas.MaxRequestsPerSec = 3
+		ts, _ := newFleet(t, []tenant.Option{tenant.WithClock(clock)}, nil, spec)
+		in := dialIngest(t, ts.URL+"/t/throttled") // the upgrade is one request
+		var codes []int
+		for _, name := range []string{"o1", "o2", "o3"} {
+			codes = append(codes, in.exchange(t, "", "", body(name)).status)
+		}
+		if want := []int{200, 200, 429}; fmt.Sprint(codes) != fmt.Sprint(want) {
+			t.Fatalf("batches on the stream answered %v, want %v", codes, want)
+		}
+		now = now.Add(time.Second)
+		// o3 was not applied: sent again, it is no duplicate.
+		if got := in.exchange(t, "", "", body("o3")); got.status != 200 {
+			t.Fatalf("after the refill: %+v", got)
 		}
 	})
 }

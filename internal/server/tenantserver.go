@@ -188,6 +188,11 @@ func (s *TenantServer) serveTenant(w http.ResponseWriter, r *http.Request, t *te
 	defer cancel()
 	stop := context.AfterFunc(t.SessionContext(), cancel)
 	defer stop()
+	if path == "/objects/stream" {
+		// An ingest stream carries one batch per frame, each charged to
+		// the request rate as the POST it replaces would be.
+		ctx = context.WithValue(ctx, admitKey{}, t.Admit)
+	}
 
 	r2 := r.Clone(ctx)
 	r2.URL.Path = path
