@@ -17,8 +17,11 @@ package integration_test
 // (the host's streams are cut and requests fail until its n-th refused
 // /readyz probe), restart (the same, and a durable partition closes
 // without a snapshot and reopens over its store on that probe, so the
-// router's retry loop brings it back) and lost (the host applies a batch,
-// then its reply — a POST's or a frame — is lost and the stream cut). The other faults are the router's own calls: crash-import and
+// router's retry loop brings it back), lost (the host applies a batch,
+// then its reply — a POST's or a frame — is lost and the stream cut) and
+// lost-user (the same for the reply to a user's arrival or removal, which
+// has no id to be re-sent under). The other faults are the router's own
+// calls: crash-import and
 // crash-commit (an Observe panic after that phase of a migration, then a
 // fresh router's Reconcile), half-ring (a ring pushed to partition 0 only
 // before the router is replaced) and scale-out / scale-in (a Rebalance
@@ -72,6 +75,7 @@ type simHost struct {
 	wake    int                 // refused /readyz probes until the host serves again
 	revive  func() http.Handler // run on the last refused probe: the handler from then on
 	lose    int                 // batch replies still to lose, a POST's or a frame
+	loseOp  int                 // user-mutation replies still to lose
 	streams []net.Conn          // both ends of every ingest stream opened to the host
 }
 
@@ -100,6 +104,18 @@ func (n *simNet) down(host string, wake int, revive func() http.Handler) (pendin
 	return pending
 }
 
+// loseReply loses the reply to host's next batch, or with userOp its
+// next user mutation.
+func (n *simNet) loseReply(host string, userOp bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if userOp {
+		n.hosts[host].loseOp++
+	} else {
+		n.hosts[host].lose++
+	}
+}
+
 func (n *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	n.mu.Lock()
 	host := n.hosts[req.URL.Host]
@@ -116,13 +132,19 @@ func (n *simNet) RoundTrip(req *http.Request) (*http.Response, error) {
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		return nil, fmt.Errorf("simnet: %s is down", req.URL.Host)
+		// A down host refuses the connection: nothing was sent.
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: fmt.Errorf("simnet: %s is down", req.URL.Host)}
 	}
 	h := host.h
 	batch := req.Method == http.MethodPost && req.URL.Path == "/objects/batch"
-	lost := batch && host.lose > 0
-	if lost {
+	userOp := req.Method == http.MethodPost && req.URL.Path == "/users" ||
+		req.Method == http.MethodDelete && strings.HasPrefix(req.URL.Path, "/users/")
+	lost := batch && host.lose > 0 || userOp && host.loseOp > 0
+	switch {
+	case lost && batch:
 		host.lose--
+	case lost:
+		host.loseOp--
 	}
 	n.mu.Unlock()
 	if batch {
@@ -316,7 +338,7 @@ func fleetCommunity(t testing.TB, users int) (*paretomon.Community, map[string][
 // routedFault is one injected fault, run before the call of its step.
 type routedFault struct {
 	step int
-	kind string // down, restart, lost, crash-import, crash-commit, half-ring, scale-out, scale-in
+	kind string // down, restart, lost, lost-user, crash-import, crash-commit, half-ring, scale-out, scale-in
 	part int
 }
 
@@ -377,6 +399,8 @@ type routedSim struct {
 	grown             bool // a partition joined: Delivered no longer sums
 
 	crashAt  string // a migration phase whose Observe event panics, once
+	lostUser int    // 1 + the partition that owns this step's user mutation (lost-user); 0: none
+	userOps  int    // lost-user calls drawn: they alternate between an arrival and a removal
 	healRing uint64 // after the next call, a batch, the ring the fleet must agree on at least
 
 	// A Rebalance beside the history, and whether a batch request went out
@@ -450,11 +474,17 @@ func runRouted(t testing.TB, row routedRow) *routedSim {
 	faults := row.faults
 	for i := 0; i < row.steps; i++ {
 		forced := false
+		s.lostUser = 0
 		for ; len(faults) > 0 && faults[0].step == i; faults = faults[1:] {
 			s.fault(faults[0])
 			forced = forced || faults[0].kind == "restart" || faults[0].kind == "lost" || faults[0].kind == "half-ring"
 		}
 		c := s.next(forced)
+		if s.lostUser > 0 && (c.kind == "adduser" || c.kind == "rmuser") {
+			// Armed only now, so that the other faults' router calls
+			// of this step do not meet it.
+			s.net.loseReply(s.parts[s.lostUser-1].host, true)
+		}
 		s.log = append(s.log, fmt.Sprintf("%3d %s %s %v %v", i, c.kind, c.name, c.pref, c.objs))
 		s.call(c)
 		s.check()
@@ -600,6 +630,9 @@ func (s *routedSim) next(forced bool) routedCall {
 		}
 		return fallback
 	}
+	if s.lostUser > 0 && !forced {
+		return s.userCall(s.lostUser - 1)
+	}
 	k := r.Intn(100)
 	if s.row.batchesOnly || forced {
 		k = 0
@@ -640,6 +673,29 @@ func (s *routedSim) next(forced bool) routedCall {
 	default:
 		return routedCall{kind: "rmuser", name: pick("nobody", 8)}
 	}
+}
+
+// userCall is a user mutation that partition part owns: the arrival of a
+// new user or, every other call while part has one, the removal of one.
+func (s *routedSim) userCall(part int) routedCall {
+	s.userOps++
+	var owned []string
+	for _, u := range s.ref.Users() {
+		if s.rt.Owner(u) == part {
+			owned = append(owned, u)
+		}
+	}
+	if slices.Sort(owned); len(owned) > 0 && s.userOps%2 == 0 {
+		return routedCall{kind: "rmuser", name: owned[s.rng.Intn(len(owned))]}
+	}
+	for range 1000 {
+		name := fmt.Sprintf("u%d", s.nextUser)
+		if s.nextUser++; s.rt.Owner(name) == part {
+			return routedCall{kind: "adduser", name: name, pref: s.randomPref()}
+		}
+	}
+	s.fatalf("partition %d owns no new user name", part)
+	return routedCall{}
 }
 
 func (s *routedSim) val() string { return fleetVals[s.rng.Intn(len(fleetVals))] }
@@ -739,9 +795,9 @@ func (s *routedSim) fault(f routedFault) {
 			s.fatalf("closing partition %d: %v", f.part, err)
 		}
 	case "lost":
-		s.net.mu.Lock()
-		s.net.hosts[p.host].lose++
-		s.net.mu.Unlock()
+		s.net.loseReply(p.host, false)
+	case "lost-user":
+		s.lostUser = 1 + f.part // armed by the step's user call (runRouted)
 	case "crash-import", "crash-commit":
 		s.awaitFleet()
 		s.crashMigration(f)
@@ -1125,7 +1181,7 @@ func (s *routedSim) finish() {
 	var idle []string
 	s.net.mu.Lock()
 	for name, h := range s.net.hosts {
-		if h.down || h.lose > 0 {
+		if h.down || h.lose > 0 || h.loseOp > 0 {
 			idle = append(idle, name)
 		}
 	}
@@ -1221,6 +1277,11 @@ func TestRoutedSim(t *testing.T) {
 	row(t, "lost-reply", routedRow{seed: 17, parts: 2, users: 16, steps: 30, batch: 6,
 		opts:   []paretomon.Option{paretomon.WithWindow(4)},
 		faults: []routedFault{{5, "lost", 0}, {12, "lost", 1}, {20, "lost", 0}}})
+	// Lost replies to user arrivals and removals, under the HA lease: the
+	// router re-sends each, and a retry refused as a duplicate user (an
+	// arrival) or an unknown one (a removal) is the lost attempt's success.
+	row(t, "lost-user", routedRow{seed: 19, parts: 2, users: 16, steps: 24, batch: 5, routerID: "lost-user",
+		faults: []routedFault{{3, "lost-user", 0}, {7, "lost-user", 1}, {12, "lost-user", 1}, {16, "lost-user", 0}, {20, "lost", 1}}})
 }
 
 // FuzzRoutedSim runs one sequential history of a fuzzed shape (Baseline
@@ -1235,7 +1296,7 @@ func FuzzRoutedSim(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint8, seed int64, parts, steps uint8) {
 		row := routedRow{seed: seed, parts: 1 + int(parts)%4, users: 16, steps: 4 + int(steps)%24, batch: 5,
 			plain: shape/3%2 == 1}
-		kinds := []string{"down", "lost"}
+		kinds := []string{"down", "lost", "lost-user"}
 		switch shape % 3 {
 		case 0:
 			row.durable, kinds = true, append(kinds, "restart")

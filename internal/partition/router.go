@@ -6,9 +6,11 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -709,26 +711,51 @@ func (r *Router) ownerOp(user string, write bool, fn func(ctx context.Context, p
 	return attempt()
 }
 
+// once makes fn, an owner op a partition refuses to apply twice, safe to
+// retry: after an attempt that was sent and got no answer (a lost reply,
+// a cut connection, an attempt the lease fence ended), which may have
+// applied, a refusal of status naming sentinel is that attempt's success.
+// An attempt whose connection was refused applied nothing.
+func once(status int, sentinel error, fn func(ctx context.Context, p *remote) error) func(ctx context.Context, p *remote) error {
+	unanswered := false
+	return func(ctx context.Context, p *remote) error {
+		err := fn(ctx, p)
+		var se *StatusError
+		var oe *net.OpError
+		switch {
+		case errors.As(err, &se):
+			if unanswered && se.Status == status && strings.Contains(se.Msg, sentinel.Error()) {
+				return nil
+			}
+		case err != nil && retryable(err) && !(errors.As(err, &oe) && oe.Op == "dial"):
+			unanswered = true
+		}
+		return err
+	}
+}
+
 // AddUser registers a user (with initial preferences) on its owning
-// partition.
+// partition. A retry after an unanswered attempt that is refused as a
+// duplicate user succeeds (once).
 func (r *Router) AddUser(name string, prefs []paretomon.Preference) error {
 	req := addUserPayload{Name: name, Preferences: make([]preferencePayload, len(prefs))}
 	for i, pr := range prefs {
 		req.Preferences[i] = preferencePayload{Attribute: pr.Attr, Better: pr.Better, Worse: pr.Worse}
 	}
 	return r.write(func() error {
-		return r.ownerOp(name, true, func(ctx context.Context, p *remote) error {
+		return r.ownerOp(name, true, once(http.StatusBadRequest, paretomon.ErrDuplicateUser, func(ctx context.Context, p *remote) error {
 			return p.do(ctx, http.MethodPost, "/users", req, nil)
-		})
+		}))
 	})
 }
 
-// RemoveUser removes a user from its owning partition.
+// RemoveUser removes a user from its owning partition. A retry after an
+// unanswered attempt that finds no such user succeeds (once).
 func (r *Router) RemoveUser(name string) error {
 	err := r.write(func() error {
-		return r.ownerOp(name, true, func(ctx context.Context, p *remote) error {
+		return r.ownerOp(name, true, once(http.StatusNotFound, paretomon.ErrUnknownUser, func(ctx context.Context, p *remote) error {
 			return p.do(ctx, http.MethodDelete, "/users/"+url.PathEscape(name), nil, nil)
-		})
+		}))
 	})
 	return mapNotFound(err, paretomon.ErrUnknownUser)
 }

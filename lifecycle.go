@@ -365,10 +365,9 @@ func (m *Monitor) applyRemoveUserLocked(idx int) {
 // applyRemoveObjectLocked tombstones the registry slot and removes the
 // object from the engine.
 func (m *Monitor) applyRemoveObjectLocked(id int) {
-	e := m.entry(id)
-	e.alive = false
-	m.names.drop(e.name, id)
-	m.eng.RemoveObject(object.Object{ID: id, Attrs: e.attrs})
+	m.kill(id)
+	m.names.drop(m.nameAt(id), id)
+	m.eng.RemoveObject(object.Object{ID: id, Attrs: m.attrsAt(id)})
 }
 
 // publishDeltaLocked diffs a user's frontier against a captured
@@ -384,10 +383,10 @@ func (m *Monitor) publishDeltaLocked(c int, beforeIDs []int) {
 	for i < len(beforeIDs) || j < len(after) {
 		switch {
 		case j == len(after) || i < len(beforeIDs) && beforeIDs[i] < after[j]:
-			left = append(left, m.entry(beforeIDs[i]).name)
+			left = append(left, m.nameAt(beforeIDs[i]))
 			i++
 		case i == len(beforeIDs) || after[j] < beforeIDs[i]:
-			entered = append(entered, m.entry(after[j]).name)
+			entered = append(entered, m.nameAt(after[j]))
 			j++
 		default:
 			i++

@@ -53,8 +53,8 @@ func viewOf(t testing.TB, m *Monitor) monitorView {
 	m.mu.RLock()
 	var alive []string
 	for id := m.objBase; id < m.objectCount(); id++ {
-		if e := m.entry(id); e.alive {
-			alive = append(alive, e.name)
+		if m.aliveAt(id) {
+			alive = append(alive, m.nameAt(id))
 		}
 	}
 	m.mu.RUnlock()

@@ -202,7 +202,7 @@ func (m *Monitor) exportObjects() (recs []storage.Record, count, base int) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	count, base = m.objectCount(), m.windowStart()
-	for base < count && m.entry(base).name == "" {
+	for base < count && m.nameAt(base) == "" {
 		base++
 	}
 	recs = make([]storage.Record, 0, count-base)
@@ -211,14 +211,14 @@ func (m *Monitor) exportObjects() (recs []storage.Record, count, base int) {
 		vals[d] = dom.Values()
 	}
 	for id := base; id < count; id++ {
-		e := m.entry(id)
-		values := make([]string, len(e.attrs))
-		for d, v := range e.attrs {
+		name, attrs := m.nameAt(id), m.attrsAt(id)
+		values := make([]string, len(attrs))
+		for d, v := range attrs {
 			values[d] = vals[d][v]
 		}
-		recs = append(recs, storage.Record{Op: storage.OpObject, Name: e.name, Values: values})
-		if !e.alive {
-			recs = append(recs, storage.Record{Op: storage.OpRemoveObject, Name: e.name})
+		recs = append(recs, storage.Record{Op: storage.OpObject, Name: name, Values: values})
+		if !m.aliveAt(id) {
+			recs = append(recs, storage.Record{Op: storage.OpRemoveObject, Name: name})
 		}
 	}
 	return recs, count, base
@@ -249,7 +249,7 @@ func (m *Monitor) slotName(id int) (string, bool) {
 	if id < m.windowStart() || id >= m.objectCount() {
 		return "", false
 	}
-	return m.entry(id).name, true
+	return m.nameAt(id), true
 }
 
 // ImportObjects applies an ExportObjects stream through the live

@@ -349,7 +349,7 @@ func monitorShell(c *Community, cfg Config) (*Monitor, error) {
 			schema:   c.schema.clone(),
 			ctr:      &stats.Counters{},
 			userIdx:  make(map[string]int, c.Len()),
-			registry: newRegistry(cfg.Window),
+			registry: newRegistry(cfg.Window, len(c.schema.doms)),
 			batches:  make(map[string]*batchMemo),
 		},
 		cfg: cfg,
@@ -565,20 +565,19 @@ func (m *Monitor) unclaim(objs []Object, first int) {
 	}
 }
 
-// intern registers a claimed object: values are interned against the
-// schema domains into attrs (one per attribute; the object keeps it) and
-// the object takes the next id, the one its name was claimed for. Under a
-// window it first retires the id the arrival pushes out. Caller holds mu.
-func (m *Monitor) intern(o Object, attrs []int32) object.Object {
-	doms := m.schema.doms
-	for d, v := range o.Values {
-		attrs[d] = int32(doms[d].Intern(v))
-	}
+// intern registers a claimed object: it takes the next id, the one its
+// name was claimed for, and its values are interned against the schema
+// domains into its registry slot. Under a window it first retires the id
+// the arrival pushes out. Caller holds mu; settle once the engine is done.
+func (m *Monitor) intern(o Object) object.Object {
 	id := m.objectCount()
 	if w := m.cfg.Window; w > 0 && id-w >= m.objBase {
 		m.retire(id - w)
 	}
-	m.registry.push(objEntry{name: o.Name, attrs: attrs, alive: true})
+	attrs := m.registry.push(o.Name, true)
+	for d, v := range o.Values {
+		attrs[d] = int32(m.schema.doms[d].Intern(v))
+	}
 	return object.Object{ID: id, Attrs: attrs}
 }
 
@@ -587,9 +586,10 @@ func (m *Monitor) intern(o Object, attrs []int32) object.Object {
 // and its slot is blanked; the chunk it ends, if it ends one, is dropped.
 // Caller holds mu.
 func (m *Monitor) retire(id int) {
-	e := m.entry(id)
-	m.names.drop(e.name, id)
-	*e = objEntry{}
+	c, i := m.slot(id)
+	m.names.drop(c.names[i], id)
+	c.names[i] = ""
+	m.kill(id)
 	m.registry.retired(id)
 }
 
@@ -598,9 +598,10 @@ func (m *Monitor) retire(id int) {
 // replay the delivery is computed but not published: replayed history
 // must never reach subscribers, who only observe post-recovery arrivals.
 func (m *Monitor) ingest(o Object) Delivery {
-	obj := m.intern(o, make([]int32, len(o.Values)))
+	obj := m.intern(o)
 	m.names.unstage()
 	users := m.eng.Process(obj)
+	m.settle()
 	d := Delivery{Object: o.Name, Users: m.sortedNames(users)}
 	if !m.replaying {
 		m.subs.publish(d, users)
@@ -686,19 +687,17 @@ func (m *Monitor) AddBatchOnce(id BatchID, objs []Object) ([]Delivery, error) {
 	// Intern the whole batch up front, then let every shard walk it (in
 	// its own goroutine when there are several). Deliveries are published
 	// in batch order after the fan-in, exactly as object-by-object Adds
-	// would. The batch's attributes share one slab, each object's capped
-	// sub-slice in arrival order; the deliveries' name lists are carved
-	// from a block carried across batches.
-	dims := len(m.schema.doms)
-	slab := make([]int32, len(rest)*dims)
+	// would. The deliveries' name lists are carved from a block carried
+	// across batches.
 	m.interned = m.interned[:0]
-	for i, o := range rest {
-		attrs := slab[i*dims : (i+1)*dims : (i+1)*dims]
-		m.interned = append(m.interned, m.intern(o, attrs))
+	for _, o := range rest {
+		m.interned = append(m.interned, m.intern(o))
 	}
 	m.names.unstage()
 	out := make([]Delivery, len(rest))
-	for i, users := range m.eng.ProcessBatch(m.interned) {
+	processed := m.eng.ProcessBatch(m.interned)
+	m.settle()
+	for i, users := range processed {
 		d := Delivery{Object: rest[i].Name, Users: m.rankNames(m.userList(len(users)), users)}
 		if !m.replaying {
 			m.subs.publish(d, users)
@@ -757,7 +756,7 @@ func (m *Monitor) Frontier(user string) ([]string, error) {
 	ids := m.eng.UserFrontier(idx)
 	out := make([]string, len(ids))
 	for i, id := range ids {
-		out[i] = m.entry(id).name
+		out[i] = m.nameAt(id)
 	}
 	m.mu.RUnlock()
 	sort.Strings(out)

@@ -266,8 +266,8 @@ func (m *Monitor) writeSnapshotLocked() error {
 		objs[i] = retired
 	}
 	for id := m.objBase; id < len(objs); id++ {
-		if e := m.entry(id); e.attrs != nil {
-			objs[id] = storage.ObjectState{Name: e.name, Alive: e.alive, Attrs: e.attrs}
+		if name := m.nameAt(id); name != "" {
+			objs[id] = storage.ObjectState{Name: name, Alive: m.aliveAt(id), Attrs: m.attrsAt(id)}
 		} else {
 			objs[id] = retired
 		}
@@ -432,7 +432,7 @@ func (m *Monitor) buildFromSnapshot(c *Community, snap *storage.Snapshot) error 
 		if len(os.Attrs) != dims {
 			return fmt.Errorf("%w: snapshot object %q has %d attributes, schema has %d", ErrCorrupt, os.Name, len(os.Attrs), dims)
 		}
-		m.registry.push(objEntry{name: os.Name, attrs: os.Attrs, alive: os.Alive})
+		copy(m.registry.push(os.Name, os.Alive), os.Attrs)
 		if os.Alive && !m.names.claim(os.Name, m.objBase+i) {
 			return fmt.Errorf("%w: snapshot has two alive objects named %q", ErrCorrupt, os.Name)
 		}

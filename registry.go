@@ -8,49 +8,56 @@ import (
 )
 
 // registry is the object registry. Slots are in arrival order: slot i
-// holds engine object id objBase+i. They live in fixed-size chunks that
-// are never copied, so a slot stays where it is for as long as it is
-// held and ingest pays nothing for the stream's length. RemoveObject
-// tombstones a slot and frees its name; names maps alive names only, and,
-// inside an ingest call, the names it has claimed (claimObject). The
-// interned objects ride along: every engine reads them, through alive, as
-// the candidates of every mend and restore. An append-only registry only
-// grows (objBase stays 0). Under a window W it is the window, the one
-// every shard reads: id N's arrival retires slot N-W, as every shard
-// retires id N-W on the same arrival. Its name is freed for re-use and
-// the slot is blanked; a chunk whose every slot is retired is dropped and
-// kept as the next chunk to open, so at most W plus one chunk of slots
-// are held however long the stream, and steady ingest allocates no chunk.
+// holds engine object id objBase+i. They live in fixed-size chunks whose
+// arrays are never copied, so a slot stays where it is for as long as it
+// is held and ingest pays nothing for the stream's length. A slot is a
+// name, its interned values (the slice every engine reads and keeps, and
+// alive yields as the candidates of every mend and restore) and a bit
+// that RemoveObject clears, freeing the name; names maps alive names
+// only, and, inside an ingest call, the names it has claimed
+// (claimObject). An append-only registry only grows (objBase stays 0).
+// Under a window W it is the window, the one every shard reads: id N's
+// arrival retires slot N-W, as every shard retires id N-W on the same
+// arrival. Its name is freed for re-use and blanked ("" is a retired
+// slot); a chunk whose every slot is retired is dropped. The shards read
+// a retired id's values until the ingest call returns, so the dropped
+// chunk becomes the spare, the next chunk to open, only then (settle): at
+// most W plus three chunks of slots are held however long the stream,
+// and steady ingest of batches no longer than a chunk allocates no chunk.
 // It sits behind a pointer so that the engine's view of it survives a
 // follower's transplant of the state it belongs to.
 type registry struct {
-	names   nameIndex    // alive name -> id
-	objBase int          // id of chunks[0][0]
-	chunks  [][]objEntry // each of capacity 1<<shift, all full but the last
+	names   nameIndex // alive name -> id
+	objBase int       // id of chunks[0]'s first slot
+	chunks  []chunk   // each of 1<<shift slots, all full but the last
 	shift   uint
-	spare   []objEntry // the chunk dropped last, blank, for the next one opened
+	dims    int   // attribute values per slot
+	spare   chunk // blank, for the next chunk opened
+	dropped chunk // the chunk dropped during this ingest call, the spare after it
+}
+
+// chunk is 1<<shift slots: slot i is names[i], attrs[i*dims:(i+1)*dims]
+// and bit i of alive.
+type chunk struct {
+	names []string
+	attrs []int32
+	alive [1 << maxChunkShift / 64]uint64
 }
 
 // maxChunkShift caps a chunk at 256 slots.
 const maxChunkShift = 8
 
-// newRegistry returns an empty registry for a monitor of window w (0:
-// append-only). A chunk holds min(256, the largest power of two ≤ w)
-// slots, so a windowed registry holds fewer than 2W slots.
-func newRegistry(w int) *registry {
-	r := &registry{shift: maxChunkShift}
+// newRegistry returns an empty registry of dims values per slot for a
+// monitor of window w (0: append-only). A chunk holds min(256, the
+// largest power of two ≤ w) slots, so a windowed registry holds fewer
+// than 2W slots, and up to two more chunks sit spare.
+func newRegistry(w, dims int) *registry {
+	r := &registry{shift: maxChunkShift, dims: dims}
 	if w > 0 && w < 1<<maxChunkShift {
 		r.shift = uint(bits.Len(uint(w)) - 1)
 	}
 	r.names.reg = r
 	return r
-}
-
-// objEntry is one object registry slot. Its id is its position.
-type objEntry struct {
-	name  string
-	attrs []int32
-	alive bool
 }
 
 // objectCount is the number of ids ever handed out. Caller holds mu.
@@ -59,59 +66,87 @@ func (r *registry) objectCount() int {
 	if n == 0 {
 		return r.objBase
 	}
-	return r.objBase + (n-1)<<r.shift + len(r.chunks[n-1])
+	return r.objBase + (n-1)<<r.shift + len(r.chunks[n-1].names)
 }
 
-// entry is id's registry slot; id must be held. Caller holds mu.
-func (r *registry) entry(id int) *objEntry {
+// slot is id's chunk and its index there; id must be held. Caller holds
+// mu.
+func (r *registry) slot(id int) (*chunk, int) {
 	i := id - r.objBase
-	return &r.chunks[i>>r.shift][i&(1<<r.shift-1)]
+	return &r.chunks[i>>r.shift], i & (1<<r.shift - 1)
 }
+
+// nameAt, attrsAt and aliveAt read id's slot; kill clears its bit.
+func (r *registry) nameAt(id int) string   { c, i := r.slot(id); return c.names[i] }
+func (r *registry) attrsAt(id int) []int32 { c, i := r.slot(id); return c.values(i, r.dims) }
+func (r *registry) aliveAt(id int) bool    { c, i := r.slot(id); return c.isAlive(i) }
+func (r *registry) kill(id int)            { c, i := r.slot(id); c.alive[i>>6] &^= 1 << (i & 63) }
+
+// values is slot i's attribute values, capped; isAlive its bit.
+func (c *chunk) values(i, dims int) []int32 { return c.attrs[i*dims : (i+1)*dims : (i+1)*dims] }
+func (c *chunk) isAlive(i int) bool         { return c.alive[i>>6]&(1<<(i&63)) != 0 }
 
 // alive yields the alive objects in arrival order: the engines' candidate
 // source, fixed when the engine is built. The engine calls it under the
 // monitor's write lock.
 func (r *registry) alive(yield func(object.Object) bool) {
 	id := r.objBase
-	for _, c := range r.chunks {
-		for i := range c {
-			if e := &c[i]; e.alive && !yield(object.Object{ID: id + i, Attrs: e.attrs}) {
+	for k := range r.chunks {
+		c := &r.chunks[k]
+		for i := range c.names {
+			if c.isAlive(i) && !yield(object.Object{ID: id + i, Attrs: c.values(i, r.dims)}) {
 				return
 			}
 		}
-		id += len(c)
+		id += len(c.names)
 	}
 }
 
-// push appends the slot of the next id, opening a chunk (the spare, if
-// there is one) when the last is full.
-func (r *registry) push(e objEntry) {
+// push appends the slot of the next id, named name and alive or not,
+// opening a chunk (the spare, if there is one) when the last is full, and
+// returns the slot's values for the caller to fill.
+func (r *registry) push(name string, alive bool) []int32 {
 	n := len(r.chunks)
-	if n == 0 || len(r.chunks[n-1]) == cap(r.chunks[n-1]) {
+	if n == 0 || len(r.chunks[n-1].names) == cap(r.chunks[n-1].names) {
 		c := r.spare
-		if c == nil {
-			c = make([]objEntry, 0, 1<<r.shift)
+		if c.names == nil {
+			c = chunk{names: make([]string, 0, 1<<r.shift), attrs: make([]int32, r.dims<<r.shift)}
 		}
-		r.spare = nil
+		r.spare = chunk{}
 		r.chunks = append(r.chunks, c)
 		n++
 	}
-	r.chunks[n-1] = append(r.chunks[n-1], e)
+	c := &r.chunks[n-1]
+	i := len(c.names)
+	c.names = append(c.names, name)
+	if alive {
+		c.alive[i>>6] |= 1 << (i & 63)
+	}
+	return c.values(i, r.dims)
 }
 
 // retired reports that id, just blanked, was the last slot of the first
-// chunk, and drops that chunk: every slot in it is retired, and it becomes
-// the spare.
+// chunk, and drops that chunk until the call settles: every slot in it is
+// retired. A second chunk dropped in the same call goes to the collector.
 func (r *registry) retired(id int) {
 	if id-r.objBase != 1<<r.shift-1 {
 		return
 	}
 	c := r.chunks[0]
 	n := copy(r.chunks, r.chunks[1:])
-	r.chunks[n] = nil
+	r.chunks[n] = chunk{}
 	r.chunks = r.chunks[:n]
-	r.objBase += len(c)
-	r.spare = c[:0]
+	r.objBase += len(c.names)
+	c.names = c.names[:0]
+	r.dropped = c
+}
+
+// settle ends an ingest call: the engine has let go of every id retired
+// in it, so the chunk dropped in it, if any, is the spare now.
+func (r *registry) settle() {
+	if r.dropped.names != nil {
+		r.spare, r.dropped = r.dropped, chunk{}
+	}
 }
 
 // nameIndex maps each alive object name to its id. It is built the way
@@ -160,7 +195,7 @@ func (x *nameIndex) nameOf(id int) string {
 	if i := id - x.pendBase; uint(i) < uint(len(x.pend)) {
 		return x.pend[i]
 	}
-	return x.reg.entry(id).name
+	return x.reg.nameAt(id)
 }
 
 // find returns the id name maps to. It writes nothing: readers call it
