@@ -24,6 +24,11 @@ var ErrRingVersion = errors.New("partition: ring version mismatch")
 // over the moment the holder releases or its TTL lapses.
 var ErrNotLeaseHolder = errors.New("partition: write lease held by another router")
 
+// ErrInvalidUTF8 marks a batch a Router refused, before any partition
+// saw it, because an object's name or value is not valid UTF-8: the
+// JSON API would carry it as U+FFFD. A caller's error, answered 400.
+var ErrInvalidUTF8 = errors.New("partition: object name or value is not valid UTF-8")
+
 // RingVersionError is the typed form of a ring-version 409: the
 // partition's installed version rides along so the router knows
 // whether to refetch (partition is ahead) or push (partition is

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	paretomon "repro"
 	"repro/internal/wire"
@@ -147,20 +148,21 @@ type Router struct {
 	// waiting writer between two freeze windows (see write).
 	writers atomic.Int32
 	handoff chan struct{}
-	// bodyHint is the last AddBatch body's length (guarded by mu): the
-	// next one is allocated that large up front.
+	// bodyHint is the last POST /objects/batch body's length (guarded by
+	// mu): the next one is allocated that large up front.
 	bodyHint int
-	// frame is the ingest stream's request frame (guarded by mu),
-	// rewritten for every batch: a stream write has returned before the
-	// next batch starts.
-	frame []byte
+	// batch and frame are the ingest stream's binary batch and request
+	// frame (guarded by mu), rewritten for every batch: a stream write
+	// has returned before the next batch starts.
+	batch, frame []byte
 	// writer is the batch-id writer minted at New, and seq the last
 	// batch it numbered (guarded by mu). A failed AddBatch leaves its id
-	// and body behind, so re-sending the same batch reuses the id.
-	writer     string
-	seq        uint64
-	failedID   paretomon.BatchID
-	failedBody []byte
+	// and binary batch behind, so re-sending the same batch reuses the
+	// id.
+	writer      string
+	seq         uint64
+	failedID    paretomon.BatchID
+	failedBatch []byte
 }
 
 var _ paretomon.Driver = (*Router)(nil)
@@ -494,7 +496,7 @@ func (r *Router) Add(name string, values ...string) (paretomon.Delivery, error) 
 // merged deliveries — per-object union of each partition's targets,
 // sorted — match what a single monitor over the whole community would
 // deliver. It is AddBatchOnce under the Router's own batch id: a batch
-// after a failed one whose encoded body is byte-identical reuses the
+// after a failed one whose encoding is byte-identical reuses the
 // failed id, so re-sending a batch after a *RouteError applies it at
 // most once on every partition and answers with the deliveries of its
 // arrival. See the failure playbook in docs/PARTITIONING.md.
@@ -505,9 +507,11 @@ func (r *Router) AddBatch(objs []paretomon.Object) ([]paretomon.Delivery, error)
 // AddBatchOnce is AddBatch under the caller's batch id, which every
 // partition gets; the zero id selects the Router's own. A partition that
 // fails retryably is retried under the budget, probing /readyz between
-// attempts, and every attempt re-sends the same body under the same id:
+// attempts, and every attempt re-sends the same batch under the same id:
 // a partition that applied the batch, or a prefix of it, before the
 // reply was lost answers that part from its memo and applies the rest.
+// A batch with a name or value that is not valid UTF-8 is refused with
+// ErrInvalidUTF8 before any partition sees it.
 //
 // A batch travels over each partition's ingest stream (see stream.go),
 // opened on the first batch: the first attempt writes the frame to every
@@ -518,35 +522,45 @@ func (r *Router) AddBatchOnce(id paretomon.BatchID, objs []paretomon.Object) ([]
 	if len(objs) == 0 {
 		return []paretomon.Delivery{}, nil
 	}
+	if err := checkUTF8(objs); err != nil {
+		return nil, err
+	}
 	var out []paretomon.Delivery
 	err := r.write(func() error {
 		// Every partition ingests the same batch: encode it once and share
-		// the bytes. A fresh slice per call, sized by the last one, because
-		// the transport may still be reading a POST's body after Do returns
-		// (an early 409, say) and promises only to close it eventually.
-		body := wire.AppendBatch(make([]byte, 0, r.bodyHint), objs)
-		r.bodyHint = len(body)
+		// the bytes.
+		r.batch = wire.AppendBatchPayload(r.batch[:0], objs)
 		own := id == (paretomon.BatchID{})
 		if own {
-			if r.failedBody == nil || !bytes.Equal(body, r.failedBody) {
+			if r.failedBatch == nil || !bytes.Equal(r.batch, r.failedBatch) {
 				r.seq++
 				r.failedID = paretomon.BatchID{Writer: r.writer, Seq: r.seq}
 			}
-			id, r.failedBody = r.failedID, nil
+			id, r.failedBatch = r.failedID, nil
 		}
 		hdr := []string{id.String()}
+		// body is the JSON body, built only once a partition may take a
+		// POST. A fresh slice per call, sized by the last one, because the
+		// transport may still be reading a POST's body after Do returns (an
+		// early 409, say) and promises only to close it eventually.
+		var body []byte
 		err := r.ringRetry("AddBatch", func() error {
 			parts := r.remotes()
 			results := make([][]paretomon.Delivery, len(parts))
 			errs := make([]error, len(parts))
-			r.frame = wire.AppendBatchFrame(r.frame[:0], hdr[0], r.ringVer.Load(), body)
+			r.frame = wire.AppendBatchFrame(r.frame[:0], hdr[0], r.ringVer.Load(), r.batch)
 			frame := r.frame
 			if len(frame)-wire.FrameHeader > wire.MaxRequestPayload {
 				frame = nil // a POST, answered 413 past the partition's body limit
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.budget)
-			defer cancel()
-			if r.streamBatch(ctx, parts, frame, objs, results, errs) {
+			budget := time.Now().Add(r.budget)
+			if r.streamBatch(budget, parts, frame, objs, results, errs) {
+				ctx, cancel := context.WithDeadline(context.Background(), budget)
+				defer cancel()
+				if body == nil {
+					body = wire.AppendBatch(make([]byte, 0, r.bodyHint), objs)
+					r.bodyHint = len(body)
+				}
 				fanOut(parts, func(i int, p *remote) {
 					f := frame
 					if errors.Is(errs[i], errNotNow) {
@@ -568,7 +582,7 @@ func (r *Router) AddBatchOnce(id paretomon.BatchID, objs []paretomon.Object) ([]
 			return nil
 		})
 		if err != nil && own {
-			r.failedBody = body
+			r.failedBatch, r.batch = r.batch, nil
 		}
 		return err
 	})
@@ -578,15 +592,31 @@ func (r *Router) AddBatchOnce(id paretomon.BatchID, objs []paretomon.Object) ([]
 	return out, nil
 }
 
+// checkUTF8 refuses a batch with a name or value that is not valid
+// UTF-8: POST /objects/batch would carry it as U+FFFD, so the partitions
+// would apply, and answer for, an object the batch does not name.
+func checkUTF8(objs []paretomon.Object) error {
+	for i, o := range objs {
+		valid := utf8.ValidString(o.Name)
+		for _, v := range o.Values {
+			valid = valid && utf8.ValidString(v)
+		}
+		if !valid {
+			return fmt.Errorf("%w: batch object %d (%q, values %q)", ErrInvalidUTF8, i, o.Name, o.Values)
+		}
+	}
+	return nil
+}
+
 // streamBatch is a batch's first attempt on every partition with an
 // ingest stream, open or opened now: the frame goes to each from this
 // goroutine, then the replies are read in partition order, all within
-// one lease-fenced attempt of ctx. It fills results and errs for the
-// partitions it tried and reports whether any partition is left for the
-// retry loop: one that failed retryably, or one that takes POSTs (it
-// refused the stream, or frame is nil).
-func (r *Router) streamBatch(ctx context.Context, parts []*remote, frame []byte, objs []paretomon.Object, results [][]paretomon.Delivery, errs []error) (rest bool) {
-	actx, acancel, err := r.writeAttemptCtx(ctx)
+// one lease-fenced attempt under the budget's deadline. It fills results
+// and errs for the partitions it tried and reports whether any partition
+// is left for the retry loop: one that failed retryably, or one that
+// takes POSTs (it refused the stream, or frame is nil).
+func (r *Router) streamBatch(budget time.Time, parts []*remote, frame []byte, objs []paretomon.Object, results [][]paretomon.Delivery, errs []error) (rest bool) {
+	actx, acancel, err := r.writeAttemptCtx(context.Background())
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
@@ -594,20 +624,24 @@ func (r *Router) streamBatch(ctx context.Context, parts []*remote, frame []byte,
 		return false
 	}
 	defer acancel()
+	deadline := budget
+	if d, ok := actx.Deadline(); ok && d.Before(budget) {
+		deadline = d // the write lease's
+	}
 	sent := make([]*stream, len(parts))
 	for i, p := range parts {
 		if frame == nil || p.refused.Load() {
 			rest = true
 			continue
 		}
-		st, err := p.ingest(actx)
+		st, err := p.ingest(deadline)
 		if errors.Is(err, errRefused) {
 			p.refused.Store(true)
 			rest = true
 			continue
 		}
 		if err == nil {
-			err = st.send(actx, frame)
+			err = st.send(deadline, frame)
 		}
 		if err != nil {
 			errs[i], rest = err, true
@@ -619,7 +653,7 @@ func (r *Router) streamBatch(ctx context.Context, parts []*remote, frame []byte,
 		if st == nil {
 			continue
 		}
-		results[i], errs[i] = st.receive(actx, objs)
+		results[i], errs[i] = st.receive(deadline, objs)
 		rest = rest || errs[i] != nil && retryable(errs[i])
 	}
 	return rest

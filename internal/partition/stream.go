@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"time"
 
 	paretomon "repro"
 	"repro/internal/wire"
@@ -16,10 +18,12 @@ import (
 // The ingest stream: a Router sends its batches to a partition over one
 // upgraded connection (GET /objects/stream, then internal/wire's frames)
 // instead of one POST /objects/batch each. The stream changes only the
-// transport: a request frame carries the POST's body, batch id and ring
-// version, a reply frame its status, ring version and body, and the
-// partition answers both from one function. A partition that says it has
-// no stream — an older build (404, 405), a ResponseWriter that cannot hand
+// transport and the encoding: a request frame carries the POST's batch
+// (binary), batch id and ring version, a reply frame its status, ring
+// version and deliveries (binary) or error body, and the partition
+// answers both from one function. A partition that says it has no
+// stream — an older build (404, 405, or 426 for a stream of JSON bodies),
+// a ResponseWriter that cannot hand
 // its connection over (501), a proxy that strips Upgrade (426) — gets
 // POSTs, as before, until a ring install replaces its remote. Any other
 // answer (a 503 from a closing or restarting partition, a tenant's 401 or
@@ -42,10 +46,9 @@ type stream struct {
 	// in holds the last reply frame's payload and the reply decoder's
 	// string cache, which the stream's replies share.
 	in wire.Buffer
-	// closeFn closes the connection; stop ends the watch the running
-	// exchange's context keeps with it (see send).
-	closeFn func()
-	stop    func() bool
+	// deadline closes rw once the running exchange is past its deadline
+	// (see send).
+	deadline *time.Timer
 }
 
 // openStream asks the partition to switch GET /objects/stream to the
@@ -77,13 +80,14 @@ func (c *client) openStream(ctx context.Context) (*stream, error) {
 		return nil, fmt.Errorf("%w: GET /objects/stream answered %s", why, resp.Status)
 	}
 	st := &stream{c: c, rw: rw, br: bufio.NewReader(rw)}
-	st.closeFn = func() { st.rw.Close() }
+	st.deadline = time.AfterFunc(math.MaxInt64, func() { rw.Close() }) // armed by send
 	return st, nil
 }
 
-// ingest returns the partition's open ingest stream, opening one within
-// ctx when none is. A retired client opens none: its batches go as POSTs.
-func (c *client) ingest(ctx context.Context) (*stream, error) {
+// ingest returns the partition's open ingest stream, opening one before
+// deadline when none is. A retired client opens none: its batches go as
+// POSTs.
+func (c *client) ingest(deadline time.Time) (*stream, error) {
 	c.smu.Lock()
 	st, retired := c.st, c.retired
 	c.smu.Unlock()
@@ -93,6 +97,9 @@ func (c *client) ingest(ctx context.Context) (*stream, error) {
 	if retired {
 		return nil, fmt.Errorf("%w: %s left the ring", errRefused, c.base)
 	}
+	// A switched connection outlives the request that opened it.
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
 	st, err := c.openStream(ctx)
 	if err != nil {
 		return nil, err
@@ -100,7 +107,7 @@ func (c *client) ingest(ctx context.Context) (*stream, error) {
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	if c.retired {
-		st.closeFn()
+		st.rw.Close()
 		return nil, fmt.Errorf("%w: %s left the ring", errRefused, c.base)
 	}
 	c.st = st
@@ -118,13 +125,13 @@ func (c *client) closeStream(retire bool) {
 	c.retired = c.retired || retire
 	c.smu.Unlock()
 	if st != nil {
-		st.closeFn()
+		st.rw.Close()
 	}
 }
 
 // drop closes st and forgets it, so the next batch opens a new stream.
 func (st *stream) drop() {
-	st.closeFn()
+	st.rw.Close()
 	st.c.smu.Lock()
 	if st.c.st == st {
 		st.c.st = nil
@@ -133,41 +140,41 @@ func (st *stream) drop() {
 }
 
 // failed drops st after a transport or frame error and says why; past
-// ctx's end the cause is ctx's.
-func (st *stream) failed(ctx context.Context, err error) error {
+// the exchange's deadline the cause is that.
+func (st *stream) failed(deadline time.Time, err error) error {
 	st.drop()
-	if ctx.Err() != nil {
-		err = context.Cause(ctx)
+	if !time.Now().Before(deadline) {
+		err = context.DeadlineExceeded
 	}
 	return fmt.Errorf("partition: ingest stream to %s: %w", st.c.base, err)
 }
 
-// send writes one request frame and bounds the exchange it opens by ctx:
-// when ctx ends before receive has read the reply, the stream closes,
-// which ends a write or read blocked on it.
-func (st *stream) send(ctx context.Context, frame []byte) error {
-	st.stop = context.AfterFunc(ctx, st.closeFn)
+// send writes one request frame and bounds the exchange it opens by
+// deadline: past it, before receive has read the reply, the stream's
+// timer closes the stream, which ends a write or read blocked on it.
+func (st *stream) send(deadline time.Time, frame []byte) error {
+	st.deadline.Reset(time.Until(deadline))
 	if _, err := st.rw.Write(frame); err != nil {
-		st.stop()
-		return st.failed(ctx, err)
+		st.deadline.Stop()
+		return st.failed(deadline, err)
 	}
 	return nil
 }
 
 // receive reads the reply to the frame send wrote. A 200 must answer
-// sent one delivery per object, in order (see checkReply); any other
-// status is the error POST /objects/batch would have been answered with,
-// and keeps the stream. Everything else drops it.
-func (st *stream) receive(ctx context.Context, sent []paretomon.Object) ([]paretomon.Delivery, error) {
+// sent one delivery per object, in order, as checkReply holds a POST's
+// reply to; any other status is the error POST /objects/batch would have
+// been answered with, and keeps the stream. Everything else drops it.
+func (st *stream) receive(deadline time.Time, sent []paretomon.Object) ([]paretomon.Delivery, error) {
 	p, err := wire.ReadFrame(st.br, wire.TagReply, st.in.B, wire.MaxReplyPayload)
-	st.stop()
+	st.deadline.Stop()
 	st.in.B = p
 	if err != nil {
-		return nil, st.failed(ctx, err)
+		return nil, st.failed(deadline, err)
 	}
 	status, ring, hasRing, body, err := wire.ParseReply(p)
 	if err != nil {
-		return nil, st.failed(ctx, err)
+		return nil, st.failed(deadline, err)
 	}
 	if status != http.StatusOK {
 		hdr := ""
@@ -176,26 +183,22 @@ func (st *stream) receive(ctx context.Context, sent []paretomon.Object) ([]paret
 		}
 		return nil, statusError(status, hdr, body)
 	}
-	st.in.B = body
-	ds, err := wire.DecodeDeliveries(&st.in)
-	st.in.B = p
+	ds, err := wire.DecodeReplyPayload(&st.in, body, sent)
 	if err != nil {
-		return nil, st.failed(ctx, fmt.Errorf("decoding a batch reply: %w", err))
-	}
-	if err := checkReply(ds, sent); err != nil {
-		st.drop()
-		return nil, err
+		return nil, st.failed(deadline, fmt.Errorf("decoding a batch reply: %w", err))
 	}
 	return ds, nil
 }
 
 // addBatch is one attempt at a batch on p after its first: over p's
-// ingest stream (opened within ctx when none is), or as a POST when p
-// does not switch to the stream or frame is nil (a batch too long for a
-// frame, or one p would not take a stream for).
+// ingest stream (opened when none is) within ctx's deadline, which every
+// attempt has, or as a POST when p does not switch to the stream or frame
+// is nil (a batch too long for a frame, or one p would not take a stream
+// for).
 func (p *remote) addBatch(ctx context.Context, frame, body []byte, batch []string, sent []paretomon.Object) ([]paretomon.Delivery, error) {
 	if frame != nil && !p.refused.Load() {
-		st, err := p.ingest(ctx)
+		deadline, _ := ctx.Deadline()
+		st, err := p.ingest(deadline)
 		switch {
 		case errors.Is(err, errRefused):
 			p.refused.Store(true)
@@ -203,10 +206,10 @@ func (p *remote) addBatch(ctx context.Context, frame, body []byte, batch []strin
 		case err != nil:
 			return nil, err
 		default:
-			if err := st.send(ctx, frame); err != nil {
+			if err := st.send(deadline, frame); err != nil {
 				return nil, err
 			}
-			return st.receive(ctx, sent)
+			return st.receive(deadline, sent)
 		}
 	}
 	return p.postBatch(ctx, body, batch, sent)

@@ -319,6 +319,7 @@ func BenchmarkRouterAddBatch(b *testing.B) {
 			defer rt.Close()
 			vals := stream(256)
 			batch := make([]paretomon.Object, 16)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := range b.N {
 				for j := range batch {
@@ -330,5 +331,109 @@ func BenchmarkRouterAddBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N*len(batch))/b.Elapsed().Seconds(), "obj/s")
 		})
+	}
+}
+
+// jsonStreamOnly serves h as a partition whose ingest stream carries
+// JSON bodies under the token "paretomon-batch" would: an upgrade to any
+// other token is answered 426, naming its own.
+func jsonStreamOnly(h http.Handler, opens *atomic.Int32) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects/stream" {
+			opens.Add(1)
+			if r.Header.Get("Upgrade") != "paretomon-batch" {
+				w.Header().Set("Connection", "Upgrade")
+				w.Header().Set("Upgrade", "paretomon-batch")
+				http.Error(w, `{"error":"GET /objects/stream needs Connection: Upgrade and Upgrade: paretomon-batch"}`, http.StatusUpgradeRequired)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// TestStreamTokenNegotiation: the binary payload has a token of its own.
+// A partition that speaks only the JSON-bodied "paretomon-batch" answers
+// a router's upgrade 426, and gets every batch as a POST with the
+// reference's deliveries; a router that asks a partition for the old
+// token is answered 426, naming the new one.
+func TestStreamTokenNegotiation(t *testing.T) {
+	com := testCommunity(t, 24)
+	f := startFleet(t, com, 2)
+	defer f.close()
+	var opens, posts atomic.Int32
+	backend := f.https[0].Config.Handler
+	old := httptest.NewServer(jsonStreamOnly(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/objects/batch" {
+			posts.Add(1)
+		}
+		backend.ServeHTTP(w, r)
+	}), &opens))
+	defer old.Close()
+	rt := newRouter(t, partition.Config{URLs: []string{old.URL, f.https[1].URL}})
+	defer rt.Close()
+	objs := stream(24)
+	for _, batch := range [][]paretomon.Object{objs[:8], objs[8:16], objs[16:]} {
+		want, err := f.ref.AddBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rt.AddBatch(batch)
+		if err != nil {
+			t.Fatalf("AddBatch: %v", err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("deliveries:\nreference %v\nrouter    %v", want, got)
+		}
+	}
+	if n, p := opens.Load(), posts.Load(); n != 1 || p != 3 {
+		t.Fatalf("%d upgrades asked and %d POSTs, want 1 and 3", n, p)
+	}
+	f.router = rt
+	assertIdentical(t, f, 24)
+
+	req, err := http.NewRequest(http.MethodGet, f.https[1].URL+"/objects/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "paretomon-batch")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != wire.StreamProtocol {
+		t.Fatalf("an upgrade to the old token: %s, Upgrade %q; want 426, %q", resp.Status, resp.Header.Get("Upgrade"), wire.StreamProtocol)
+	}
+}
+
+// TestRouterRefusesInvalidUTF8: a batch with a name or value that is not
+// valid UTF-8 is refused with ErrInvalidUTF8 at once, before any
+// partition applies it. POST /objects/batch would have carried it as
+// U+FFFD: the partitions applied an object the batch does not name, and
+// the router took their replies for lost ones until its budget ran out.
+func TestRouterRefusesInvalidUTF8(t *testing.T) {
+	com := testCommunity(t, 12)
+	f := startFleet(t, com, 2)
+	defer f.close()
+	rt := newRouter(t, partition.Config{URLs: []string{f.https[0].URL, f.https[1].URL}, RetryBudget: 2 * time.Second})
+	defer rt.Close()
+	vals := stream(1)[0].Values
+	bad := append([]string{"bad\xffvalue"}, vals[1:]...)
+	for _, o := range []paretomon.Object{{Name: "bad\xffname", Values: vals}, {Name: "o", Values: bad}} {
+		start := time.Now()
+		_, err := rt.AddBatch([]paretomon.Object{o})
+		if elapsed := time.Since(start); err == nil || errors.Is(err, partition.ErrPartitionDown) || elapsed > time.Second {
+			t.Fatalf("AddBatch of %q: %v after %v, want an immediate refusal", o, err, elapsed)
+		}
+		if !errors.Is(err, partition.ErrInvalidUTF8) {
+			t.Fatalf("AddBatch of %q: %v, want ErrInvalidUTF8", o, err)
+		}
+	}
+	for i, m := range f.mons {
+		if n := m.Stats().Processed; n != 0 {
+			t.Fatalf("partition %d processed %d objects, want none", i, n)
+		}
 	}
 }

@@ -5,3 +5,6 @@ const MaxBodyBytes = maxBodyBytes
 
 // LeaseMetaKey is the meta key holding the router lease record.
 const LeaseMetaKey = leaseMetaKey
+
+// WriteError is the facades' mapping of a Driver error to its answer.
+var WriteError = writeError

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -22,32 +23,28 @@ import (
 const ringMetaKey = "ring"
 
 // checkRing enforces the ring-version agreement on a mutating request
-// whose RingHeader value is hdr. It reports true when the write may
-// proceed; otherwise it has written the 409 (with the installed version
-// in the response RingHeader) and the handler must return.
-func (s *Server) checkRing(w http.ResponseWriter, hdr string) bool {
+// whose RingHeader value is hdr. It returns nil when the write may
+// proceed, otherwise the refusal to answer with: 409 with the installed
+// version in the response RingHeader, or 400 for a malformed hdr.
+func (s *Server) checkRing(hdr string) error {
 	s.ringMu.Lock()
 	cur := s.ringVer
 	s.ringMu.Unlock()
+	have := strconv.FormatUint(cur, 10)
 	if hdr == "" {
 		if cur == 0 {
-			return true
+			return nil
 		}
-		w.Header().Set(partition.RingHeader, strconv.FormatUint(cur, 10))
-		httpError(w, http.StatusConflict, "partition has ring version %d installed but the request carries none; refetch /ring", cur)
-		return false
+		return &refusal{http.StatusConflict, have, fmt.Sprintf("partition has ring version %d installed but the request carries none; refetch /ring", cur)}
 	}
 	v, err := strconv.ParseUint(hdr, 10, 64)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad %s header %q: %v", partition.RingHeader, hdr, err)
-		return false
+		return &refusal{http.StatusBadRequest, "", fmt.Sprintf("bad %s header %q: %v", partition.RingHeader, hdr, err)}
 	}
 	if v != cur {
-		w.Header().Set(partition.RingHeader, strconv.FormatUint(cur, 10))
-		httpError(w, http.StatusConflict, "ring version mismatch: request has %d, partition has %d", v, cur)
-		return false
+		return &refusal{http.StatusConflict, have, fmt.Sprintf("ring version mismatch: request has %d, partition has %d", v, cur)}
 	}
-	return true
+	return nil
 }
 
 // handleRingGet serves GET /ring: the newest ring this partition has
@@ -166,7 +163,7 @@ func (s *Server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 // a new one has moved on. 409 with ErrMigrateMismatch when the
 // watermark disagrees with this partition's stream position.
 func (s *Server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r.Header.Get(partition.RingHeader)) {
+	if !s.admit(w, r) {
 		return
 	}
 	added, skipped, err := s.mon.ImportUsers(r.Body)
@@ -189,7 +186,7 @@ func (s *Server) handleObjectsExport(w http.ResponseWriter, r *http.Request) {
 // export stream, skipping the already-held prefix. Ring-gated for the
 // same reason as /migrate/import.
 func (s *Server) handleObjectsImport(w http.ResponseWriter, r *http.Request) {
-	if !s.checkRing(w, r.Header.Get(partition.RingHeader)) {
+	if !s.admit(w, r) {
 		return
 	}
 	applied, err := s.mon.ImportObjects(r.Body)

@@ -83,9 +83,10 @@ type Gate interface {
 //	  → 200 {"deliveries": [{"object": "o1", "users": [...]}, ...]}
 //	  with X-Paretomon-Batch: <writer>/<seq>, a re-sent batch applies once
 //	  and is answered as at arrival (paretomon.Monitor.AddBatchOnce)
-//	GET    /objects/stream    Connection: Upgrade, Upgrade: paretomon-batch
-//	  → 101, then POST /objects/batch as frames on the same connection
-//	  (see handleStream and internal/wire); 501 when it cannot switch
+//	GET    /objects/stream    Connection: Upgrade, Upgrade: paretomon-batch/2
+//	  → 101, then POST /objects/batch as binary frames on the same
+//	  connection (see handleStream and internal/wire); 501 when it cannot
+//	  switch, 426 for any other token
 //	DELETE /objects/{object}  → 200 {"status": "ok"}          (v3 lifecycle)
 //	POST   /users             {"name": "c9", "preferences": [{"attribute": "brand",
 //	                           "better": "Apple", "worse": "Sony"}, ...]}
@@ -287,28 +288,49 @@ func statusOf(err error) int {
 	}
 }
 
-// writeError answers a Driver error, on either facade. The partition
-// errors come first: a partition's own HTTP rejection passes through
-// with its status and message, a write lease held by another router is
-// 409 (retry against the holder, or wait for the lease to lapse), and a
-// fleet routing failure (partition down, partial fan-out) is 502 Bad
-// Gateway. Everything else is statusOf's. A *Monitor never returns a
-// partition error — the root package does not import partition — so a
-// Server's answers are statusOf's alone.
+// writeError answers a Driver error, on either facade, as answer says.
 func writeError(w http.ResponseWriter, err error) {
+	status, ring, msg := answer(err)
+	if ring != "" {
+		w.Header().Set(partition.RingHeader, ring)
+	}
+	httpError(w, status, "%s", msg)
+}
+
+// answer is the status, RingHeader value ("" for none) and message an
+// error is answered with. A handler's own refusal carries all three. The
+// partition errors come next: a partition's own HTTP rejection passes
+// through with its status and message, a write lease held by another
+// router is 409 (retry against the holder, or wait for the lease to
+// lapse), and a fleet routing failure (partition down, partial fan-out)
+// is 502 Bad Gateway. Everything else is statusOf's. A *Monitor never
+// returns a partition error — the root package does not import
+// partition — so a Server's answers are statusOf's alone.
+func answer(err error) (status int, ring, msg string) {
+	var rf *refusal
 	var se *partition.StatusError
 	var re *partition.RouteError
 	switch {
+	case errors.As(err, &rf):
+		return rf.status, rf.ring, rf.msg
 	case errors.As(err, &se):
-		httpError(w, se.Status, "%s", se.Msg)
+		return se.Status, "", se.Msg
 	case errors.Is(err, partition.ErrNotLeaseHolder):
-		httpError(w, http.StatusConflict, "%v", err)
+		return http.StatusConflict, "", err.Error()
 	case errors.As(err, &re) || errors.Is(err, partition.ErrPartitionDown):
-		httpError(w, http.StatusBadGateway, "%v", err)
-	default:
-		httpError(w, statusOf(err), "%v", err)
+		return http.StatusBadGateway, "", err.Error()
 	}
+	return statusOf(err), "", err.Error()
 }
+
+// refusal is an answer a handler decides for itself, before or instead
+// of the Driver's: a ring-version conflict, a body that does not decode.
+type refusal struct {
+	status    int
+	ring, msg string
+}
+
+func (e *refusal) Error() string { return e.msg }
 
 // maxBodyBytes bounds every request body a handler reads or decodes: a
 // longer one is answered 413 and changes nothing. PUT /ring reads at
@@ -318,47 +340,39 @@ const maxBodyBytes = 32 << 20
 
 // readBody reads the request body into a pooled buffer and decodes it
 // with one of internal/wire's decoders (whose results never alias the
-// buffer's bytes). It answers a body that does not decode itself (see
-// badBody) and reports false.
-func readBody[T any](w http.ResponseWriter, r *http.Request, decode func(*wire.Buffer) (T, error)) (v T, ok bool) {
-	return decodeBody(w, func(b *wire.Buffer) error { return b.ReadAll(r.Body, maxBodyBytes) }, decode)
-}
-
-// decodeBody is readBody over a body that read puts into the buffer.
-func decodeBody[T any](w http.ResponseWriter, read func(*wire.Buffer) error, decode func(*wire.Buffer) (T, error)) (v T, ok bool) {
+// buffer's bytes). A failure is answered as bodyError says.
+func readBody[T any](r *http.Request, decode func(*wire.Buffer) (T, error)) (v T, err error) {
 	buf := wire.GetBuffer()
 	defer buf.Free()
-	err := read(buf)
-	if err == nil {
-		v, err = decode(buf)
+	if err = buf.ReadAll(r.Body, maxBodyBytes); err != nil {
+		return v, err
 	}
-	if err != nil {
-		badBody(w, err)
-		return v, false
-	}
-	return v, true
+	return decode(buf)
 }
 
 // decodeJSON decodes the request body into v with encoding/json, reading
 // at most maxBodyBytes of it. It answers a body that does not decode
-// itself (see badBody) and reports false.
+// itself (see bodyError) and reports false.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
-		badBody(w, err)
+		writeError(w, bodyError(err))
 		return false
 	}
 	return true
 }
 
-// badBody answers a request body that could not be read or decoded: 413
-// past maxBodyBytes, otherwise 400 in encoding/json's words.
-func badBody(w http.ResponseWriter, err error) {
+// bodyError is the refusal of a request body that could not be read or
+// decoded: 413 past maxBodyBytes, otherwise 400 in encoding/json's words
+// (or, for an ingest stream's batch, internal/wire's).
+func bodyError(err error) error {
 	var tooLarge *http.MaxBytesError
-	if errors.Is(err, wire.ErrTooLarge) || errors.As(err, &tooLarge) {
-		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxBodyBytes)
-		return
+	switch {
+	case errors.Is(err, wire.ErrTooLarge) || errors.As(err, &tooLarge):
+		return &refusal{http.StatusRequestEntityTooLarge, "", fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+	case errors.Is(err, wire.ErrBadPayload):
+		return &refusal{http.StatusBadRequest, "", err.Error()}
 	}
-	httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+	return &refusal{http.StatusBadRequest, "", "bad JSON: " + err.Error()}
 }
 
 // writeBody answers 200 with v as one of internal/wire's encoders
@@ -376,21 +390,20 @@ func writeBody[T any](w http.ResponseWriter, v T, encode func([]byte, T) []byte)
 // shared route table — every route whose answer is the
 // paretomon.Driver's alone — and the cancellation of in-flight streams.
 // Each facade embeds it and registers only its own routes beside the
-// shared ones. What differs between the two is carried by nil-able
-// fields, not by a second copy: a Server sets fence (the ring-version
-// check of a partition, see checkRing) and may set gate (quotas, see
-// WithGate); a RouterServer sets neither, so a routed request never
-// meets either.
+// shared ones. What differs between the two is carried by fields, not
+// by a second copy: a Server sets fence (the ring-version check of a
+// partition, see checkRing) and may set gate (quotas, see WithGate); a
+// RouterServer sets neither, so a routed request never meets either.
 type facade struct {
 	drv paretomon.Driver
 	mux *http.ServeMux
 	// gate, when set, is consulted before every quota-metered mutation;
 	// see the Gate interface.
 	gate Gate
-	// fence, when set, vets every mutating request by its RingHeader
-	// value; on refusal it has answered the request itself and reports
-	// false.
-	fence func(w http.ResponseWriter, ring string) bool
+	// fence vets every mutating request by its RingHeader value,
+	// returning the refusal to answer it with; init makes an unset one
+	// pass everything.
+	fence func(ring string) error
 
 	// done is closed by Close, cancelling in-flight streams.
 	done      chan struct{}
@@ -400,7 +413,10 @@ type facade struct {
 }
 
 // init builds the mux and registers the shared route table over drv.
-func (f *facade) init(drv paretomon.Driver, fence func(w http.ResponseWriter, ring string) bool) {
+func (f *facade) init(drv paretomon.Driver, fence func(ring string) error) {
+	if fence == nil {
+		fence = func(string) error { return nil }
+	}
 	f.drv, f.fence = drv, fence
 	f.mux, f.done = http.NewServeMux(), make(chan struct{})
 	f.mux.HandleFunc("POST /objects", f.handleObjects)
@@ -435,15 +451,20 @@ func (f *facade) Close() error {
 
 // admit reports whether a mutating request may proceed past the fence.
 func (f *facade) admit(w http.ResponseWriter, r *http.Request) bool {
-	return f.fence == nil || f.fence(w, r.Header.Get(partition.RingHeader))
+	err := f.fence(r.Header.Get(partition.RingHeader))
+	if err != nil {
+		writeError(w, err)
+	}
+	return err == nil
 }
 
 func (f *facade) handleObjects(w http.ResponseWriter, r *http.Request) {
 	if !f.admit(w, r) {
 		return
 	}
-	o, ok := readBody(w, r, wire.DecodeObject)
-	if !ok {
+	o, err := readBody(r, wire.DecodeObject)
+	if err != nil {
+		writeError(w, bodyError(err))
 		return
 	}
 	if f.gate != nil {
@@ -463,31 +484,36 @@ func (f *facade) handleObjects(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *facade) handleBatch(w http.ResponseWriter, r *http.Request) {
-	f.applyBatch(w, r.Header.Get(partition.RingHeader), r.Header.Get(partition.BatchHeader), func(b *wire.Buffer) error {
-		return b.ReadAll(r.Body, maxBodyBytes)
+	ds, err := f.applyBatch(r.Header.Get(partition.RingHeader), r.Header.Get(partition.BatchHeader), func() ([]paretomon.Object, error) {
+		return readBody(r, wire.DecodeBatch)
 	})
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeBody(w, ds, wire.AppendDeliveries)
 }
 
 // applyBatch is POST /objects/batch past the transport, for the request
 // and for the ingest stream's frames alike: the ring fence on ring (the
 // RingHeader value), the batch id batch (the BatchHeader value), the
-// body read reads into a pooled buffer, the quota gate, the batch-id
-// memo of AddBatchOnce and the mapping of every error to its answer.
-func (f *facade) applyBatch(w http.ResponseWriter, ring, batch string, read func(*wire.Buffer) error) {
-	if f.fence != nil && !f.fence(w, ring) {
-		return
+// batch decode yields (a failure is bodyError's refusal), the quota gate
+// and the batch-id memo of AddBatchOnce. The caller answers: deliveries
+// as JSON or as the stream's reply payload, an error as answer maps it.
+func (f *facade) applyBatch(ring, batch string, decode func() ([]paretomon.Object, error)) ([]paretomon.Delivery, error) {
+	if err := f.fence(ring); err != nil {
+		return nil, err
 	}
 	var id paretomon.BatchID
 	if batch != "" {
 		var err error
 		if id, err = paretomon.ParseBatchID(batch); err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
 	}
-	objs, ok := decodeBody(w, read, wire.DecodeBatch)
-	if !ok {
-		return
+	objs, err := decode()
+	if err != nil {
+		return nil, bodyError(err)
 	}
 	if f.gate != nil {
 		names := make([]string, len(objs))
@@ -499,17 +525,11 @@ func (f *facade) applyBatch(w http.ResponseWriter, ring, batch string, read func
 		// ingests nothing.
 		n, err := f.gate.ReserveObjects(names)
 		if err != nil {
-			writeError(w, err)
-			return
+			return nil, err
 		}
 		defer f.gate.ReleaseObjects(n)
 	}
-	ds, err := f.drv.AddBatchOnce(id, objs)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeBody(w, ds, wire.AppendDeliveries)
+	return f.drv.AddBatchOnce(id, objs)
 }
 
 func (f *facade) handleFrontier(w http.ResponseWriter, r *http.Request) {

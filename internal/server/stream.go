@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"net"
 	"net/http"
 	"strconv"
@@ -9,7 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/partition"
+	paretomon "repro"
 	"repro/internal/wire"
 )
 
@@ -18,9 +19,11 @@ const switchingProtocols = "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgr
 
 // handleStream serves GET /objects/stream, the ingest stream (see
 // internal/wire): a request carrying "Connection: Upgrade" and "Upgrade:
-// paretomon-batch" is answered 101 on the hijacked connection, which
+// paretomon-batch/2" is answered 101 on the hijacked connection, which
 // then carries one batch per request frame, each answered by a reply
-// frame with what POST /objects/batch would have answered. A
+// frame with what POST /objects/batch would have answered (a 200's
+// deliveries in the binary reply payload). Any other request, the old
+// token "paretomon-batch" included, is answered 426. A
 // ResponseWriter that cannot hand its connection over (a wrapper without
 // Hijack or Unwrap, HTTP/2) is answered 501 as an ordinary response,
 // and the router sends its batches as POSTs instead.
@@ -79,19 +82,20 @@ type admitKey struct{}
 
 // streamBatches answers request frames until the stream ends or a frame
 // cannot be trusted; either way the connection closes, and the router
-// re-sends an unanswered batch under its id on a new one. Each reply
-// goes out in one Write. A batch admit refuses is answered with the
-// refusal and not applied.
+// re-sends an unanswered batch under its id on a new one. A batch is
+// decoded straight out of the frame, through the stream's own string
+// cache; each reply goes out in one Write. A batch admit refuses is
+// answered with the refusal and not applied.
 func (f *facade) streamBatches(conn net.Conn, br *bufio.Reader, admit func() error) {
-	var in []byte
-	fw := &frameWriter{h: http.Header{}}
+	var in, out []byte
+	var dec wire.Buffer
 	for {
 		p, err := wire.ReadFrame(br, wire.TagBatch, in, wire.MaxRequestPayload)
 		in = p
 		if err != nil {
 			return
 		}
-		id, ring, body, err := wire.ParseBatchFrame(p)
+		id, ring, batch, err := wire.ParseBatchFrame(p)
 		if err != nil {
 			return
 		}
@@ -99,65 +103,34 @@ func (f *facade) streamBatches(conn net.Conn, br *bufio.Reader, admit func() err
 		if ring != 0 {
 			hdr = strconv.FormatUint(ring, 10)
 		}
-		fw.reset()
 		if admit != nil {
 			err = admit()
 		}
-		if err != nil {
-			httpError(fw, statusOf(err), "%v", err)
-		} else {
-			f.applyBatch(fw, hdr, string(id), func(b *wire.Buffer) error {
-				if len(body) > maxBodyBytes {
-					return wire.ErrTooLarge
+		var ds []paretomon.Delivery
+		if err == nil {
+			ds, err = f.applyBatch(hdr, string(id), func() ([]paretomon.Object, error) {
+				if len(batch) > maxBodyBytes {
+					return nil, wire.ErrTooLarge
 				}
-				b.B = append(b.B[:0], body...)
-				return nil
+				return wire.DecodeBatchPayload(&dec, batch)
 			})
 		}
-		if _, err := conn.Write(fw.frame()); err != nil {
+		out = wire.BeginReply(out)
+		status, have, v := http.StatusOK, "", uint64(0)
+		if err != nil {
+			var msg string
+			status, have, msg = answer(err)
+			v, _ = strconv.ParseUint(have, 10, 64)
+			// httpError's body: json.Encoder writes Marshal's bytes and a newline.
+			data, _ := json.Marshal(map[string]string{"error": msg})
+			out = append(append(out, data...), '\n')
+		} else {
+			out = wire.AppendReplyPayload(out, ds)
+		}
+		if _, err := conn.Write(wire.EndReply(out, status, v, have != "")); err != nil {
 			return
 		}
 	}
-}
-
-// frameWriter is the http.ResponseWriter of one request frame: it
-// collects the status, the RingHeader value and the body into a reply
-// frame.
-type frameWriter struct {
-	h      http.Header
-	status int
-	b      []byte
-}
-
-func (w *frameWriter) reset() {
-	clear(w.h)
-	w.status = 0
-	w.b = wire.BeginReply(w.b)
-}
-
-func (w *frameWriter) Header() http.Header { return w.h }
-
-func (w *frameWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-}
-
-func (w *frameWriter) Write(p []byte) (int, error) {
-	w.WriteHeader(http.StatusOK)
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// frame completes the reply frame.
-func (w *frameWriter) frame() []byte {
-	w.WriteHeader(http.StatusOK)
-	var ring uint64
-	hdr := w.h.Get(partition.RingHeader)
-	if hdr != "" {
-		ring, _ = strconv.ParseUint(hdr, 10, 64)
-	}
-	return wire.EndReply(w.b, w.status, ring, hdr != "")
 }
 
 // hasToken reports whether a comma-separated header's values name token,

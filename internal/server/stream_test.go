@@ -60,11 +60,33 @@ type batchReply struct {
 	ring, body string
 }
 
-// exchange sends one batch as a request frame and reads the reply.
+// exchange sends one POST /objects/batch body as a request frame, its
+// batch in the stream's binary payload, and reads the reply; a 200's
+// deliveries come back as the JSON body POST would have answered them
+// with.
 func (in *ingest) exchange(t *testing.T, batch, ring, body string) batchReply {
 	t.Helper()
+	objs, err := wire.DecodeBatch(&wire.Buffer{B: []byte(body)})
+	if err != nil {
+		t.Fatalf("a batch body that does not decode: %v", err)
+	}
+	r := in.exchangePayload(t, batch, ring, wire.AppendBatchPayload(nil, objs))
+	if r.status == http.StatusOK {
+		ds, err := wire.DecodeReplyPayload(&wire.Buffer{}, []byte(r.body), objs)
+		if err != nil {
+			t.Fatalf("a 200 reply payload: %v", err)
+		}
+		r.body = string(wire.AppendDeliveries(nil, ds)) + "\n"
+	}
+	return r
+}
+
+// exchangePayload sends one request frame carrying payload as its batch
+// and reads the reply as it came.
+func (in *ingest) exchangePayload(t *testing.T, batch, ring string, payload []byte) batchReply {
+	t.Helper()
 	v, _ := strconv.ParseUint(ring, 10, 64)
-	if _, err := in.rw.Write(wire.AppendBatchFrame(nil, batch, v, []byte(body))); err != nil {
+	if _, err := in.rw.Write(wire.AppendBatchFrame(nil, batch, v, payload)); err != nil {
 		t.Fatal(err)
 	}
 	p, err := wire.ReadFrame(in.br, wire.TagReply, nil, wire.MaxReplyPayload)
@@ -84,9 +106,11 @@ func (in *ingest) exchange(t *testing.T, batch, ring, body string) batchReply {
 
 // TestStreamAnswersAsPost: two partitions over equal monitors, one sent
 // each step as POST /objects/batch, the other as a frame on one ingest
-// stream, answer every step with the same status, body and RingHeader —
-// a fresh batch, a batch id's memo and conflict, every refusal, the body
-// cap, and the ring fence before and after a ring is installed.
+// stream, answer every step alike: a 200 with the same deliveries, and
+// every refusal with the same status, body and RingHeader — a batch id's
+// memo and conflict, a bad id, a duplicate, the body cap, and the ring
+// fence before and after a ring is installed. A torn binary payload,
+// which no POST can send, is answered 400 on a stream that stays open.
 func TestStreamAnswersAsPost(t *testing.T) {
 	com := goldenCommunity(t)
 	posted := httptest.NewServer(server.New(goldenMonitor(t, com)))
@@ -102,6 +126,10 @@ func TestStreamAnswersAsPost(t *testing.T) {
 		}
 		return string(wire.AppendBatch(nil, objs))
 	}
+	// Past the body cap in either encoding.
+	huge := string(wire.AppendBatch(nil, []paretomon.Object{{Name: "o6", Values: []string{"Apple", strings.Repeat("d", server.MaxBodyBytes)}}}))
+	torn := wire.AppendBatchPayload(nil, []paretomon.Object{{Name: "o5", Values: []string{"Apple", "dual"}}})
+	torn = torn[:len(torn)-2]
 	ring, err := partition.NewRing(2, 1, partition.DefaultVNodes, []string{"http://p0"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -113,16 +141,16 @@ func TestStreamAnswersAsPost(t *testing.T) {
 	}{
 		{"", "", batch("o1", "o2"), 200, false},
 		{"feed-1/1", "", batch("o3"), 200, false},
-		{"feed-1/1", "", batch("o3"), 200, false},        // the memo
-		{"feed-1/1", "", batch("o4"), 409, false},        // the id's batch was another
-		{"feed-1/0", "", batch("o4"), 400, false},        // a bad id
-		{"", "", batch("o1"), 400, false},                // a duplicate
-		{"", "", `{"objects":[{"name":"o5"`, 400, false}, // torn JSON
+		{"feed-1/1", "", batch("o3"), 200, false}, // the memo
+		{"feed-1/1", "", batch("o4"), 409, false}, // the id's batch was another
+		{"feed-1/0", "", batch("o4"), 400, false}, // a bad id
+		{"", "", batch("o1"), 400, false},         // a duplicate
+		{"", "", "", 400, false},                  // the torn payload, on the stream only
 		{"", "", `{"values":["Apple"],"name":"x"}`, 200, false},
-		{"", "", strings.Repeat(" ", server.MaxBodyBytes+1-len(batch("o6"))) + batch("o6"), 413, false},
+		{"", "", huge, 413, false},
 		{"", "", batch("o6"), 409, true}, // no ring version, one installed
 		{"", "1", batch("o6"), 409, false},
-		{"", "2", batch("o6"), 200, false},
+		{"", "2", batch("o5", "o6"), 200, false},
 	}
 	for i, st := range steps {
 		if st.installRing {
@@ -131,6 +159,13 @@ func TestStreamAnswersAsPost(t *testing.T) {
 					t.Fatalf("PUT /ring: %d", resp.StatusCode)
 				}
 			}
+		}
+		if st.body == "" {
+			got := in.exchangePayload(t, st.batch, st.ring, torn)
+			if got.status != st.status || !strings.Contains(got.body, "malformed stream payload") {
+				t.Fatalf("step %d: a torn payload answered %d %q, want %d", i, got.status, got.body, st.status)
+			}
+			continue
 		}
 		header := []string{}
 		if st.batch != "" {
@@ -352,4 +387,15 @@ func TestTenantStream(t *testing.T) {
 			t.Fatalf("after the refill: %+v", got)
 		}
 	})
+}
+
+// TestInvalidUTF8IsACallersError: a Router's refusal of a batch whose
+// names or values are not valid UTF-8 is answered 400, not as a fleet
+// failure (502).
+func TestInvalidUTF8IsACallersError(t *testing.T) {
+	rec := httptest.NewRecorder()
+	server.WriteError(rec, fmt.Errorf("%w: batch object 0's name %q", partition.ErrInvalidUTF8, "bad\xff"))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("ErrInvalidUTF8 answered %d, want 400", rec.Code)
+	}
 }

@@ -126,12 +126,7 @@ func parseBatch(b *Buffer) ([]paretomon.Object, bool) {
 	if !p.list(`"objects"`, `"name"`, `"values"`) {
 		return nil, false
 	}
-	vals := b.slab()
-	objs := make([]paretomon.Object, len(b.elems))
-	for i, e := range b.elems {
-		objs[i] = paretomon.Object{Name: e.name, Values: vals[e.lo:e.hi:e.hi]}
-	}
-	return objs, true
+	return b.objects(), true
 }
 
 func parseDeliveries(b *Buffer) ([]paretomon.Delivery, bool) {
@@ -140,12 +135,27 @@ func parseDeliveries(b *Buffer) ([]paretomon.Delivery, bool) {
 	if !p.list(`"deliveries"`, `"object"`, `"users"`) {
 		return nil, false
 	}
+	return b.deliveries(), true
+}
+
+// objects copies the collected elements out as objects.
+func (b *Buffer) objects() []paretomon.Object {
+	vals := b.slab()
+	objs := make([]paretomon.Object, len(b.elems))
+	for i, e := range b.elems {
+		objs[i] = paretomon.Object{Name: e.name, Values: vals[e.lo:e.hi:e.hi]}
+	}
+	return objs
+}
+
+// deliveries copies the collected elements out as deliveries.
+func (b *Buffer) deliveries() []paretomon.Delivery {
 	users := b.slab()
 	ds := make([]paretomon.Delivery, len(b.elems))
 	for i, e := range b.elems {
 		ds[i] = paretomon.Delivery{Object: e.name, Users: users[e.lo:e.hi:e.hi]}
 	}
-	return ds, true
+	return ds
 }
 
 // elem is one decoded element of a list: its name, and its strings at
@@ -164,8 +174,14 @@ func (b *Buffer) slab() []string {
 	return out
 }
 
-// reset empties the scratch, dropping its references.
+// reset empties the scratch, dropping its references, and drops scratch
+// grown past maxScratch: a buffer a caller keeps (an ingest stream's)
+// must not pin what one huge batch needed.
 func (b *Buffer) reset() {
+	if cap(b.elems) > maxScratch || cap(b.strs) > maxScratch {
+		b.elems, b.strs = nil, nil
+		return
+	}
 	clear(b.elems)
 	clear(b.strs)
 	b.elems, b.strs = b.elems[:0], b.strs[:0]

@@ -9,22 +9,26 @@ import (
 )
 
 // The ingest stream. A router sends GET /objects/stream with
-// "Connection: Upgrade" and "Upgrade: paretomon-batch"; a partition that
-// answers 101 Switching Protocols keeps the connection for batches from
-// then on, one request frame per batch and one reply frame per request,
-// in order. A frame has the replica feed's layout:
+// "Connection: Upgrade" and "Upgrade: paretomon-batch/2"; a partition
+// that answers 101 Switching Protocols keeps the connection for batches
+// from then on, one request frame per batch and one reply frame per
+// request, in order. A frame has the replica feed's layout:
 //
 //	tag (1 byte) | payload length (u32 LE) | CRC32-IEEE of the payload (u32 LE) | payload
 //
 // A request payload is the batch id (uvarint length, then its bytes: the
 // X-Paretomon-Batch value), the ring version (u64 LE, 0 for none: the
-// X-Paretomon-Ring value) and then the batch body exactly as AppendBatch
-// writes it. A reply payload is the HTTP status (u16 LE), whether a ring
-// version follows (u8) and that version (u64 LE: the X-Paretomon-Ring
-// value of a 409), and then exactly the body POST /objects/batch would
-// have answered. The stream changes how a batch travels, not what it
-// means.
-const StreamProtocol = "paretomon-batch"
+// X-Paretomon-Ring value) and then the batch as AppendBatchPayload
+// writes it (see payload.go). A reply payload is the HTTP status (u16
+// LE), whether a ring version follows (u8) and that version (u64 LE: the
+// X-Paretomon-Ring value of a 409), and then, for a 200, the deliveries
+// as AppendReplyPayload writes them, or for any other status exactly the
+// JSON body POST /objects/batch would have answered. The stream changes
+// how a batch travels, not what it means. The token's "/2" is the binary
+// payload: a peer that knows only "paretomon-batch", whose frames carried
+// JSON bodies, answers the other's upgrade 426, and the batches go as
+// POSTs.
+const StreamProtocol = "paretomon-batch/2"
 
 // Frame tags of the ingest stream.
 const (
@@ -33,8 +37,9 @@ const (
 )
 
 // Payload caps: a length above them is treated as stream damage, not
-// attempted. A request carries at most one POST /objects/batch body
-// (32 MiB) and its id; a reply is as long as the deliveries it names.
+// attempted. A request carries at most a batch as long as a POST
+// /objects/batch body may be (32 MiB) and its id; a reply is as long as
+// the deliveries it names.
 const (
 	MaxRequestPayload = 33 << 20
 	MaxReplyPayload   = 1 << 30
@@ -68,20 +73,20 @@ func endFrame(dst []byte, start int) []byte {
 }
 
 // AppendBatchFrame appends one request frame: batch id, ring version and
-// body, the bytes AppendBatch wrote.
-func AppendBatchFrame(dst []byte, id string, ring uint64, body []byte) []byte {
+// batch, the bytes AppendBatchPayload wrote.
+func AppendBatchFrame(dst []byte, id string, ring uint64, batch []byte) []byte {
 	start := len(dst)
 	dst = beginFrame(dst, TagBatch)
 	dst = binary.AppendUvarint(dst, uint64(len(id)))
 	dst = append(dst, id...)
 	dst = binary.LittleEndian.AppendUint64(dst, ring)
-	dst = append(dst, body...)
+	dst = append(dst, batch...)
 	return endFrame(dst, start)
 }
 
 // ParseBatchFrame splits a request payload into its batch id, ring
-// version and body. The results alias p.
-func ParseBatchFrame(p []byte) (id []byte, ring uint64, body []byte, err error) {
+// version and batch. The results alias p.
+func ParseBatchFrame(p []byte) (id []byte, ring uint64, batch []byte, err error) {
 	n, k := binary.Uvarint(p)
 	if k <= 0 || n > uint64(len(p)-k) || len(p)-k-int(n) < 8 {
 		return nil, 0, nil, fmt.Errorf("%w: batch frame of %d bytes is short", ErrBadFrame, len(p))

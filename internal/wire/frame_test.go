@@ -6,18 +6,15 @@ import (
 	"errors"
 	"io"
 	"testing"
-
-	paretomon "repro"
 )
 
 // sampleFrames is one request frame and one reply frame of each kind the
-// stream carries, concatenated.
+// stream carries.
 func sampleFrames() (batch, reply, conflict []byte) {
-	body := AppendBatch(nil, []paretomon.Object{{Name: "o1", Values: []string{"a", "b"}}, {Name: "o2", Values: nil}})
-	batch = AppendBatchFrame(nil, "w/7", 3, body)
+	batch = AppendBatchFrame(nil, "w/7", 3, AppendBatchPayload(nil, sampleBatch))
 	reply = BeginReply(nil)
-	reply = AppendDeliveries(reply, []paretomon.Delivery{{Object: "o1", Users: []string{"u1"}}, {Object: "o2"}})
-	reply = EndReply(append(reply, '\n'), 200, 0, false)
+	reply = AppendReplyPayload(reply, sampleReply)
+	reply = EndReply(reply, 200, 0, false)
 	conflict = BeginReply(nil)
 	conflict = EndReply(append(conflict, `{"error":"ring version mismatch"}`+"\n"...), 409, 4, true)
 	return batch, reply, conflict
@@ -33,8 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, ring, body, err := ParseBatchFrame(p)
-	want := AppendBatch(nil, []paretomon.Object{{Name: "o1", Values: []string{"a", "b"}}, {Name: "o2", Values: nil}})
-	if err != nil || string(id) != "w/7" || ring != 3 || !bytes.Equal(body, want) {
+	if err != nil || string(id) != "w/7" || ring != 3 || !bytes.Equal(body, AppendBatchPayload(nil, sampleBatch)) {
 		t.Fatalf("batch frame reads back as %q, %d, %q, %v", id, ring, body, err)
 	}
 	for _, c := range []struct {
@@ -43,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		hasRing bool
 		body    string
 	}{
-		{200, 0, false, `{"deliveries":[{"object":"o1","users":["u1"]},{"object":"o2","users":[]}]}` + "\n"},
+		{200, 0, false, string(AppendReplyPayload(nil, sampleReply))},
 		{409, 4, true, `{"error":"ring version mismatch"}` + "\n"},
 	} {
 		p, err := ReadFrame(r, TagReply, p, MaxReplyPayload)

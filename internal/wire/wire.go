@@ -1,7 +1,8 @@
-// Package wire is the codec for the four JSON shapes of the ingest
-// path — the bodies of POST /objects and POST /objects/batch, their
-// replies, the router→partition hop and the /subscribe SSE frames —
-// and the encoder of the /deltas SSE frames:
+// Package wire is the codec of the ingest path: the ingest stream's
+// frames and binary payloads between a router and its partitions
+// (frame.go, payload.go), the four JSON shapes — the bodies of POST
+// /objects and POST /objects/batch, their replies and the /subscribe
+// SSE frames — and the encoder of the /deltas SSE frames:
 //
 //	{"name": "o1", "values": ["13-15.9", "Apple"]}     an object
 //	{"objects": [object, ...]}                          a batch
@@ -87,9 +88,7 @@ func (b *Buffer) Free() {
 	if cap(b.B) > maxPooled {
 		return
 	}
-	if cap(b.elems) > maxScratch || cap(b.strs) > maxScratch {
-		b.elems, b.strs = nil, nil
-	}
+	b.reset()
 	buffers.Put(b)
 }
 
